@@ -218,6 +218,24 @@ def _uniform_dist(M):
     return PolicyDistribution.point_mass(Policy.uniform(M, 0, M.H - 1))
 
 
+def _interning(solve):
+    """LinOpt over policy indices: equal policies from ``solve`` share one index.
+
+    Returns (lin_opt, interned) where ``interned[z]`` is the policy of index z.
+    """
+    interned, seen = [], {}
+
+    def lin_opt(query):
+        pol = solve(query)
+        key = pol.action_key()
+        if key not in seen:
+            seen[key] = len(interned)
+            interned.append(pol)
+        return seen[key]
+
+    return lin_opt, interned
+
+
 def run_vox(M, Phi, schedule: VoxSchedule, rng, counter=None) -> RunResult:
     """Layer-by-layer cover construction via representation-aware design."""
     counter = EpisodeCounter() if counter is None else counter
@@ -241,19 +259,15 @@ def run_vox(M, Phi, schedule: VoxSchedule, rng, counter=None) -> RunResult:
                             schedule.replearn, rng, counter=counter)
             tab = Phi.tables_at(hc)[rep.index]
             phiphi = np.einsum("xad,xae->xade", tab, tab)
-            interned, seen = [], {}
 
-            def lin_opt(Mquery, _tab=tab, _interned=interned, _seen=seen, _hc=hc):
+            def solve(Mquery, _tab=tab, _hc=hc):
                 rewards = RewardSpec.quadratic(Mquery, _tab, _hc)
                 classes = [ValueClass.ball(Phi, math.sqrt(d)) for _ in range(_hc)]
                 classes.append(ValueClass.singleton(rewards.layer_table(M, _hc)))
-                pol = psdp(M, _hc, rewards, classes, covers[:_hc + 1],
-                           schedule.n_psdp, rng, counter=counter)
-                key = pol.action_key()
-                if key not in _seen:
-                    _seen[key] = len(_interned)
-                    _interned.append(pol)
-                return _seen[key]
+                return psdp(M, _hc, rewards, classes, covers[:_hc + 1],
+                            schedule.n_psdp, rng, counter=counter)
+
+            lin_opt, interned = _interning(solve)
 
             def lin_est(Pdict, _phiphi=phiphi, _interned=interned, _hc=hc):
                 dist = PolicyDistribution(
@@ -312,20 +326,15 @@ def run_spanrl(M, Phi, eps, schedule: SpanrlSchedule, rng,
         rep = rep_learn(M, hc, Phi, dists[hc], schedule.n_replearn,
                         schedule.replearn, rng, counter=counter)
         tab = Phi.tables_at(hc)[rep.index]
-        interned, seen = [], {}
 
-        def lin_opt(theta, _tab=tab, _dists=dists, _interned=interned,
-                    _seen=seen, _hc=hc):
+        def solve(theta, _tab=tab, _dists=dists, _hc=hc):
             rewards = RewardSpec.linear(theta, _tab, _hc)
             classes = [ValueClass.ball(Phi, 2.0 * math.sqrt(d))
                        for _ in range(_hc + 1)]
-            pol = psdp(M, _hc, rewards, classes, _dists, schedule.n_psdp, rng,
-                       counter=counter)
-            key = pol.action_key()
-            if key not in _seen:
-                _seen[key] = len(_interned)
-                _interned.append(pol)
-            return _seen[key]
+            return psdp(M, _hc, rewards, classes, _dists, schedule.n_psdp, rng,
+                        counter=counter)
+
+        lin_opt, interned = _interning(solve)
 
         def lin_est(z, _tab=tab, _interned=interned, _hc=hc):
             return est_vec(M, _hc, _tab, _interned[z], schedule.n_estvec, rng,

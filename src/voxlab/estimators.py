@@ -2,9 +2,7 @@
 
 est_vec and est_mat average a state-action functional at one layer over n
 independent episodes.  Both accept a single Policy or a PolicyDistribution;
-for a mixture the policy is redrawn every episode (implemented by grouping
-episode counts with a multinomial draw, which has the same law and lets the
-sampler run vectorized per component).
+for a mixture the policy is redrawn every episode (see ``simenv.rollin``).
 
 The functional F may be given as a dense table indexed by (state, action)
 with arbitrary trailing shape, or as a callable (x, a) -> array, which is
@@ -15,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from voxlab.core import VoxlabError, as_distribution
-from voxlab.simenv import sample_trajectories
+from voxlab.core import VoxlabError
+from voxlab.simenv import rollin
 
 EIG_TOL = 1e-12
 
@@ -40,18 +38,9 @@ def _tabulate(F, M, h):
 
 def visit_counts(M, h, pi, n, rng, counter=None):
     """Empirical (state, action) visit counts at layer h over n episodes."""
-    if n < 1:
-        raise VoxlabError("n must be >= 1")
-    P = as_distribution(pi)
-    per_comp = rng.multinomial(n, P.weights)
-    counts = np.zeros((M.n_states(h), M.A), dtype=np.int64)
-    for comp, cnt in zip(P.policies, per_comp):
-        if cnt == 0:
-            continue
-        S, A = sample_trajectories(M, comp, int(cnt), rng, upto=h, counter=counter)
-        flat = np.bincount(S[h] * M.A + A[h], minlength=M.n_states(h) * M.A)
-        counts += flat.reshape(M.n_states(h), M.A)
-    return counts
+    S, A = rollin(M, pi, n, rng, upto=h, counter=counter)
+    flat = np.bincount(S[h] * M.A + A[h], minlength=M.n_states(h) * M.A)
+    return flat.reshape(M.n_states(h), M.A)
 
 
 def est_vec(M, h, F, pi, n, rng, counter=None):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from voxlab.core import Policy, VoxlabError, as_distribution
-from voxlab.simenv import sample_trajectories
+from voxlab.core import Policy, VoxlabError
+from voxlab.simenv import rollin
 
 NORM_EPS = 1e-10
 
@@ -272,27 +272,12 @@ def psdp(M, h, rewards: RewardSpec, classes, covers, n, rng, counter=None):
     greedy = [None] * (h + 1)
     uniform_rows = [np.full((M.n_states(t), M.A), 1.0 / M.A) for t in range(h + 1)]
     for t in range(h, -1, -1):
-        P = as_distribution(covers[t])
-        per_comp = rng.multinomial(n, P.weights)
-        xs, acts, ys = [], [], []
-        for comp, cnt in zip(P.policies, per_comp):
-            if cnt == 0:
-                continue
-            tabs = [comp.table(ell) for ell in range(t)]
-            tabs.append(uniform_rows[t])
-            tabs.extend(greedy[t + 1:h + 1])
-            probe = Policy(0, tabs)
-            S, A = sample_trajectories(M, probe, int(cnt), rng, upto=h,
-                                       counter=counter)
-            ret = np.zeros(int(cnt))
-            for ell in range(t, h + 1):
-                ret += reward_tabs[ell][S[ell], A[ell]]
-            xs.append(S[t])
-            acts.append(A[t])
-            ys.append(ret)
-        data = RegressionData.from_samples(
-            t, np.concatenate(xs), np.concatenate(acts), np.concatenate(ys),
-            M.n_states(t), M.A)
+        S, A = rollin(M, covers[t], n, rng, upto=h,
+                      tail=[uniform_rows[t]] + greedy[t + 1:h + 1], counter=counter)
+        ret = np.zeros(n)
+        for ell in range(t, h + 1):
+            ret += reward_tabs[ell][S[ell], A[ell]]
+        data = RegressionData.from_samples(t, S[t], A[t], ret, M.n_states(t), M.A)
         fit = fit_value_class(data, classes[t])
         acts_t = np.argmax(fit.q_table, axis=1)
         table = np.zeros((M.n_states(t), M.A))

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from voxlab.core import Discriminator, Policy, VoxlabError, as_distribution
+from voxlab.core import Discriminator, VoxlabError, as_distribution
 from voxlab.psdp import RegressionData, ball_constrained_least_squares
-from voxlab.simenv import mixture_occupancy, sample_trajectories
+from voxlab.simenv import mixture_occupancy, rollin
 
 
 @dataclass
@@ -65,27 +65,15 @@ class RepLearnDataset:
     @classmethod
     def collect(cls, M, h, P, n, rng, counter=None):
         """n roll-ins of pi ~ P with a uniform action at layer h."""
-        if n < 1:
-            raise VoxlabError("n must be >= 1")
         if not 0 <= h <= M.H - 2:
             raise VoxlabError(f"layer {h} has no transition data (H={M.H})")
-        P = as_distribution(P)
-        per_comp = rng.multinomial(n, P.weights)
-        counts = np.zeros((M.n_states(h), M.A, M.n_states(h + 1)))
         unif_h = np.full((M.n_states(h), M.A), 1.0 / M.A)
         unif_next = np.full((M.n_states(h + 1), M.A), 1.0 / M.A)
-        for comp, cnt in zip(P.policies, per_comp):
-            if cnt == 0:
-                continue
-            tabs = [comp.table(t) for t in range(h)] + [unif_h, unif_next]
-            probe = Policy(0, tabs)
-            S, A = sample_trajectories(M, probe, int(cnt), rng, upto=h + 1,
-                                       counter=counter)
-            flat = np.bincount(
-                (S[h] * M.A + A[h]) * M.n_states(h + 1) + S[h + 1],
-                minlength=counts.size,
-            )
-            counts += flat.reshape(counts.shape)
+        S, A = rollin(M, P, n, rng, upto=h + 1, tail=[unif_h, unif_next],
+                      counter=counter)
+        shape = (M.n_states(h), M.A, M.n_states(h + 1))
+        counts = np.bincount((S[h] * M.A + A[h]) * shape[2] + S[h + 1],
+                             minlength=math.prod(shape)).reshape(shape)
         return cls(h, counts)
 
     def regression_for(self, f_values):

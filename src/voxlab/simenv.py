@@ -7,11 +7,9 @@ the Monte-Carlo side of the library lives in ``estimators``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from concurrent.futures import ThreadPoolExecutor
 
 from .core import (
     BudgetError,
@@ -20,6 +18,7 @@ from .core import (
     LayerRangeError,
     Policy,
     VoxlabError,
+    as_distribution,
 )
 
 DEFAULT_DP_BUDGET = 50_000_000
@@ -78,13 +77,6 @@ class EpisodeCounter:
 
     def add(self, n):
         self.count += int(n)
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("VOXLAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _categorical_rows(p, rng):
@@ -204,8 +196,6 @@ def exact_second_moment(M, pi, feat, h):
 
 def mixture_occupancy(M, P, h, with_actions=False):
     """Occupancy of a policy mixture: the weight-averaged member occupancies."""
-    from .core import as_distribution
-
     P = as_distribution(P)
     parts = [
         exact_occupancy_sa(M, pi, h) if with_actions else exact_occupancy(M, pi, h)
@@ -248,32 +238,16 @@ def exact_policy_value(M, pi, reward_tables):
 def sample_trajectories(M, pi, n, rng, upto=None, counter=None):
     """Vectorized batch of ``n`` episodes under ``pi`` through layer ``upto``.
 
-    Returns (states, actions) arrays of shape (upto+1, n).  Honors
-    VOXLAB_THREADS by splitting the batch across worker threads with
-    independently spawned generator streams.
+    Returns (states, actions) arrays of shape (upto+1, n).
     """
     upto = M.H - 1 if upto is None else upto
     if not 0 <= upto < M.H:
         raise LayerRangeError(f"layer {upto} out of range for H={M.H}")
+    if n < 0:
+        raise VoxlabError(f"n must be >= 0, got {n}")
     _require_cover(pi, 0, upto)
     if counter is not None:
         counter.add(n)
-    workers = _threads()
-    if workers > 1 and n >= 4 * workers:
-        chunks = np.array_split(np.arange(n), workers)
-        rngs = rng.spawn(len(chunks))
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(
-                ex.map(lambda cr: _sample_block(M, pi, len(cr[0]), cr[1], upto),
-                       zip(chunks, rngs))
-            )
-        states = np.concatenate([p[0] for p in parts], axis=1)
-        actions = np.concatenate([p[1] for p in parts], axis=1)
-        return states, actions
-    return _sample_block(M, pi, n, rng, upto)
-
-
-def _sample_block(M, pi, n, rng, upto):
     states = np.empty((upto + 1, n), dtype=np.int64)
     actions = np.empty((upto + 1, n), dtype=np.int64)
     cum_rho = np.cumsum(M.rho)
@@ -287,6 +261,31 @@ def _sample_block(M, pi, n, rng, upto):
             T = M.transition_matrix(t)
             x = _categorical_rows(T[x, a], rng)
     return states, actions
+
+
+def rollin(M, P, n, rng, upto, tail=(), counter=None):
+    """``n`` episodes through layer ``upto``, each rolled in with a policy drawn from P.
+
+    Every episode follows its drawn policy on layers 0..upto-len(tail) and the
+    fixed ``tail`` tables on the remaining layers.  The policy is redrawn
+    every episode; this is implemented by grouping episode counts with one
+    multinomial draw, which has the same law and lets the sampler run
+    vectorized per component.  Returns (states, actions) arrays of shape
+    (upto+1, n), with the episodes grouped by component in support order.
+    """
+    if n < 1:
+        raise VoxlabError("n must be >= 1")
+    P = as_distribution(P)
+    per_comp = rng.multinomial(n, P.weights)
+    head = upto + 1 - len(tail)
+    parts = [
+        sample_trajectories(
+            M, Policy(0, [comp.table(t) for t in range(head)] + list(tail)),
+            int(cnt), rng, upto=upto, counter=counter)
+        for comp, cnt in zip(P.policies, per_comp) if cnt
+    ]
+    return (np.concatenate([S for S, _ in parts], axis=1),
+            np.concatenate([A for _, A in parts], axis=1))
 
 
 def sample_trajectory(M, pi, rewards=None, rng=None, counter=None):

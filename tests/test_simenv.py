@@ -9,7 +9,9 @@ from voxlab import (
     EpisodeCounter,
     LayerRangeError,
     Policy,
+    PolicyDistribution,
     VoxlabError,
+    as_distribution,
     generate_low_rank_mdp,
     validate_mdp,
 )
@@ -26,6 +28,7 @@ from voxlab.simenv import (
     max_value,
     mixture_occupancy,
     reachability_eta,
+    rollin,
     sample_trajectories,
     sample_trajectory,
 )
@@ -223,6 +226,59 @@ def test_sampler_respects_upto_and_counter(env):
     assert counter.count == 50
     with pytest.raises(LayerRangeError):
         sample_trajectories(env, pi, 5, np.random.default_rng(6), upto=2)
+    with pytest.raises(VoxlabError):
+        sample_trajectories(env, pi, -5, np.random.default_rng(6), upto=0,
+                            counter=counter)
+    assert counter.count == 50
+    states, actions = sample_trajectories(env, pi, 0, np.random.default_rng(6),
+                                          upto=0, counter=counter)
+    assert states.shape == actions.shape == (1, 0)
+    assert counter.count == 50
+
+
+def reference_rollin(M, P, n, rng, upto, tail=(), counter=None):
+    """The per-component loop that rollin replaced, kept as its reference."""
+    P = as_distribution(P)
+    per_comp = rng.multinomial(n, P.weights)
+    states, actions = [], []
+    for comp, cnt in zip(P.policies, per_comp):
+        if cnt == 0:
+            continue
+        tabs = [comp.table(t) for t in range(upto + 1 - len(tail))] + list(tail)
+        S, A = sample_trajectories(M, Policy(0, tabs), int(cnt), rng, upto=upto,
+                                   counter=counter)
+        states.append(S)
+        actions.append(A)
+    return np.concatenate(states, axis=1), np.concatenate(actions, axis=1)
+
+
+@pytest.mark.parametrize("shape", ["plain", "collect", "psdp"])
+def test_rollin_matches_the_per_component_loop(shape):
+    M = small_env(seed=3, H=4, states=(3, 4, 4, 3))
+    rng = np.random.default_rng(8)
+    P = PolicyDistribution([random_policy(M, rng) for _ in range(3)],
+                           [0.6, 0.0, 0.4])
+    unif = [np.full((M.n_states(t), M.A), 1.0 / M.A) for t in range(M.H)]
+    greedy = Policy.from_actions(M, [rng.integers(M.A, size=M.n_states(t))
+                                     for t in range(M.H)]).tables
+    upto, tail = {
+        "plain": (3, ()),
+        "collect": (2, [unif[1], unif[2]]),
+        "psdp": (3, [unif[1]] + list(greedy[2:4])),
+    }[shape]
+    out, rng_state, count = [], [], []
+    for sampler in (reference_rollin, rollin):
+        rng, counter = np.random.default_rng(9), EpisodeCounter()
+        out.append(sampler(M, P, 500, rng, upto, tail, counter=counter))
+        rng_state.append(rng.bit_generator.state)
+        count.append(counter.count)
+    assert out[1][0].shape == (upto + 1, 500)
+    assert np.array_equal(out[0][0], out[1][0])
+    assert np.array_equal(out[0][1], out[1][1])
+    assert rng_state[0] == rng_state[1]
+    assert count == [500, 500]
+    with pytest.raises(VoxlabError):
+        rollin(M, P, 0, rng, upto)
 
 
 # ------------------------------------------------------------- reachability
