@@ -28,12 +28,24 @@ class LayerRangeError(VoxlabError):
 
 
 class BudgetError(VoxlabError):
-    """A brute-force enumeration exceeded its combinatorial budget."""
+    """A bounded computation ran past its budget before finishing.
+
+    Raised when the exact max-occupancy recursion (`max_occupancies`) would
+    exceed its operation budget, when `fw_optdesign` reaches its iteration
+    cap without certifying the design, and when `robust_spanner` exceeds
+    its cap on swap rounds.
+    """
 
 
 def _freeze(arr):
-    arr = np.ascontiguousarray(np.asarray(arr, dtype=float))
-    arr.setflags(write=False)
+    """Read-only float64 C-contiguous copy of ``arr``, so the caller's array
+    is never frozen or aliased; a read-only array of that layout that owns
+    its data is shared instead, so frozen tables pass through uncopied."""
+    if not (type(arr) is np.ndarray and arr.dtype == np.float64
+            and arr.flags.c_contiguous and arr.flags.owndata
+            and not arr.flags.writeable):
+        arr = np.array(arr, dtype=float, order="C")
+        arr.setflags(write=False)
     return arr
 
 
@@ -50,8 +62,8 @@ class LayeredLowRankMDP:
     mu : list of H-1 arrays, mu[h] has shape (|X_{h+1}|, d).
     rho : initial distribution over layer 0, shape (|X_0|,).
 
-    Instances are immutable after construction; all arrays are copied and
-    marked read-only so they can be shared across threads.
+    Instances are immutable after construction: every table is held
+    read-only, copied unless it already is a frozen table (see `_freeze`).
     """
 
     def __init__(self, H, A, d, layers, phi, mu, rho):

@@ -180,53 +180,74 @@ class FittedValue:
     loss: float
 
 
+class BallLeastSquares:
+    """Factor step of ball-constrained least squares: sqrt(weights), the thin
+    SVD of the weighted design Z and its rank mask, kept for many solves."""
+
+    def __init__(self, Z, weights=None):
+        Z = np.asarray(Z, dtype=float)
+        if Z.ndim != 2:
+            raise VoxlabError(f"shape mismatch: Z {Z.shape} is not 2-d")
+        self.root = None
+        if weights is not None:
+            self.root = np.sqrt(np.asarray(weights, dtype=float))
+            Z = Z * self.root[:, None]
+        self.U, self.s, self.Vt = np.linalg.svd(Z, full_matrices=False)
+        s = self.s
+        self.pos = s > s[0] * 1e-13 if s.size and s[0] > 0 else s > 0
+
+    def solve(self, y, radius):
+        """Minimum-norm unconstrained solution when it fits the ball of the
+        given radius, otherwise bisects the ridge multiplier until the
+        constraint is active to within 1e-10."""
+        if radius <= 0:
+            raise VoxlabError("radius must be > 0")
+        y = np.asarray(y, dtype=float)
+        if self.U.shape[0] != y.shape[0]:
+            raise VoxlabError(
+                f"shape mismatch: Z has {self.U.shape[0]} rows, y {y.shape}")
+        if self.root is not None:
+            y = y * self.root
+        s, Vt, pos = self.s, self.Vt, self.pos
+        b = self.U.T @ y
+        coef = np.zeros_like(s)
+        coef[pos] = b[pos] / s[pos]
+        w0 = Vt.T @ coef
+        if np.linalg.norm(w0) <= radius + NORM_EPS:
+            return w0
+
+        def norm_at(lam):
+            c = s * b / (s * s + lam)
+            return float(np.sqrt((c * c).sum()))
+
+        lo, hi = 0.0, 1.0
+        while norm_at(hi) > radius:
+            hi *= 2.0
+            if hi > 1e18:
+                break
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            nm = norm_at(mid)
+            if abs(nm - radius) <= NORM_EPS:
+                lo = hi = mid
+                break
+            if nm > radius:
+                lo = mid
+            else:
+                hi = mid
+        lam = 0.5 * (lo + hi)
+        return Vt.T @ (s * b / (s * s + lam))
+
+
 def ball_constrained_least_squares(Z, y, radius, weights=None):
     """Exact minimizer of the (weighted) squared loss over the ball ||w|| <= radius.
 
-    Returns the minimum-norm unconstrained solution when it fits the ball,
-    otherwise bisects the ridge multiplier until the constraint is active to
-    within 1e-10.
+    Factor once, solve many: this is `BallLeastSquares(Z, weights).solve(y,
+    radius)`, and a caller that fits one design against many targets keeps
+    the `BallLeastSquares` and calls `solve` per target.  The answers are
+    bit-identical, since the same matrix gives the same SVD.
     """
-    if radius <= 0:
-        raise VoxlabError("radius must be > 0")
-    Z = np.asarray(Z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if Z.ndim != 2 or Z.shape[0] != y.shape[0]:
-        raise VoxlabError(f"shape mismatch: Z {Z.shape}, y {y.shape}")
-    if weights is not None:
-        root = np.sqrt(np.asarray(weights, dtype=float))
-        Z = Z * root[:, None]
-        y = y * root
-    U, s, Vt = np.linalg.svd(Z, full_matrices=False)
-    b = U.T @ y
-    pos = s > s[0] * 1e-13 if s.size and s[0] > 0 else s > 0
-    coef = np.zeros_like(s)
-    coef[pos] = b[pos] / s[pos]
-    w0 = Vt.T @ coef
-    if np.linalg.norm(w0) <= radius + NORM_EPS:
-        return w0
-
-    def norm_at(lam):
-        c = s * b / (s * s + lam)
-        return float(np.sqrt((c * c).sum()))
-
-    lo, hi = 0.0, 1.0
-    while norm_at(hi) > radius:
-        hi *= 2.0
-        if hi > 1e18:
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        nm = norm_at(mid)
-        if abs(nm - radius) <= NORM_EPS:
-            lo = hi = mid
-            break
-        if nm > radius:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
-    return Vt.T @ (s * b / (s * s + lam))
+    return BallLeastSquares(Z, weights).solve(y, radius)
 
 
 def fit_value_class(data: RegressionData, cls: ValueClass):

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from voxlab.core import Discriminator, VoxlabError, as_distribution
-from voxlab.psdp import RegressionData, ball_constrained_least_squares
+from voxlab.core import Discriminator, VoxlabError, _freeze, as_distribution
+from voxlab.psdp import BallLeastSquares, RegressionData
 from voxlab.simenv import mixture_occupancy, rollin
 
 
@@ -52,15 +52,26 @@ class RepLearnConfig:
 
 
 class RepLearnDataset:
-    """Aggregated (x_h, a_h, x_{h+1}) triple counts at one layer."""
+    """Aggregated (x_h, a_h, x_{h+1}) triple counts at one layer.
+
+    The counts are held as a read-only copy, so the observed (x, a) cells
+    and the per-candidate factorizations cached by `factor` stay valid.
+    """
 
     def __init__(self, layer, counts):
         self.layer = layer
-        self.counts = np.asarray(counts, dtype=float)
+        self.counts = _freeze(counts)
         self.n = int(round(self.counts.sum()))
         if self.n == 0:
             raise VoxlabError("empty dataset")
         self.pair_counts = self.counts.sum(axis=2)
+        # the observed (x, a) cells, shared by every regression on this data
+        self._keep = self.pair_counts > 0
+        self._cnt = self.pair_counts[self._keep]
+        self._xs, self._acts = np.nonzero(self._keep)
+        for arr in (self.pair_counts, self._cnt, self._xs, self._acts):
+            arr.setflags(write=False)
+        self._factors = {}
 
     @classmethod
     def collect(cls, M, h, P, n, rng, counter=None):
@@ -81,13 +92,22 @@ class RepLearnDataset:
         f = np.asarray(f_values, dtype=float)
         s1 = self.counts @ f
         s2 = self.counts @ (f * f)
-        keep = self.pair_counts > 0
-        cnt = self.pair_counts[keep]
+        keep, cnt = self._keep, self._cnt
         mean = s1[keep] / cnt
         offset = float(s2[keep].sum() - (cnt * mean * mean).sum())
-        xs, acts = np.nonzero(keep)
-        return RegressionData(layer=self.layer, xs=xs, acts=acts, ys=mean,
-                              weights=cnt, offset=max(offset, 0.0))
+        return RegressionData(layer=self.layer, xs=self._xs, acts=self._acts,
+                              ys=mean, weights=cnt, offset=max(offset, 0.0))
+
+    def factor(self, table):
+        """(Z, its BallLeastSquares) for a read-only candidate table, cached:
+        neither depends on the discriminator.  The entry holds the table, so
+        its id cannot be reused by another array."""
+        hit = self._factors.get(id(table))
+        if hit is None:
+            Z = table[self._xs, self._acts]
+            hit = (table, Z, BallLeastSquares(Z, self._cnt))
+            self._factors[id(table)] = hit
+        return hit[1], hit[2]
 
 
 @dataclass
@@ -99,10 +119,11 @@ class RepLearnResult:
     threshold: float = 0.0
 
 
-def _min_loss(data, table, f_values, radius):
-    reg = data.regression_for(f_values)
-    Z = table[reg.xs, reg.acts]
-    w = ball_constrained_least_squares(Z, reg.ys, radius, weights=reg.weights)
+def _min_loss(data, table, reg, radius):
+    """Loss and weights of the ball-constrained fit of `table` to `reg`, a
+    `data.regression_for` instance."""
+    Z, fac = data.factor(table)
+    w = fac.solve(reg.ys, radius)
     resid = Z @ w - reg.ys
     return float((reg.weights * resid * resid).sum()) + reg.offset, w
 
@@ -112,10 +133,10 @@ def adversarial_gap(Phi, phi_current, f: Discriminator, data: RepLearnDataset,
     """Advantage of the best competitor over the current candidate on f."""
     d = Phi.d
     _, r_big, r_small, _ = config.resolve(d, data.n, len(Phi.candidates))
-    f_values = f.values(Phi, data.layer + 1)
+    reg = data.regression_for(f.values(Phi, data.layer + 1))
     tables = Phi.tables_at(data.layer)
-    own, _ = _min_loss(data, tables[phi_current], f_values, r_big)
-    best = min(_min_loss(data, tab, f_values, r_small)[0] for tab in tables)
+    own, _ = _min_loss(data, tables[phi_current], reg, r_big)
+    best = min(_min_loss(data, tab, reg, r_small)[0] for tab in tables)
     return own - best
 
 
@@ -139,12 +160,12 @@ def discriminator_search(Phi, phi_current, data: RepLearnDataset,
     def gap_and_grad(theta, ftab):
         fvals = ftab @ theta
         amax = fvals.argmax(axis=1)
-        fv = fvals[np.arange(ftab.shape[0]), amax]
-        own, w_own = _min_loss(data, cur_tab, fv, r_big)
+        reg = data.regression_for(fvals[np.arange(ftab.shape[0]), amax])
+        own, w_own = _min_loss(data, cur_tab, reg, r_big)
         best = np.inf
         w_best, tab_best = None, None
         for tab in tables_h:
-            loss, w = _min_loss(data, tab, fv, r_small)
+            loss, w = _min_loss(data, tab, reg, r_small)
             if loss < best:
                 best, w_best, tab_best = loss, w, tab
         # envelope gradient: the fitted weights are held fixed, only the
@@ -168,7 +189,7 @@ def discriminator_search(Phi, phi_current, data: RepLearnDataset,
             gap, grad = gap_and_grad(theta0, ftab)
             scored.append((gap, theta0, grad))
             if gap > best_gap:
-                best_gap, best_disc = gap, Discriminator(theta0.copy(), fi)
+                best_gap, best_disc = gap, Discriminator(theta0, fi)
         scored.sort(key=lambda item: -item[0])
         for gap, theta, grad in scored[:3]:
             step = config.step_size
@@ -183,7 +204,7 @@ def discriminator_search(Phi, phi_current, data: RepLearnDataset,
                     theta, gap, grad = cand, g2, grad2
                     step *= 1.3
                     if gap > best_gap:
-                        best_gap, best_disc = gap, Discriminator(theta.copy(), fi)
+                        best_gap, best_disc = gap, Discriminator(theta, fi)
                 else:
                     step *= 0.5
                     if step < 1e-7:
@@ -199,10 +220,11 @@ def feature_selection(Phi, discriminators, data: RepLearnDataset,
     d = Phi.d
     _, _, r_small, _ = config.resolve(d, data.n, len(Phi.candidates))
     tables = Phi.tables_at(data.layer)
-    f_values = [f.values(Phi, data.layer + 1) for f in discriminators]
+    regs = [data.regression_for(f.values(Phi, data.layer + 1))
+            for f in discriminators]
     best_idx, best_total = 0, np.inf
     for i, tab in enumerate(tables):
-        total = sum(_min_loss(data, tab, fv, r_small)[0] for fv in f_values)
+        total = sum(_min_loss(data, tab, reg, r_small)[0] for reg in regs)
         if total < best_total:
             best_idx, best_total = i, total
     return best_idx
@@ -252,6 +274,7 @@ def exact_transfer_error(M, h, Phi, index, P, n_dirs=200, rng=None):
     weights = np.repeat(occ[:, None] / M.A, M.A, axis=1).ravel()
     tab = Phi.tables_at(h)[index]
     Z = tab.reshape(-1, d)
+    fac = BallLeastSquares(Z, weights)
     mu = M.mu[h]
     phistar = M.phi[h].reshape(-1, d)
     dirs = [np.eye(d)[i] * s for i in range(d) for s in (1.0, -1.0)]
@@ -267,8 +290,7 @@ def exact_transfer_error(M, h, Phi, index, P, n_dirs=200, rng=None):
             fvals = (ftab @ theta).max(axis=1)
             w_f = mu.T @ fvals
             targets = phistar @ w_f
-            w = ball_constrained_least_squares(Z, targets, radius,
-                                               weights=weights)
+            w = fac.solve(targets, radius)
             resid = Z @ w - targets
             worst = max(worst, float((weights * resid * resid).sum()))
     return worst

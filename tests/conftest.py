@@ -1,7 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from voxlab import EnvSpec, FeatureClass, PolicyDistribution, generate_low_rank_mdp
+
+# The CLI tests start `python -m voxlab.cli` in a subprocess; give it the
+# source tree under test, as pyproject's `pythonpath` gives this process.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def small_env(seed=0, H=3, A=2, d=2, states=(3, 4, 4), boost=0.0, rotate=False):

@@ -43,6 +43,30 @@ def test_policy_rejects_bad_tables(env):
     assert pi.action_key() == pi.action_key()
 
 
+def test_freezing_copies_writeable_inputs_and_shares_frozen_ones(env):
+    t = np.full((2, 2), 0.5)
+    pi = Policy(0, [t])
+    assert t.flags.writeable  # the caller's array is left as it was
+    assert pi.tables[0] is not t and not pi.tables[0].flags.writeable
+    t[0, 0] = 1.0
+    assert pi.tables[0][0, 0] == 0.5
+    # a read-only float64 C-contiguous table that owns its data is shared
+    assert Policy(0, [pi.tables[0]]).tables[0] is pi.tables[0]
+    # read-only but a view, not C-contiguous or not float64: copied
+    for odd in (t[:], np.asfortranarray(np.eye(3)), np.eye(3, dtype=np.float32)):
+        odd.setflags(write=False)
+        got = Policy(0, [odd]).tables[0]
+        assert got is not odd and got.dtype == np.float64
+        assert got.flags.c_contiguous and np.array_equal(got, odd)
+    phi = [p.copy() for p in env.phi]
+    M = LayeredLowRankMDP(env.H, env.A, env.d, env.layers, phi, env.mu, env.rho)
+    assert all(p.flags.writeable for p in phi)
+    assert M.phi[0] is not phi[0] and not M.phi[0].flags.writeable
+    phi[0][:] = 0.0
+    assert np.array_equal(M.phi[0], env.phi[0])
+    assert M.mu[0] is env.mu[0]  # env's tables are already frozen
+
+
 def test_from_actions_matches_manual_tables(env):
     actions = [0] * env.H
     pi = Policy.from_actions(env, actions)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from voxlab import FeatureClass, Policy, PolicyDistribution, VoxlabError
 from voxlab.psdp import (
+    BallLeastSquares,
     RegressionData,
     RewardSpec,
     ValueClass,
@@ -37,6 +38,18 @@ def all_det_covers(M, h):
 # ----------------------------------------------- ball-constrained regression
 
 
+def factored_equals_one_shot(Z, y, radius, weights=None):
+    """Solve through one factorization reused for several targets and radii,
+    and check every answer is bit-identical to a one-shot solve."""
+    fac = BallLeastSquares(Z, weights)
+    y2 = np.asarray(y, dtype=float)[::-1] * 1.5
+    for target, r in ((y, radius), (y2, radius), (y, 0.5 * radius), (y, radius)):
+        got = fac.solve(target, r)
+        want = ball_constrained_least_squares(Z, target, r, weights=weights)
+        assert np.array_equal(got, want)
+    return fac.solve(y, radius)
+
+
 def test_ball_lsq_trivial_cases():
     w = ball_constrained_least_squares(np.zeros((4, 2)), np.zeros(4), 1.0)
     assert np.allclose(w, 0.0)
@@ -44,6 +57,17 @@ def test_ball_lsq_trivial_cases():
     assert abs(w[0] - 1.0) < 1e-9  # clamped to the ball boundary
     w = ball_constrained_least_squares(np.array([[1.0]]), np.array([0.5]), 1.0)
     assert abs(w[0] - 0.5) < 1e-12  # interior solution is the plain lsq
+    # the same designs, plus a rank-deficient one, through a reused factorization
+    zero_col = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]])
+    for Z, y in ((np.zeros((4, 2)), np.zeros(4)), (np.zeros((4, 2)), np.ones(4)),
+                 (zero_col, np.array([1.0, 3.0, 0.5])),
+                 (np.array([[1.0]]), np.array([2.0])),
+                 (np.array([[1.0]]), np.array([0.5]))):
+        for wts in (None, np.arange(1.0, Z.shape[0] + 1)):
+            w = factored_equals_one_shot(Z, y, 1.0, weights=wts)
+            if Z is zero_col:
+                assert abs(w[1]) <= 1e-12
+                assert np.linalg.norm(w) <= 1.0 + 1e-9
 
 
 def test_ball_lsq_shape_and_radius_errors():
@@ -61,7 +85,7 @@ def test_ball_lsq_matches_slsqp_oracle():
         y = rng.standard_normal(m) * 3.0
         wts = rng.random(m) + 0.1
         radius = 0.8
-        w = ball_constrained_least_squares(Z, y, radius, weights=wts)
+        w = factored_equals_one_shot(Z, y, radius, weights=wts)
         w_ref, f_ref = oracle_ball_lsq(Z, y, radius, weights=wts, seed=trial)
         f_got = float((wts * (Z @ w - y) ** 2).sum())
         assert np.linalg.norm(w) <= radius + 1e-8
@@ -74,7 +98,7 @@ def test_ball_lsq_feasibility_property(seed, radius):
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((6, 3))
     y = rng.standard_normal(6) * 5.0
-    w = ball_constrained_least_squares(Z, y, radius)
+    w = factored_equals_one_shot(Z, y, radius)
     assert np.linalg.norm(w) <= radius + 1e-8
     # optimality within the ball: no better point on a random probe set
     f = float(((Z @ w - y) ** 2).sum())

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from voxlab import Discriminator, FeatureClass, Policy, VoxlabError
+from voxlab.psdp import ball_constrained_least_squares
 from voxlab.replearn import (
     RepLearnConfig,
     RepLearnDataset,
+    _min_loss,
     adversarial_gap,
     discriminator_search,
     exact_transfer_error,
@@ -141,6 +143,48 @@ def test_regression_targets_are_cell_means(env):
         want = (data.counts[x, a] @ f) / data.counts[x, a].sum()
         assert y == pytest.approx(want, abs=1e-12)
         assert w == data.pair_counts[x, a]
+
+
+def test_dataset_holds_a_frozen_copy_of_its_counts(env):
+    data = RepLearnDataset.collect(
+        env, 0, Policy.uniform(env, lo=0, hi=0), 500, np.random.default_rng(21))
+    counts = np.array(data.counts)  # a writeable float64 array of the same shape
+    own = RepLearnDataset(0, counts)
+    assert counts.flags.writeable and not own.counts.flags.writeable
+    f = np.linspace(-1.0, 1.0, env.n_states(1))
+    tab = make_feature_class(env, n_decoys=1, rng=np.random.default_rng(22))[1][0]
+    reg = own.regression_for(f)
+    loss, w = _min_loss(own, tab, reg, 1.5)
+    counts[:] = 0.0
+    counts[0, 0, 0] = 7.0
+    reg2 = own.regression_for(f)
+    for field_ in ("xs", "acts", "ys", "weights", "offset"):
+        assert np.array_equal(getattr(reg2, field_), getattr(reg, field_))
+    loss2, w2 = _min_loss(own, tab, reg2, 1.5)
+    assert loss2 == loss and np.array_equal(w2, w)
+
+
+def test_cached_min_loss_equals_a_from_scratch_solve(env):
+    rng = np.random.default_rng(23)
+    Phi = make_feature_class(env, n_decoys=2, rng=rng)
+    P = Policy.uniform(env, lo=0, hi=0)
+    first = RepLearnDataset.collect(env, 0, P, 300, rng)
+    second = RepLearnDataset.collect(env, 0, P, 900, rng)
+    thetas = [np.array([np.cos(t), np.sin(t)]) for t in (0.2, 2.0, 4.4)]
+    for _ in range(2):  # the second pass is answered from the caches
+        for data in (first, second):  # two datasets share every table
+            for theta in thetas:
+                reg = data.regression_for((Phi[1][1] @ theta).max(axis=1))
+                for tab in Phi.tables_at(0):
+                    for radius in (0.3, 2.0 * np.sqrt(2)):
+                        loss, w = _min_loss(data, tab, reg, radius)
+                        Z = tab[reg.xs, reg.acts]
+                        want = ball_constrained_least_squares(
+                            Z, reg.ys, radius, weights=reg.weights)
+                        resid = Z @ want - reg.ys
+                        assert np.array_equal(w, want)
+                        assert loss == (float((reg.weights * resid * resid).sum())
+                                        + reg.offset)
 
 
 # ------------------------------------------------------------ adversarial
