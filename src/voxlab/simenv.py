@@ -79,13 +79,30 @@ class EpisodeCounter:
         self.count += int(n)
 
 
-def _categorical_rows(p, rng):
-    """One draw per row of the nonnegative matrix ``p`` (rows need not be normalized)."""
-    p = np.clip(p, 0.0, None)
-    cum = np.cumsum(p, axis=1)
-    u = rng.random(p.shape[0]) * cum[:, -1]
-    idx = (cum <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, p.shape[1] - 1)
+def _cumulative(table):
+    """Row-wise cumulative sums of a clipped policy or transition table.
+
+    A transition tensor (|X_t|, A, |X_{t+1}|) is read as a table with one row
+    per flat (state, action) index x * A + a.  The result is stored transposed
+    as a contiguous (k, rows) array, so gathering a batch of rows is one
+    ``take`` along axis 1.
+    """
+    table = np.clip(table.reshape(-1, table.shape[-1]), 0.0, None)
+    return np.ascontiguousarray(np.cumsum(table, axis=1).T)
+
+
+def _categorical_rows(cum, rows, rng):
+    """One draw per entry of ``rows`` from the rows of a ``_cumulative`` table.
+
+    The rows need not be normalized.  ``cumsum`` accumulates each row in
+    sequence, so a gathered row of the cumulative table equals the cumulative
+    sum of the gathered row bit for bit, and the draw is the one per-row
+    inverse-CDF sampling gives for the same generator call.  Counting the
+    first k-1 columns at or below u caps the index at k-1.
+    """
+    g = cum.take(rows, axis=1)
+    u = rng.random(len(rows)) * g[-1]
+    return np.add.reduce(g[:-1] <= u, axis=0, dtype=np.int64)
 
 
 def _cayley(skew, t):
@@ -238,7 +255,11 @@ def exact_policy_value(M, pi, reward_tables):
 def sample_trajectories(M, pi, n, rng, upto=None, counter=None):
     """Vectorized batch of ``n`` episodes under ``pi`` through layer ``upto``.
 
-    Returns (states, actions) arrays of shape (upto+1, n).
+    Each policy table and transition tensor is clipped and cumulated once per
+    call; every layer then costs one gather, one uniform draw per episode and
+    one compare.  The draws are bit-identical to per-row inverse-CDF sampling
+    from the clipped rows.  Returns (states, actions) arrays of shape
+    (upto+1, n).
     """
     upto = M.H - 1 if upto is None else upto
     if not 0 <= upto < M.H:
@@ -246,6 +267,11 @@ def sample_trajectories(M, pi, n, rng, upto=None, counter=None):
     if n < 0:
         raise VoxlabError(f"n must be >= 0, got {n}")
     _require_cover(pi, 0, upto)
+    for t in range(upto + 1):
+        want, got = (M.n_states(t), M.A), pi.table(t).shape
+        if got != want:
+            raise VoxlabError(
+                f"policy table at layer {t} has shape {got}, expected {want}")
     if counter is not None:
         counter.add(n)
     states = np.empty((upto + 1, n), dtype=np.int64)
@@ -255,11 +281,11 @@ def sample_trajectories(M, pi, n, rng, upto=None, counter=None):
     x = np.minimum(x, M.n_states(0) - 1)
     for t in range(upto + 1):
         states[t] = x
-        a = _categorical_rows(pi.table(t)[x], rng)
+        a = _categorical_rows(_cumulative(pi.table(t)), x, rng)
         actions[t] = a
         if t < upto:
-            T = M.transition_matrix(t)
-            x = _categorical_rows(T[x, a], rng)
+            x = _categorical_rows(_cumulative(M.transition_matrix(t)),
+                                  x * M.A + a, rng)
     return states, actions
 
 

@@ -78,6 +78,15 @@ def robust_spanner(lin_opt, lin_est, C, eps, d, max_rounds=None) -> SpannerState
     rounds = 0
     calls = 0
 
+    def count_round():
+        nonlocal rounds
+        rounds += 1
+        if rounds > max_rounds:
+            raise BudgetError(
+                f"robust_spanner exceeded {max_rounds} rounds "
+                f"(termination bound for conforming oracles is {bound})"
+            )
+
     def probe(theta_hat):
         nonlocal calls
         zp = lin_opt(theta_hat)
@@ -100,7 +109,7 @@ def robust_spanner(lin_opt, lin_est, C, eps, d, max_rounds=None) -> SpannerState
         else:
             W[:, i] = wm - eps * theta_hat
             indices[i] = zm
-        rounds += 1
+        count_round()
 
     while True:
         swapped = False
@@ -121,12 +130,7 @@ def robust_spanner(lin_opt, lin_est, C, eps, d, max_rounds=None) -> SpannerState
                 indices[i] = zm
                 swapped = True
             if swapped:
-                rounds += 1
-                if rounds > max_rounds:
-                    raise BudgetError(
-                        f"robust_spanner exceeded {max_rounds} rounds "
-                        f"(termination bound for conforming oracles is {bound})"
-                    )
+                count_round()
                 break
         if not swapped:
             return SpannerState(W=W, indices=indices, C=C, eps=eps,

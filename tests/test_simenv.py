@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxlab import (
     BudgetError,
     EnvSpec,
     EpisodeCounter,
+    LayeredLowRankMDP,
     LayerRangeError,
     Policy,
     PolicyDistribution,
@@ -234,6 +237,119 @@ def test_sampler_respects_upto_and_counter(env):
                                           upto=0, counter=counter)
     assert states.shape == actions.shape == (1, 0)
     assert counter.count == 50
+    n0, A = env.n_states(0), env.A
+    for bad in (np.full((n0, A + 1), 0.5), np.ones((n0, 1)), np.ones((n0 + 1, A))):
+        with pytest.raises(VoxlabError, match=r"layer 0 .*\(%d, %d\)" % (n0, A)):
+            sample_trajectories(env, Policy(0, [bad]), 5, np.random.default_rng(6),
+                                upto=0, counter=counter)
+        assert counter.count == 50
+    wide = Policy(0, [pi.table(0), np.full((env.n_states(1), A + 1), 0.5)])
+    with pytest.raises(VoxlabError, match="layer 1"):
+        sample_trajectories(env, wide, 5, np.random.default_rng(6), upto=1,
+                            counter=counter)
+    assert counter.count == 50
+
+
+def reference_sample_trajectories(M, pi, n, rng, upto):
+    """The gather-clip-cumsum loop the cumulative tables replaced, kept as reference."""
+
+    def categorical_rows(p):
+        p = np.clip(p, 0.0, None)
+        cum = np.cumsum(p, axis=1)
+        u = rng.random(p.shape[0]) * cum[:, -1]
+        idx = (cum <= u[:, None]).sum(axis=1)
+        return np.minimum(idx, p.shape[1] - 1)
+
+    states = np.empty((upto + 1, n), dtype=np.int64)
+    actions = np.empty((upto + 1, n), dtype=np.int64)
+    cum_rho = np.cumsum(M.rho)
+    x = np.searchsorted(cum_rho, rng.random(n) * cum_rho[-1], side="right")
+    x = np.minimum(x, M.n_states(0) - 1)
+    for t in range(upto + 1):
+        states[t] = x
+        a = categorical_rows(pi.table(t)[x])
+        actions[t] = a
+        if t < upto:
+            x = categorical_rows(M.transition_matrix(t)[x, a])
+    return states, actions
+
+
+def signed_mdp(rng, counts, A, d=2):
+    """A factored MDP whose transition rows hold negative entries and zero rows."""
+    H = len(counts)
+    ids = np.cumsum([0] + list(counts))
+    layers = [list(range(ids[h], ids[h + 1])) for h in range(H)]
+    phi = [rng.standard_normal((counts[h], A, d)) for h in range(H - 1)]
+    for p in phi:
+        p[::2, 0] = 0.0
+    mu = [rng.standard_normal((counts[h + 1], d)) for h in range(H - 1)]
+    rho = rng.dirichlet(np.ones(counts[0]))
+    return LayeredLowRankMDP(H, A, d, layers, phi, mu, rho)
+
+
+def policy_of_kind(M, rng, kind):
+    """Random, one-hot, zero-mass-row or negative-entry tables on every layer."""
+    if kind == "one_hot":
+        return Policy.from_actions(M, [rng.integers(M.A, size=M.n_states(t))
+                                       for t in range(M.H)])
+    tabs = []
+    for t in range(M.H):
+        tab = rng.random((M.n_states(t), M.A))
+        if kind == "zero_mass":
+            tab[::2] = 0.0
+        elif kind == "negative":
+            tab = rng.standard_normal(tab.shape)
+        tabs.append(tab)
+    return Policy(0, tabs)
+
+
+def assert_sampler_matches_reference(M, pi, n, upto, seed):
+    out, rng_state = [], []
+    for sampler in (reference_sample_trajectories, sample_trajectories):
+        rng = np.random.default_rng(seed)
+        out.append(sampler(M, pi, n, rng, upto))
+        rng_state.append(rng.bit_generator.state)
+    (S0, A0), (S1, A1) = out
+    assert S1.shape == A1.shape == (upto + 1, n)
+    assert S0.dtype == S1.dtype and A0.dtype == A1.dtype
+    assert np.array_equal(S0, S1)
+    assert np.array_equal(A0, A1)
+    assert rng_state[0] == rng_state[1]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2000])
+@pytest.mark.parametrize("case", ["random", "one_hot", "zero_mass", "negative",
+                                  "single_action", "short", "rotated", "wide"])
+def test_sampler_matches_the_per_row_reference(case, n):
+    rng = np.random.default_rng(11)
+    if case in ("zero_mass", "negative"):
+        M = signed_mdp(rng, (3, 5, 4, 3), A=3)
+    elif case == "single_action":
+        M = small_env(seed=4, H=3, A=1, states=(3, 4, 4))
+    elif case == "wide":
+        M = small_env(seed=2, H=3, A=2, d=3, states=(3, 45, 41))
+    else:
+        M = small_env(seed=3, H=4, A=3, states=(3, 4, 5, 3), rotate=case == "rotated")
+    kind = case if case in ("one_hot", "zero_mass", "negative") else "random"
+    upto = 1 if case == "short" else M.H - 1
+    assert_sampler_matches_reference(M, policy_of_kind(M, rng, kind), n, upto, seed=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 4), st.integers(1, 4),
+       st.sampled_from(["random", "one_hot", "zero_mass", "negative"]),
+       st.booleans(), st.integers(0, 300))
+def test_sampler_matches_the_reference_on_random_shapes(seed, H, A, kind, signed, n):
+    rng = np.random.default_rng(seed)
+    counts = [int(c) for c in rng.integers(1, 40, size=H)]
+    if signed:
+        M = signed_mdp(rng, counts, A=A, d=int(rng.integers(1, 4)))
+    else:
+        M = small_env(seed=seed, H=H, A=A, d=int(rng.integers(1, 4)), states=counts,
+                      rotate=bool(rng.integers(2)))
+    upto = int(rng.integers(H))
+    assert_sampler_matches_reference(M, policy_of_kind(M, rng, kind), n, upto,
+                                     seed=seed + 1)
 
 
 def reference_rollin(M, P, n, rng, upto, tail=(), counter=None):

@@ -151,6 +151,15 @@ def test_budget_error_reports_bound():
     assert str(spanner_rounds_bound(1.1, 0.5, d)) in msg
 
 
+def test_phase_one_placements_count_against_the_budget():
+    vectors = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    lin_opt, lin_est = exact_vector_oracles(vectors)
+    with pytest.raises(BudgetError, match="1 rounds"):
+        robust_spanner(lin_opt, lin_est, C=2.0, eps=0.01, d=2, max_rounds=1)
+    state = robust_spanner(lin_opt, lin_est, C=2.0, eps=0.01, d=2, max_rounds=2)
+    assert state.rounds == 2
+
+
 def test_round_and_call_accounting():
     vectors = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
                np.array([-1.0, 0.0]), np.array([0.0, -1.0])]
