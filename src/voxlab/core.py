@@ -34,7 +34,23 @@ class BudgetError(VoxlabError):
     exceed its operation budget, when `fw_optdesign` reaches its iteration
     cap without certifying the design, and when `robust_spanner` exceeds
     its cap on swap rounds.
+
+    The attributes say where it happened and keep the work done before it;
+    those a raiser does not know stay None.  `fw_optdesign` sets
+    `iterations` and the last `certificate`; `run_vox` adds the horizon
+    `layer`, the design index `k`, the partial run `log` and the
+    `episodes` spent.
     """
+
+    def __init__(self, message, *, iterations=None, certificate=None,
+                 layer=None, k=None, log=None, episodes=None):
+        super().__init__(message)
+        self.iterations = iterations
+        self.certificate = certificate
+        self.layer = layer
+        self.k = k
+        self.log = log
+        self.episodes = episodes
 
 
 def _freeze(arr):

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from voxlab.core import (
+    BudgetError,
     Policy,
     PolicyDistribution,
     VoxlabError,
@@ -276,10 +277,17 @@ def run_vox(M, Phi, schedule: VoxSchedule, rng, counter=None) -> RunResult:
                 return est_mat(M, _hc, _phiphi, dist, schedule.n_estmat, rng,
                                counter=counter)
 
-            state = fw_optdesign(
-                DesignOracles(dim=d, lin_opt=lin_opt, lin_est=lin_est),
-                schedule.C, schedule.gamma, schedule.fw_max_iters,
-            )
+            try:
+                state = fw_optdesign(
+                    DesignOracles(dim=d, lin_opt=lin_opt, lin_est=lin_est),
+                    schedule.C, schedule.gamma, schedule.fw_max_iters,
+                )
+            except BudgetError as exc:
+                raise BudgetError(
+                    f"run_vox layer {hc}, k = {k}: {exc}",
+                    iterations=exc.iterations, certificate=exc.certificate,
+                    layer=hc, k=k, log=log, episodes=counter.count,
+                ) from exc
             design_dists.append(PolicyDistribution(
                 [interned[z] for z in state.P], list(state.P.values())
             ))

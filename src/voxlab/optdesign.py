@@ -110,6 +110,7 @@ def fw_optdesign(oracles: DesignOracles, C, gamma, max_iters=None) -> DesignStat
     P = {z1: 1.0}
     trace = []
     clips = 0
+    cert = None
     for t in range(1, max_iters + 1):
         West, c1 = _clean_psd(oracles.lin_est(P), d, fro_cap)
         M = gamma * np.eye(d) + West
@@ -129,7 +130,8 @@ def fw_optdesign(oracles: DesignOracles, C, gamma, max_iters=None) -> DesignStat
         P[z] = P.get(z, 0.0) + mu
     raise BudgetError(
         f"fw_optdesign did not terminate in {max_iters} iterations "
-        f"(termination bound for conforming oracles is {bound})"
+        f"(termination bound for conforming oracles is {bound})",
+        iterations=max_iters, certificate=cert,
     )
 
 

@@ -199,22 +199,41 @@ class BallLeastSquares:
     def solve(self, y, radius):
         """Minimum-norm unconstrained solution when it fits the ball of the
         given radius, otherwise bisects the ridge multiplier until the
-        constraint is active to within 1e-10."""
+        constraint is active to within 1e-10.  The one-row `solve_many`."""
+        y = np.asarray(y, dtype=float)
+        if y.ndim != 1:
+            raise VoxlabError(f"shape mismatch: y {y.shape} is not 1-d")
+        return self.solve_many(y[None], radius)[0]
+
+    def solve_many(self, Y, radius):
+        """`solve` for every row of the (S, m) targets Y; returns (S, d).
+
+        Each row is bit-identical to a one-target solve: every product is a
+        stacked matrix-vector product and every norm a dot product, the
+        kernels a single target uses.  Rows whose minimum-norm solution
+        leaves the ball are bisected one at a time.
+        """
         if radius <= 0:
             raise VoxlabError("radius must be > 0")
-        y = np.asarray(y, dtype=float)
-        if self.U.shape[0] != y.shape[0]:
+        Y = np.ascontiguousarray(Y, dtype=float)
+        if Y.ndim != 2 or Y.shape[1] != self.U.shape[0]:
             raise VoxlabError(
-                f"shape mismatch: Z has {self.U.shape[0]} rows, y {y.shape}")
+                f"shape mismatch: Z has {self.U.shape[0]} rows, y {Y.shape[1:]}")
         if self.root is not None:
-            y = y * self.root
-        s, Vt, pos = self.s, self.Vt, self.pos
-        b = self.U.T @ y
-        coef = np.zeros_like(s)
-        coef[pos] = b[pos] / s[pos]
-        w0 = Vt.T @ coef
-        if np.linalg.norm(w0) <= radius + NORM_EPS:
-            return w0
+            Y = Y * self.root
+        B = matvec(self.U.T, Y)
+        coef = np.divide(B, self.s, out=np.zeros_like(B), where=self.pos)
+        W = matvec(self.Vt.T, coef)
+        inside = row_norms(W) <= radius + NORM_EPS
+        if not inside.all():
+            for i in np.flatnonzero(~inside):
+                W[i] = self._on_sphere(B[i], radius)
+        return W
+
+    def _on_sphere(self, b, radius):
+        """Ridge solution whose norm is `radius` to within NORM_EPS, for the
+        rotated target b = U^T y, by bisection on the ridge multiplier."""
+        s = self.s
 
         def norm_at(lam):
             c = s * b / (s * s + lam)
@@ -236,7 +255,21 @@ class BallLeastSquares:
             else:
                 hi = mid
         lam = 0.5 * (lo + hi)
-        return Vt.T @ (s * b / (s * s + lam))
+        return self.Vt.T @ (s * b / (s * s + lam))
+
+
+def matvec(A, X):
+    """A @ x for every vector x on the last axis of X, broadcasting A over
+    X's leading axes.  Written as a stack of matrix-vector products, so each
+    result is bit-identical to `A @ x` on one vector; `A @ X.T` would use a
+    matrix-matrix kernel that rounds differently."""
+    return np.matmul(A, X[..., None])[..., 0]
+
+
+def row_norms(X):
+    """Euclidean norm of each row of the 2-d X, bit-identical to
+    `np.linalg.norm` of that row (a dot product, then a square root)."""
+    return np.sqrt(np.matmul(X[:, None, :], X[:, :, None]))[:, 0, 0]
 
 
 def ball_constrained_least_squares(Z, y, radius, weights=None):
@@ -244,8 +277,9 @@ def ball_constrained_least_squares(Z, y, radius, weights=None):
 
     Factor once, solve many: this is `BallLeastSquares(Z, weights).solve(y,
     radius)`, and a caller that fits one design against many targets keeps
-    the `BallLeastSquares` and calls `solve` per target.  The answers are
-    bit-identical, since the same matrix gives the same SVD.
+    the `BallLeastSquares` and calls `solve` per target, or `solve_many` for
+    a batch of them.  The answers are bit-identical, since the same matrix
+    gives the same SVD.
     """
     return BallLeastSquares(Z, weights).solve(y, radius)
 

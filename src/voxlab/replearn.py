@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from voxlab.core import Discriminator, VoxlabError, _freeze, as_distribution
-from voxlab.psdp import BallLeastSquares, RegressionData
+from voxlab.psdp import BallLeastSquares, RegressionData, matvec, row_norms
 from voxlab.simenv import mixture_occupancy, rollin
 
 
@@ -69,7 +69,11 @@ class RepLearnDataset:
         self._keep = self.pair_counts > 0
         self._cnt = self.pair_counts[self._keep]
         self._xs, self._acts = np.nonzero(self._keep)
-        for arr in (self.pair_counts, self._cnt, self._xs, self._acts):
+        # counts as (x_{h+1}, cell): the envelope gradient's pullback
+        self._next_by_cell = self.counts.transpose(2, 0, 1).reshape(
+            self.counts.shape[2], -1)
+        for arr in (self.pair_counts, self._cnt, self._xs, self._acts,
+                    self._next_by_cell):
             arr.setflags(write=False)
         self._factors = {}
 
@@ -87,16 +91,24 @@ class RepLearnDataset:
                              minlength=math.prod(shape)).reshape(shape)
         return cls(h, counts)
 
+    def targets(self, F):
+        """Cell-mean targets (S, m) and within-cell offsets (S,) for the rows
+        of next-state values F (S, n_{h+1}): one counts product per moment."""
+        keep, cnt = self._keep, self._cnt
+        s1 = matvec(self.counts, F[:, None, :])
+        s2 = matvec(self.counts, (F * F)[:, None, :])
+        # boolean indexing leaves (S, m) strided; row sums must run along
+        # contiguous rows to add in the order a single target does
+        Y = np.ascontiguousarray(s1[:, keep]) / cnt
+        offsets = (np.ascontiguousarray(s2[:, keep]).sum(axis=1)
+                   - (cnt * Y * Y).sum(axis=1))
+        return Y, np.where(offsets < 0.0, 0.0, offsets)
+
     def regression_for(self, f_values):
         """Weighted least-squares instance with targets E-hat[f(x') | x, a]."""
-        f = np.asarray(f_values, dtype=float)
-        s1 = self.counts @ f
-        s2 = self.counts @ (f * f)
-        keep, cnt = self._keep, self._cnt
-        mean = s1[keep] / cnt
-        offset = float(s2[keep].sum() - (cnt * mean * mean).sum())
+        Y, offsets = self.targets(np.asarray(f_values, dtype=float)[None])
         return RegressionData(layer=self.layer, xs=self._xs, acts=self._acts,
-                              ys=mean, weights=cnt, offset=max(offset, 0.0))
+                              ys=Y[0], weights=self._cnt, offset=float(offsets[0]))
 
     def factor(self, table):
         """(Z, its BallLeastSquares) for a read-only candidate table, cached:
@@ -119,25 +131,133 @@ class RepLearnResult:
     threshold: float = 0.0
 
 
+def _fits(data, table, Y, offsets, radius):
+    """Losses (S,) and weights (S, d) of the ball-constrained fits of `table`
+    to the target rows Y with their within-cell offsets."""
+    Z, fac = data.factor(table)
+    W = fac.solve_many(Y, radius)
+    resid = matvec(Z, W) - Y
+    return (data._cnt * resid * resid).sum(axis=1) + offsets, W
+
+
 def _min_loss(data, table, reg, radius):
     """Loss and weights of the ball-constrained fit of `table` to `reg`, a
-    `data.regression_for` instance."""
-    Z, fac = data.factor(table)
-    w = fac.solve(reg.ys, radius)
-    resid = Z @ w - reg.ys
-    return float((reg.weights * resid * resid).sum()) + reg.offset, w
+    `data.regression_for` instance: the one-row `_fits`."""
+    loss, W = _fits(data, table, reg.ys[None], np.array([reg.offset]), radius)
+    return float(loss[0]), W[0]
+
+
+def _gaps(data, cur_tab, tables, ftabs, thetas, r_big, r_small):
+    """Adversarial gaps (S,) and envelope gradients (S, d) of S discriminators.
+
+    Row i is the direction thetas[i] on the next-layer feature table
+    ftabs[i] (ftabs is (S, n_{h+1}, A, d), possibly a broadcast view).  The
+    gap is the current candidate's loss in the big ball minus the best
+    candidate's loss in the small ball (the first best on ties).  The
+    gradient holds the fitted weights fixed and moves only the targets.
+    Every row is bit-identical to scoring that discriminator alone.
+    """
+    fvals = matvec(ftabs, thetas[:, None, :])
+    amax = fvals.argmax(axis=2)[:, :, None]
+    Y, offsets = data.targets(np.take_along_axis(fvals, amax, axis=2)[:, :, 0])
+    own, w_own = _fits(data, cur_tab, Y, offsets, r_big)
+    best = np.full(len(thetas), np.inf)
+    fit_best = np.zeros((len(thetas),) + cur_tab.shape[:2])
+    for tab in tables:
+        loss, W = _fits(data, tab, Y, offsets, r_small)
+        better = loss < best
+        if better.any():
+            best[better] = loss[better]
+            fit_best[better] = matvec(tab, W[better][:, None, :])
+    diff = fit_best - matvec(cur_tab, w_own[:, None, :])
+    s = matvec(data._next_by_cell, diff.reshape(len(diff), -1))
+    chosen = np.take_along_axis(ftabs, amax[..., None], axis=2)[:, :, 0]
+    return own - best, 2.0 * (s[:, :, None] * chosen).sum(axis=1)
 
 
 def adversarial_gap(Phi, phi_current, f: Discriminator, data: RepLearnDataset,
                     config: RepLearnConfig):
     """Advantage of the best competitor over the current candidate on f."""
+    _, r_big, r_small, _ = config.resolve(Phi.d, data.n, len(Phi.candidates))
+    tables = Phi.tables_at(data.layer)
+    ftab = Phi.tables_at(data.layer + 1)[f.phi_index]
+    gap, _ = _gaps(data, tables[phi_current], tables, ftab[None], f.theta[None],
+                   r_big, r_small)
+    return float(gap[0])
+
+
+def _hill_climb(score, thetas, gaps, grads, config):
+    """Monotone hill climbs with adaptive step size from every row of thetas,
+    advanced together with one `score` call per step.  A chain stops when
+    its step underflows or its candidate vanishes.  Returns each chain's
+    accepted (gap, theta) points in the order they were accepted."""
+    thetas, gaps, grads = thetas.copy(), gaps.tolist(), grads.copy()
+    steps = [config.step_size] * len(gaps)
+    live = np.ones(len(gaps), dtype=bool)
+    accepted = [[] for _ in gaps]
+    for _ in range(config.grad_steps):
+        cand = thetas + np.array(steps)[:, None] * grads
+        nrm = row_norms(cand)
+        live &= ~(nrm < 1e-12)
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            break
+        cand = cand[rows] / nrm[rows, None]
+        g2, grad2 = score(rows, cand)
+        for j, (i, gap) in enumerate(zip(rows.tolist(), g2.tolist())):
+            if gap > gaps[i]:
+                thetas[i], gaps[i], grads[i] = cand[j], gap, grad2[j]
+                steps[i] *= 1.3
+                accepted[i].append((gap, cand[j]))
+            else:
+                steps[i] *= 0.5
+                live[i] = steps[i] >= 1e-7
+    return accepted
+
+
+def _search_points(Phi, phi_current, data, config, rng):
+    """Every (gap, theta, phi_index) the discriminator search weighs, in the
+    order a search scoring one direction at a time compares them with its
+    running best: candidate by candidate, its seeds, then its chains in
+    stable descending-gap order, each chain's accepted points in order.
+
+    Scoring is batched: each candidate's whole seed set is one `_gaps`
+    call, its restarts drawn from `rng` in candidate order, and then the
+    hill-climb chains of all candidates advance together, one `_gaps` call
+    per step.
+    """
     d = Phi.d
     _, r_big, r_small, _ = config.resolve(d, data.n, len(Phi.candidates))
-    reg = data.regression_for(f.values(Phi, data.layer + 1))
-    tables = Phi.tables_at(data.layer)
-    own, _ = _min_loss(data, tables[phi_current], reg, r_big)
-    best = min(_min_loss(data, tab, reg, r_small)[0] for tab in tables)
-    return own - best
+    tables_h = Phi.tables_at(data.layer)
+    cur_tab = tables_h[phi_current]
+    next_tables = np.stack(Phi.tables_at(data.layer + 1))
+    eye = np.eye(d)
+    sweep = [e for i in range(d) for e in (eye[i], -eye[i])]
+    if d == 2:
+        angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        sweep.extend(np.stack([np.cos(angles), np.sin(angles)], axis=1))
+    seeds, chains = [], []
+    for fi, ftab in enumerate(next_tables):
+        extra = rng.standard_normal((max(config.restarts, 1), d))
+        thetas = np.array(sweep + [u / max(np.linalg.norm(u), 1e-12)
+                                   for u in extra])
+        gaps, grads = _gaps(data, cur_tab, tables_h,
+                            np.broadcast_to(ftab, (len(thetas),) + ftab.shape),
+                            thetas, r_big, r_small)
+        seeds.append([(gap, theta, fi) for gap, theta in zip(gaps.tolist(), thetas)])
+        top = sorted(range(len(thetas)), key=lambda i: -gaps[i])[:3]
+        chains.extend((fi, thetas[i], gaps[i], grads[i]) for i in top)
+    fis, starts, start_gaps, start_grads = (np.array(col) for col in zip(*chains))
+    climbs = _hill_climb(
+        lambda rows, cand: _gaps(data, cur_tab, tables_h, next_tables[fis[rows]],
+                                 cand, r_big, r_small),
+        starts, start_gaps, start_grads, config)
+    points = []
+    for fi in range(len(next_tables)):
+        points += seeds[fi]
+        points += [(gap, theta, fi) for f, climb in zip(fis, climbs) if f == fi
+                   for gap, theta in climb]
+    return points
 
 
 def discriminator_search(Phi, phi_current, data: RepLearnDataset,
@@ -147,69 +267,21 @@ def discriminator_search(Phi, phi_current, data: RepLearnDataset,
     Enumerates the feature candidate inside the discriminator and optimizes
     its unit direction: a seed sweep (canonical directions, a dense angular
     sweep when d = 2, and random restarts) followed by a monotone hill climb
-    with adaptive step size from the most promising seeds.  The best
-    evaluated point is tracked throughout, so the result is never worse
-    than any seed.
+    with adaptive step size from the three most promising seeds of each
+    candidate.  The best evaluated point is tracked throughout, so the
+    result is never worse than any seed.
+
+    The directions are scored in batches (`_search_points`), and the
+    running best is replayed afterwards in the order of a search scoring
+    one direction at a time, keeping the first strictly larger gap.  Gaps,
+    the chosen theta and the generator state are bit-identical to that
+    search's.
     """
-    d = Phi.d
-    _, r_big, r_small, _ = config.resolve(d, data.n, len(Phi.candidates))
-    tables_h = Phi.tables_at(data.layer)
-    cur_tab = tables_h[phi_current]
-    next_tables = Phi.tables_at(data.layer + 1)
-
-    def gap_and_grad(theta, ftab):
-        fvals = ftab @ theta
-        amax = fvals.argmax(axis=1)
-        reg = data.regression_for(fvals[np.arange(ftab.shape[0]), amax])
-        own, w_own = _min_loss(data, cur_tab, reg, r_big)
-        best = np.inf
-        w_best, tab_best = None, None
-        for tab in tables_h:
-            loss, w = _min_loss(data, tab, reg, r_small)
-            if loss < best:
-                best, w_best, tab_best = loss, w, tab
-        # envelope gradient: the fitted weights are held fixed, only the
-        # discriminator targets move with theta
-        diff = tab_best @ w_best - cur_tab @ w_own
-        s = np.tensordot(data.counts, diff, axes=([0, 1], [0, 1]))
-        grad = 2.0 * (s[:, None] * ftab[np.arange(ftab.shape[0]), amax]).sum(axis=0)
-        return own - best, grad
-
-    best_gap, best_disc = -np.inf, None
-    for fi, ftab in enumerate(next_tables):
-        seeds = [e for i in range(d) for e in (np.eye(d)[i], -np.eye(d)[i])]
-        if d == 2:
-            angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-            seeds.extend(np.stack([np.cos(angles), np.sin(angles)], axis=1))
-        extra = rng.standard_normal((max(config.restarts, 1), d))
-        seeds.extend(u / max(np.linalg.norm(u), 1e-12) for u in extra)
-        scored = []
-        for theta0 in seeds:
-            theta0 = np.asarray(theta0, dtype=float)
-            gap, grad = gap_and_grad(theta0, ftab)
-            scored.append((gap, theta0, grad))
-            if gap > best_gap:
-                best_gap, best_disc = gap, Discriminator(theta0, fi)
-        scored.sort(key=lambda item: -item[0])
-        for gap, theta, grad in scored[:3]:
-            step = config.step_size
-            for _ in range(config.grad_steps):
-                cand = theta + step * grad
-                nrm = np.linalg.norm(cand)
-                if nrm < 1e-12:
-                    break
-                cand = cand / nrm
-                g2, grad2 = gap_and_grad(cand, ftab)
-                if g2 > gap:
-                    theta, gap, grad = cand, g2, grad2
-                    step *= 1.3
-                    if gap > best_gap:
-                        best_gap, best_disc = gap, Discriminator(theta, fi)
-                else:
-                    step *= 0.5
-                    if step < 1e-7:
-                        break
-    return best_disc, best_gap
+    best_gap, best = -np.inf, None
+    for gap, theta, fi in _search_points(Phi, phi_current, data, config, rng):
+        if gap > best_gap:
+            best_gap, best = gap, (theta, fi)
+    return (None if best is None else Discriminator(*best)), best_gap
 
 
 def feature_selection(Phi, discriminators, data: RepLearnDataset,
@@ -267,6 +339,8 @@ def exact_transfer_error(M, h, Phi, index, P, n_dirs=200, rng=None):
     population loss min_{||w|| <= 3d^{3/2}} E[(w^T phi - E[f(x_{h+1})|x,a])^2]
     under the data law (pi ~ P to layer h, uniform action), and returns the
     max over discriminators.  Uses the true factorization; evaluation only.
+    All directions on one next-layer table are fitted with one batched
+    solve, bit-identical to fitting them one at a time.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     d = Phi.d
@@ -283,14 +357,12 @@ def exact_transfer_error(M, h, Phi, index, P, n_dirs=200, rng=None):
         nrm = np.linalg.norm(u)
         if nrm > 1e-12:
             dirs.append(u / nrm)
-    worst = 0.0
-    radius = 3.0 * d ** 1.5
+    dirs = np.array(dirs)
+    losses = [0.0]
     for ftab in Phi.tables_at(h + 1):
-        for theta in dirs:
-            fvals = (ftab @ theta).max(axis=1)
-            w_f = mu.T @ fvals
-            targets = phistar @ w_f
-            w = fac.solve(targets, radius)
-            resid = Z @ w - targets
-            worst = max(worst, float((weights * resid * resid).sum()))
-    return worst
+        fvals = matvec(ftab, dirs[:, None, :]).max(axis=2)
+        targets = matvec(phistar, matvec(mu.T, fvals))
+        W = fac.solve_many(targets, 3.0 * d ** 1.5)
+        resid = matvec(Z, W) - targets
+        losses.extend((weights * resid * resid).sum(axis=1).tolist())
+    return max(losses)

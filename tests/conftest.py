@@ -108,3 +108,41 @@ def exact_design(M, feat, h, gamma, C, max_rounds=80):
 @pytest.fixture
 def env():
     return small_env(seed=7)
+
+
+def reference_ball_solve(fac, y, radius):
+    """Frozen copy of the one-target `BallLeastSquares.solve` that batched
+    solves are pinned to, bit for bit: the min-norm solution when it fits
+    the ball, otherwise the 200-step bisection on the ridge multiplier."""
+    y = np.asarray(y, dtype=float)
+    if fac.root is not None:
+        y = y * fac.root
+    s, Vt, pos = fac.s, fac.Vt, fac.pos
+    b = fac.U.T @ y
+    coef = np.zeros_like(s)
+    coef[pos] = b[pos] / s[pos]
+    w0 = Vt.T @ coef
+    if np.linalg.norm(w0) <= radius + 1e-10:
+        return w0
+
+    def norm_at(lam):
+        c = s * b / (s * s + lam)
+        return float(np.sqrt((c * c).sum()))
+
+    lo, hi = 0.0, 1.0
+    while norm_at(hi) > radius:
+        hi *= 2.0
+        if hi > 1e18:
+            break
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        nm = norm_at(mid)
+        if abs(nm - radius) <= 1e-10:
+            lo = hi = mid
+            break
+        if nm > radius:
+            lo = mid
+        else:
+            hi = mid
+    lam = 0.5 * (lo + hi)
+    return Vt.T @ (s * b / (s * s + lam))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from voxlab import (
+    BudgetError,
     EpisodeCounter,
     Policy,
     PolicyDistribution,
@@ -160,6 +161,32 @@ def test_vox_log_rows_are_structured():
                             "fw_iters", "certificate", "support", "trace"}
         assert row["certificate"] <= (1.0 + 2.0) * Phi.d + 1e-9
         assert len(row["trace"]) == row["fw_iters"]
+
+
+def test_vox_budget_error_says_where_and_keeps_the_partial_run():
+    # a c07-family environment whose layer-1 design needs more than the one
+    # Frank-Wolfe iteration allowed; layer 0's two designs finish first
+    M = small_env(seed=7026, H=4, A=2, d=2, states=(4, 5, 5, 5), boost=0.5)
+    rng = np.random.default_rng(7026)
+    Phi = make_feature_class(M, n_decoys=2, rng=rng)
+    s = VoxSchedule(K=2, gamma=1e-3, n_replearn=2000, n_estmat=3000,
+                    n_psdp=2000, fw_max_iters=1, replearn=micro_replearn())
+    counter = EpisodeCounter()
+    with pytest.raises(BudgetError) as exc:
+        run_vox(M, Phi, s, rng, counter=counter)
+    err = exc.value
+    assert (err.layer, err.k, err.iterations) == (1, 1, 1)
+    assert "run_vox layer 1, k = 1" in str(err)
+    assert "did not terminate in 1 iterations" in str(err)
+    assert isinstance(err.__cause__, BudgetError)
+    assert err.certificate == err.__cause__.certificate > (1.0 + s.C) * Phi.d
+    assert [(row["h"], row["k"]) for row in err.log] == [(0, 1), (0, 2)]
+    # the partial log plus the failed design's own work account for every
+    # episode: rep-learn, the first PSDP call, then one FW iteration
+    done = sum(s.n_replearn + (1 + row["fw_iters"]) * (row["h"] + 1) * s.n_psdp
+               + 2 * row["fw_iters"] * s.n_estmat for row in err.log)
+    failed = s.n_replearn + 2 * (err.layer + 1) * s.n_psdp + 2 * s.n_estmat
+    assert err.episodes == counter.count == done + failed
 
 
 # ----------------------------------------------------------- spanrl driver

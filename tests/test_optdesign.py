@@ -136,6 +136,12 @@ def test_budget_error_reports_bound():
     msg = str(exc.value)
     assert "5 iterations" in msg
     assert str(fw_iteration_bound(2.0, 0.1, d)) in msg
+    # the error carries the iterations run and the last certificate, which
+    # the capped-norm probe pins at d * (1.002 / sqrt(d)) / (0.1 + 1e-6)
+    assert exc.value.iterations == 5
+    assert exc.value.certificate == pytest.approx(
+        d * (1.002 / np.sqrt(d)) / (0.1 + 1e-6), rel=1e-9)
+    assert exc.value.layer is None and exc.value.log is None
 
 
 def test_non_psd_estimates_are_rejected():

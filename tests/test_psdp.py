@@ -17,7 +17,12 @@ from voxlab.psdp import (
 )
 from voxlab.simenv import exact_policy_value, exact_q_tables
 
-from conftest import onehot_feature_class, small_env, uniform_mixture
+from conftest import (
+    onehot_feature_class,
+    reference_ball_solve,
+    small_env,
+    uniform_mixture,
+)
 from oracles import dp_optimal_policy, dp_optimal_value, oracle_ball_lsq
 
 
@@ -38,16 +43,75 @@ def all_det_covers(M, h):
 # ----------------------------------------------- ball-constrained regression
 
 
+def rows_equal_single_solves(fac, Y, radius):
+    """Check with np.array_equal that each row of `solve_many` equals `solve`
+    on that row and the frozen one-target solve."""
+    W = fac.solve_many(Y, radius)
+    assert W.shape == (len(Y), fac.Vt.shape[1])
+    for y, w in zip(Y, W):
+        assert np.array_equal(w, fac.solve(y, radius))
+        assert np.array_equal(w, reference_ball_solve(fac, y, radius))
+    return W
+
+
 def factored_equals_one_shot(Z, y, radius, weights=None):
     """Solve through one factorization reused for several targets and radii,
-    and check every answer is bit-identical to a one-shot solve."""
+    and check every answer is bit-identical to a one-shot solve and to the
+    same targets solved as a batch."""
     fac = BallLeastSquares(Z, weights)
     y2 = np.asarray(y, dtype=float)[::-1] * 1.5
     for target, r in ((y, radius), (y2, radius), (y, 0.5 * radius), (y, radius)):
         got = fac.solve(target, r)
         want = ball_constrained_least_squares(Z, target, r, weights=weights)
         assert np.array_equal(got, want)
+    for r in (radius, 0.5 * radius):
+        rows_equal_single_solves(fac, np.stack([y, y2]).astype(float), r)
     return fac.solve(y, radius)
+
+
+def mixed_batch(rng, S, m):
+    """S targets whose scales fall from 10 to 0.01, so with radius 1 the
+    first rows need the bisection and the last fit inside the ball."""
+    return rng.standard_normal((S, m)) * np.geomspace(10.0, 0.01, S)[:, None]
+
+
+@pytest.mark.parametrize("S", [1, 2, 50])
+def test_solve_many_rows_equal_single_solves(S):
+    rng = np.random.default_rng(S)
+    Z = rng.standard_normal((9, 3))
+    Y = mixed_batch(rng, S, 9)
+    for wts in (None, rng.random(9) + 0.1):
+        fac = BallLeastSquares(Z, wts)
+        W = rows_equal_single_solves(fac, Y, 1.0)
+        norms = np.linalg.norm(W, axis=1)
+        assert abs(norms[0] - 1.0) <= 1e-9  # bisected onto the sphere
+        if S > 1:
+            assert norms[-1] < 0.5  # the plain minimum-norm solution
+        # non-contiguous views of the same targets give the same answers
+        wide = np.zeros((2 * S, 27))
+        wide[::2, ::3] = Y
+        for view in (wide[::2, ::3], np.asfortranarray(Y)):
+            assert np.array_equal(fac.solve_many(view, 1.0), W)
+    with pytest.raises(VoxlabError):
+        BallLeastSquares(Z).solve_many(Y[:, :8], 1.0)
+    with pytest.raises(VoxlabError):
+        BallLeastSquares(Z).solve_many(Y[0], 1.0)
+    with pytest.raises(VoxlabError):
+        BallLeastSquares(Z).solve(Y[:1], 1.0)
+    with pytest.raises(VoxlabError):
+        BallLeastSquares(Z).solve_many(Y, 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 12), st.integers(1, 8),
+       st.integers(1, 4), st.floats(0.1, 3.0), st.booleans())
+def test_solve_many_rows_property(seed, S, m, d, radius, weighted):
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((m, d))
+    Z[:, rng.random(d) < 0.25] = 0.0  # sometimes rank-deficient
+    wts = rng.random(m) + 0.05 if weighted else None
+    rows_equal_single_solves(BallLeastSquares(Z, wts), mixed_batch(rng, S, m),
+                             radius)
 
 
 def test_ball_lsq_trivial_cases():

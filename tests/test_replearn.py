@@ -3,21 +3,22 @@
 import numpy as np
 import pytest
 
-from voxlab import Discriminator, FeatureClass, Policy, VoxlabError
-from voxlab.psdp import ball_constrained_least_squares
+from voxlab import Discriminator, FeatureClass, Policy, VoxlabError, as_distribution
+from voxlab.psdp import BallLeastSquares, ball_constrained_least_squares
 from voxlab.replearn import (
     RepLearnConfig,
     RepLearnDataset,
     _min_loss,
+    _search_points,
     adversarial_gap,
     discriminator_search,
     exact_transfer_error,
     feature_selection,
     rep_learn,
 )
-from voxlab.simenv import make_feature_class
+from voxlab.simenv import make_feature_class, mixture_occupancy
 
-from conftest import small_env
+from conftest import reference_ball_solve, small_env
 from oracles import chi2_uniformity_pvalue
 
 
@@ -96,6 +97,125 @@ def grid_gap_maximum(Phi, current, data, config, n_angles=3600):
         )
         best = max(best, float((own - small).max()))
     return best
+
+
+def reference_min_loss(data, table, f, radius):
+    """Frozen one-target regression of the values `f` of a discriminator
+    on `table`: cell-mean targets, one solve, loss plus within-cell offset."""
+    keep = data.pair_counts > 0
+    cnt = data.pair_counts[keep]
+    s1 = data.counts @ f
+    s2 = data.counts @ (f * f)
+    mean = s1[keep] / cnt
+    offset = max(float(s2[keep].sum() - (cnt * mean * mean).sum()), 0.0)
+    Z, fac = data.factor(table)
+    w = reference_ball_solve(fac, mean, radius)
+    resid = Z @ w - mean
+    return float((cnt * resid * resid).sum()) + offset, w
+
+
+def reference_discriminator_search(Phi, phi_current, data, config, rng,
+                                   compared=None):
+    """Frozen copy of the per-direction discriminator search that the batched
+    one is pinned to: one gap-and-gradient evaluation per seed and per
+    hill-climb step, the running best updated as each gap is computed.
+    Each (gap, theta, phi_index) weighed against the running best is
+    appended to `compared` as bytes."""
+
+    def weigh(gap, theta, fi):
+        if compared is not None:
+            compared.append((np.float64(gap).tobytes(), theta.tobytes(), fi))
+        return gap > best_gap
+    d = Phi.d
+    _, r_big, r_small, _ = config.resolve(d, data.n, len(Phi.candidates))
+    tables_h = Phi.tables_at(data.layer)
+    cur_tab = tables_h[phi_current]
+    next_tables = Phi.tables_at(data.layer + 1)
+
+    def gap_and_grad(theta, ftab):
+        fvals = ftab @ theta
+        amax = fvals.argmax(axis=1)
+        f = fvals[np.arange(ftab.shape[0]), amax]
+        own, w_own = reference_min_loss(data, cur_tab, f, r_big)
+        best = np.inf
+        w_best, tab_best = None, None
+        for tab in tables_h:
+            loss, w = reference_min_loss(data, tab, f, r_small)
+            if loss < best:
+                best, w_best, tab_best = loss, w, tab
+        diff = tab_best @ w_best - cur_tab @ w_own
+        s = np.tensordot(data.counts, diff, axes=([0, 1], [0, 1]))
+        grad = 2.0 * (s[:, None] * ftab[np.arange(ftab.shape[0]), amax]).sum(axis=0)
+        return own - best, grad
+
+    best_gap, best_disc = -np.inf, None
+    for fi, ftab in enumerate(next_tables):
+        seeds = [e for i in range(d) for e in (np.eye(d)[i], -np.eye(d)[i])]
+        if d == 2:
+            angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+            seeds.extend(np.stack([np.cos(angles), np.sin(angles)], axis=1))
+        extra = rng.standard_normal((max(config.restarts, 1), d))
+        seeds.extend(u / max(np.linalg.norm(u), 1e-12) for u in extra)
+        scored = []
+        for theta0 in seeds:
+            theta0 = np.asarray(theta0, dtype=float)
+            gap, grad = gap_and_grad(theta0, ftab)
+            scored.append((gap, theta0, grad))
+            if weigh(gap, theta0, fi):
+                best_gap, best_disc = gap, Discriminator(theta0, fi)
+        scored.sort(key=lambda item: -item[0])
+        for gap, theta, grad in scored[:3]:
+            step = config.step_size
+            for _ in range(config.grad_steps):
+                cand = theta + step * grad
+                nrm = np.linalg.norm(cand)
+                if nrm < 1e-12:
+                    break
+                cand = cand / nrm
+                g2, grad2 = gap_and_grad(cand, ftab)
+                if g2 > gap:
+                    theta, gap, grad = cand, g2, grad2
+                    step *= 1.3
+                    if weigh(gap, theta, fi):
+                        best_gap, best_disc = gap, Discriminator(theta, fi)
+                else:
+                    step *= 0.5
+                    if step < 1e-7:
+                        break
+    return best_disc, best_gap
+
+
+def reference_exact_transfer_error(M, h, Phi, index, P, n_dirs, rng):
+    """Frozen copy of the per-direction exact transfer error loop."""
+    d = Phi.d
+    occ = mixture_occupancy(M, as_distribution(P), h)
+    weights = np.repeat(occ[:, None] / M.A, M.A, axis=1).ravel()
+    Z = Phi.tables_at(h)[index].reshape(-1, d)
+    fac = BallLeastSquares(Z, weights)
+    phistar = M.phi[h].reshape(-1, d)
+    dirs = [np.eye(d)[i] * s for i in range(d) for s in (1.0, -1.0)]
+    while len(dirs) < n_dirs:
+        u = rng.standard_normal(d)
+        nrm = np.linalg.norm(u)
+        if nrm > 1e-12:
+            dirs.append(u / nrm)
+    worst = 0.0
+    for ftab in Phi.tables_at(h + 1):
+        for theta in dirs:
+            targets = phistar @ (M.mu[h].T @ (ftab @ theta).max(axis=1))
+            w = reference_ball_solve(fac, targets, 3.0 * d ** 1.5)
+            resid = Z @ w - targets
+            worst = max(worst, float((weights * resid * resid).sum()))
+    return worst
+
+
+def assert_same_search(got, want, rng_got, rng_want):
+    """Bit-identical results and generator state of two searches."""
+    (disc, gap), (ref_disc, ref_gap) = got, want
+    assert np.float64(gap).tobytes() == np.float64(ref_gap).tobytes()
+    assert disc.theta.tobytes() == ref_disc.theta.tobytes()
+    assert disc.phi_index == ref_disc.phi_index
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
 # ----------------------------------------------------------------- config
@@ -291,6 +411,98 @@ def test_grid_helper_agrees_with_pointwise_gap(env):
             small = min(batch_ball_losses(t, Y, r_small, weights)[0]
                         for t in tabs)
             assert got == pytest.approx(own - small, abs=1e-9)
+
+
+def search_instance(seed, d, n_decoys=2, symmetric=False):
+    """A layer-0 dataset and feature class; `symmetric` makes every
+    next-layer table satisfy phi(x', 1) = -phi(x', 0), so that f is the same
+    function for theta and -theta and the canonical seeds tie exactly."""
+    M = small_env(seed=seed, H=3, A=2, d=d, states=(7, 4, 5))
+    rng = np.random.default_rng(seed)
+    Phi = make_feature_class(M, n_decoys=n_decoys, rng=rng)
+    if symmetric:
+        cands = []
+        for cand in Phi.candidates:
+            nxt = np.array(cand[1])
+            nxt[:, 1] = -nxt[:, 0]
+            cands.append([cand[0], nxt])
+        Phi = FeatureClass(cands)
+    data = RepLearnDataset.collect(M, 0, Policy.uniform(M, lo=0, hi=0), 500, rng)
+    return Phi, data
+
+
+def assert_search_matches_reference(Phi, data, config, seed):
+    """Same result, same generator state, and the same points weighed
+    against the running best in the same order, for every current index."""
+    for current in range(len(Phi)):
+        ref_rng, rng, points_rng = (np.random.default_rng(seed) for _ in range(3))
+        compared = []
+        want = reference_discriminator_search(Phi, current, data, config,
+                                              ref_rng, compared)
+        assert_same_search(discriminator_search(Phi, current, data, config, rng),
+                           want, rng, ref_rng)
+        points = _search_points(Phi, current, data, config, points_rng)
+        assert [(np.float64(gap).tobytes(), theta.tobytes(), fi)
+                for gap, theta, fi in points] == compared
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_search_matches_the_per_direction_reference(d):
+    # d = 2 adds the 64-angle sweep; restarts=0 is clamped to one restart
+    Phi, data = search_instance(40 + d, d)
+    for restarts in (0, 8):
+        for grad_steps in (0, 1, 60):
+            cfg = RepLearnConfig(restarts=restarts, grad_steps=grad_steps)
+            assert_search_matches_reference(Phi, data, cfg, seed=d)
+
+
+def test_search_matches_the_reference_through_the_bisection(monkeypatch):
+    # a small competitor ball puts most minimum-norm fits outside it
+    calls = []
+    on_sphere = BallLeastSquares._on_sphere
+
+    def counted(self, b, radius):
+        calls.append(radius)
+        return on_sphere(self, b, radius)
+
+    monkeypatch.setattr(BallLeastSquares, "_on_sphere", counted)
+    Phi, data = search_instance(53, 3)
+    cfg = RepLearnConfig(restarts=2, grad_steps=10, r_small=0.05)
+    assert_search_matches_reference(Phi, data, cfg, seed=3)
+    assert calls and set(calls) == {0.05}
+
+
+def test_search_matches_the_reference_when_seed_gaps_tie():
+    for d in (2, 3):
+        Phi, data = search_instance(60 + d, d, symmetric=True)
+        cfg = RepLearnConfig(restarts=4, grad_steps=30)
+        e = np.eye(d)[0]
+        tied = []
+        for current in range(len(Phi)):
+            for fi in range(len(Phi)):
+                plus, minus = (adversarial_gap(Phi, current, Discriminator(t, fi),
+                                               data, cfg) for t in (e, -e))
+                assert plus == minus
+                tied.append(plus)
+        assert max(tied) > 0.0
+        assert_search_matches_reference(Phi, data, cfg, seed=d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_exact_transfer_error_matches_the_per_direction_reference(d):
+    M = small_env(seed=70 + d, H=4, A=2, d=d, states=(3, 4, 5, 4), rotate=d == 2)
+    Phi = make_feature_class(M, n_decoys=2, rng=np.random.default_rng(d))
+    covers = {0: Policy.uniform(M, lo=0, hi=0), 1: Policy.uniform(M, lo=0, hi=1)}
+    for h in (0, 1):
+        for index in range(len(Phi)):
+            for n_dirs in (1, 40):  # 1 < 2d keeps only the canonical ones
+                rng, ref_rng = np.random.default_rng(h), np.random.default_rng(h)
+                got = exact_transfer_error(M, h, Phi, index, covers[h],
+                                           n_dirs=n_dirs, rng=rng)
+                want = reference_exact_transfer_error(M, h, Phi, index,
+                                                      covers[h], n_dirs, ref_rng)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # ------------------------------------------------------------ selection
