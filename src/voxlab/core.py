@@ -39,7 +39,7 @@ class BudgetError(VoxlabError):
     those a raiser does not know stay None.  `fw_optdesign` sets
     `iterations` and the last `certificate`; `run_vox` adds the horizon
     `layer`, the design index `k`, the partial run `log` and the
-    `episodes` spent.
+    `episodes` spent, and `run_spanrl` adds the same but `k`.
     """
 
     def __init__(self, message, *, iterations=None, certificate=None,
@@ -108,6 +108,9 @@ class LayeredLowRankMDP:
         if self.rho.shape != (self.n_states(0),):
             raise VoxlabError(f"rho has shape {self.rho.shape}, want ({self.n_states(0)},)")
         self._transitions = [None] * (self.H - 1)
+        # the sampler's read-only cumulative tables (rho's, then each step's
+        # transitions), built on first use by `simenv._mdp_cumulative`
+        self._cumulatives = [None] * self.H
 
     def n_states(self, h):
         return len(self.layers[h])
@@ -271,13 +274,6 @@ class FeatureClass:
         """List of per-candidate (|X_h|, A, d) tables for one layer."""
         return [cand[h] for cand in self.candidates]
 
-    def max_feature_norm(self):
-        worst = 0.0
-        for cand in self.candidates:
-            for t in cand:
-                worst = max(worst, float(np.linalg.norm(t, axis=2).max()))
-        return worst
-
 
 class Discriminator:
     """Direction-plus-feature-map test function f(x) = max_a theta . phi(x, a)."""
@@ -310,13 +306,6 @@ def compose_policies(prefix, suffix):
             f"suffix covers [{suffix.lo}..{suffix.hi}]"
         )
     return Policy(prefix.lo, list(prefix.tables) + list(suffix.tables))
-
-
-def mixture_sample(P, rng):
-    """Draw one support policy of ``P`` with probability equal to its weight."""
-    P = as_distribution(P)
-    idx = int(rng.choice(len(P.policies), p=P.weights / P.weights.sum()))
-    return P.policies[idx]
 
 
 def validate_mdp(M):

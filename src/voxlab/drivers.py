@@ -348,8 +348,12 @@ def run_spanrl(M, Phi, eps, schedule: SpanrlSchedule, rng,
             return est_vec(M, _hc, _tab, _interned[z], schedule.n_estvec, rng,
                            counter=counter)
 
-        state = robust_spanner(lin_opt, lin_est, schedule.C, eps, d,
-                               max_rounds=schedule.max_rounds)
+        try:
+            state = robust_spanner(lin_opt, lin_est, schedule.C, eps, d,
+                                   max_rounds=schedule.max_rounds)
+        except BudgetError as exc:
+            raise BudgetError(f"run_spanrl layer {hc}: {exc}", layer=hc, log=log,
+                              episodes=counter.count) from exc
         chosen = [interned[z] if z is not None else unif for z in state.indices]
         tail = Policy.uniform(M, hc + 1, M.H - 1)
         psis[hc + 2] = [compose_policies(pi, tail) for pi in chosen]

@@ -100,17 +100,6 @@ class RewardSpec:
     def all_tables(self, M):
         return [self.layer_table(M, t) for t in range(self.top_layer + 1)]
 
-    def evaluate(self, x, a, t):
-        if self.kind == "table":
-            return float(self._tables[t][x, a])
-        if t != self.layer:
-            return 0.0
-        f = self.feat_table[x, a]
-        if self.kind == "quadratic":
-            return float(np.clip(f @ self.mat @ f, 0.0, self.bound()))
-        b = self.bound()
-        return float(np.clip(f @ self.theta, -b, b))
-
 
 class ValueClass:
     """Function class regressed against at one layer.
@@ -181,58 +170,85 @@ class FittedValue:
 
 
 class BallLeastSquares:
-    """Factor step of ball-constrained least squares: sqrt(weights), the thin
-    SVD of the weighted design Z and its rank mask, kept for many solves."""
+    """Factor step of ball-constrained least squares for one design Z (m, d)
+    or a stack of K designs (K, m, d) whose rows share their weights:
+    sqrt(weights), the thin SVD of each weighted design and its rank mask,
+    kept for many solves.  A stack is one batched SVD, and each slice equals
+    its own one-design factor bit for bit; `fac[k]` is that factor, sharing
+    the stack's arrays."""
 
     def __init__(self, Z, weights=None):
         Z = np.asarray(Z, dtype=float)
-        if Z.ndim != 2:
-            raise VoxlabError(f"shape mismatch: Z {Z.shape} is not 2-d")
+        if Z.ndim not in (2, 3):
+            raise VoxlabError(f"shape mismatch: Z {Z.shape} is not 2-d or 3-d")
         self.root = None
         if weights is not None:
             self.root = np.sqrt(np.asarray(weights, dtype=float))
             Z = Z * self.root[:, None]
         self.U, self.s, self.Vt = np.linalg.svd(Z, full_matrices=False)
-        s = self.s
-        self.pos = s > s[0] * 1e-13 if s.size and s[0] > 0 else s > 0
+        # a zero largest singular value makes this mask s > 0
+        self.pos = self.s > self.s[..., :1] * 1e-13
+
+    def __getitem__(self, k):
+        one = object.__new__(BallLeastSquares)
+        one.root = self.root
+        one.U, one.s, one.Vt, one.pos = self.U[k], self.s[k], self.Vt[k], self.pos[k]
+        return one
 
     def solve(self, y, radius):
         """Minimum-norm unconstrained solution when it fits the ball of the
         given radius, otherwise bisects the ridge multiplier until the
-        constraint is active to within 1e-10.  The one-row `solve_many`."""
+        constraint is active to within 1e-10.  The one-row `solve_many` of
+        a one-design factor."""
         y = np.asarray(y, dtype=float)
-        if y.ndim != 1:
-            raise VoxlabError(f"shape mismatch: y {y.shape} is not 1-d")
+        if y.ndim != 1 or self.U.ndim != 2:
+            raise VoxlabError(f"shape mismatch: y {y.shape} is not 1-d or the "
+                              f"factor is a stack")
         return self.solve_many(y[None], radius)[0]
 
     def solve_many(self, Y, radius):
-        """`solve` for every row of the (S, m) targets Y; returns (S, d).
-
-        Each row is bit-identical to a one-target solve: every product is a
-        stacked matrix-vector product and every norm a dot product, the
-        kernels a single target uses.  Rows whose minimum-norm solution
-        leaves the ball are bisected one at a time.
-        """
+        """`solve` for every row of the (S, m) targets Y: (S, d) for one
+        design, (K, S, d) for a stack.  `min_norm`, then `into_ball`."""
         if radius <= 0:
             raise VoxlabError("radius must be > 0")
+        return self.into_ball(*self.min_norm(Y), radius)
+
+    def min_norm(self, Y):
+        """Rotated targets B = U^T (sqrt(w) y) and minimum-norm unconstrained
+        solutions W of every design for every row of the (S, m) targets Y:
+        (S, r) and (S, d) for one design, (K, S, r) and (K, S, d) for a stack.
+
+        Each row is bit-identical to a one-target solve of one design: every
+        product is a stacked matrix-vector product, the kernel a single
+        target uses.
+        """
         Y = np.ascontiguousarray(Y, dtype=float)
-        if Y.ndim != 2 or Y.shape[1] != self.U.shape[0]:
+        if Y.ndim != 2 or Y.shape[1] != self.U.shape[-2]:
             raise VoxlabError(
-                f"shape mismatch: Z has {self.U.shape[0]} rows, y {Y.shape[1:]}")
+                f"shape mismatch: Z has {self.U.shape[-2]} rows, y {Y.shape[1:]}")
         if self.root is not None:
             Y = Y * self.root
-        B = matvec(self.U.T, Y)
-        coef = np.divide(B, self.s, out=np.zeros_like(B), where=self.pos)
-        W = matvec(self.Vt.T, coef)
-        inside = row_norms(W) <= radius + NORM_EPS
-        if not inside.all():
-            for i in np.flatnonzero(~inside):
-                W[i] = self._on_sphere(B[i], radius)
+        B = matvec(np.swapaxes(self.U, -1, -2)[..., None, :, :], Y)
+        coef = np.divide(B, self.s[..., None, :], out=np.zeros_like(B),
+                         where=self.pos[..., None, :])
+        return B, matvec(np.swapaxes(self.Vt, -1, -2)[..., None, :, :], coef)
+
+    def into_ball(self, B, W, radius):
+        """W with every row whose norm exceeds radius replaced by the ridge
+        solution on the sphere, bisected one row at a time from its row of
+        B; B and W as `min_norm` returns them for this factor."""
+        outside = ~(row_norms(W) <= radius + NORM_EPS)
+        if outside.any():
+            W = W.copy()
+            for idx in map(tuple, np.argwhere(outside)):
+                one = self if self.U.ndim == 2 else self[idx[0]]
+                W[idx] = one._on_sphere(B[idx], radius)
         return W
 
     def _on_sphere(self, b, radius):
         """Ridge solution whose norm is `radius` to within NORM_EPS, for the
-        rotated target b = U^T y, by bisection on the ridge multiplier."""
+        rotated target b = U^T y of a one-design factor, by bisection on the
+        ridge multiplier."""
         s = self.s
 
         def norm_at(lam):
@@ -267,19 +283,19 @@ def matvec(A, X):
 
 
 def row_norms(X):
-    """Euclidean norm of each row of the 2-d X, bit-identical to
-    `np.linalg.norm` of that row (a dot product, then a square root)."""
-    return np.sqrt(np.matmul(X[:, None, :], X[:, :, None]))[:, 0, 0]
+    """Euclidean norm of each vector on the last axis of X, bit-identical
+    to `np.linalg.norm` of that vector (a dot product, then a square root)."""
+    return np.sqrt(np.matmul(X[..., None, :], X[..., :, None]))[..., 0, 0]
 
 
 def ball_constrained_least_squares(Z, y, radius, weights=None):
     """Exact minimizer of the (weighted) squared loss over the ball ||w|| <= radius.
 
     Factor once, solve many: this is `BallLeastSquares(Z, weights).solve(y,
-    radius)`, and a caller that fits one design against many targets keeps
-    the `BallLeastSquares` and calls `solve` per target, or `solve_many` for
-    a batch of them.  The answers are bit-identical, since the same matrix
-    gives the same SVD.
+    radius)`, and a caller that fits one or a stack of designs against many
+    targets keeps the `BallLeastSquares` and calls `solve_many` for a batch
+    of them.  The answers are bit-identical, since the same matrix gives the
+    same SVD.
     """
     return BallLeastSquares(Z, weights).solve(y, radius)
 
@@ -287,25 +303,23 @@ def ball_constrained_least_squares(Z, y, radius, weights=None):
 def fit_value_class(data: RegressionData, cls: ValueClass):
     """Least-squares fit of a ValueClass on aggregated data.
 
-    Ball classes enumerate the feature candidates, solve the ball-constrained
-    regression exactly per candidate, and keep the lowest-loss pair (lowest
-    candidate index on ties).  Singleton classes return the fixed table.
+    Ball classes fit every feature candidate with one stacked factor and
+    one solve of the ball-constrained regression, and keep the lowest-loss
+    pair (lowest candidate index on ties).  Singleton classes return the
+    fixed table.
     """
     if cls.kind == "singleton":
         pred = cls.table[data.xs, data.acts]
         loss = float((data.weights * (pred - data.ys) ** 2).sum()) + data.offset
         return FittedValue(phi_index=None, w=None, q_table=cls.table, loss=loss)
     tables = cls.Phi.tables_at(data.layer)
-    best = None
-    for i, tab in enumerate(tables):
-        Z = tab[data.xs, data.acts]
-        w = ball_constrained_least_squares(Z, data.ys, cls.radius,
-                                           weights=data.weights)
-        resid = Z @ w - data.ys
-        loss = float((data.weights * resid * resid).sum()) + data.offset
-        if best is None or loss < best.loss:
-            best = FittedValue(phi_index=i, w=w, q_table=tab @ w, loss=loss)
-    return best
+    Z = np.stack([tab[data.xs, data.acts] for tab in tables])
+    W = BallLeastSquares(Z, data.weights).solve_many(data.ys[None], cls.radius)[:, 0]
+    resid = matvec(Z, W) - data.ys
+    losses = (data.weights * resid * resid).sum(axis=1) + data.offset
+    i = int(np.argmin(losses))
+    return FittedValue(phi_index=i, w=W[i], q_table=tables[i] @ W[i],
+                       loss=float(losses[i]))
 
 
 def psdp(M, h, rewards: RewardSpec, classes, covers, n, rng, counter=None):

@@ -55,7 +55,7 @@ class RepLearnDataset:
     """Aggregated (x_h, a_h, x_{h+1}) triple counts at one layer.
 
     The counts are held as a read-only copy, so the observed (x, a) cells
-    and the per-candidate factorizations cached by `factor` stay valid.
+    and the stacked factorizations cached by `stack` stay valid.
     """
 
     def __init__(self, layer, counts):
@@ -110,16 +110,26 @@ class RepLearnDataset:
         return RegressionData(layer=self.layer, xs=self._xs, acts=self._acts,
                               ys=Y[0], weights=self._cnt, offset=float(offsets[0]))
 
-    def factor(self, table):
-        """(Z, its BallLeastSquares) for a read-only candidate table, cached:
-        neither depends on the discriminator.  The entry holds the table, so
-        its id cannot be reused by another array."""
-        hit = self._factors.get(id(table))
+    def stack(self, tables):
+        """(T, Z, fac) for a list of read-only candidate tables, cached: the
+        tables stacked (K, n_h, A, d), their rows at the observed cells
+        (K, m, d) and the stacked BallLeastSquares of those, none of which
+        depends on the discriminator.  The entry holds the tables, so their
+        ids cannot be reused by other arrays."""
+        key = tuple(map(id, tables))
+        hit = self._factors.get(key)
         if hit is None:
-            Z = table[self._xs, self._acts]
-            hit = (table, Z, BallLeastSquares(Z, self._cnt))
-            self._factors[id(table)] = hit
-        return hit[1], hit[2]
+            T = np.stack(tables)
+            Z = T[:, self._xs, self._acts]
+            hit = (tuple(tables), T, Z, BallLeastSquares(Z, self._cnt))
+            self._factors[key] = hit
+        return hit[1:]
+
+    def factor(self, table):
+        """(Z, its BallLeastSquares) for one read-only candidate table: the
+        one-table `stack`."""
+        _, Z, fac = self.stack([table])
+        return Z[0], fac[0]
 
 
 @dataclass
@@ -131,48 +141,56 @@ class RepLearnResult:
     threshold: float = 0.0
 
 
-def _fits(data, table, Y, offsets, radius):
-    """Losses (S,) and weights (S, d) of the ball-constrained fits of `table`
-    to the target rows Y with their within-cell offsets."""
-    Z, fac = data.factor(table)
+def _losses(data, Z, W, Y, offsets):
+    """Losses (..., S) of the weights W (..., S, d) on the designs Z
+    (..., m, d) against the target rows Y with their within-cell offsets."""
+    resid = matvec(Z[..., None, :, :], W) - Y
+    return (data._cnt * resid * resid).sum(axis=-1) + offsets
+
+
+def _fits(data, tables, Y, offsets, radius):
+    """Losses (K, S) and weights (K, S, d) of the ball-constrained fits of
+    every candidate table to the target rows Y: one stacked solve."""
+    _, Z, fac = data.stack(tables)
     W = fac.solve_many(Y, radius)
-    resid = matvec(Z, W) - Y
-    return (data._cnt * resid * resid).sum(axis=1) + offsets, W
+    return _losses(data, Z, W, Y, offsets), W
 
 
 def _min_loss(data, table, reg, radius):
     """Loss and weights of the ball-constrained fit of `table` to `reg`, a
-    `data.regression_for` instance: the one-row `_fits`."""
-    loss, W = _fits(data, table, reg.ys[None], np.array([reg.offset]), radius)
-    return float(loss[0]), W[0]
+    `data.regression_for` instance: the one-table, one-row `_fits`."""
+    loss, W = _fits(data, [table], reg.ys[None], np.array([reg.offset]), radius)
+    return float(loss[0, 0]), W[0, 0]
 
 
-def _gaps(data, cur_tab, tables, ftabs, thetas, r_big, r_small):
+def _gaps(data, current, tables, ftabs, thetas, r_big, r_small):
     """Adversarial gaps (S,) and envelope gradients (S, d) of S discriminators.
 
     Row i is the direction thetas[i] on the next-layer feature table
     ftabs[i] (ftabs is (S, n_{h+1}, A, d), possibly a broadcast view).  The
-    gap is the current candidate's loss in the big ball minus the best
-    candidate's loss in the small ball (the first best on ties).  The
-    gradient holds the fitted weights fixed and moves only the targets.
-    Every row is bit-identical to scoring that discriminator alone.
+    gap is the loss of candidate `current` in the big ball minus the best
+    candidate's loss in the small ball (the first best on ties).  Every
+    candidate is fitted by one stacked solve; the current one's big-ball
+    fit reuses its unconstrained solution.  The gradient holds the fitted
+    weights fixed and moves only the targets.  Every row is bit-identical
+    to scoring that discriminator alone against one candidate at a time.
     """
+    S = len(thetas)
     fvals = matvec(ftabs, thetas[:, None, :])
-    amax = fvals.argmax(axis=2)[:, :, None]
-    Y, offsets = data.targets(np.take_along_axis(fvals, amax, axis=2)[:, :, 0])
-    own, w_own = _fits(data, cur_tab, Y, offsets, r_big)
-    best = np.full(len(thetas), np.inf)
-    fit_best = np.zeros((len(thetas),) + cur_tab.shape[:2])
-    for tab in tables:
-        loss, W = _fits(data, tab, Y, offsets, r_small)
-        better = loss < best
-        if better.any():
-            best[better] = loss[better]
-            fit_best[better] = matvec(tab, W[better][:, None, :])
-    diff = fit_best - matvec(cur_tab, w_own[:, None, :])
-    s = matvec(data._next_by_cell, diff.reshape(len(diff), -1))
-    chosen = np.take_along_axis(ftabs, amax[..., None], axis=2)[:, :, 0]
-    return own - best, 2.0 * (s[:, :, None] * chosen).sum(axis=1)
+    Y, offsets = data.targets(fvals.max(axis=2))
+    T, Z, fac = data.stack(tables)
+    B, W0 = fac.min_norm(Y)
+    w_own = fac[current].into_ball(B[current], W0[current], r_big)
+    own = _losses(data, Z[current], w_own, Y, offsets)
+    W = fac.into_ball(B, W0, r_small)
+    losses = _losses(data, Z, W, Y, offsets)
+    rows = np.arange(S)
+    best = losses.argmin(axis=0)
+    diff = (matvec(T[best], W[best, rows][:, None, :])
+            - matvec(T[current], w_own[:, None, :]))
+    s = matvec(data._next_by_cell, diff.reshape(S, -1))
+    chosen = ftabs[rows[:, None], np.arange(ftabs.shape[1]), fvals.argmax(axis=2)]
+    return own - losses[best, rows], 2.0 * (s[:, :, None] * chosen).sum(axis=1)
 
 
 def adversarial_gap(Phi, phi_current, f: Discriminator, data: RepLearnDataset,
@@ -181,7 +199,7 @@ def adversarial_gap(Phi, phi_current, f: Discriminator, data: RepLearnDataset,
     _, r_big, r_small, _ = config.resolve(Phi.d, data.n, len(Phi.candidates))
     tables = Phi.tables_at(data.layer)
     ftab = Phi.tables_at(data.layer + 1)[f.phi_index]
-    gap, _ = _gaps(data, tables[phi_current], tables, ftab[None], f.theta[None],
+    gap, _ = _gaps(data, phi_current, tables, ftab[None], f.theta[None],
                    r_big, r_small)
     return float(gap[0])
 
@@ -229,7 +247,6 @@ def _search_points(Phi, phi_current, data, config, rng):
     d = Phi.d
     _, r_big, r_small, _ = config.resolve(d, data.n, len(Phi.candidates))
     tables_h = Phi.tables_at(data.layer)
-    cur_tab = tables_h[phi_current]
     next_tables = np.stack(Phi.tables_at(data.layer + 1))
     eye = np.eye(d)
     sweep = [e for i in range(d) for e in (eye[i], -eye[i])]
@@ -241,7 +258,7 @@ def _search_points(Phi, phi_current, data, config, rng):
         extra = rng.standard_normal((max(config.restarts, 1), d))
         thetas = np.array(sweep + [u / max(np.linalg.norm(u), 1e-12)
                                    for u in extra])
-        gaps, grads = _gaps(data, cur_tab, tables_h,
+        gaps, grads = _gaps(data, phi_current, tables_h,
                             np.broadcast_to(ftab, (len(thetas),) + ftab.shape),
                             thetas, r_big, r_small)
         seeds.append([(gap, theta, fi) for gap, theta in zip(gaps.tolist(), thetas)])
@@ -249,7 +266,7 @@ def _search_points(Phi, phi_current, data, config, rng):
         chains.extend((fi, thetas[i], gaps[i], grads[i]) for i in top)
     fis, starts, start_gaps, start_grads = (np.array(col) for col in zip(*chains))
     climbs = _hill_climb(
-        lambda rows, cand: _gaps(data, cur_tab, tables_h, next_tables[fis[rows]],
+        lambda rows, cand: _gaps(data, phi_current, tables_h, next_tables[fis[rows]],
                                  cand, r_big, r_small),
         starts, start_gaps, start_grads, config)
     points = []
@@ -291,15 +308,10 @@ def feature_selection(Phi, discriminators, data: RepLearnDataset,
         raise VoxlabError("need at least one discriminator")
     d = Phi.d
     _, _, r_small, _ = config.resolve(d, data.n, len(Phi.candidates))
-    tables = Phi.tables_at(data.layer)
-    regs = [data.regression_for(f.values(Phi, data.layer + 1))
-            for f in discriminators]
-    best_idx, best_total = 0, np.inf
-    for i, tab in enumerate(tables):
-        total = sum(_min_loss(data, tab, reg, r_small)[0] for reg in regs)
-        if total < best_total:
-            best_idx, best_total = i, total
-    return best_idx
+    F = np.stack([f.values(Phi, data.layer + 1) for f in discriminators])
+    losses, _ = _fits(data, Phi.tables_at(data.layer), *data.targets(F), r_small)
+    # summed discriminator by discriminator, in order, like a scalar sum
+    return int(np.argmin(sum(losses.T)))
 
 
 def rep_learn(M, h, Phi, P, n, config: RepLearnConfig, rng,

@@ -7,7 +7,7 @@ the Monte-Carlo side of the library lives in ``estimators``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,19 +56,6 @@ class EnvSpec:
             raise VoxlabError("boost must lie in [0, 1)")
 
 
-@dataclass
-class Trajectory:
-    """One episode: per-layer state, action, and reward, h = 0..H-1."""
-
-    states: tuple
-    actions: tuple
-    rewards: tuple
-
-    def __post_init__(self):
-        if not (len(self.states) == len(self.actions) == len(self.rewards)):
-            raise VoxlabError("trajectory fields must share length")
-
-
 class EpisodeCounter:
     """Running count of sampled episodes, threaded through the samplers."""
 
@@ -89,6 +76,18 @@ def _cumulative(table):
     """
     table = np.clip(table.reshape(-1, table.shape[-1]), 0.0, None)
     return np.ascontiguousarray(np.cumsum(table, axis=1).T)
+
+
+def _mdp_cumulative(M, t):
+    """The sampler's ``_cumulative`` table of draw t on M: rho as one row for
+    t = 0, the transitions out of layer t-1 after.  The MDP is immutable, so
+    each table is built once per MDP, read-only, and kept on it."""
+    cum = M._cumulatives[t]
+    if cum is None:
+        cum = _cumulative(M.rho[None] if t == 0 else M.transition_matrix(t - 1))
+        cum.setflags(write=False)
+        M._cumulatives[t] = cum
+    return cum
 
 
 def _categorical_rows(cum, rows, rng):
@@ -255,11 +254,11 @@ def exact_policy_value(M, pi, reward_tables):
 def sample_trajectories(M, pi, n, rng, upto=None, counter=None):
     """Vectorized batch of ``n`` episodes under ``pi`` through layer ``upto``.
 
-    Each policy table and transition tensor is clipped and cumulated once per
-    call; every layer then costs one gather, one uniform draw per episode and
-    one compare.  The draws are bit-identical to per-row inverse-CDF sampling
-    from the clipped rows.  Returns (states, actions) arrays of shape
-    (upto+1, n).
+    Each policy table is clipped and cumulated once per call, and rho and
+    each transition tensor once per MDP; every layer then costs one gather,
+    one uniform draw per episode and one compare.  The draws are
+    bit-identical to per-row inverse-CDF sampling from the clipped rows.
+    Returns (states, actions) arrays of shape (upto+1, n).
     """
     upto = M.H - 1 if upto is None else upto
     if not 0 <= upto < M.H:
@@ -276,16 +275,13 @@ def sample_trajectories(M, pi, n, rng, upto=None, counter=None):
         counter.add(n)
     states = np.empty((upto + 1, n), dtype=np.int64)
     actions = np.empty((upto + 1, n), dtype=np.int64)
-    cum_rho = np.cumsum(M.rho)
-    x = np.searchsorted(cum_rho, rng.random(n) * cum_rho[-1], side="right")
-    x = np.minimum(x, M.n_states(0) - 1)
+    x = _categorical_rows(_mdp_cumulative(M, 0), np.zeros(n, dtype=np.int64), rng)
     for t in range(upto + 1):
         states[t] = x
         a = _categorical_rows(_cumulative(pi.table(t)), x, rng)
         actions[t] = a
         if t < upto:
-            x = _categorical_rows(_cumulative(M.transition_matrix(t)),
-                                  x * M.A + a, rng)
+            x = _categorical_rows(_mdp_cumulative(M, t + 1), x * M.A + a, rng)
     return states, actions
 
 
@@ -312,21 +308,6 @@ def rollin(M, P, n, rng, upto, tail=(), counter=None):
     ]
     return (np.concatenate([S for S, _ in parts], axis=1),
             np.concatenate([A for _, A in parts], axis=1))
-
-
-def sample_trajectory(M, pi, rewards=None, rng=None, counter=None):
-    """Sample one full episode; rewards read from per-layer tables (or zero)."""
-    if rng is None:
-        rng = np.random.default_rng()
-    states, actions = sample_trajectories(M, pi, 1, rng, counter=counter)
-    states, actions = states[:, 0], actions[:, 0]
-    rew = []
-    for t in range(M.H):
-        if rewards is not None and t < len(rewards) and rewards[t] is not None:
-            rew.append(float(np.asarray(rewards[t])[states[t], actions[t]]))
-        else:
-            rew.append(0.0)
-    return Trajectory(tuple(states.tolist()), tuple(actions.tolist()), tuple(rew))
 
 
 def _dp_cost(M, h):

@@ -12,7 +12,6 @@ from voxlab import (
     PolicyDistribution,
     VoxlabError,
     compose_policies,
-    mixture_sample,
     validate_mdp,
 )
 from voxlab.simenv import exact_occupancy
@@ -149,32 +148,6 @@ def test_distribution_validation(env):
     P = PolicyDistribution([pi, pi], [0.25, 0.75])
     assert P.support_size == 2
     assert np.allclose(sorted(w for _, w in P), [0.25, 0.75])
-
-
-def test_mixture_sample_point_mass(env):
-    pi = Policy.uniform(env)
-    P = PolicyDistribution.point_mass(pi)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        assert mixture_sample(P, rng) is pi
-
-
-def test_mixture_sample_zero_weight_never_drawn(env):
-    a = Policy.from_actions(env, [0, 0, 0])
-    b = Policy.from_actions(env, [1, 1, 1])
-    P = PolicyDistribution([a, b], [1.0, 0.0])
-    rng = np.random.default_rng(1)
-    assert all(mixture_sample(P, rng) is a for _ in range(200))
-
-
-def test_mixture_sample_frequencies(env):
-    a = Policy.from_actions(env, [0, 0, 0])
-    b = Policy.from_actions(env, [1, 1, 1])
-    P = PolicyDistribution([a, b], [0.5, 0.5])
-    rng = np.random.default_rng(2)
-    n = 100_000
-    hits = sum(mixture_sample(P, rng) is a for _ in range(n))
-    assert abs(hits / n - 0.5) < 0.02
 
 
 # -------------------------------------------------------------- validation

@@ -224,6 +224,25 @@ def test_spanrl_micro_run_covers_and_accounting():
     assert out["passed"], out
 
 
+def test_spanrl_budget_error_says_where_and_keeps_the_partial_run():
+    # with d = 2, phase 1 alone places two columns, so one round is too few
+    M = boosted_env(seed=8, H=4)
+    Phi = make_feature_class(M, n_decoys=1, rng=np.random.default_rng(8))
+    s = SpanrlSchedule(n_replearn=1500, n_estvec=800, n_psdp=1500, max_rounds=1,
+                       replearn=micro_replearn())
+    counter = EpisodeCounter()
+    with pytest.raises(BudgetError) as exc:
+        run_spanrl(M, Phi, 0.1, s, np.random.default_rng(9), counter=counter)
+    err = exc.value
+    assert (err.layer, err.k, err.iterations) == (0, None, None)
+    assert "run_spanrl layer 0: robust_spanner exceeded 1 rounds" in str(err)
+    assert isinstance(err.__cause__, BudgetError)
+    assert err.log == []
+    # rep-learn, then the two phase-1 probes: two PSDP and two est_vec calls each
+    assert err.episodes == counter.count == (s.n_replearn
+                                             + 2 * 2 * (s.n_psdp + s.n_estvec))
+
+
 # ------------------------------------------------------------ optimization
 
 

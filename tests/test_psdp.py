@@ -172,6 +172,76 @@ def test_ball_lsq_feasibility_property(seed, radius):
     assert f <= f_probe + 1e-8
 
 
+def assert_slices_equal_one_design_factors(Zs, weights, Y, radius):
+    """Each slice of the stacked factor of the designs Zs equals that
+    design's own factor and its frozen one-target solves, bit for bit."""
+    fac = BallLeastSquares(np.stack(Zs), weights)
+    W = fac.solve_many(Y, radius)
+    assert W.shape == (len(Zs), len(Y), Zs[0].shape[1])
+    for k, Z in enumerate(Zs):
+        one = BallLeastSquares(Z, weights)
+        for name in ("U", "s", "Vt", "pos"):
+            assert np.array_equal(getattr(fac[k], name), getattr(one, name))
+        assert np.array_equal(W[k], one.solve_many(Y, radius))
+        for y, w in zip(Y, W[k]):
+            assert np.array_equal(w, reference_ball_solve(one, y, radius))
+    return fac, W
+
+
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_stacked_factor_slices_equal_one_design_factors(K, weighted):
+    rng = np.random.default_rng(10 * K + weighted)
+    m, d = 9, 3
+    wts = rng.random(m) + 0.1 if weighted else None
+    # scales 0.05..20: the small designs need large weights, so their rows
+    # leave the ball and are bisected while the large designs' rows fit
+    Zs = [rng.standard_normal((m, d)) * scale
+          for scale in np.geomspace(0.05, 20.0, K)]
+    Y = rng.standard_normal((6, m))
+    fac, W = assert_slices_equal_one_design_factors(Zs, wts, Y, 1.0)
+    _, W0 = fac.min_norm(Y)
+    outside = np.linalg.norm(W0, axis=2) > 1.0
+    if K == 3:
+        assert outside[0].all() and not outside[-1].any()
+    assert np.allclose(np.linalg.norm(W[outside], axis=1), 1.0, atol=1e-9)
+    # the one-design factor of a slice shares the stack's arrays
+    assert np.shares_memory(fac[K - 1].Vt, fac.Vt)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_stacked_factor_degenerate_slices(weighted):
+    rng = np.random.default_rng(5)
+    full = rng.standard_normal((6, 3))
+    deficient = full.copy()
+    deficient[:, 1] = 2.0 * deficient[:, 0]
+    zero = np.zeros((6, 3))
+    wts = rng.random(6) + 0.1 if weighted else None
+    Y = rng.standard_normal((5, 6)) * np.geomspace(10.0, 0.01, 5)[:, None]
+    fac, W = assert_slices_equal_one_design_factors([full, deficient, zero], wts,
+                                                    Y, 1.0)
+    assert fac.pos.sum(axis=1).tolist() == [3, 2, 0]
+    assert not W[2].any()
+    # m < d: fewer observed rows than features
+    wide = [rng.standard_normal((2, 4)) for _ in range(3)]
+    wts = rng.random(2) + 0.1 if weighted else None
+    fac, _ = assert_slices_equal_one_design_factors(wide, wts, Y[:, :2], 1.0)
+    assert fac.U.shape == (3, 2, 2) and fac.Vt.shape == (3, 2, 4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), st.integers(1, 6),
+       st.integers(1, 8), st.integers(1, 4), st.floats(0.1, 3.0), st.booleans())
+def test_stacked_factor_property(seed, K, S, m, d, radius, weighted):
+    rng = np.random.default_rng(seed)
+    Zs = [rng.standard_normal((m, d)) * rng.choice([0.1, 1.0, 10.0])
+          for _ in range(K)]
+    for Z in Zs:
+        Z[:, rng.random(d) < 0.25] = 0.0  # sometimes rank-deficient
+    wts = rng.random(m) + 0.05 if weighted else None
+    assert_slices_equal_one_design_factors(Zs, wts, mixed_batch(rng, S, m), radius)
+
+
 # ----------------------------------------------------------- reward specs
 
 
@@ -182,7 +252,6 @@ def test_reward_spec_bounds_and_clipping(env):
     tab = spec.layer_table(env, 1)
     assert tab.min() >= 0.0 and tab.max() <= spec.bound() + 1e-12
     assert np.allclose(spec.layer_table(env, 0), 0.0)
-    assert spec.evaluate(0, 0, 1) == pytest.approx(tab[0, 0])
 
     theta = np.array([0.6, -0.8])
     lin = RewardSpec.linear(theta, feat, 1)
@@ -207,6 +276,66 @@ def test_reward_table_kind_shapes(env):
 
 
 # ------------------------------------------------------- class fitting
+
+
+def reference_fit_value_class(data, cls):
+    """Frozen copy of the per-candidate `fit_value_class` on a ball class that
+    the stacked one is pinned to: one factor and one frozen solve per
+    candidate, the first lowest loss kept."""
+    best = None
+    for i, tab in enumerate(cls.Phi.tables_at(data.layer)):
+        Z = tab[data.xs, data.acts]
+        fac = BallLeastSquares(Z, data.weights)
+        w = reference_ball_solve(fac, data.ys, cls.radius)
+        resid = Z @ w - data.ys
+        loss = float((data.weights * resid * resid).sum()) + data.offset
+        if best is None or loss < best[3]:
+            best = (i, w, tab @ w, loss)
+    return best
+
+
+def assert_fit_matches_reference(data, cls):
+    fit = fit_value_class(data, cls)
+    index, w, q_table, loss = reference_fit_value_class(data, cls)
+    assert fit.phi_index == index
+    assert fit.w.tobytes() == w.tobytes()
+    assert np.array_equal(fit.q_table, q_table)
+    assert np.float64(fit.loss).tobytes() == np.float64(loss).tobytes()
+    return fit
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fit_ball_matches_the_per_candidate_reference(seed):
+    from voxlab.simenv import make_feature_class
+
+    rng = np.random.default_rng(seed)
+    M = small_env(seed=seed, H=3, A=2, d=3, states=(4, 6, 5), rotate=seed == 1)
+    classes = [make_feature_class(M, n_decoys=3, rng=rng), onehot_feature_class(M)]
+    for t in (0, 1):
+        for n in (5, 40, 400):  # few samples leave cells unobserved: m < d
+            xs = rng.integers(0, M.n_states(t), size=n)
+            acts = rng.integers(0, M.A, size=n)
+            ys = (rng.standard_normal(n)
+                  + M.phi[t][xs, acts] @ np.array([2.0, -1.0, 0.5]))
+            data = RegressionData.from_samples(t, xs, acts, ys, M.n_states(t), M.A)
+            for Phi in classes:
+                for radius in (0.2, 1.0, 50.0):  # bisected down to plain fits
+                    assert_fit_matches_reference(data, ValueClass.ball(Phi, radius))
+
+
+def test_fit_ball_keeps_the_first_of_tied_candidates(env):
+    # candidates 1 and 2 are the same map, so their losses tie exactly
+    from voxlab.simenv import make_feature_class
+
+    rng = np.random.default_rng(3)
+    decoy = make_feature_class(env, n_decoys=1, rng=rng)[1]
+    Phi = FeatureClass([decoy, list(env.phi), [t.copy() for t in env.phi]])
+    xs = rng.integers(0, env.n_states(1), size=300)
+    acts = rng.integers(0, env.A, size=300)
+    ys = env.phi[1][xs, acts] @ np.array([0.5, -0.2])
+    data = RegressionData.from_samples(1, xs, acts, ys, env.n_states(1), env.A)
+    fit = assert_fit_matches_reference(data, ValueClass.ball(Phi, 1.0))
+    assert fit.phi_index == 1
 
 
 def test_fit_singleton_returns_fixed_table(env):

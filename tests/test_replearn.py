@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from voxlab import Discriminator, FeatureClass, Policy, VoxlabError, as_distribution
-from voxlab.psdp import BallLeastSquares, ball_constrained_least_squares
+from voxlab.psdp import BallLeastSquares, ball_constrained_least_squares, matvec
 from voxlab.replearn import (
     RepLearnConfig,
     RepLearnDataset,
+    _fits,
+    _gaps,
     _min_loss,
     _search_points,
     adversarial_gap,
@@ -486,6 +488,36 @@ def test_search_matches_the_reference_when_seed_gaps_tie():
                 tied.append(plus)
         assert max(tied) > 0.0
         assert_search_matches_reference(Phi, data, cfg, seed=d)
+
+
+def test_gaps_keep_the_first_of_tied_candidates():
+    # candidate 2 copies candidate 0 on every observed cell and holds NaN on
+    # a cell the data never visits: tied losses, and a finite gradient only
+    # if the first copy is the best response
+    Phi, data = search_instance(81, 2, n_decoys=1)
+    counts = np.array(data.counts)
+    counts[3, 1] = 0.0
+    data = RepLearnDataset(0, counts)
+    twin = [np.array(t) for t in Phi[0]]
+    twin[0][3, 1] = np.nan
+    dup = FeatureClass(list(Phi.candidates) + [twin])
+    cfg = RepLearnConfig(restarts=4, grad_steps=30)
+    _, r_big, r_small, _ = cfg.resolve(2, data.n, len(dup))
+    angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    thetas = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    ftabs = np.broadcast_to(dup[0][1], (16,) + dup[0][1].shape)
+    tables = dup.tables_at(0)
+    losses, _ = _fits(data, tables, *data.targets(
+        matvec(ftabs, thetas[:, None, :]).max(axis=2)), r_small)
+    assert np.array_equal(losses[0], losses[2])
+    assert (losses.argmin(axis=0) == 0).any()
+    for current in (0, 1):
+        gaps, grads = _gaps(data, current, tables, ftabs, thetas, r_big, r_small)
+        assert np.isfinite(grads).all()
+        ref_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
+        assert_same_search(discriminator_search(dup, current, data, cfg, rng),
+                           reference_discriminator_search(dup, current, data, cfg,
+                                                          ref_rng), rng, ref_rng)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -33,7 +33,6 @@ from voxlab.simenv import (
     reachability_eta,
     rollin,
     sample_trajectories,
-    sample_trajectory,
 )
 
 from conftest import small_env, uniform_mixture
@@ -193,20 +192,6 @@ def test_q_tables_back_out_the_policy_value(env):
 # ----------------------------------------------------------------- sampling
 
 
-def test_sample_trajectory_shapes_and_rewards(env):
-    pi = Policy.uniform(env)
-    rewards = [np.full((env.n_states(t), env.A), float(t)) for t in range(env.H)]
-    counter = EpisodeCounter()
-    traj = sample_trajectory(env, pi, rewards=rewards, rng=np.random.default_rng(0),
-                             counter=counter)
-    assert len(traj.states) == env.H
-    assert traj.rewards == tuple(float(t) for t in range(env.H))
-    assert counter.count == 1
-    for t in range(env.H):
-        assert 0 <= traj.states[t] < env.n_states(t)
-        assert 0 <= traj.actions[t] < env.A
-
-
 def test_sampled_state_frequencies_match_exact_occupancy(env):
     pi = Policy.uniform(env)
     rng = np.random.default_rng(4)
@@ -352,6 +337,43 @@ def test_sampler_matches_the_reference_on_random_shapes(seed, H, A, kind, signed
                                      seed=seed + 1)
 
 
+def test_sampler_builds_rho_and_transition_tables_once_per_mdp():
+    rng = np.random.default_rng(31)
+    M1 = small_env(seed=5, H=4, A=3, states=(3, 4, 5, 3))
+    M2 = small_env(seed=6, H=4, A=3, states=(3, 4, 5, 3))
+    pi = policy_of_kind(M1, rng, "random")
+    assert all(cum is None for cum in M1._cumulatives)
+    assert_sampler_matches_reference(M1, pi, 300, 1, seed=1)  # cold, partial
+    assert [cum is None for cum in M1._cumulatives] == [False, False, True, True]
+    assert_sampler_matches_reference(M1, pi, 300, M1.H - 1, seed=2)  # fills the rest
+    built = list(M1._cumulatives)
+    assert all(not cum.flags.writeable for cum in built)
+    assert_sampler_matches_reference(M1, pi, 300, M1.H - 1, seed=3)  # warm
+    assert all(a is b for a, b in zip(M1._cumulatives, built))
+    # a second MDP of the same shapes builds and uses its own tables
+    assert all(cum is None for cum in M2._cumulatives)
+    assert_sampler_matches_reference(M2, pi, 300, M2.H - 1, seed=3)
+    assert not any(np.array_equal(a, b)
+                   for a, b in zip(M1._cumulatives, M2._cumulatives))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 40), st.integers(0, 200))
+def test_initial_states_match_a_search_of_the_cumulative_rho(seed, n0, n):
+    # rho with zero-mass entries, trailing ones included
+    rng = np.random.default_rng(seed)
+    rho = rng.random(n0) * (rng.random(n0) < 0.7)
+    rho[int(rng.integers(n0))] += 0.1
+    M = LayeredLowRankMDP(2, 1, 1, [list(range(n0)), [n0]],
+                          [np.ones((n0, 1, 1))], [np.ones((1, 1))], rho / rho.sum())
+    S, _ = sample_trajectories(M, Policy.uniform(M), n, np.random.default_rng(seed),
+                               upto=0)
+    cum = np.cumsum(M.rho)
+    want = np.searchsorted(cum, np.random.default_rng(seed).random(n) * cum[-1],
+                           side="right")
+    assert np.array_equal(S[0], np.minimum(want, n0 - 1))
+
+
 def reference_rollin(M, P, n, rng, upto, tail=(), counter=None):
     """The per-component loop that rollin replaced, kept as its reference."""
     P = as_distribution(P)
@@ -459,4 +481,5 @@ def test_make_feature_class_structure(env):
     assert any(
         not np.array_equal(Phi[0][h], env.phi[h]) for h in range(env.H - 1)
     )
-    assert Phi.max_feature_norm() <= 1.0 + 1e-12
+    assert max(float(np.linalg.norm(tab, axis=2).max())
+               for cand in Phi.candidates for tab in cand) <= 1.0 + 1e-12
