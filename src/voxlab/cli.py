@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -52,7 +53,18 @@ def _feature_class_from_config(M, config, seed):
 
 def _replearn_config(config):
     rl = config.get("replearn", {})
+    keys = {f.name for f in dataclasses.fields(RepLearnConfig)}
+    if not isinstance(rl, dict) or not set(rl) <= keys:
+        raise VoxlabError(f"config replearn must be an object with keys from "
+                          f"{sorted(keys)}, got {rl!r}")
     return RepLearnConfig(**rl)
+
+
+def _optional_int(config, key):
+    value = config.get(key)
+    if value is not None and type(value) is not int:
+        raise VoxlabError(f"config {key} must be an integer or null, got {value!r}")
+    return value
 
 
 def _cmd_generate_env(args):
@@ -100,7 +112,7 @@ def _cmd_run_vox(args):
         n_estmat=int(config["n_estmat"]),
         n_psdp=int(config["n_psdp"]),
         C=float(config.get("C", 2.0)),
-        fw_max_iters=config.get("fw_max_iters"),
+        fw_max_iters=_optional_int(config, "fw_max_iters"),
         replearn=_replearn_config(config),
     )
     rng = np.random.default_rng(args.seed)
@@ -137,7 +149,7 @@ def _cmd_run_spanrl(args):
         n_estvec=int(config["n_estvec"]),
         n_psdp=int(config["n_psdp"]),
         C=float(config.get("C", 2.0)),
-        max_rounds=config.get("max_rounds"),
+        max_rounds=_optional_int(config, "max_rounds"),
         replearn=_replearn_config(config),
     )
     rng = np.random.default_rng(args.seed)

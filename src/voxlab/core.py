@@ -249,20 +249,30 @@ def as_distribution(P):
 class FeatureClass:
     """Finite class of candidate feature maps, each shaped like the MDP's phi.
 
-    ``candidates[i][h]`` has shape (|X_h|, A, d).  ``true_index`` optionally
-    records which member is the environment's own map.
+    Each layer's candidate tables are copied once into one read-only
+    (K, |X_h|, A, d) stack, returned by ``tables_at(h)``; ``candidates[i][h]``
+    is a view of it.  ``true_index`` optionally records which member is the
+    environment's own map.
     """
 
     def __init__(self, candidates, true_index=None):
         if len(candidates) == 0:
             raise VoxlabError("feature class must be nonempty")
-        self.candidates = [tuple(_freeze(t) for t in cand) for cand in candidates]
-        shape0 = [t.shape for t in self.candidates[0]]
-        for cand in self.candidates:
-            if [t.shape for t in cand] != shape0:
+        shape0 = [np.shape(t) for t in candidates[0]]
+        for cand in candidates:
+            if [np.shape(t) for t in cand] != shape0:
                 raise VoxlabError("all candidate maps must share table shapes")
+        if true_index is not None and not 0 <= true_index < len(candidates):
+            raise VoxlabError(f"true_index {true_index} is not in 0..{len(candidates) - 1}")
+        self._stacks = []
+        for h in range(len(shape0)):
+            stack = np.array([cand[h] for cand in candidates], dtype=float)
+            stack.setflags(write=False)
+            self._stacks.append(stack)
+        self.candidates = [tuple(stack[i] for stack in self._stacks)
+                           for i in range(len(candidates))]
         self.true_index = true_index
-        self.d = self.candidates[0][0].shape[2]
+        self.d = shape0[0][2]
 
     def __len__(self):
         return len(self.candidates)
@@ -271,8 +281,8 @@ class FeatureClass:
         return self.candidates[i]
 
     def tables_at(self, h):
-        """List of per-candidate (|X_h|, A, d) tables for one layer."""
-        return [cand[h] for cand in self.candidates]
+        """Read-only (K, |X_h|, A, d) stack of the candidates' layer-h tables."""
+        return self._stacks[h]
 
 
 class Discriminator:

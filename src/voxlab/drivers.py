@@ -43,7 +43,7 @@ from voxlab.spanner import robust_spanner
 class VoxSchedule:
     """Parameters of one VoX run.
 
-    Direct mode takes every knob explicitly; paper mode derives them from
+    The constructor takes every knob explicitly; `paper` derives them from
     the target reachability eta and the class size via the published
     schedule (astronomical at desk scale, exposed for bound checks).
     """
@@ -53,11 +53,7 @@ class VoxSchedule:
     n_replearn: int
     n_estmat: int
     n_psdp: int
-    mode: str = "direct"
     C: float = 2.0
-    eta: float | None = None
-    c: float = 1.0
-    delta: float = 0.05
     fw_max_iters: int | None = None
     replearn: RepLearnConfig = field(default_factory=RepLearnConfig)
 
@@ -66,8 +62,6 @@ class VoxSchedule:
             raise VoxlabError("schedule counts must be positive")
         if not 0.0 < self.gamma < 1.0:
             raise VoxlabError(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.mode not in ("direct", "paper"):
-            raise VoxlabError(f"unknown mode {self.mode!r}")
 
     @classmethod
     def paper(cls, eta, d, A, n_candidates, H, c=1.0, delta=0.05, **kw):
@@ -82,25 +76,18 @@ class VoxSchedule:
             n_psdp=math.ceil(
                 c * eta**-1 * gamma**-2 * H**2 * d**2 * K * A**2 * (d + log_phi)
             ),
-            mode="paper",
-            eta=eta,
-            c=c,
-            delta=delta,
             **kw,
         )
 
 
 @dataclass
 class SpanrlSchedule:
-    """Parameters of one SpanRL run (same two modes as VoxSchedule)."""
+    """Parameters of one SpanRL run, given directly or by `paper`."""
 
     n_replearn: int
     n_estvec: int
     n_psdp: int
-    mode: str = "direct"
     C: float = 2.0
-    c: float = 1.0
-    delta: float = 0.05
     max_rounds: int | None = None
     replearn: RepLearnConfig = field(default_factory=RepLearnConfig)
 
@@ -115,9 +102,6 @@ class SpanrlSchedule:
             n_replearn=math.ceil(c * eps**-2 * A**2 * d * log_phi),
             n_estvec=math.ceil(c * eps**-2 * math.log(1.0 / delta)),
             n_psdp=math.ceil(c * eps**-2 * A**2 * d**3 * H**2 * (d + log_phi)),
-            mode="paper",
-            c=c,
-            delta=delta,
             **kw,
         )
 

@@ -4,9 +4,8 @@ est_vec and est_mat average a state-action functional at one layer over n
 independent episodes.  Both accept a single Policy or a PolicyDistribution;
 for a mixture the policy is redrawn every episode (see ``simenv.rollin``).
 
-The functional F may be given as a dense table indexed by (state, action)
-with arbitrary trailing shape, or as a callable (x, a) -> array, which is
-tabulated once up front.
+The functional F is a dense table indexed by (state, action) with
+arbitrary trailing shape.
 """
 
 from __future__ import annotations
@@ -19,23 +18,6 @@ from voxlab.simenv import rollin
 EIG_TOL = 1e-12
 
 
-def _tabulate(F, M, h):
-    if callable(F):
-        probe = np.asarray(F(0, 0), dtype=float)
-        table = np.zeros((M.n_states(h), M.A) + probe.shape)
-        for x in range(M.n_states(h)):
-            for a in range(M.A):
-                table[x, a] = F(x, a)
-        return table
-    table = np.asarray(F, dtype=float)
-    if table.shape[:2] != (M.n_states(h), M.A):
-        raise VoxlabError(
-            f"F table has leading shape {table.shape[:2]}, expected "
-            f"({M.n_states(h)}, {M.A}) at layer {h}"
-        )
-    return table
-
-
 def visit_counts(M, h, pi, n, rng, counter=None):
     """Empirical (state, action) visit counts at layer h over n episodes."""
     S, A = rollin(M, pi, n, rng, upto=h, counter=counter)
@@ -45,7 +27,12 @@ def visit_counts(M, h, pi, n, rng, counter=None):
 
 def est_vec(M, h, F, pi, n, rng, counter=None):
     """Average of F(x_h, a_h) over n roll-ins of pi (EstVec)."""
-    table = _tabulate(F, M, h)
+    table = np.asarray(F, dtype=float)
+    if table.shape[:2] != (M.n_states(h), M.A):
+        raise VoxlabError(
+            f"F table has leading shape {table.shape[:2]}, expected "
+            f"({M.n_states(h)}, {M.A}) at layer {h}"
+        )
     counts = visit_counts(M, h, pi, n, rng, counter=counter)
     return np.tensordot(counts.astype(float), table, axes=([0, 1], [0, 1])) / n
 

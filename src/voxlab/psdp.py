@@ -170,20 +170,22 @@ class FittedValue:
 
 
 class BallLeastSquares:
-    """Factor step of ball-constrained least squares for one design Z (m, d)
-    or a stack of K designs (K, m, d) whose rows share their weights:
-    sqrt(weights), the thin SVD of each weighted design and its rank mask,
-    kept for many solves.  A stack is one batched SVD, and each slice equals
-    its own one-design factor bit for bit; `fac[k]` is that factor, sharing
-    the stack's arrays."""
+    """Ball-constrained least squares for one design Z (m, d) or a stack of
+    K designs (K, m, d) whose rows share their weights: Z, the weights and
+    their square roots, the thin SVD of each weighted design and its rank
+    mask, kept for many solves and losses.  A stack is one batched SVD, and
+    each slice equals its own one-design factor bit for bit; `fac[k]` is
+    that factor, sharing the stack's arrays."""
 
     def __init__(self, Z, weights=None):
         Z = np.asarray(Z, dtype=float)
         if Z.ndim not in (2, 3):
             raise VoxlabError(f"shape mismatch: Z {Z.shape} is not 2-d or 3-d")
-        self.root = None
+        self.Z = Z
+        self.weights = self.root = None
         if weights is not None:
-            self.root = np.sqrt(np.asarray(weights, dtype=float))
+            self.weights = np.asarray(weights, dtype=float)
+            self.root = np.sqrt(self.weights)
             Z = Z * self.root[:, None]
         self.U, self.s, self.Vt = np.linalg.svd(Z, full_matrices=False)
         # a zero largest singular value makes this mask s > 0
@@ -191,24 +193,28 @@ class BallLeastSquares:
 
     def __getitem__(self, k):
         one = object.__new__(BallLeastSquares)
-        one.root = self.root
+        one.Z, one.weights, one.root = self.Z[k], self.weights, self.root
         one.U, one.s, one.Vt, one.pos = self.U[k], self.s[k], self.Vt[k], self.pos[k]
         return one
 
-    def solve(self, y, radius):
-        """Minimum-norm unconstrained solution when it fits the ball of the
-        given radius, otherwise bisects the ridge multiplier until the
-        constraint is active to within 1e-10.  The one-row `solve_many` of
-        a one-design factor."""
-        y = np.asarray(y, dtype=float)
-        if y.ndim != 1 or self.U.ndim != 2:
-            raise VoxlabError(f"shape mismatch: y {y.shape} is not 1-d or the "
-                              f"factor is a stack")
-        return self.solve_many(y[None], radius)[0]
+    def fit(self, Y, offsets, radius):
+        """Losses and weights of the ball-constrained fits of every design to
+        every row of the (S, m) targets Y: `solve_many`, then `losses`."""
+        W = self.solve_many(Y, radius)
+        return self.losses(W, Y, offsets), W
+
+    def losses(self, W, Y, offsets):
+        """Weighted squared residuals of the weights W against the target rows
+        Y, summed per row, plus the rows' within-cell offsets: (S,) for one
+        design and W (S, d), (K, S) for a stack and W (K, S, d)."""
+        resid = matvec(self.Z[..., None, :, :], W) - Y
+        scaled = resid if self.weights is None else self.weights * resid
+        return (scaled * resid).sum(axis=-1) + offsets
 
     def solve_many(self, Y, radius):
-        """`solve` for every row of the (S, m) targets Y: (S, d) for one
-        design, (K, S, d) for a stack.  `min_norm`, then `into_ball`."""
+        """Minimizers over the ball ||w|| <= radius for every row of the (S, m)
+        targets Y: (S, d) for one design, (K, S, d) for a stack.  `min_norm`,
+        then `into_ball`."""
         if radius <= 0:
             raise VoxlabError("radius must be > 0")
         return self.into_ball(*self.min_norm(Y), radius)
@@ -291,13 +297,16 @@ def row_norms(X):
 def ball_constrained_least_squares(Z, y, radius, weights=None):
     """Exact minimizer of the (weighted) squared loss over the ball ||w|| <= radius.
 
-    Factor once, solve many: this is `BallLeastSquares(Z, weights).solve(y,
-    radius)`, and a caller that fits one or a stack of designs against many
-    targets keeps the `BallLeastSquares` and calls `solve_many` for a batch
-    of them.  The answers are bit-identical, since the same matrix gives the
-    same SVD.
+    The one-row `BallLeastSquares(Z, weights).solve_many` for one design Z
+    (m, d) and one target y (m,).  A caller that fits one or a stack of
+    designs against many targets keeps the `BallLeastSquares` and calls
+    `solve_many` or `fit`; the answers are bit-identical, since the same
+    matrix gives the same SVD.
     """
-    return BallLeastSquares(Z, weights).solve(y, radius)
+    if np.ndim(y) != 1 or np.ndim(Z) != 2:
+        raise VoxlabError(f"shape mismatch: y {np.shape(y)} is not 1-d or Z "
+                          f"{np.shape(Z)} is not 2-d")
+    return BallLeastSquares(Z, weights).solve_many(np.asarray(y)[None], radius)[0]
 
 
 def fit_value_class(data: RegressionData, cls: ValueClass):
@@ -312,14 +321,12 @@ def fit_value_class(data: RegressionData, cls: ValueClass):
         pred = cls.table[data.xs, data.acts]
         loss = float((data.weights * (pred - data.ys) ** 2).sum()) + data.offset
         return FittedValue(phi_index=None, w=None, q_table=cls.table, loss=loss)
-    tables = cls.Phi.tables_at(data.layer)
-    Z = np.stack([tab[data.xs, data.acts] for tab in tables])
-    W = BallLeastSquares(Z, data.weights).solve_many(data.ys[None], cls.radius)[:, 0]
-    resid = matvec(Z, W) - data.ys
-    losses = (data.weights * resid * resid).sum(axis=1) + data.offset
-    i = int(np.argmin(losses))
-    return FittedValue(phi_index=i, w=W[i], q_table=tables[i] @ W[i],
-                       loss=float(losses[i]))
+    T = cls.Phi.tables_at(data.layer)
+    fac = BallLeastSquares(T[:, data.xs, data.acts], data.weights)
+    losses, W = fac.fit(data.ys[None], data.offset, cls.radius)
+    i = int(np.argmin(losses[:, 0]))
+    return FittedValue(phi_index=i, w=W[i, 0], q_table=T[i] @ W[i, 0],
+                       loss=float(losses[i, 0]))
 
 
 def psdp(M, h, rewards: RewardSpec, classes, covers, n, rng, counter=None):

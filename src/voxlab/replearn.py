@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from voxlab.core import Discriminator, VoxlabError, _freeze, as_distribution
-from voxlab.psdp import BallLeastSquares, RegressionData, matvec, row_norms
+from voxlab.psdp import BallLeastSquares, matvec, row_norms
 from voxlab.simenv import mixture_occupancy, rollin
 
 
@@ -55,7 +55,7 @@ class RepLearnDataset:
     """Aggregated (x_h, a_h, x_{h+1}) triple counts at one layer.
 
     The counts are held as a read-only copy, so the observed (x, a) cells
-    and the stacked factorizations cached by `stack` stay valid.
+    and the factor cached by `factor_stack` stay valid.
     """
 
     def __init__(self, layer, counts):
@@ -75,7 +75,7 @@ class RepLearnDataset:
         for arr in (self.pair_counts, self._cnt, self._xs, self._acts,
                     self._next_by_cell):
             arr.setflags(write=False)
-        self._factors = {}
+        self._stack = self._factor = None
 
     @classmethod
     def collect(cls, M, h, P, n, rng, counter=None):
@@ -104,32 +104,14 @@ class RepLearnDataset:
                    - (cnt * Y * Y).sum(axis=1))
         return Y, np.where(offsets < 0.0, 0.0, offsets)
 
-    def regression_for(self, f_values):
-        """Weighted least-squares instance with targets E-hat[f(x') | x, a]."""
-        Y, offsets = self.targets(np.asarray(f_values, dtype=float)[None])
-        return RegressionData(layer=self.layer, xs=self._xs, acts=self._acts,
-                              ys=Y[0], weights=self._cnt, offset=float(offsets[0]))
-
-    def stack(self, tables):
-        """(T, Z, fac) for a list of read-only candidate tables, cached: the
-        tables stacked (K, n_h, A, d), their rows at the observed cells
-        (K, m, d) and the stacked BallLeastSquares of those, none of which
-        depends on the discriminator.  The entry holds the tables, so their
-        ids cannot be reused by other arrays."""
-        key = tuple(map(id, tables))
-        hit = self._factors.get(key)
-        if hit is None:
-            T = np.stack(tables)
-            Z = T[:, self._xs, self._acts]
-            hit = (tuple(tables), T, Z, BallLeastSquares(Z, self._cnt))
-            self._factors[key] = hit
-        return hit[1:]
-
-    def factor(self, table):
-        """(Z, its BallLeastSquares) for one read-only candidate table: the
-        one-table `stack`."""
-        _, Z, fac = self.stack([table])
-        return Z[0], fac[0]
+    def factor_stack(self, T):
+        """The stacked BallLeastSquares of a read-only candidate stack T
+        (K, n_h, A, d) at the observed cells, weighted by the cell counts;
+        the factor of the last stack given is kept."""
+        if self._stack is not T:
+            self._factor = BallLeastSquares(T[:, self._xs, self._acts], self._cnt)
+            self._stack = T
+        return self._factor
 
 
 @dataclass
@@ -141,49 +123,29 @@ class RepLearnResult:
     threshold: float = 0.0
 
 
-def _losses(data, Z, W, Y, offsets):
-    """Losses (..., S) of the weights W (..., S, d) on the designs Z
-    (..., m, d) against the target rows Y with their within-cell offsets."""
-    resid = matvec(Z[..., None, :, :], W) - Y
-    return (data._cnt * resid * resid).sum(axis=-1) + offsets
-
-
-def _fits(data, tables, Y, offsets, radius):
-    """Losses (K, S) and weights (K, S, d) of the ball-constrained fits of
-    every candidate table to the target rows Y: one stacked solve."""
-    _, Z, fac = data.stack(tables)
-    W = fac.solve_many(Y, radius)
-    return _losses(data, Z, W, Y, offsets), W
-
-
-def _min_loss(data, table, reg, radius):
-    """Loss and weights of the ball-constrained fit of `table` to `reg`, a
-    `data.regression_for` instance: the one-table, one-row `_fits`."""
-    loss, W = _fits(data, [table], reg.ys[None], np.array([reg.offset]), radius)
-    return float(loss[0, 0]), W[0, 0]
-
-
-def _gaps(data, current, tables, ftabs, thetas, r_big, r_small):
+def _gaps(data, current, T, ftabs, thetas, r_big, r_small):
     """Adversarial gaps (S,) and envelope gradients (S, d) of S discriminators.
 
     Row i is the direction thetas[i] on the next-layer feature table
     ftabs[i] (ftabs is (S, n_{h+1}, A, d), possibly a broadcast view).  The
     gap is the loss of candidate `current` in the big ball minus the best
     candidate's loss in the small ball (the first best on ties).  Every
-    candidate is fitted by one stacked solve; the current one's big-ball
-    fit reuses its unconstrained solution.  The gradient holds the fitted
-    weights fixed and moves only the targets.  Every row is bit-identical
-    to scoring that discriminator alone against one candidate at a time.
+    candidate of the stack T is fitted by one stacked solve; the current
+    one's big-ball fit reuses its unconstrained solution.  The gradient
+    holds the fitted weights fixed and moves only the targets.  Every row
+    is bit-identical to scoring that discriminator alone against one
+    candidate at a time.
     """
     S = len(thetas)
     fvals = matvec(ftabs, thetas[:, None, :])
     Y, offsets = data.targets(fvals.max(axis=2))
-    T, Z, fac = data.stack(tables)
+    fac = data.factor_stack(T)
     B, W0 = fac.min_norm(Y)
-    w_own = fac[current].into_ball(B[current], W0[current], r_big)
-    own = _losses(data, Z[current], w_own, Y, offsets)
+    own_fac = fac[current]
+    w_own = own_fac.into_ball(B[current], W0[current], r_big)
+    own = own_fac.losses(w_own, Y, offsets)
     W = fac.into_ball(B, W0, r_small)
-    losses = _losses(data, Z, W, Y, offsets)
+    losses = fac.losses(W, Y, offsets)
     rows = np.arange(S)
     best = losses.argmin(axis=0)
     diff = (matvec(T[best], W[best, rows][:, None, :])
@@ -197,10 +159,9 @@ def adversarial_gap(Phi, phi_current, f: Discriminator, data: RepLearnDataset,
                     config: RepLearnConfig):
     """Advantage of the best competitor over the current candidate on f."""
     _, r_big, r_small, _ = config.resolve(Phi.d, data.n, len(Phi.candidates))
-    tables = Phi.tables_at(data.layer)
     ftab = Phi.tables_at(data.layer + 1)[f.phi_index]
-    gap, _ = _gaps(data, phi_current, tables, ftab[None], f.theta[None],
-                   r_big, r_small)
+    gap, _ = _gaps(data, phi_current, Phi.tables_at(data.layer), ftab[None],
+                   f.theta[None], r_big, r_small)
     return float(gap[0])
 
 
@@ -247,7 +208,7 @@ def _search_points(Phi, phi_current, data, config, rng):
     d = Phi.d
     _, r_big, r_small, _ = config.resolve(d, data.n, len(Phi.candidates))
     tables_h = Phi.tables_at(data.layer)
-    next_tables = np.stack(Phi.tables_at(data.layer + 1))
+    next_tables = Phi.tables_at(data.layer + 1)
     eye = np.eye(d)
     sweep = [e for i in range(d) for e in (eye[i], -eye[i])]
     if d == 2:
@@ -309,7 +270,8 @@ def feature_selection(Phi, discriminators, data: RepLearnDataset,
     d = Phi.d
     _, _, r_small, _ = config.resolve(d, data.n, len(Phi.candidates))
     F = np.stack([f.values(Phi, data.layer + 1) for f in discriminators])
-    losses, _ = _fits(data, Phi.tables_at(data.layer), *data.targets(F), r_small)
+    fac = data.factor_stack(Phi.tables_at(data.layer))
+    losses, _ = fac.fit(*data.targets(F), r_small)
     # summed discriminator by discriminator, in order, like a scalar sum
     return int(np.argmin(sum(losses.T)))
 
@@ -358,9 +320,7 @@ def exact_transfer_error(M, h, Phi, index, P, n_dirs=200, rng=None):
     d = Phi.d
     occ = mixture_occupancy(M, as_distribution(P), h)
     weights = np.repeat(occ[:, None] / M.A, M.A, axis=1).ravel()
-    tab = Phi.tables_at(h)[index]
-    Z = tab.reshape(-1, d)
-    fac = BallLeastSquares(Z, weights)
+    fac = BallLeastSquares(Phi.tables_at(h)[index].reshape(-1, d), weights)
     mu = M.mu[h]
     phistar = M.phi[h].reshape(-1, d)
     dirs = [np.eye(d)[i] * s for i in range(d) for s in (1.0, -1.0)]
@@ -374,7 +334,5 @@ def exact_transfer_error(M, h, Phi, index, P, n_dirs=200, rng=None):
     for ftab in Phi.tables_at(h + 1):
         fvals = matvec(ftab, dirs[:, None, :]).max(axis=2)
         targets = matvec(phistar, matvec(mu.T, fvals))
-        W = fac.solve_many(targets, 3.0 * d ** 1.5)
-        resid = matvec(Z, W) - targets
-        losses.extend((weights * resid * resid).sum(axis=1).tolist())
+        losses.extend(fac.fit(targets, 0.0, 3.0 * d ** 1.5)[0].tolist())
     return max(losses)

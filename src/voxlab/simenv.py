@@ -369,6 +369,8 @@ def make_feature_class(M, n_decoys, rng, true_index=0):
     stay inside the unit ball while the dynamics stop being linear in
     the decoy.
     """
+    if not 0 <= true_index <= n_decoys:
+        raise VoxlabError(f"true_index {true_index} is outside 0..{n_decoys}")
     decoys = []
     seen = set()
     attempts = 0

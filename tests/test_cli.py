@@ -173,6 +173,24 @@ def test_usage_errors_exit_2(workdir):
                  "--out", str(workdir / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("command, config, bad", [
+    ("run-vox", VOX_CONFIG, {"replearn": {"restart": 2}}),
+    ("run-vox", VOX_CONFIG, {"fw_max_iters": 5.0}),
+    ("run-spanrl", SPANRL_CONFIG, {"max_rounds": 5.0}),
+])
+def test_config_errors_exit_2_without_a_traceback(workdir, command, config, bad):
+    path = workdir / f"bad_{command}_{next(iter(bad))}.json"
+    path.write_text(json.dumps({**config, **bad}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "voxlab.cli", command, "--env",
+         str(workdir / "env.json"), "--config", str(path),
+         "--out", str(workdir / "x.json")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def test_help_exits_clean():
     assert main(["--help"]) == 0
 

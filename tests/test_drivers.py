@@ -59,7 +59,6 @@ def test_vox_paper_schedule_arithmetic():
     assert s.K == 6400
     assert s.gamma == pytest.approx(0.01 / (16 * 576), rel=1e-12)
     assert s.gamma == pytest.approx(1.0850694444e-6, rel=1e-9)
-    assert s.mode == "paper"
     assert min(s.n_replearn, s.n_estmat, s.n_psdp) >= 1
 
 
@@ -68,9 +67,6 @@ def test_schedule_validation():
         VoxSchedule(K=0, gamma=0.1, n_replearn=10, n_estmat=10, n_psdp=10)
     with pytest.raises(VoxlabError):
         VoxSchedule(K=1, gamma=1.5, n_replearn=10, n_estmat=10, n_psdp=10)
-    with pytest.raises(VoxlabError):
-        VoxSchedule(K=1, gamma=0.1, n_replearn=10, n_estmat=10, n_psdp=10,
-                    mode="bogus")
     with pytest.raises(VoxlabError):
         SpanrlSchedule(n_replearn=0, n_estvec=10, n_psdp=10)
     s = SpanrlSchedule.paper(eps=0.05, d=2, A=2, n_candidates=4, H=3)

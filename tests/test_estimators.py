@@ -32,16 +32,6 @@ def test_deterministic_env_single_episode_exact():
     assert np.allclose(got, want, atol=1e-12)
 
 
-def test_callable_functional_matches_table(env):
-    pi = Policy.uniform(env)
-    table = np.random.default_rng(2).random((env.n_states(1), env.A, 3))
-    rng_a = np.random.default_rng(3)
-    rng_b = np.random.default_rng(3)
-    got_t = est_vec(env, 1, table, pi, 500, rng_a)
-    got_c = est_vec(env, 1, lambda x, a: table[x, a], pi, 500, rng_b)
-    assert np.allclose(got_t, got_c, atol=1e-12)
-
-
 def test_est_mat_single_episode_is_rank_one(env):
     phi = env.phi[1]
     F = np.einsum("xad,xae->xade", phi, phi)

@@ -43,13 +43,18 @@ def all_det_covers(M, h):
 # ----------------------------------------------- ball-constrained regression
 
 
+def solve_one(fac, y, radius):
+    """The one-row `solve_many` of a one-design factor."""
+    return fac.solve_many(np.asarray(y, dtype=float)[None], radius)[0]
+
+
 def rows_equal_single_solves(fac, Y, radius):
-    """Check with np.array_equal that each row of `solve_many` equals `solve`
-    on that row and the frozen one-target solve."""
+    """Check with np.array_equal that each row of `solve_many` equals the
+    one-row `solve_many` of that row and the frozen one-target solve."""
     W = fac.solve_many(Y, radius)
     assert W.shape == (len(Y), fac.Vt.shape[1])
     for y, w in zip(Y, W):
-        assert np.array_equal(w, fac.solve(y, radius))
+        assert np.array_equal(w, solve_one(fac, y, radius))
         assert np.array_equal(w, reference_ball_solve(fac, y, radius))
     return W
 
@@ -61,12 +66,12 @@ def factored_equals_one_shot(Z, y, radius, weights=None):
     fac = BallLeastSquares(Z, weights)
     y2 = np.asarray(y, dtype=float)[::-1] * 1.5
     for target, r in ((y, radius), (y2, radius), (y, 0.5 * radius), (y, radius)):
-        got = fac.solve(target, r)
+        got = solve_one(fac, target, r)
         want = ball_constrained_least_squares(Z, target, r, weights=weights)
         assert np.array_equal(got, want)
     for r in (radius, 0.5 * radius):
         rows_equal_single_solves(fac, np.stack([y, y2]).astype(float), r)
-    return fac.solve(y, radius)
+    return solve_one(fac, y, radius)
 
 
 def mixed_batch(rng, S, m):
@@ -97,7 +102,7 @@ def test_solve_many_rows_equal_single_solves(S):
     with pytest.raises(VoxlabError):
         BallLeastSquares(Z).solve_many(Y[0], 1.0)
     with pytest.raises(VoxlabError):
-        BallLeastSquares(Z).solve(Y[:1], 1.0)
+        ball_constrained_least_squares(Z, Y[:1], 1.0)
     with pytest.raises(VoxlabError):
         BallLeastSquares(Z).solve_many(Y, 0.0)
 
@@ -139,6 +144,8 @@ def test_ball_lsq_shape_and_radius_errors():
         ball_constrained_least_squares(np.zeros((3, 2)), np.zeros(4), 1.0)
     with pytest.raises(VoxlabError):
         ball_constrained_least_squares(np.zeros((3, 2)), np.zeros(3), 0.0)
+    with pytest.raises(VoxlabError):  # a stack of designs
+        ball_constrained_least_squares(np.zeros((2, 3, 2)), np.zeros(3), 1.0)
 
 
 def test_ball_lsq_matches_slsqp_oracle():
@@ -174,17 +181,26 @@ def test_ball_lsq_feasibility_property(seed, radius):
 
 def assert_slices_equal_one_design_factors(Zs, weights, Y, radius):
     """Each slice of the stacked factor of the designs Zs equals that
-    design's own factor and its frozen one-target solves, bit for bit."""
+    design's own factor and its frozen one-target solves, bit for bit, and
+    so do the losses of `fit`, plus one within-cell offset per row."""
     fac = BallLeastSquares(np.stack(Zs), weights)
-    W = fac.solve_many(Y, radius)
+    offsets = np.linspace(0.0, 1.0, len(Y))
+    losses, W = fac.fit(Y, offsets, radius)
     assert W.shape == (len(Zs), len(Y), Zs[0].shape[1])
+    assert losses.shape == (len(Zs), len(Y))
+    assert np.array_equal(W, fac.solve_many(Y, radius))
+    wts = np.ones(len(Zs[0])) if weights is None else weights
     for k, Z in enumerate(Zs):
         one = BallLeastSquares(Z, weights)
-        for name in ("U", "s", "Vt", "pos"):
+        for name in ("Z", "U", "s", "Vt", "pos"):
             assert np.array_equal(getattr(fac[k], name), getattr(one, name))
         assert np.array_equal(W[k], one.solve_many(Y, radius))
-        for y, w in zip(Y, W[k]):
+        assert np.array_equal(losses[k], one.losses(W[k], Y, offsets))
+        for y, w, offset, loss in zip(Y, W[k], offsets, losses[k]):
             assert np.array_equal(w, reference_ball_solve(one, y, radius))
+            resid = Z @ w - y
+            assert loss == pytest.approx((wts * resid * resid).sum() + offset,
+                                         rel=1e-12, abs=1e-12)
     return fac, W
 
 

@@ -8,9 +8,7 @@ from voxlab.psdp import BallLeastSquares, ball_constrained_least_squares, matvec
 from voxlab.replearn import (
     RepLearnConfig,
     RepLearnDataset,
-    _fits,
     _gaps,
-    _min_loss,
     _search_points,
     adversarial_gap,
     discriminator_search,
@@ -110,7 +108,8 @@ def reference_min_loss(data, table, f, radius):
     s2 = data.counts @ (f * f)
     mean = s1[keep] / cnt
     offset = max(float(s2[keep].sum() - (cnt * mean * mean).sum()), 0.0)
-    Z, fac = data.factor(table)
+    Z = table[keep]
+    fac = BallLeastSquares(Z, cnt)
     w = reference_ball_solve(fac, mean, radius)
     resid = Z @ w - mean
     return float((cnt * resid * resid).sum()) + offset, w
@@ -260,11 +259,18 @@ def test_regression_targets_are_cell_means(env):
     P = Policy.uniform(env, lo=0, hi=0)
     data = RepLearnDataset.collect(env, 0, P, 500, np.random.default_rng(3))
     f = np.arange(env.n_states(1), dtype=float)
-    reg = data.regression_for(f)
-    for x, a, y, w in zip(reg.xs, reg.acts, reg.ys, reg.weights):
+    Y, offsets = data.targets(f[None])
+    keep = data.pair_counts > 0
+    spread = 0.0
+    for (x, a), y in zip(np.argwhere(keep), Y[0]):
         want = (data.counts[x, a] @ f) / data.counts[x, a].sum()
         assert y == pytest.approx(want, abs=1e-12)
-        assert w == data.pair_counts[x, a]
+        spread += data.counts[x, a] @ (f - want) ** 2
+    assert offsets[0] == pytest.approx(spread, abs=1e-9)
+    T = make_feature_class(env, n_decoys=1, rng=np.random.default_rng(3)).tables_at(0)
+    fac = data.factor_stack(T)
+    assert np.array_equal(fac.weights, data.pair_counts[keep])
+    assert np.array_equal(fac.Z, T[:, keep])
 
 
 def test_dataset_holds_a_frozen_copy_of_its_counts(env):
@@ -274,16 +280,19 @@ def test_dataset_holds_a_frozen_copy_of_its_counts(env):
     own = RepLearnDataset(0, counts)
     assert counts.flags.writeable and not own.counts.flags.writeable
     f = np.linspace(-1.0, 1.0, env.n_states(1))
-    tab = make_feature_class(env, n_decoys=1, rng=np.random.default_rng(22))[1][0]
-    reg = own.regression_for(f)
-    loss, w = _min_loss(own, tab, reg, 1.5)
+    T = make_feature_class(env, n_decoys=1, rng=np.random.default_rng(22)).tables_at(0)
+    Y, offsets = own.targets(f[None])
+    fac = own.factor_stack(T)
+    Z, weights = fac.Z.copy(), fac.weights.copy()
+    loss, w = fac.fit(Y, offsets, 1.5)
     counts[:] = 0.0
     counts[0, 0, 0] = 7.0
-    reg2 = own.regression_for(f)
-    for field_ in ("xs", "acts", "ys", "weights", "offset"):
-        assert np.array_equal(getattr(reg2, field_), getattr(reg, field_))
-    loss2, w2 = _min_loss(own, tab, reg2, 1.5)
-    assert loss2 == loss and np.array_equal(w2, w)
+    Y2, offsets2 = own.targets(f[None])
+    assert np.array_equal(Y2, Y) and np.array_equal(offsets2, offsets)
+    fac2 = own.factor_stack(T)
+    assert np.array_equal(fac2.Z, Z) and np.array_equal(fac2.weights, weights)
+    loss2, w2 = fac2.fit(Y2, offsets2, 1.5)
+    assert np.array_equal(loss2, loss) and np.array_equal(w2, w)
 
 
 def test_cached_min_loss_equals_a_from_scratch_solve(env):
@@ -293,20 +302,24 @@ def test_cached_min_loss_equals_a_from_scratch_solve(env):
     first = RepLearnDataset.collect(env, 0, P, 300, rng)
     second = RepLearnDataset.collect(env, 0, P, 900, rng)
     thetas = [np.array([np.cos(t), np.sin(t)]) for t in (0.2, 2.0, 4.4)]
+    T = Phi.tables_at(0)
     for _ in range(2):  # the second pass is answered from the caches
         for data in (first, second):  # two datasets share every table
-            for theta in thetas:
-                reg = data.regression_for((Phi[1][1] @ theta).max(axis=1))
-                for tab in Phi.tables_at(0):
-                    for radius in (0.3, 2.0 * np.sqrt(2)):
-                        loss, w = _min_loss(data, tab, reg, radius)
-                        Z = tab[reg.xs, reg.acts]
+            keep = data.pair_counts > 0
+            weights = data.pair_counts[keep]
+            Y, offsets = data.targets(np.stack(
+                [(Phi[1][1] @ theta).max(axis=1) for theta in thetas]))
+            for radius in (0.3, 2.0 * np.sqrt(2)):
+                losses, W = data.factor_stack(T).fit(Y, offsets, radius)
+                for k, tab in enumerate(T):  # every candidate
+                    Z = tab[keep]
+                    for y, offset, loss, w in zip(Y, offsets, losses[k], W[k]):
                         want = ball_constrained_least_squares(
-                            Z, reg.ys, radius, weights=reg.weights)
-                        resid = Z @ want - reg.ys
+                            Z, y, radius, weights=weights)
+                        resid = Z @ want - y
                         assert np.array_equal(w, want)
-                        assert loss == (float((reg.weights * resid * resid).sum())
-                                        + reg.offset)
+                        assert loss == (float((weights * resid * resid).sum())
+                                        + offset)
 
 
 # ------------------------------------------------------------ adversarial
@@ -507,7 +520,7 @@ def test_gaps_keep_the_first_of_tied_candidates():
     thetas = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     ftabs = np.broadcast_to(dup[0][1], (16,) + dup[0][1].shape)
     tables = dup.tables_at(0)
-    losses, _ = _fits(data, tables, *data.targets(
+    losses, _ = data.factor_stack(tables).fit(*data.targets(
         matvec(ftabs, thetas[:, None, :]).max(axis=2)), r_small)
     assert np.array_equal(losses[0], losses[2])
     assert (losses.argmin(axis=0) == 0).any()

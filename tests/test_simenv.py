@@ -9,6 +9,7 @@ from voxlab import (
     BudgetError,
     EnvSpec,
     EpisodeCounter,
+    FeatureClass,
     LayeredLowRankMDP,
     LayerRangeError,
     Policy,
@@ -483,3 +484,36 @@ def test_make_feature_class_structure(env):
     )
     assert max(float(np.linalg.norm(tab, axis=2).max())
                for cand in Phi.candidates for tab in cand) <= 1.0 + 1e-12
+
+
+def test_true_index_places_the_true_map(env):
+    for true_index in range(3):
+        Phi = make_feature_class(env, n_decoys=2, rng=np.random.default_rng(9),
+                                 true_index=true_index)
+        assert Phi.true_index == true_index
+        for h in range(env.H - 1):
+            assert np.array_equal(Phi[true_index][h], env.phi[h])
+    for bad in (-1, 3, 5):
+        rng = np.random.default_rng(9)
+        with pytest.raises(VoxlabError):
+            make_feature_class(env, n_decoys=2, rng=rng, true_index=bad)
+        # rejected before any draw
+        assert rng.bit_generator.state == np.random.default_rng(9).bit_generator.state
+    for bad in (-1, 2):
+        with pytest.raises(VoxlabError):
+            FeatureClass([list(env.phi), list(env.phi)], true_index=bad)
+
+
+def test_feature_class_stacks_each_layer_once(env):
+    phi = [np.array(t) for t in env.phi]
+    Phi = FeatureClass([phi, [t[::-1].copy() for t in phi]])
+    for h in range(env.H - 1):
+        T = Phi.tables_at(h)
+        assert T.shape == (2,) + phi[h].shape and T.flags.c_contiguous
+        assert not T.flags.writeable and T.flags.owndata
+        assert Phi.tables_at(h) is T
+        for i in range(2):
+            assert np.shares_memory(Phi[i][h], T)
+            assert np.array_equal(Phi[i][h], T[i])
+        assert phi[h].flags.writeable  # the caller's table is left as it was
+        assert not np.shares_memory(phi[h], T)

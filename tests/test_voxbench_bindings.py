@@ -1,0 +1,43 @@
+"""The library names the benchmark in `voxbench/` binds by name.
+
+The tracer looks these up only when a run asks for `--trace 1`, so a
+renamed or deleted function would otherwise break only traced runs.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+from voxlab.replearn import RepLearnDataset
+from voxlab.simenv import sample_trajectories
+
+VOXBENCH = Path(__file__).resolve().parent.parent / "voxbench"
+
+
+def load(name, monkeypatch):
+    """Import voxbench/<name>.py by path, registered for this test only."""
+    spec = importlib.util.spec_from_file_location(f"voxbench_{name}",
+                                                  VOXBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_bindings_resolve(monkeypatch):
+    tracing = load("tracing", monkeypatch)
+    bindings = [(home, attr) for home, attr, _ in tracing.TRACED] + [tracing.BCLS]
+    for home, attr in bindings:
+        assert callable(getattr(importlib.import_module(home), attr)), (home, attr)
+    assert isinstance(RepLearnDataset.__dict__["collect"], classmethod)
+    assert {"M", "n", "upto"} <= set(inspect.signature(sample_trajectories).parameters)
+
+
+def test_workload_module_loads(monkeypatch):
+    # its module-level schedules use VoxSchedule, SpanrlSchedule and
+    # RepLearnConfig fields by keyword
+    workloads = load("workloads", monkeypatch)
+    assert workloads.VOX_SCHEDULE.fw_max_iters == 60
