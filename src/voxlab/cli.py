@@ -9,10 +9,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
+import typing
 
 import numpy as np
 
@@ -53,17 +53,30 @@ def _feature_class_from_config(M, config, seed):
 
 def _replearn_config(config):
     rl = config.get("replearn", {})
-    keys = {f.name for f in dataclasses.fields(RepLearnConfig)}
-    if not isinstance(rl, dict) or not set(rl) <= keys:
+    hints = typing.get_type_hints(RepLearnConfig)
+    if not isinstance(rl, dict) or not set(rl) <= set(hints):
         raise VoxlabError(f"config replearn must be an object with keys from "
-                          f"{sorted(keys)}, got {rl!r}")
+                          f"{sorted(hints)}, got {rl!r}")
+    for key, value in rl.items():
+        _typed(f"replearn.{key}", value, hints[key])
     return RepLearnConfig(**rl)
 
 
-def _optional_int(config, key):
-    value = config.get(key)
-    if value is not None and type(value) is not int:
-        raise VoxlabError(f"config {key} must be an integer or null, got {value!r}")
+def _typed(name, value, hint):
+    """``value``, checked against the type ``hint`` (int or float, optionally
+    ``| None``).  An int passes as a float, but a float, bool or string never
+    passes as an int: ``int()`` would truncate it silently."""
+    allowed = typing.get_args(hint) or (hint,)
+    if value is None:
+        ok = type(None) in allowed
+    elif int in allowed:
+        ok = type(value) is int
+    else:
+        ok = type(value) in (int, float)
+    if not ok:
+        kind = "an integer" if int in allowed else "a number"
+        null = " or null" if type(None) in allowed else ""
+        raise VoxlabError(f"config {name} must be {kind}{null}, got {value!r}")
     return value
 
 
@@ -106,13 +119,13 @@ def _cmd_run_vox(args):
         config = json.load(fh)
     Phi = _feature_class_from_config(M, config, args.seed)
     schedule = VoxSchedule(
-        K=int(config["K"]),
+        K=_typed("K", config["K"], int),
         gamma=float(config["gamma"]),
-        n_replearn=int(config["n_replearn"]),
-        n_estmat=int(config["n_estmat"]),
-        n_psdp=int(config["n_psdp"]),
+        n_replearn=_typed("n_replearn", config["n_replearn"], int),
+        n_estmat=_typed("n_estmat", config["n_estmat"], int),
+        n_psdp=_typed("n_psdp", config["n_psdp"], int),
         C=float(config.get("C", 2.0)),
-        fw_max_iters=_optional_int(config, "fw_max_iters"),
+        fw_max_iters=_typed("fw_max_iters", config.get("fw_max_iters"), int | None),
         replearn=_replearn_config(config),
     )
     rng = np.random.default_rng(args.seed)
@@ -145,11 +158,11 @@ def _cmd_run_spanrl(args):
         config = json.load(fh)
     Phi = _feature_class_from_config(M, config, args.seed)
     schedule = SpanrlSchedule(
-        n_replearn=int(config["n_replearn"]),
-        n_estvec=int(config["n_estvec"]),
-        n_psdp=int(config["n_psdp"]),
+        n_replearn=_typed("n_replearn", config["n_replearn"], int),
+        n_estvec=_typed("n_estvec", config["n_estvec"], int),
+        n_psdp=_typed("n_psdp", config["n_psdp"], int),
         C=float(config.get("C", 2.0)),
-        max_rounds=_optional_int(config, "max_rounds"),
+        max_rounds=_typed("max_rounds", config.get("max_rounds"), int | None),
         replearn=_replearn_config(config),
     )
     rng = np.random.default_rng(args.seed)
@@ -173,8 +186,8 @@ def _cmd_optimize_reward(args):
     with open(args.theta) as fh:
         thetas = [np.asarray(t, dtype=float) for t in json.load(fh)]
     rng = np.random.default_rng(args.seed)
-    pol, value = optimize_reward(M, covers, thetas, Phi,
-                                 int(config.get("n_psdp", 20000)), rng)
+    n_psdp = _typed("n_psdp", config.get("n_psdp", 20000), int)
+    pol, value = optimize_reward(M, covers, thetas, Phi, n_psdp, rng)
     _dump(
         {
             "value": value,

@@ -344,15 +344,19 @@ def psdp(M, h, rewards: RewardSpec, classes, covers, n, rng, counter=None):
             f"need value classes and covers for layers 0..{h}, got "
             f"{len(classes)} and {len(covers)}"
         )
-    reward_tabs = [rewards.layer_table(M, t) for t in range(h + 1)]
+    reward_flat = [rewards.layer_table(M, t).ravel() for t in range(h + 1)]
     greedy = [None] * (h + 1)
     uniform_rows = [np.full((M.n_states(t), M.A), 1.0 / M.A) for t in range(h + 1)]
+    # one roll-in pair, refilled for every t; layer t's returns are read
+    # from it before the next roll-in
+    S, A = np.empty((2, h + 1, n), dtype=np.int64)
     for t in range(h, -1, -1):
-        S, A = rollin(M, covers[t], n, rng, upto=h,
-                      tail=[uniform_rows[t]] + greedy[t + 1:h + 1], counter=counter)
+        rollin(M, covers[t], n, rng, upto=h,
+               tail=[uniform_rows[t]] + greedy[t + 1:h + 1], counter=counter,
+               out=(S, A))
         ret = np.zeros(n)
         for ell in range(t, h + 1):
-            ret += reward_tabs[ell][S[ell], A[ell]]
+            ret += reward_flat[ell].take(S[ell] * M.A + A[ell])
         data = RegressionData.from_samples(t, S[t], A[t], ret, M.n_states(t), M.A)
         fit = fit_value_class(data, classes[t])
         acts_t = np.argmax(fit.q_table, axis=1)

@@ -90,18 +90,42 @@ def _mdp_cumulative(M, t):
     return cum
 
 
-def _categorical_rows(cum, rows, rng):
-    """One draw per entry of ``rows`` from the rows of a ``_cumulative`` table.
+def _policy_cumulative(table):
+    """A policy table's ``_cumulative`` and, when every row is one-hot, each
+    row's action.  A table whose rows are all equal comes back as its one
+    row, a (k, 1) table that ``_categorical_rows`` draws from without a
+    gather."""
+    cum = _cumulative(table)
+    if (cum == cum[:, :1]).all():
+        return cum[:, :1], None
+    if ((cum == 0.0) | (cum == 1.0)).all() and (cum[-1] == 1.0).all():
+        return cum, np.add.reduce(cum[:-1] == 0.0, axis=0, dtype=np.int64)
+    return cum, None
+
+
+def _categorical_rows(cum, rows, rng, out, hot=None):
+    """One draw per entry of ``rows`` from the rows of a ``_cumulative`` table,
+    written into the int64 row ``out``.
 
     The rows need not be normalized.  ``cumsum`` accumulates each row in
     sequence, so a gathered row of the cumulative table equals the cumulative
     sum of the gathered row bit for bit, and the draw is the one per-row
     inverse-CDF sampling gives for the same generator call.  Counting the
-    first k-1 columns at or below u caps the index at k-1.
+    first k-1 columns at or below u caps the index at k-1.  A (k, 1) table
+    is every row's table, so it is read without a gather.  With ``hot``, the
+    one-hot actions of ``_policy_cumulative``, the uniform draw is taken and
+    dropped: u = r * 1.0 < 1 lies at or above exactly the leading zeros of
+    a 0/1 cumulative row, which ``hot`` counts.
     """
-    g = cum.take(rows, axis=1)
-    u = rng.random(len(rows)) * g[-1]
-    return np.add.reduce(g[:-1] <= u, axis=0, dtype=np.int64)
+    u = rng.random(len(out))
+    if hot is not None:
+        hot.take(rows, out=out)
+        return
+    one = cum.shape[1] == 1
+    u *= cum[-1, 0] if one else cum[-1].take(rows)
+    out.fill(0)
+    for col in cum[:-1]:
+        out += (col[0] if one else col.take(rows)) <= u
 
 
 def _cayley(skew, t):
@@ -168,6 +192,11 @@ def generate_low_rank_mdp(spec, rng=None):
     return LayeredLowRankMDP(H, A, d, layers, phi, mu, rho)
 
 
+def _check_layer(M, h):
+    if not 0 <= h < M.H:
+        raise LayerRangeError(f"layer {h} out of range for H={M.H}")
+
+
 def _require_cover(pi, lo, hi):
     if not pi.covers(lo, hi):
         got = f"[{pi.lo}..{pi.hi}]" if pi.tables else "an empty policy"
@@ -178,8 +207,7 @@ def _require_cover(pi, lo, hi):
 
 def exact_occupancy(M, pi, h):
     """State-occupancy vector at layer h under pi, by forward recursion."""
-    if not 0 <= h < M.H:
-        raise LayerRangeError(f"layer {h} out of range for H={M.H}")
+    _check_layer(M, h)
     occ = M.rho.copy()
     if h > 0:
         _require_cover(pi, 0, h - 1)
@@ -251,18 +279,33 @@ def exact_policy_value(M, pi, reward_tables):
     return total
 
 
-def sample_trajectories(M, pi, n, rng, upto=None, counter=None):
+def _output_pair(out, shape):
+    """The caller's (states, actions) pair ``out``, checked to be writeable
+    int64 arrays of the given shape, or a new pair when ``out`` is None."""
+    if out is None:
+        return np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64)
+    if not (isinstance(out, tuple) and len(out) == 2 and all(
+            isinstance(o, np.ndarray) and o.shape == shape
+            and o.dtype == np.int64 and o.flags.writeable for o in out)):
+        raise VoxlabError(f"out must be two writeable int64 arrays of shape {shape}")
+    return out
+
+
+def sample_trajectories(M, pi, n, rng, upto=None, counter=None, out=None):
     """Vectorized batch of ``n`` episodes under ``pi`` through layer ``upto``.
 
     Each policy table is clipped and cumulated once per call, and rho and
-    each transition tensor once per MDP; every layer then costs one gather,
-    one uniform draw per episode and one compare.  The draws are
+    each transition tensor once per MDP.  Every draw takes one uniform per
+    episode and writes one row of the output in place.  It then costs one
+    gather and one compare per column of its table; one compare per column
+    and no gather when the rows are all equal (rho, a uniform policy); and
+    one gather in all for a one-hot policy table.  The draws are
     bit-identical to per-row inverse-CDF sampling from the clipped rows.
-    Returns (states, actions) arrays of shape (upto+1, n).
+    Returns (states, actions) arrays of shape (upto+1, n): ``out`` if given,
+    else a new pair.
     """
     upto = M.H - 1 if upto is None else upto
-    if not 0 <= upto < M.H:
-        raise LayerRangeError(f"layer {upto} out of range for H={M.H}")
+    _check_layer(M, upto)
     if n < 0:
         raise VoxlabError(f"n must be >= 0, got {n}")
     _require_cover(pi, 0, upto)
@@ -271,43 +314,49 @@ def sample_trajectories(M, pi, n, rng, upto=None, counter=None):
         if got != want:
             raise VoxlabError(
                 f"policy table at layer {t} has shape {got}, expected {want}")
+    states, actions = _output_pair(out, (upto + 1, n))
     if counter is not None:
         counter.add(n)
-    states = np.empty((upto + 1, n), dtype=np.int64)
-    actions = np.empty((upto + 1, n), dtype=np.int64)
-    x = _categorical_rows(_mdp_cumulative(M, 0), np.zeros(n, dtype=np.int64), rng)
+    cell = np.empty(n, dtype=np.int64)
+    _categorical_rows(_mdp_cumulative(M, 0), None, rng, states[0])
     for t in range(upto + 1):
-        states[t] = x
-        a = _categorical_rows(_cumulative(pi.table(t)), x, rng)
-        actions[t] = a
+        cum, hot = _policy_cumulative(pi.table(t))
+        _categorical_rows(cum, states[t], rng, actions[t], hot)
         if t < upto:
-            x = _categorical_rows(_mdp_cumulative(M, t + 1), x * M.A + a, rng)
+            np.multiply(states[t], M.A, out=cell)
+            cell += actions[t]
+            _categorical_rows(_mdp_cumulative(M, t + 1), cell, rng, states[t + 1])
     return states, actions
 
 
-def rollin(M, P, n, rng, upto, tail=(), counter=None):
+def rollin(M, P, n, rng, upto, tail=(), counter=None, out=None):
     """``n`` episodes through layer ``upto``, each rolled in with a policy drawn from P.
 
     Every episode follows its drawn policy on layers 0..upto-len(tail) and the
     fixed ``tail`` tables on the remaining layers.  The policy is redrawn
     every episode; this is implemented by grouping episode counts with one
     multinomial draw, which has the same law and lets the sampler run
-    vectorized per component.  Returns (states, actions) arrays of shape
-    (upto+1, n), with the episodes grouped by component in support order.
+    vectorized per component, each into its own columns of one output pair.
+    Returns (states, actions) arrays of shape (upto+1, n), ``out`` if given,
+    with the episodes grouped by component in support order.
     """
     if n < 1:
         raise VoxlabError("n must be >= 1")
+    _check_layer(M, upto)
     P = as_distribution(P)
+    states, actions = _output_pair(out, (upto + 1, n))
     per_comp = rng.multinomial(n, P.weights)
     head = upto + 1 - len(tail)
-    parts = [
-        sample_trajectories(
-            M, Policy(0, [comp.table(t) for t in range(head)] + list(tail)),
-            int(cnt), rng, upto=upto, counter=counter)
-        for comp, cnt in zip(P.policies, per_comp) if cnt
-    ]
-    return (np.concatenate([S for S, _ in parts], axis=1),
-            np.concatenate([A for _, A in parts], axis=1))
+    lo = 0
+    for comp, cnt in zip(P.policies, per_comp.tolist()):
+        if cnt:
+            cols = slice(lo, lo + cnt)
+            sample_trajectories(
+                M, Policy(0, [comp.table(t) for t in range(head)] + list(tail)),
+                cnt, rng, upto=upto, counter=counter,
+                out=(states[:, cols], actions[:, cols]))
+            lo += cnt
+    return states, actions
 
 
 def _dp_cost(M, h):
@@ -324,8 +373,7 @@ def max_occupancies(M, h, budget=DEFAULT_DP_BUDGET):
     state; the per-state maximum over all randomized policies is attained by
     a deterministic one because occupancy is affine in each action row.
     """
-    if not 0 <= h < M.H:
-        raise LayerRangeError(f"layer {h} out of range for H={M.H}")
+    _check_layer(M, h)
     if _dp_cost(M, h) > budget:
         raise BudgetError(
             f"max-occupancy recursion at layer {h} needs {_dp_cost(M, h)} ops, "

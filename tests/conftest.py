@@ -4,7 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voxlab import EnvSpec, FeatureClass, PolicyDistribution, generate_low_rank_mdp
+from voxlab import (
+    EnvSpec,
+    FeatureClass,
+    Policy,
+    PolicyDistribution,
+    as_distribution,
+    generate_low_rank_mdp,
+)
 
 # The CLI tests start `python -m voxlab.cli` in a subprocess; give it the
 # source tree under test, as pyproject's `pythonpath` gives this process.
@@ -146,3 +153,46 @@ def reference_ball_solve(fac, y, radius):
             hi = mid
     lam = 0.5 * (lo + hi)
     return Vt.T @ (s * b / (s * s + lam))
+
+
+def reference_sample_trajectories(M, pi, n, rng, upto):
+    """The gather-clip-cumsum loop that `simenv.sample_trajectories` replaced,
+    kept as its reference."""
+
+    def categorical_rows(p):
+        p = np.clip(p, 0.0, None)
+        cum = np.cumsum(p, axis=1)
+        u = rng.random(p.shape[0]) * cum[:, -1]
+        idx = (cum <= u[:, None]).sum(axis=1)
+        return np.minimum(idx, p.shape[1] - 1)
+
+    states = np.empty((upto + 1, n), dtype=np.int64)
+    actions = np.empty((upto + 1, n), dtype=np.int64)
+    cum_rho = np.cumsum(M.rho)
+    x = np.searchsorted(cum_rho, rng.random(n) * cum_rho[-1], side="right")
+    x = np.minimum(x, M.n_states(0) - 1)
+    for t in range(upto + 1):
+        states[t] = x
+        a = categorical_rows(pi.table(t)[x])
+        actions[t] = a
+        if t < upto:
+            x = categorical_rows(M.transition_matrix(t)[x, a])
+    return states, actions
+
+
+def reference_rollin(M, P, n, rng, upto, tail=(), counter=None):
+    """The per-component loop that `simenv.rollin` replaced, drawing through
+    the frozen `reference_sample_trajectories`, kept as its reference."""
+    P = as_distribution(P)
+    per_comp = rng.multinomial(n, P.weights)
+    states, actions = [], []
+    for comp, cnt in zip(P.policies, per_comp):
+        if cnt == 0:
+            continue
+        tabs = [comp.table(t) for t in range(upto + 1 - len(tail))] + list(tail)
+        S, A = reference_sample_trajectories(M, Policy(0, tabs), int(cnt), rng, upto)
+        if counter is not None:
+            counter.add(cnt)
+        states.append(S)
+        actions.append(A)
+    return np.concatenate(states, axis=1), np.concatenate(actions, axis=1)

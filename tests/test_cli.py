@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from voxlab.cli import main
+from voxlab.cli import _replearn_config, main
 from voxlab.core import LayeredLowRankMDP, validate_mdp
+from voxlab.replearn import RepLearnConfig
 
 VOX_CONFIG = {
     "K": 2,
@@ -177,9 +178,13 @@ def test_usage_errors_exit_2(workdir):
     ("run-vox", VOX_CONFIG, {"replearn": {"restart": 2}}),
     ("run-vox", VOX_CONFIG, {"fw_max_iters": 5.0}),
     ("run-spanrl", SPANRL_CONFIG, {"max_rounds": 5.0}),
+    ("run-vox", VOX_CONFIG, {"replearn": {"restarts": "2"}}),
+    ("run-vox", VOX_CONFIG, {"K": 2.7}),
+    ("run-spanrl", SPANRL_CONFIG, {"n_psdp": 600.5}),
 ])
-def test_config_errors_exit_2_without_a_traceback(workdir, command, config, bad):
-    path = workdir / f"bad_{command}_{next(iter(bad))}.json"
+def test_config_errors_exit_2_without_a_traceback(workdir, tmp_path, command,
+                                                  config, bad):
+    path = tmp_path / "bad.json"
     path.write_text(json.dumps({**config, **bad}))
     proc = subprocess.run(
         [sys.executable, "-m", "voxlab.cli", command, "--env",
@@ -189,6 +194,46 @@ def test_config_errors_exit_2_without_a_traceback(workdir, command, config, bad)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("run-vox", {"replearn": {"restarts": 2.0}}),
+    ("run-vox", {"replearn": {"grad_steps": True}}),
+    ("run-vox", {"replearn": {"c": "1"}}),
+    ("run-spanrl", {"replearn": {"max_iters": 2.5}}),
+    ("run-spanrl", {"replearn": {"delta": None}}),
+    ("run-vox", {"K": 2.7}),
+    ("run-vox", {"n_replearn": 400.0}),
+    ("run-vox", {"n_estmat": "300"}),
+    ("run-vox", {"n_psdp": 400.0}),
+    ("run-spanrl", {"n_replearn": 600.0}),
+    ("run-spanrl", {"n_estvec": 400.0}),
+    ("run-spanrl", {"n_psdp": True}),
+    ("optimize-reward", {"n_psdp": 400.0}),
+])
+def test_mistyped_config_values_exit_2_before_running(workdir, vox_run, tmp_path,
+                                                      capsys, command, bad):
+    config = SPANRL_CONFIG if command == "run-spanrl" else VOX_CONFIG
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**config, **bad}))
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps([[1.0, 0.0], [0.0, 1.0]]))
+    extra = (["--run", str(vox_run[0]), "--theta", str(theta)]
+             if command == "optimize-reward" else [])
+    rc = main([command, "--env", str(workdir / "env.json"), "--config", str(path),
+               "--out", str(tmp_path / "x.json")] + extra)
+    assert rc == 2
+    assert next(iter(bad.get("replearn", bad))) in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_replearn_config_accepts_ints_for_floats_and_null_for_optionals():
+    rl = _replearn_config({"replearn": {"c": 2, "step_size": 0.25, "restarts": 3,
+                                        "eps_stat": None, "max_iters": None,
+                                        "r_big": 4}})
+    assert (rl.c, rl.step_size, rl.restarts, rl.r_big) == (2, 0.25, 3, 4)
+    assert rl.eps_stat is None and rl.max_iters is None
+    assert _replearn_config({}) == RepLearnConfig()
 
 
 def test_help_exits_clean():

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxlab import FeatureClass, Policy, PolicyDistribution, VoxlabError
+from voxlab import (
+    EpisodeCounter,
+    FeatureClass,
+    Policy,
+    PolicyDistribution,
+    VoxlabError,
+)
 from voxlab.psdp import (
     BallLeastSquares,
     RegressionData,
@@ -15,11 +21,12 @@ from voxlab.psdp import (
     fit_value_class,
     psdp,
 )
-from voxlab.simenv import exact_policy_value, exact_q_tables
+from voxlab.simenv import exact_policy_value, exact_q_tables, make_feature_class
 
 from conftest import (
     onehot_feature_class,
     reference_ball_solve,
+    reference_rollin,
     small_env,
     uniform_mixture,
 )
@@ -409,6 +416,63 @@ def test_regression_data_aggregation_preserves_loss():
 
 
 # ------------------------------------------------------------------ psdp
+
+
+def reference_psdp(M, h, rewards, classes, covers, n, rng, counter=None):
+    """Frozen copy of the `psdp` loop that drew a fresh roll-in pair for every
+    t and read rewards by 2-D indexing, rolled in by `reference_rollin`."""
+    reward_tabs = [rewards.layer_table(M, t) for t in range(h + 1)]
+    greedy = [None] * (h + 1)
+    uniform_rows = [np.full((M.n_states(t), M.A), 1.0 / M.A) for t in range(h + 1)]
+    for t in range(h, -1, -1):
+        S, A = reference_rollin(M, covers[t], n, rng, h,
+                                [uniform_rows[t]] + greedy[t + 1:h + 1], counter)
+        ret = np.zeros(n)
+        for ell in range(t, h + 1):
+            ret += reward_tabs[ell][S[ell], A[ell]]
+        data = RegressionData.from_samples(t, S[t], A[t], ret, M.n_states(t), M.A)
+        fit = fit_value_class(data, classes[t])
+        acts_t = np.argmax(fit.q_table, axis=1)
+        table = np.zeros((M.n_states(t), M.A))
+        table[np.arange(M.n_states(t)), acts_t] = 1.0
+        greedy[t] = table
+    return Policy(0, greedy)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 4), st.integers(1, 3),
+       st.sampled_from(["table", "linear", "quadratic"]), st.integers(1, 300))
+def test_psdp_matches_the_fresh_rollin_reference(seed, H, A, kind, n):
+    # one roll-in pair refilled for every t, and rewards read by a flat take
+    rng = np.random.default_rng(seed)
+    counts = [int(c) for c in rng.integers(2, 6, size=H)]  # room for a decoy
+    M = small_env(seed=seed, H=H, A=A, d=2, states=counts,
+                  rotate=bool(rng.integers(2)))
+    h = int(rng.integers(H))
+    Phi = make_feature_class(M, n_decoys=1, rng=rng)
+    if kind == "table":
+        spec = RewardSpec.table([rng.standard_normal((M.n_states(t), A))
+                                 for t in range(h + 1)])
+    elif kind == "linear":
+        spec = RewardSpec.linear(rng.standard_normal(2), M.phi[h] if h < H - 1
+                                 else rng.random((M.n_states(h), A, 2)), h)
+    else:
+        spec = RewardSpec.quadratic(np.eye(2), rng.random((M.n_states(h), A, 2)), h)
+    classes = [ValueClass.ball(Phi, radius=float(rng.uniform(0.5, 4.0)))
+               for _ in range(h)] + [ValueClass.singleton(spec.layer_table(M, h))]
+    pis = [Policy.from_actions(M, [rng.integers(A, size=M.n_states(t))
+                                   for t in range(H)]),
+           Policy(0, [rng.random((M.n_states(t), A)) for t in range(H)])]
+    covers = [PolicyDistribution.point_mass(Policy.empty(0))] + [
+        PolicyDistribution(pis, [w, 1.0 - w]) for w in rng.random(h)]
+    got, want, states = [], [], []
+    for fn, out in ((reference_psdp, want), (psdp, got)):
+        run_rng, counter = np.random.default_rng(seed + 1), EpisodeCounter()
+        out.append(fn(M, h, spec, classes, covers, n, run_rng, counter=counter))
+        states.append((run_rng.bit_generator.state, counter.count))
+    assert all(np.array_equal(a, b) for a, b in zip(got[0].tables, want[0].tables))
+    assert states[0] == states[1]
+    assert states[1][1] == n * (h + 1)
 
 
 def test_psdp_horizon_zero_is_exact_greedy(env):

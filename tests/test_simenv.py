@@ -35,8 +35,14 @@ from voxlab.simenv import (
     rollin,
     sample_trajectories,
 )
+from voxlab.simenv import _policy_cumulative
 
-from conftest import small_env, uniform_mixture
+from conftest import (
+    reference_rollin,
+    reference_sample_trajectories,
+    small_env,
+    uniform_mixture,
+)
 from oracles import (
     brute_max_occupancy,
     enum_paths_occupancy,
@@ -236,30 +242,6 @@ def test_sampler_respects_upto_and_counter(env):
     assert counter.count == 50
 
 
-def reference_sample_trajectories(M, pi, n, rng, upto):
-    """The gather-clip-cumsum loop the cumulative tables replaced, kept as reference."""
-
-    def categorical_rows(p):
-        p = np.clip(p, 0.0, None)
-        cum = np.cumsum(p, axis=1)
-        u = rng.random(p.shape[0]) * cum[:, -1]
-        idx = (cum <= u[:, None]).sum(axis=1)
-        return np.minimum(idx, p.shape[1] - 1)
-
-    states = np.empty((upto + 1, n), dtype=np.int64)
-    actions = np.empty((upto + 1, n), dtype=np.int64)
-    cum_rho = np.cumsum(M.rho)
-    x = np.searchsorted(cum_rho, rng.random(n) * cum_rho[-1], side="right")
-    x = np.minimum(x, M.n_states(0) - 1)
-    for t in range(upto + 1):
-        states[t] = x
-        a = categorical_rows(pi.table(t)[x])
-        actions[t] = a
-        if t < upto:
-            x = categorical_rows(M.transition_matrix(t)[x, a])
-    return states, actions
-
-
 def signed_mdp(rng, counts, A, d=2):
     """A factored MDP whose transition rows hold negative entries and zero rows."""
     H = len(counts)
@@ -274,17 +256,29 @@ def signed_mdp(rng, counts, A, d=2):
 
 
 def policy_of_kind(M, rng, kind):
-    """Random, one-hot, zero-mass-row or negative-entry tables on every layer."""
+    """Random, one-hot, scaled one-hot, zero-mass-row, negative-entry or
+    constant tables on every layer.  Scaled one-hot rows hold one positive
+    entry other than 1.0; a constant table repeats one row, which is uniform,
+    all zero, signed or random, in turn over the layers."""
     if kind == "one_hot":
         return Policy.from_actions(M, [rng.integers(M.A, size=M.n_states(t))
                                        for t in range(M.H)])
     tabs = []
+    start = int(rng.integers(4)) if kind == "constant" else 0
     for t in range(M.H):
         tab = rng.random((M.n_states(t), M.A))
         if kind == "zero_mass":
             tab[::2] = 0.0
         elif kind == "negative":
             tab = rng.standard_normal(tab.shape)
+        elif kind == "scaled_one_hot":
+            scale = rng.choice([0.25, 0.5, 2.0, 3.0], size=tab.shape[0])
+            tab = np.zeros(tab.shape)
+            tab[np.arange(tab.shape[0]), rng.integers(M.A, size=tab.shape[0])] = scale
+        elif kind == "constant":
+            row = [np.full(M.A, 1.0 / M.A), np.zeros(M.A),
+                   rng.standard_normal(M.A), rng.random(M.A)][(start + t) % 4]
+            tab = np.tile(row, (tab.shape[0], 1))
         tabs.append(tab)
     return Policy(0, tabs)
 
@@ -303,9 +297,10 @@ def assert_sampler_matches_reference(M, pi, n, upto, seed):
     assert rng_state[0] == rng_state[1]
 
 
-@pytest.mark.parametrize("n", [0, 1, 2000])
+@pytest.mark.parametrize("n", [0, 1, 2000, 9000])
 @pytest.mark.parametrize("case", ["random", "one_hot", "zero_mass", "negative",
-                                  "single_action", "short", "rotated", "wide"])
+                                  "single_action", "short", "rotated", "wide",
+                                  "constant", "scaled_one_hot"])
 def test_sampler_matches_the_per_row_reference(case, n):
     rng = np.random.default_rng(11)
     if case in ("zero_mass", "negative"):
@@ -316,14 +311,16 @@ def test_sampler_matches_the_per_row_reference(case, n):
         M = small_env(seed=2, H=3, A=2, d=3, states=(3, 45, 41))
     else:
         M = small_env(seed=3, H=4, A=3, states=(3, 4, 5, 3), rotate=case == "rotated")
-    kind = case if case in ("one_hot", "zero_mass", "negative") else "random"
+    kind = case if case in ("one_hot", "zero_mass", "negative", "constant",
+                            "scaled_one_hot") else "random"
     upto = 1 if case == "short" else M.H - 1
     assert_sampler_matches_reference(M, policy_of_kind(M, rng, kind), n, upto, seed=12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 4), st.integers(1, 4),
-       st.sampled_from(["random", "one_hot", "zero_mass", "negative"]),
+       st.sampled_from(["random", "one_hot", "zero_mass", "negative", "constant",
+                        "scaled_one_hot"]),
        st.booleans(), st.integers(0, 300))
 def test_sampler_matches_the_reference_on_random_shapes(seed, H, A, kind, signed, n):
     rng = np.random.default_rng(seed)
@@ -375,22 +372,6 @@ def test_initial_states_match_a_search_of_the_cumulative_rho(seed, n0, n):
     assert np.array_equal(S[0], np.minimum(want, n0 - 1))
 
 
-def reference_rollin(M, P, n, rng, upto, tail=(), counter=None):
-    """The per-component loop that rollin replaced, kept as its reference."""
-    P = as_distribution(P)
-    per_comp = rng.multinomial(n, P.weights)
-    states, actions = [], []
-    for comp, cnt in zip(P.policies, per_comp):
-        if cnt == 0:
-            continue
-        tabs = [comp.table(t) for t in range(upto + 1 - len(tail))] + list(tail)
-        S, A = sample_trajectories(M, Policy(0, tabs), int(cnt), rng, upto=upto,
-                                   counter=counter)
-        states.append(S)
-        actions.append(A)
-    return np.concatenate(states, axis=1), np.concatenate(actions, axis=1)
-
-
 @pytest.mark.parametrize("shape", ["plain", "collect", "psdp"])
 def test_rollin_matches_the_per_component_loop(shape):
     M = small_env(seed=3, H=4, states=(3, 4, 4, 3))
@@ -418,6 +399,78 @@ def test_rollin_matches_the_per_component_loop(shape):
     assert count == [500, 500]
     with pytest.raises(VoxlabError):
         rollin(M, P, 0, rng, upto)
+
+
+def test_policy_tables_pick_the_one_row_one_hot_or_general_draw():
+    one_row = [np.full((4, 3), 1.0 / 3.0), np.zeros((4, 3)),
+               np.tile([0.5, -1.0, 2.0], (4, 1)), np.tile([0.0, 1.0, 0.0], (4, 1))]
+    for tab in one_row:
+        cum, hot = _policy_cumulative(tab)
+        assert cum.shape == (3, 1) and hot is None
+        assert np.array_equal(cum[:, 0], np.cumsum(np.clip(tab[0], 0.0, None)))
+    one_hot = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                        [0.0, 1.0, -2.0]])  # clipped, the last row is one-hot
+    cum, hot = _policy_cumulative(one_hot)
+    assert cum.shape == (3, 4) and np.array_equal(hot, [1, 0, 2, 1])
+    for tab in (2.5 * one_hot, np.array([[0.0, 1.0], [0.5, 0.5]]),
+                np.array([[1.0, 0.0], [0.0, 0.999]])):
+        cum, hot = _policy_cumulative(tab)
+        assert cum.shape == (tab.shape[1], tab.shape[0]) and hot is None
+
+
+def test_sampler_and_rollin_fill_column_slices_of_a_wider_pair():
+    M = small_env(seed=3, H=4, A=3, states=(3, 4, 5, 3))
+    rng = np.random.default_rng(21)
+    P = PolicyDistribution([random_policy(M, rng), policy_of_kind(M, rng, "one_hot"),
+                            policy_of_kind(M, rng, "constant")], [0.5, 0.2, 0.3])
+    tail = [np.full((M.n_states(3), M.A), 1.0 / M.A)]
+    cols = slice(7, 307)
+    for sampler, reference, args in (
+            (sample_trajectories, reference_sample_trajectories, (P.policies[0],)),
+            (rollin, reference_rollin, (P,))):
+        S = np.full((M.H, 320), -1, dtype=np.int64)
+        A = np.full((M.H, 320), -1, dtype=np.int64)
+        counter = EpisodeCounter()
+        rng = np.random.default_rng(22)
+        kw = {"tail": tail} if sampler is rollin else {}
+        got = sampler(M, *args, 300, rng, upto=3, counter=counter,
+                      out=(S[:, cols], A[:, cols]), **kw)
+        assert got[0].base is S and got[1].base is A
+        want_rng = np.random.default_rng(22)
+        want = reference(M, *args, 300, want_rng, 3, *kw.values())
+        assert np.array_equal(S[:, cols], want[0])
+        assert np.array_equal(A[:, cols], want[1])
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        assert counter.count == 300
+        for arr in (S, A):
+            assert (arr[:, :7] == -1).all() and (arr[:, 307:] == -1).all()
+
+
+@pytest.mark.parametrize("bad", ["shape", "dtype", "read_only", "list", "single",
+                                 "not_array"])
+def test_a_bad_out_pair_raises_before_counting_or_drawing(bad):
+    M = small_env(seed=3, H=3, states=(3, 4, 4))
+    shape = (M.H, 20)
+    good = np.empty(shape, dtype=np.int64)
+    frozen = np.empty(shape, dtype=np.int64)
+    frozen.setflags(write=False)
+    out = {
+        "shape": (good, np.empty((M.H, 21), dtype=np.int64)),
+        "dtype": (good, np.empty(shape, dtype=np.int32)),
+        "read_only": (frozen, good),
+        "list": [good, np.empty(shape, dtype=np.int64)],
+        "single": (good,),
+        "not_array": (good, good.tolist()),
+    }[bad]
+    pi = Policy.uniform(M)
+    for sampler, args in ((sample_trajectories, (pi,)),
+                          (rollin, (as_distribution(pi),))):
+        rng, counter = np.random.default_rng(3), EpisodeCounter()
+        before = rng.bit_generator.state
+        with pytest.raises(VoxlabError, match="out must be"):
+            sampler(M, *args, 20, rng, upto=M.H - 1, counter=counter, out=out)
+        assert counter.count == 0
+        assert rng.bit_generator.state == before
 
 
 # ------------------------------------------------------------- reachability
