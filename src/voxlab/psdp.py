@@ -78,15 +78,21 @@ class RewardSpec:
         return float(max(np.abs(t).max() for t in self._tables))
 
     def layer_table(self, M, t):
-        """Materialize the (n_t, A) reward table for layer t, clipped to range."""
+        """Materialize the (n_t, A) reward table for layer t, clipped to range.
+
+        Every kind's table is checked to be (n_t, A), so a caller may index
+        it flat by ``x * A + a``."""
+        tab = self._layer_table(M, t)
+        if tab.shape != (M.n_states(t), M.A):
+            raise VoxlabError(
+                f"reward table at layer {t} has shape {tab.shape}, expected "
+                f"({M.n_states(t)}, {M.A})"
+            )
+        return tab
+
+    def _layer_table(self, M, t):
         if self.kind == "table":
-            tab = self._tables[t]
-            if tab.shape != (M.n_states(t), M.A):
-                raise VoxlabError(
-                    f"reward table at layer {t} has shape {tab.shape}, expected "
-                    f"({M.n_states(t)}, {M.A})"
-                )
-            return tab
+            return self._tables[t]
         if t != self.layer:
             return np.zeros((M.n_states(t), M.A))
         if self.kind == "quadratic":

@@ -298,6 +298,25 @@ def test_reward_table_kind_shapes(env):
             RewardSpec.table([np.ones((99, env.A))]).layer_table(env, 0)
 
 
+@pytest.mark.parametrize("kind", ["linear", "quadratic"])
+@pytest.mark.parametrize("extra", [(0, 1), (0, -1), (1, 0), (-1, 0)])
+def test_feature_reward_kinds_reject_misshaped_feature_tables(env, kind, extra):
+    # psdp reads rewards flat at x * A + a, so an (n_h, A + 1) table would
+    # read a misplaced cell instead of failing
+    n, A = env.n_states(1) + extra[0], env.A + extra[1]
+    feat = np.full((n, A, 2), 0.5)
+    spec = (RewardSpec.linear(np.ones(2), feat, 1) if kind == "linear"
+            else RewardSpec.quadratic(np.eye(2), feat, 1))
+    with pytest.raises(VoxlabError, match=r"layer 1 has shape"):
+        spec.layer_table(env, 1)
+    Phi = make_feature_class(env, n_decoys=1, rng=np.random.default_rng(0))
+    classes = [ValueClass.ball(Phi, radius=1.0),
+               ValueClass.singleton(np.zeros((env.n_states(1), env.A)))]
+    with pytest.raises(VoxlabError, match=r"layer 1 has shape"):
+        psdp(env, 1, spec, classes, all_det_covers(env, 1), 20,
+             np.random.default_rng(1))
+
+
 # ------------------------------------------------------- class fitting
 
 
