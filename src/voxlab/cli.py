@@ -45,21 +45,42 @@ def _load_env(path):
         return LayeredLowRankMDP.from_json(fh.read())
 
 
+def _section(config, name, keys):
+    """The object ``config[name]``, {} when absent, checked to hold only
+    ``keys``."""
+    section = config.get(name, {})
+    if not isinstance(section, dict) or not set(section) <= set(keys):
+        raise VoxlabError(f"config {name} must be an object with keys from "
+                          f"{sorted(keys)}, got {section!r}")
+    return section
+
+
 def _feature_class_from_config(M, config, seed):
-    fc = config.get("feature_class", {})
-    rng = np.random.default_rng(int(fc.get("seed", seed)) + 0xFEA7)
-    return make_feature_class(M, int(fc.get("n_decoys", 3)), rng)
+    fc = _section(config, "feature_class", ("n_decoys", "seed"))
+    fc_seed = _typed("feature_class.seed", fc.get("seed", seed), int)
+    n_decoys = _typed("feature_class.n_decoys", fc.get("n_decoys", 3), int)
+    return make_feature_class(M, n_decoys, np.random.default_rng(fc_seed + 0xFEA7))
 
 
 def _replearn_config(config):
-    rl = config.get("replearn", {})
     hints = typing.get_type_hints(RepLearnConfig)
-    if not isinstance(rl, dict) or not set(rl) <= set(hints):
-        raise VoxlabError(f"config replearn must be an object with keys from "
-                          f"{sorted(hints)}, got {rl!r}")
+    rl = _section(config, "replearn", hints)
     for key, value in rl.items():
         _typed(f"replearn.{key}", value, hints[key])
     return RepLearnConfig(**rl)
+
+
+def _load_thetas(path):
+    """The reward vectors of a theta file, which must hold a list of numeric
+    vectors."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    if not (isinstance(obj, list) and all(
+            isinstance(v, list) and all(type(x) in (int, float) for x in v)
+            for v in obj)):
+        raise VoxlabError(f"theta file {path} must hold a list of numeric "
+                          f"vectors, got {obj!r}")
+    return [np.asarray(t, dtype=float) for t in obj]
 
 
 def _typed(name, value, hint):
@@ -120,11 +141,11 @@ def _cmd_run_vox(args):
     Phi = _feature_class_from_config(M, config, args.seed)
     schedule = VoxSchedule(
         K=_typed("K", config["K"], int),
-        gamma=float(config["gamma"]),
+        gamma=float(_typed("gamma", config["gamma"], float)),
         n_replearn=_typed("n_replearn", config["n_replearn"], int),
         n_estmat=_typed("n_estmat", config["n_estmat"], int),
         n_psdp=_typed("n_psdp", config["n_psdp"], int),
-        C=float(config.get("C", 2.0)),
+        C=float(_typed("C", config.get("C", 2.0), float)),
         fw_max_iters=_typed("fw_max_iters", config.get("fw_max_iters"), int | None),
         replearn=_replearn_config(config),
     )
@@ -161,12 +182,13 @@ def _cmd_run_spanrl(args):
         n_replearn=_typed("n_replearn", config["n_replearn"], int),
         n_estvec=_typed("n_estvec", config["n_estvec"], int),
         n_psdp=_typed("n_psdp", config["n_psdp"], int),
-        C=float(config.get("C", 2.0)),
+        C=float(_typed("C", config.get("C", 2.0), float)),
         max_rounds=_typed("max_rounds", config.get("max_rounds"), int | None),
         replearn=_replearn_config(config),
     )
     rng = np.random.default_rng(args.seed)
-    result = run_spanrl(M, Phi, float(config["eps"]), schedule, rng)
+    eps = float(_typed("eps", config["eps"], float))
+    result = run_spanrl(M, Phi, eps, schedule, rng)
     obj = result.to_obj()
     obj["algorithm"] = "spanrl"
     obj["seed"] = args.seed
@@ -183,8 +205,7 @@ def _cmd_optimize_reward(args):
     with open(args.run) as fh:
         covers = CoverSet.from_obj(json.load(fh)["covers"])
     Phi = _feature_class_from_config(M, config, args.seed)
-    with open(args.theta) as fh:
-        thetas = [np.asarray(t, dtype=float) for t in json.load(fh)]
+    thetas = _load_thetas(args.theta)
     rng = np.random.default_rng(args.seed)
     n_psdp = _typed("n_psdp", config.get("n_psdp", 20000), int)
     pol, value = optimize_reward(M, covers, thetas, Phi, n_psdp, rng)

@@ -109,8 +109,10 @@ class LayeredLowRankMDP:
             raise VoxlabError(f"rho has shape {self.rho.shape}, want ({self.n_states(0)},)")
         self._transitions = [None] * (self.H - 1)
         # the sampler's read-only cumulative tables (rho's, then each step's
-        # transitions), built on first use by `simenv._mdp_cumulative`
+        # transitions), built on first use by `simenv._mdp_cumulative`, and
+        # each layer's one-layer uniform policy, by `simenv._uniform_step`
         self._cumulatives = [None] * self.H
+        self._uniforms = [None] * self.H
 
     def n_states(self, h):
         return len(self.layers[h])
@@ -152,6 +154,11 @@ class Policy:
 
     ``tables[i]`` is the (|X_{lo+i}|, A) row-stochastic table for layer lo+i.
     Partial policies are allowed; deterministic policies use one-hot rows.
+
+    The tables are held read-only (see `_freeze`) and must not change after
+    construction: the sampler's form of each table (`simenv._policy_form`)
+    is built on first use and cached on the policy, and `compose_policies`
+    carries the forms built so far into the policy it returns.
     """
 
     def __init__(self, lo, tables):
@@ -160,6 +167,7 @@ class Policy:
         for t in self.tables:
             if t.ndim != 2:
                 raise VoxlabError("policy tables must be 2-d (states x actions)")
+        self._forms = [None] * len(self.tables)
 
     @property
     def hi(self):
@@ -304,7 +312,8 @@ class Discriminator:
 def compose_policies(prefix, suffix):
     """Concatenate two policies whose layer ranges abut.
 
-    The result plays ``prefix`` on its layers and ``suffix`` from there on.
+    The result plays ``prefix`` on its layers and ``suffix`` from there on,
+    and keeps the sampler forms both have built.
     """
     if len(prefix.tables) == 0:
         return suffix
@@ -315,7 +324,9 @@ def compose_policies(prefix, suffix):
             f"cannot compose: prefix covers [{prefix.lo}..{prefix.hi}], "
             f"suffix covers [{suffix.lo}..{suffix.hi}]"
         )
-    return Policy(prefix.lo, list(prefix.tables) + list(suffix.tables))
+    joined = Policy(prefix.lo, prefix.tables + suffix.tables)
+    joined._forms = prefix._forms + suffix._forms
+    return joined
 
 
 def validate_mdp(M):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from voxlab.core import Policy, VoxlabError
-from voxlab.simenv import rollin
+from voxlab.core import Policy, VoxlabError, compose_policies
+from voxlab.simenv import _greedy_step, _uniform_step, rollin
 
 NORM_EPS = 1e-10
 
@@ -351,22 +351,20 @@ def psdp(M, h, rewards: RewardSpec, classes, covers, n, rng, counter=None):
             f"{len(classes)} and {len(covers)}"
         )
     reward_flat = [rewards.layer_table(M, t).ravel() for t in range(h + 1)]
-    greedy = [None] * (h + 1)
-    uniform_rows = [np.full((M.n_states(t), M.A), 1.0 / M.A) for t in range(h + 1)]
+    # the greedy policy on layers t+1..h, grown one layer per step
+    greedy = Policy.empty(h + 1)
     # one roll-in pair, refilled for every t; layer t's returns are read
     # from it before the next roll-in
     S, A = np.empty((2, h + 1, n), dtype=np.int64)
     for t in range(h, -1, -1):
         rollin(M, covers[t], n, rng, upto=h,
-               tail=[uniform_rows[t]] + greedy[t + 1:h + 1], counter=counter,
-               out=(S, A))
+               tail=compose_policies(_uniform_step(M, t), greedy),
+               counter=counter, out=(S, A))
         ret = np.zeros(n)
         for ell in range(t, h + 1):
             ret += reward_flat[ell].take(S[ell] * M.A + A[ell])
         data = RegressionData.from_samples(t, S[t], A[t], ret, M.n_states(t), M.A)
         fit = fit_value_class(data, classes[t])
-        acts_t = np.argmax(fit.q_table, axis=1)
-        table = np.zeros((M.n_states(t), M.A))
-        table[np.arange(M.n_states(t)), acts_t] = 1.0
-        greedy[t] = table
-    return Policy(0, greedy)
+        greedy = compose_policies(
+            _greedy_step(M, t, np.argmax(fit.q_table, axis=1)), greedy)
+    return greedy

@@ -20,9 +20,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from voxlab.core import Discriminator, VoxlabError, _freeze, as_distribution
+from voxlab.core import (
+    Discriminator,
+    VoxlabError,
+    _freeze,
+    as_distribution,
+    compose_policies,
+)
 from voxlab.psdp import BallLeastSquares, matvec, row_norms
-from voxlab.simenv import mixture_occupancy, rollin
+from voxlab.simenv import _uniform_step, mixture_occupancy, rollin
 
 
 @dataclass
@@ -82,10 +88,8 @@ class RepLearnDataset:
         """n roll-ins of pi ~ P with a uniform action at layer h."""
         if not 0 <= h <= M.H - 2:
             raise VoxlabError(f"layer {h} has no transition data (H={M.H})")
-        unif_h = np.full((M.n_states(h), M.A), 1.0 / M.A)
-        unif_next = np.full((M.n_states(h + 1), M.A), 1.0 / M.A)
-        S, A = rollin(M, P, n, rng, upto=h + 1, tail=[unif_h, unif_next],
-                      counter=counter)
+        tail = compose_policies(_uniform_step(M, h), _uniform_step(M, h + 1))
+        S, A = rollin(M, P, n, rng, upto=h + 1, tail=tail, counter=counter)
         shape = (M.n_states(h), M.A, M.n_states(h + 1))
         counts = np.bincount((S[h] * M.A + A[h]) * shape[2] + S[h + 1],
                              minlength=math.prod(shape)).reshape(shape)

@@ -91,16 +91,55 @@ def _mdp_cumulative(M, t):
 
 
 def _policy_cumulative(table):
-    """A policy table's ``_cumulative`` and, when every row is one-hot, each
-    row's action.  A table whose rows are all equal comes back as its one
-    row, a (k, 1) table that ``_categorical_rows`` draws from without a
-    gather."""
+    """A policy table's sampler form: its ``_cumulative`` and, when every row
+    is one-hot, each row's action, both read-only.  A table whose rows are
+    all equal comes back as its one row, a (k, 1) table that
+    ``_categorical_rows`` draws from without a gather."""
     cum = _cumulative(table)
+    cum.setflags(write=False)
     if (cum == cum[:, :1]).all():
         return cum[:, :1], None
     if ((cum == 0.0) | (cum == 1.0)).all() and (cum[-1] == 1.0).all():
-        return cum, np.add.reduce(cum[:-1] == 0.0, axis=0, dtype=np.int64)
+        hot = np.add.reduce(cum[:-1] == 0.0, axis=0, dtype=np.int64)
+        hot.setflags(write=False)
+        return cum, hot
     return cum, None
+
+
+def _policy_form(pi, t):
+    """The sampler form of pi's layer-t table, built by ``_policy_cumulative``
+    on first use and kept on pi, whose tables never change."""
+    i = t - pi.lo
+    form = pi._forms[i]
+    if form is None:
+        form = pi._forms[i] = _policy_cumulative(pi.tables[i])
+    return form
+
+
+def _uniform_step(M, t):
+    """The uniform policy on layer t alone, with its sampler form; built once
+    per MDP and kept on it."""
+    step = M._uniforms[t]
+    if step is None:
+        step = M._uniforms[t] = Policy.uniform(M, t, t)
+        _policy_form(step, t)
+    return step
+
+
+def _greedy_step(M, t, acts):
+    """The deterministic policy on layer t alone that plays ``acts[x]`` in
+    state x, with its one-hot form set from ``acts`` rather than built from
+    the table.  A one-hot draw never reads the cumulative table, so the form
+    holds None there; a table with equal rows draws the same actions from
+    the same uniforms through either form."""
+    acts = np.array(acts, dtype=np.int64)
+    acts.setflags(write=False)
+    table = np.zeros((M.n_states(t), M.A))
+    table[np.arange(M.n_states(t)), acts] = 1.0
+    table.setflags(write=False)
+    step = Policy(t, [table])
+    step._forms[0] = None, acts
+    return step
 
 
 def _categorical_rows(cum, rows, rng, out, hot=None):
@@ -294,15 +333,15 @@ def _output_pair(out, shape):
 def sample_trajectories(M, pi, n, rng, upto=None, counter=None, out=None):
     """Vectorized batch of ``n`` episodes under ``pi`` through layer ``upto``.
 
-    Each policy table is clipped and cumulated once per call, and rho and
-    each transition tensor once per MDP.  Every draw takes one uniform per
-    episode and writes one row of the output in place.  It then costs one
-    gather and one compare per column of its table; one compare per column
-    and no gather when the rows are all equal (rho, a uniform policy); and
-    one gather in all for a one-hot policy table.  The draws are
-    bit-identical to per-row inverse-CDF sampling from the clipped rows.
-    Returns (states, actions) arrays of shape (upto+1, n): ``out`` if given,
-    else a new pair.
+    Each policy table is clipped, cumulated and classified once per policy
+    (its form, `_policy_form`), and rho and each transition tensor once per
+    MDP.  Every draw takes one uniform per episode and writes one row of the
+    output in place.  It then costs one gather and one compare per column of
+    its table; one compare per column and no gather when the rows are all
+    equal (rho, a uniform policy); and one gather in all for a one-hot
+    policy table.  The draws are bit-identical to per-row inverse-CDF
+    sampling from the clipped rows.  Returns (states, actions) arrays of
+    shape (upto+1, n): ``out`` if given, else a new pair.
     """
     upto = M.H - 1 if upto is None else upto
     _check_layer(M, upto)
@@ -320,7 +359,7 @@ def sample_trajectories(M, pi, n, rng, upto=None, counter=None, out=None):
     cell = np.empty(n, dtype=np.int64)
     _categorical_rows(_mdp_cumulative(M, 0), None, rng, states[0])
     for t in range(upto + 1):
-        cum, hot = _policy_cumulative(pi.table(t))
+        cum, hot = _policy_form(pi, t)
         _categorical_rows(cum, states[t], rng, actions[t], hot)
         if t < upto:
             np.multiply(states[t], M.A, out=cell)
@@ -332,29 +371,40 @@ def sample_trajectories(M, pi, n, rng, upto=None, counter=None, out=None):
 def rollin(M, P, n, rng, upto, tail=(), counter=None, out=None):
     """``n`` episodes through layer ``upto``, each rolled in with a policy drawn from P.
 
-    Every episode follows its drawn policy on layers 0..upto-len(tail) and the
-    fixed ``tail`` tables on the remaining layers.  The policy is redrawn
+    Every episode follows its drawn policy on layers 0..upto-k and the fixed
+    ``tail`` on the k remaining layers: a Policy on layers upto-k+1..upto, or
+    a sequence of k tables, made one Policy per call.  The policy is redrawn
     every episode; this is implemented by grouping episode counts with one
     multinomial draw, which has the same law and lets the sampler run
     vectorized per component, each into its own columns of one output pair.
-    Returns (states, actions) arrays of shape (upto+1, n), ``out`` if given,
-    with the episodes grouped by component in support order.
+    A component is sampled as one policy sharing its and the tail's tables
+    and sampler forms, which are built on the component and the tail, so
+    once however often they are rolled in.  Returns (states, actions) arrays
+    of shape (upto+1, n), ``out`` if given, with the episodes grouped by
+    component in support order.
     """
     if n < 1:
         raise VoxlabError("n must be >= 1")
     _check_layer(M, upto)
     P = as_distribution(P)
     states, actions = _output_pair(out, (upto + 1, n))
+    if not isinstance(tail, Policy):
+        tail = Policy(upto + 1 - len(tail), tail)
+    head = upto + 1 - len(tail.tables)
+    if tail.tables and tail.lo != head:
+        raise LayerRangeError(
+            f"tail covering layers [{head}..{upto}] required, got "
+            f"[{tail.lo}..{tail.hi}]")
+    tail_forms = [_policy_form(tail, t) for t in range(head, upto + 1)]
     per_comp = rng.multinomial(n, P.weights)
-    head = upto + 1 - len(tail)
     lo = 0
     for comp, cnt in zip(P.policies, per_comp.tolist()):
         if cnt:
             cols = slice(lo, lo + cnt)
-            sample_trajectories(
-                M, Policy(0, [comp.table(t) for t in range(head)] + list(tail)),
-                cnt, rng, upto=upto, counter=counter,
-                out=(states[:, cols], actions[:, cols]))
+            pi = Policy(0, [comp.table(t) for t in range(head)] + list(tail.tables))
+            pi._forms = [_policy_form(comp, t) for t in range(head)] + tail_forms
+            sample_trajectories(M, pi, cnt, rng, upto=upto, counter=counter,
+                                out=(states[:, cols], actions[:, cols]))
             lo += cnt
     return states, actions
 

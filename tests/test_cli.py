@@ -174,6 +174,20 @@ def test_usage_errors_exit_2(workdir):
                  "--out", str(workdir / "x.json")]) == 2
 
 
+def _bad_run(workdir, vox_run, tmp_path, command, config, bad):
+    """The arguments of ``command`` on ``config`` with the ``bad`` values
+    over it; a ``theta`` entry of ``bad`` is the theta file's content."""
+    bad = dict(bad)
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps(bad.pop("theta", [[1.0, 0.0], [0.0, 1.0]])))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**config, **bad}))
+    extra = (["--run", str(vox_run[0]), "--theta", str(theta)]
+             if command == "optimize-reward" else [])
+    return [command, "--env", str(workdir / "env.json"), "--config", str(path),
+            "--out", str(tmp_path / "x.json")] + extra
+
+
 @pytest.mark.parametrize("command, config, bad", [
     ("run-vox", VOX_CONFIG, {"replearn": {"restart": 2}}),
     ("run-vox", VOX_CONFIG, {"fw_max_iters": 5.0}),
@@ -181,19 +195,24 @@ def test_usage_errors_exit_2(workdir):
     ("run-vox", VOX_CONFIG, {"replearn": {"restarts": "2"}}),
     ("run-vox", VOX_CONFIG, {"K": 2.7}),
     ("run-spanrl", SPANRL_CONFIG, {"n_psdp": 600.5}),
+    ("run-vox", VOX_CONFIG, {"gamma": None}),
+    ("run-vox", VOX_CONFIG, {"C": None}),
+    ("run-spanrl", SPANRL_CONFIG, {"eps": [0.1]}),
+    ("run-vox", VOX_CONFIG, {"feature_class": 3}),
+    ("optimize-reward", VOX_CONFIG, {"theta": 5}),
+    ("run-vox", VOX_CONFIG, {"gamma": "0.001"}),
+    ("run-spanrl", SPANRL_CONFIG, {"feature_class": {"n_decoys": 2.7}}),
 ])
-def test_config_errors_exit_2_without_a_traceback(workdir, tmp_path, command,
-                                                  config, bad):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({**config, **bad}))
+def test_config_errors_exit_2_without_a_traceback(workdir, vox_run, tmp_path,
+                                                  command, config, bad):
     proc = subprocess.run(
-        [sys.executable, "-m", "voxlab.cli", command, "--env",
-         str(workdir / "env.json"), "--config", str(path),
-         "--out", str(workdir / "x.json")],
+        [sys.executable, "-m", "voxlab.cli"]
+        + _bad_run(workdir, vox_run, tmp_path, command, config, bad),
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize("command, bad", [
@@ -210,18 +229,23 @@ def test_config_errors_exit_2_without_a_traceback(workdir, tmp_path, command,
     ("run-spanrl", {"n_estvec": 400.0}),
     ("run-spanrl", {"n_psdp": True}),
     ("optimize-reward", {"n_psdp": 400.0}),
+    ("run-vox", {"gamma": None}),
+    ("run-vox", {"gamma": "0.001"}),
+    ("run-vox", {"C": None}),
+    ("run-spanrl", {"C": "2"}),
+    ("run-spanrl", {"eps": [0.1]}),
+    ("run-vox", {"feature_class": 3}),
+    ("run-vox", {"feature_class": {"n_decoys": 2.7}}),
+    ("run-spanrl", {"feature_class": {"seed": "1"}}),
+    ("run-vox", {"feature_class": {"decoys": 2}}),
+    ("optimize-reward", {"theta": 5}),
+    ("optimize-reward", {"theta": [[1.0, "0"], [0.0, 1.0]]}),
+    ("optimize-reward", {"theta": [1.0, 0.0]}),
 ])
 def test_mistyped_config_values_exit_2_before_running(workdir, vox_run, tmp_path,
                                                       capsys, command, bad):
     config = SPANRL_CONFIG if command == "run-spanrl" else VOX_CONFIG
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({**config, **bad}))
-    theta = tmp_path / "theta.json"
-    theta.write_text(json.dumps([[1.0, 0.0], [0.0, 1.0]]))
-    extra = (["--run", str(vox_run[0]), "--theta", str(theta)]
-             if command == "optimize-reward" else [])
-    rc = main([command, "--env", str(workdir / "env.json"), "--config", str(path),
-               "--out", str(tmp_path / "x.json")] + extra)
+    rc = main(_bad_run(workdir, vox_run, tmp_path, command, config, bad))
     assert rc == 2
     assert next(iter(bad.get("replearn", bad))) in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()

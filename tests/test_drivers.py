@@ -13,6 +13,7 @@ from voxlab import (
     VoxlabError,
     generate_low_rank_mdp,
 )
+from voxlab import simenv
 from voxlab.drivers import (
     CoverSet,
     RunResult,
@@ -23,9 +24,11 @@ from voxlab.drivers import (
     run_spanrl,
     run_vox,
 )
+from voxlab.estimators import est_mat, est_vec
 from voxlab.evalcover import check_policy_cover
 from voxlab.optdesign import fw_iteration_bound
-from voxlab.replearn import RepLearnConfig
+from voxlab.psdp import RewardSpec, ValueClass, psdp
+from voxlab.replearn import RepLearnConfig, RepLearnDataset
 from voxlab.simenv import make_feature_class
 
 from conftest import small_env, uniform_mixture
@@ -297,6 +300,51 @@ def test_missing_cover_layer_raises(env):
     with pytest.raises(VoxlabError):
         optimize_reward(env, covers, [np.zeros(2)] * (env.H - 1), Phi, 10,
                         np.random.default_rng(18))
+
+
+# ------------------------------------------------------------ episode count
+
+
+def test_every_episode_is_drawn_through_the_module_sampler(monkeypatch):
+    # the benchmark's tracer counts episodes by wrapping the module binding
+    # `simenv.sample_trajectories` and checks them against EpisodeCounter; a
+    # path that drew through another binding would escape it
+    drawn = []
+    sample = simenv.sample_trajectories
+
+    def counting(M, pi, n, *args, **kwargs):
+        drawn.append(n)
+        return sample(M, pi, n, *args, **kwargs)
+
+    monkeypatch.setattr(simenv, "sample_trajectories", counting)
+    M = boosted_env(seed=21)
+    Phi = make_feature_class(M, n_decoys=1, rng=np.random.default_rng(21))
+    rng = np.random.default_rng(22)
+    unif = uniform_mixture([Policy.uniform(M)])
+    feat = M.phi[1]
+    phiphi = np.einsum("xad,xae->xade", feat, feat)
+    classes = [ValueClass.ball(Phi, 2.0) for _ in range(2)]
+    covers = run_spanrl(M, Phi, 0.1, spanrl_micro_schedule(), rng).covers
+    thetas = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    paths = {
+        "psdp": lambda c: psdp(M, 1, RewardSpec.linear(thetas[0], feat, 1),
+                               classes, [unif, unif], 300, rng, counter=c),
+        "est_mat": lambda c: est_mat(M, 1, phiphi, unif, 300, rng, counter=c),
+        "est_vec": lambda c: est_vec(M, 1, feat, unif, 300, rng, counter=c),
+        "collect": lambda c: RepLearnDataset.collect(M, 0, unif, 300, rng,
+                                                     counter=c),
+        "run_vox": lambda c: run_vox(M, Phi, vox_micro_schedule(K=1), rng,
+                                     counter=c),
+        "run_spanrl": lambda c: run_spanrl(M, Phi, 0.1, spanrl_micro_schedule(),
+                                           rng, counter=c),
+        "optimize_reward": lambda c: optimize_reward(M, covers, thetas, Phi, 300,
+                                                     rng, counter=c),
+    }
+    for name, path in paths.items():
+        drawn.clear()
+        counter = EpisodeCounter()
+        path(counter)
+        assert drawn and sum(drawn) == counter.count, name
 
 
 # ------------------------------------------------------------ serialization

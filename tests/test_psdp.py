@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from voxlab import (
     EpisodeCounter,
     FeatureClass,
+    LayerRangeError,
     Policy,
     PolicyDistribution,
     VoxlabError,
+    compose_policies,
 )
+from voxlab import simenv
 from voxlab.psdp import (
     BallLeastSquares,
     RegressionData,
@@ -21,7 +24,15 @@ from voxlab.psdp import (
     fit_value_class,
     psdp,
 )
-from voxlab.simenv import exact_policy_value, exact_q_tables, make_feature_class
+from voxlab.simenv import (
+    _greedy_step,
+    _uniform_step,
+    exact_policy_value,
+    exact_q_tables,
+    make_feature_class,
+    rollin,
+    sample_trajectories,
+)
 
 from conftest import (
     onehot_feature_class,
@@ -492,6 +503,54 @@ def test_psdp_matches_the_fresh_rollin_reference(seed, H, A, kind, n):
     assert all(np.array_equal(a, b) for a, b in zip(got[0].tables, want[0].tables))
     assert states[0] == states[1]
     assert states[1][1] == n * (h + 1)
+
+
+def test_policy_forms_are_built_once_per_policy(monkeypatch):
+    builds = []
+    build = simenv._policy_cumulative
+    monkeypatch.setattr(simenv, "_policy_cumulative",
+                        lambda table: builds.append(table.shape) or build(table))
+    M = small_env(seed=5, H=4, A=3, d=2, states=(3, 4, 5, 3))
+    rng = np.random.default_rng(41)
+    Phi = make_feature_class(M, n_decoys=1, rng=rng)
+    pis = [Policy(0, [rng.random((M.n_states(t), M.A)) for t in range(M.H)]),
+           Policy.from_actions(M, [rng.integers(M.A, size=M.n_states(t))
+                                   for t in range(M.H)]),
+           Policy.uniform(M)]
+    P = PolicyDistribution(pis, [0.5, 0.3, 0.2])
+    # a uniform-plus-greedy tail, as psdp rolls in with
+    tail = compose_policies(_uniform_step(M, 2),
+                            _greedy_step(M, 3, rng.integers(M.A, size=M.n_states(3))))
+    assert len(builds) == 1 and not any(f is None for f in tail._forms)
+    with pytest.raises(LayerRangeError, match=r"tail covering layers \[1..2\]"):
+        rollin(M, P, 10, rng, 2, tail)
+    spec = RewardSpec.table([rng.standard_normal((M.n_states(t), M.A))
+                             for t in range(3)])
+    classes = [ValueClass.ball(Phi, 2.0) for _ in range(3)]
+    for run in ("cold", "warm"):
+        builds.clear()
+        got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+        counter = EpisodeCounter()
+        got = rollin(M, P, 600, got_rng, 3, tail, counter=counter)
+        want = reference_rollin(M, P, 600, want_rng, 3, list(tail.tables))
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert counter.count == 600
+        got = psdp(M, 2, spec, classes, [P] * 3, 400, got_rng, counter=counter)
+        want = reference_psdp(M, 2, spec, classes, [P] * 3, 400, want_rng)
+        assert all(np.array_equal(a, b) for a, b in zip(got.tables, want.tables))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert counter.count == 600 + 3 * 400
+        # cold: each component's layers 0 and 1, then psdp's uniform steps at
+        # layers 0 and 1 (layer 2's is the tail's); warm: nothing
+        assert len(builds) == (3 * 2 + 2 if run == "cold" else 0)
+    # psdp's greedy policy comes with every form; a policy composed from it
+    # shares those and builds only the missing one, on itself
+    assert not any(f is None for f in got._forms)
+    joined = compose_policies(got, Policy.uniform(M, 3, 3))
+    assert all(a is b for a, b in zip(joined._forms, got._forms))
+    sample_trajectories(M, joined, 50, np.random.default_rng(1))
+    assert len(builds) == 1 and joined._forms[3] is not None
 
 
 def test_psdp_horizon_zero_is_exact_greedy(env):
