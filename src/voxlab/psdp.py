@@ -31,7 +31,9 @@ class RewardSpec:
     table: explicit (n_t, A) reward tables for layers 0..top.
 
     Entries of materialized tables are clipped to the declared range so the
-    regression targets stay inside the bounds the guarantees assume.
+    regression targets stay inside the bounds the guarantees assume.  A
+    quadratic or linear spec builds the table of its own layer on first use
+    and keeps it, read-only.
     """
 
     def __init__(self, kind, *, mat=None, theta=None, feat_table=None, layer=None,
@@ -42,6 +44,7 @@ class RewardSpec:
         self.feat_table = feat_table
         self.layer = layer
         self._tables = tables
+        self._own = None
 
     @classmethod
     def quadratic(cls, mat, feat_table, layer):
@@ -95,13 +98,16 @@ class RewardSpec:
             return self._tables[t]
         if t != self.layer:
             return np.zeros((M.n_states(t), M.A))
-        if self.kind == "quadratic":
-            vals = np.einsum("xad,de,xae->xa", self.feat_table, self.mat,
-                             self.feat_table)
-            return np.clip(vals, 0.0, self.bound())
-        vals = self.feat_table @ self.theta
-        b = self.bound()
-        return np.clip(vals, -b, b)
+        if self._own is None:
+            b = self.bound()
+            if self.kind == "quadratic":
+                vals = np.einsum("xad,de,xae->xa", self.feat_table, self.mat,
+                                 self.feat_table)
+                self._own = np.clip(vals, 0.0, b)
+            else:
+                self._own = np.clip(self.feat_table @ self.theta, -b, b)
+            self._own.setflags(write=False)
+        return self._own
 
     def all_tables(self, M):
         return [self.layer_table(M, t) for t in range(self.top_layer + 1)]

@@ -27,7 +27,7 @@ from voxlab.core import (
     as_distribution,
     compose_policies,
 )
-from voxlab.psdp import BallLeastSquares, matvec, row_norms
+from voxlab.psdp import NORM_EPS, BallLeastSquares, matvec, row_norms
 from voxlab.simenv import _uniform_step, mixture_occupancy, rollin
 
 
@@ -60,8 +60,9 @@ class RepLearnConfig:
 class RepLearnDataset:
     """Aggregated (x_h, a_h, x_{h+1}) triple counts at one layer.
 
-    The counts are held as a read-only copy, so the observed (x, a) cells
-    and the factor cached by `factor_stack` stay valid.
+    The counts are held as a read-only copy, so the observed (x, a) cells,
+    the counts at them and the factor cached by `factor_stack` stay valid
+    for every search's `_GapScorer` and every feature selection on this data.
     """
 
     def __init__(self, layer, counts):
@@ -72,14 +73,16 @@ class RepLearnDataset:
             raise VoxlabError("empty dataset")
         self.pair_counts = self.counts.sum(axis=2)
         # the observed (x, a) cells, shared by every regression on this data
-        self._keep = self.pair_counts > 0
-        self._cnt = self.pair_counts[self._keep]
-        self._xs, self._acts = np.nonzero(self._keep)
+        keep = self.pair_counts > 0
+        self._cnt = self.pair_counts[keep]
+        self._xs, self._acts = np.nonzero(keep)
+        # counts as (observed cell, x_{h+1}): the targets' counts product
+        self._counts_at = self.counts[self._xs, self._acts]
         # counts as (x_{h+1}, cell): the envelope gradient's pullback
         self._next_by_cell = self.counts.transpose(2, 0, 1).reshape(
             self.counts.shape[2], -1)
         for arr in (self.pair_counts, self._cnt, self._xs, self._acts,
-                    self._next_by_cell):
+                    self._counts_at, self._next_by_cell):
             arr.setflags(write=False)
         self._stack = self._factor = None
 
@@ -97,15 +100,12 @@ class RepLearnDataset:
 
     def targets(self, F):
         """Cell-mean targets (S, m) and within-cell offsets (S,) for the rows
-        of next-state values F (S, n_{h+1}): one counts product per moment."""
-        keep, cnt = self._keep, self._cnt
-        s1 = matvec(self.counts, F[:, None, :])
-        s2 = matvec(self.counts, (F * F)[:, None, :])
-        # boolean indexing leaves (S, m) strided; row sums must run along
-        # contiguous rows to add in the order a single target does
-        Y = np.ascontiguousarray(s1[:, keep]) / cnt
-        offsets = (np.ascontiguousarray(s2[:, keep]).sum(axis=1)
-                   - (cnt * Y * Y).sum(axis=1))
+        of next-state values F (S, n_{h+1}): both moments from one counts
+        product over the observed cells."""
+        S, cnt = len(F), self._cnt
+        sums = matvec(self._counts_at, np.concatenate((F, F * F)))
+        Y = sums[:S] / cnt
+        offsets = sums[S:].sum(axis=1) - (cnt * Y * Y).sum(axis=1)
         return Y, np.where(offsets < 0.0, 0.0, offsets)
 
     def factor_stack(self, T):
@@ -127,36 +127,63 @@ class RepLearnResult:
     threshold: float = 0.0
 
 
-def _gaps(data, current, T, ftabs, thetas, r_big, r_small):
-    """Adversarial gaps (S,) and envelope gradients (S, d) of S discriminators.
+class _GapScorer:
+    """Adversarial gaps and envelope gradients of discriminators against one
+    current candidate on one dataset, built once per search.
 
-    Row i is the direction thetas[i] on the next-layer feature table
+    It keeps what stays fixed for the search: the stacked factor of the
+    candidate stack T (K, n_h, A, d) with its transposed U and V views, a
+    flag that every singular value is kept, the current candidate's table,
+    the two radii and the dataset's counts.  A call scores S discriminators:
+    row i is the direction thetas[i] on the next-layer feature table
     ftabs[i] (ftabs is (S, n_{h+1}, A, d), possibly a broadcast view).  The
-    gap is the loss of candidate `current` in the big ball minus the best
+    gap is the loss of the current candidate in the big ball minus the best
     candidate's loss in the small ball (the first best on ties).  Every
-    candidate of the stack T is fitted by one stacked solve; the current
-    one's big-ball fit reuses its unconstrained solution.  The gradient
-    holds the fitted weights fixed and moves only the targets.  Every row
-    is bit-identical to scoring that discriminator alone against one
-    candidate at a time.
+    candidate is fitted by one stacked solve; the current one's big-ball fit
+    reuses its unconstrained solution.  When every unconstrained fit lies
+    inside both balls no fit moves, and the current candidate's loss is its
+    row of the stacked losses.  The gradient holds the fitted weights fixed
+    and moves only the targets.  Every row is bit-identical to scoring that
+    discriminator alone against one candidate at a time.
     """
-    S = len(thetas)
-    fvals = matvec(ftabs, thetas[:, None, :])
-    Y, offsets = data.targets(fvals.max(axis=2))
-    fac = data.factor_stack(T)
-    B, W0 = fac.min_norm(Y)
-    own_fac = fac[current]
-    w_own = own_fac.into_ball(B[current], W0[current], r_big)
-    own = own_fac.losses(w_own, Y, offsets)
-    W = fac.into_ball(B, W0, r_small)
-    losses = fac.losses(W, Y, offsets)
-    rows = np.arange(S)
-    best = losses.argmin(axis=0)
-    diff = (matvec(T[best], W[best, rows][:, None, :])
-            - matvec(T[current], w_own[:, None, :]))
-    s = matvec(data._next_by_cell, diff.reshape(S, -1))
-    chosen = ftabs[rows[:, None], np.arange(ftabs.shape[1]), fvals.argmax(axis=2)]
-    return own - losses[best, rows], 2.0 * (s[:, :, None] * chosen).sum(axis=1)
+
+    def __init__(self, data, current, T, r_big, r_small):
+        self.data, self.current, self.T = data, current, T
+        self.r_big, self.r_small = r_big, r_small
+        self.inside = min(r_big, r_small) + NORM_EPS
+        self.fac = fac = data.factor_stack(T)
+        self.own_fac = fac[current]
+        self.cur_tab = T[current]
+        self.Ut = np.swapaxes(fac.U, -1, -2)[..., None, :, :]
+        self.V = np.swapaxes(fac.Vt, -1, -2)[..., None, :, :]
+        self.s = fac.s[..., None, :]
+        self.pos = None if fac.pos.all() else fac.pos[..., None, :]
+
+    def __call__(self, ftabs, thetas):
+        S, fac, cur = len(thetas), self.fac, self.current
+        fvals = matvec(ftabs, thetas[:, None, :])
+        Y, offsets = self.data.targets(fvals.max(axis=2))
+        B = matvec(self.Ut, Y * fac.root)
+        if self.pos is None:
+            coef = B / self.s
+        else:
+            coef = np.divide(B, self.s, out=np.zeros_like(B), where=self.pos)
+        W = matvec(self.V, coef)
+        if (row_norms(W) <= self.inside).all():
+            losses = fac.losses(W, Y, offsets)
+            w_own, own = W[cur], losses[cur]
+        else:
+            w_own = self.own_fac.into_ball(B[cur], W[cur], self.r_big)
+            own = self.own_fac.losses(w_own, Y, offsets)
+            W = fac.into_ball(B, W, self.r_small)
+            losses = fac.losses(W, Y, offsets)
+        rows = np.arange(S)
+        best = losses.argmin(axis=0)
+        diff = (matvec(self.T[best], W[best, rows][:, None, :])
+                - matvec(self.cur_tab, w_own[:, None, :]))
+        s = matvec(self.data._next_by_cell, diff.reshape(S, -1))
+        chosen = ftabs[rows[:, None], np.arange(ftabs.shape[1]), fvals.argmax(axis=2)]
+        return own - losses[best, rows], 2.0 * (s[:, :, None] * chosen).sum(axis=1)
 
 
 def adversarial_gap(Phi, phi_current, f: Discriminator, data: RepLearnDataset,
@@ -164,16 +191,19 @@ def adversarial_gap(Phi, phi_current, f: Discriminator, data: RepLearnDataset,
     """Advantage of the best competitor over the current candidate on f."""
     _, r_big, r_small, _ = config.resolve(Phi.d, data.n, len(Phi.candidates))
     ftab = Phi.tables_at(data.layer + 1)[f.phi_index]
-    gap, _ = _gaps(data, phi_current, Phi.tables_at(data.layer), ftab[None],
-                   f.theta[None], r_big, r_small)
+    score = _GapScorer(data, phi_current, Phi.tables_at(data.layer), r_big, r_small)
+    gap, _ = score(ftab[None], f.theta[None])
     return float(gap[0])
 
 
 def _hill_climb(score, thetas, gaps, grads, config):
     """Monotone hill climbs with adaptive step size from every row of thetas,
-    advanced together with one `score` call per step.  A chain stops when
-    its step underflows or its candidate vanishes.  Returns each chain's
-    accepted (gap, theta) points in the order they were accepted."""
+    advanced together with one `score` call per step (the search's
+    `_GapScorer`, given the live chains' rows).  A chain stops when its step
+    underflows or its candidate vanishes.  Returns each chain's accepted
+    (gap, theta) points in the order they were accepted.  The per-chain
+    bookkeeping stays a Python loop: with a handful of chains, array
+    bookkeeping measured slower."""
     thetas, gaps, grads = thetas.copy(), gaps.tolist(), grads.copy()
     steps = [config.step_size] * len(gaps)
     live = np.ones(len(gaps), dtype=bool)
@@ -204,41 +234,46 @@ def _search_points(Phi, phi_current, data, config, rng):
     running best: candidate by candidate, its seeds, then its chains in
     stable descending-gap order, each chain's accepted points in order.
 
-    Scoring is batched: each candidate's whole seed set is one `_gaps`
-    call, its restarts drawn from `rng` in candidate order, and then the
-    hill-climb chains of all candidates advance together, one `_gaps` call
-    per step.
+    Scoring goes through one `_GapScorer` built for the search.  Every
+    candidate's restarts are drawn from `rng` in candidate order, then the
+    seed sets of all candidates are scored in one call, and then the
+    hill-climb chains of all candidates advance together, one call per step.
     """
     d = Phi.d
     _, r_big, r_small, _ = config.resolve(d, data.n, len(Phi.candidates))
-    tables_h = Phi.tables_at(data.layer)
     next_tables = Phi.tables_at(data.layer + 1)
+    K = len(next_tables)
     eye = np.eye(d)
     sweep = [e for i in range(d) for e in (eye[i], -eye[i])]
     if d == 2:
         angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         sweep.extend(np.stack([np.cos(angles), np.sin(angles)], axis=1))
-    seeds, chains = [], []
-    for fi, ftab in enumerate(next_tables):
+    thetas = []
+    for _ in range(K):
         extra = rng.standard_normal((max(config.restarts, 1), d))
-        thetas = np.array(sweep + [u / max(np.linalg.norm(u), 1e-12)
-                                   for u in extra])
-        gaps, grads = _gaps(data, phi_current, tables_h,
-                            np.broadcast_to(ftab, (len(thetas),) + ftab.shape),
-                            thetas, r_big, r_small)
-        seeds.append([(gap, theta, fi) for gap, theta in zip(gaps.tolist(), thetas)])
-        top = sorted(range(len(thetas)), key=lambda i: -gaps[i])[:3]
-        chains.extend((fi, thetas[i], gaps[i], grads[i]) for i in top)
-    fis, starts, start_gaps, start_grads = (np.array(col) for col in zip(*chains))
-    climbs = _hill_climb(
-        lambda rows, cand: _gaps(data, phi_current, tables_h, next_tables[fis[rows]],
-                                 cand, r_big, r_small),
-        starts, start_gaps, start_grads, config)
+        thetas += sweep
+        thetas.extend(extra / np.maximum(row_norms(extra), 1e-12)[:, None])
+    thetas = np.array(thetas)
+    n_seeds = len(thetas) // K
+    fis = np.repeat(np.arange(K), n_seeds)
+    score = _GapScorer(data, phi_current, Phi.tables_at(data.layer), r_big, r_small)
+    gaps, grads = score(next_tables[fis], thetas)
+    gaps = gaps.tolist()
+    seeds, chains = [], []
+    for fi in range(K):
+        block = range(fi * n_seeds, (fi + 1) * n_seeds)
+        seeds.append([(gaps[i], thetas[i], fi) for i in block])
+        chains += sorted(block, key=lambda i: -gaps[i])[:3]
+    chain_fis = fis[chains]
+    chain_tabs = next_tables[chain_fis]
+    climbs = _hill_climb(lambda rows, cand: score(chain_tabs[rows], cand),
+                         thetas[chains], np.array(gaps)[chains], grads[chains],
+                         config)
     points = []
-    for fi in range(len(next_tables)):
+    for fi in range(K):
         points += seeds[fi]
-        points += [(gap, theta, fi) for f, climb in zip(fis, climbs) if f == fi
-                   for gap, theta in climb]
+        points += [(gap, theta, fi) for f, climb in zip(chain_fis, climbs)
+                   if f == fi for gap, theta in climb]
     return points
 
 
@@ -253,11 +288,12 @@ def discriminator_search(Phi, phi_current, data: RepLearnDataset,
     candidate.  The best evaluated point is tracked throughout, so the
     result is never worse than any seed.
 
-    The directions are scored in batches (`_search_points`), and the
-    running best is replayed afterwards in the order of a search scoring
-    one direction at a time, keeping the first strictly larger gap.  Gaps,
-    the chosen theta and the generator state are bit-identical to that
-    search's.
+    The directions are scored in batches through one `_GapScorer` per
+    search (`_search_points`): every candidate's seeds in one call, then
+    one call per hill-climb step.  The running best is replayed afterwards
+    in the order of a search scoring one direction at a time, keeping the
+    first strictly larger gap.  Gaps, the chosen theta and the generator
+    state are bit-identical to that search's.
     """
     best_gap, best = -np.inf, None
     for gap, theta, fi in _search_points(Phi, phi_current, data, config, rng):

@@ -328,6 +328,35 @@ def test_feature_reward_kinds_reject_misshaped_feature_tables(env, kind, extra):
              np.random.default_rng(1))
 
 
+@pytest.mark.parametrize("kind", ["linear", "quadratic"])
+def test_feature_reward_table_is_built_once_per_spec(env, kind, monkeypatch):
+    # a driver reads the top-layer table for its singleton class, then psdp
+    # reads it again: one build, shared, read-only
+    rng = np.random.default_rng(31)
+    feat = rng.random((env.n_states(1), env.A, 2))
+    arg = (rng.standard_normal(2) if kind == "linear"
+           else np.array([[2.0, 0.5], [0.5, 1.0]]))
+
+    def make():
+        return getattr(RewardSpec, kind)(arg, feat, 1)
+
+    builds = []
+    bound = RewardSpec.bound
+    monkeypatch.setattr(RewardSpec, "bound",
+                        lambda self: builds.append(self) or bound(self))
+    spec = make()
+    tab = spec.layer_table(env, 1)
+    Phi = make_feature_class(env, n_decoys=1, rng=rng)
+    psdp(env, 1, spec, [ValueClass.ball(Phi, radius=1.0),
+                        ValueClass.singleton(tab)],
+         all_det_covers(env, 1), 20, np.random.default_rng(1))
+    assert spec.layer_table(env, 1) is tab
+    assert builds == [spec]
+    assert tab.tobytes() == make().layer_table(env, 1).tobytes()
+    with pytest.raises(ValueError):
+        tab[0, 0] = 1.0
+
+
 # ------------------------------------------------------- class fitting
 
 

@@ -8,7 +8,7 @@ from voxlab.psdp import BallLeastSquares, ball_constrained_least_squares, matvec
 from voxlab.replearn import (
     RepLearnConfig,
     RepLearnDataset,
-    _gaps,
+    _GapScorer,
     _search_points,
     adversarial_gap,
     discriminator_search,
@@ -461,14 +461,27 @@ def assert_search_matches_reference(Phi, data, config, seed):
                 for gap, theta, fi in points] == compared
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_search_matches_the_per_direction_reference(d):
-    # d = 2 adds the 64-angle sweep; restarts=0 is clamped to one restart
+@pytest.mark.parametrize("case", [1, 2, 3, "vox_readme", "rank_deficient"])
+def test_search_matches_the_per_direction_reference(case):
+    # an integer case is d: d = 2 adds the 64-angle sweep, and restarts=0 is
+    # clamped to one restart.  "vox_readme" is the benchmark's search (d = 2,
+    # two decoys, 4 restarts, 30 steps).  "rank_deficient" gives the first
+    # decoy one feature vector in every cell, so the stacked factor drops a
+    # singular value and the minimum-norm solve divides under its mask
+    d = case if isinstance(case, int) else 2
     Phi, data = search_instance(40 + d, d)
-    for restarts in (0, 8):
-        for grad_steps in (0, 1, 60):
-            cfg = RepLearnConfig(restarts=restarts, grad_steps=grad_steps)
-            assert_search_matches_reference(Phi, data, cfg, seed=d)
+    configs = [RepLearnConfig(restarts=restarts, grad_steps=grad_steps)
+               for restarts in (0, 8) for grad_steps in (0, 1, 60)]
+    if case == "vox_readme":
+        configs = [RepLearnConfig(restarts=4, grad_steps=30)]
+    if case == "rank_deficient":
+        cands = [list(c) for c in Phi.candidates]
+        cands[1][0] = np.broadcast_to([0.6, 0.3], cands[1][0].shape)
+        Phi = FeatureClass(cands)
+        pos = data.factor_stack(Phi.tables_at(0)).pos
+        assert pos[0].all() and not pos[1].all()
+    for cfg in configs:
+        assert_search_matches_reference(Phi, data, cfg, seed=d)
 
 
 def test_search_matches_the_reference_through_the_bisection(monkeypatch):
@@ -485,6 +498,24 @@ def test_search_matches_the_reference_through_the_bisection(monkeypatch):
     cfg = RepLearnConfig(restarts=2, grad_steps=10, r_small=0.05)
     assert_search_matches_reference(Phi, data, cfg, seed=3)
     assert calls and set(calls) == {0.05}
+
+
+def test_search_scores_all_seeds_in_one_call_then_one_call_per_step(monkeypatch):
+    calls = []
+    score = _GapScorer.__call__
+
+    def counted(self, ftabs, thetas):
+        calls.append(len(thetas))
+        return score(self, ftabs, thetas)
+
+    monkeypatch.setattr(_GapScorer, "__call__", counted)
+    Phi, data = search_instance(47, 2)
+    cfg = RepLearnConfig(restarts=4, grad_steps=30)
+    discriminator_search(Phi, 0, data, cfg, np.random.default_rng(4))
+    K = len(Phi)
+    assert calls[0] == K * (4 + 64 + 4)  # canonical, angular and random seeds
+    assert 1 <= len(calls) - 1 <= cfg.grad_steps
+    assert max(calls[1:]) <= 3 * K
 
 
 def test_search_matches_the_reference_when_seed_gaps_tie():
@@ -525,7 +556,7 @@ def test_gaps_keep_the_first_of_tied_candidates():
     assert np.array_equal(losses[0], losses[2])
     assert (losses.argmin(axis=0) == 0).any()
     for current in (0, 1):
-        gaps, grads = _gaps(data, current, tables, ftabs, thetas, r_big, r_small)
+        gaps, grads = _GapScorer(data, current, tables, r_big, r_small)(ftabs, thetas)
         assert np.isfinite(grads).all()
         ref_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
         assert_same_search(discriminator_search(dup, current, data, cfg, rng),
