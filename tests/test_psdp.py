@@ -352,9 +352,17 @@ def test_feature_reward_table_is_built_once_per_spec(env, kind, monkeypatch):
          all_det_covers(env, 1), 20, np.random.default_rng(1))
     assert spec.layer_table(env, 1) is tab
     assert builds == [spec]
-    assert tab.tobytes() == make().layer_table(env, 1).tobytes()
+    fresh = make().layer_table(env, 1).tobytes()
+    assert tab.tobytes() == fresh
     with pytest.raises(ValueError):
         tab[0, 0] = 1.0
+    # the spec holds copies, so the caller's arrays cannot stale its table
+    spec = make()
+    feat[:] = 0.0
+    arg[...] = 0.0
+    assert spec.layer_table(env, 1).tobytes() == fresh
+    assert not (spec.feat_table.flags.writeable
+                or (spec.theta if kind == "linear" else spec.mat).flags.writeable)
 
 
 # ------------------------------------------------------- class fitting
