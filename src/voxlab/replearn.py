@@ -33,7 +33,9 @@ from voxlab.simenv import _uniform_step, mixture_occupancy, rollin
 
 @dataclass
 class RepLearnConfig:
-    """Knobs for the learning loop and the discriminator search."""
+    """Knobs for the learning loop and the discriminator search.  The search
+    draws `restarts` seeds per candidate at every d; `grad_steps` and
+    `step_size` drive its hill climb, which runs only when d >= 3."""
 
     c: float = 1.0
     delta: float = 0.05
@@ -220,16 +222,25 @@ def _hill_climb(score, thetas, gaps, grads, config):
     return accepted
 
 
+# angle offsets of a d = 2 search's refinement ring, which replaces the hill
+# climb there: eighths of the 64-angle sweep's step, up to 7/8 on each side
+_RING = np.pi / 256 * np.array([j for j in range(-7, 8) if j])
+
+
 def _search_points(Phi, phi_current, data, config, rng):
     """Every (gap, theta, phi_index) the discriminator search weighs, in the
     order a search scoring one direction at a time compares them with its
-    running best: candidate by candidate, its seeds, then its chains in
-    stable descending-gap order, each chain's accepted points in order.
+    running best: candidate by candidate, its seeds, then its refinement
+    ring (d = 2) or its chains in stable descending-gap order, each chain's
+    accepted points in order (d >= 3).
 
     Scoring goes through one `_GapScorer` built for the search.  Every
     candidate's restarts are drawn from `rng` in candidate order, then the
-    seed sets of all candidates are scored in one call, and then the
-    hill-climb chains of all candidates advance together, one call per step.
+    seed sets of all candidates are scored in one call.  At d = 2 one more
+    call scores each candidate's ring of 14 angles around its first-best
+    seed; at d >= 3 the hill-climb chains of all candidates advance
+    together, one call per step.  At d = 1 the seeds are the whole sphere
+    {-1, 1}, so nothing follows them.
     """
     d = Phi.d
     _, r_big, r_small, _ = config.resolve(d, data.n, len(Phi.candidates))
@@ -251,22 +262,28 @@ def _search_points(Phi, phi_current, data, config, rng):
     score = _GapScorer(data, phi_current, Phi.tables_at(data.layer), r_big, r_small)
     gaps, grads = score(next_tables[fis], thetas)
     gaps = gaps.tolist()
-    seeds, chains = [], []
-    for fi in range(K):
-        block = range(fi * n_seeds, (fi + 1) * n_seeds)
-        seeds.append([(gaps[i], thetas[i], fi) for i in block])
-        chains += sorted(block, key=lambda i: -gaps[i])[:3]
-    chain_fis = fis[chains]
-    chain_tabs = next_tables[chain_fis]
-    climbs = _hill_climb(lambda rows, cand: score(chain_tabs[rows], cand),
-                         thetas[chains], np.array(gaps)[chains], grads[chains],
-                         config)
-    points = []
-    for fi in range(K):
-        points += seeds[fi]
-        points += [(gap, theta, fi) for f, climb in zip(chain_fis, climbs)
-                   if f == fi for gap, theta in climb]
-    return points
+    blocks = [range(fi * n_seeds, (fi + 1) * n_seeds) for fi in range(K)]
+    points = [[(gaps[i], thetas[i], fi) for i in block]
+              for fi, block in enumerate(blocks)]
+    if d == 2:
+        tops = thetas[[max(block, key=gaps.__getitem__) for block in blocks]]
+        angles = np.arctan2(tops[:, 1], tops[:, 0])[:, None] + _RING
+        ring = np.stack([np.cos(angles), np.sin(angles)], axis=2)
+        ring_gaps, _ = score(np.repeat(next_tables, len(_RING), axis=0),
+                             ring.reshape(-1, 2))
+        for fi, block in enumerate(ring_gaps.reshape(K, -1).tolist()):
+            points[fi] += [(gap, theta, fi) for gap, theta in zip(block, ring[fi])]
+    elif d > 2:
+        chains = [i for block in blocks
+                  for i in sorted(block, key=lambda i: -gaps[i])[:3]]
+        chain_fis = fis[chains]
+        chain_tabs = next_tables[chain_fis]
+        climbs = _hill_climb(lambda rows, cand: score(chain_tabs[rows], cand),
+                             thetas[chains], np.array(gaps)[chains],
+                             grads[chains], config)
+        for fi, climb in zip(chain_fis.tolist(), climbs):
+            points[fi] += [(gap, theta, fi) for gap, theta in climb]
+    return [point for block in points for point in block]
 
 
 def discriminator_search(Phi, phi_current, data: RepLearnDataset,
@@ -275,17 +292,18 @@ def discriminator_search(Phi, phi_current, data: RepLearnDataset,
 
     Enumerates the feature candidate inside the discriminator and optimizes
     its unit direction: a seed sweep (canonical directions, a dense angular
-    sweep when d = 2, and random restarts) followed by a monotone hill climb
-    with adaptive step size from the three most promising seeds of each
-    candidate.  The best evaluated point is tracked throughout, so the
-    result is never worse than any seed.
+    sweep when d = 2, and random restarts), then at d = 2 a ring of angles
+    at eighths of the sweep's step around each candidate's best seed, and at
+    d >= 3 a monotone hill climb with adaptive step size from the three most
+    promising seeds of each candidate.  The best evaluated point is tracked
+    throughout, so the result is never worse than any seed.
 
     The directions are scored in batches through one `_GapScorer` per
     search (`_search_points`): every candidate's seeds in one call, then
-    one call per hill-climb step.  The running best is replayed afterwards
-    in the order of a search scoring one direction at a time, keeping the
-    first strictly larger gap.  Gaps, the chosen theta and the generator
-    state are bit-identical to that search's.
+    one call for all rings or one call per hill-climb step.  The running
+    best is replayed afterwards in the order of a search scoring one
+    direction at a time, keeping the first strictly larger gap.  Gaps, the
+    chosen theta and the generator state are bit-identical to that search's.
     """
     best_gap, best = -np.inf, None
     for gap, theta, fi in _search_points(Phi, phi_current, data, config, rng):
