@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -62,12 +63,23 @@ def _feature_class_from_config(M, config, seed):
     return make_feature_class(M, n_decoys, np.random.default_rng(fc_seed + 0xFEA7))
 
 
+def _config(cls, config, prefix=""):
+    """The dataclass ``cls`` built from the object ``config``, its fields
+    read in order and checked with `_typed`: a field without a default must
+    be present, and a `RepLearnConfig` field is read from ``replearn``."""
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in dataclasses.fields(cls):
+        if hints[f.name] is RepLearnConfig:
+            values[f.name] = _replearn_config(config)
+        elif f.name in config or f.default is dataclasses.MISSING:
+            values[f.name] = _typed(prefix + f.name, config[f.name], hints[f.name])
+    return cls(**values)
+
+
 def _replearn_config(config):
     hints = typing.get_type_hints(RepLearnConfig)
-    rl = _section(config, "replearn", hints)
-    for key, value in rl.items():
-        _typed(f"replearn.{key}", value, hints[key])
-    return RepLearnConfig(**rl)
+    return _config(RepLearnConfig, _section(config, "replearn", hints), "replearn.")
 
 
 def _load_thetas(path):
@@ -85,8 +97,9 @@ def _load_thetas(path):
 
 def _typed(name, value, hint):
     """``value``, checked against the type ``hint`` (int or float, optionally
-    ``| None``).  An int passes as a float, but a float, bool or string never
-    passes as an int: ``int()`` would truncate it silently."""
+    ``| None``).  An int passes as a float and is returned as one, but a
+    float, bool or string never passes as an int: ``int()`` would truncate
+    it silently."""
     allowed = typing.get_args(hint) or (hint,)
     if value is None:
         ok = type(None) in allowed
@@ -98,7 +111,7 @@ def _typed(name, value, hint):
         kind = "an integer" if int in allowed else "a number"
         null = " or null" if type(None) in allowed else ""
         raise VoxlabError(f"config {name} must be {kind}{null}, got {value!r}")
-    return value
+    return value if value is None or int in allowed else float(value)
 
 
 def _cmd_generate_env(args):
@@ -124,38 +137,43 @@ def _cmd_generate_env(args):
     return 0
 
 
-def _measured_alphas(M, covers: CoverSet, mode):
-    out = {}
+def _cover_reports(M, covers: CoverSet, alpha, eps, mode=None):
+    """`check_policy_cover` at every layer from 2 on, keyed by layer, with a
+    non-finite measured alpha as None.  ``mode`` defaults to best-member
+    scoring for spanner covers and to the mixture expectation otherwise."""
+    mode = mode or ("max" if covers.kind == "spanrl" else "expectation")
+    reports = {}
     for h in range(2, M.H):
-        rep = check_policy_cover(M, covers.distribution(h), h, alpha=0.0, eps=0.0,
-                                 mode=mode)
-        alpha = rep["alpha_measured"]
-        out[str(h)] = alpha if math.isfinite(alpha) else None
-    return out
+        rep = check_policy_cover(M, covers.distribution(h), h, alpha=alpha,
+                                 eps=eps, mode=mode)
+        if not math.isfinite(rep["alpha_measured"]):
+            rep["alpha_measured"] = None
+        reports[str(h)] = rep
+    return reports
 
 
-def _cmd_run_vox(args):
+def _cmd_run(args):
+    """run-vox or run-spanrl: one explorer run, with the measured alpha of
+    each of its covers."""
     M = _load_env(args.env)
     with open(args.config) as fh:
         config = json.load(fh)
     Phi = _feature_class_from_config(M, config, args.seed)
-    schedule = VoxSchedule(
-        K=_typed("K", config["K"], int),
-        gamma=float(_typed("gamma", config["gamma"], float)),
-        n_replearn=_typed("n_replearn", config["n_replearn"], int),
-        n_estmat=_typed("n_estmat", config["n_estmat"], int),
-        n_psdp=_typed("n_psdp", config["n_psdp"], int),
-        C=float(_typed("C", config.get("C", 2.0), float)),
-        fw_max_iters=_typed("fw_max_iters", config.get("fw_max_iters"), int | None),
-        replearn=_replearn_config(config),
-    )
     rng = np.random.default_rng(args.seed)
-    result = run_vox(M, Phi, schedule, rng)
+    if args.command == "run-vox":
+        result = run_vox(M, Phi, _config(VoxSchedule, config), rng)
+        column = "certificate"
+    else:
+        schedule = _config(SpanrlSchedule, config)
+        eps = _typed("eps", config["eps"], float)
+        result = run_spanrl(M, Phi, eps, schedule, rng)
+        column = "spanner_rounds"
     obj = result.to_obj()
-    obj["algorithm"] = "vox"
+    obj["algorithm"] = result.covers.kind
     obj["seed"] = args.seed
-    obj["alphas"] = _measured_alphas(M, result.covers, "expectation")
-    obj["certificates"] = [row["certificate"] for row in result.log]
+    obj["alphas"] = {h: rep["alpha_measured"] for h, rep in
+                     _cover_reports(M, result.covers, 0.0, 0.0).items()}
+    obj["certificates"] = [row[column] for row in result.log]
     _dump(obj, args.out)
     if args.csv:
         _write_csv(result.log, args.csv)
@@ -171,31 +189,6 @@ def _write_csv(log, path):
             lines.append(f"{step},{objective!r},{certificate!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _cmd_run_spanrl(args):
-    M = _load_env(args.env)
-    with open(args.config) as fh:
-        config = json.load(fh)
-    Phi = _feature_class_from_config(M, config, args.seed)
-    schedule = SpanrlSchedule(
-        n_replearn=_typed("n_replearn", config["n_replearn"], int),
-        n_estvec=_typed("n_estvec", config["n_estvec"], int),
-        n_psdp=_typed("n_psdp", config["n_psdp"], int),
-        C=float(_typed("C", config.get("C", 2.0), float)),
-        max_rounds=_typed("max_rounds", config.get("max_rounds"), int | None),
-        replearn=_replearn_config(config),
-    )
-    rng = np.random.default_rng(args.seed)
-    eps = float(_typed("eps", config["eps"], float))
-    result = run_spanrl(M, Phi, eps, schedule, rng)
-    obj = result.to_obj()
-    obj["algorithm"] = "spanrl"
-    obj["seed"] = args.seed
-    obj["alphas"] = _measured_alphas(M, result.covers, "max")
-    obj["certificates"] = [row["spanner_rounds"] for row in result.log]
-    _dump(obj, args.out)
-    return 0
 
 
 def _cmd_optimize_reward(args):
@@ -228,16 +221,8 @@ def _cmd_verify_cover(args):
     with open(args.run) as fh:
         run_obj = json.load(fh)
     covers = CoverSet.from_obj(run_obj["covers"])
-    mode = args.mode or ("max" if covers.kind == "spanrl" else "expectation")
-    reports = {}
-    ok = True
-    for h in range(2, M.H):
-        rep = check_policy_cover(M, covers.distribution(h), h, alpha=args.alpha,
-                                 eps=args.eps, mode=mode)
-        if not math.isfinite(rep["alpha_measured"]):
-            rep["alpha_measured"] = None
-        reports[str(h)] = rep
-        ok = ok and rep["passed"]
+    reports = _cover_reports(M, covers, args.alpha, args.eps, args.mode)
+    ok = all(rep["passed"] for rep in reports.values())
     _dump({"passed": ok, "alpha": args.alpha, "eps": args.eps,
            "layers": reports}, args.out)
     return 0 if ok else 1
@@ -304,21 +289,15 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate_env)
 
-    p = sub.add_parser("run-vox", help="run the design-based explorer")
-    p.add_argument("--env", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--csv", default=None,
-                   help="optional per-iteration design trace")
-    p.set_defaults(func=_cmd_run_vox)
-
-    p = sub.add_parser("run-spanrl", help="run the spanner-based explorer")
-    p.add_argument("--env", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_run_spanrl)
+    for name, kind in (("run-vox", "design"), ("run-spanrl", "spanner")):
+        p = sub.add_parser(name, help=f"run the {kind}-based explorer")
+        p.add_argument("--env", required=True)
+        p.add_argument("--config", required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_run, csv=None)
+        if name == "run-vox":
+            p.add_argument("--csv", help="optional per-iteration design trace")
 
     p = sub.add_parser("optimize-reward", help="PSDP on a linear reward")
     p.add_argument("--env", required=True)

@@ -137,8 +137,16 @@ class CoverSet:
     kind: str
     H: int
     layers: list
-    psis: list | None = None
     meta: dict = field(default_factory=dict)
+
+    @property
+    def psis(self):
+        """The policies of each spanner cover (None for an unfilled layer);
+        None for any other kind of cover."""
+        if self.kind != "spanrl":
+            return None
+        return [None if dist is None else list(dist.policies)
+                for dist in self.layers]
 
     def distribution(self, h) -> PolicyDistribution:
         if not 0 <= h < self.H or self.layers[h] is None:
@@ -168,9 +176,7 @@ class CoverSet:
             )
             for entry in obj["layers"]
         ]
-        psis = [list(dist.policies) for dist in layers] if obj["kind"] == "spanrl" \
-            else None
-        return cls(kind=obj["kind"], H=int(obj["H"]), layers=layers, psis=psis,
+        return cls(kind=obj["kind"], H=int(obj["H"]), layers=layers,
                    meta=obj.get("meta", {}))
 
 
@@ -227,8 +233,7 @@ def run_vox(M, Phi, schedule: VoxSchedule, rng, counter=None) -> RunResult:
     d = Phi.d
     covers = [None] * M.H
     covers[0] = _uniform_dist(M)
-    if M.H >= 2:
-        covers[1] = _uniform_dist(M)
+    covers[1] = _uniform_dist(M)
     log = []
     for hc in range(M.H - 2):
         design_dists = []
@@ -306,20 +311,16 @@ def run_spanrl(M, Phi, eps, schedule: SpanrlSchedule, rng,
     """Layer-by-layer cover construction via barycentric spanners."""
     counter = EpisodeCounter() if counter is None else counter
     d = Phi.d
-    unif = Policy.uniform(M, 0, M.H - 1)
-    psis = [None] * M.H
-    psis[0] = [Policy.empty(0)]
-    if M.H >= 2:
-        psis[1] = [unif]
+    covers = [None] * M.H
+    covers[0] = PolicyDistribution.point_mass(Policy.empty(0))
+    covers[1] = _uniform_dist(M)
     log = []
     for hc in range(M.H - 2):
-        dists = [PolicyDistribution(ps, [1.0 / len(ps)] * len(ps))
-                 for ps in psis[:hc + 1]]
-        rep = rep_learn(M, hc, Phi, dists[hc], schedule.n_replearn,
+        rep = rep_learn(M, hc, Phi, covers[hc], schedule.n_replearn,
                         schedule.replearn, rng, counter=counter)
         tab = Phi.tables_at(hc)[rep.index]
 
-        def solve(theta, _tab=tab, _dists=dists, _hc=hc):
+        def solve(theta, _tab=tab, _dists=covers[:hc + 1], _hc=hc):
             rewards = RewardSpec.linear(theta, _tab, _hc)
             classes = [ValueClass.ball(Phi, 2.0 * math.sqrt(d))
                        for _ in range(_hc + 1)]
@@ -338,9 +339,12 @@ def run_spanrl(M, Phi, eps, schedule: SpanrlSchedule, rng,
         except BudgetError as exc:
             raise BudgetError(f"run_spanrl layer {hc}: {exc}", layer=hc, log=log,
                               episodes=counter.count) from exc
-        chosen = [interned[z] if z is not None else unif for z in state.indices]
+        # a column the spanner left unfilled plays uniform up to layer hc
+        chosen = [interned[z] if z is not None else Policy.uniform(M, 0, hc)
+                  for z in state.indices]
         tail = Policy.uniform(M, hc + 1, M.H - 1)
-        psis[hc + 2] = [compose_policies(pi, tail) for pi in chosen]
+        covers[hc + 2] = PolicyDistribution(
+            [compose_policies(pi, tail) for pi in chosen], [1.0 / d] * d)
         log.append({
             "h": hc,
             "phi_index": rep.index,
@@ -349,11 +353,7 @@ def run_spanrl(M, Phi, eps, schedule: SpanrlSchedule, rng,
             "spanner_rounds": state.rounds,
             "oracle_calls": state.oracle_calls,
         })
-    layers = [
-        PolicyDistribution(ps, [1.0 / len(ps)] * len(ps)) if ps else None
-        for ps in psis
-    ]
-    coverset = CoverSet(kind="spanrl", H=M.H, layers=layers, psis=psis,
+    coverset = CoverSet(kind="spanrl", H=M.H, layers=covers,
                         meta={"eps": eps, "C": schedule.C})
     return RunResult(covers=coverset, episodes=counter.count, log=log)
 

@@ -14,7 +14,9 @@ import math
 import numpy as np
 
 from voxlab.core import Policy, VoxlabError, as_distribution
+from voxlab.drivers import _interning
 from voxlab.simenv import (
+    DEFAULT_DP_BUDGET,
     argmax_policy,
     exact_feature_expectation,
     exact_occupancy,
@@ -30,7 +32,7 @@ from voxlab.spanner import robust_spanner
 
 
 def check_policy_cover(M, P, h, alpha, eps, mode="expectation", tol=1e-9,
-                       budget=None):
+                       budget=DEFAULT_DP_BUDGET):
     """Verify an (alpha, eps)-policy cover claim at layer h.
 
     Qualifying states are those whose best-policy occupancy is at least
@@ -40,8 +42,7 @@ def check_policy_cover(M, P, h, alpha, eps, mode="expectation", tol=1e-9,
     qualifying ratio of cover mass to maximal occupancy.
     """
     P = as_distribution(P)
-    kwargs = {} if budget is None else {"budget": budget}
-    maxima = max_occupancies(M, h, **kwargs)
+    maxima = max_occupancies(M, h, budget)
     if h >= 1:
         scale = np.linalg.norm(M.mu[h - 1], axis=1)
     else:
@@ -72,7 +73,7 @@ def check_policy_cover(M, P, h, alpha, eps, mode="expectation", tol=1e-9,
     }
 
 
-def check_design_on_policies(M, feat, P, gamma, C, h, budget=None):
+def check_design_on_policies(M, feat, P, gamma, C, h):
     """Exact design certificate over all deterministic policies.
 
     Builds M_P = gamma*I + E_{pi~P} E^pi[phi phi^T] at layer h for the given
@@ -164,7 +165,7 @@ def _explorability_eta(M, h, n_dirs, rng):
     return worst
 
 
-def reachability_diagnostics(M, n_dirs=64, rng=None, budget=None):
+def reachability_diagnostics(M, n_dirs=64, rng=None, budget=DEFAULT_DP_BUDGET):
     """Reachability, feature-coverage, and explorability constants.
 
     Feature coverage is a Frank-Wolfe lower bound on the concave maximum;
@@ -173,10 +174,9 @@ def reachability_diagnostics(M, n_dirs=64, rng=None, budget=None):
     checks remain sound.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    kwargs = {} if budget is None else {"budget": budget}
     reach = []
     for h in range(1, M.H):
-        maxima = max_occupancies(M, h, **kwargs)
+        maxima = max_occupancies(M, h, budget)
         norms = np.linalg.norm(M.mu[h - 1], axis=1)
         live = norms > 0
         reach.append(float((maxima[live] / norms[live]).min()))
@@ -197,7 +197,7 @@ def reachability_diagnostics(M, n_dirs=64, rng=None, budget=None):
     }
 
 
-def coverability_ratio(M, h, C=1.0075, eps=1e-9, budget=None):
+def coverability_ratio(M, h, C=1.0075, eps=1e-9, budget=DEFAULT_DP_BUDGET):
     """Worst occupancy ratio against the spanner-mixture measure at layer h.
 
     Builds an exact-oracle approximate barycentric spanner of the reachable
@@ -208,22 +208,16 @@ def coverability_ratio(M, h, C=1.0075, eps=1e-9, budget=None):
         raise VoxlabError("coverability is defined from layer 1 on")
     feat = M.phi[h - 1]
     d = feat.shape[2]
-    interned = []
-
-    def lin_opt(theta):
-        pi = argmax_policy(M, h - 1, feat @ theta)
-        interned.append(pi)
-        return len(interned) - 1
+    lin_opt, interned = _interning(lambda theta: argmax_policy(M, h - 1, feat @ theta))
 
     def lin_est(z):
         return exact_feature_expectation(M, interned[z], feat, h - 1)
 
     state = robust_spanner(lin_opt, lin_est, C, eps, d)
-    unif = Policy.uniform(M, 0, h - 1)
-    chosen = [interned[z] if z is not None else unif for z in state.indices]
+    chosen = [interned[z] if z is not None else Policy.uniform(M, 0, h - 1)
+              for z in state.indices]
     rho = np.mean([exact_occupancy(M, pi, h) for pi in chosen], axis=0)
-    kwargs = {} if budget is None else {"budget": budget}
-    maxima = max_occupancies(M, h, **kwargs)
+    maxima = max_occupancies(M, h, budget)
     live = maxima > 0
     if not live.any():
         return {"ratio": 0.0, "layer": int(h), "rounds": state.rounds}

@@ -13,7 +13,7 @@ from voxlab import (
     VoxlabError,
     generate_low_rank_mdp,
 )
-from voxlab import simenv
+from voxlab import drivers, simenv
 from voxlab.drivers import (
     CoverSet,
     RunResult,
@@ -30,6 +30,7 @@ from voxlab.optdesign import fw_iteration_bound
 from voxlab.psdp import RewardSpec, ValueClass, psdp
 from voxlab.replearn import RepLearnConfig, RepLearnDataset
 from voxlab.simenv import make_feature_class
+from voxlab.spanner import robust_spanner
 
 from conftest import small_env, uniform_mixture
 from oracles import dp_optimal_value
@@ -240,6 +241,26 @@ def test_spanrl_budget_error_says_where_and_keeps_the_partial_run():
     # rep-learn, then the two phase-1 probes: two PSDP and two est_vec calls each
     assert err.episodes == counter.count == (s.n_replearn
                                              + 2 * 2 * (s.n_psdp + s.n_estvec))
+
+
+def test_spanrl_fills_an_unfilled_spanner_column_with_uniform_play(monkeypatch):
+    def first_column_unfilled(*args, **kwargs):
+        state = robust_spanner(*args, **kwargs)
+        state.indices[0] = None
+        return state
+
+    monkeypatch.setattr(drivers, "robust_spanner", first_column_unfilled)
+    M = boosted_env(seed=8, H=4)
+    Phi = make_feature_class(M, n_decoys=1, rng=np.random.default_rng(8))
+    result = run_spanrl(M, Phi, 0.1, spanrl_micro_schedule(),
+                        np.random.default_rng(9))
+    for h in range(2, M.H):
+        assert len(result.covers.psis[h]) == Phi.d
+        filled = result.covers.psis[h][0]
+        assert (filled.lo, filled.hi) == (0, M.H - 1)
+        for t in range(M.H):
+            assert np.array_equal(filled.table(t),
+                                  np.full((M.n_states(t), M.A), 1.0 / M.A))
 
 
 # ------------------------------------------------------------ optimization
