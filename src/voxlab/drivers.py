@@ -1,23 +1,26 @@
 """VoX and SpanRL outer loops plus downstream reward optimization.
 
-Both drivers build per-layer exploration covers bottom-up: the first two
-layers need no exploration (initial states plus one uniform action), and
-each processed layer h hands its policies, composed with uniform actions
-from layer h+1 on, to layer h+2.
+Both explorers run one layer loop, `_explore`, which builds per-layer
+exploration covers bottom-up.  The first two layers need no exploration
+(initial states plus one uniform action).  For each layer hc and each of
+its K designs the loop relearns features from a roll-in (layer hc's cover,
+mixed half-and-half with the designs so far from the second design on) and
+asks the explorer for a design over layers 0..hc; the designs, each
+composed with uniform play from layer hc+1 on, form layer hc+2's cover.
 
-VoX: per inner iteration, relearn features from the running roll-in
-mixture, then run the design loop whose LinOpt is PSDP on quadratic
-feature rewards and whose LinEst is the Monte-Carlo second moment; the
-layer's cover is the uniform average of the K design distributions.
+VoX makes K designs per layer with the Frank-Wolfe design loop, whose
+LinOpt is PSDP on quadratic feature rewards and whose LinEst is the
+Monte-Carlo second moment; the cover mixes them at 1/K.
 
-SpanRL: relearn features once per layer, then build a barycentric spanner
-of the reachable feature expectations whose LinOpt is PSDP on linear
-feature rewards and whose LinEst is the Monte-Carlo first moment; the d
-spanner policies form the cover.
+SpanRL makes one design per layer: a barycentric spanner of the reachable
+feature expectations, whose LinOpt is PSDP on linear feature rewards and
+whose LinEst is the Monte-Carlo first moment; its d policies, at weight
+1/d each, form the cover.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -35,7 +38,7 @@ from voxlab.estimators import est_mat, est_vec
 from voxlab.optdesign import DesignOracles, fw_optdesign
 from voxlab.psdp import RewardSpec, ValueClass, psdp
 from voxlab.replearn import RepLearnConfig, rep_learn
-from voxlab.simenv import EpisodeCounter, exact_policy_value
+from voxlab.simenv import EpisodeCounter, _uniform_step, exact_policy_value
 from voxlab.spanner import robust_spanner
 
 
@@ -62,6 +65,8 @@ class VoxSchedule:
             raise VoxlabError("schedule counts must be positive")
         if not 0.0 < self.gamma < 1.0:
             raise VoxlabError(f"gamma must be in (0, 1), got {self.gamma}")
+        if not 1.0 < self.C <= 2.0:
+            raise VoxlabError(f"C must be in (1, 2], got {self.C}")
 
     @classmethod
     def paper(cls, eta, d, A, n_candidates, H, c=1.0, delta=0.05, **kw):
@@ -94,6 +99,8 @@ class SpanrlSchedule:
     def __post_init__(self):
         if min(self.n_replearn, self.n_estvec, self.n_psdp) < 1:
             raise VoxlabError("schedule counts must be positive")
+        if self.C <= 1.0:
+            raise VoxlabError(f"C must exceed 1, got {self.C}")
 
     @classmethod
     def paper(cls, eps, d, A, n_candidates, H, c=1.0, delta=0.05, **kw):
@@ -205,8 +212,12 @@ class RunResult:
         return json.dumps(self.to_obj(), sort_keys=True)
 
 
-def _uniform_dist(M):
-    return PolicyDistribution.point_mass(Policy.uniform(M, 0, M.H - 1))
+def _uniform(M, lo, hi):
+    """Uniform play on layers lo..hi, made of the MDP's cached one-layer
+    steps, so it shares their tables and sampler forms."""
+    return functools.reduce(compose_policies,
+                            [_uniform_step(M, t) for t in range(lo, hi + 1)],
+                            Policy.empty(lo))
 
 
 def _interning(solve):
@@ -227,79 +238,72 @@ def _interning(solve):
     return lin_opt, interned
 
 
+def _explore(M, Phi, schedule, rng, counter, covers, log, design, K=1):
+    """The layer loop of both explorers; appends the covers of layers 2..H-1
+    to ``covers`` (which holds those of layers 0 and 1) and a row per design
+    to ``log``.
+
+    ``design(hc, k, tab, row)`` returns the k-th design of layer hc, a
+    PolicyDistribution over layers 0..hc, given the relearned feature table
+    and the log row, to which it adds its own fields.  The cover mixes the K
+    designs at 1/K; one design is kept as it is, so equal policies in it
+    stay separate entries.
+    """
+    for hc in range(M.H - 2):
+        designs = []
+        for k in range(1, K + 1):
+            rollin = covers[hc] if k == 1 else mix_distributions(
+                [(covers[hc], 0.5)] + [(D, 1.0 / (2.0 * (k - 1))) for D in designs])
+            rep = rep_learn(M, hc, Phi, rollin, schedule.n_replearn,
+                            schedule.replearn, rng, counter=counter)
+            row = {"h": hc, "phi_index": rep.index,
+                   "replearn_iters": rep.iterations, "replearn_capped": rep.capped}
+            designs.append(design(hc, k, Phi.tables_at(hc)[rep.index], row))
+            log.append(row)
+        tail = _uniform(M, hc + 1, M.H - 1)
+        designs = [PolicyDistribution([compose_policies(pi, tail) for pi in D.policies],
+                                      D.weights) for D in designs]
+        covers.append(designs[0] if K == 1 else
+                      mix_distributions([(D, 1.0 / K) for D in designs]))
+
+
 def run_vox(M, Phi, schedule: VoxSchedule, rng, counter=None) -> RunResult:
     """Layer-by-layer cover construction via representation-aware design."""
     counter = EpisodeCounter() if counter is None else counter
-    d = Phi.d
-    covers = [None] * M.H
-    covers[0] = _uniform_dist(M)
-    covers[1] = _uniform_dist(M)
-    log = []
-    for hc in range(M.H - 2):
-        design_dists = []
-        for k in range(1, schedule.K + 1):
-            if k == 1:
-                rollin = covers[hc]
-            else:
-                prev = 1.0 / (2.0 * (k - 1))
-                rollin = mix_distributions(
-                    [(covers[hc], 0.5)] + [(D, prev) for D in design_dists]
-                )
-            rep = rep_learn(M, hc, Phi, rollin, schedule.n_replearn,
-                            schedule.replearn, rng, counter=counter)
-            tab = Phi.tables_at(hc)[rep.index]
-            phiphi = np.einsum("xad,xae->xade", tab, tab)
+    covers, log = [PolicyDistribution.point_mass(_uniform(M, 0, M.H - 1))] * 2, []
 
-            def solve(Mquery, _tab=tab, _hc=hc):
-                rewards = RewardSpec.quadratic(Mquery, _tab, _hc)
-                classes = [ValueClass.ball(Phi, math.sqrt(d)) for _ in range(_hc)]
-                classes.append(ValueClass.singleton(rewards.layer_table(M, _hc)))
-                return psdp(M, _hc, rewards, classes, covers[:_hc + 1],
-                            schedule.n_psdp, rng, counter=counter)
+    def design(hc, k, tab, row):
+        phiphi = np.einsum("xad,xae->xade", tab, tab)
 
-            lin_opt, interned = _interning(solve)
+        def solve(Mquery):
+            rewards = RewardSpec.quadratic(Mquery, tab, hc)
+            classes = [ValueClass.ball(Phi, math.sqrt(Phi.d)) for _ in range(hc)]
+            classes.append(ValueClass.singleton(rewards.layer_table(M, hc)))
+            return psdp(M, hc, rewards, classes, covers[:hc + 1],
+                        schedule.n_psdp, rng, counter=counter)
 
-            def lin_est(Pdict, _phiphi=phiphi, _interned=interned, _hc=hc):
-                dist = PolicyDistribution(
-                    [_interned[z] for z in Pdict], list(Pdict.values())
-                )
-                return est_mat(M, _hc, _phiphi, dist, schedule.n_estmat, rng,
-                               counter=counter)
+        lin_opt, interned = _interning(solve)
 
-            try:
-                state = fw_optdesign(
-                    DesignOracles(dim=d, lin_opt=lin_opt, lin_est=lin_est),
-                    schedule.C, schedule.gamma, schedule.fw_max_iters,
-                )
-            except BudgetError as exc:
-                raise BudgetError(
-                    f"run_vox layer {hc}, k = {k}: {exc}",
-                    iterations=exc.iterations, certificate=exc.certificate,
-                    layer=hc, k=k, log=log, episodes=counter.count,
-                ) from exc
-            design_dists.append(PolicyDistribution(
-                [interned[z] for z in state.P], list(state.P.values())
-            ))
-            log.append({
-                "h": hc,
-                "k": k,
-                "phi_index": rep.index,
-                "replearn_iters": rep.iterations,
-                "replearn_capped": rep.capped,
-                "fw_iters": state.iterations,
-                "certificate": state.certificate,
-                "support": state.support_size,
-                "trace": [[int(t), float(o), float(c)] for t, o, c in state.trace],
-            })
-        tail = Policy.uniform(M, hc + 1, M.H - 1)
-        composed = [
-            (PolicyDistribution(
-                [compose_policies(pi, tail) for pi in dist.policies],
-                dist.weights,
-            ), 1.0 / schedule.K)
-            for dist in design_dists
-        ]
-        covers[hc + 2] = mix_distributions(composed)
+        def lin_est(Pdict):
+            dist = PolicyDistribution([interned[z] for z in Pdict],
+                                      list(Pdict.values()))
+            return est_mat(M, hc, phiphi, dist, schedule.n_estmat, rng,
+                           counter=counter)
+
+        try:
+            state = fw_optdesign(DesignOracles(Phi.d, lin_opt, lin_est), schedule.C,
+                                 schedule.gamma, schedule.fw_max_iters)
+        except BudgetError as exc:
+            raise BudgetError(f"run_vox layer {hc}, k = {k}: {exc}",
+                              iterations=exc.iterations, certificate=exc.certificate,
+                              layer=hc, k=k, log=log, episodes=counter.count) from exc
+        row.update(k=k, fw_iters=state.iterations, certificate=state.certificate,
+                   support=state.support_size,
+                   trace=[[int(t), float(o), float(c)] for t, o, c in state.trace])
+        return PolicyDistribution([interned[z] for z in state.P],
+                                  list(state.P.values()))
+
+    _explore(M, Phi, schedule, rng, counter, covers, log, design, K=schedule.K)
     coverset = CoverSet(kind="vox", H=M.H, layers=covers,
                         meta={"K": schedule.K, "gamma": schedule.gamma,
                               "C": schedule.C})
@@ -309,28 +313,25 @@ def run_vox(M, Phi, schedule: VoxSchedule, rng, counter=None) -> RunResult:
 def run_spanrl(M, Phi, eps, schedule: SpanrlSchedule, rng,
                counter=None) -> RunResult:
     """Layer-by-layer cover construction via barycentric spanners."""
+    if not 0.0 < eps < 1.0:
+        raise VoxlabError(f"eps must be in (0, 1), got {eps}")
     counter = EpisodeCounter() if counter is None else counter
     d = Phi.d
-    covers = [None] * M.H
-    covers[0] = PolicyDistribution.point_mass(Policy.empty(0))
-    covers[1] = _uniform_dist(M)
-    log = []
-    for hc in range(M.H - 2):
-        rep = rep_learn(M, hc, Phi, covers[hc], schedule.n_replearn,
-                        schedule.replearn, rng, counter=counter)
-        tab = Phi.tables_at(hc)[rep.index]
+    covers, log = [PolicyDistribution.point_mass(Policy.empty(0)),
+                   PolicyDistribution.point_mass(_uniform(M, 0, M.H - 1))], []
 
-        def solve(theta, _tab=tab, _dists=covers[:hc + 1], _hc=hc):
-            rewards = RewardSpec.linear(theta, _tab, _hc)
+    def design(hc, k, tab, row):
+        def solve(theta):
+            rewards = RewardSpec.linear(theta, tab, hc)
             classes = [ValueClass.ball(Phi, 2.0 * math.sqrt(d))
-                       for _ in range(_hc + 1)]
-            return psdp(M, _hc, rewards, classes, _dists, schedule.n_psdp, rng,
-                        counter=counter)
+                       for _ in range(hc + 1)]
+            return psdp(M, hc, rewards, classes, covers[:hc + 1],
+                        schedule.n_psdp, rng, counter=counter)
 
         lin_opt, interned = _interning(solve)
 
-        def lin_est(z, _tab=tab, _interned=interned, _hc=hc):
-            return est_vec(M, _hc, _tab, _interned[z], schedule.n_estvec, rng,
+        def lin_est(z):
+            return est_vec(M, hc, tab, interned[z], schedule.n_estvec, rng,
                            counter=counter)
 
         try:
@@ -339,20 +340,13 @@ def run_spanrl(M, Phi, eps, schedule: SpanrlSchedule, rng,
         except BudgetError as exc:
             raise BudgetError(f"run_spanrl layer {hc}: {exc}", layer=hc, log=log,
                               episodes=counter.count) from exc
+        row.update(spanner_rounds=state.rounds, oracle_calls=state.oracle_calls)
         # a column the spanner left unfilled plays uniform up to layer hc
-        chosen = [interned[z] if z is not None else Policy.uniform(M, 0, hc)
-                  for z in state.indices]
-        tail = Policy.uniform(M, hc + 1, M.H - 1)
-        covers[hc + 2] = PolicyDistribution(
-            [compose_policies(pi, tail) for pi in chosen], [1.0 / d] * d)
-        log.append({
-            "h": hc,
-            "phi_index": rep.index,
-            "replearn_iters": rep.iterations,
-            "replearn_capped": rep.capped,
-            "spanner_rounds": state.rounds,
-            "oracle_calls": state.oracle_calls,
-        })
+        return PolicyDistribution(
+            [interned[z] if z is not None else _uniform(M, 0, hc)
+             for z in state.indices], [1.0 / d] * d)
+
+    _explore(M, Phi, schedule, rng, counter, covers, log, design)
     coverset = CoverSet(kind="spanrl", H=M.H, layers=covers,
                         meta={"eps": eps, "C": schedule.C})
     return RunResult(covers=coverset, episodes=counter.count, log=log)

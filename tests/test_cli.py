@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from voxlab import simenv
 from voxlab.cli import _replearn_config, main
 from voxlab.core import LayeredLowRankMDP, validate_mdp
 from voxlab.replearn import RepLearnConfig
@@ -248,6 +249,25 @@ def test_mistyped_config_values_exit_2_before_running(workdir, vox_run, tmp_path
     rc = main(_bad_run(workdir, vox_run, tmp_path, command, config, bad))
     assert rc == 2
     assert next(iter(bad.get("replearn", bad))) in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("run-vox", {"C": 0.5}),
+    ("run-vox", {"C": 2.5}),
+    ("run-spanrl", {"C": 1.0}),
+    ("run-spanrl", {"eps": 1.5}),
+    ("run-spanrl", {"eps": 0.0}),
+])
+def test_out_of_range_C_or_eps_exits_2_before_any_episode(
+        workdir, vox_run, tmp_path, capsys, monkeypatch, command, bad):
+    def no_episodes(*args, **kwargs):
+        raise AssertionError("an episode was drawn")
+
+    monkeypatch.setattr(simenv, "sample_trajectories", no_episodes)
+    config = SPANRL_CONFIG if command == "run-spanrl" else VOX_CONFIG
+    assert main(_bad_run(workdir, vox_run, tmp_path, command, config, bad)) == 2
+    assert f"error: {next(iter(bad))} must" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
 
 

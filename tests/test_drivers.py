@@ -1,5 +1,7 @@
 """VoX and SpanRL outer loops, schedules, covers, reward optimization."""
 
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -75,6 +77,23 @@ def test_schedule_validation():
         SpanrlSchedule(n_replearn=0, n_estvec=10, n_psdp=10)
     s = SpanrlSchedule.paper(eps=0.05, d=2, A=2, n_candidates=4, H=3)
     assert min(s.n_replearn, s.n_estvec, s.n_psdp) >= 1
+
+
+def test_a_bad_C_or_eps_is_rejected_before_any_episode():
+    M = boosted_env(seed=8)
+    Phi = make_feature_class(M, n_decoys=1, rng=np.random.default_rng(8))
+    rng, counter = np.random.default_rng(9), EpisodeCounter()
+    vox, spanrl = vox_micro_schedule(), spanrl_micro_schedule()
+    for C in (0.5, 1.0, 2.5):
+        with pytest.raises(VoxlabError, match="C must be in"):
+            run_vox(M, Phi, dataclasses.replace(vox, C=C), rng, counter=counter)
+    with pytest.raises(VoxlabError, match="C must exceed 1"):
+        run_spanrl(M, Phi, 0.1, dataclasses.replace(spanrl, C=1.0), rng,
+                   counter=counter)
+    for eps in (0.0, 1.0, 1.5):
+        with pytest.raises(VoxlabError, match="eps must be in"):
+            run_spanrl(M, Phi, eps, spanrl, rng, counter=counter)
+    assert counter.count == 0
 
 
 # ---------------------------------------------------------------- mixtures
@@ -262,6 +281,42 @@ def test_spanrl_fills_an_unfilled_spanner_column_with_uniform_play(monkeypatch):
             assert np.array_equal(filled.table(t),
                                   np.full((M.n_states(t), M.A), 1.0 / M.A))
 
+    # two columns holding one policy stay two entries at 1/d each
+    def second_column_repeats_the_first(*args, **kwargs):
+        state = robust_spanner(*args, **kwargs)
+        state.indices[1] = state.indices[0]
+        return state
+
+    monkeypatch.setattr(drivers, "robust_spanner", second_column_repeats_the_first)
+    result = run_spanrl(M, Phi, 0.1, spanrl_micro_schedule(),
+                        np.random.default_rng(9))
+    for h in range(2, M.H):
+        cover = result.covers.distribution(h)
+        assert cover.support_size == Phi.d
+        assert np.array_equal(cover.weights, np.full(Phi.d, 1.0 / Phi.d))
+        first, second = result.covers.psis[h][:2]
+        assert first.action_key() == second.action_key()
+
+
+def test_covers_play_the_mdps_cached_uniform_steps():
+    # every uniform layer of a stored cover policy (layers 0 and 1 of the
+    # first two covers, and the tail from layer h-1 on of cover h) shares
+    # its table and sampler form with the MDP's one-layer uniform step
+    M = boosted_env(seed=8, H=4)
+    Phi = make_feature_class(M, n_decoys=1, rng=np.random.default_rng(8))
+    for result in (
+        run_vox(M, Phi, vox_micro_schedule(), np.random.default_rng(3)),
+        run_spanrl(M, Phi, 0.1, spanrl_micro_schedule(),
+                   np.random.default_rng(9)),
+    ):
+        for h in range(M.H):
+            for pi in result.covers.distribution(h).policies:
+                for t in range(max(h - 1, pi.lo), pi.hi + 1):
+                    step = M._uniforms[t]
+                    assert step is not None, (result.covers.kind, h, t)
+                    assert pi.table(t) is step.tables[0]
+                    assert pi._forms[t - pi.lo] is step._forms[0]
+
 
 # ------------------------------------------------------------ optimization
 
@@ -401,3 +456,48 @@ def test_run_result_json_is_deterministic():
     payload = json.loads(r1.to_json())
     assert set(payload) == {"covers", "episode_count", "log"}
     assert payload["episode_count"] == r1.episodes
+
+
+# SHA-256 of fixed-seed run JSON; a change that moves any RNG draw, log
+# field or cover entry changes them
+GOLDEN = {
+    "vox": "5a171e42896a1c453f33994fd5e21a51605e2d76f401bc91424f5d31325ae5a6",
+    "spanrl": "0e2233b1376776eba4dbb4f38c55d06adb809c069d588aea6032b7fdf2b4d33b",
+}
+
+
+def test_fixed_seed_run_json_matches_the_recorded_hash():
+    M = boosted_env(seed=2, H=4)
+    Phi = make_feature_class(M, n_decoys=1, rng=np.random.default_rng(2))
+    runs = {
+        "vox": run_vox(M, Phi, vox_micro_schedule(K=2), np.random.default_rng(3)),
+        "spanrl": run_spanrl(M, Phi, 0.1, spanrl_micro_schedule(),
+                             np.random.default_rng(9)),
+    }
+    got = {kind: hashlib.sha256(r.to_json().encode()).hexdigest()
+           for kind, r in runs.items()}
+    assert got == GOLDEN
+
+
+def test_drivers_call_the_traced_functions_through_their_module_bindings(
+        monkeypatch):
+    # the benchmark's tracer swaps these `voxlab.drivers` bindings; a
+    # function captured when the drivers were defined would escape it
+    names = ("rep_learn", "psdp", "est_mat", "est_vec", "fw_optdesign",
+             "robust_spanner")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(drivers, name, counting(name, getattr(drivers, name)))
+    M = boosted_env(seed=21)
+    Phi = make_feature_class(M, n_decoys=1, rng=np.random.default_rng(21))
+    rng = np.random.default_rng(22)
+    run_vox(M, Phi, vox_micro_schedule(K=1), rng)
+    run_spanrl(M, Phi, 0.1, spanrl_micro_schedule(), rng)
+    assert all(calls.values()), calls
