@@ -17,6 +17,7 @@ ROW_SUM_TOL = 1e-9
 NEG_TOL = 1e-12
 WEIGHT_TOL = 1e-12
 NORM_TOL = 1e-12
+EIG_TOL = 1e-12
 
 
 class VoxlabError(Exception):
@@ -159,6 +160,9 @@ class Policy:
     construction: the sampler's form of each table (`simenv._policy_form`)
     is built on first use and cached on the policy, and `compose_policies`
     carries the forms built so far into the policy it returns.
+
+    Policies compare and hash by value (`action_key`), so a dict keyed by
+    policies merges equal ones and keeps the first as its key.
     """
 
     def __init__(self, lo, tables):
@@ -168,6 +172,7 @@ class Policy:
             if t.ndim != 2:
                 raise VoxlabError("policy tables must be 2-d (states x actions)")
         self._forms = [None] * len(self.tables)
+        self._key = None
 
     @property
     def hi(self):
@@ -184,8 +189,20 @@ class Policy:
         return self.tables[h - self.lo]
 
     def action_key(self):
-        """Hashable digest of the tables, used to deduplicate policies."""
-        return tuple(t.tobytes() for t in self.tables) + (self.lo,)
+        """Hashable value of the policy: its first layer and each table's
+        shape and bytes, built once."""
+        if self._key is None:
+            self._key = (self.lo,) + tuple((t.shape, t.tobytes())
+                                           for t in self.tables)
+        return self._key
+
+    def __eq__(self, other):
+        if not isinstance(other, Policy):
+            return NotImplemented
+        return self.action_key() == other.action_key()
+
+    def __hash__(self):
+        return hash(self.action_key())
 
     @staticmethod
     def uniform(mdp, lo=0, hi=None):
@@ -307,6 +324,19 @@ class Discriminator:
         """Evaluate f on every state of layer h (vector of per-state maxima)."""
         table = Phi[self.phi_index][h]  # (n_h, A, d)
         return (table @ self.theta).max(axis=1)
+
+
+def psd_part(W, what):
+    """The symmetrized square matrix W with eigenvalues in [-EIG_TOL, 0)
+    clipped to zero; raises if one is below -EIG_TOL, naming W ``what``."""
+    W = 0.5 * (W + W.T)
+    vals, vecs = np.linalg.eigh(W)
+    if vals[0] < -EIG_TOL:
+        raise VoxlabError(f"{what} is not PSD (min eigenvalue {vals[0]:.3e})")
+    if vals[0] < 0.0:
+        W = (vecs * np.maximum(vals, 0.0)) @ vecs.T
+        W = 0.5 * (W + W.T)
+    return W
 
 
 def compose_policies(prefix, suffix):

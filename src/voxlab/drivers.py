@@ -36,7 +36,7 @@ from voxlab.core import (
 )
 from voxlab.estimators import est_mat, est_vec
 from voxlab.optdesign import DesignOracles, fw_optdesign
-from voxlab.psdp import RewardSpec, ValueClass, psdp
+from voxlab.psdp import ValueClass, linear_reward, psdp, quadratic_reward
 from voxlab.replearn import RepLearnConfig, rep_learn
 from voxlab.simenv import EpisodeCounter, _uniform_step, exact_policy_value
 from voxlab.spanner import robust_spanner
@@ -114,7 +114,8 @@ class SpanrlSchedule:
 
 
 def mix_distributions(parts):
-    """Convex combination of policy distributions with action-table dedup.
+    """Convex combination of policy distributions; equal policies merge into
+    the first of them.
 
     ``parts`` is a sequence of (PolicyDistribution, coefficient) with
     coefficients summing to 1.
@@ -122,19 +123,13 @@ def mix_distributions(parts):
     total = sum(coef for _, coef in parts)
     if abs(total - 1.0) > 1e-9:
         raise VoxlabError(f"mixture coefficients sum to {total}, expected 1")
-    policies, weights, seen = [], [], {}
+    merged = {}
     for dist, coef in parts:
         if coef == 0.0:
             continue
         for pi, w in zip(dist.policies, dist.weights):
-            key = (pi.lo, pi.action_key())
-            if key in seen:
-                weights[seen[key]] += coef * w
-            else:
-                seen[key] = len(policies)
-                policies.append(pi)
-                weights.append(coef * w)
-    return PolicyDistribution(policies, weights)
+            merged[pi] = merged.get(pi, 0.0) + coef * w
+    return PolicyDistribution(list(merged), list(merged.values()))
 
 
 @dataclass
@@ -220,22 +215,9 @@ def _uniform(M, lo, hi):
                             Policy.empty(lo))
 
 
-def _interning(solve):
-    """LinOpt over policy indices: equal policies from ``solve`` share one index.
-
-    Returns (lin_opt, interned) where ``interned[z]`` is the policy of index z.
-    """
-    interned, seen = [], {}
-
-    def lin_opt(query):
-        pol = solve(query)
-        key = pol.action_key()
-        if key not in seen:
-            seen[key] = len(interned)
-            interned.append(pol)
-        return seen[key]
-
-    return lin_opt, interned
+def _top_layer_rewards(M, h, top):
+    """Reward tables for layers 0..h: zero below h, ``top`` at h."""
+    return [np.zeros((M.n_states(t), M.A)) for t in range(h)] + [top]
 
 
 def _explore(M, Phi, schedule, rng, counter, covers, log, design, K=1):
@@ -275,18 +257,15 @@ def run_vox(M, Phi, schedule: VoxSchedule, rng, counter=None) -> RunResult:
     def design(hc, k, tab, row):
         phiphi = np.einsum("xad,xae->xade", tab, tab)
 
-        def solve(Mquery):
-            rewards = RewardSpec.quadratic(Mquery, tab, hc)
+        def lin_opt(Mquery):
+            top = quadratic_reward(Mquery, tab)
             classes = [ValueClass.ball(Phi, math.sqrt(Phi.d)) for _ in range(hc)]
-            classes.append(ValueClass.singleton(rewards.layer_table(M, hc)))
-            return psdp(M, hc, rewards, classes, covers[:hc + 1],
-                        schedule.n_psdp, rng, counter=counter)
+            classes.append(ValueClass.singleton(top))
+            return psdp(M, hc, _top_layer_rewards(M, hc, top), classes,
+                        covers[:hc + 1], schedule.n_psdp, rng, counter=counter)
 
-        lin_opt, interned = _interning(solve)
-
-        def lin_est(Pdict):
-            dist = PolicyDistribution([interned[z] for z in Pdict],
-                                      list(Pdict.values()))
+        def lin_est(P):
+            dist = PolicyDistribution(list(P), list(P.values()))
             return est_mat(M, hc, phiphi, dist, schedule.n_estmat, rng,
                            counter=counter)
 
@@ -300,8 +279,7 @@ def run_vox(M, Phi, schedule: VoxSchedule, rng, counter=None) -> RunResult:
         row.update(k=k, fw_iters=state.iterations, certificate=state.certificate,
                    support=state.support_size,
                    trace=[[int(t), float(o), float(c)] for t, o, c in state.trace])
-        return PolicyDistribution([interned[z] for z in state.P],
-                                  list(state.P.values()))
+        return PolicyDistribution(list(state.P), list(state.P.values()))
 
     _explore(M, Phi, schedule, rng, counter, covers, log, design, K=schedule.K)
     coverset = CoverSet(kind="vox", H=M.H, layers=covers,
@@ -321,17 +299,15 @@ def run_spanrl(M, Phi, eps, schedule: SpanrlSchedule, rng,
                    PolicyDistribution.point_mass(_uniform(M, 0, M.H - 1))], []
 
     def design(hc, k, tab, row):
-        def solve(theta):
-            rewards = RewardSpec.linear(theta, tab, hc)
+        def lin_opt(theta):
+            rewards = _top_layer_rewards(M, hc, linear_reward(theta, tab))
             classes = [ValueClass.ball(Phi, 2.0 * math.sqrt(d))
                        for _ in range(hc + 1)]
             return psdp(M, hc, rewards, classes, covers[:hc + 1],
                         schedule.n_psdp, rng, counter=counter)
 
-        lin_opt, interned = _interning(solve)
-
-        def lin_est(z):
-            return est_vec(M, hc, tab, interned[z], schedule.n_estvec, rng,
+        def lin_est(pi):
+            return est_vec(M, hc, tab, pi, schedule.n_estvec, rng,
                            counter=counter)
 
         try:
@@ -343,8 +319,8 @@ def run_spanrl(M, Phi, eps, schedule: SpanrlSchedule, rng,
         row.update(spanner_rounds=state.rounds, oracle_calls=state.oracle_calls)
         # a column the spanner left unfilled plays uniform up to layer hc
         return PolicyDistribution(
-            [interned[z] if z is not None else _uniform(M, 0, hc)
-             for z in state.indices], [1.0 / d] * d)
+            [pi if pi is not None else _uniform(M, 0, hc)
+             for pi in state.indices], [1.0 / d] * d)
 
     _explore(M, Phi, schedule, rng, counter, covers, log, design)
     coverset = CoverSet(kind="spanrl", H=M.H, layers=covers,
@@ -374,11 +350,10 @@ def optimize_reward(M, covers: CoverSet, thetas, Phi, n, rng, counter=None):
         if np.linalg.norm(th) > 1.0 + 1e-12:
             raise VoxlabError(f"reward vector at layer {t} has norm > 1")
     tables = [M.phi[t] @ thetas[t] for t in range(M.H - 1)]
-    rewards = RewardSpec.table(tables)
     top = M.H - 2
     radius = 2.0 * M.H * math.sqrt(Phi.d)
     classes = [ValueClass.ball(Phi, radius) for _ in range(top + 1)]
     dists = [covers.distribution(t) for t in range(top + 1)]
-    pol = psdp(M, top, rewards, classes, dists, n, rng, counter=counter)
+    pol = psdp(M, top, tables, classes, dists, n, rng, counter=counter)
     value = exact_policy_value(M, pol, tables)
     return pol, value

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from voxlab.core import VoxlabError
+from voxlab.core import VoxlabError, psd_part
 from voxlab.simenv import rollin
-
-EIG_TOL = 1e-12
 
 
 def visit_counts(M, h, pi, n, rng, counter=None):
@@ -42,11 +40,4 @@ def est_mat(M, h, F, pi, n, rng, counter=None):
     out = est_vec(M, h, F, pi, n, rng, counter=counter)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise VoxlabError(f"est_mat needs a square matrix functional, got {out.shape}")
-    out = 0.5 * (out + out.T)
-    vals, vecs = np.linalg.eigh(out)
-    if vals[0] < -EIG_TOL:
-        raise VoxlabError(f"matrix functional is not PSD (min eigenvalue {vals[0]:.3e})")
-    if vals[0] < 0.0:
-        out = (vecs * np.maximum(vals, 0.0)) @ vecs.T
-        out = 0.5 * (out + out.T)
-    return out
+    return psd_part(out, "matrix functional")

@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from voxlab.core import Policy, VoxlabError, as_distribution
-from voxlab.drivers import _interning
 from voxlab.simenv import (
     DEFAULT_DP_BUDGET,
     argmax_policy,
@@ -208,14 +207,11 @@ def coverability_ratio(M, h, C=1.0075, eps=1e-9, budget=DEFAULT_DP_BUDGET):
         raise VoxlabError("coverability is defined from layer 1 on")
     feat = M.phi[h - 1]
     d = feat.shape[2]
-    lin_opt, interned = _interning(lambda theta: argmax_policy(M, h - 1, feat @ theta))
-
-    def lin_est(z):
-        return exact_feature_expectation(M, interned[z], feat, h - 1)
-
-    state = robust_spanner(lin_opt, lin_est, C, eps, d)
-    chosen = [interned[z] if z is not None else Policy.uniform(M, 0, h - 1)
-              for z in state.indices]
+    state = robust_spanner(
+        lambda theta: argmax_policy(M, h - 1, feat @ theta),
+        lambda pi: exact_feature_expectation(M, pi, feat, h - 1), C, eps, d)
+    chosen = [pi if pi is not None else Policy.uniform(M, 0, h - 1)
+              for pi in state.indices]
     rho = np.mean([exact_occupancy(M, pi, h) for pi in chosen], axis=0)
     maxima = max_occupancies(M, h, budget)
     live = maxima > 0

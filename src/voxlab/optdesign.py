@@ -17,14 +17,13 @@ from typing import Any, Callable
 
 import numpy as np
 
-from voxlab.core import BudgetError, VoxlabError
-
-EIG_TOL = 1e-12
+from voxlab.core import BudgetError, VoxlabError, psd_part
 
 
 @dataclass
 class DesignOracles:
-    """Oracle pair over an abstract index set, plus the ambient dimension."""
+    """Oracle pair over an abstract set of hashable indices (the drivers use
+    policies, which hash by value), plus the ambient dimension."""
 
     dim: int
     lin_opt: Callable[[np.ndarray], Any]
@@ -59,15 +58,8 @@ def _clean_psd(W, d, fro_cap):
     W = np.asarray(W, dtype=float)
     if W.shape != (d, d):
         raise VoxlabError(f"lin_est returned shape {W.shape}, expected ({d}, {d})")
-    W = 0.5 * (W + W.T)
-    vals, vecs = np.linalg.eigh(W)
-    if vals[0] < -EIG_TOL:
-        raise VoxlabError(f"lin_est output is not PSD (min eigenvalue {vals[0]:.3e})")
+    W = psd_part(W, "lin_est output")
     clipped = False
-    if vals[0] < 0.0:
-        vals = np.maximum(vals, 0.0)
-        W = (vecs * vals) @ vecs.T
-        W = 0.5 * (W + W.T)
     fro = float(np.linalg.norm(W))
     if fro_cap is not None and fro > fro_cap:
         W = W * (fro_cap / fro)
@@ -99,8 +91,6 @@ def fw_optdesign(oracles: DesignOracles, C, gamma, max_iters=None) -> DesignStat
         raise VoxlabError(f"C must be in (1, 2], got {C}")
     if not 0.0 < gamma < 1.0:
         raise VoxlabError(f"gamma must be in (0, 1), got {gamma}")
-    if gamma * C >= 2.5:
-        raise VoxlabError(f"need gamma*C < 5/2, got {gamma * C}")
     bound = fw_iteration_bound(C, gamma, d)
     if max_iters is None:
         max_iters = 2 * bound

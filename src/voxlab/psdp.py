@@ -15,103 +15,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from voxlab.core import Policy, VoxlabError, _freeze, compose_policies
+from voxlab.core import Policy, VoxlabError, compose_policies
 from voxlab.simenv import _greedy_step, _uniform_step, rollin
 
 NORM_EPS = 1e-10
 
 
-class RewardSpec:
-    """Per-layer reward function, one of three kinds.
+def quadratic_reward(mat, feat):
+    """The (n, A) table phi(x, a)^T mat phi(x, a) of the (n, A, d) feature
+    table feat, clipped to [0, ||mat||_op], its range by Cauchy-Schwarz when
+    ||phi|| <= 1, so the regression targets stay inside the bounds the
+    guarantees assume."""
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise VoxlabError(f"quadratic reward needs a square matrix, got {mat.shape}")
+    vals = np.einsum("xad,de,xae->xa", feat, mat, feat)
+    return np.clip(vals, 0.0, float(np.linalg.norm(mat, 2)))
 
-    quadratic: r(x, a) = phi(x, a)^T mat phi(x, a) at a single layer, zero
-      elsewhere; range [0, ||mat||_op] by Cauchy-Schwarz when ||phi|| <= 1.
-    linear: r(x, a) = phi(x, a)^T theta at a single layer; range
-      [-||theta||, ||theta||].
-    table: explicit (n_t, A) reward tables for layers 0..top.
 
-    Entries of materialized tables are clipped to the declared range so the
-    regression targets stay inside the bounds the guarantees assume.  A
-    quadratic or linear spec keeps read-only copies of the arrays it is
-    built from, and builds the table of its own layer once, on first use:
-    `layer_table` returns that one read-only array on every call.
-    """
-
-    def __init__(self, kind, *, mat=None, theta=None, feat_table=None, layer=None,
-                 tables=None):
-        self.kind = kind
-        self.mat = mat
-        self.theta = theta
-        self.feat_table = feat_table
-        self.layer = layer
-        self._tables = tables
-        self._own = None
-
-    @classmethod
-    def quadratic(cls, mat, feat_table, layer):
-        mat = _freeze(mat)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise VoxlabError(f"quadratic reward needs a square matrix, got {mat.shape}")
-        return cls("quadratic", mat=mat, feat_table=_freeze(feat_table),
-                   layer=int(layer))
-
-    @classmethod
-    def linear(cls, theta, feat_table, layer):
-        return cls("linear", theta=_freeze(theta), feat_table=_freeze(feat_table),
-                   layer=int(layer))
-
-    @classmethod
-    def table(cls, tables):
-        tabs = [np.asarray(t, dtype=float) for t in tables]
-        if not tabs:
-            raise VoxlabError("table reward needs at least one layer")
-        return cls("table", tables=tabs)
-
-    @property
-    def top_layer(self):
-        if self.kind == "table":
-            return len(self._tables) - 1
-        return self.layer
-
-    def bound(self):
-        """Declared range bound on |r|."""
-        if self.kind == "quadratic":
-            return float(np.linalg.norm(self.mat, 2))
-        if self.kind == "linear":
-            return float(np.linalg.norm(self.theta))
-        return float(max(np.abs(t).max() for t in self._tables))
-
-    def layer_table(self, M, t):
-        """Materialize the (n_t, A) reward table for layer t, clipped to range.
-
-        Every kind's table is checked to be (n_t, A), so a caller may index
-        it flat by ``x * A + a``."""
-        tab = self._layer_table(M, t)
-        if tab.shape != (M.n_states(t), M.A):
-            raise VoxlabError(
-                f"reward table at layer {t} has shape {tab.shape}, expected "
-                f"({M.n_states(t)}, {M.A})"
-            )
-        return tab
-
-    def _layer_table(self, M, t):
-        if self.kind == "table":
-            return self._tables[t]
-        if t != self.layer:
-            return np.zeros((M.n_states(t), M.A))
-        if self._own is None:
-            b = self.bound()
-            if self.kind == "quadratic":
-                vals = np.einsum("xad,de,xae->xa", self.feat_table, self.mat,
-                                 self.feat_table)
-                self._own = np.clip(vals, 0.0, b)
-            else:
-                self._own = np.clip(self.feat_table @ self.theta, -b, b)
-            self._own.setflags(write=False)
-        return self._own
-
-    def all_tables(self, M):
-        return [self.layer_table(M, t) for t in range(self.top_layer + 1)]
+def linear_reward(theta, feat):
+    """The (n, A) table phi(x, a)^T theta of the (n, A, d) feature table
+    feat, clipped to [-||theta||, ||theta||]."""
+    theta = np.asarray(theta, dtype=float)
+    bound = float(np.linalg.norm(theta))
+    return np.clip(feat @ theta, -bound, bound)
 
 
 class ValueClass:
@@ -354,12 +281,13 @@ def fit_value_class(data: RegressionData, cls: ValueClass):
                        loss=float(losses[i, 0]))
 
 
-def psdp(M, h, rewards: RewardSpec, classes, covers, n, rng, counter=None):
+def psdp(M, h, rewards, classes, covers, n, rng, counter=None):
     """Backward regression of roll-out returns; returns a greedy policy on [0..h].
 
-    For t = h down to 0: draw n episodes with roll-in policy sampled from
-    covers[t], a uniform action at layer t, and the already-built greedy
-    suffix afterwards; regress the observed return-to-go at (x_t, a_t) onto
+    ``rewards[t]`` is the (|X_t|, A) reward table of layer t.  For t = h
+    down to 0: draw n episodes with roll-in policy sampled from covers[t],
+    a uniform action at layer t, and the already-built greedy suffix
+    afterwards; regress the observed return-to-go at (x_t, a_t) onto
     classes[t]; act greedily w.r.t. the fit at layer t.
     """
     if n < 1:
@@ -369,7 +297,18 @@ def psdp(M, h, rewards: RewardSpec, classes, covers, n, rng, counter=None):
             f"need value classes and covers for layers 0..{h}, got "
             f"{len(classes)} and {len(covers)}"
         )
-    reward_flat = [rewards.layer_table(M, t).ravel() for t in range(h + 1)]
+    if len(rewards) < h + 1:
+        raise VoxlabError(f"need reward tables for layers 0..{h}, got {len(rewards)}")
+    reward_flat = []
+    for t in range(h + 1):
+        tab = np.asarray(rewards[t], dtype=float)
+        # read flat at x * A + a below, so a misshaped table must not pass
+        if tab.shape != (M.n_states(t), M.A):
+            raise VoxlabError(
+                f"reward table at layer {t} has shape {tab.shape}, expected "
+                f"({M.n_states(t)}, {M.A})"
+            )
+        reward_flat.append(tab.ravel())
     # the greedy policy on layers t+1..h, grown one layer per step
     greedy = Policy.empty(h + 1)
     # one roll-in pair, refilled for every t; layer t's returns are read

@@ -368,12 +368,12 @@ def sample_trajectories(M, pi, n, rng, upto=None, counter=None, out=None):
     return states, actions
 
 
-def rollin(M, P, n, rng, upto, tail=(), counter=None, out=None):
+def rollin(M, P, n, rng, upto, tail=None, counter=None, out=None):
     """``n`` episodes through layer ``upto``, each rolled in with a policy drawn from P.
 
     Every episode follows its drawn policy on layers 0..upto-k and the fixed
-    ``tail`` on the k remaining layers: a Policy on layers upto-k+1..upto, or
-    a sequence of k tables, made one Policy per call.  The policy is redrawn
+    ``tail`` on the k remaining layers: a Policy on layers upto-k+1..upto,
+    with no layers (k = 0) if not given.  The policy is redrawn
     every episode; this is implemented by grouping episode counts with one
     multinomial draw, which has the same law and lets the sampler run
     vectorized per component, each into its own columns of one output pair.
@@ -388,8 +388,7 @@ def rollin(M, P, n, rng, upto, tail=(), counter=None, out=None):
     _check_layer(M, upto)
     P = as_distribution(P)
     states, actions = _output_pair(out, (upto + 1, n))
-    if not isinstance(tail, Policy):
-        tail = Policy(upto + 1 - len(tail), tail)
+    tail = Policy.empty(upto + 1) if tail is None else tail
     head = upto + 1 - len(tail.tables)
     if tail.tables and tail.lo != head:
         raise LayerRangeError(

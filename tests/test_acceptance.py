@@ -37,7 +37,7 @@ from voxlab.optdesign import (
     fw_iteration_bound,
     fw_optdesign,
 )
-from voxlab.psdp import RewardSpec, ValueClass, psdp
+from voxlab.psdp import ValueClass, psdp
 from voxlab.replearn import RepLearnConfig, exact_transfer_error, rep_learn
 from voxlab.simenv import (
     EpisodeCounter,
@@ -218,18 +218,16 @@ def test_c05_psdp_near_optimal_with_exhaustive_covers():
         M = small_env(seed=4000 + seed, H=3, A=2, d=2,
                       states=shapes[seed % len(shapes)])
         tabs = [rng.random((n, M.A)) / M.H for n in M.state_counts()]
-        spec = RewardSpec.table(tabs)
         Phi = onehot_feature_class(M)
         classes = [
             ValueClass.ball(Phi, radius=3.0 * np.sqrt(M.n_states(t) * M.A))
             for t in range(3)
         ]
-        pi = psdp(M, 2, spec, classes, _all_det_covers(M, 2), 20000, rng)
-        gap = dp_optimal_value(M, spec.all_tables(M)) \
-            - exact_policy_value(M, pi, spec.all_tables(M))
+        pi = psdp(M, 2, tabs, classes, _all_det_covers(M, 2), 20000, rng)
+        gap = dp_optimal_value(M, tabs) - exact_policy_value(M, pi, tabs)
         hits += gap <= 0.05
-        pi_star = dp_optimal_policy(M, spec.all_tables(M))
-        assert pdl_check(M, pi, pi_star, spec.all_tables(M)) <= 1e-10, seed
+        pi_star = dp_optimal_policy(M, tabs)
+        assert pdl_check(M, pi, pi_star, tabs) <= 1e-10, seed
     assert hits >= 18, hits
     assert time.monotonic() - t0 < 60.0
 

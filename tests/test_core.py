@@ -42,6 +42,31 @@ def test_policy_rejects_bad_tables(env):
     assert pi.action_key() == pi.action_key()
 
 
+def test_policies_compare_and_hash_by_value(env):
+    tabs = [np.full((env.n_states(t), env.A), 1.0 / env.A) for t in range(2)]
+    a, b = Policy(0, tabs), Policy(0, [t.copy() for t in tabs])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != Policy(1, tabs)  # same tables from another layer on
+    assert a != Policy(0, [t.reshape(1, -1) for t in tabs])  # same bytes
+    assert a != Policy(0, tabs[:1]) and a != Policy.from_actions(env, [0, 0])
+    assert a != tabs and Policy.empty(2) == Policy.empty(2) != Policy.empty(3)
+    # a dict keyed by policies merges equal ones into the first key
+    merged = {}
+    for pi in (a, Policy(1, tabs), b):
+        merged[pi] = merged.get(pi, 0) + 1
+    assert list(merged.values()) == [2, 1] and next(iter(merged)) is a
+
+
+def test_every_exported_name_resolves():
+    import voxlab
+
+    namespace = {}
+    exec("from voxlab import *", namespace)
+    assert all(name in namespace for name in voxlab.__all__)
+    assert len(set(voxlab.__all__)) == len(voxlab.__all__)
+    assert {"linear_reward", "quadratic_reward"} <= set(voxlab.__all__)
+
+
 def test_freezing_copies_writeable_inputs_and_shares_frozen_ones(env):
     t = np.full((2, 2), 0.5)
     pi = Policy(0, [t])

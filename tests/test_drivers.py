@@ -29,7 +29,7 @@ from voxlab.drivers import (
 from voxlab.estimators import est_mat, est_vec
 from voxlab.evalcover import check_policy_cover
 from voxlab.optdesign import fw_iteration_bound
-from voxlab.psdp import RewardSpec, ValueClass, psdp
+from voxlab.psdp import ValueClass, linear_reward, psdp
 from voxlab.replearn import RepLearnConfig, RepLearnDataset
 from voxlab.simenv import make_feature_class
 from voxlab.spanner import robust_spanner
@@ -121,9 +121,8 @@ def test_rollin_mixture_places_half_mass_on_base_cover(env):
     k = 3
     parts = [(base, 0.5)] + [(D, 1.0 / (2.0 * (k - 1))) for D in (d1, d2)]
     mixed = mix_distributions(parts)
-    key = (0, base.policies[0].action_key())
     mass = sum(w for pi, w in zip(mixed.policies, mixed.weights)
-               if (pi.lo, pi.action_key()) == key)
+               if pi == base.policies[0])
     assert mass == pytest.approx(0.5, abs=1e-12)
 
 
@@ -403,7 +402,8 @@ def test_every_episode_is_drawn_through_the_module_sampler(monkeypatch):
     covers = run_spanrl(M, Phi, 0.1, spanrl_micro_schedule(), rng).covers
     thetas = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     paths = {
-        "psdp": lambda c: psdp(M, 1, RewardSpec.linear(thetas[0], feat, 1),
+        "psdp": lambda c: psdp(M, 1, [np.zeros((M.n_states(0), M.A)),
+                                      linear_reward(thetas[0], feat)],
                                classes, [unif, unif], 300, rng, counter=c),
         "est_mat": lambda c: est_mat(M, 1, phiphi, unif, 300, rng, counter=c),
         "est_vec": lambda c: est_vec(M, 1, feat, unif, 300, rng, counter=c),

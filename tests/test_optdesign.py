@@ -12,6 +12,7 @@ from voxlab.optdesign import (
     fw_optdesign,
 )
 
+from conftest import policy_design_oracles, small_env
 from oracles import oracle_design_certificate
 
 
@@ -193,3 +194,34 @@ def test_frobenius_cap_counts_clips():
     state = fw_optdesign(DesignOracles(dim=2, lin_opt=lin_opt, lin_est=lin_est),
                          C=2.0, gamma=0.3)
     assert state.fro_clips >= 1
+
+
+def test_policy_keyed_design_matches_the_integer_indexed_one():
+    # a lin_opt that returns a fresh Policy object on every call: keyed by
+    # value, the design merges equal policies exactly as integer indices do
+    from voxlab.simenv import argmax_policy, exact_second_moment
+
+    for seed in range(4):
+        M = small_env(seed=seed, H=3, A=2, d=2, states=(2, 3, 3))
+        feat, returned = M.phi[1], []
+
+        def lin_opt(Q):
+            returned.append(argmax_policy(
+                M, 1, np.einsum("xad,de,xae->xa", feat, Q, feat)))
+            return returned[-1]
+
+        def lin_est(P):
+            return sum(w * exact_second_moment(M, pi, feat, 1) for pi, w in P.items())
+
+        by_index, interned = policy_design_oracles(M, feat, 1)
+        want = fw_optdesign(by_index, C=2.0, gamma=0.1)
+        got = fw_optdesign(DesignOracles(2, lin_opt, lin_est), C=2.0, gamma=0.1)
+        assert got.iterations == want.iterations and got.trace == want.trace
+        assert got.certificate == want.certificate
+        assert list(got.P) == [interned[z] for z in want.P]
+        assert list(got.P.values()) == list(want.P.values())
+        assert np.array_equal(got.M, want.M)
+        # each call returned a new object, and the first of equal ones is kept
+        assert len({id(pi) for pi in returned}) == len(returned) > len(got.P)
+        assert all(any(pi is r for r in returned) for pi in got.P)
+        assert next(iter(got.P)) is returned[0]

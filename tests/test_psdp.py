@@ -18,11 +18,12 @@ from voxlab import simenv
 from voxlab.psdp import (
     BallLeastSquares,
     RegressionData,
-    RewardSpec,
     ValueClass,
     ball_constrained_least_squares,
     fit_value_class,
+    linear_reward,
     psdp,
+    quadratic_reward,
 )
 from voxlab.simenv import (
     _greedy_step,
@@ -276,37 +277,39 @@ def test_stacked_factor_property(seed, K, S, m, d, radius, weighted):
     assert_slices_equal_one_design_factors(Zs, wts, mixed_batch(rng, S, m), radius)
 
 
-# ----------------------------------------------------------- reward specs
+# --------------------------------------------------------- reward tables
+
+
+def top_layer_rewards(M, h, top):
+    return [np.zeros((M.n_states(t), M.A)) for t in range(h)] + [top]
 
 
 def test_reward_spec_bounds_and_clipping(env):
     feat = env.phi[1]
     mat = np.array([[2.0, 0.0], [0.0, 1.0]])
-    spec = RewardSpec.quadratic(mat, feat, 1)
-    tab = spec.layer_table(env, 1)
-    assert tab.min() >= 0.0 and tab.max() <= spec.bound() + 1e-12
-    assert np.allclose(spec.layer_table(env, 0), 0.0)
-
+    tab = quadratic_reward(mat, feat)
+    assert tab.shape == (env.n_states(1), env.A)
+    assert tab.min() >= 0.0 and tab.max() <= 2.0 + 1e-12
     theta = np.array([0.6, -0.8])
-    lin = RewardSpec.linear(theta, feat, 1)
-    tab = lin.layer_table(env, 1)
+    tab = linear_reward(theta, feat)
+    assert tab.shape == (env.n_states(1), env.A)
     assert np.abs(tab).max() <= 1.0 + 1e-12
-    assert lin.bound() == pytest.approx(1.0)
+    with pytest.raises(VoxlabError, match="square matrix"):
+        quadratic_reward(np.ones((2, 3)), feat)
 
-    with pytest.raises(VoxlabError):
-        RewardSpec.quadratic(np.ones((2, 3)), feat, 1)
-    with pytest.raises(VoxlabError):
-        RewardSpec.table([])
-
-
-def test_reward_table_kind_shapes(env):
-    tabs = [np.ones((env.n_states(t), env.A)) for t in range(2)]
-    spec = RewardSpec.table(tabs)
-    assert spec.top_layer == 1
-    assert spec.bound() == 1.0
-    with pytest.raises(VoxlabError):
-        spec.layer_table(env, 0) if env.n_states(0) != tabs[0].shape[0] else \
-            RewardSpec.table([np.ones((99, env.A))]).layer_table(env, 0)
+    # features longer than 1 push the raw values out of range: the tables
+    # clip to [0, ||mat||_op] and [-||theta||, ||theta||], and no further
+    big = np.array([[[3.0, 0.0], [0.0, 0.1]], [[-3.0, 4.0], [0.0, 0.0]]])
+    tab = quadratic_reward(mat, big)
+    assert np.array_equal(tab, np.clip(np.einsum("xad,de,xae->xa", big, mat, big),
+                                       0.0, 2.0))
+    assert tab.max() == 2.0 and tab[0, 1] == pytest.approx(0.01)
+    tab = quadratic_reward(-mat, big)
+    assert np.array_equal(tab, np.zeros((2, 2)))
+    tab = linear_reward(theta, big)
+    assert np.array_equal(tab, np.clip(big @ theta, -1.0, 1.0))
+    assert tab.max() == 1.0 and tab.min() == -1.0
+    assert tab[0, 1] == pytest.approx(-0.08)
 
 
 @pytest.mark.parametrize("kind", ["linear", "quadratic"])
@@ -316,53 +319,28 @@ def test_feature_reward_kinds_reject_misshaped_feature_tables(env, kind, extra):
     # read a misplaced cell instead of failing
     n, A = env.n_states(1) + extra[0], env.A + extra[1]
     feat = np.full((n, A, 2), 0.5)
-    spec = (RewardSpec.linear(np.ones(2), feat, 1) if kind == "linear"
-            else RewardSpec.quadratic(np.eye(2), feat, 1))
-    with pytest.raises(VoxlabError, match=r"layer 1 has shape"):
-        spec.layer_table(env, 1)
+    top = (linear_reward(np.ones(2), feat) if kind == "linear"
+           else quadratic_reward(np.eye(2), feat))
     Phi = make_feature_class(env, n_decoys=1, rng=np.random.default_rng(0))
     classes = [ValueClass.ball(Phi, radius=1.0),
                ValueClass.singleton(np.zeros((env.n_states(1), env.A)))]
     with pytest.raises(VoxlabError, match=r"layer 1 has shape"):
-        psdp(env, 1, spec, classes, all_det_covers(env, 1), 20,
-             np.random.default_rng(1))
+        psdp(env, 1, top_layer_rewards(env, 1, top), classes,
+             all_det_covers(env, 1), 20, np.random.default_rng(1))
 
 
-@pytest.mark.parametrize("kind", ["linear", "quadratic"])
-def test_feature_reward_table_is_built_once_per_spec(env, kind, monkeypatch):
-    # a driver reads the top-layer table for its singleton class, then psdp
-    # reads it again: one build, shared, read-only
-    rng = np.random.default_rng(31)
-    feat = rng.random((env.n_states(1), env.A, 2))
-    arg = (rng.standard_normal(2) if kind == "linear"
-           else np.array([[2.0, 0.5], [0.5, 1.0]]))
-
-    def make():
-        return getattr(RewardSpec, kind)(arg, feat, 1)
-
-    builds = []
-    bound = RewardSpec.bound
-    monkeypatch.setattr(RewardSpec, "bound",
-                        lambda self: builds.append(self) or bound(self))
-    spec = make()
-    tab = spec.layer_table(env, 1)
-    Phi = make_feature_class(env, n_decoys=1, rng=rng)
-    psdp(env, 1, spec, [ValueClass.ball(Phi, radius=1.0),
-                        ValueClass.singleton(tab)],
-         all_det_covers(env, 1), 20, np.random.default_rng(1))
-    assert spec.layer_table(env, 1) is tab
-    assert builds == [spec]
-    fresh = make().layer_table(env, 1).tobytes()
-    assert tab.tobytes() == fresh
-    with pytest.raises(ValueError):
-        tab[0, 0] = 1.0
-    # the spec holds copies, so the caller's arrays cannot stale its table
-    spec = make()
-    feat[:] = 0.0
-    arg[...] = 0.0
-    assert spec.layer_table(env, 1).tobytes() == fresh
-    assert not (spec.feat_table.flags.writeable
-                or (spec.theta if kind == "linear" else spec.mat).flags.writeable)
+@pytest.mark.parametrize("bad_layer", [0, 1, 2])
+def test_psdp_rejects_short_reward_lists_and_misshaped_tables(env, bad_layer):
+    Phi = make_feature_class(env, n_decoys=1, rng=np.random.default_rng(0))
+    classes = [ValueClass.ball(Phi, radius=1.0) for _ in range(3)]
+    covers = all_det_covers(env, 2)
+    tabs = [np.zeros((env.n_states(t), env.A)) for t in range(3)]
+    with pytest.raises(VoxlabError, match=r"reward tables for layers 0..2, got 2"):
+        psdp(env, 2, tabs[:2], classes, covers, 20, np.random.default_rng(1))
+    tabs[bad_layer] = np.zeros((env.n_states(bad_layer), env.A + 1))
+    with pytest.raises(VoxlabError, match=rf"reward table at layer {bad_layer} "
+                                          r"has shape"):
+        psdp(env, 2, tabs, classes, covers, 20, np.random.default_rng(1))
 
 
 # ------------------------------------------------------- class fitting
@@ -488,7 +466,7 @@ def test_regression_data_aggregation_preserves_loss():
 def reference_psdp(M, h, rewards, classes, covers, n, rng, counter=None):
     """Frozen copy of the `psdp` loop that drew a fresh roll-in pair for every
     t and read rewards by 2-D indexing, rolled in by `reference_rollin`."""
-    reward_tabs = [rewards.layer_table(M, t) for t in range(h + 1)]
+    reward_tabs = rewards
     greedy = [None] * (h + 1)
     uniform_rows = [np.full((M.n_states(t), M.A), 1.0 / M.A) for t in range(h + 1)]
     for t in range(h, -1, -1):
@@ -518,15 +496,16 @@ def test_psdp_matches_the_fresh_rollin_reference(seed, H, A, kind, n):
     h = int(rng.integers(H))
     Phi = make_feature_class(M, n_decoys=1, rng=rng)
     if kind == "table":
-        spec = RewardSpec.table([rng.standard_normal((M.n_states(t), A))
-                                 for t in range(h + 1)])
+        tabs = [rng.standard_normal((M.n_states(t), A)) for t in range(h + 1)]
     elif kind == "linear":
-        spec = RewardSpec.linear(rng.standard_normal(2), M.phi[h] if h < H - 1
-                                 else rng.random((M.n_states(h), A, 2)), h)
+        tabs = top_layer_rewards(M, h, linear_reward(
+            rng.standard_normal(2), M.phi[h] if h < H - 1
+            else rng.random((M.n_states(h), A, 2))))
     else:
-        spec = RewardSpec.quadratic(np.eye(2), rng.random((M.n_states(h), A, 2)), h)
+        tabs = top_layer_rewards(M, h, quadratic_reward(
+            np.eye(2), rng.random((M.n_states(h), A, 2))))
     classes = [ValueClass.ball(Phi, radius=float(rng.uniform(0.5, 4.0)))
-               for _ in range(h)] + [ValueClass.singleton(spec.layer_table(M, h))]
+               for _ in range(h)] + [ValueClass.singleton(tabs[h])]
     pis = [Policy.from_actions(M, [rng.integers(A, size=M.n_states(t))
                                    for t in range(H)]),
            Policy(0, [rng.random((M.n_states(t), A)) for t in range(H)])]
@@ -535,7 +514,7 @@ def test_psdp_matches_the_fresh_rollin_reference(seed, H, A, kind, n):
     got, want, states = [], [], []
     for fn, out in ((reference_psdp, want), (psdp, got)):
         run_rng, counter = np.random.default_rng(seed + 1), EpisodeCounter()
-        out.append(fn(M, h, spec, classes, covers, n, run_rng, counter=counter))
+        out.append(fn(M, h, tabs, classes, covers, n, run_rng, counter=counter))
         states.append((run_rng.bit_generator.state, counter.count))
     assert all(np.array_equal(a, b) for a, b in zip(got[0].tables, want[0].tables))
     assert states[0] == states[1]
@@ -561,8 +540,7 @@ def test_policy_forms_are_built_once_per_policy(monkeypatch):
     assert len(builds) == 1 and not any(f is None for f in tail._forms)
     with pytest.raises(LayerRangeError, match=r"tail covering layers \[1..2\]"):
         rollin(M, P, 10, rng, 2, tail)
-    spec = RewardSpec.table([rng.standard_normal((M.n_states(t), M.A))
-                             for t in range(3)])
+    tabs = [rng.standard_normal((M.n_states(t), M.A)) for t in range(3)]
     classes = [ValueClass.ball(Phi, 2.0) for _ in range(3)]
     for run in ("cold", "warm"):
         builds.clear()
@@ -573,8 +551,8 @@ def test_policy_forms_are_built_once_per_policy(monkeypatch):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
         assert counter.count == 600
-        got = psdp(M, 2, spec, classes, [P] * 3, 400, got_rng, counter=counter)
-        want = reference_psdp(M, 2, spec, classes, [P] * 3, 400, want_rng)
+        got = psdp(M, 2, tabs, classes, [P] * 3, 400, got_rng, counter=counter)
+        want = reference_psdp(M, 2, tabs, classes, [P] * 3, 400, want_rng)
         assert all(np.array_equal(a, b) for a, b in zip(got.tables, want.tables))
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
         assert counter.count == 600 + 3 * 400
@@ -593,19 +571,18 @@ def test_policy_forms_are_built_once_per_policy(monkeypatch):
 def test_psdp_horizon_zero_is_exact_greedy(env):
     rng = np.random.default_rng(3)
     tab = rng.random((env.n_states(0), env.A))
-    spec = RewardSpec.table([tab])
     classes = [ValueClass.singleton(tab)]
     covers = [PolicyDistribution.point_mass(Policy.empty(0))]
-    pi = psdp(env, 0, spec, classes, covers, 50, np.random.default_rng(4))
+    pi = psdp(env, 0, [tab], classes, covers, 50, np.random.default_rng(4))
     got = exact_policy_value(env, pi, [tab])
     best = dp_optimal_value(env, [tab])
     assert abs(got - best) < 1e-12
 
 
 def test_psdp_zero_rewards_returns_a_valid_policy(env):
-    spec = RewardSpec.table([np.zeros((env.n_states(t), env.A)) for t in range(3)])
-    classes = [ValueClass.singleton(spec.layer_table(env, t)) for t in range(3)]
-    pi = psdp(env, 2, spec, classes, all_det_covers(env, 2), 30,
+    tabs = [np.zeros((env.n_states(t), env.A)) for t in range(3)]
+    classes = [ValueClass.singleton(tab) for tab in tabs]
+    pi = psdp(env, 2, tabs, classes, all_det_covers(env, 2), 30,
               np.random.default_rng(5))
     assert pi.covers(0, 2)
     for t in range(3):
@@ -620,13 +597,12 @@ def test_psdp_tabular_class_is_near_optimal():
     for seed in range(5):
         M = small_env(seed=seed, H=3, A=2, d=2, states=(3, 4, 4))
         tabs = [rng.random((M.n_states(t), M.A)) for t in range(3)]
-        spec = RewardSpec.table(tabs)
         Phi = onehot_feature_class(M)
         classes = [
             ValueClass.ball(Phi, radius=3.0 * np.sqrt(M.n_states(t) * M.A))
             for t in range(3)
         ]
-        pi = psdp(M, 2, spec, classes, all_det_covers(M, 2), 4000,
+        pi = psdp(M, 2, tabs, classes, all_det_covers(M, 2), 4000,
                   np.random.default_rng(100 + seed))
         got = exact_policy_value(M, pi, tabs)
         best = dp_optimal_value(M, tabs)
@@ -638,8 +614,7 @@ def test_psdp_realizability_of_returns(env):
     # under a linear-in-phi* reward the optimal Q at the top regressed layer
     # is linear in phi*: check the planted-weight identity w_t = theta
     theta = np.array([0.3, -0.7])
-    spec = RewardSpec.linear(theta, env.phi[1], 1)
-    tabs = spec.all_tables(env)
+    tabs = top_layer_rewards(env, 1, linear_reward(theta, env.phi[1]))
     pi_star = dp_optimal_policy(env, tabs)
     q = exact_q_tables(env, pi_star, tabs)
     # at the reward layer Q equals the clipped linear table itself
@@ -666,13 +641,13 @@ def test_psdp_performance_difference_decomposition():
 
 
 def test_psdp_argument_validation(env):
-    spec = RewardSpec.table([np.zeros((env.n_states(0), env.A))])
-    classes = [ValueClass.singleton(spec.layer_table(env, 0))]
+    tabs = [np.zeros((env.n_states(0), env.A))]
+    classes = [ValueClass.singleton(tabs[0])]
     covers = [PolicyDistribution.point_mass(Policy.empty(0))]
     with pytest.raises(VoxlabError):
-        psdp(env, 0, spec, classes, covers, 0, np.random.default_rng(8))
+        psdp(env, 0, tabs, classes, covers, 0, np.random.default_rng(8))
     with pytest.raises(VoxlabError):
-        psdp(env, 1, spec, classes, covers, 10, np.random.default_rng(9))
+        psdp(env, 1, tabs, classes, covers, 10, np.random.default_rng(9))
 
 
 def test_psdp_suboptimality_shrinks_with_samples():
@@ -680,7 +655,6 @@ def test_psdp_suboptimality_shrinks_with_samples():
     M = small_env(seed=17, H=3, A=2, d=2, states=(3, 3, 3))
     rng = np.random.default_rng(10)
     tabs = [rng.random((M.n_states(t), M.A)) for t in range(3)]
-    spec = RewardSpec.table(tabs)
     Phi = onehot_feature_class(M)
     classes = [ValueClass.ball(Phi, radius=3.0 * np.sqrt(9 * M.A)) for _ in range(3)]
     covers = all_det_covers(M, 2)
@@ -689,7 +663,7 @@ def test_psdp_suboptimality_shrinks_with_samples():
     for n in (40, 400, 4000):
         gaps = []
         for s in range(8):
-            pi = psdp(M, 2, spec, classes, covers, n, np.random.default_rng(1000 + s))
+            pi = psdp(M, 2, tabs, classes, covers, n, np.random.default_rng(1000 + s))
             gaps.append(best - exact_policy_value(M, pi, tabs))
         med[n] = float(np.median(gaps))
     assert med[4000] <= med[40] + 1e-9

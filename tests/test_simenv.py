@@ -382,14 +382,14 @@ def test_rollin_matches_the_per_component_loop(shape):
     greedy = Policy.from_actions(M, [rng.integers(M.A, size=M.n_states(t))
                                      for t in range(M.H)]).tables
     upto, tail = {
-        "plain": (3, ()),
-        "collect": (2, [unif[1], unif[2]]),
-        "psdp": (3, [unif[1]] + list(greedy[2:4])),
+        "plain": (3, Policy.empty(4)),
+        "collect": (2, Policy(1, [unif[1], unif[2]])),
+        "psdp": (3, Policy(1, [unif[1]] + list(greedy[2:4]))),
     }[shape]
     out, rng_state, count = [], [], []
-    for sampler in (reference_rollin, rollin):
+    for sampler, arg in ((reference_rollin, list(tail.tables)), (rollin, tail)):
         rng, counter = np.random.default_rng(9), EpisodeCounter()
-        out.append(sampler(M, P, 500, rng, upto, tail, counter=counter))
+        out.append(sampler(M, P, 500, rng, upto, arg, counter=counter))
         rng_state.append(rng.bit_generator.state)
         count.append(counter.count)
     assert out[1][0].shape == (upto + 1, 500)
@@ -423,7 +423,7 @@ def test_sampler_and_rollin_fill_column_slices_of_a_wider_pair():
     rng = np.random.default_rng(21)
     P = PolicyDistribution([random_policy(M, rng), policy_of_kind(M, rng, "one_hot"),
                             policy_of_kind(M, rng, "constant")], [0.5, 0.2, 0.3])
-    tail = [np.full((M.n_states(3), M.A), 1.0 / M.A)]
+    tail = Policy(3, [np.full((M.n_states(3), M.A), 1.0 / M.A)])
     cols = slice(7, 307)
     for sampler, reference, args in (
             (sample_trajectories, reference_sample_trajectories, (P.policies[0],)),
@@ -437,7 +437,8 @@ def test_sampler_and_rollin_fill_column_slices_of_a_wider_pair():
                       out=(S[:, cols], A[:, cols]), **kw)
         assert got[0].base is S and got[1].base is A
         want_rng = np.random.default_rng(22)
-        want = reference(M, *args, 300, want_rng, 3, *kw.values())
+        want = reference(M, *args, 300, want_rng, 3,
+                         *[list(t.tables) for t in kw.values()])
         assert np.array_equal(S[:, cols], want[0])
         assert np.array_equal(A[:, cols], want[1])
         assert rng.bit_generator.state == want_rng.bit_generator.state
