@@ -32,13 +32,17 @@ from voxlab.replearn import RepLearnConfig
 from voxlab.simenv import EnvSpec, generate_low_rank_mdp, make_feature_class
 
 
-def _dump(obj, path):
-    text = json.dumps(obj, sort_keys=True, indent=1)
+def _write(text, path):
+    """``text`` and a newline to stdout when ``path`` is "-", else to the file."""
     if path == "-":
         sys.stdout.write(text + "\n")
     else:
         with open(path, "w") as fh:
             fh.write(text + "\n")
+
+
+def _dump(obj, path):
+    _write(json.dumps(obj, sort_keys=True, indent=1), path)
 
 
 def _load_env(path):
@@ -129,11 +133,7 @@ def _cmd_generate_env(args):
     if problems:
         raise VoxlabError("generated environment failed validation: "
                           + "; ".join(problems))
-    if args.out == "-":
-        sys.stdout.write(M.to_json() + "\n")
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(M.to_json() + "\n")
+    _write(M.to_json(), args.out)
     return 0
 
 
@@ -231,7 +231,7 @@ def _cmd_verify_cover(args):
 def _cmd_selftest(args):
     import voxlab.simenv as simenv
     from voxlab.core import Policy
-    from voxlab.optdesign import DesignOracles, fw_optdesign
+    from voxlab.optdesign import fw_optdesign
     from voxlab.psdp import ball_constrained_least_squares
     from voxlab.spanner import robust_spanner, verify_spanner
 
@@ -253,8 +253,7 @@ def _cmd_selftest(args):
     check("ball-lsq-projection", abs(w[0] - 1.0) < 1e-9)
 
     target = np.eye(2) / math.sqrt(2.0)
-    oracles = DesignOracles(dim=2, lin_opt=lambda W: 0, lin_est=lambda P: target)
-    state = fw_optdesign(oracles, C=2.0, gamma=0.1)
+    state = fw_optdesign(lambda W: 0, lambda P: target, C=2.0, gamma=0.1, d=2)
     check("fw-singleton", state.iterations == 1 and state.support_size == 1)
 
     family = [np.eye(3)[:, i] * s for i in range(3) for s in (1.0, -1.0)]

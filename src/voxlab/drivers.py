@@ -35,7 +35,7 @@ from voxlab.core import (
     compose_policies,
 )
 from voxlab.estimators import est_mat, est_vec
-from voxlab.optdesign import DesignOracles, fw_optdesign
+from voxlab.optdesign import fw_optdesign
 from voxlab.psdp import ValueClass, linear_reward, psdp, quadratic_reward
 from voxlab.replearn import RepLearnConfig, rep_learn
 from voxlab.simenv import EpisodeCounter, _uniform_step, exact_policy_value
@@ -67,6 +67,8 @@ class VoxSchedule:
             raise VoxlabError(f"gamma must be in (0, 1), got {self.gamma}")
         if not 1.0 < self.C <= 2.0:
             raise VoxlabError(f"C must be in (1, 2], got {self.C}")
+        if self.fw_max_iters is not None and self.fw_max_iters < 1:
+            raise VoxlabError(f"fw_max_iters must be >= 1, got {self.fw_max_iters}")
 
     @classmethod
     def paper(cls, eta, d, A, n_candidates, H, c=1.0, delta=0.05, **kw):
@@ -101,6 +103,8 @@ class SpanrlSchedule:
             raise VoxlabError("schedule counts must be positive")
         if self.C <= 1.0:
             raise VoxlabError(f"C must exceed 1, got {self.C}")
+        if self.max_rounds is not None and self.max_rounds < 1:
+            raise VoxlabError(f"max_rounds must be >= 1, got {self.max_rounds}")
 
     @classmethod
     def paper(cls, eps, d, A, n_candidates, H, c=1.0, delta=0.05, **kw):
@@ -270,8 +274,8 @@ def run_vox(M, Phi, schedule: VoxSchedule, rng, counter=None) -> RunResult:
                            counter=counter)
 
         try:
-            state = fw_optdesign(DesignOracles(Phi.d, lin_opt, lin_est), schedule.C,
-                                 schedule.gamma, schedule.fw_max_iters)
+            state = fw_optdesign(lin_opt, lin_est, schedule.C, schedule.gamma,
+                                 Phi.d, schedule.fw_max_iters)
         except BudgetError as exc:
             raise BudgetError(f"run_vox layer {hc}, k = {k}: {exc}",
                               iterations=exc.iterations, certificate=exc.certificate,

@@ -15,7 +15,6 @@ import numpy as np
 
 from voxlab.core import Policy, VoxlabError, as_distribution
 from voxlab.simenv import (
-    DEFAULT_DP_BUDGET,
     argmax_policy,
     exact_feature_expectation,
     exact_occupancy,
@@ -26,22 +25,22 @@ from voxlab.simenv import (
     max_occupancies,
     max_value,
     mixture_occupancy,
+    reachability_eta,
 )
 from voxlab.spanner import robust_spanner
 
 
-def check_policy_cover(M, P, h, alpha, eps, mode="expectation", tol=1e-9,
-                       budget=DEFAULT_DP_BUDGET):
+def check_policy_cover(M, P, h, alpha, eps, mode="expectation"):
     """Verify an (alpha, eps)-policy cover claim at layer h.
 
     Qualifying states are those whose best-policy occupancy is at least
     eps * ||mu(x)||.  In "expectation" mode the cover mass at x is the
     mixture occupancy E_{pi~P}[d^pi(x)]; in "max" mode (set covers) it is
     the best occupancy over the support.  Measured alpha is the worst
-    qualifying ratio of cover mass to maximal occupancy.
+    qualifying ratio of cover mass to maximal occupancy (tolerance 1e-9).
     """
     P = as_distribution(P)
-    maxima = max_occupancies(M, h, budget)
+    maxima = max_occupancies(M, h)
     if h >= 1:
         scale = np.linalg.norm(M.mu[h - 1], axis=1)
     else:
@@ -58,7 +57,7 @@ def check_policy_cover(M, P, h, alpha, eps, mode="expectation", tol=1e-9,
     for x in np.nonzero(qualifying)[0]:
         ratio = float(vals[x] / maxima[x])
         measured = min(measured, ratio)
-        if vals[x] < alpha * maxima[x] - tol:
+        if vals[x] < alpha * maxima[x] - 1e-9:
             witnesses.append(int(x))
     return {
         "passed": not witnesses,
@@ -164,7 +163,7 @@ def _explorability_eta(M, h, n_dirs, rng):
     return worst
 
 
-def reachability_diagnostics(M, n_dirs=64, rng=None, budget=DEFAULT_DP_BUDGET):
+def reachability_diagnostics(M, n_dirs=64, rng=None):
     """Reachability, feature-coverage, and explorability constants.
 
     Feature coverage is a Frank-Wolfe lower bound on the concave maximum;
@@ -173,12 +172,7 @@ def reachability_diagnostics(M, n_dirs=64, rng=None, budget=DEFAULT_DP_BUDGET):
     checks remain sound.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    reach = []
-    for h in range(1, M.H):
-        maxima = max_occupancies(M, h, budget)
-        norms = np.linalg.norm(M.mu[h - 1], axis=1)
-        live = norms > 0
-        reach.append(float((maxima[live] / norms[live]).min()))
+    reach = [reachability_eta(M, h) for h in range(1, M.H)]
     cov = [_feature_coverage_eta(M, h) for h in range(M.H - 1)]
     expl = [_explorability_eta(M, h, n_dirs, rng) for h in range(M.H - 1)]
     tol = 1e-9
@@ -196,12 +190,12 @@ def reachability_diagnostics(M, n_dirs=64, rng=None, budget=DEFAULT_DP_BUDGET):
     }
 
 
-def coverability_ratio(M, h, C=1.0075, eps=1e-9, budget=DEFAULT_DP_BUDGET):
+def coverability_ratio(M, h):
     """Worst occupancy ratio against the spanner-mixture measure at layer h.
 
-    Builds an exact-oracle approximate barycentric spanner of the reachable
-    feature expectations at layer h-1 and compares every state's maximal
-    occupancy to the uniform mixture of the spanner policies' occupancies.
+    Builds an exact-oracle (1.0075, 1e-9)-approximate barycentric spanner of
+    the reachable feature expectations at layer h-1 and compares every
+    state's maximal occupancy to the uniform mixture of its policies'.
     """
     if h < 1:
         raise VoxlabError("coverability is defined from layer 1 on")
@@ -209,11 +203,11 @@ def coverability_ratio(M, h, C=1.0075, eps=1e-9, budget=DEFAULT_DP_BUDGET):
     d = feat.shape[2]
     state = robust_spanner(
         lambda theta: argmax_policy(M, h - 1, feat @ theta),
-        lambda pi: exact_feature_expectation(M, pi, feat, h - 1), C, eps, d)
+        lambda pi: exact_feature_expectation(M, pi, feat, h - 1), 1.0075, 1e-9, d)
     chosen = [pi if pi is not None else Policy.uniform(M, 0, h - 1)
               for pi in state.indices]
     rho = np.mean([exact_occupancy(M, pi, h) for pi in chosen], axis=0)
-    maxima = max_occupancies(M, h, budget)
+    maxima = max_occupancies(M, h)
     live = maxima > 0
     if not live.any():
         return {"ratio": 0.0, "layer": int(h), "rounds": state.rounds}

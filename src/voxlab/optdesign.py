@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
 
 import numpy as np
 
@@ -21,21 +20,9 @@ from voxlab.core import BudgetError, VoxlabError, psd_part
 
 
 @dataclass
-class DesignOracles:
-    """Oracle pair over an abstract set of hashable indices (the drivers use
-    policies, which hash by value), plus the ambient dimension."""
-
-    dim: int
-    lin_opt: Callable[[np.ndarray], Any]
-    lin_est: Callable[[dict], np.ndarray]
-
-
-@dataclass
 class DesignState:
     """Output of fw_optdesign: the distribution plus run diagnostics."""
 
-    gamma: float
-    C: float
     P: dict
     M: np.ndarray
     iterations: int
@@ -61,7 +48,7 @@ def _clean_psd(W, d, fro_cap):
     W = psd_part(W, "lin_est output")
     clipped = False
     fro = float(np.linalg.norm(W))
-    if fro_cap is not None and fro > fro_cap:
+    if fro > fro_cap:
         W = W * (fro_cap / fro)
         clipped = True
     return W, clipped
@@ -79,14 +66,14 @@ def _chol_inverse(M):
     return 0.5 * (Minv + Minv.T), logdet
 
 
-def fw_optdesign(oracles: DesignOracles, C, gamma, max_iters=None) -> DesignState:
+def fw_optdesign(lin_opt, lin_est, C, gamma, d, max_iters=None) -> DesignState:
     """Build a (C, gamma)-generalized optimal design over the oracle family.
 
-    Step size mu = C*gamma^2*d/8; each round queries lin_opt at the
-    normalized inverse M_t^-1/||M_t^-1||_F and mixes the returned index in
+    lin_opt maps a d x d query to a hashable index, lin_est an {index: weight}
+    dict to its mixture matrix.  Step size mu = C*gamma^2*d/8; each round
+    queries lin_opt at M_t^-1/||M_t^-1||_F and mixes the returned index in
     unless its certificate already meets the (1+C)d termination test.
     """
-    d = oracles.dim
     if not 1.0 < C <= 2.0:
         raise VoxlabError(f"C must be in (1, 2], got {C}")
     if not 0.0 < gamma < 1.0:
@@ -96,26 +83,26 @@ def fw_optdesign(oracles: DesignOracles, C, gamma, max_iters=None) -> DesignStat
         max_iters = 2 * bound
     mu = C * gamma**2 * d / 8.0
     fro_cap = 1.0 + C * gamma**2 / 10.0
-    z1 = oracles.lin_opt(np.eye(d) / math.sqrt(d))
+    z1 = lin_opt(np.eye(d) / math.sqrt(d))
     P = {z1: 1.0}
     trace = []
     clips = 0
     cert = None
     for t in range(1, max_iters + 1):
-        West, c1 = _clean_psd(oracles.lin_est(P), d, fro_cap)
+        West, c1 = _clean_psd(lin_est(P), d, fro_cap)
         M = gamma * np.eye(d) + West
         Minv, logdet = _chol_inverse(M)
         query = Minv / np.linalg.norm(Minv)
-        z = oracles.lin_opt(query)
-        Wz, c2 = _clean_psd(oracles.lin_est({z: 1.0}), d, fro_cap)
+        z = lin_opt(query)
+        Wz, c2 = _clean_psd(lin_est({z: 1.0}), d, fro_cap)
         clips += int(c1) + int(c2)
         cert = float(np.trace(Minv @ Wz))
         trace.append((t, logdet, cert))
         if cert <= (1.0 + C) * d:
             total = sum(P.values())
             P = {k: w / total for k, w in P.items()}
-            return DesignState(gamma=gamma, C=C, P=P, M=M, iterations=t,
-                               certificate=cert, trace=trace, fro_clips=clips)
+            return DesignState(P=P, M=M, iterations=t, certificate=cert,
+                               trace=trace, fro_clips=clips)
         P = {k: (1.0 - mu) * w for k, w in P.items()}
         P[z] = P.get(z, 0.0) + mu
     raise BudgetError(
@@ -125,28 +112,18 @@ def fw_optdesign(oracles: DesignOracles, C, gamma, max_iters=None) -> DesignStat
     )
 
 
-def design_objective(P, oracles: DesignOracles, gamma):
-    """log det(gamma*I + LinEst(P)) via Cholesky."""
-    P = getattr(P, "P", P)
-    West, _ = _clean_psd(oracles.lin_est(dict(P)), oracles.dim, None)
-    _, logdet = _chol_inverse(gamma * np.eye(oracles.dim) + West)
-    return logdet
-
-
-def design_certificate(P, Ws, gamma, support_mats=None):
+def design_certificate(P, Ws, gamma):
     """Exact sup over an enumerated family of Tr(M_P^-1 W_z).
 
-    Ws is the test family (sequence of PSD matrices).  P's support indexes
-    Ws directly unless support_mats supplies the matrix for each index.
+    Ws is the test family (sequence of PSD matrices) and P a {index: weight}
+    dict whose indices index Ws.
     """
-    P = getattr(P, "P", P)
     Ws = [np.asarray(W, dtype=float) for W in Ws]
     if not Ws:
         raise VoxlabError("empty test family")
     d = Ws[0].shape[0]
     M = gamma * np.eye(d)
     for z, w in P.items():
-        mat = support_mats[z] if support_mats is not None else Ws[z]
-        M = M + w * np.asarray(mat, dtype=float)
+        M = M + w * Ws[z]
     Minv, _ = _chol_inverse(M)
     return max(float(np.trace(Minv @ W)) for W in Ws)

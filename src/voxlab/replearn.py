@@ -47,6 +47,21 @@ class RepLearnConfig:
     r_small: float | None = None
     max_iters: int | None = None
 
+    def __post_init__(self):
+        for name, ok, want in (
+                ("c", self.c > 0.0, "> 0"),
+                ("delta", 0.0 < self.delta < 1.0, "in (0, 1)"),
+                ("restarts", self.restarts >= 1, ">= 1"),
+                ("grad_steps", self.grad_steps >= 0, ">= 0"),
+                ("step_size", self.step_size > 0.0, "> 0"),
+                ("eps_stat", self.eps_stat is None or self.eps_stat > 0.0, "> 0"),
+                ("r_big", self.r_big is None or self.r_big > 0.0, "> 0"),
+                ("r_small", self.r_small is None or self.r_small > 0.0, "> 0"),
+                ("max_iters", self.max_iters is None or self.max_iters >= 1, ">= 1")):
+            if not ok:
+                raise VoxlabError(
+                    f"replearn {name} must be {want}, got {getattr(self, name)!r}")
+
     def resolve(self, d, n, n_candidates):
         eps = self.eps_stat
         if eps is None:
@@ -253,7 +268,7 @@ def _search_points(Phi, phi_current, data, config, rng):
         sweep.extend(np.stack([np.cos(angles), np.sin(angles)], axis=1))
     thetas = []
     for _ in range(K):
-        extra = rng.standard_normal((max(config.restarts, 1), d))
+        extra = rng.standard_normal((config.restarts, d))
         thetas += sweep
         thetas.extend(extra / np.maximum(row_norms(extra), 1e-12)[:, None])
     thetas = np.array(thetas)

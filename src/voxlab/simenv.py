@@ -173,16 +173,16 @@ def _cayley(skew, t):
     return np.linalg.solve(np.eye(d) + a, np.eye(d) - a)
 
 
-def generate_low_rank_mdp(spec, rng=None):
+def generate_low_rank_mdp(spec):
     """Build a valid layered low-rank MDP from latent-variable ingredients.
 
     Each step draws a latent assignment psi(.|x, a) on the d-simplex (the
     feature vector) and a per-latent emission q(.|z) over next states (the
     density columns), so transition rows are probability vectors by
-    construction and every structural invariant holds exactly.
+    construction and every structural invariant holds exactly.  All
+    randomness comes from ``spec.seed``.
     """
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     H, A, d = spec.H, spec.A, spec.d_latent
     counts = list(spec.state_counts)
     layers, next_id = [], 0
@@ -263,27 +263,23 @@ def exact_occupancy_sa(M, pi, h):
 
 
 def exact_feature_expectation(M, pi, feat, h):
-    """E^pi[f(x_h, a_h)] for a vector-valued per-layer table f."""
-    table = feat[h] if isinstance(feat, (list, tuple)) else feat
+    """E^pi[f(x_h, a_h)] for layer h's (|X_h|, A, d) feature table f."""
     sa = exact_occupancy_sa(M, pi, h)
-    return np.einsum("xa,xad->d", sa, table)
+    return np.einsum("xa,xad->d", sa, feat)
 
 
 def exact_second_moment(M, pi, feat, h):
-    """E^pi[f f^T (x_h, a_h)]; symmetric PSD for any feature table."""
-    table = feat[h] if isinstance(feat, (list, tuple)) else feat
+    """E^pi[f f^T (x_h, a_h)] for layer h's (|X_h|, A, d) feature table f;
+    symmetric PSD for any table."""
     sa = exact_occupancy_sa(M, pi, h)
-    W = np.einsum("xa,xad,xae->de", sa, table, table)
+    W = np.einsum("xa,xad,xae->de", sa, feat, feat)
     return (W + W.T) / 2.0
 
 
-def mixture_occupancy(M, P, h, with_actions=False):
+def mixture_occupancy(M, P, h):
     """Occupancy of a policy mixture: the weight-averaged member occupancies."""
     P = as_distribution(P)
-    parts = [
-        exact_occupancy_sa(M, pi, h) if with_actions else exact_occupancy(M, pi, h)
-        for pi in P.policies
-    ]
+    parts = [exact_occupancy(M, pi, h) for pi in P.policies]
     return sum(w * part for part, w in zip(parts, P.weights))
 
 
@@ -494,7 +490,7 @@ def make_feature_class(M, n_decoys, rng, true_index=0):
     return FeatureClass(candidates, true_index=true_index)
 
 
-def reachability_eta(M, h, budget=DEFAULT_DP_BUDGET):
+def reachability_eta(M, h):
     """min over layer-h states of (best-case occupancy) / (density norm).
 
     Only states with a nonzero density embedding qualify; the layer must be
@@ -502,7 +498,7 @@ def reachability_eta(M, h, budget=DEFAULT_DP_BUDGET):
     """
     if not 1 <= h < M.H:
         raise LayerRangeError(f"reachability is defined for layers 1..{M.H - 1}")
-    occ = max_occupancies(M, h, budget=budget)
+    occ = max_occupancies(M, h)
     norms = np.linalg.norm(M.mu[h - 1], axis=1)
     mask = norms > 0
     if not np.any(mask):

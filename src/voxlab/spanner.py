@@ -27,8 +27,6 @@ class SpannerState:
 
     W: np.ndarray
     indices: list
-    C: float
-    eps: float
     rounds: int
     oracle_calls: int
 
@@ -78,72 +76,54 @@ def robust_spanner(lin_opt, lin_est, C, eps, d, max_rounds=None) -> SpannerState
     rounds = 0
     calls = 0
 
-    def count_round():
-        nonlocal rounds
+    def place(i, first):
+        """Probe column i at +theta, then -theta; place the better (first)
+        or the first to grow |det| by C (a swap).  True if one was placed."""
+        nonlocal rounds, calls
+        theta = spanner_direction(W, i)
+        nrm = np.linalg.norm(theta)
+        if nrm < DEGENERATE_TOL:
+            return False
+        theta_hat = theta / nrm
+        base = C * abs(theta @ W[:, i])
+        zp = lin_opt(theta_hat)
+        wp = np.asarray(lin_est(zp), dtype=float)
+        zm = lin_opt(-theta_hat)
+        wm = np.asarray(lin_est(zm), dtype=float)
+        calls += 4
+        if first:
+            plus = theta_hat @ wp >= -(theta_hat @ wm)
+        elif theta @ wp + eps * nrm >= base:
+            plus = True
+        elif -(theta @ wm) + eps * nrm >= base:
+            plus = False
+        else:
+            return False
+        W[:, i] = wp + eps * theta_hat if plus else wm - eps * theta_hat
+        indices[i] = zp if plus else zm
         rounds += 1
         if rounds > max_rounds:
             raise BudgetError(
                 f"robust_spanner exceeded {max_rounds} rounds "
                 f"(termination bound for conforming oracles is {bound})"
             )
-
-    def probe(theta_hat):
-        nonlocal calls
-        zp = lin_opt(theta_hat)
-        wp = np.asarray(lin_est(zp), dtype=float)
-        zm = lin_opt(-theta_hat)
-        wm = np.asarray(lin_est(zm), dtype=float)
-        calls += 4
-        return zp, wp, zm, wm
+        return True
 
     for i in range(d):
-        theta = spanner_direction(W, i)
-        nrm = np.linalg.norm(theta)
-        if nrm < DEGENERATE_TOL:
-            continue
-        theta_hat = theta / nrm
-        zp, wp, zm, wm = probe(theta_hat)
-        if theta_hat @ wp >= -(theta_hat @ wm):
-            W[:, i] = wp + eps * theta_hat
-            indices[i] = zp
-        else:
-            W[:, i] = wm - eps * theta_hat
-            indices[i] = zm
-        count_round()
-
-    while True:
-        swapped = False
-        for i in range(d):
-            theta = spanner_direction(W, i)
-            nrm = np.linalg.norm(theta)
-            if nrm < DEGENERATE_TOL:
-                continue
-            theta_hat = theta / nrm
-            base = C * abs(theta @ W[:, i])
-            zp, wp, zm, wm = probe(theta_hat)
-            if theta @ wp + eps * nrm >= base:
-                W[:, i] = wp + eps * theta_hat
-                indices[i] = zp
-                swapped = True
-            elif -(theta @ wm) + eps * nrm >= base:
-                W[:, i] = wm - eps * theta_hat
-                indices[i] = zm
-                swapped = True
-            if swapped:
-                count_round()
-                break
-        if not swapped:
-            return SpannerState(W=W, indices=indices, C=C, eps=eps,
-                                rounds=rounds, oracle_calls=calls)
+        place(i, True)
+    while any(place(i, False) for i in range(d)):
+        pass
+    return SpannerState(W=W, indices=indices, rounds=rounds, oracle_calls=calls)
 
 
-def verify_spanner(W, tests, C, eps, tol=1e-9):
+def verify_spanner(W, tests, C, eps):
     """Check the spanner guarantee for each test vector against basis W.
 
     Coefficients come from the exact linear solve; a vector passes when
-    max|beta| <= C + tol and the reconstruction residual is within
-    3*C*d*eps/2 + tol.
+    max|beta| <= C + 1e-9 and the reconstruction residual is within
+    3*C*d*eps/2 + 1e-9.
     """
+    tol = 1e-9
     W = np.asarray(W, dtype=float)
     d = W.shape[0]
     try:

@@ -49,7 +49,6 @@ def policy_design_oracles(M, feat, h):
     returns the exact mixture second moment.  Policies are interned so the
     returned indices stay small and moments are computed once.
     """
-    from voxlab.optdesign import DesignOracles
     from voxlab.simenv import argmax_policy, exact_second_moment
 
     interned, seen, moments = [], {}, []
@@ -67,8 +66,7 @@ def policy_design_oracles(M, feat, h):
     def lin_est(P):
         return sum(w * moments[z] for z, w in P.items())
 
-    oracles = DesignOracles(dim=feat.shape[2], lin_opt=lin_opt, lin_est=lin_est)
-    return oracles, interned
+    return lin_opt, lin_est, interned
 
 
 def exact_design(M, feat, h, gamma, C, max_rounds=80):

@@ -31,12 +31,7 @@ from voxlab.evalcover import (
     pdl_check,
     reachability_diagnostics,
 )
-from voxlab.optdesign import (
-    DesignOracles,
-    design_certificate,
-    fw_iteration_bound,
-    fw_optdesign,
-)
+from voxlab.optdesign import design_certificate, fw_iteration_bound, fw_optdesign
 from voxlab.psdp import ValueClass, psdp
 from voxlab.replearn import RepLearnConfig, exact_transfer_error, rep_learn
 from voxlab.simenv import (
@@ -90,7 +85,7 @@ def _exact_design_oracles(Ws):
             out += w * Wstack[z]
         return out
 
-    return DesignOracles(dim=d, lin_opt=lin_opt, lin_est=lin_est)
+    return lin_opt, lin_est
 
 
 def _noisy_design_oracles(Ws, C, gamma, rng):
@@ -113,13 +108,13 @@ def _noisy_design_oracles(Ws, C, gamma, rng):
         u /= np.linalg.norm(u)
         return out + eps_est * np.outer(u, u)
 
-    return DesignOracles(dim=d, lin_opt=lin_opt, lin_est=lin_est)
+    return lin_opt, lin_est
 
 
 def test_c01_design_certificate_iterations_and_monotonicity():
     t0 = time.monotonic()
     for i, d, gamma, fam in _design_cases():
-        state = fw_optdesign(_exact_design_oracles(fam), C=2.0, gamma=gamma)
+        state = fw_optdesign(*_exact_design_oracles(fam), C=2.0, gamma=gamma, d=d)
         cert = design_certificate(state.P, fam, gamma)
         assert cert <= 4.0 * d + 1e-9, (i, cert)
         assert state.iterations <= fw_iteration_bound(2.0, gamma, d), i
@@ -132,7 +127,7 @@ def test_c02_design_robust_to_oracle_errors():
     for i, d, gamma, fam in _design_cases():
         oracles = _noisy_design_oracles(fam, 2.0, gamma,
                                         np.random.default_rng(2000 + i))
-        state = fw_optdesign(oracles, C=2.0, gamma=gamma)
+        state = fw_optdesign(*oracles, C=2.0, gamma=gamma, d=d)
         cert = design_certificate(state.P, fam, gamma)
         assert cert <= 4.0 * d + 1e-9, (i, cert)
         assert state.iterations <= fw_iteration_bound(2.0, gamma, d), i
@@ -194,7 +189,7 @@ def test_c04_exact_design_composes_into_next_layer_cover():
         composed = PolicyDistribution(
             [compose_policies(pi, tail) for pi in P.policies], P.weights)
         out = check_policy_cover(M, composed, hb + 2, alpha=alpha,
-                                 eps=eta_prime, tol=1e-9)
+                                 eps=eta_prime)
         assert out["passed"], out
         assert out["n_qualifying"] > 0  # the claim is not vacuous here
 

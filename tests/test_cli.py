@@ -258,6 +258,15 @@ def test_mistyped_config_values_exit_2_before_running(workdir, vox_run, tmp_path
     ("run-spanrl", {"C": 1.0}),
     ("run-spanrl", {"eps": 1.5}),
     ("run-spanrl", {"eps": 0.0}),
+    ("run-vox", {"fw_max_iters": 0}),
+    ("run-spanrl", {"max_rounds": 0}),
+    ("run-vox", {"replearn": {"r_big": 0}}),
+    ("run-vox", {"replearn": {"r_big": -1}}),
+    ("run-spanrl", {"replearn": {"r_small": -1}}),
+    ("run-vox", {"replearn": {"eps_stat": 0}}),
+    ("run-spanrl", {"replearn": {"eps_stat": -0.5}}),
+    ("run-vox", {"replearn": {"restarts": -2}}),
+    ("run-spanrl", {"replearn": {"c": -1}}),
 ])
 def test_out_of_range_C_or_eps_exits_2_before_any_episode(
         workdir, vox_run, tmp_path, capsys, monkeypatch, command, bad):
@@ -267,7 +276,11 @@ def test_out_of_range_C_or_eps_exits_2_before_any_episode(
     monkeypatch.setattr(simenv, "sample_trajectories", no_episodes)
     config = SPANRL_CONFIG if command == "run-spanrl" else VOX_CONFIG
     assert main(_bad_run(workdir, vox_run, tmp_path, command, config, bad)) == 2
-    assert f"error: {next(iter(bad))} must" in capsys.readouterr().err
+    # a replearn value is named by its field
+    name = next(iter(bad))
+    if name == "replearn":
+        name = f"replearn {next(iter(bad[name]))}"
+    assert f"error: {name} must" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
 
 

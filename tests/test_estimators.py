@@ -28,7 +28,7 @@ def test_deterministic_env_single_episode_exact():
     pi = Policy.from_actions(M, [0, 1, 0])
     F = np.arange(M.n_states(2) * M.A * 2, dtype=float).reshape(M.n_states(2), M.A, 2)
     got = est_vec(M, 2, F, pi, 1, np.random.default_rng(1))
-    want = exact_feature_expectation(M, pi, [None, None, F], 2)
+    want = exact_feature_expectation(M, pi, F, 2)
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -47,7 +47,7 @@ def test_est_mat_symmetric_psd_and_matches_mean(env):
     F = np.einsum("xad,xae->xade", phi, phi)
     pi = Policy.uniform(env)
     got = est_mat(env, 1, F, pi, 50_000, np.random.default_rng(5))
-    want = exact_second_moment(env, pi, env.phi, 1)
+    want = exact_second_moment(env, pi, phi, 1)
     assert np.allclose(got, got.T)
     assert np.linalg.eigvalsh(got).min() >= -1e-12
     assert np.abs(got - want).max() < 0.02
@@ -97,8 +97,8 @@ def test_mixture_estimates_mixture_mean(env):
     P = uniform_mixture([a, b])
     F = np.random.default_rng(13).random((env.n_states(2), env.A, 2))
     got = est_vec(env, 2, F, P, 40_000, np.random.default_rng(14))
-    want = 0.5 * exact_feature_expectation(env, a, [None, None, F], 2) + \
-        0.5 * exact_feature_expectation(env, b, [None, None, F], 2)
+    want = 0.5 * exact_feature_expectation(env, a, F, 2) + \
+        0.5 * exact_feature_expectation(env, b, F, 2)
     assert np.abs(got - want).max() < 0.02
 
 
@@ -115,7 +115,7 @@ def test_concentration_rate():
     pi = Policy.uniform(M)
     rng = np.random.default_rng(16)
     F = rng.random((M.n_states(2), M.A, 2)) * 2.0 - 1.0
-    want = exact_feature_expectation(M, pi, [None, None, F], 2)
+    want = exact_feature_expectation(M, pi, F, 2)
     c = float(np.abs(F).max())
     n, delta = 400, 0.01
     bound = 3.0 * c * np.sqrt(np.log(2.0 / delta) / n)

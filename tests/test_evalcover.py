@@ -122,8 +122,8 @@ def test_fw_design_over_policy_family_passes_on_random_envs():
     for seed in range(10):
         M = small_env(seed=seed, H=3, A=2, d=2, states=(2, 3, 3))
         for h in (0, 1):
-            oracles, interned = policy_design_oracles(M, M.phi[h], h)
-            state = fw_optdesign(oracles, C=2.0, gamma=0.1)
+            lin_opt, lin_est, interned = policy_design_oracles(M, M.phi[h], h)
+            state = fw_optdesign(lin_opt, lin_est, C=2.0, gamma=0.1, d=M.d)
             P = PolicyDistribution([interned[z] for z in state.P],
                                    list(state.P.values()))
             out = check_design_on_policies(M, M.phi[h], P, 0.1, 2.0, h)
@@ -148,7 +148,7 @@ def test_design_composition_yields_next_layer_cover():
         composed = PolicyDistribution(
             [compose_policies(pi, tail) for pi in P.policies], P.weights)
         out = check_policy_cover(M, composed, hb + 2, alpha=alpha,
-                                 eps=eta_prime, tol=1e-9)
+                                 eps=eta_prime)
         assert out["passed"], out
         assert out["n_qualifying"] > 0  # the guarantee is not vacuous here
 

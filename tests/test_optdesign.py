@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from voxlab import BudgetError, VoxlabError
-from voxlab.optdesign import (
-    DesignOracles,
-    design_certificate,
-    design_objective,
-    fw_iteration_bound,
-    fw_optdesign,
-)
+from voxlab.optdesign import design_certificate, fw_iteration_bound, fw_optdesign
 
 from conftest import policy_design_oracles, small_env
 from oracles import oracle_design_certificate
@@ -19,7 +13,6 @@ from oracles import oracle_design_certificate
 def exact_oracles(Ws):
     """Conforming oracle pair that enumerates an explicit PSD family."""
     Ws = [np.asarray(W, dtype=float) for W in Ws]
-    d = Ws[0].shape[0]
 
     def lin_opt(Q):
         return int(np.argmax([np.trace(Q @ W) for W in Ws]))
@@ -27,7 +20,7 @@ def exact_oracles(Ws):
     def lin_est(P):
         return sum(w * Ws[z] for z, w in P.items())
 
-    return DesignOracles(dim=d, lin_opt=lin_opt, lin_est=lin_est)
+    return lin_opt, lin_est
 
 
 def random_psd_family(rng, d, size, fro_max=1.0):
@@ -59,8 +52,7 @@ def test_step_size_value():
     def lin_est(P):
         return sum(w * Ws[z] for z, w in P.items())
 
-    oracles = DesignOracles(dim=2, lin_opt=lin_opt, lin_est=lin_est)
-    state = fw_optdesign(oracles, C=2.0, gamma=0.1, max_iters=50)
+    state = fw_optdesign(lin_opt, lin_est, C=2.0, gamma=0.1, d=2, max_iters=50)
     mu = 2.0 * 0.1**2 * 2 / 8.0
     assert mu == pytest.approx(0.005)
     assert 2.0 * 0.1**2 * 4 / 8.0 == pytest.approx(0.01)  # d = 4 variant
@@ -71,7 +63,7 @@ def test_step_size_value():
 
 def test_singleton_family_terminates_immediately():
     W = np.eye(3) * 0.5
-    state = fw_optdesign(exact_oracles([W]), C=2.0, gamma=0.1)
+    state = fw_optdesign(*exact_oracles([W]), C=2.0, gamma=0.1, d=3)
     assert state.iterations == 1
     assert state.support_size == 1
     assert abs(sum(state.P.values()) - 1.0) < 1e-12
@@ -79,6 +71,10 @@ def test_singleton_family_terminates_immediately():
     want = 3 * 0.5 / (0.1 + 0.5)
     assert state.certificate == pytest.approx(want, abs=1e-10)
     assert state.certificate <= (1.0 + 2.0) * 3
+    # the recorded log-det is that of the regularized design matrix
+    sign, want = np.linalg.slogdet(0.1 * np.eye(3) + W)
+    assert sign > 0
+    assert state.trace[0][1] == pytest.approx(want, abs=1e-10)
 
 
 def test_random_psd_families_reach_certificate():
@@ -86,8 +82,8 @@ def test_random_psd_families_reach_certificate():
     for trial in range(20):
         d = 3
         Ws = random_psd_family(rng, d, 8)
-        state = fw_optdesign(exact_oracles(Ws), C=2.0, gamma=0.05)
-        cert = design_certificate(state, Ws, 0.05)
+        state = fw_optdesign(*exact_oracles(Ws), C=2.0, gamma=0.05, d=d)
+        cert = design_certificate(state.P, Ws, 0.05)
         assert cert <= (1.0 + 2.0) * d + 1e-9
         ref = oracle_design_certificate(state.P, Ws, 0.05)
         assert cert == pytest.approx(ref, abs=1e-9)
@@ -97,22 +93,10 @@ def test_random_psd_families_reach_certificate():
 def test_objective_trace_is_monotone():
     rng = np.random.default_rng(1)
     Ws = random_psd_family(rng, 3, 12)
-    state = fw_optdesign(exact_oracles(Ws), C=1.5, gamma=0.05)
+    state = fw_optdesign(*exact_oracles(Ws), C=1.5, gamma=0.05, d=3)
     logdets = [row[1] for row in state.trace]
     diffs = np.diff(np.asarray(logdets))
     assert np.all(diffs >= -1e-9)
-
-
-def test_design_objective_matches_slogdet():
-    rng = np.random.default_rng(2)
-    Ws = random_psd_family(rng, 3, 5)
-    oracles = exact_oracles(Ws)
-    P = {0: 0.5, 3: 0.5}
-    got = design_objective(P, oracles, 0.1)
-    M = 0.1 * np.eye(3) + 0.5 * Ws[0] + 0.5 * Ws[3]
-    sign, want = np.linalg.slogdet(M)
-    assert sign > 0
-    assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_budget_error_reports_bound():
@@ -131,9 +115,8 @@ def test_budget_error_reports_bound():
             return 1e-6 * np.eye(d)
         return np.eye(d)  # probe query
 
-    oracles = DesignOracles(dim=d, lin_opt=lin_opt, lin_est=lin_est)
     with pytest.raises(BudgetError) as exc:
-        fw_optdesign(oracles, C=2.0, gamma=0.1, max_iters=5)
+        fw_optdesign(lin_opt, lin_est, C=2.0, gamma=0.1, d=d, max_iters=5)
     msg = str(exc.value)
     assert "5 iterations" in msg
     assert str(fw_iteration_bound(2.0, 0.1, d)) in msg
@@ -155,24 +138,23 @@ def test_non_psd_estimates_are_rejected():
         return np.array([[1.0, 0.0], [0.0, -1.0]])
 
     with pytest.raises(VoxlabError):
-        fw_optdesign(DesignOracles(dim=d, lin_opt=lin_opt, lin_est=lin_est),
-                     C=2.0, gamma=0.1)
+        fw_optdesign(lin_opt, lin_est, C=2.0, gamma=0.1, d=d)
 
 
 def test_parameter_validation():
     oracles = exact_oracles([np.eye(2)])
     with pytest.raises(VoxlabError):
-        fw_optdesign(oracles, C=1.0, gamma=0.1)  # C must exceed 1
+        fw_optdesign(*oracles, C=1.0, gamma=0.1, d=2)  # C must exceed 1
     with pytest.raises(VoxlabError):
-        fw_optdesign(oracles, C=2.0, gamma=0.0)
+        fw_optdesign(*oracles, C=2.0, gamma=0.0, d=2)
     with pytest.raises(VoxlabError):
-        fw_optdesign(oracles, C=2.5, gamma=0.9)
+        fw_optdesign(*oracles, C=2.5, gamma=0.9, d=2)
 
 
 def test_design_state_invariants():
     rng = np.random.default_rng(3)
     Ws = random_psd_family(rng, 2, 6)
-    state = fw_optdesign(exact_oracles(Ws), C=2.0, gamma=0.1)
+    state = fw_optdesign(*exact_oracles(Ws), C=2.0, gamma=0.1, d=2)
     assert abs(sum(state.P.values()) - 1.0) < 1e-12
     assert all(w >= 0 for w in state.P.values())
     assert state.M.shape == (2, 2)
@@ -191,8 +173,7 @@ def test_frobenius_cap_counts_clips():
     def lin_est(P):
         return W_big * sum(P.values())
 
-    state = fw_optdesign(DesignOracles(dim=2, lin_opt=lin_opt, lin_est=lin_est),
-                         C=2.0, gamma=0.3)
+    state = fw_optdesign(lin_opt, lin_est, C=2.0, gamma=0.3, d=2)
     assert state.fro_clips >= 1
 
 
@@ -213,9 +194,9 @@ def test_policy_keyed_design_matches_the_integer_indexed_one():
         def lin_est(P):
             return sum(w * exact_second_moment(M, pi, feat, 1) for pi, w in P.items())
 
-        by_index, interned = policy_design_oracles(M, feat, 1)
-        want = fw_optdesign(by_index, C=2.0, gamma=0.1)
-        got = fw_optdesign(DesignOracles(2, lin_opt, lin_est), C=2.0, gamma=0.1)
+        by_opt, by_est, interned = policy_design_oracles(M, feat, 1)
+        want = fw_optdesign(by_opt, by_est, C=2.0, gamma=0.1, d=2)
+        got = fw_optdesign(lin_opt, lin_est, C=2.0, gamma=0.1, d=2)
         assert got.iterations == want.iterations and got.trace == want.trace
         assert got.certificate == want.certificate
         assert list(got.P) == [interned[z] for z in want.P]

@@ -160,7 +160,7 @@ def test_next_layer_occupancy_factors_through_features():
         for _ in range(5):
             pi = random_policy(M, rng)
             for h in range(M.H - 1):
-                bar = exact_feature_expectation(M, pi, M.phi, h)
+                bar = exact_feature_expectation(M, pi, M.phi[h], h)
                 pred = M.mu[h] @ bar
                 assert np.allclose(pred, exact_occupancy(M, pi, h + 1), atol=1e-10)
             checks += 1
@@ -171,8 +171,8 @@ def test_constant_feature_expectation_is_the_constant(env):
     v = np.array([0.3, -0.4])
     table = np.tile(v, (env.n_states(1), env.A, 1))
     pi = Policy.uniform(env)
-    assert np.allclose(exact_feature_expectation(env, pi, [None, table], 1), v)
-    W = exact_second_moment(env, pi, [None, table], 1)
+    assert np.allclose(exact_feature_expectation(env, pi, table, 1), v)
+    W = exact_second_moment(env, pi, table, 1)
     assert np.allclose(W, np.outer(v, v), atol=1e-12)
 
 
@@ -183,7 +183,7 @@ def test_mixture_occupancy_is_weighted_average(env):
     got = mixture_occupancy(env, P, 2)
     want = 0.5 * exact_occupancy(env, a, 2) + 0.5 * exact_occupancy(env, b, 2)
     assert np.allclose(got, want, atol=1e-12)
-    sa = mixture_occupancy(env, P, 2, with_actions=True)
+    sa = 0.5 * exact_occupancy_sa(env, a, 2) + 0.5 * exact_occupancy_sa(env, b, 2)
     assert np.allclose(sa.sum(axis=1), got, atol=1e-12)
 
 

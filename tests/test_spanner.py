@@ -169,3 +169,142 @@ def test_round_and_call_accounting():
     assert state.oracle_calls >= 4 * state.rounds
     assert len(state.indices) == 2
     assert all(ix is not None for ix in state.indices)
+
+
+def reference_robust_spanner(lin_opt, lin_est, C, eps, d, max_rounds):
+    """Frozen copy of the two-phase loop that the one placement step
+    replaced: phase 1 places each column once, phase 2 restarts from
+    column 0 after every swap.  Returns (W, indices, rounds, calls)."""
+    W = np.eye(d)
+    indices = [None] * d
+    rounds = calls = 0
+
+    def probe(theta_hat):
+        nonlocal calls
+        zp = lin_opt(theta_hat)
+        wp = np.asarray(lin_est(zp), dtype=float)
+        zm = lin_opt(-theta_hat)
+        wm = np.asarray(lin_est(zm), dtype=float)
+        calls += 4
+        return zp, wp, zm, wm
+
+    for i in range(d):
+        theta = spanner_direction(W, i)
+        nrm = np.linalg.norm(theta)
+        if nrm < 1e-14:
+            continue
+        theta_hat = theta / nrm
+        zp, wp, zm, wm = probe(theta_hat)
+        if theta_hat @ wp >= -(theta_hat @ wm):
+            W[:, i] = wp + eps * theta_hat
+            indices[i] = zp
+        else:
+            W[:, i] = wm - eps * theta_hat
+            indices[i] = zm
+        rounds += 1
+        assert rounds <= max_rounds
+    while True:
+        swapped = False
+        for i in range(d):
+            theta = spanner_direction(W, i)
+            nrm = np.linalg.norm(theta)
+            if nrm < 1e-14:
+                continue
+            theta_hat = theta / nrm
+            base = C * abs(theta @ W[:, i])
+            zp, wp, zm, wm = probe(theta_hat)
+            if theta @ wp + eps * nrm >= base:
+                W[:, i] = wp + eps * theta_hat
+                indices[i] = zp
+                swapped = True
+            elif -(theta @ wm) + eps * nrm >= base:
+                W[:, i] = wm - eps * theta_hat
+                indices[i] = zm
+                swapped = True
+            if swapped:
+                rounds += 1
+                assert rounds <= max_rounds
+                break
+        if not swapped:
+            return W, indices, rounds, calls
+
+
+def scripted_oracles(vectors, script=()):
+    """Exact oracles over ``vectors``, except that the first lin_opt calls
+    return the indices in ``script``; every query is logged."""
+    vectors = [np.asarray(v, dtype=float) for v in vectors]
+    queries = []
+
+    def lin_opt(theta):
+        queries.append(np.asarray(theta).tobytes())
+        if len(queries) <= len(script):
+            return script[len(queries) - 1]
+        return int(np.argmax([theta @ v for v in vectors]))
+
+    return lin_opt, lambda z: vectors[z], queries
+
+
+def assert_matches_reference(make_oracles, C, eps, d):
+    """The spanner and its frozen two-phase copy, each on fresh oracles, ask
+    the same queries and return the same columns, indices and counts."""
+    lin_opt, lin_est, queries = make_oracles()
+    state = robust_spanner(lin_opt, lin_est, C=C, eps=eps, d=d)
+    ref_opt, ref_est, ref_queries = make_oracles()
+    W, indices, rounds, calls = reference_robust_spanner(
+        ref_opt, ref_est, C, eps, d, spanner_rounds_bound(C, eps, d))
+    assert queries == ref_queries
+    assert state.W.tobytes() == W.tobytes()
+    assert state.indices == indices
+    assert (state.rounds, state.oracle_calls) == (rounds, calls)
+    return state
+
+
+def test_one_placement_step_matches_the_two_phase_spanner():
+    # noisy families: the worst admissible index, a fixed error per index
+    # and a low C make phase 2 swap on a share of the cases
+    eps, C, swaps = 0.05, 1.1, 0
+    for i in range(60):
+        d = (2, 3, 4)[i % 3]
+        rng = np.random.default_rng(5000 + i)
+        raw = rng.standard_normal((int(rng.integers(2 * d, 30)), d))
+        vectors = [v / max(1.0, np.linalg.norm(v)) for v in raw]
+        noise = [u * (eps / 2.0) * rng.random() / np.linalg.norm(u)
+                 for u in rng.standard_normal((len(vectors), d))]
+
+        def make_oracles():
+            queries = []
+
+            def lin_opt(theta):
+                queries.append(theta.tobytes())
+                vals = np.array([theta @ v for v in vectors])
+                ok = np.nonzero(vals >= vals.max() - eps / 2.0)[0]
+                return int(ok[np.argmin(vals[ok])])
+
+            return lin_opt, lambda z: vectors[z] + noise[z], queries
+
+        state = assert_matches_reference(make_oracles, C, eps, d)
+        swaps += state.rounds > d
+    assert swaps >= 10
+
+
+def test_a_swap_takes_plus_theta_when_both_signs_clear_the_bar():
+    # phase 1 is scripted onto short vectors; in phase 2 column 0's +theta
+    # probe (0.5 e1) and its -theta probe (-e1) both beat C times the old
+    # column, and the swap takes +theta although -theta is longer
+    vectors = [[0.1, 0.0], [-0.1, 0.0], [0.0, 0.1], [0.0, -0.1],
+               [0.5, 0.0], [-1.0, 0.0], [0.0, 0.5], [0.0, -1.0]]
+    state = assert_matches_reference(
+        lambda: scripted_oracles(vectors, script=(0, 1, 2, 3)), 2.0, 0.01, 2)
+    assert state.rounds > 2 and state.indices[0] == 4
+
+
+def test_a_degenerate_column_is_skipped_like_the_two_phase_spanner():
+    # the scripted first placement cancels the eps shift to a zero column, so
+    # column 1's direction vanishes and it is skipped; phase 2 then refills
+    # column 0 and column 1 stays unfilled
+    vectors = [[-0.5, 0.0], [0.5, 0.0], [0.9, 0.0], [-0.9, 0.0],
+               [0.0, 0.9], [0.0, -0.9]]
+    state = assert_matches_reference(
+        lambda: scripted_oracles(vectors, script=(0, 1)), 2.0, 0.5, 2)
+    assert state.indices == [2, None]
+    assert state.rounds == 2 and state.oracle_calls == 4 * 4

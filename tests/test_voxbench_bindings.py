@@ -4,14 +4,17 @@ The tracer looks these up only when a run asks for `--trace 1`, so a
 renamed or deleted function would otherwise break only traced runs.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 import sys
 from pathlib import Path
 
-from voxlab.replearn import RepLearnDataset
+from voxlab.optdesign import DesignState
+from voxlab.replearn import RepLearnDataset, RepLearnResult
 from voxlab.simenv import sample_trajectories
+from voxlab.spanner import SpannerState
 
 VOXBENCH = Path(__file__).resolve().parent.parent / "voxbench"
 
@@ -41,3 +44,14 @@ def test_workload_module_loads(monkeypatch):
     # RepLearnConfig fields by keyword
     workloads = load("workloads", monkeypatch)
     assert workloads.VOX_SCHEDULE.fw_max_iters == 60
+
+
+def test_result_fields_the_tracer_hooks_read():
+    # the `--trace 1` hooks read these off each traced call's return value
+    def fields(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert "iterations" in fields(DesignState)
+    assert isinstance(DesignState.support_size, property)
+    assert {"rounds", "oracle_calls"} <= fields(SpannerState)
+    assert "iterations" in fields(RepLearnResult)
