@@ -160,14 +160,15 @@ class _GapScorer:
     When every unconstrained fit lies inside both balls no fit moves, so
     `into_ball` is skipped and the current candidate's loss is its row of
     the stacked losses; on the benchmark's searches no fit leaves a ball,
-    and the skip saves about 15% of a call.  The gradient holds the fitted
-    weights fixed and moves only the targets.  Every row is bit-identical
-    to scoring that discriminator alone against one candidate at a time.
+    and the skip saves about 15% of a call.  The gradient, None unless grad
+    (a hill climb follows), holds the fitted weights and moves the targets.
+    Every row is bit-identical to scoring that discriminator alone against
+    one candidate at a time.
     """
 
-    def __init__(self, data, current, T, r_big, r_small):
+    def __init__(self, data, current, T, r_big, r_small, grad=True):
         self.data, self.current, self.T = data, current, T
-        self.r_big, self.r_small = r_big, r_small
+        self.r_big, self.r_small, self.grad = r_big, r_small, grad
         self.inside = min(r_big, r_small) + NORM_EPS
         self.fac = fac = data.factor_stack(T)
         self.own_fac = fac[current]
@@ -188,11 +189,14 @@ class _GapScorer:
             losses = fac.losses(W, Y, offsets)
         rows = np.arange(S)
         best = losses.argmin(axis=0)
+        gaps = own - losses[best, rows]
+        if not self.grad:
+            return gaps, None
         diff = (matvec(self.T[best], W[best, rows][:, None, :])
                 - matvec(self.cur_tab, w_own[:, None, :]))
         s = matvec(self.data._next_by_cell, diff.reshape(S, -1))
         chosen = ftabs[rows[:, None], np.arange(ftabs.shape[1]), fvals.argmax(axis=2)]
-        return own - losses[best, rows], 2.0 * (s[:, :, None] * chosen).sum(axis=1)
+        return gaps, 2.0 * (s[:, :, None] * chosen).sum(axis=1)
 
 
 def adversarial_gap(Phi, phi_current, f: Discriminator, data: RepLearnDataset,
@@ -274,7 +278,8 @@ def _search_points(Phi, phi_current, data, config, rng):
     thetas = np.array(thetas)
     n_seeds = len(thetas) // K
     fis = np.repeat(np.arange(K), n_seeds)
-    score = _GapScorer(data, phi_current, Phi.tables_at(data.layer), r_big, r_small)
+    score = _GapScorer(data, phi_current, Phi.tables_at(data.layer), r_big, r_small,
+                       grad=d > 2)
     gaps, grads = score(next_tables[fis], thetas)
     gaps = gaps.tolist()
     blocks = [range(fi * n_seeds, (fi + 1) * n_seeds) for fi in range(K)]

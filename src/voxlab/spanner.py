@@ -6,7 +6,8 @@ directions; phase 2 keeps swapping any column whose direction admits a
 family member improving |det| by a factor C, so |det| grows geometrically
 and the total number of column placements is bounded.  Oracles: lin_opt
 maps a unit direction to a family index (approximate argmax of the inner
-product), lin_est maps an index to its vector.
+product), lin_est maps an index to its vector; it is read as a function of
+the (hashable) index, so a spanner evaluates it once per distinct index.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ class SpannerState:
     indices: list
     rounds: int
     oracle_calls: int
+    est_calls: int
 
 
 def spanner_rounds_bound(C, eps, d):
@@ -61,8 +63,10 @@ def robust_spanner(lin_opt, lin_est, C, eps, d, max_rounds=None) -> SpannerState
     """Compute a (C, O(d*eps))-approximate barycentric spanner.
 
     Counts one round per column placement (d in phase 1, one per phase-2
-    swap); raises BudgetError past max_rounds, which defaults to the
-    termination bound for conforming oracles.
+    swap) and 4 oracle_calls per probed column; est_calls counts the lin_est
+    runs, one per distinct index (a repeat reads the stored vector).  Raises
+    BudgetError past max_rounds, which defaults to the termination bound for
+    conforming oracles.
     """
     if C <= 1.0:
         raise VoxlabError(f"C must exceed 1, got {C}")
@@ -75,6 +79,12 @@ def robust_spanner(lin_opt, lin_est, C, eps, d, max_rounds=None) -> SpannerState
     indices: list = [None] * d
     rounds = 0
     calls = 0
+    est: dict = {}
+
+    def estimate(z):
+        if z not in est:
+            est[z] = np.array(lin_est(z), dtype=float)
+        return est[z]
 
     def place(i, first):
         """Probe column i at +theta, then -theta; place the better (first)
@@ -87,15 +97,18 @@ def robust_spanner(lin_opt, lin_est, C, eps, d, max_rounds=None) -> SpannerState
         theta_hat = theta / nrm
         base = C * abs(theta @ W[:, i])
         zp = lin_opt(theta_hat)
-        wp = np.asarray(lin_est(zp), dtype=float)
+        wp = estimate(zp)
         zm = lin_opt(-theta_hat)
-        wm = np.asarray(lin_est(zm), dtype=float)
+        wm = estimate(zm)
         calls += 4
+        # a swap must clear base, strictly at base 0 (a zero column), where a
+        # probe off by exactly eps would put the zero column back every round
+        gp, gm = theta @ wp + eps * nrm, -(theta @ wm) + eps * nrm
         if first:
             plus = theta_hat @ wp >= -(theta_hat @ wm)
-        elif theta @ wp + eps * nrm >= base:
+        elif gp > base or gp == base > 0.0:
             plus = True
-        elif -(theta @ wm) + eps * nrm >= base:
+        elif gm > base or gm == base > 0.0:
             plus = False
         else:
             return False
@@ -113,7 +126,8 @@ def robust_spanner(lin_opt, lin_est, C, eps, d, max_rounds=None) -> SpannerState
         place(i, True)
     while any(place(i, False) for i in range(d)):
         pass
-    return SpannerState(W=W, indices=indices, rounds=rounds, oracle_calls=calls)
+    return SpannerState(W=W, indices=indices, rounds=rounds, oracle_calls=calls,
+                        est_calls=len(est))
 
 
 def verify_spanner(W, tests, C, eps):

@@ -244,20 +244,31 @@ def test_spanrl_micro_run_covers_and_accounting():
     for h in range(2, M.H):
         assert len(result.covers.psis[h]) == Phi.d
 
+    # one PSDP run per lin_opt query, one est_vec run per distinct policy
     want = 0
     for row in result.log:
+        assert row["est_calls"] <= row["oracle_calls"] // 2
         want += schedule.n_replearn
-        want += (row["oracle_calls"] // 2) * (
-            (row["h"] + 1) * schedule.n_psdp + schedule.n_estvec)
+        want += (row["oracle_calls"] // 2) * (row["h"] + 1) * schedule.n_psdp
+        want += row["est_calls"] * schedule.n_estvec
     assert result.episodes == want
+    # the spanner re-probes policies it has already estimated
+    assert any(row["est_calls"] < row["oracle_calls"] // 2 for row in result.log)
 
     out = check_policy_cover(M, result.covers.distribution(2), 2,
                              alpha=1.0 / (4 * M.A * Phi.d), eps=0.0, mode="max")
     assert out["passed"], out
 
 
-def test_spanrl_budget_error_says_where_and_keeps_the_partial_run():
+def test_spanrl_budget_error_says_where_and_keeps_the_partial_run(monkeypatch):
     # with d = 2, phase 1 alone places two columns, so one round is too few
+    returned = []
+
+    def recorded_psdp(*args, **kwargs):
+        returned.append(psdp(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(drivers, "psdp", recorded_psdp)
     M = boosted_env(seed=8, H=4)
     Phi = make_feature_class(M, n_decoys=1, rng=np.random.default_rng(8))
     s = SpanrlSchedule(n_replearn=1500, n_estvec=800, n_psdp=1500, max_rounds=1,
@@ -270,9 +281,11 @@ def test_spanrl_budget_error_says_where_and_keeps_the_partial_run():
     assert "run_spanrl layer 0: robust_spanner exceeded 1 rounds" in str(err)
     assert isinstance(err.__cause__, BudgetError)
     assert err.log == []
-    # rep-learn, then the two phase-1 probes: two PSDP and two est_vec calls each
-    assert err.episodes == counter.count == (s.n_replearn
-                                             + 2 * 2 * (s.n_psdp + s.n_estvec))
+    # rep-learn, then the two phase-1 probes: two PSDP calls each, and one
+    # est_vec call per distinct policy they return
+    assert len(returned) == 2 * 2
+    assert err.episodes == counter.count == (
+        s.n_replearn + 2 * 2 * s.n_psdp + len(set(returned)) * s.n_estvec)
 
 
 def test_spanrl_fills_an_unfilled_spanner_column_with_uniform_play(monkeypatch):
@@ -476,7 +489,7 @@ def test_run_result_json_is_deterministic():
 # field or cover entry changes them
 GOLDEN = {
     "vox": "5a171e42896a1c453f33994fd5e21a51605e2d76f401bc91424f5d31325ae5a6",
-    "spanrl": "0e2233b1376776eba4dbb4f38c55d06adb809c069d588aea6032b7fdf2b4d33b",
+    "spanrl": "a8ce107f537f6208da0f60f040e09c3317a021bc5d3c4eb7c176e16ccd6f26f4",
 }
 
 

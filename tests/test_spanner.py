@@ -132,15 +132,18 @@ def test_parameter_validation():
 
 
 def test_budget_error_reports_bound():
-    # oracle whose reported vectors keep growing the determinant forever by
-    # alternating which index it returns with inflating magnitudes
+    # oracle whose reported vectors keep growing the determinant forever: a
+    # fresh index on every query, each with a larger vector than the last
     d = 2
     scale = {"v": 1.0}
+    issued = []
 
     def lin_opt(theta):
-        return 0
+        issued.append(len(issued))
+        return issued[-1]
 
     def lin_est(z):
+        assert z == issued[-1]
         scale["v"] *= 4.0
         return np.array([scale["v"], 0.0])
 
@@ -308,3 +311,55 @@ def test_a_degenerate_column_is_skipped_like_the_two_phase_spanner():
         lambda: scripted_oracles(vectors, script=(0, 1)), 2.0, 0.5, 2)
     assert state.indices == [2, None]
     assert state.rounds == 2 and state.oracle_calls == 4 * 4
+
+
+def test_a_zero_column_is_not_swapped_back_in():
+    # phase 1 places e1's +theta probe, (-0.5, 0), shifted by eps = 0.5 onto
+    # a zero column; the same probe then clears base = 0 with no gain.  A
+    # strict bar at base 0 stops there instead of swapping until BudgetError
+    vectors = [np.array([-0.5, 0.0]), np.array([0.5, 0.0])]
+    queries = []
+
+    def lin_opt(theta):
+        queries.append(theta)
+        return 0 if theta[0] > 0 else 1
+
+    state = robust_spanner(lin_opt, lambda z: vectors[z], C=2.0, eps=0.5, d=2)
+    assert state.indices == [0, None]
+    assert state.rounds == 1 and len(queries) == 2 * 2
+    assert state.W.tobytes() == np.array([[0.0, 0.0], [0.0, 1.0]]).tobytes()
+
+
+def test_lin_est_runs_once_per_distinct_index():
+    # random families under an oracle that returns the worst admissible
+    # index, so phase 2 swaps and re-probes indices it has seen; the frozen
+    # loop, which calls lin_est on every probe, gives the run without memo
+    eps, C, repeats = 0.05, 1.1, 0
+    for i in range(12):
+        d = (2, 3, 4)[i % 3]
+        rng = np.random.default_rng(5000 + i)
+        raw = rng.standard_normal((int(rng.integers(2 * d, 30)), d))
+        vectors = [v / max(1.0, np.linalg.norm(v)) for v in raw]
+        returned, evaluated = [], []
+
+        def lin_opt(theta):
+            vals = np.array([theta @ v for v in vectors])
+            ok = np.nonzero(vals >= vals.max() - eps / 2.0)[0]
+            returned.append(int(ok[np.argmin(vals[ok])]))
+            return returned[-1]
+
+        def lin_est(z):
+            evaluated.append(z)
+            return vectors[z]
+
+        state = robust_spanner(lin_opt, lin_est, C=C, eps=eps, d=d)
+        assert sorted(evaluated) == sorted(set(returned))
+        assert state.est_calls == len(evaluated)
+        repeats += len(evaluated) < len(returned)
+        W, indices, rounds, calls = reference_robust_spanner(
+            lin_opt, lambda z: vectors[z], C, eps, d,
+            spanner_rounds_bound(C, eps, d))
+        assert state.W.tobytes() == W.tobytes()
+        assert (state.indices, state.rounds, state.oracle_calls) == (
+            indices, rounds, calls)
+    assert repeats == 12
