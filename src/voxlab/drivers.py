@@ -321,7 +321,7 @@ def run_spanrl(M, Phi, eps, schedule: SpanrlSchedule, rng,
             raise BudgetError(f"run_spanrl layer {hc}: {exc}", layer=hc, log=log,
                               episodes=counter.count) from exc
         row.update(spanner_rounds=state.rounds, oracle_calls=state.oracle_calls,
-                   est_calls=state.est_calls)
+                   opt_calls=state.opt_calls, est_calls=state.est_calls)
         # a column the spanner left unfilled plays uniform up to layer hc
         return PolicyDistribution(
             [pi if pi is not None else _uniform(M, 0, hc)

@@ -231,6 +231,39 @@ def generate_low_rank_mdp(spec):
     return LayeredLowRankMDP(H, A, d, layers, phi, mu, rho)
 
 
+def combination_lock(H, A, obs_per_latent, seed):
+    """Block-MDP combination lock with two latent states per layer (d = 2).
+
+    Latent 0 ("open") moves to latent 0 only under that layer's secret
+    action; every other action, and every action from latent 1, leads to
+    latent 1, which absorbs.  Each latent emits ``obs_per_latent``
+    observations with Dirichlet weights, in a per-layer shuffled order.
+    phi is the one-hot next-latent indicator and mu holds the emission
+    columns, so the uniform policy reaches the open latent at layer h with
+    probability A^-h.  All randomness comes from ``seed``.
+    """
+    if H < 2 or A < 1 or obs_per_latent < 1:
+        raise VoxlabError("combination_lock requires H >= 2, A >= 1 and "
+                          "obs_per_latent >= 1")
+    rng = np.random.default_rng(seed)
+    n = 2 * obs_per_latent
+    latent = [rng.permutation(n) // obs_per_latent for _ in range(H)]
+    secret = rng.integers(0, A, size=H - 1)
+    phi, mu = [], []
+    for h in range(H - 1):
+        nxt = np.ones((n, A), dtype=int)
+        nxt[latent[h] == 0, secret[h]] = 0
+        phi.append(np.eye(2)[nxt])
+        q = np.zeros((n, 2))
+        for z in range(2):
+            q[latent[h + 1] == z, z] = rng.dirichlet(np.ones(obs_per_latent))
+        mu.append(q)
+    rho = np.zeros(n)
+    rho[latent[0] == 0] = rng.dirichlet(np.ones(obs_per_latent))
+    layers = [list(range(h * n, (h + 1) * n)) for h in range(H)]
+    return LayeredLowRankMDP(H, A, 2, layers, phi, mu, rho)
+
+
 def _check_layer(M, h):
     if not 0 <= h < M.H:
         raise LayerRangeError(f"layer {h} out of range for H={M.H}")

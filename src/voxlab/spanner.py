@@ -6,8 +6,11 @@ directions; phase 2 keeps swapping any column whose direction admits a
 family member improving |det| by a factor C, so |det| grows geometrically
 and the total number of column placements is bounded.  Oracles: lin_opt
 maps a unit direction to a family index (approximate argmax of the inner
-product), lin_est maps an index to its vector; it is read as a function of
-the (hashable) index, so a spanner evaluates it once per distinct index.
+product), lin_est maps an index to its vector.  Both are read as functions:
+lin_opt of its query's bytes and lin_est of the (hashable) index, so a
+spanner runs each once per distinct argument.  Column i's direction comes
+from the other columns' cofactors alone, so a column whose neighbours have
+not moved since its last probe asks the same query again, byte for byte.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ class SpannerState:
     indices: list
     rounds: int
     oracle_calls: int
+    opt_calls: int
     est_calls: int
 
 
@@ -41,15 +45,11 @@ def spanner_rounds_bound(C, eps, d):
 def spanner_direction(W, i):
     """theta with theta.v = det of W after replacing column i by v.
 
-    Adjugate-row extraction when W is comfortably invertible, otherwise one
-    LU determinant per coordinate.
+    One LU determinant per coordinate, of W with column i set to that unit
+    vector, so theta never reads column i.
     """
     W = np.asarray(W, dtype=float)
     d = W.shape[0]
-    det = float(np.linalg.det(W))
-    if abs(det) > 1e-12:
-        theta = det * np.linalg.solve(W.T, np.eye(d)[:, i])
-        return theta
     theta = np.zeros(d)
     for j in range(d):
         Mod = W.copy()
@@ -63,8 +63,9 @@ def robust_spanner(lin_opt, lin_est, C, eps, d, max_rounds=None) -> SpannerState
     """Compute a (C, O(d*eps))-approximate barycentric spanner.
 
     Counts one round per column placement (d in phase 1, one per phase-2
-    swap) and 4 oracle_calls per probed column; est_calls counts the lin_est
-    runs, one per distinct index (a repeat reads the stored vector).  Raises
+    swap) and 4 oracle_calls per probed column; opt_calls counts the lin_opt
+    runs, one per distinct query, and est_calls the lin_est runs, one per
+    distinct index (a repeat reads the stored answer).  Raises
     BudgetError past max_rounds, which defaults to the termination bound for
     conforming oracles.
     """
@@ -79,7 +80,14 @@ def robust_spanner(lin_opt, lin_est, C, eps, d, max_rounds=None) -> SpannerState
     indices: list = [None] * d
     rounds = 0
     calls = 0
+    opt: dict = {}
     est: dict = {}
+
+    def optimize(theta_hat):
+        key = theta_hat.tobytes()
+        if key not in opt:
+            opt[key] = lin_opt(theta_hat)
+        return opt[key]
 
     def estimate(z):
         if z not in est:
@@ -96,9 +104,9 @@ def robust_spanner(lin_opt, lin_est, C, eps, d, max_rounds=None) -> SpannerState
             return False
         theta_hat = theta / nrm
         base = C * abs(theta @ W[:, i])
-        zp = lin_opt(theta_hat)
+        zp = optimize(theta_hat)
         wp = estimate(zp)
-        zm = lin_opt(-theta_hat)
+        zm = optimize(-theta_hat)
         wm = estimate(zm)
         calls += 4
         # a swap must clear base, strictly at base 0 (a zero column), where a
@@ -127,7 +135,7 @@ def robust_spanner(lin_opt, lin_est, C, eps, d, max_rounds=None) -> SpannerState
     while any(place(i, False) for i in range(d)):
         pass
     return SpannerState(W=W, indices=indices, rounds=rounds, oracle_calls=calls,
-                        est_calls=len(est))
+                        opt_calls=len(opt), est_calls=len(est))
 
 
 def verify_spanner(W, tests, C, eps):

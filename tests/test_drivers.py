@@ -244,12 +244,14 @@ def test_spanrl_micro_run_covers_and_accounting():
     for h in range(2, M.H):
         assert len(result.covers.psis[h]) == Phi.d
 
-    # one PSDP run per lin_opt query, one est_vec run per distinct policy
+    # one PSDP run per distinct lin_opt query, one est_vec run per distinct
+    # policy
     want = 0
     for row in result.log:
-        assert row["est_calls"] <= row["oracle_calls"] // 2
+        assert row["opt_calls"] <= row["oracle_calls"] // 2
+        assert row["est_calls"] <= row["opt_calls"]
         want += schedule.n_replearn
-        want += (row["oracle_calls"] // 2) * (row["h"] + 1) * schedule.n_psdp
+        want += row["opt_calls"] * (row["h"] + 1) * schedule.n_psdp
         want += row["est_calls"] * schedule.n_estvec
     assert result.episodes == want
     # the spanner re-probes policies it has already estimated
@@ -258,6 +260,31 @@ def test_spanrl_micro_run_covers_and_accounting():
     out = check_policy_cover(M, result.covers.distribution(2), 2,
                              alpha=1.0 / (4 * M.A * Phi.d), eps=0.0, mode="max")
     assert out["passed"], out
+
+
+def test_spanrl_on_a_lock_asks_each_confirmation_query_once():
+    # on the lock every probe returns an exact one-hot feature expectation,
+    # so phase 1's two placements stand and the confirmation pass repeats
+    # their four queries: a quarter of the oracle calls run PSDP
+    schedule = SpanrlSchedule(n_replearn=2000, n_estvec=2000, n_psdp=2000,
+                              replearn=micro_replearn())
+    for seed in range(5):
+        M = simenv.combination_lock(5, 4, 2, seed)
+        Phi = make_feature_class(M, n_decoys=2, rng=np.random.default_rng(seed))
+        result = run_spanrl(M, Phi, 0.005, schedule,
+                            np.random.default_rng(100 + seed))
+        want = 0
+        for row in result.log:
+            assert row["spanner_rounds"] == Phi.d
+            assert row["opt_calls"] * 4 == row["oracle_calls"]
+            want += (schedule.n_replearn + row["est_calls"] * schedule.n_estvec
+                     + row["opt_calls"] * (row["h"] + 1) * schedule.n_psdp)
+        assert result.episodes == want
+        # each cover reaches the open latent at 1/A, where uniform play has A^-h
+        for h in range(2, M.H):
+            out = check_policy_cover(M, result.covers.distribution(h), h,
+                                     alpha=1.0 / M.A - 1e-9, eps=0.0, mode="max")
+            assert out["passed"], (seed, h, out)
 
 
 def test_spanrl_budget_error_says_where_and_keeps_the_partial_run(monkeypatch):
@@ -489,7 +516,7 @@ def test_run_result_json_is_deterministic():
 # field or cover entry changes them
 GOLDEN = {
     "vox": "5a171e42896a1c453f33994fd5e21a51605e2d76f401bc91424f5d31325ae5a6",
-    "spanrl": "a8ce107f537f6208da0f60f040e09c3317a021bc5d3c4eb7c176e16ccd6f26f4",
+    "spanrl": "3371f0e61a3e137aadc3d75a4b3b913bd8f925baf27242d6b2a4493ea00d352b",
 }
 
 

@@ -19,8 +19,10 @@ from voxlab import (
     generate_low_rank_mdp,
     validate_mdp,
 )
+from voxlab.evalcover import check_policy_cover
 from voxlab.simenv import (
     argmax_policy,
+    combination_lock,
     exact_feature_expectation,
     exact_occupancy,
     exact_occupancy_sa,
@@ -112,6 +114,26 @@ def test_boost_lifts_reachability():
     eta_b = min(reachability_eta(boosted, h) for h in (1, 2))
     assert eta_b >= 0.2
     assert eta_b >= min(reachability_eta(plain, h) for h in (1, 2)) - 1e-9
+
+
+@pytest.mark.parametrize("H, A, obs", [(6, 4, 2), (4, 3, 3), (3, 2, 1)])
+def test_combination_lock_is_valid_and_uniform_play_opens_it_at_a_to_the_minus_h(
+        H, A, obs):
+    for seed in range(3):
+        M = combination_lock(H, A, obs, seed)
+        assert (M.H, M.A, M.d) == (H, A, 2)
+        assert validate_mdp(M) == []
+        uniform = Policy.uniform(M, 0, H - 1)
+        for h in range(1, H):
+            out = check_policy_cover(M, uniform, h, alpha=0.0, eps=0.0)
+            assert out["alpha_measured"] == pytest.approx(float(A) ** -h,
+                                                          rel=0, abs=1e-12)
+
+
+def test_combination_lock_rejects_bad_sizes():
+    for H, A, obs in [(1, 4, 2), (6, 0, 2), (6, 4, 0)]:
+        with pytest.raises(VoxlabError):
+            combination_lock(H, A, obs, 0)
 
 
 # ------------------------------------------------------- exact occupancies

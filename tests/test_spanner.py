@@ -100,7 +100,7 @@ def test_spanner_direction_is_replacement_determinant():
 
 
 def test_spanner_direction_singular_matrix():
-    # rank-deficient W: LU fallback still returns replacement determinants
+    # rank-deficient W: the cofactors are still replacement determinants
     W = np.zeros((3, 3))
     W[:, 0] = [1.0, 0.0, 0.0]
     W[:, 1] = [1.0, 0.0, 0.0]
@@ -110,6 +110,19 @@ def test_spanner_direction_singular_matrix():
     Mod = W.copy()
     Mod[:, 1] = v
     assert theta @ v == pytest.approx(np.linalg.det(Mod), abs=1e-12)
+
+
+def test_spanner_direction_does_not_read_its_own_column():
+    # overwriting column i leaves its direction unchanged bit for bit, so a
+    # column whose neighbours have not moved repeats its query exactly
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        d = int(rng.integers(2, 5))
+        W = rng.standard_normal((d, d))
+        i = int(rng.integers(d))
+        theta = spanner_direction(W, i)
+        W[:, i] = rng.standard_normal(d)
+        assert spanner_direction(W, i).tobytes() == theta.tobytes()
 
 
 def test_verify_spanner_trivials():
@@ -247,14 +260,28 @@ def scripted_oracles(vectors, script=()):
     return lin_opt, lambda z: vectors[z], queries
 
 
+def memoized(lin_opt):
+    """lin_opt asked once per distinct query, keyed by the query's bytes."""
+    answers = {}
+
+    def ask(theta):
+        key = theta.tobytes()
+        if key not in answers:
+            answers[key] = lin_opt(theta)
+        return answers[key]
+
+    return ask
+
+
 def assert_matches_reference(make_oracles, C, eps, d):
-    """The spanner and its frozen two-phase copy, each on fresh oracles, ask
-    the same queries and return the same columns, indices and counts."""
+    """The spanner and its frozen two-phase copy, each on fresh oracles (the
+    copy's lin_opt asked once per distinct query), ask the same queries and
+    return the same columns, indices and counts."""
     lin_opt, lin_est, queries = make_oracles()
     state = robust_spanner(lin_opt, lin_est, C=C, eps=eps, d=d)
     ref_opt, ref_est, ref_queries = make_oracles()
     W, indices, rounds, calls = reference_robust_spanner(
-        ref_opt, ref_est, C, eps, d, spanner_rounds_bound(C, eps, d))
+        memoized(ref_opt), ref_est, C, eps, d, spanner_rounds_bound(C, eps, d))
     assert queries == ref_queries
     assert state.W.tobytes() == W.tobytes()
     assert state.indices == indices
@@ -291,10 +318,11 @@ def test_one_placement_step_matches_the_two_phase_spanner():
 
 
 def test_a_swap_takes_plus_theta_when_both_signs_clear_the_bar():
-    # phase 1 is scripted onto short vectors; in phase 2 column 0's +theta
-    # probe (0.5 e1) and its -theta probe (-e1) both beat C times the old
-    # column, and the swap takes +theta although -theta is longer
-    vectors = [[0.1, 0.0], [-0.1, 0.0], [0.0, 0.1], [0.0, -0.1],
+    # phase 1 is scripted onto short vectors, column 1 off the e2 axis so
+    # that column 0's phase-2 query is a new one; there its +theta probe
+    # (0.5 e1) and its -theta probe (-e1) both beat C times the old column,
+    # and the swap takes +theta although -theta is longer
+    vectors = [[0.1, 0.0], [-0.1, 0.0], [0.05, 0.1], [0.0, -0.08],
                [0.5, 0.0], [-1.0, 0.0], [0.0, 0.5], [0.0, -1.0]]
     state = assert_matches_reference(
         lambda: scripted_oracles(vectors, script=(0, 1, 2, 3)), 2.0, 0.01, 2)
@@ -302,21 +330,24 @@ def test_a_swap_takes_plus_theta_when_both_signs_clear_the_bar():
 
 
 def test_a_degenerate_column_is_skipped_like_the_two_phase_spanner():
-    # the scripted first placement cancels the eps shift to a zero column, so
-    # column 1's direction vanishes and it is skipped; phase 2 then refills
-    # column 0 and column 1 stays unfilled
-    vectors = [[-0.5, 0.0], [0.5, 0.0], [0.9, 0.0], [-0.9, 0.0],
-               [0.0, 0.9], [0.0, -0.9]]
+    # the scripted first placement cancels the eps shift onto 0.5 e3, parallel
+    # to column 2, so column 1's direction vanishes and it is skipped; column
+    # 2 is then placed along e1, phase 2 refills column 0 (a new query, since
+    # column 2 moved) and column 1 stays unfilled
+    vectors = [[-0.5, 0.0, 0.5], [0.6, 0.0, 0.0], [0.9, 0.0, 0.0],
+               [-0.9, 0.0, 0.0], [0.0, 0.9, 0.0], [0.0, -0.9, 0.0],
+               [0.0, 0.0, 0.9], [0.0, 0.0, -0.9]]
     state = assert_matches_reference(
-        lambda: scripted_oracles(vectors, script=(0, 1)), 2.0, 0.5, 2)
-    assert state.indices == [2, None]
-    assert state.rounds == 2 and state.oracle_calls == 4 * 4
+        lambda: scripted_oracles(vectors, script=(0, 1)), 2.0, 0.5, 3)
+    assert state.indices == [6, None, 3]
+    assert state.rounds == 3 and state.oracle_calls == 4 * 6
 
 
 def test_a_zero_column_is_not_swapped_back_in():
     # phase 1 places e1's +theta probe, (-0.5, 0), shifted by eps = 0.5 onto
-    # a zero column; the same probe then clears base = 0 with no gain.  A
-    # strict bar at base 0 stops there instead of swapping until BudgetError
+    # a zero column; the same probe, a repeated query, then clears base = 0
+    # with no gain.  A strict bar at base 0 stops there instead of swapping
+    # until BudgetError
     vectors = [np.array([-0.5, 0.0]), np.array([0.5, 0.0])]
     queries = []
 
@@ -326,7 +357,8 @@ def test_a_zero_column_is_not_swapped_back_in():
 
     state = robust_spanner(lin_opt, lambda z: vectors[z], C=2.0, eps=0.5, d=2)
     assert state.indices == [0, None]
-    assert state.rounds == 1 and len(queries) == 2 * 2
+    assert state.rounds == 1 and len(queries) == 2
+    assert state.oracle_calls == 2 * 4
     assert state.W.tobytes() == np.array([[0.0, 0.0], [0.0, 1.0]]).tobytes()
 
 
@@ -359,6 +391,43 @@ def test_lin_est_runs_once_per_distinct_index():
         W, indices, rounds, calls = reference_robust_spanner(
             lin_opt, lambda z: vectors[z], C, eps, d,
             spanner_rounds_bound(C, eps, d))
+        assert state.W.tobytes() == W.tobytes()
+        assert (state.indices, state.rounds, state.oracle_calls) == (
+            indices, rounds, calls)
+    assert repeats == 12
+
+
+def test_lin_opt_runs_once_per_distinct_query():
+    # the families of the lin_est test; the frozen loop, which calls lin_opt
+    # on every probe, asks the spanner's queries and repeats some of them
+    eps, C, repeats = 0.05, 1.1, 0
+    for i in range(12):
+        d = (2, 3, 4)[i % 3]
+        rng = np.random.default_rng(5000 + i)
+        raw = rng.standard_normal((int(rng.integers(2 * d, 30)), d))
+        vectors = [v / max(1.0, np.linalg.norm(v)) for v in raw]
+
+        def make_oracles():
+            queries = []
+
+            def lin_opt(theta):
+                queries.append(theta.tobytes())
+                vals = np.array([theta @ v for v in vectors])
+                ok = np.nonzero(vals >= vals.max() - eps / 2.0)[0]
+                return int(ok[np.argmin(vals[ok])])
+
+            return lin_opt, lambda z: vectors[z], queries
+
+        lin_opt, lin_est, queries = make_oracles()
+        state = robust_spanner(lin_opt, lin_est, C=C, eps=eps, d=d)
+        assert len(set(queries)) == len(queries) == state.opt_calls
+        assert state.est_calls <= state.opt_calls <= state.oracle_calls // 2
+        ref_opt, ref_est, ref_queries = make_oracles()
+        W, indices, rounds, calls = reference_robust_spanner(
+            ref_opt, ref_est, C, eps, d, spanner_rounds_bound(C, eps, d))
+        assert sorted(set(ref_queries)) == sorted(queries)
+        assert len(ref_queries) == state.oracle_calls // 2
+        repeats += len(queries) < len(ref_queries)
         assert state.W.tobytes() == W.tobytes()
         assert (state.indices, state.rounds, state.oracle_calls) == (
             indices, rounds, calls)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from voxlab.optdesign import DesignState
 from voxlab.replearn import RepLearnDataset, RepLearnResult
-from voxlab.simenv import sample_trajectories
+from voxlab.simenv import combination_lock, sample_trajectories
 from voxlab.spanner import SpannerState
 
 VOXBENCH = Path(__file__).resolve().parent.parent / "voxbench"
@@ -44,6 +44,19 @@ def test_workload_module_loads(monkeypatch):
     # RepLearnConfig fields by keyword
     workloads = load("workloads", monkeypatch)
     assert workloads.VOX_SCHEDULE.fw_max_iters == 60
+
+
+def test_the_library_lock_equals_the_benchmark_copy(monkeypatch):
+    # the benchmark keeps its own frozen lock; the library's draws the same
+    workloads = load("workloads", monkeypatch)
+    for seed in (0, 7001, 2**31 + 5):
+        ours = combination_lock(6, 4, 2, seed)
+        theirs = workloads.combination_lock(6, 4, 2, seed)
+        assert ours.layers == theirs.layers
+        assert ours.rho.tobytes() == theirs.rho.tobytes()
+        for t in range(ours.H - 1):
+            assert ours.phi[t].tobytes() == theirs.phi[t].tobytes()
+            assert ours.mu[t].tobytes() == theirs.mu[t].tobytes()
 
 
 def test_result_fields_the_tracer_hooks_read():
