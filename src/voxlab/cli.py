@@ -17,12 +17,14 @@ import typing
 
 import numpy as np
 
-from voxlab.core import LayeredLowRankMDP, VoxlabError, validate_mdp
+from voxlab.core import (NEG_TOL, ROW_SUM_TOL, LayeredLowRankMDP, VoxlabError,
+                         validate_mdp)
 from voxlab.drivers import (
     CoverSet,
     RunResult,
     SpanrlSchedule,
     VoxSchedule,
+    _policy_to_obj,
     optimize_reward,
     run_spanrl,
     run_vox,
@@ -45,9 +47,36 @@ def _dump(obj, path):
     _write(json.dumps(obj, sort_keys=True, indent=1), path)
 
 
+def _valid(M, what):
+    """M, once `validate_mdp` finds nothing wrong with it."""
+    problems = validate_mdp(M)
+    if problems:
+        raise VoxlabError(f"{what} failed validation ({len(problems)} problems): "
+                          + "; ".join(problems[:3]))
+    return M
+
+
 def _load_env(path):
     with open(path) as fh:
-        return LayeredLowRankMDP.from_json(fh.read())
+        return _valid(LayeredLowRankMDP.from_json(fh.read()), f"environment {path}")
+
+
+def _load_covers(path, M):
+    """The covers of a run file, each policy table checked to be an
+    (|X_t|, A) table of distributions: the exact evaluators read it as is."""
+    with open(path) as fh:
+        covers = CoverSet.from_obj(json.load(fh)["covers"])
+    if covers.H != M.H:
+        raise VoxlabError(f"run file {path} has H = {covers.H}, the environment {M.H}")
+    for h, dist in enumerate(covers.layers):
+        for i, pi in enumerate(dist.policies):
+            for t, tab in enumerate(pi.tables, start=pi.lo):
+                if not (0 <= t < M.H and tab.shape == (M.n_states(t), M.A)
+                        and tab.min() >= -NEG_TOL
+                        and np.abs(tab.sum(axis=1) - 1.0).max() <= ROW_SUM_TOL):
+                    raise VoxlabError(f"run file {path}: layer {h} policy {i} table "
+                                      f"{t} is not a table of distributions over A")
+    return covers
 
 
 def _section(config, name, keys):
@@ -128,12 +157,8 @@ def _cmd_generate_env(args):
         boost=args.boost_eta,
         rotate=args.rotate,
     )
-    M = generate_low_rank_mdp(spec)
-    problems = validate_mdp(M)
-    if problems:
-        raise VoxlabError("generated environment failed validation: "
-                          + "; ".join(problems))
-    _write(M.to_json(), args.out)
+    _write(_valid(generate_low_rank_mdp(spec), "generated environment").to_json(),
+           args.out)
     return 0
 
 
@@ -195,32 +220,20 @@ def _cmd_optimize_reward(args):
     M = _load_env(args.env)
     with open(args.config) as fh:
         config = json.load(fh)
-    with open(args.run) as fh:
-        covers = CoverSet.from_obj(json.load(fh)["covers"])
+    covers = _load_covers(args.run, M)
     Phi = _feature_class_from_config(M, config, args.seed)
     thetas = _load_thetas(args.theta)
     rng = np.random.default_rng(args.seed)
     n_psdp = _typed("n_psdp", config.get("n_psdp", 20000), int)
     pol, value = optimize_reward(M, covers, thetas, Phi, n_psdp, rng)
-    _dump(
-        {
-            "value": value,
-            "seed": args.seed,
-            "policy": {
-                "lo": pol.lo,
-                "tables": [t.tolist() for t in pol.tables],
-            },
-        },
-        args.out,
-    )
+    _dump({"value": value, "seed": args.seed, "policy": _policy_to_obj(pol)},
+          args.out)
     return 0
 
 
 def _cmd_verify_cover(args):
     M = _load_env(args.env)
-    with open(args.run) as fh:
-        run_obj = json.load(fh)
-    covers = CoverSet.from_obj(run_obj["covers"])
+    covers = _load_covers(args.run, M)
     reports = _cover_reports(M, covers, args.alpha, args.eps, args.mode)
     ok = all(rep["passed"] for rep in reports.values())
     _dump({"passed": ok, "alpha": args.alpha, "eps": args.eps,

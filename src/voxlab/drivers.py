@@ -9,13 +9,14 @@ asks the explorer for a design over layers 0..hc; the designs, each
 composed with uniform play from layer hc+1 on, form layer hc+2's cover.
 
 VoX makes K designs per layer with the Frank-Wolfe design loop, whose
-LinOpt is PSDP on quadratic feature rewards and whose LinEst is the
-Monte-Carlo second moment; the cover mixes them at 1/K.
+LinOpt is PSDP on quadratic feature rewards (radius sqrt(d); None on top,
+whose reward is known) and whose LinEst is the Monte-Carlo second moment;
+the cover mixes them at 1/K.
 
 SpanRL makes one design per layer: a barycentric spanner of the reachable
-feature expectations, whose LinOpt is PSDP on linear feature rewards and
-whose LinEst is the Monte-Carlo first moment; its d policies, at weight
-1/d each, form the cover.
+feature expectations, whose LinOpt is PSDP on linear feature rewards
+(radius 2 sqrt(d)) and whose LinEst is the Monte-Carlo first moment; its d
+policies, at weight 1/d each, form the cover.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from voxlab.core import (
 )
 from voxlab.estimators import est_mat, est_vec
 from voxlab.optdesign import fw_optdesign
-from voxlab.psdp import ValueClass, linear_reward, psdp, quadratic_reward
+from voxlab.psdp import linear_reward, psdp, quadratic_reward
 from voxlab.replearn import RepLearnConfig, rep_learn
 from voxlab.simenv import EpisodeCounter, _uniform_step, exact_policy_value
 from voxlab.spanner import robust_spanner
@@ -262,10 +263,8 @@ def run_vox(M, Phi, schedule: VoxSchedule, rng, counter=None) -> RunResult:
         phiphi = np.einsum("xad,xae->xade", tab, tab)
 
         def lin_opt(Mquery):
-            top = quadratic_reward(Mquery, tab)
-            classes = [ValueClass.ball(Phi, math.sqrt(Phi.d)) for _ in range(hc)]
-            classes.append(ValueClass.singleton(top))
-            return psdp(M, hc, _top_layer_rewards(M, hc, top), classes,
+            rewards = _top_layer_rewards(M, hc, quadratic_reward(Mquery, tab))
+            return psdp(M, hc, rewards, Phi, [math.sqrt(Phi.d)] * hc + [None],
                         covers[:hc + 1], schedule.n_psdp, rng, counter=counter)
 
         def lin_est(P):
@@ -305,10 +304,8 @@ def run_spanrl(M, Phi, eps, schedule: SpanrlSchedule, rng,
     def design(hc, k, tab, row):
         def lin_opt(theta):
             rewards = _top_layer_rewards(M, hc, linear_reward(theta, tab))
-            classes = [ValueClass.ball(Phi, 2.0 * math.sqrt(d))
-                       for _ in range(hc + 1)]
-            return psdp(M, hc, rewards, classes, covers[:hc + 1],
-                        schedule.n_psdp, rng, counter=counter)
+            return psdp(M, hc, rewards, Phi, [2.0 * math.sqrt(d)] * (hc + 1),
+                        covers[:hc + 1], schedule.n_psdp, rng, counter=counter)
 
         def lin_est(pi):
             return est_vec(M, hc, tab, pi, schedule.n_estvec, rng,
@@ -356,9 +353,8 @@ def optimize_reward(M, covers: CoverSet, thetas, Phi, n, rng, counter=None):
             raise VoxlabError(f"reward vector at layer {t} has norm > 1")
     tables = [M.phi[t] @ thetas[t] for t in range(M.H - 1)]
     top = M.H - 2
-    radius = 2.0 * M.H * math.sqrt(Phi.d)
-    classes = [ValueClass.ball(Phi, radius) for _ in range(top + 1)]
+    radii = [2.0 * M.H * math.sqrt(Phi.d)] * (top + 1)
     dists = [covers.distribution(t) for t in range(top + 1)]
-    pol = psdp(M, top, tables, classes, dists, n, rng, counter=counter)
+    pol = psdp(M, top, tables, Phi, radii, dists, n, rng, counter=counter)
     value = exact_policy_value(M, pol, tables)
     return pol, value

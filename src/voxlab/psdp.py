@@ -5,8 +5,10 @@ policy extraction.  Used as the approximate linear-optimization oracle by
 both the design loop (quadratic rewards on a learned feature map) and the
 spanner loop (linear rewards), and for downstream reward optimization.
 
-All layer indices are 0-based positions within the horizon; `psdp(env, h,
-...)` regresses layers h, h-1, ..., 0 and returns a policy over [0..h].
+All layer indices are 0-based positions within the horizon; `psdp(M, h,
+rewards, Phi, radii, ...)` fits layers h, h-1, ..., 0, each over the ball of
+its radius on Phi's candidates (a radius of None takes the layer's reward
+as its Q-function), and returns a policy over [0..h].
 """
 
 from __future__ import annotations
@@ -39,30 +41,6 @@ def linear_reward(theta, feat):
     theta = np.asarray(theta, dtype=float)
     bound = float(np.linalg.norm(theta))
     return np.clip(feat @ theta, -bound, bound)
-
-
-class ValueClass:
-    """Function class regressed against at one layer.
-
-    ball: {(x, a) -> phi(x, a)^T w : phi a candidate of Phi, ||w|| <= radius}.
-    singleton: one fixed table (the known top-layer reward), no fitting.
-    """
-
-    def __init__(self, kind, *, Phi=None, radius=None, table=None):
-        self.kind = kind
-        self.Phi = Phi
-        self.radius = radius
-        self.table = table
-        if kind == "ball" and (radius is None or radius <= 0):
-            raise VoxlabError("ball value class needs radius > 0")
-
-    @classmethod
-    def ball(cls, Phi, radius):
-        return cls("ball", Phi=Phi, radius=float(radius))
-
-    @classmethod
-    def singleton(cls, table):
-        return cls("singleton", table=np.asarray(table, dtype=float))
 
 
 @dataclass
@@ -103,8 +81,8 @@ class RegressionData:
 class FittedValue:
     """Result of fit_value_class: chosen feature index, weights, Q table, loss."""
 
-    phi_index: int | None
-    w: np.ndarray | None
+    phi_index: int
+    w: np.ndarray
     q_table: np.ndarray
     loss: float
 
@@ -122,12 +100,12 @@ class BallLeastSquares:
         if Z.ndim not in (2, 3):
             raise VoxlabError(f"shape mismatch: Z {Z.shape} is not 2-d or 3-d")
         self.Z = Z
-        self.weights = self.root = None
-        if weights is not None:
-            self.weights = np.asarray(weights, dtype=float)
-            self.root = np.sqrt(self.weights)
-            Z = Z * self.root[:, None]
-        self.U, self.s, self.Vt = np.linalg.svd(Z, full_matrices=False)
+        # no weights are unit weights: multiplying by 1.0 is exact
+        self.weights = np.asarray(np.ones(Z.shape[-2]) if weights is None
+                                  else weights, dtype=float)
+        self.root = np.sqrt(self.weights)
+        self.U, self.s, self.Vt = np.linalg.svd(Z * self.root[:, None],
+                                                full_matrices=False)
         # a zero largest singular value makes this mask s > 0
         self.pos = self.s > self.s[..., :1] * 1e-13
         # min_norm's operands with a target axis: U^T, V, s and the rank
@@ -156,8 +134,7 @@ class BallLeastSquares:
         Y, summed per row, plus the rows' within-cell offsets: (S,) for one
         design and W (S, d), (K, S) for a stack and W (K, S, d)."""
         resid = matvec(self.Z[..., None, :, :], W) - Y
-        scaled = resid if self.weights is None else self.weights * resid
-        return (scaled * resid).sum(axis=-1) + offsets
+        return (self.weights * resid * resid).sum(axis=-1) + offsets
 
     def solve_many(self, Y, radius):
         """Minimizers over the ball ||w|| <= radius for every row of the (S, m)
@@ -182,9 +159,7 @@ class BallLeastSquares:
         if Y.ndim != 2 or Y.shape[1] != self.U.shape[-2]:
             raise VoxlabError(
                 f"shape mismatch: Z has {self.U.shape[-2]} rows, y {Y.shape[1:]}")
-        if self.root is not None:
-            Y = Y * self.root
-        B = matvec(self._Ut, Y)
+        B = matvec(self._Ut, Y * self.root)
         if self._mask is None:
             coef = B / self._s
         else:
@@ -261,42 +236,40 @@ def ball_constrained_least_squares(Z, y, radius, weights=None):
     return BallLeastSquares(Z, weights).solve_many(np.asarray(y)[None], radius)[0]
 
 
-def fit_value_class(data: RegressionData, cls: ValueClass):
-    """Least-squares fit of a ValueClass on aggregated data.
+def fit_value_class(data: RegressionData, Phi, radius):
+    """Least-squares fit of {(x, a) -> phi(x, a)^T w : phi a candidate of
+    Phi, ||w|| <= radius} on aggregated data.
 
-    Ball classes fit every feature candidate with one stacked factor and
-    one solve of the ball-constrained regression, and keep the lowest-loss
-    pair (lowest candidate index on ties).  Singleton classes return the
-    fixed table.
+    Every feature candidate is fitted with one stacked factor and one solve
+    of the ball-constrained regression; the lowest-loss pair is kept
+    (lowest candidate index on ties).
     """
-    if cls.kind == "singleton":
-        pred = cls.table[data.xs, data.acts]
-        loss = float((data.weights * (pred - data.ys) ** 2).sum()) + data.offset
-        return FittedValue(phi_index=None, w=None, q_table=cls.table, loss=loss)
-    T = cls.Phi.tables_at(data.layer)
+    T = Phi.tables_at(data.layer)
     fac = BallLeastSquares(T[:, data.xs, data.acts], data.weights)
-    losses, W = fac.fit(data.ys[None], data.offset, cls.radius)
+    losses, W = fac.fit(data.ys[None], data.offset, radius)
     i = int(np.argmin(losses[:, 0]))
     return FittedValue(phi_index=i, w=W[i, 0], q_table=T[i] @ W[i, 0],
                        loss=float(losses[i, 0]))
 
 
-def psdp(M, h, rewards, classes, covers, n, rng, counter=None):
+def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None):
     """Backward regression of roll-out returns; returns a greedy policy on [0..h].
 
     ``rewards[t]`` is the (|X_t|, A) reward table of layer t.  For t = h
     down to 0: draw n episodes with roll-in policy sampled from covers[t],
     a uniform action at layer t, and the already-built greedy suffix
-    afterwards; regress the observed return-to-go at (x_t, a_t) onto
-    classes[t]; act greedily w.r.t. the fit at layer t.
+    afterwards; fit the return-to-go at (x_t, a_t) over the ball of radius
+    ``radii[t]`` on Phi's layer-t candidates; act greedily on the fit.  A
+    radius of None takes ``rewards[t]`` as the fit, but still draws the
+    roll-in, so episode counts and the random stream ignore the radii.
     """
     if n < 1:
         raise VoxlabError("n must be >= 1")
-    if len(classes) < h + 1 or len(covers) < h + 1:
-        raise VoxlabError(
-            f"need value classes and covers for layers 0..{h}, got "
-            f"{len(classes)} and {len(covers)}"
-        )
+    if len(radii) < h + 1 or len(covers) < h + 1:
+        raise VoxlabError(f"need radii and covers for layers 0..{h}, got "
+                          f"{len(radii)} and {len(covers)}")
+    if any(r is not None and not r > 0 for r in radii[:h + 1]):
+        raise VoxlabError(f"radii must be > 0 or None, got {list(radii[:h + 1])}")
     if len(rewards) < h + 1:
         raise VoxlabError(f"need reward tables for layers 0..{h}, got {len(rewards)}")
     reward_flat = []
@@ -318,11 +291,13 @@ def psdp(M, h, rewards, classes, covers, n, rng, counter=None):
         rollin(M, covers[t], n, rng, upto=h,
                tail=compose_policies(_uniform_step(M, t), greedy),
                counter=counter, out=(S, A))
-        ret = np.zeros(n)
-        for ell in range(t, h + 1):
-            ret += reward_flat[ell].take(S[ell] * M.A + A[ell])
-        data = RegressionData.from_samples(t, S[t], A[t], ret, M.n_states(t), M.A)
-        fit = fit_value_class(data, classes[t])
-        greedy = compose_policies(
-            _greedy_step(M, t, np.argmax(fit.q_table, axis=1)), greedy)
+        if radii[t] is None:
+            q = reward_flat[t].reshape(M.n_states(t), M.A)
+        else:
+            ret = np.zeros(n)
+            for ell in range(t, h + 1):
+                ret += reward_flat[ell].take(S[ell] * M.A + A[ell])
+            data = RegressionData.from_samples(t, S[t], A[t], ret, M.n_states(t), M.A)
+            q = fit_value_class(data, Phi, radii[t]).q_table
+        greedy = compose_policies(_greedy_step(M, t, np.argmax(q, axis=1)), greedy)
     return greedy

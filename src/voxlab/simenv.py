@@ -465,24 +465,25 @@ def max_occupancies(M, h, budget=DEFAULT_DP_BUDGET):
     return M.rho @ reach
 
 
-def max_value(M, h, g):
-    """sup over policies of E^pi[g(x_h, a_h)] for a (|X_h|, A) reward table."""
-    v = np.asarray(g, dtype=float).max(axis=1)
-    for t in range(h - 1, -1, -1):
-        v = np.einsum("xay,y->xa", M.transition_matrix(t), v).max(axis=1)
-    return float(M.rho @ v)
-
-
-def argmax_policy(M, h, g):
-    """A deterministic policy attaining max_value(M, h, g), greedy everywhere."""
+def _greedy_backward(M, h, g):
+    """Greedy actions at layers 0..h and layer-0 values for reward g at h."""
     g = np.asarray(g, dtype=float)
-    acts = [g.argmax(axis=1)]
-    v = g.max(axis=1)
+    acts, v = [g.argmax(axis=1)], g.max(axis=1)
     for t in range(h - 1, -1, -1):
         q = np.einsum("xay,y->xa", M.transition_matrix(t), v)
         acts.insert(0, q.argmax(axis=1))
         v = q.max(axis=1)
-    return Policy.from_actions(M, acts, lo=0)
+    return acts, v
+
+
+def max_value(M, h, g):
+    """sup over policies of E^pi[g(x_h, a_h)] for a (|X_h|, A) reward table."""
+    return float(M.rho @ _greedy_backward(M, h, g)[1])
+
+
+def argmax_policy(M, h, g):
+    """A deterministic policy attaining max_value(M, h, g), greedy everywhere."""
+    return Policy.from_actions(M, _greedy_backward(M, h, g)[0], lo=0)
 
 
 def make_feature_class(M, n_decoys, rng, true_index=0):

@@ -32,7 +32,7 @@ from voxlab.evalcover import (
     reachability_diagnostics,
 )
 from voxlab.optdesign import design_certificate, fw_iteration_bound, fw_optdesign
-from voxlab.psdp import ValueClass, psdp
+from voxlab.psdp import psdp
 from voxlab.replearn import RepLearnConfig, exact_transfer_error, rep_learn
 from voxlab.simenv import (
     EpisodeCounter,
@@ -214,11 +214,8 @@ def test_c05_psdp_near_optimal_with_exhaustive_covers():
                       states=shapes[seed % len(shapes)])
         tabs = [rng.random((n, M.A)) / M.H for n in M.state_counts()]
         Phi = onehot_feature_class(M)
-        classes = [
-            ValueClass.ball(Phi, radius=3.0 * np.sqrt(M.n_states(t) * M.A))
-            for t in range(3)
-        ]
-        pi = psdp(M, 2, tabs, classes, _all_det_covers(M, 2), 20000, rng)
+        radii = [3.0 * np.sqrt(M.n_states(t) * M.A) for t in range(3)]
+        pi = psdp(M, 2, tabs, Phi, radii, _all_det_covers(M, 2), 20000, rng)
         gap = dp_optimal_value(M, tabs) - exact_policy_value(M, pi, tabs)
         hits += gap <= 0.05
         pi_star = dp_optimal_policy(M, tabs)

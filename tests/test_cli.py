@@ -284,6 +284,89 @@ def test_out_of_range_C_or_eps_exits_2_before_any_episode(
     assert not (tmp_path / "x.json").exists()
 
 
+def _command(command, workdir, run, tmp_path, env=None):
+    """The arguments of ``command`` on the workdir's files, with ``run`` as
+    its run file and its output at tmp_path / "x.json"."""
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps([[1.0, 0.0], [0.0, 1.0]]))
+    args = {"--env": str(env or workdir / "env.json"),
+            "--out": str(tmp_path / "x.json")}
+    if command in ("run-vox", "run-spanrl", "optimize-reward"):
+        name = "spanrl.json" if command == "run-spanrl" else "vox.json"
+        args["--config"] = str(workdir / name)
+    if command in ("optimize-reward", "verify-cover"):
+        args["--run"] = str(run)
+    if command == "optimize-reward":
+        args["--theta"] = str(theta)
+    if command == "verify-cover":
+        args["--alpha"] = "0.001"
+    return [command] + [x for kv in args.items() for x in kv]
+
+
+def _no_episodes(monkeypatch):
+    def no_episodes(*args, **kwargs):
+        raise AssertionError("an episode was drawn")
+
+    monkeypatch.setattr(simenv, "sample_trajectories", no_episodes)
+
+
+@pytest.mark.parametrize("command", ["run-vox", "run-spanrl", "optimize-reward",
+                                     "verify-cover"])
+def test_an_invalid_environment_exits_2_and_writes_nothing(
+        workdir, vox_run, tmp_path, capsys, monkeypatch, command):
+    # doubled rho: every check of the factorization but one still holds
+    env = json.loads((workdir / "env.json").read_text())
+    env["rho"] = [2.0 * p for p in env["rho"]]
+    bad_env = tmp_path / "env.json"
+    bad_env.write_text(json.dumps(env))
+    _no_episodes(monkeypatch)
+    assert main(_command(command, workdir, vox_run[0], tmp_path, bad_env)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: environment {bad_env} failed validation")
+    assert "rho sums to 2, expected 1" in err
+    assert not (tmp_path / "x.json").exists()
+
+
+def _doubled(tab):
+    return [[2.0 * p for p in row] for row in tab]
+
+
+def _negative(tab):
+    # the row still sums to 1, so only the sign check can catch it
+    return [[row[0] - 1.0, row[1] + 1.0] + row[2:] for row in tab]
+
+
+def _short(tab):
+    return tab[:-1]
+
+
+@pytest.mark.parametrize("command", ["verify-cover", "optimize-reward"])
+@pytest.mark.parametrize("corrupt", [_doubled, _negative, _short])
+def test_run_files_whose_policies_are_not_distributions_exit_2(
+        workdir, vox_run, tmp_path, capsys, monkeypatch, command, corrupt):
+    run = json.loads(vox_run[0].read_text())
+    for layer in run["covers"]["layers"]:
+        for pi in layer["policies"]:
+            pi["tables"] = [corrupt(tab) for tab in pi["tables"]]
+    bad_run = tmp_path / "run.json"
+    bad_run.write_text(json.dumps(run))
+    _no_episodes(monkeypatch)
+    assert main(_command(command, workdir, bad_run, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: run file {bad_run}: layer 0 policy 0 table 0 ")
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_a_run_file_of_another_horizon_exits_2(workdir, vox_run, tmp_path, capsys):
+    run = json.loads(vox_run[0].read_text())
+    run["covers"]["H"] = 4
+    bad_run = tmp_path / "run.json"
+    bad_run.write_text(json.dumps(run))
+    assert main(_command("verify-cover", workdir, bad_run, tmp_path)) == 2
+    assert "has H = 4, the environment 3" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_replearn_config_accepts_ints_for_floats_and_null_for_optionals():
     rl = _replearn_config({"replearn": {"c": 2, "step_size": 0.25, "restarts": 3,
                                         "eps_stat": None, "max_iters": None,

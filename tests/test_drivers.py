@@ -29,7 +29,7 @@ from voxlab.drivers import (
 from voxlab.estimators import est_mat, est_vec
 from voxlab.evalcover import check_policy_cover
 from voxlab.optdesign import fw_iteration_bound
-from voxlab.psdp import ValueClass, linear_reward, psdp
+from voxlab.psdp import linear_reward, psdp
 from voxlab.replearn import RepLearnConfig, RepLearnDataset
 from voxlab.simenv import make_feature_class
 from voxlab.spanner import robust_spanner
@@ -452,13 +452,13 @@ def test_every_episode_is_drawn_through_the_module_sampler(monkeypatch):
     unif = uniform_mixture([Policy.uniform(M)])
     feat = M.phi[1]
     phiphi = np.einsum("xad,xae->xade", feat, feat)
-    classes = [ValueClass.ball(Phi, 2.0) for _ in range(2)]
     covers = run_spanrl(M, Phi, 0.1, spanrl_micro_schedule(), rng).covers
     thetas = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     paths = {
         "psdp": lambda c: psdp(M, 1, [np.zeros((M.n_states(0), M.A)),
                                       linear_reward(thetas[0], feat)],
-                               classes, [unif, unif], 300, rng, counter=c),
+                               Phi, [2.0, 2.0], [unif, unif], 300, rng,
+                               counter=c),
         "est_mat": lambda c: est_mat(M, 1, phiphi, unif, 300, rng, counter=c),
         "est_vec": lambda c: est_vec(M, 1, feat, unif, 300, rng, counter=c),
         "collect": lambda c: RepLearnDataset.collect(M, 0, unif, 300, rng,

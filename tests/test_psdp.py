@@ -18,7 +18,6 @@ from voxlab import simenv
 from voxlab.psdp import (
     BallLeastSquares,
     RegressionData,
-    ValueClass,
     ball_constrained_least_squares,
     fit_value_class,
     linear_reward,
@@ -322,39 +321,50 @@ def test_feature_reward_kinds_reject_misshaped_feature_tables(env, kind, extra):
     top = (linear_reward(np.ones(2), feat) if kind == "linear"
            else quadratic_reward(np.eye(2), feat))
     Phi = make_feature_class(env, n_decoys=1, rng=np.random.default_rng(0))
-    classes = [ValueClass.ball(Phi, radius=1.0),
-               ValueClass.singleton(np.zeros((env.n_states(1), env.A)))]
     with pytest.raises(VoxlabError, match=r"layer 1 has shape"):
-        psdp(env, 1, top_layer_rewards(env, 1, top), classes,
+        psdp(env, 1, top_layer_rewards(env, 1, top), Phi, [1.0, None],
              all_det_covers(env, 1), 20, np.random.default_rng(1))
 
 
 @pytest.mark.parametrize("bad_layer", [0, 1, 2])
 def test_psdp_rejects_short_reward_lists_and_misshaped_tables(env, bad_layer):
     Phi = make_feature_class(env, n_decoys=1, rng=np.random.default_rng(0))
-    classes = [ValueClass.ball(Phi, radius=1.0) for _ in range(3)]
+    radii = [1.0] * 3
     covers = all_det_covers(env, 2)
     tabs = [np.zeros((env.n_states(t), env.A)) for t in range(3)]
     with pytest.raises(VoxlabError, match=r"reward tables for layers 0..2, got 2"):
-        psdp(env, 2, tabs[:2], classes, covers, 20, np.random.default_rng(1))
+        psdp(env, 2, tabs[:2], Phi, radii, covers, 20, np.random.default_rng(1))
     tabs[bad_layer] = np.zeros((env.n_states(bad_layer), env.A + 1))
     with pytest.raises(VoxlabError, match=rf"reward table at layer {bad_layer} "
                                           r"has shape"):
-        psdp(env, 2, tabs, classes, covers, 20, np.random.default_rng(1))
+        psdp(env, 2, tabs, Phi, radii, covers, 20, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("radii", [[1.0, 1.0], [1.0, 0.0, None], [-1.0, 1.0, None],
+                                   [None, None, float("nan")]])
+def test_psdp_rejects_bad_radii_before_drawing_an_episode(env, radii):
+    Phi = make_feature_class(env, n_decoys=1, rng=np.random.default_rng(0))
+    tabs = [np.zeros((env.n_states(t), env.A)) for t in range(3)]
+    rng, counter = np.random.default_rng(1), EpisodeCounter()
+    before = rng.bit_generator.state
+    with pytest.raises(VoxlabError, match=r"radii"):
+        psdp(env, 2, tabs, Phi, radii, all_det_covers(env, 2), 20, rng,
+             counter=counter)
+    assert counter.count == 0 and rng.bit_generator.state == before
 
 
 # ------------------------------------------------------- class fitting
 
 
-def reference_fit_value_class(data, cls):
-    """Frozen copy of the per-candidate `fit_value_class` on a ball class that
-    the stacked one is pinned to: one factor and one frozen solve per
-    candidate, the first lowest loss kept."""
+def reference_fit_value_class(data, Phi, radius):
+    """Frozen copy of the per-candidate `fit_value_class` that the stacked
+    one is pinned to: one factor and one frozen solve per candidate, the
+    first lowest loss kept."""
     best = None
-    for i, tab in enumerate(cls.Phi.tables_at(data.layer)):
+    for i, tab in enumerate(Phi.tables_at(data.layer)):
         Z = tab[data.xs, data.acts]
         fac = BallLeastSquares(Z, data.weights)
-        w = reference_ball_solve(fac, data.ys, cls.radius)
+        w = reference_ball_solve(fac, data.ys, radius)
         resid = Z @ w - data.ys
         loss = float((data.weights * resid * resid).sum()) + data.offset
         if best is None or loss < best[3]:
@@ -362,9 +372,9 @@ def reference_fit_value_class(data, cls):
     return best
 
 
-def assert_fit_matches_reference(data, cls):
-    fit = fit_value_class(data, cls)
-    index, w, q_table, loss = reference_fit_value_class(data, cls)
+def assert_fit_matches_reference(data, Phi, radius):
+    fit = fit_value_class(data, Phi, radius)
+    index, w, q_table, loss = reference_fit_value_class(data, Phi, radius)
     assert fit.phi_index == index
     assert fit.w.tobytes() == w.tobytes()
     assert np.array_equal(fit.q_table, q_table)
@@ -388,7 +398,7 @@ def test_fit_ball_matches_the_per_candidate_reference(seed):
             data = RegressionData.from_samples(t, xs, acts, ys, M.n_states(t), M.A)
             for Phi in classes:
                 for radius in (0.2, 1.0, 50.0):  # bisected down to plain fits
-                    assert_fit_matches_reference(data, ValueClass.ball(Phi, radius))
+                    assert_fit_matches_reference(data, Phi, radius)
 
 
 def test_fit_ball_keeps_the_first_of_tied_candidates(env):
@@ -402,18 +412,8 @@ def test_fit_ball_keeps_the_first_of_tied_candidates(env):
     acts = rng.integers(0, env.A, size=300)
     ys = env.phi[1][xs, acts] @ np.array([0.5, -0.2])
     data = RegressionData.from_samples(1, xs, acts, ys, env.n_states(1), env.A)
-    fit = assert_fit_matches_reference(data, ValueClass.ball(Phi, 1.0))
+    fit = assert_fit_matches_reference(data, Phi, 1.0)
     assert fit.phi_index == 1
-
-
-def test_fit_singleton_returns_fixed_table(env):
-    table = np.arange(env.n_states(1) * env.A, dtype=float).reshape(
-        env.n_states(1), env.A)
-    data = RegressionData.from_samples(
-        1, [0, 0, 1], [0, 1, 0], [5.0, 5.0, 5.0], env.n_states(1), env.A)
-    fit = fit_value_class(data, ValueClass.singleton(table))
-    assert fit.phi_index is None
-    assert np.array_equal(fit.q_table, table)
 
 
 def test_fit_ball_recovers_planted_weights(env):
@@ -424,7 +424,7 @@ def test_fit_ball_recovers_planted_weights(env):
     acts = rng.integers(0, env.A, size=400)
     ys = tab[xs, acts] @ w_true
     data = RegressionData.from_samples(1, xs, acts, ys, env.n_states(1), env.A)
-    fit = fit_value_class(data, ValueClass.ball(FeatureClass([list(env.phi)]), 1.0))
+    fit = fit_value_class(data, FeatureClass([list(env.phi)]), 1.0)
     assert fit.loss < 1e-16
     assert np.allclose(fit.q_table, tab @ w_true, atol=1e-8)
 
@@ -441,7 +441,7 @@ def test_fit_ball_prefers_the_realizing_candidate(env):
     acts = rng.integers(0, env.A, size=600)
     ys = tab[xs, acts] @ w_true
     data = RegressionData.from_samples(1, xs, acts, ys, env.n_states(1), env.A)
-    fit = fit_value_class(data, ValueClass.ball(Phi, 1.0))
+    fit = fit_value_class(data, Phi, 1.0)
     assert fit.phi_index == 0
 
 
@@ -451,11 +451,13 @@ def test_regression_data_aggregation_preserves_loss():
     acts = np.array([0, 0, 0, 1, 1])
     ys = np.array([1.0, 3.0, 2.0, 0.0, 1.0])
     data = RegressionData.from_samples(0, xs, acts, ys, 2, 2)
-    table = np.array([[0.5, 0.0], [1.0, 2.0]])
-    pred_raw = table[xs, acts]
-    raw_loss = float(((pred_raw - ys) ** 2).sum())
-    fit = fit_value_class(data, ValueClass.singleton(table))
+    # a ball too small to reach the cell means, so the fit is not exact
+    feat = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.6, 0.8], [0.0, 1.0]]])
+    fit = fit_value_class(data, FeatureClass([[feat]]), 0.5)
+    assert np.linalg.norm(fit.w) == pytest.approx(0.5, abs=1e-9)
+    raw_loss = float(((fit.q_table[xs, acts] - ys) ** 2).sum())
     assert fit.loss == pytest.approx(raw_loss, abs=1e-12)
+    assert fit.loss > data.offset > 0
     with pytest.raises(VoxlabError):
         RegressionData.from_samples(0, [], [], [], 2, 2)
 
@@ -463,7 +465,7 @@ def test_regression_data_aggregation_preserves_loss():
 # ------------------------------------------------------------------ psdp
 
 
-def reference_psdp(M, h, rewards, classes, covers, n, rng, counter=None):
+def reference_psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None):
     """Frozen copy of the `psdp` loop that drew a fresh roll-in pair for every
     t and read rewards by 2-D indexing, rolled in by `reference_rollin`."""
     reward_tabs = rewards
@@ -476,8 +478,9 @@ def reference_psdp(M, h, rewards, classes, covers, n, rng, counter=None):
         for ell in range(t, h + 1):
             ret += reward_tabs[ell][S[ell], A[ell]]
         data = RegressionData.from_samples(t, S[t], A[t], ret, M.n_states(t), M.A)
-        fit = fit_value_class(data, classes[t])
-        acts_t = np.argmax(fit.q_table, axis=1)
+        q_table = (np.asarray(rewards[t], dtype=float) if radii[t] is None
+                   else fit_value_class(data, Phi, radii[t]).q_table)
+        acts_t = np.argmax(q_table, axis=1)
         table = np.zeros((M.n_states(t), M.A))
         table[np.arange(M.n_states(t)), acts_t] = 1.0
         greedy[t] = table
@@ -504,8 +507,7 @@ def test_psdp_matches_the_fresh_rollin_reference(seed, H, A, kind, n):
     else:
         tabs = top_layer_rewards(M, h, quadratic_reward(
             np.eye(2), rng.random((M.n_states(h), A, 2))))
-    classes = [ValueClass.ball(Phi, radius=float(rng.uniform(0.5, 4.0)))
-               for _ in range(h)] + [ValueClass.singleton(tabs[h])]
+    radii = [float(rng.uniform(0.5, 4.0)) for _ in range(h)] + [None]
     pis = [Policy.from_actions(M, [rng.integers(A, size=M.n_states(t))
                                    for t in range(H)]),
            Policy(0, [rng.random((M.n_states(t), A)) for t in range(H)])]
@@ -514,11 +516,33 @@ def test_psdp_matches_the_fresh_rollin_reference(seed, H, A, kind, n):
     got, want, states = [], [], []
     for fn, out in ((reference_psdp, want), (psdp, got)):
         run_rng, counter = np.random.default_rng(seed + 1), EpisodeCounter()
-        out.append(fn(M, h, tabs, classes, covers, n, run_rng, counter=counter))
+        out.append(fn(M, h, tabs, Phi, radii, covers, n, run_rng, counter=counter))
         states.append((run_rng.bit_generator.state, counter.count))
     assert all(np.array_equal(a, b) for a, b in zip(got[0].tables, want[0].tables))
     assert states[0] == states[1]
     assert states[1][1] == n * (h + 1)
+
+
+@pytest.mark.parametrize("h", [0, 1, 2])
+def test_a_none_layer_is_greedy_on_its_reward_and_still_draws_n_episodes(h):
+    # a radius of None fits nothing at its layer, yet draws its roll-in, so
+    # the random stream and the episode count match the frozen loop's
+    M = small_env(seed=11, H=3, A=3, d=2, states=(3, 4, 5))
+    rng = np.random.default_rng(12)
+    Phi = make_feature_class(M, n_decoys=1, rng=rng)
+    tabs = [rng.standard_normal((M.n_states(t), M.A)) for t in range(h + 1)]
+    covers = all_det_covers(M, h)
+    for radii in ([None] * (h + 1), [1.5] * h + [None]):
+        got_rng, want_rng = np.random.default_rng(13), np.random.default_rng(13)
+        counter = EpisodeCounter()
+        got = psdp(M, h, tabs, Phi, radii, covers, 70, got_rng, counter=counter)
+        want = reference_psdp(M, h, tabs, Phi, radii, covers, 70, want_rng)
+        assert all(np.array_equal(a, b) for a, b in zip(got.tables, want.tables))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert counter.count == 70 * (h + 1)
+        for t in (t for t in range(h + 1) if radii[t] is None):
+            assert np.array_equal(got.table(t).argmax(axis=1), tabs[t].argmax(axis=1))
+            assert np.array_equal(got.table(t).max(axis=1), np.ones(M.n_states(t)))
 
 
 def test_policy_forms_are_built_once_per_policy(monkeypatch):
@@ -541,7 +565,7 @@ def test_policy_forms_are_built_once_per_policy(monkeypatch):
     with pytest.raises(LayerRangeError, match=r"tail covering layers \[1..2\]"):
         rollin(M, P, 10, rng, 2, tail)
     tabs = [rng.standard_normal((M.n_states(t), M.A)) for t in range(3)]
-    classes = [ValueClass.ball(Phi, 2.0) for _ in range(3)]
+    radii = [2.0] * 3
     for run in ("cold", "warm"):
         builds.clear()
         got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
@@ -551,8 +575,8 @@ def test_policy_forms_are_built_once_per_policy(monkeypatch):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
         assert counter.count == 600
-        got = psdp(M, 2, tabs, classes, [P] * 3, 400, got_rng, counter=counter)
-        want = reference_psdp(M, 2, tabs, classes, [P] * 3, 400, want_rng)
+        got = psdp(M, 2, tabs, Phi, radii, [P] * 3, 400, got_rng, counter=counter)
+        want = reference_psdp(M, 2, tabs, Phi, radii, [P] * 3, 400, want_rng)
         assert all(np.array_equal(a, b) for a, b in zip(got.tables, want.tables))
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
         assert counter.count == 600 + 3 * 400
@@ -571,9 +595,9 @@ def test_policy_forms_are_built_once_per_policy(monkeypatch):
 def test_psdp_horizon_zero_is_exact_greedy(env):
     rng = np.random.default_rng(3)
     tab = rng.random((env.n_states(0), env.A))
-    classes = [ValueClass.singleton(tab)]
     covers = [PolicyDistribution.point_mass(Policy.empty(0))]
-    pi = psdp(env, 0, [tab], classes, covers, 50, np.random.default_rng(4))
+    pi = psdp(env, 0, [tab], FeatureClass([list(env.phi)]), [None], covers, 50,
+              np.random.default_rng(4))
     got = exact_policy_value(env, pi, [tab])
     best = dp_optimal_value(env, [tab])
     assert abs(got - best) < 1e-12
@@ -581,9 +605,8 @@ def test_psdp_horizon_zero_is_exact_greedy(env):
 
 def test_psdp_zero_rewards_returns_a_valid_policy(env):
     tabs = [np.zeros((env.n_states(t), env.A)) for t in range(3)]
-    classes = [ValueClass.singleton(tab) for tab in tabs]
-    pi = psdp(env, 2, tabs, classes, all_det_covers(env, 2), 30,
-              np.random.default_rng(5))
+    pi = psdp(env, 2, tabs, FeatureClass([list(env.phi)]), [None] * 3,
+              all_det_covers(env, 2), 30, np.random.default_rng(5))
     assert pi.covers(0, 2)
     for t in range(3):
         assert np.allclose(pi.table(t).sum(axis=1), 1.0)
@@ -598,11 +621,8 @@ def test_psdp_tabular_class_is_near_optimal():
         M = small_env(seed=seed, H=3, A=2, d=2, states=(3, 4, 4))
         tabs = [rng.random((M.n_states(t), M.A)) for t in range(3)]
         Phi = onehot_feature_class(M)
-        classes = [
-            ValueClass.ball(Phi, radius=3.0 * np.sqrt(M.n_states(t) * M.A))
-            for t in range(3)
-        ]
-        pi = psdp(M, 2, tabs, classes, all_det_covers(M, 2), 4000,
+        radii = [3.0 * np.sqrt(M.n_states(t) * M.A) for t in range(3)]
+        pi = psdp(M, 2, tabs, Phi, radii, all_det_covers(M, 2), 4000,
                   np.random.default_rng(100 + seed))
         got = exact_policy_value(M, pi, tabs)
         best = dp_optimal_value(M, tabs)
@@ -642,12 +662,12 @@ def test_psdp_performance_difference_decomposition():
 
 def test_psdp_argument_validation(env):
     tabs = [np.zeros((env.n_states(0), env.A))]
-    classes = [ValueClass.singleton(tabs[0])]
+    Phi = FeatureClass([list(env.phi)])
     covers = [PolicyDistribution.point_mass(Policy.empty(0))]
     with pytest.raises(VoxlabError):
-        psdp(env, 0, tabs, classes, covers, 0, np.random.default_rng(8))
+        psdp(env, 0, tabs, Phi, [None], covers, 0, np.random.default_rng(8))
     with pytest.raises(VoxlabError):
-        psdp(env, 1, tabs, classes, covers, 10, np.random.default_rng(9))
+        psdp(env, 1, tabs, Phi, [None], covers, 10, np.random.default_rng(9))
 
 
 def test_psdp_suboptimality_shrinks_with_samples():
@@ -656,14 +676,15 @@ def test_psdp_suboptimality_shrinks_with_samples():
     rng = np.random.default_rng(10)
     tabs = [rng.random((M.n_states(t), M.A)) for t in range(3)]
     Phi = onehot_feature_class(M)
-    classes = [ValueClass.ball(Phi, radius=3.0 * np.sqrt(9 * M.A)) for _ in range(3)]
+    radii = [3.0 * np.sqrt(9 * M.A)] * 3
     covers = all_det_covers(M, 2)
     best = dp_optimal_value(M, tabs)
     med = {}
     for n in (40, 400, 4000):
         gaps = []
         for s in range(8):
-            pi = psdp(M, 2, tabs, classes, covers, n, np.random.default_rng(1000 + s))
+            pi = psdp(M, 2, tabs, Phi, radii, covers, n,
+                      np.random.default_rng(1000 + s))
             gaps.append(best - exact_policy_value(M, pi, tabs))
         med[n] = float(np.median(gaps))
     assert med[4000] <= med[40] + 1e-9

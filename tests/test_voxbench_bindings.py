@@ -11,10 +11,18 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
+
+import voxlab.drivers as drivers
+import voxlab.evalcover as evalcover
+from voxlab.drivers import SpanrlSchedule, VoxSchedule
 from voxlab.optdesign import DesignState
 from voxlab.replearn import RepLearnDataset, RepLearnResult
-from voxlab.simenv import combination_lock, sample_trajectories
+from voxlab.replearn import RepLearnConfig
+from voxlab.simenv import combination_lock, make_feature_class, sample_trajectories
 from voxlab.spanner import SpannerState
+
+from conftest import small_env
 
 VOXBENCH = Path(__file__).resolve().parent.parent / "voxbench"
 
@@ -68,3 +76,31 @@ def test_result_fields_the_tracer_hooks_read():
     assert isinstance(DesignState.support_size, property)
     assert {"rounds", "oracle_calls"} <= fields(SpannerState)
     assert "iterations" in fields(RepLearnResult)
+
+
+def test_every_traced_span_is_entered_by_micro_runs(monkeypatch):
+    # a binding that no library path reaches reads 0 in every traced run.
+    # Exempt: the BCLS binding, which no library path calls since the fits
+    # went through a stacked factor (its `*.bcls` metrics read 0; the next
+    # benchmark change rebinds them, ROADMAP item 2(a)).
+    tracing = load("tracing", monkeypatch)
+    M = small_env(seed=3, H=3, A=2, d=2, states=(3, 4, 4), boost=0.6)
+    Phi = make_feature_class(M, n_decoys=1, rng=np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    # a tiny eps_stat keeps rep-learn past its first search, into feature
+    # selection
+    replearn = RepLearnConfig(restarts=2, grad_steps=10, eps_stat=1e-3, max_iters=2)
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        drivers.run_vox(M, Phi, VoxSchedule(K=1, gamma=0.02, n_replearn=300,
+                                            n_estmat=200, n_psdp=300,
+                                            fw_max_iters=200, replearn=replearn),
+                        rng)
+        covers = drivers.run_spanrl(M, Phi, 0.1, SpanrlSchedule(
+            n_replearn=300, n_estvec=200, n_psdp=300, replearn=replearn),
+            rng).covers
+        drivers.optimize_reward(M, covers, [np.array([1.0, 0.0])] * 2, Phi, 300, rng)
+        evalcover.check_policy_cover(M, covers.distribution(2), 2, alpha=0.0,
+                                     eps=0.0, mode="max")
+    calls = {name: stat["calls"] for name, stat in tracer.stats().items()}
+    assert [name for _, _, name in tracing.TRACED if not calls.get(name)] == []
