@@ -56,16 +56,29 @@ def _valid(M, what):
     return M
 
 
+def _load_json(path, what, build=None, kind=dict):
+    """``build`` of the JSON ``kind`` in the file at ``path``; text that is
+    not JSON, another kind, or a value ``build`` cannot read is a usage error."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+        if not isinstance(obj, kind):
+            raise VoxlabError(f"{what} {path} must hold a JSON {kind.__name__}, "
+                              f"got {type(obj).__name__}")
+        return build(obj) if build else obj
+    except (TypeError, AttributeError, IndexError, KeyError, ValueError) as exc:
+        raise VoxlabError(f"{what} {path} is malformed: {exc!r}") from exc
+
+
 def _load_env(path):
-    with open(path) as fh:
-        return _valid(LayeredLowRankMDP.from_json(fh.read()), f"environment {path}")
+    return _valid(_load_json(path, "environment", LayeredLowRankMDP.from_obj),
+                  f"environment {path}")
 
 
 def _load_covers(path, M):
     """The covers of a run file, each policy table checked to be an
     (|X_t|, A) table of distributions: the exact evaluators read it as is."""
-    with open(path) as fh:
-        covers = CoverSet.from_obj(json.load(fh)["covers"])
+    covers = _load_json(path, "run file", lambda obj: CoverSet.from_obj(obj["covers"]))
     if covers.H != M.H:
         raise VoxlabError(f"run file {path} has H = {covers.H}, the environment {M.H}")
     for h, dist in enumerate(covers.layers):
@@ -118,11 +131,9 @@ def _replearn_config(config):
 def _load_thetas(path):
     """The reward vectors of a theta file, which must hold a list of numeric
     vectors."""
-    with open(path) as fh:
-        obj = json.load(fh)
-    if not (isinstance(obj, list) and all(
-            isinstance(v, list) and all(type(x) in (int, float) for x in v)
-            for v in obj)):
+    obj = _load_json(path, "theta file", kind=list)
+    if not all(isinstance(v, list) and all(type(x) in (int, float) for x in v)
+               for v in obj):
         raise VoxlabError(f"theta file {path} must hold a list of numeric "
                           f"vectors, got {obj!r}")
     return [np.asarray(t, dtype=float) for t in obj]
@@ -181,8 +192,7 @@ def _cmd_run(args):
     """run-vox or run-spanrl: one explorer run, with the measured alpha of
     each of its covers."""
     M = _load_env(args.env)
-    with open(args.config) as fh:
-        config = json.load(fh)
+    config = _load_json(args.config, "config")
     Phi = _feature_class_from_config(M, config, args.seed)
     rng = np.random.default_rng(args.seed)
     if args.command == "run-vox":
@@ -218,8 +228,7 @@ def _write_csv(log, path):
 
 def _cmd_optimize_reward(args):
     M = _load_env(args.env)
-    with open(args.config) as fh:
-        config = json.load(fh)
+    config = _load_json(args.config, "config")
     covers = _load_covers(args.run, M)
     Phi = _feature_class_from_config(M, config, args.seed)
     thetas = _load_thetas(args.theta)

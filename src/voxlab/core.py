@@ -144,10 +144,12 @@ class LayeredLowRankMDP:
 
     @staticmethod
     def from_json(text):
-        obj = json.loads(text)
-        return LayeredLowRankMDP(
-            obj["H"], obj["A"], obj["d"], obj["layers"], obj["phi"], obj["mu"], obj["rho"]
-        )
+        return LayeredLowRankMDP.from_obj(json.loads(text))
+
+    @staticmethod
+    def from_obj(obj):
+        return LayeredLowRankMDP(obj["H"], obj["A"], obj["d"], obj["layers"],
+                                 obj["phi"], obj["mu"], obj["rho"])
 
 
 class Policy:
@@ -376,7 +378,7 @@ def validate_mdp(M):
             report.append(
                 f"phi norm bound violated at (h={h}, x={x}, a={a}): {norms[x, a]:.12g} > 1"
             )
-        T = np.einsum("xad,yd->xay", M.phi[h], M.mu[h])
+        T = M.transition_matrix(h)
         bad = T < -NEG_TOL
         for x, a, y in zip(*np.nonzero(bad)):
             report.append(

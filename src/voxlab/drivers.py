@@ -50,6 +50,7 @@ class VoxSchedule:
     The constructor takes every knob explicitly; `paper` derives them from
     the target reachability eta and the class size via the published
     schedule (astronomical at desk scale, exposed for bound checks).
+    ``fw_max_iters=None`` caps each design at 2 * `fw_iteration_bound`.
     """
 
     K: int

@@ -1,11 +1,11 @@
 """Exact verification utilities for covers, designs, and reachability.
 
-Everything here works from the true factorization with exact occupancy
-computations; nothing samples.  Per-state occupancy maxima over all
-policies are computed by backward DP over deterministic policies, which is
-sufficient because layer occupancy is affine in each per-state action
-choice.
-"""
+Everything here works from the true factorization and nothing samples:
+occupancies, second moments and occupancy maxima come from `simenv`'s exact
+primitives (the maxima by backward DP over deterministic policies, enough
+because layer occupancy is affine in each per-state action choice), design
+inverses from `optdesign._chol_inverse`, and every occupancy ratio from
+`check_policy_cover`."""
 
 from __future__ import annotations
 
@@ -13,12 +13,12 @@ import math
 
 import numpy as np
 
-from voxlab.core import Policy, VoxlabError, as_distribution
+from voxlab.core import Policy, PolicyDistribution, VoxlabError, as_distribution
+from voxlab.optdesign import _chol_inverse
 from voxlab.simenv import (
     argmax_policy,
     exact_feature_expectation,
     exact_occupancy,
-    exact_occupancy_sa,
     exact_policy_value,
     exact_q_tables,
     exact_second_moment,
@@ -41,10 +41,7 @@ def check_policy_cover(M, P, h, alpha, eps, mode="expectation"):
     """
     P = as_distribution(P)
     maxima = max_occupancies(M, h)
-    if h >= 1:
-        scale = np.linalg.norm(M.mu[h - 1], axis=1)
-    else:
-        scale = np.ones(M.n_states(0))
+    scale = np.linalg.norm(M.mu[h - 1], axis=1) if h >= 1 else np.ones(M.n_states(0))
     if mode == "expectation":
         vals = mixture_occupancy(M, P, h)
     elif mode == "max":
@@ -52,13 +49,8 @@ def check_policy_cover(M, P, h, alpha, eps, mode="expectation"):
     else:
         raise VoxlabError(f"unknown mode {mode!r}")
     qualifying = (maxima >= eps * scale) & (maxima > 0.0)
-    witnesses = []
-    measured = math.inf
-    for x in np.nonzero(qualifying)[0]:
-        ratio = float(vals[x] / maxima[x])
-        measured = min(measured, ratio)
-        if vals[x] < alpha * maxima[x] - 1e-9:
-            witnesses.append(int(x))
+    measured = float(np.min(vals[qualifying] / maxima[qualifying], initial=math.inf))
+    witnesses = np.nonzero(qualifying & (vals < alpha * maxima - 1e-9))[0].tolist()
     return {
         "passed": not witnesses,
         "alpha_measured": measured,
@@ -85,8 +77,7 @@ def check_design_on_policies(M, feat, P, gamma, C, h):
     Mmat = gamma * np.eye(d)
     for pi, w in zip(P.policies, P.weights):
         Mmat = Mmat + w * exact_second_moment(M, pi, feat, h)
-    Minv = np.linalg.solve(Mmat, np.eye(d))
-    Minv = 0.5 * (Minv + Minv.T)
+    Minv, _ = _chol_inverse(Mmat)
     g = np.einsum("xad,de,xae->xa", feat, Minv, feat)
     sup = max_value(M, h, g)
     bound = (1.0 + 1.5 * C) * d
@@ -111,21 +102,16 @@ def pdl_check(M, pi, pi_star, reward_tables):
 def _feature_coverage_eta(M, h, iters=300):
     """Lower bound on sup_pi lambda_min(E^pi[phi phi^T]) by concave FW."""
     feat = M.phi[h]
-    d = feat.shape[2]
-    occ = exact_occupancy_sa(M, Policy.uniform(M, 0, h), h)
-    S = np.einsum("xa,xad,xae->de", occ, feat, feat)
+    S = exact_second_moment(M, Policy.uniform(M, 0, h), feat, h)
 
     def lam(Smat):
         return float(np.linalg.eigvalsh(Smat)[0])
 
     best = lam(S)
     for _ in range(iters):
-        vals, vecs = np.linalg.eigh(S)
-        v = vecs[:, 0]
+        v = np.linalg.eigh(S)[1][:, 0]
         g = (feat @ v) ** 2
-        pi_t = argmax_policy(M, h, g)
-        occ_t = exact_occupancy_sa(M, pi_t, h)
-        S_t = np.einsum("xa,xad,xae->de", occ_t, feat, feat)
+        S_t = exact_second_moment(M, argmax_policy(M, h, g), feat, h)
         grid = np.linspace(0.0, 1.0, 33)[1:]
         cand = [(lam((1 - a) * S + a * S_t), a) for a in grid]
         val, a_best = max(cand)
@@ -155,12 +141,8 @@ def _explorability_eta(M, h, n_dirs, rng):
         nrm = np.linalg.norm(u)
         if nrm > 1e-12:
             dirs.append(u / nrm)
-    worst = math.inf
-    for theta in dirs:
-        g = feat @ theta
-        val = max(max_value(M, h, g), max_value(M, h, -g))
-        worst = min(worst, val)
-    return worst
+    gs = [feat @ theta for theta in dirs]
+    return min(max(max_value(M, h, g), max_value(M, h, -g)) for g in gs)
 
 
 def reachability_diagnostics(M, n_dirs=64, rng=None):
@@ -194,8 +176,8 @@ def coverability_ratio(M, h):
     """Worst occupancy ratio against the spanner-mixture measure at layer h.
 
     Builds an exact-oracle (1.0075, 1e-9)-approximate barycentric spanner of
-    the reachable feature expectations at layer h-1 and compares every
-    state's maximal occupancy to the uniform mixture of its policies'.
+    the reachable feature expectations at layer h-1 and inverts the alpha
+    `check_policy_cover` measures for the uniform mixture of its policies.
     """
     if h < 1:
         raise VoxlabError("coverability is defined from layer 1 on")
@@ -206,13 +188,7 @@ def coverability_ratio(M, h):
         lambda pi: exact_feature_expectation(M, pi, feat, h - 1), 1.0075, 1e-9, d)
     chosen = [pi if pi is not None else Policy.uniform(M, 0, h - 1)
               for pi in state.indices]
-    rho = np.mean([exact_occupancy(M, pi, h) for pi in chosen], axis=0)
-    maxima = max_occupancies(M, h)
-    live = maxima > 0
-    if not live.any():
-        return {"ratio": 0.0, "layer": int(h), "rounds": state.rounds}
-    with np.errstate(divide="ignore"):
-        ratios = np.where(rho[live] > 0, maxima[live] / np.maximum(rho[live], 1e-300),
-                          math.inf)
-    return {"ratio": float(ratios.max()), "layer": int(h), "rounds": state.rounds,
-            "d": int(d)}
+    P = PolicyDistribution(chosen, np.full(d, 1.0 / d))
+    alpha = check_policy_cover(M, P, h, alpha=0.0, eps=0.0)["alpha_measured"]
+    return {"ratio": 1.0 / alpha if alpha > 0 else math.inf, "layer": int(h),
+            "rounds": state.rounds, "d": int(d)}

@@ -367,6 +367,38 @@ def test_a_run_file_of_another_horizon_exits_2(workdir, vox_run, tmp_path, capsy
     assert not (tmp_path / "x.json").exists()
 
 
+def _covers(covers):
+    return lambda run: {**run, "covers": covers}
+
+
+@pytest.mark.parametrize("command, bad, corrupt", [
+    ("verify-cover", "run", _covers({"kind": "vox", "H": 3, "layers": 5})),
+    ("verify-cover", "run", _covers({"kind": "vox", "H": 3, "layers": [5, 6, 7]})),
+    ("verify-cover", "run", _covers([])),
+    ("verify-cover", "env", lambda env: {**env, "phi": 5}),
+    ("verify-cover", "env", lambda env: [env]),
+    ("run-vox", "config", lambda config: [config]),
+    ("run-vox", "config", lambda config: "{not json"),
+], ids=["layers-int", "layers-of-ints", "covers-list", "phi-int", "env-list",
+        "config-list", "config-not-json"])
+def test_structurally_malformed_json_exits_2_naming_the_file(
+        workdir, vox_run, tmp_path, capsys, command, bad, corrupt):
+    # each file but the last parses as JSON but has the wrong shape inside;
+    # a str from ``corrupt`` is written as it is
+    args = _command(command, workdir, vox_run[0], tmp_path)
+    i = args.index(f"--{bad}") + 1
+    path = tmp_path / f"bad_{bad}.json"
+    with open(args[i]) as fh:
+        content = corrupt(json.load(fh))
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    args[i] = str(path)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_replearn_config_accepts_ints_for_floats_and_null_for_optionals():
     rl = _replearn_config({"replearn": {"c": 2, "step_size": 0.25, "restarts": 3,
                                         "eps_stat": None, "max_iters": None,

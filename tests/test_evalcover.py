@@ -14,7 +14,12 @@ from voxlab.evalcover import (
 from voxlab.simenv import exact_occupancy, max_occupancies, reachability_eta
 
 from conftest import exact_design, small_env, uniform_mixture
-from oracles import dp_optimal_policy, enumerate_det_policies
+from oracles import (
+    dp_optimal_policy,
+    enumerate_det_policies,
+    oracle_design_certificate,
+    oracle_occupancy,
+)
 
 
 def random_policy(M, rng):
@@ -88,6 +93,47 @@ def test_max_mode_scores_support_not_average(env):
         check_policy_cover(env, P, 2, alpha=0.1, eps=0.0, mode="bogus")
 
 
+def loop_cover(M, P, h, alpha, eps, mode):
+    """(alpha_measured, witnesses) by a per-state loop over the qualifying
+    states, each ratio a scalar quotient."""
+    maxima = max_occupancies(M, h)
+    scale = (np.linalg.norm(M.mu[h - 1], axis=1) if h >= 1
+             else np.ones(M.n_states(0)))
+    occs = [exact_occupancy(M, pi, h) for pi in P.policies]
+    if mode == "max":
+        vals = np.max(occs, axis=0)
+    else:
+        vals = sum(w * occ for occ, w in zip(occs, P.weights))
+    measured, witnesses = np.inf, []
+    for x in range(M.n_states(h)):
+        if maxima[x] >= eps * scale[x] and maxima[x] > 0.0:
+            measured = min(measured, float(vals[x] / maxima[x]))
+            if vals[x] < alpha * maxima[x] - 1e-9:
+                witnesses.append(x)
+    return measured, witnesses
+
+
+def test_cover_check_matches_a_per_state_loop_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for seed in (0, 1, 2):
+        M = small_env(seed=seed, H=3, A=2, d=2, states=(2, 3, 3), boost=0.3)
+        pis = list(enumerate_det_policies(M, M.H - 1))
+        mixtures = [PolicyDistribution.point_mass(pis[0]),
+                    uniform_mixture(pis[:3]),
+                    PolicyDistribution([random_policy(M, rng), pis[-1]], [0.3, 0.7])]
+        for P in mixtures:
+            for h in range(M.H):
+                for mode in ("expectation", "max"):
+                    for eps in (0.0, 0.3):
+                        for alpha in (0.0, 0.5, 1.0):
+                            out = check_policy_cover(M, P, h, alpha, eps, mode)
+                            measured, witnesses = loop_cover(M, P, h, alpha, eps,
+                                                             mode)
+                            assert out["alpha_measured"] == measured
+                            assert out["witnesses"] == witnesses
+                            assert out["passed"] == (not witnesses)
+
+
 # ------------------------------------------------------ design certificates
 
 
@@ -110,6 +156,25 @@ def test_exact_design_meets_design_bound():
             out = check_design_on_policies(M, M.phi[h], P, 1e-3, 2.0, h)
             assert out["passed"]
             assert out["sup"] == pytest.approx(cert, abs=1e-9)
+
+
+def test_design_certificate_matches_the_enumerated_oracle():
+    # the DP sup over deterministic policies equals the direct-inversion
+    # certificate over the enumerated family of their second moments
+    M = small_env(seed=4, H=3, A=2, d=2, states=(2, 3, 3), boost=0.3)
+    for h in (0, 1):
+        feat = M.phi[h]
+        pis = list(enumerate_det_policies(M, h))
+        Ws = []
+        for pi in pis:
+            sa = oracle_occupancy(M, pi, h)[:, None] * pi.table(h)
+            Ws.append(np.einsum("xa,xad,xae->de", sa, feat, feat))
+        for picks in ([0], [1, len(pis) - 1], list(range(0, len(pis), 3))):
+            w = 1.0 / len(picks)
+            P = PolicyDistribution([pis[i] for i in picks], [w] * len(picks))
+            out = check_design_on_policies(M, feat, P, 0.05, 2.0, h)
+            ref = oracle_design_certificate({i: w for i in picks}, Ws, 0.05)
+            assert out["sup"] == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
 
 def test_fw_design_over_policy_family_passes_on_random_envs():
@@ -222,6 +287,8 @@ def test_coverability_ratio_bound():
         for h in (1, 2):
             out = coverability_ratio(M, h)
             assert out["ratio"] <= 1.01 * 2 + 1e-6, out
+            assert set(out) == {"ratio", "layer", "rounds", "d"}
+            assert out["d"] == 2 and out["layer"] == h
 
 
 def test_coverability_rank_one_is_exactly_d():
@@ -229,5 +296,6 @@ def test_coverability_rank_one_is_exactly_d():
     out = coverability_ratio(M, 1)
     # the single spanner policy reproduces the density column exactly
     assert out["ratio"] == pytest.approx(1.0, abs=1e-9)
+    assert out["d"] == 1
     with pytest.raises(VoxlabError):
         coverability_ratio(M, 0)

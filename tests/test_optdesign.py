@@ -1,5 +1,8 @@
 """Frank-Wolfe optimal design over oracle-reached PSD families."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -126,6 +129,27 @@ def test_budget_error_reports_bound():
     assert exc.value.certificate == pytest.approx(
         d * (1.002 / np.sqrt(d)) / (0.1 + 1e-6), rel=1e-9)
     assert exc.value.layer is None and exc.value.log is None
+
+
+def test_mixture_weights_stay_on_the_simplex():
+    # a pair that never certifies (mixture estimate ~0, probe 0.7 I) runs
+    # the full budget; every mixture lin_est sees must sum to 1 within 4
+    # ulps, not drift by the rounding of each (1 - mu) * w mixing step
+    d = 2
+    picks = itertools.cycle(range(3))
+    sums = []
+
+    def lin_opt(Q):
+        return next(picks)
+
+    def lin_est(P):
+        sums.append(math.fsum(P.values()))
+        return 0.7 * np.eye(d) if len(sums) % 2 == 0 else 1e-12 * np.eye(d)
+
+    with pytest.raises(BudgetError):
+        fw_optdesign(lin_opt, lin_est, C=2.0, gamma=1e-3, d=d, max_iters=2000)
+    assert len(sums) == 4000
+    assert max(abs(s - 1.0) for s in sums) <= 4 * np.finfo(float).eps
 
 
 def test_non_psd_estimates_are_rejected():
