@@ -241,10 +241,11 @@ class PolicyDistribution:
             raise VoxlabError("policy distribution needs nonempty support")
         if self.weights.shape != (len(self.policies),):
             raise VoxlabError("one weight per policy required")
-        if np.any(self.weights < -WEIGHT_TOL):
+        # written so that a NaN weight, which compares false, fails both
+        if not np.all(self.weights >= -WEIGHT_TOL):
             raise VoxlabError("mixture weights must be nonnegative")
         total = float(self.weights.sum())
-        if abs(total - 1.0) > WEIGHT_TOL:
+        if not abs(total - 1.0) <= WEIGHT_TOL:
             raise VoxlabError(f"mixture weights sum to {total!r}, expected 1")
         self.weights = np.clip(self.weights, 0.0, None)
         self.weights.setflags(write=False)

@@ -16,7 +16,11 @@ the cover mixes them at 1/K.
 SpanRL makes one design per layer: a barycentric spanner of the reachable
 feature expectations, whose LinOpt is PSDP on linear feature rewards
 (radius 2 sqrt(d)) and whose LinEst is the Monte-Carlo first moment; its d
-policies, at weight 1/d each, form the cover.
+policies, at weight 1/d each, form the cover.  The design's PSDP queries
+share one roll-in memo, so only the first draws layers hc and hc-1, and a
+layer's episodes are n_replearn + est_calls * n_estvec + n_psdp * (1 +
+min(hc, 1) + opt_calls * max(hc - 1, 0)).  VoX passes no memo: each of its
+queries draws every layer, its unread top one too.
 """
 
 from __future__ import annotations
@@ -103,8 +107,8 @@ class SpanrlSchedule:
     def __post_init__(self):
         if min(self.n_replearn, self.n_estvec, self.n_psdp) < 1:
             raise VoxlabError("schedule counts must be positive")
-        if self.C <= 1.0:
-            raise VoxlabError(f"C must exceed 1, got {self.C}")
+        if not (math.isfinite(self.C) and self.C > 1.0):
+            raise VoxlabError(f"C must exceed 1 and be finite, got {self.C}")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise VoxlabError(f"max_rounds must be >= 1, got {self.max_rounds}")
 
@@ -303,10 +307,13 @@ def run_spanrl(M, Phi, eps, schedule: SpanrlSchedule, rng,
                    PolicyDistribution.point_mass(_uniform(M, 0, M.H - 1))], []
 
     def design(hc, k, tab, row):
+        shared = {}
+
         def lin_opt(theta):
             rewards = _top_layer_rewards(M, hc, linear_reward(theta, tab))
             return psdp(M, hc, rewards, Phi, [2.0 * math.sqrt(d)] * (hc + 1),
-                        covers[:hc + 1], schedule.n_psdp, rng, counter=counter)
+                        covers[:hc + 1], schedule.n_psdp, rng, counter=counter,
+                        shared=shared)
 
         def lin_est(pi):
             return est_vec(M, hc, tab, pi, schedule.n_estvec, rng,

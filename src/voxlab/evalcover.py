@@ -38,7 +38,11 @@ def check_policy_cover(M, P, h, alpha, eps, mode="expectation"):
     mixture occupancy E_{pi~P}[d^pi(x)]; in "max" mode (set covers) it is
     the best occupancy over the support.  Measured alpha is the worst
     qualifying ratio of cover mass to maximal occupancy (tolerance 1e-9).
+    ``alpha`` and ``eps`` must be finite and >= 0.
     """
+    for name, val in (("alpha", alpha), ("eps", eps)):
+        if not (math.isfinite(val) and val >= 0.0):
+            raise VoxlabError(f"{name} must be finite and >= 0, got {val}")
     P = as_distribution(P)
     maxima = max_occupancies(M, h)
     scale = np.linalg.norm(M.mu[h - 1], axis=1) if h >= 1 else np.ones(M.n_states(0))

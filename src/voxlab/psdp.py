@@ -252,7 +252,7 @@ def fit_value_class(data: RegressionData, Phi, radius):
                        loss=float(losses[i, 0]))
 
 
-def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None):
+def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None, shared=None):
     """Backward regression of roll-out returns; returns a greedy policy on [0..h].
 
     ``rewards[t]`` is the (|X_t|, A) reward table of layer t.  For t = h
@@ -262,6 +262,17 @@ def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None):
     ``radii[t]`` on Phi's layer-t candidates; act greedily on the fit.  A
     radius of None takes ``rewards[t]`` as the fit, but still draws the
     roll-in, so episode counts and the random stream ignore the radii.
+
+    ``shared`` is an optional memo, a dict that starts empty and that the
+    caller keeps for queries on one M, h, n and covers[h-1..h]; a memo
+    filled for others raises before any draw.  Queries sharing a memo share
+    the samples of layers h and h-1: the first draws them and stores S[t:]
+    and A[t], the later ones read them.  Layer h's roll-in reads no reward,
+    and layer h-1's reads it only through the greedy action at h, which is
+    looked up at the stored S[h], exactly the action a fresh draw through
+    those states takes.  Layers below h-1 are drawn fresh for every query,
+    since their trajectories pass through the query's greedy layers.  So a
+    query after the first draws n * (h - 1) episodes (none at h <= 1).
     """
     if n < 1:
         raise VoxlabError("n must be >= 1")
@@ -282,15 +293,31 @@ def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None):
                 f"({M.n_states(t)}, {M.A})"
             )
         reward_flat.append(tab.ravel())
+    reuse = ()
+    if shared is not None:
+        reuse = range(max(h - 1, 0), h + 1)
+        owner = (h, n, [M] + [covers[t] for t in reuse])
+        mine = shared.setdefault("owner", owner)
+        if mine[:2] != owner[:2] or any(a is not b for a, b in zip(mine[2], owner[2])):
+            raise VoxlabError(f"roll-in memo was filled for another h, n, MDP or "
+                              f"cover (h = {mine[0]}, n = {mine[1]}), not for "
+                              f"h = {h}, n = {n}")
     # the greedy policy on layers t+1..h, grown one layer per step
     greedy = Policy.empty(h + 1)
     # one roll-in pair, refilled for every t; layer t's returns are read
     # from it before the next roll-in
     S, A = np.empty((2, h + 1, n), dtype=np.int64)
     for t in range(h, -1, -1):
-        rollin(M, covers[t], n, rng, upto=h,
-               tail=compose_policies(_uniform_step(M, t), greedy),
-               counter=counter, out=(S, A))
+        if t in reuse and t in shared:
+            S[t:], A[t] = shared[t]
+            if t < h:  # layer h-1: the greedy action at h, at the stored S[h]
+                A[h] = acts.take(S[h])
+        else:
+            rollin(M, covers[t], n, rng, upto=h,
+                   tail=compose_policies(_uniform_step(M, t), greedy),
+                   counter=counter, out=(S, A))
+            if t in reuse:
+                shared[t] = S[t:].copy(), A[t].copy()
         if radii[t] is None:
             q = reward_flat[t].reshape(M.n_states(t), M.A)
         else:
@@ -299,5 +326,6 @@ def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None):
                 ret += reward_flat[ell].take(S[ell] * M.A + A[ell])
             data = RegressionData.from_samples(t, S[t], A[t], ret, M.n_states(t), M.A)
             q = fit_value_class(data, Phi, radii[t]).q_table
-        greedy = compose_policies(_greedy_step(M, t, np.argmax(q, axis=1)), greedy)
+        acts = np.argmax(q, axis=1)
+        greedy = compose_policies(_greedy_step(M, t, acts), greedy)
     return greedy

@@ -69,8 +69,8 @@ def robust_spanner(lin_opt, lin_est, C, eps, d, max_rounds=None) -> SpannerState
     BudgetError past max_rounds, which defaults to the termination bound for
     conforming oracles.
     """
-    if C <= 1.0:
-        raise VoxlabError(f"C must exceed 1, got {C}")
+    if not (math.isfinite(C) and C > 1.0):
+        raise VoxlabError(f"C must exceed 1 and be finite, got {C}")
     if not 0.0 < eps < 1.0:
         raise VoxlabError(f"eps must be in (0, 1), got {eps}")
     bound = spanner_rounds_bound(C, eps, d)

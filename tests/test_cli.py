@@ -267,6 +267,8 @@ def test_mistyped_config_values_exit_2_before_running(workdir, vox_run, tmp_path
     ("run-spanrl", {"replearn": {"eps_stat": -0.5}}),
     ("run-vox", {"replearn": {"restarts": -2}}),
     ("run-spanrl", {"replearn": {"c": -1}}),
+    ("run-spanrl", {"C": float("nan")}),
+    ("run-spanrl", {"C": float("inf")}),
 ])
 def test_out_of_range_C_or_eps_exits_2_before_any_episode(
         workdir, vox_run, tmp_path, capsys, monkeypatch, command, bad):
@@ -354,6 +356,33 @@ def test_run_files_whose_policies_are_not_distributions_exit_2(
     assert main(_command(command, workdir, bad_run, tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: run file {bad_run}: layer 0 policy 0 table 0 ")
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_nan_cover_weights_exit_2(workdir, vox_run, tmp_path, capsys):
+    # every comparison with NaN is false, so a check written as "fail if
+    # weight < 0" or "fail if |sum - 1| > tol" would let these through
+    run = json.loads(vox_run[0].read_text())
+    for layer in run["covers"]["layers"]:
+        layer["weights"] = [float("nan")] * len(layer["weights"])
+    bad_run = tmp_path / "run.json"
+    bad_run.write_text(json.dumps(run))
+    args = _command("verify-cover", workdir, bad_run, tmp_path)
+    args[args.index("--alpha") + 1] = "0.5"
+    assert main(args) == 2
+    assert "error: mixture weights must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--eps", "nan"),
+                                         ("--alpha", "inf"), ("--eps", "-0.1"),
+                                         ("--alpha", "-1")])
+def test_a_non_finite_or_negative_threshold_exits_2(workdir, vox_run, tmp_path,
+                                                     capsys, flag, value):
+    args = _command("verify-cover", workdir, vox_run[0], tmp_path)
+    args += [flag, value]
+    assert main(args) == 2
+    assert f"error: {flag[2:]} must be finite and >= 0" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
 
 

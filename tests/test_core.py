@@ -170,6 +170,10 @@ def test_distribution_validation(env):
         PolicyDistribution([pi], [0.5])  # does not sum to 1
     with pytest.raises(VoxlabError):
         PolicyDistribution([pi, pi], [1.5, -0.5])  # negative weight
+    nan = float("nan")
+    for weights in ([nan], [nan, 1.0], [0.5, nan], [float("inf"), -float("inf")]):
+        with pytest.raises(VoxlabError):
+            PolicyDistribution([pi] * len(weights), weights)
     P = PolicyDistribution([pi, pi], [0.25, 0.75])
     assert P.support_size == 2
     assert np.allclose(sorted(w for _, w in P), [0.25, 0.75])

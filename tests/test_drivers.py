@@ -87,9 +87,10 @@ def test_a_bad_C_or_eps_is_rejected_before_any_episode():
     for C in (0.5, 1.0, 2.5):
         with pytest.raises(VoxlabError, match="C must be in"):
             run_vox(M, Phi, dataclasses.replace(vox, C=C), rng, counter=counter)
-    with pytest.raises(VoxlabError, match="C must exceed 1"):
-        run_spanrl(M, Phi, 0.1, dataclasses.replace(spanrl, C=1.0), rng,
-                   counter=counter)
+    for C in (1.0, float("nan"), float("inf")):
+        with pytest.raises(VoxlabError, match="C must exceed 1"):
+            run_spanrl(M, Phi, 0.1, dataclasses.replace(spanrl, C=C), rng,
+                       counter=counter)
     for eps in (0.0, 1.0, 1.5):
         with pytest.raises(VoxlabError, match="eps must be in"):
             run_spanrl(M, Phi, eps, spanrl, rng, counter=counter)
@@ -234,6 +235,13 @@ def test_spanrl_horizon_two_is_uniform_only():
     assert len(result.covers.psis[1]) == 1
 
 
+def spanrl_psdp_episodes(row, schedule):
+    """PSDP episodes of one SpanRL design: its first query draws layers
+    0..h, and each query draws layers 0..h-2, the top two being shared."""
+    h = row["h"]
+    return schedule.n_psdp * (1 + min(h, 1) + row["opt_calls"] * max(h - 1, 0))
+
+
 def test_spanrl_micro_run_covers_and_accounting():
     M = boosted_env(seed=8)
     Phi = make_feature_class(M, n_decoys=1, rng=np.random.default_rng(8))
@@ -244,14 +252,14 @@ def test_spanrl_micro_run_covers_and_accounting():
     for h in range(2, M.H):
         assert len(result.covers.psis[h]) == Phi.d
 
-    # one PSDP run per distinct lin_opt query, one est_vec run per distinct
-    # policy
+    # one PSDP run per distinct lin_opt query, all sharing the draws of
+    # layers h and h-1, and one est_vec run per distinct policy
     want = 0
     for row in result.log:
         assert row["opt_calls"] <= row["oracle_calls"] // 2
         assert row["est_calls"] <= row["opt_calls"]
         want += schedule.n_replearn
-        want += row["opt_calls"] * (row["h"] + 1) * schedule.n_psdp
+        want += spanrl_psdp_episodes(row, schedule)
         want += row["est_calls"] * schedule.n_estvec
     assert result.episodes == want
     # the spanner re-probes policies it has already estimated
@@ -278,7 +286,7 @@ def test_spanrl_on_a_lock_asks_each_confirmation_query_once():
             assert row["spanner_rounds"] == Phi.d
             assert row["opt_calls"] * 4 == row["oracle_calls"]
             want += (schedule.n_replearn + row["est_calls"] * schedule.n_estvec
-                     + row["opt_calls"] * (row["h"] + 1) * schedule.n_psdp)
+                     + spanrl_psdp_episodes(row, schedule))
         assert result.episodes == want
         # each cover reaches the open latent at 1/A, where uniform play has A^-h
         for h in range(2, M.H):
@@ -308,11 +316,12 @@ def test_spanrl_budget_error_says_where_and_keeps_the_partial_run(monkeypatch):
     assert "run_spanrl layer 0: robust_spanner exceeded 1 rounds" in str(err)
     assert isinstance(err.__cause__, BudgetError)
     assert err.log == []
-    # rep-learn, then the two phase-1 probes: two PSDP calls each, and one
-    # est_vec call per distinct policy they return
+    # rep-learn, then the two phase-1 probes: two PSDP calls each, which at
+    # layer 0 share one draw, and one est_vec call per distinct policy they
+    # return
     assert len(returned) == 2 * 2
     assert err.episodes == counter.count == (
-        s.n_replearn + 2 * 2 * s.n_psdp + len(set(returned)) * s.n_estvec)
+        s.n_replearn + s.n_psdp + len(set(returned)) * s.n_estvec)
 
 
 def test_spanrl_fills_an_unfilled_spanner_column_with_uniform_play(monkeypatch):
@@ -516,7 +525,7 @@ def test_run_result_json_is_deterministic():
 # field or cover entry changes them
 GOLDEN = {
     "vox": "5a171e42896a1c453f33994fd5e21a51605e2d76f401bc91424f5d31325ae5a6",
-    "spanrl": "3371f0e61a3e137aadc3d75a4b3b913bd8f925baf27242d6b2a4493ea00d352b",
+    "spanrl": "2c1c2e0b4dfcb24b168f3bb595756de941c9211967a2366371eb8fff07a6b5c8",
 }
 
 

@@ -49,6 +49,17 @@ def test_large_eps_passes_vacuously(env):
     assert out["alpha_measured"] == np.inf
 
 
+@pytest.mark.parametrize("alpha, eps", [(float("nan"), 0.0), (0.5, float("nan")),
+                                        (float("inf"), 0.0), (0.5, float("inf")),
+                                        (-0.1, 0.0), (0.5, -1e-3)])
+def test_a_non_finite_or_negative_threshold_is_rejected(env, alpha, eps):
+    # a NaN alpha makes every "vals < alpha * max" false, so it passed any cover
+    P = PolicyDistribution.point_mass(Policy.uniform(env))
+    with pytest.raises(VoxlabError, match="must be finite and >= 0"):
+        check_policy_cover(env, P, 2, alpha=alpha, eps=eps)
+    assert check_policy_cover(env, P, 2, alpha=0.0, eps=0.0)["passed"]
+
+
 def test_all_deterministic_mixture_covers_everything(env):
     # each state's best policy is a support member, so the mixture retains
     # at least 1/|support| of every maximal occupancy at any eps

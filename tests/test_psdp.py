@@ -1,5 +1,7 @@
 """Backward-regression policy search and its regression subroutines."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -543,6 +545,97 @@ def test_a_none_layer_is_greedy_on_its_reward_and_still_draws_n_episodes(h):
         for t in (t for t in range(h + 1) if radii[t] is None):
             assert np.array_equal(got.table(t).argmax(axis=1), tabs[t].argmax(axis=1))
             assert np.array_equal(got.table(t).max(axis=1), np.ones(M.n_states(t)))
+
+
+def memo_instance(seed, h):
+    """An MDP, a feature class, per-layer covers mixing a deterministic and
+    a random policy, and radii (None on top for odd seeds) for layers 0..h."""
+    rng = np.random.default_rng(seed)
+    M = small_env(seed=seed, H=5, A=3, d=2, states=(3, 4, 3, 4, 3))
+    Phi = make_feature_class(M, n_decoys=1, rng=rng)
+    pis = [Policy.from_actions(M, [rng.integers(M.A, size=M.n_states(t))
+                                   for t in range(M.H)]),
+           Policy(0, [rng.random((M.n_states(t), M.A)) for t in range(M.H)])]
+    covers = [PolicyDistribution.point_mass(Policy.empty(0))] + [
+        PolicyDistribution(pis, [w, 1.0 - w]) for w in rng.random(h)]
+    radii = [float(r) for r in rng.uniform(0.5, 4.0, size=h + 1)]
+    if seed % 2:
+        radii[h] = None
+    return M, Phi, covers, radii
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("h", [0, 1, 2, 3])
+def test_a_shared_memo_replays_the_top_two_rollins(monkeypatch, seed, h):
+    # a memo-backed query equals a memo-free one whose roll-ins at layers h
+    # and h-1 are replaced by the first query's samples, with the action at
+    # h taken from the query's own greedy layer there
+    psdp_module = importlib.import_module("voxlab.psdp")
+    M, Phi, covers, radii = memo_instance(seed, h)
+    rng = np.random.default_rng(seed + 50)
+    queries = [[rng.standard_normal((M.n_states(t), M.A)) for t in range(h + 1)]
+               for _ in range(3)]
+    n, shared, drawn = 90, {}, {}
+
+    def recording_rollin(M, P, n, rng, upto, tail=None, counter=None, out=None):
+        S, A = rollin(M, P, n, rng, upto, tail, counter=counter, out=out)
+        drawn[tail.lo] = S.copy(), A.copy()
+        return S, A
+
+    monkeypatch.setattr(psdp_module, "rollin", recording_rollin)
+    counter = EpisodeCounter()
+    psdp(M, h, queries[0], Phi, radii, covers, n, np.random.default_rng(1),
+         counter=counter, shared=shared)
+    assert counter.count == n * (h + 1)
+    stored = {t: drawn[t] for t in range(max(h - 1, 0), h + 1)}
+
+    def replaying_rollin(M, P, n, rng, upto, tail=None, counter=None, out=None):
+        t = tail.lo
+        if t not in stored:
+            return rollin(M, P, n, rng, upto, tail, counter=counter, out=out)
+        S, A = out
+        S[t:], A[t] = stored[t][0][t:], stored[t][1][t]
+        if t < upto:
+            A[upto] = tail.table(upto).argmax(axis=1)[S[upto]]
+        return out
+
+    for q, tabs in enumerate(queries[1:]):
+        runs = []
+        for memo, fake in ((shared, recording_rollin), (None, replaying_rollin)):
+            monkeypatch.setattr(psdp_module, "rollin", fake)
+            run_rng, counter = np.random.default_rng(2 + q), EpisodeCounter()
+            pi = psdp(M, h, tabs, Phi, radii, covers, n, run_rng,
+                      counter=counter, shared=memo)
+            runs.append((pi, run_rng.bit_generator.state, counter.count))
+        (got, got_state, got_count), (want, want_state, want_count) = runs
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.tables, want.tables))
+        assert got_state == want_state
+        assert got_count == want_count == n * max(h - 1, 0)
+
+
+def test_a_memo_filled_for_another_query_shape_raises_before_drawing():
+    M, Phi, covers, radii = memo_instance(0, 2)
+    tabs = [np.zeros((M.n_states(t), M.A)) for t in range(3)]
+    shared = {}
+    psdp(M, 2, tabs, Phi, radii, covers, 40, np.random.default_rng(1),
+         shared=shared)
+    copied = [PolicyDistribution(D.policies, D.weights) for D in covers]
+    other_M = small_env(seed=0, H=5, A=3, d=2, states=(3, 4, 3, 4, 3))
+    for args in ((M, 1, tabs[:2], Phi, radii[:2], covers[:2], 40),
+                 (M, 2, tabs, Phi, radii, covers, 41),
+                 (M, 2, tabs, Phi, radii, covers[:2] + copied[2:], 40),
+                 (M, 2, tabs, Phi, radii, covers[:1] + copied[1:2] + covers[2:], 40),
+                 (other_M, 2, tabs, Phi, radii, covers, 40)):
+        rng, counter = np.random.default_rng(2), EpisodeCounter()
+        before = rng.bit_generator.state
+        with pytest.raises(VoxlabError, match=r"roll-in memo was filled for another"):
+            psdp(*args, rng, counter=counter, shared=shared)
+        assert counter.count == 0 and rng.bit_generator.state == before
+    # the layers below h-1 are not the memo's, so their covers may change
+    counter = EpisodeCounter()
+    psdp(M, 2, tabs, Phi, radii, copied[:1] + covers[1:], 40,
+         np.random.default_rng(3), counter=counter, shared=shared)
+    assert counter.count == 40
 
 
 def test_policy_forms_are_built_once_per_policy(monkeypatch):

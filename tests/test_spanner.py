@@ -142,6 +142,9 @@ def test_parameter_validation():
         robust_spanner(lin_opt, lin_est, C=1.0, eps=0.1, d=2)
     with pytest.raises(VoxlabError):
         robust_spanner(lin_opt, lin_est, C=2.0, eps=0.0, d=2)
+    for C in (float("nan"), float("inf")):
+        with pytest.raises(VoxlabError, match="C must exceed 1 and be finite"):
+            robust_spanner(lin_opt, lin_est, C=C, eps=0.1, d=2)
 
 
 def test_budget_error_reports_bound():
