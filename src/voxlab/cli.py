@@ -58,16 +58,19 @@ def _valid(M, what):
 
 def _load_json(path, what, build=None, kind=dict):
     """``build`` of the JSON ``kind`` in the file at ``path``; text that is
-    not JSON, another kind, or a value ``build`` cannot read is a usage error."""
+    not JSON, another kind, or a value ``build`` cannot read or rejects is a
+    usage error naming the file."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
-        if not isinstance(obj, kind):
-            raise VoxlabError(f"{what} {path} must hold a JSON {kind.__name__}, "
-                              f"got {type(obj).__name__}")
-        return build(obj) if build else obj
+        if isinstance(obj, kind):
+            return build(obj) if build else obj
+    except VoxlabError as exc:
+        raise VoxlabError(f"{what} {path}: {exc}") from exc
     except (TypeError, AttributeError, IndexError, KeyError, ValueError) as exc:
         raise VoxlabError(f"{what} {path} is malformed: {exc!r}") from exc
+    raise VoxlabError(f"{what} {path} must hold a JSON {kind.__name__}, "
+                      f"got {type(obj).__name__}")
 
 
 def _load_env(path):

@@ -17,10 +17,13 @@ SpanRL makes one design per layer: a barycentric spanner of the reachable
 feature expectations, whose LinOpt is PSDP on linear feature rewards
 (radius 2 sqrt(d)) and whose LinEst is the Monte-Carlo first moment; its d
 policies, at weight 1/d each, form the cover.  The design's PSDP queries
-share one roll-in memo, so only the first draws layers hc and hc-1, and a
-layer's episodes are n_replearn + est_calls * n_estvec + n_psdp * (1 +
-min(hc, 1) + opt_calls * max(hc - 1, 0)).  VoX passes no memo: each of its
-queries draws every layer, its unread top one too.
+share one roll-in memo, keyed by layer and greedy suffix, so each distinct
+roll-in is drawn once: layers hc and hc-1 by the first query only, a lower
+layer once per greedy suffix.  The log row's ``psdp_draws`` counts them,
+and a layer's episodes are n_replearn + est_calls * n_estvec + psdp_draws *
+n_psdp, with psdp_draws at most 1 + min(hc, 1) + opt_calls * max(hc - 1,
+0).  VoX passes no memo: each of its queries draws every layer, its unread
+top one too.
 """
 
 from __future__ import annotations
@@ -325,8 +328,10 @@ def run_spanrl(M, Phi, eps, schedule: SpanrlSchedule, rng,
         except BudgetError as exc:
             raise BudgetError(f"run_spanrl layer {hc}: {exc}", layer=hc, log=log,
                               episodes=counter.count) from exc
+        # the memo holds its owner and one entry per roll-in drawn
         row.update(spanner_rounds=state.rounds, oracle_calls=state.oracle_calls,
-                   opt_calls=state.opt_calls, est_calls=state.est_calls)
+                   opt_calls=state.opt_calls, est_calls=state.est_calls,
+                   psdp_draws=len(shared) - 1)
         # a column the spanner left unfilled plays uniform up to layer hc
         return PolicyDistribution(
             [pi if pi is not None else _uniform(M, 0, hc)

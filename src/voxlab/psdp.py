@@ -264,15 +264,19 @@ def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None, shared=None):
     roll-in, so episode counts and the random stream ignore the radii.
 
     ``shared`` is an optional memo, a dict that starts empty and that the
-    caller keeps for queries on one M, h, n and covers[h-1..h]; a memo
-    filled for others raises before any draw.  Queries sharing a memo share
-    the samples of layers h and h-1: the first draws them and stores S[t:]
-    and A[t], the later ones read them.  Layer h's roll-in reads no reward,
-    and layer h-1's reads it only through the greedy action at h, which is
-    looked up at the stored S[h], exactly the action a fresh draw through
-    those states takes.  Layers below h-1 are drawn fresh for every query,
-    since their trajectories pass through the query's greedy layers.  So a
-    query after the first draws n * (h - 1) episodes (none at h <= 1).
+    caller keeps for queries on one M, h, n and covers[0..h]; a memo filled
+    for others raises before any draw.  Layer t's roll-in is keyed by t and
+    the greedy actions on layers t+1..h-1: its samples S[t..h] and
+    A[t..h-1] depend only on covers[t], the uniform action at t and those
+    greedy layers, not on the rewards, the radii or the greedy layer at h.
+    The first query with a key draws it and stores S[t:] and A[t]; a later
+    one reads them and looks up A[t+1..h] from its own greedy layers at the
+    stored states, exactly the actions a fresh draw through those states
+    takes.  So layers h and h-1, whose keys hold no greedy layer, are drawn
+    once per memo, and a lower layer once per distinct greedy suffix.  Each
+    query's samples have a fresh draw's law; queries that share a key are
+    dependent, and the spanner's union bound over its queries holds under
+    any dependence between them.
     """
     if n < 1:
         raise VoxlabError("n must be >= 1")
@@ -293,31 +297,31 @@ def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None, shared=None):
                 f"({M.n_states(t)}, {M.A})"
             )
         reward_flat.append(tab.ravel())
-    reuse = ()
     if shared is not None:
-        reuse = range(max(h - 1, 0), h + 1)
-        owner = (h, n, [M] + [covers[t] for t in reuse])
+        owner = (h, n, [M] + list(covers[:h + 1]))
         mine = shared.setdefault("owner", owner)
         if mine[:2] != owner[:2] or any(a is not b for a, b in zip(mine[2], owner[2])):
             raise VoxlabError(f"roll-in memo was filled for another h, n, MDP or "
                               f"cover (h = {mine[0]}, n = {mine[1]}), not for "
                               f"h = {h}, n = {n}")
-    # the greedy policy on layers t+1..h, grown one layer per step
-    greedy = Policy.empty(h + 1)
+    # the greedy policy on layers t+1..h, grown one layer per step, and its
+    # action table per layer
+    greedy, acts = Policy.empty(h + 1), [None] * (h + 1)
     # one roll-in pair, refilled for every t; layer t's returns are read
     # from it before the next roll-in
     S, A = np.empty((2, h + 1, n), dtype=np.int64)
     for t in range(h, -1, -1):
-        if t in reuse and t in shared:
-            S[t:], A[t] = shared[t]
-            if t < h:  # layer h-1: the greedy action at h, at the stored S[h]
-                A[h] = acts.take(S[h])
+        key = (t, b"".join(a.tobytes() for a in acts[t + 1:h]))
+        if shared is not None and key in shared:
+            S[t:], A[t] = shared[key]
+            for ell in range(t + 1, h + 1):
+                acts[ell].take(S[ell], out=A[ell])
         else:
             rollin(M, covers[t], n, rng, upto=h,
                    tail=compose_policies(_uniform_step(M, t), greedy),
                    counter=counter, out=(S, A))
-            if t in reuse:
-                shared[t] = S[t:].copy(), A[t].copy()
+            if shared is not None:
+                shared[key] = S[t:].copy(), A[t].copy()
         if radii[t] is None:
             q = reward_flat[t].reshape(M.n_states(t), M.A)
         else:
@@ -326,6 +330,6 @@ def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None, shared=None):
                 ret += reward_flat[ell].take(S[ell] * M.A + A[ell])
             data = RegressionData.from_samples(t, S[t], A[t], ret, M.n_states(t), M.A)
             q = fit_value_class(data, Phi, radii[t]).q_table
-        acts = np.argmax(q, axis=1)
-        greedy = compose_policies(_greedy_step(M, t, acts), greedy)
+        acts[t] = np.argmax(q, axis=1)
+        greedy = compose_policies(_greedy_step(M, t, acts[t]), greedy)
     return greedy

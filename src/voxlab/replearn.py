@@ -49,14 +49,17 @@ class RepLearnConfig:
 
     def __post_init__(self):
         for name, ok, want in (
-                ("c", self.c > 0.0, "> 0"),
+                ("c", 0.0 < self.c < math.inf, "finite and > 0"),
                 ("delta", 0.0 < self.delta < 1.0, "in (0, 1)"),
                 ("restarts", self.restarts >= 1, ">= 1"),
                 ("grad_steps", self.grad_steps >= 0, ">= 0"),
-                ("step_size", self.step_size > 0.0, "> 0"),
-                ("eps_stat", self.eps_stat is None or self.eps_stat > 0.0, "> 0"),
-                ("r_big", self.r_big is None or self.r_big > 0.0, "> 0"),
-                ("r_small", self.r_small is None or self.r_small > 0.0, "> 0"),
+                ("step_size", 0.0 < self.step_size < math.inf, "finite and > 0"),
+                ("eps_stat", self.eps_stat is None or 0.0 < self.eps_stat < math.inf,
+                 "finite and > 0"),
+                ("r_big", self.r_big is None or 0.0 < self.r_big < math.inf,
+                 "finite and > 0"),
+                ("r_small", self.r_small is None or 0.0 < self.r_small < math.inf,
+                 "finite and > 0"),
                 ("max_iters", self.max_iters is None or self.max_iters >= 1, ">= 1")):
             if not ok:
                 raise VoxlabError(

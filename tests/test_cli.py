@@ -269,6 +269,12 @@ def test_mistyped_config_values_exit_2_before_running(workdir, vox_run, tmp_path
     ("run-spanrl", {"replearn": {"c": -1}}),
     ("run-spanrl", {"C": float("nan")}),
     ("run-spanrl", {"C": float("inf")}),
+    # written as JSON's Infinity and NaN literals, which the loader reads
+    ("run-vox", {"replearn": {"c": float("inf")}}),
+    ("run-spanrl", {"replearn": {"step_size": float("inf")}}),
+    ("run-vox", {"replearn": {"eps_stat": float("nan")}}),
+    ("run-spanrl", {"replearn": {"r_big": float("inf")}}),
+    ("run-vox", {"replearn": {"r_small": float("inf")}}),
 ])
 def test_out_of_range_C_or_eps_exits_2_before_any_episode(
         workdir, vox_run, tmp_path, capsys, monkeypatch, command, bad):
@@ -370,7 +376,9 @@ def test_nan_cover_weights_exit_2(workdir, vox_run, tmp_path, capsys):
     args = _command("verify-cover", workdir, bad_run, tmp_path)
     args[args.index("--alpha") + 1] = "0.5"
     assert main(args) == 2
-    assert "error: mixture weights must be nonnegative" in capsys.readouterr().err
+    # the error names the run file, once
+    err = capsys.readouterr().err
+    assert err == f"error: run file {bad_run}: mixture weights must be nonnegative\n"
     assert not (tmp_path / "x.json").exists()
 
 

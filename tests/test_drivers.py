@@ -236,10 +236,12 @@ def test_spanrl_horizon_two_is_uniform_only():
 
 
 def spanrl_psdp_episodes(row, schedule):
-    """PSDP episodes of one SpanRL design: its first query draws layers
-    0..h, and each query draws layers 0..h-2, the top two being shared."""
+    """PSDP episodes of one SpanRL design: n_psdp per roll-in its memo drew.
+    The first query draws layers 0..h; no later one draws more than layers
+    0..h-2, as sharing only the top two layers did."""
     h = row["h"]
-    return schedule.n_psdp * (1 + min(h, 1) + row["opt_calls"] * max(h - 1, 0))
+    assert h + 1 <= row["psdp_draws"] <= 1 + min(h, 1) + row["opt_calls"] * max(h - 1, 0)
+    return schedule.n_psdp * row["psdp_draws"]
 
 
 def test_spanrl_micro_run_covers_and_accounting():
@@ -252,8 +254,8 @@ def test_spanrl_micro_run_covers_and_accounting():
     for h in range(2, M.H):
         assert len(result.covers.psis[h]) == Phi.d
 
-    # one PSDP run per distinct lin_opt query, all sharing the draws of
-    # layers h and h-1, and one est_vec run per distinct policy
+    # one PSDP run per distinct lin_opt query, drawing each distinct roll-in
+    # of the design once, and one est_vec run per distinct policy
     want = 0
     for row in result.log:
         assert row["opt_calls"] <= row["oracle_calls"] // 2
@@ -287,6 +289,10 @@ def test_spanrl_on_a_lock_asks_each_confirmation_query_once():
             assert row["opt_calls"] * 4 == row["oracle_calls"]
             want += (schedule.n_replearn + row["est_calls"] * schedule.n_estvec
                      + spanrl_psdp_episodes(row, schedule))
+            # the lock's queries share greedy suffixes, so a design above
+            # layer 1 draws fewer roll-ins than sharing the top two would
+            if row["h"] >= 2:
+                assert row["psdp_draws"] < 2 + row["opt_calls"] * (row["h"] - 1)
         assert result.episodes == want
         # each cover reaches the open latent at 1/A, where uniform play has A^-h
         for h in range(2, M.H):
@@ -525,7 +531,7 @@ def test_run_result_json_is_deterministic():
 # field or cover entry changes them
 GOLDEN = {
     "vox": "5a171e42896a1c453f33994fd5e21a51605e2d76f401bc91424f5d31325ae5a6",
-    "spanrl": "2c1c2e0b4dfcb24b168f3bb595756de941c9211967a2366371eb8fff07a6b5c8",
+    "spanrl": "031344b381d1bd2ab4793c5151e3f95d9ef54c17671c6a0dcc3a2c127023cbe3",
 }
 
 

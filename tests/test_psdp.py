@@ -564,78 +564,183 @@ def memo_instance(seed, h):
     return M, Phi, covers, radii
 
 
+def suffix_key(tail, upto):
+    """The memo key of a PSDP roll-in through ``tail``: the roll-in's layer
+    and the greedy actions of the tail on the layers above it, below upto."""
+    t = tail.lo
+    return (t,) + tuple(tail.table(ell).argmax(axis=1).tobytes()
+                        for ell in range(t + 1, upto))
+
+
+def keyed_rollins(stored):
+    """Two stand-ins for `rollin`: one draws and records each key's first
+    draw in ``stored``, failing on a key drawn twice; the other replays a
+    key found in the dict it is given, taking the actions above the roll-in
+    layer from the tail at the stored states, and draws the others."""
+    def recording(M, P, n, rng, upto, tail=None, counter=None, out=None):
+        S, A = rollin(M, P, n, rng, upto, tail, counter=counter, out=out)
+        key = suffix_key(tail, upto)
+        assert key not in stored, f"layer {tail.lo} drawn twice for one key"
+        stored[key] = S.copy(), A.copy()
+        return S, A
+
+    def replaying(before):
+        def fake(M, P, n, rng, upto, tail=None, counter=None, out=None):
+            key = suffix_key(tail, upto)
+            if key not in before:
+                return rollin(M, P, n, rng, upto, tail, counter=counter, out=out)
+            S, A = out
+            t = tail.lo
+            S[t:], A[t] = before[key][0][t:], before[key][1][t]
+            for ell in range(t + 1, upto + 1):
+                A[ell] = tail.table(ell).argmax(axis=1)[S[ell]]
+            return out
+        return fake
+
+    return recording, replaying
+
+
+def record_regressions(monkeypatch):
+    """Make psdp record each regression dataset it fits, as bytes, in the
+    list returned."""
+    fits = []
+
+    def recording_fit(data, Phi, radius):
+        fits.append((data.layer, data.xs.tobytes(), data.acts.tobytes(),
+                     data.ys.tobytes(), data.weights.tobytes(), data.offset))
+        return fit_value_class(data, Phi, radius)
+
+    monkeypatch.setattr(importlib.import_module("voxlab.psdp"), "fit_value_class",
+                        recording_fit)
+    return fits
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("h", [0, 1, 2, 3])
 def test_a_shared_memo_replays_the_top_two_rollins(monkeypatch, seed, h):
-    # a memo-backed query equals a memo-free one whose roll-ins at layers h
-    # and h-1 are replaced by the first query's samples, with the action at
-    # h taken from the query's own greedy layer there
+    # a memo-backed query equals a memo-free one whose roll-ins with a key
+    # drawn before are replaced by that key's stored samples, with the
+    # actions above the roll-in layer taken from the query's own greedy
+    # layers; layers h and h-1 are drawn by the first query only, a lower
+    # layer once per greedy suffix
     psdp_module = importlib.import_module("voxlab.psdp")
     M, Phi, covers, radii = memo_instance(seed, h)
     rng = np.random.default_rng(seed + 50)
     queries = [[rng.standard_normal((M.n_states(t), M.A)) for t in range(h + 1)]
                for _ in range(3)]
-    n, shared, drawn = 90, {}, {}
-
-    def recording_rollin(M, P, n, rng, upto, tail=None, counter=None, out=None):
-        S, A = rollin(M, P, n, rng, upto, tail, counter=counter, out=out)
-        drawn[tail.lo] = S.copy(), A.copy()
-        return S, A
-
-    monkeypatch.setattr(psdp_module, "rollin", recording_rollin)
+    # top-layer rewards, as the spanner asks, share deeper suffixes more often
+    queries += [top_layer_rewards(M, h, rng.standard_normal((M.n_states(h), M.A)))
+                for _ in range(3)]
+    n, shared, stored = 90, {}, {}
+    recording, replaying = keyed_rollins(stored)
+    monkeypatch.setattr(psdp_module, "rollin", recording)
     counter = EpisodeCounter()
     psdp(M, h, queries[0], Phi, radii, covers, n, np.random.default_rng(1),
          counter=counter, shared=shared)
-    assert counter.count == n * (h + 1)
-    stored = {t: drawn[t] for t in range(max(h - 1, 0), h + 1)}
+    assert counter.count == n * (h + 1) == n * len(stored)
 
-    def replaying_rollin(M, P, n, rng, upto, tail=None, counter=None, out=None):
-        t = tail.lo
-        if t not in stored:
-            return rollin(M, P, n, rng, upto, tail, counter=counter, out=out)
-        S, A = out
-        S[t:], A[t] = stored[t][0][t:], stored[t][1][t]
-        if t < upto:
-            A[upto] = tail.table(upto).argmax(axis=1)[S[upto]]
-        return out
-
+    fits = record_regressions(monkeypatch)
     for q, tabs in enumerate(queries[1:]):
-        runs = []
-        for memo, fake in ((shared, recording_rollin), (None, replaying_rollin)):
+        before, runs = dict(stored), []
+        for memo, fake in ((None, replaying(before)), (shared, recording)):
             monkeypatch.setattr(psdp_module, "rollin", fake)
             run_rng, counter = np.random.default_rng(2 + q), EpisodeCounter()
+            fits.clear()
             pi = psdp(M, h, tabs, Phi, radii, covers, n, run_rng,
                       counter=counter, shared=memo)
-            runs.append((pi, run_rng.bit_generator.state, counter.count))
-        (got, got_state, got_count), (want, want_state, want_count) = runs
+            runs.append((pi, run_rng.bit_generator.state, counter.count, list(fits)))
+        (want, want_state, want_count, want_fits), (got, got_state, got_count, got_fits) = runs
+        assert got_fits == want_fits
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got.tables, want.tables))
         assert got_state == want_state
-        assert got_count == want_count == n * max(h - 1, 0)
+        drawn = [key[0] for key in stored if key not in before]
+        assert got_count == want_count == n * len(drawn)
+        assert all(t < h - 1 for t in drawn) and len(drawn) <= max(h - 1, 0)
+    assert len(shared) - 1 == len(stored)
+
+
+@pytest.mark.parametrize("h", [0, 1, 3])
+def test_a_repeated_query_draws_nothing_and_returns_the_same_policy(h):
+    M, Phi, covers, radii = memo_instance(3, h)
+    rng = np.random.default_rng(4)
+    tabs = [rng.standard_normal((M.n_states(t), M.A)) for t in range(h + 1)]
+    shared, runs = {}, []
+    for seed in (5, 6):
+        run_rng, counter = np.random.default_rng(seed), EpisodeCounter()
+        before = run_rng.bit_generator.state
+        pi = psdp(M, h, tabs, Phi, radii, covers, 60, run_rng, counter=counter,
+                  shared=shared)
+        runs.append((pi, counter.count, run_rng.bit_generator.state == before))
+    (first, first_count, _), (again, again_count, untouched) = runs
+    assert first_count == 60 * (h + 1)
+    assert again_count == 0 and untouched
+    assert [t.tobytes() for t in again.tables] == [t.tobytes() for t in first.tables]
+
+
+def test_queries_sharing_the_greedy_layers_above_layer_0_share_its_rollin(monkeypatch):
+    # at h = 3 with None radii on layers 1..2, the greedy actions there are
+    # the reward tables' argmax, so rescaled tables keep them and share the
+    # roll-ins of every layer, while another argmax at layer 2 draws layers
+    # 1 and 0 afresh; each query equals a memo-free one replaying the keys
+    # drawn before it, so layer 0's returns read the query's own rewards
+    # and greedy actions on the stored samples
+    psdp_module = importlib.import_module("voxlab.psdp")
+    M, Phi, covers, _ = memo_instance(0, 3)
+    radii = [1.5, None, None, 2.0]
+    rng = np.random.default_rng(7)
+    tabs = [rng.standard_normal((M.n_states(t), M.A)) for t in range(4)]
+    flipped = tabs[2].copy()
+    flipped[0] = -flipped[0]  # row 0's argmax moves to its argmin
+    shared, stored, runs = {}, {}, []
+    recording, replaying = keyed_rollins(stored)
+    fits = record_regressions(monkeypatch)
+    for query in (tabs, [-tabs[0], 3.0 * tabs[1], 2.0 * tabs[2], -tabs[3]],
+                  tabs[:2] + [flipped, tabs[3]]):
+        before = dict(stored)
+        monkeypatch.setattr(psdp_module, "rollin", replaying(before))
+        want = psdp(M, 3, query, Phi, radii, covers, 80, np.random.default_rng(8))
+        want_fits = list(fits)
+        fits.clear()
+        monkeypatch.setattr(psdp_module, "rollin", recording)
+        got = psdp(M, 3, query, Phi, radii, covers, 80, np.random.default_rng(8),
+                   shared=shared)
+        assert fits == want_fits
+        fits.clear()
+        assert [t.tobytes() for t in got.tables] == [t.tobytes() for t in want.tables]
+        runs.append((got, [key[0] for key in stored if key not in before],
+                     len(shared) - 1))
+    (first, drawn, keys), (rescaled, re_drawn, re_keys), (_, other_drawn, other_keys) = runs
+    assert (drawn, keys) == ([3, 2, 1, 0], 4)
+    assert (re_drawn, re_keys) == ([], 4)
+    assert not np.array_equal(first.table(3), rescaled.table(3))
+    assert (other_drawn, other_keys) == ([1, 0], 6)
 
 
 def test_a_memo_filled_for_another_query_shape_raises_before_drawing():
-    M, Phi, covers, radii = memo_instance(0, 2)
-    tabs = [np.zeros((M.n_states(t), M.A)) for t in range(3)]
-    shared = {}
-    psdp(M, 2, tabs, Phi, radii, covers, 40, np.random.default_rng(1),
-         shared=shared)
-    copied = [PolicyDistribution(D.policies, D.weights) for D in covers]
-    other_M = small_env(seed=0, H=5, A=3, d=2, states=(3, 4, 3, 4, 3))
-    for args in ((M, 1, tabs[:2], Phi, radii[:2], covers[:2], 40),
-                 (M, 2, tabs, Phi, radii, covers, 41),
-                 (M, 2, tabs, Phi, radii, covers[:2] + copied[2:], 40),
-                 (M, 2, tabs, Phi, radii, covers[:1] + copied[1:2] + covers[2:], 40),
-                 (other_M, 2, tabs, Phi, radii, covers, 40)):
-        rng, counter = np.random.default_rng(2), EpisodeCounter()
-        before = rng.bit_generator.state
-        with pytest.raises(VoxlabError, match=r"roll-in memo was filled for another"):
-            psdp(*args, rng, counter=counter, shared=shared)
-        assert counter.count == 0 and rng.bit_generator.state == before
-    # the layers below h-1 are not the memo's, so their covers may change
-    counter = EpisodeCounter()
-    psdp(M, 2, tabs, Phi, radii, copied[:1] + covers[1:], 40,
-         np.random.default_rng(3), counter=counter, shared=shared)
-    assert counter.count == 40
+    for h in (2, 3):
+        M, Phi, covers, radii = memo_instance(0, h)
+        tabs = [np.zeros((M.n_states(t), M.A)) for t in range(h + 1)]
+        shared = {}
+        psdp(M, h, tabs, Phi, radii, covers, 40, np.random.default_rng(1),
+             shared=shared)
+        copied = [PolicyDistribution(D.policies, D.weights) for D in covers]
+        other_M = small_env(seed=0, H=5, A=3, d=2, states=(3, 4, 3, 4, 3))
+        # the memo owns every cover it reads, covers[0..h], by identity
+        changed = [covers[:t] + [copied[t]] + covers[t + 1:] for t in range(h + 1)]
+        for args in [(M, h - 1, tabs[:h], Phi, radii[:h], covers[:h], 40),
+                     (M, h, tabs, Phi, radii, covers, 41),
+                     (other_M, h, tabs, Phi, radii, covers, 40)] + [
+                        (M, h, tabs, Phi, radii, cov, 40) for cov in changed]:
+            rng, counter = np.random.default_rng(2), EpisodeCounter()
+            before = rng.bit_generator.state
+            with pytest.raises(VoxlabError, match=r"roll-in memo was filled for another"):
+                psdp(*args, rng, counter=counter, shared=shared)
+            assert counter.count == 0 and rng.bit_generator.state == before
+        # a cover above h is not read, so it may change
+        counter = EpisodeCounter()
+        psdp(M, h, tabs, Phi, radii, covers + copied[:1], 40,
+             np.random.default_rng(3), counter=counter, shared=shared)
+        assert counter.count == 0
 
 
 def test_policy_forms_are_built_once_per_policy(monkeypatch):

@@ -282,6 +282,14 @@ def test_resolve_iteration_counts_and_radii():
     assert eps == pytest.approx(np.sqrt(4 * np.log(4 / 0.05) / 20_000))
 
 
+@pytest.mark.parametrize("name", ["c", "step_size", "eps_stat", "r_big", "r_small"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), -float("inf"), 0.0])
+def test_config_rejects_non_finite_and_non_positive_values(name, value):
+    with pytest.raises(VoxlabError, match=rf"replearn {name} must be finite and > 0"):
+        RepLearnConfig(**{name: value})
+    RepLearnConfig(**{name: 1e300})
+
+
 # ----------------------------------------------------------------- dataset
 
 
