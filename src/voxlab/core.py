@@ -256,10 +256,6 @@ class PolicyDistribution:
     def __iter__(self):
         return zip(self.policies, self.weights)
 
-    @property
-    def support_size(self):
-        return len(self.policies)
-
     @staticmethod
     def point_mass(policy):
         return PolicyDistribution([policy], [1.0])

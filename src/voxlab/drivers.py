@@ -346,12 +346,14 @@ def run_spanrl(M, Phi, eps, schedule: SpanrlSchedule, rng,
 def optimize_reward(M, covers: CoverSet, thetas, Phi, n, rng, counter=None):
     """PSDP over the full horizon on linear true-feature rewards.
 
-    ``thetas`` holds one vector per feature layer (H-1 of them; a list of H
-    is accepted when the final entry is zero, since the last layer has no
-    features).  Returns the learned policy and its exact value.
+    ``thetas`` holds one finite vector per feature layer (H-1 of them; a
+    list of H is accepted when the final entry is zero, since the last layer
+    has no features).  Returns the learned policy and its exact value.
     """
     counter = EpisodeCounter() if counter is None else counter
     thetas = [np.asarray(t, dtype=float) for t in thetas]
+    if not all(np.isfinite(t).all() for t in thetas):
+        raise VoxlabError("reward vectors must be finite")
     if len(thetas) == M.H:
         if np.linalg.norm(thetas[-1]) > 0:
             raise VoxlabError(

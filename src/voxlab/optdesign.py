@@ -28,7 +28,6 @@ class DesignState:
     iterations: int
     certificate: float
     trace: list = field(default_factory=list)
-    fro_clips: int = 0
 
     @property
     def support_size(self):
@@ -46,12 +45,10 @@ def _clean_psd(W, d, fro_cap):
     if W.shape != (d, d):
         raise VoxlabError(f"lin_est returned shape {W.shape}, expected ({d}, {d})")
     W = psd_part(W, "lin_est output")
-    clipped = False
     fro = float(np.linalg.norm(W))
     if fro > fro_cap:
         W = W * (fro_cap / fro)
-        clipped = True
-    return W, clipped
+    return W
 
 
 def _chol_inverse(M):
@@ -88,21 +85,18 @@ def fw_optdesign(lin_opt, lin_est, C, gamma, d, max_iters=None) -> DesignState:
     z1 = lin_opt(np.eye(d) / math.sqrt(d))
     P = {z1: 1.0}
     trace = []
-    clips = 0
     cert = None
     for t in range(1, max_iters + 1):
-        West, c1 = _clean_psd(lin_est(P), d, fro_cap)
+        West = _clean_psd(lin_est(P), d, fro_cap)
         M = gamma * np.eye(d) + West
         Minv, logdet = _chol_inverse(M)
         query = Minv / np.linalg.norm(Minv)
         z = lin_opt(query)
-        Wz, c2 = _clean_psd(lin_est({z: 1.0}), d, fro_cap)
-        clips += int(c1) + int(c2)
+        Wz = _clean_psd(lin_est({z: 1.0}), d, fro_cap)
         cert = float(np.trace(Minv @ Wz))
         trace.append((t, logdet, cert))
         if cert <= (1.0 + C) * d:
-            return DesignState(P=P, M=M, iterations=t, certificate=cert,
-                               trace=trace, fro_clips=clips)
+            return DesignState(P=P, M=M, iterations=t, certificate=cert, trace=trace)
         P = {k: (1.0 - mu) * w for k, w in P.items()}
         P[z] = P.get(z, 0.0) + mu
         total = sum(P.values())
@@ -112,20 +106,3 @@ def fw_optdesign(lin_opt, lin_est, C, gamma, d, max_iters=None) -> DesignState:
         f"(termination bound for conforming oracles is {bound})",
         iterations=max_iters, certificate=cert,
     )
-
-
-def design_certificate(P, Ws, gamma):
-    """Exact sup over an enumerated family of Tr(M_P^-1 W_z).
-
-    Ws is the test family (sequence of PSD matrices) and P a {index: weight}
-    dict whose indices index Ws.
-    """
-    Ws = [np.asarray(W, dtype=float) for W in Ws]
-    if not Ws:
-        raise VoxlabError("empty test family")
-    d = Ws[0].shape[0]
-    M = gamma * np.eye(d)
-    for z, w in P.items():
-        M = M + w * Ws[z]
-    Minv, _ = _chol_inverse(M)
-    return max(float(np.trace(Minv @ W)) for W in Ws)

@@ -202,16 +202,6 @@ class _GapScorer:
         return gaps, 2.0 * (s[:, :, None] * chosen).sum(axis=1)
 
 
-def adversarial_gap(Phi, phi_current, f: Discriminator, data: RepLearnDataset,
-                    config: RepLearnConfig):
-    """Advantage of the best competitor over the current candidate on f."""
-    _, r_big, r_small, _ = config.resolve(Phi.d, data.n, len(Phi.candidates))
-    ftab = Phi.tables_at(data.layer + 1)[f.phi_index]
-    score = _GapScorer(data, phi_current, Phi.tables_at(data.layer), r_big, r_small)
-    gap, _ = score(ftab[None], f.theta[None])
-    return float(gap[0])
-
-
 def _hill_climb(score, thetas, gaps, grads, config):
     """Monotone hill climbs with adaptive step size from every row of thetas,
     advanced together with one `score` call per step (the search's

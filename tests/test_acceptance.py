@@ -31,7 +31,7 @@ from voxlab.evalcover import (
     pdl_check,
     reachability_diagnostics,
 )
-from voxlab.optdesign import design_certificate, fw_iteration_bound, fw_optdesign
+from voxlab.optdesign import fw_iteration_bound, fw_optdesign
 from voxlab.psdp import psdp
 from voxlab.replearn import RepLearnConfig, exact_transfer_error, rep_learn
 from voxlab.simenv import (
@@ -47,6 +47,7 @@ from oracles import (
     dp_optimal_policy,
     dp_optimal_value,
     enumerate_det_policies,
+    oracle_design_certificate,
 )
 
 
@@ -115,7 +116,7 @@ def test_c01_design_certificate_iterations_and_monotonicity():
     t0 = time.monotonic()
     for i, d, gamma, fam in _design_cases():
         state = fw_optdesign(*_exact_design_oracles(fam), C=2.0, gamma=gamma, d=d)
-        cert = design_certificate(state.P, fam, gamma)
+        cert = oracle_design_certificate(state.P, fam, gamma)
         assert cert <= 4.0 * d + 1e-9, (i, cert)
         assert state.iterations <= fw_iteration_bound(2.0, gamma, d), i
         objs = [obj for _, obj, _ in state.trace]
@@ -128,7 +129,7 @@ def test_c02_design_robust_to_oracle_errors():
         oracles = _noisy_design_oracles(fam, 2.0, gamma,
                                         np.random.default_rng(2000 + i))
         state = fw_optdesign(*oracles, C=2.0, gamma=gamma, d=d)
-        cert = design_certificate(state.P, fam, gamma)
+        cert = oracle_design_certificate(state.P, fam, gamma)
         assert cert <= 4.0 * d + 1e-9, (i, cert)
         assert state.iterations <= fw_iteration_bound(2.0, gamma, d), i
 

@@ -318,6 +318,19 @@ def _no_episodes(monkeypatch):
     monkeypatch.setattr(simenv, "sample_trajectories", no_episodes)
 
 
+@pytest.mark.parametrize("theta", ["[[NaN, 0.0], [0.0, 0.0]]",
+                                   "[[0.0, 0.0], [0.0, 0.0], [NaN, 0.0]]"])
+def test_a_non_finite_theta_exits_2_and_writes_nothing(
+        workdir, vox_run, tmp_path, capsys, monkeypatch, theta):
+    # JSON's NaN literal reaches the library as a float
+    args = _command("optimize-reward", workdir, vox_run[0], tmp_path)
+    (tmp_path / "theta.json").write_text(theta)
+    _no_episodes(monkeypatch)
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: reward vectors must be finite\n"
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("command", ["run-vox", "run-spanrl", "optimize-reward",
                                      "verify-cover"])
 def test_an_invalid_environment_exits_2_and_writes_nothing(

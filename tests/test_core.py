@@ -175,7 +175,7 @@ def test_distribution_validation(env):
         with pytest.raises(VoxlabError):
             PolicyDistribution([pi] * len(weights), weights)
     P = PolicyDistribution([pi, pi], [0.25, 0.75])
-    assert P.support_size == 2
+    assert len(P) == 2
     assert np.allclose(sorted(w for _, w in P), [0.25, 0.75])
 
 

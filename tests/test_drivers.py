@@ -121,7 +121,7 @@ def test_mix_distributions_dedup_and_weights(env):
     P2 = PolicyDistribution([Policy.from_actions(env, [0, 0, 0])], [1.0])
     mixed = mix_distributions([(P1, 0.5), (P2, 0.5)])
     # the duplicate action table merges: 0.5*0.5 + 0.5*1.0 = 0.75 on a
-    assert mixed.support_size == 2
+    assert len(mixed) == 2
     assert abs(float(mixed.weights.sum()) - 1.0) < 1e-12
     assert max(mixed.weights) == pytest.approx(0.75, abs=1e-12)
     with pytest.raises(VoxlabError):
@@ -152,7 +152,7 @@ def test_vox_horizon_two_is_uniform_only():
     assert result.log == []
     for h in (0, 1):
         dist = result.covers.distribution(h)
-        assert dist.support_size == 1
+        assert len(dist) == 1
         assert np.allclose(dist.policies[0].table(h), 0.5)
 
 
@@ -180,8 +180,8 @@ def test_vox_micro_run_builds_valid_covers():
     # support bound from the run's own gamma
     bound = schedule.K * int(np.ceil(
         4.0 / (schedule.gamma**2 * Phi.d) * np.log(1.0 + 1.0 / schedule.gamma)))
-    assert cover.support_size <= bound
-    assert cover.support_size <= schedule.K * (
+    assert len(cover) <= bound
+    assert len(cover) <= schedule.K * (
         max(row["fw_iters"] for row in result.log) + 1)
 
 
@@ -360,7 +360,7 @@ def test_spanrl_fills_an_unfilled_spanner_column_with_uniform_play(monkeypatch):
                         np.random.default_rng(9))
     for h in range(2, M.H):
         cover = result.covers.distribution(h)
-        assert cover.support_size == Phi.d
+        assert len(cover) == Phi.d
         assert np.array_equal(cover.weights, np.full(Phi.d, 1.0 / Phi.d))
         first, second = result.covers.psis[h][:2]
         assert first.action_key() == second.action_key()
@@ -436,6 +436,25 @@ def test_optimize_reward_validation(env):
     ok = [np.zeros(2)] * (env.H - 1) + [np.zeros(2)]
     pol, value = optimize_reward(env, covers, ok, Phi, 10, rng)
     assert value == 0.0
+
+
+@pytest.mark.parametrize("thetas", [
+    [[np.nan, 0.0], [0.0, 0.0]],
+    [[0.0, np.inf], [0.0, 0.0]],
+    [[0.0, 0.0], [0.0, 0.0], [np.nan, 0.0]],  # a length-H list drops its tail
+])
+def test_optimize_reward_rejects_non_finite_vectors(env, thetas):
+    # both norm checks compare false on NaN, so a non-finite entry must be
+    # caught on its own, before the tail is dropped and before any episode
+    Phi = make_feature_class(env, n_decoys=1, rng=np.random.default_rng(15))
+    covers = CoverSet(
+        kind="vox", H=env.H,
+        layers=[PolicyDistribution.point_mass(Policy.uniform(env))] * env.H)
+    counter = EpisodeCounter()
+    with pytest.raises(VoxlabError, match="finite"):
+        optimize_reward(env, covers, thetas, Phi, 10, np.random.default_rng(16),
+                        counter=counter)
+    assert counter.count == 0
 
 
 def test_missing_cover_layer_raises(env):

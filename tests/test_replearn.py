@@ -10,7 +10,6 @@ from voxlab.replearn import (
     RepLearnDataset,
     _GapScorer,
     _search_points,
-    adversarial_gap,
     discriminator_search,
     exact_transfer_error,
     feature_selection,
@@ -387,10 +386,10 @@ def test_zero_discriminator_gives_zero_gap(env):
     zeroed = env.phi[1].copy()
     zeroed[:, :, 1] = 0.0
     Phi = FeatureClass([[env.phi[0], zeroed]])
-    f = Discriminator(np.array([0.0, 1.0]), 0)
+    theta = np.array([0.0, 1.0])
     data = RepLearnDataset.collect(
         env, 0, Policy.uniform(env, lo=0, hi=0), 300, np.random.default_rng(4))
-    assert adversarial_gap(Phi, 0, f, data, RepLearnConfig()) == 0.0
+    assert scorer_gaps(Phi, 0, data, RepLearnConfig(), theta[None])[0, 0] == 0.0
 
 
 def test_own_candidate_gap_nonnegative_with_equal_radii(env):
@@ -400,9 +399,10 @@ def test_own_candidate_gap_nonnegative_with_equal_radii(env):
         env, 0, Policy.uniform(env, lo=0, hi=0), 400, rng)
     r = 2.0 * np.sqrt(2)
     cfg = RepLearnConfig(r_big=r, r_small=r)
+    theta = np.array([0.8, 0.6])
     for i in range(len(Phi)):
-        f = Discriminator(np.array([0.8, 0.6]), (i + 1) % len(Phi))
-        assert adversarial_gap(Phi, i, f, data, cfg) >= -1e-12
+        fi = (i + 1) % len(Phi)
+        assert scorer_gaps(Phi, i, data, cfg, theta[None])[fi, 0] >= -1e-12
 
 
 def test_search_beats_every_seed_direction(env):
@@ -417,8 +417,7 @@ def test_search_beats_every_seed_direction(env):
             for s in (1.0, -1.0):
                 theta = np.zeros(2)
                 theta[i] = s
-                seed_gap = adversarial_gap(Phi, 1, Discriminator(theta, fi),
-                                           data, cfg)
+                seed_gap = scorer_gaps(Phi, 1, data, cfg, theta[None])[fi, 0]
                 assert best_gap >= seed_gap - 1e-12
 
 
@@ -431,7 +430,7 @@ def test_search_is_exhaustive_in_one_dimension():
     cfg = RepLearnConfig(restarts=1, grad_steps=5)
     _, best_gap = discriminator_search(Phi, 0, data, cfg, np.random.default_rng(10))
     want = max(
-        adversarial_gap(Phi, 0, Discriminator(np.array([s]), fi), data, cfg)
+        scorer_gaps(Phi, 0, data, cfg, np.array([[s]]))[fi, 0]
         for fi in range(len(Phi))
         for s in (1.0, -1.0)
     )
@@ -470,7 +469,7 @@ def test_grid_helper_agrees_with_pointwise_gap(env):
     for angle in (0.0, 1.0, 2.5):
         theta = np.array([np.cos(angle), np.sin(angle)])
         for fi in range(len(Phi)):
-            got = adversarial_gap(Phi, 0, Discriminator(theta, fi), data, cfg)
+            got = scorer_gaps(Phi, 0, data, cfg, theta[None])[fi, 0]
             cnt = data.pair_counts.ravel()
             keep = cnt > 0
             weights = cnt[keep]
@@ -601,8 +600,8 @@ def test_search_matches_the_reference_when_seed_gaps_tie():
         tied = []
         for current in range(len(Phi)):
             for fi in range(len(Phi)):
-                plus, minus = (adversarial_gap(Phi, current, Discriminator(t, fi),
-                                               data, cfg) for t in (e, -e))
+                plus, minus = (scorer_gaps(Phi, current, data, cfg, t[None])[fi, 0]
+                               for t in (e, -e))
                 assert plus == minus
                 tied.append(plus)
         assert max(tied) > 0.0

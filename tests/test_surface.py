@@ -1,0 +1,78 @@
+"""What the package shows its readers: the exported names and the README."""
+
+import ast
+import contextlib
+import io
+import pathlib
+import re
+
+import voxlab
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _names_read_by_the_library_and_benchmark():
+    """Every name the library reads (outside ``__init__.py``) and every
+    voxlab name the benchmark reads.  Only Name, Attribute and ImportFrom
+    nodes count, so a docstring mention does not.  The benchmark counts only
+    what it imports from voxlab or reads as a ``drivers.`` or ``evalcover.``
+    attribute: it defines its own ``combination_lock``."""
+    used = set()
+    for path in (ROOT / "src" / "voxlab").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    for path in (ROOT / "voxbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("voxlab"):
+                used.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in ("drivers", "evalcover")):
+                used.add(node.attr)
+    return used
+
+
+def test_exports_that_only_tests_use_are_pinned():
+    """The exported functions that no library module and no benchmark
+    workload reads.  Each has a planned reader or a reason to stay:
+
+    - ``check_design_on_policies``, ``coverability_ratio``,
+      ``exact_transfer_error`` and ``reachability_diagnostics`` are the
+      exact evaluators the planned ``voxlab report`` command prints
+      (ROADMAP item 3);
+    - ``combination_lock`` is the library lock that the line-search and
+      d = 3 gates will run on (ROADMAP items 1 and 9);
+    - ``pdl_check`` is the only library caller of ``exact_q_tables``, so
+      moving it out would orphan that primitive.
+
+    A new export must join a run path, or this list with its reason."""
+    exported = {name for name in voxlab.__all__ if not name.startswith("__")}
+    assert exported - _names_read_by_the_library_and_benchmark() == {
+        "check_design_on_policies",
+        "combination_lock",
+        "coverability_ratio",
+        "exact_transfer_error",
+        "pdl_check",
+        "reachability_diagnostics",
+    }
+
+
+def test_the_readme_example_runs_as_documented():
+    # the first Python block of the README spends the 432,000 episodes the
+    # text after it states, and its cover check passes
+    readme = (ROOT / "README.md").read_text()
+    code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    episodes, alpha, passed = out.getvalue().split()
+    assert "It spends 432,000 episodes" in readme
+    assert episodes == "432000"
+    assert 0.01 <= float(alpha) <= 1.0
+    assert passed == "True"
