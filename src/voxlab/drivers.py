@@ -133,9 +133,6 @@ def mix_distributions(parts):
     ``parts`` is a sequence of (PolicyDistribution, coefficient) with
     coefficients summing to 1.
     """
-    total = sum(coef for _, coef in parts)
-    if abs(total - 1.0) > 1e-9:
-        raise VoxlabError(f"mixture coefficients sum to {total}, expected 1")
     merged = {}
     for dist, coef in parts:
         if coef == 0.0:
@@ -247,9 +244,9 @@ def _explore(M, Phi, schedule, rng, counter, covers, log, design, K=1):
     for hc in range(M.H - 2):
         designs = []
         for k in range(1, K + 1):
-            rollin = covers[hc] if k == 1 else mix_distributions(
+            P = covers[hc] if k == 1 else mix_distributions(
                 [(covers[hc], 0.5)] + [(D, 1.0 / (2.0 * (k - 1))) for D in designs])
-            rep = rep_learn(M, hc, Phi, rollin, schedule.n_replearn,
+            rep = rep_learn(M, hc, Phi, P, schedule.n_replearn,
                             schedule.replearn, rng, counter=counter)
             row = {"h": hc, "phi_index": rep.index,
                    "replearn_iters": rep.iterations, "replearn_capped": rep.capped}

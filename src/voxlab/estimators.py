@@ -2,7 +2,7 @@
 
 est_vec and est_mat average a state-action functional at one layer over n
 independent episodes.  Both accept a single Policy or a PolicyDistribution;
-for a mixture the policy is redrawn every episode (see ``simenv.rollin``).
+for a mixture ``simenv.sample_trajectories`` redraws it every episode.
 
 The functional F is a dense table indexed by (state, action) with
 arbitrary trailing shape.
@@ -13,18 +13,20 @@ from __future__ import annotations
 import numpy as np
 
 from voxlab.core import VoxlabError, psd_part
-from voxlab.simenv import rollin
+from voxlab.simenv import sample_trajectories
 
 
 def visit_counts(M, h, pi, n, rng, counter=None):
     """Empirical (state, action) visit counts at layer h over n episodes."""
-    S, A = rollin(M, pi, n, rng, upto=h, counter=counter)
+    S, A = sample_trajectories(M, pi, n, rng, upto=h, counter=counter)
     flat = np.bincount(S[h] * M.A + A[h], minlength=M.n_states(h) * M.A)
     return flat.reshape(M.n_states(h), M.A)
 
 
 def est_vec(M, h, F, pi, n, rng, counter=None):
     """Average of F(x_h, a_h) over n roll-ins of pi (EstVec)."""
+    if n < 1:
+        raise VoxlabError(f"n must be >= 1, got {n}")
     table = np.asarray(F, dtype=float)
     if table.shape[:2] != (M.n_states(h), M.A):
         raise VoxlabError(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from voxlab.core import Policy, VoxlabError, compose_policies
-from voxlab.simenv import _greedy_step, _uniform_step, rollin
+from voxlab.simenv import _greedy_step, _uniform_step, sample_trajectories
 
 NORM_EPS = 1e-10
 
@@ -317,9 +317,9 @@ def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None, shared=None):
             for ell in range(t + 1, h + 1):
                 acts[ell].take(S[ell], out=A[ell])
         else:
-            rollin(M, covers[t], n, rng, upto=h,
-                   tail=compose_policies(_uniform_step(M, t), greedy),
-                   counter=counter, out=(S, A))
+            sample_trajectories(M, covers[t], n, rng, upto=h,
+                                tail=compose_policies(_uniform_step(M, t), greedy),
+                                counter=counter, out=(S, A))
             if shared is not None:
                 shared[key] = S[t:].copy(), A[t].copy()
         if radii[t] is None:

@@ -28,7 +28,7 @@ from voxlab.core import (
     compose_policies,
 )
 from voxlab.psdp import NORM_EPS, BallLeastSquares, matvec, row_norms
-from voxlab.simenv import _uniform_step, mixture_occupancy, rollin
+from voxlab.simenv import _uniform_step, mixture_occupancy, sample_trajectories
 
 
 @dataclass
@@ -112,7 +112,7 @@ class RepLearnDataset:
         if not 0 <= h <= M.H - 2:
             raise VoxlabError(f"layer {h} has no transition data (H={M.H})")
         tail = compose_policies(_uniform_step(M, h), _uniform_step(M, h + 1))
-        S, A = rollin(M, P, n, rng, upto=h + 1, tail=tail, counter=counter)
+        S, A = sample_trajectories(M, P, n, rng, h + 1, tail, counter=counter)
         shape = (M.n_states(h), M.A, M.n_states(h + 1))
         counts = np.bincount((S[h] * M.A + A[h]) * shape[2] + S[h + 1],
                              minlength=math.prod(shape)).reshape(shape)

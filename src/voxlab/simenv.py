@@ -359,8 +359,17 @@ def _output_pair(out, shape):
     return out
 
 
-def sample_trajectories(M, pi, n, rng, upto=None, counter=None, out=None):
-    """Vectorized batch of ``n`` episodes under ``pi`` through layer ``upto``.
+def sample_trajectories(M, P, n, rng, upto=None, tail=None, counter=None, out=None):
+    """``n`` episodes through layer ``upto``, each rolled in with a policy drawn from P.
+
+    P is a Policy (a point mass) or a PolicyDistribution.  Every episode
+    plays its drawn policy on layers 0..upto-k and the fixed ``tail`` on the
+    k layers left: a Policy on layers upto-k+1..upto, none (k = 0) if not
+    given.  One multinomial draw, which takes no random number for a point
+    mass, groups the episodes by component in support order, and each group
+    is sampled into its own columns of the output.  Every component's cover
+    and every table's shape are checked before anything is counted, drawn
+    or written.
 
     Each policy table is clipped, cumulated and classified once per policy
     (its form, `_policy_form`), and rho and each transition tensor once per
@@ -376,64 +385,39 @@ def sample_trajectories(M, pi, n, rng, upto=None, counter=None, out=None):
     _check_layer(M, upto)
     if n < 0:
         raise VoxlabError(f"n must be >= 0, got {n}")
-    _require_cover(pi, 0, upto)
-    for t in range(upto + 1):
-        want, got = (M.n_states(t), M.A), pi.table(t).shape
-        if got != want:
-            raise VoxlabError(
-                f"policy table at layer {t} has shape {got}, expected {want}")
-    states, actions = _output_pair(out, (upto + 1, n))
-    if counter is not None:
-        counter.add(n)
-    cell = np.empty(n, dtype=np.int64)
-    _categorical_rows(_mdp_cumulative(M, 0), None, rng, states[0])
-    for t in range(upto + 1):
-        cum, hot = _policy_form(pi, t)
-        _categorical_rows(cum, states[t], rng, actions[t], hot)
-        if t < upto:
-            np.multiply(states[t], M.A, out=cell)
-            cell += actions[t]
-            _categorical_rows(_mdp_cumulative(M, t + 1), cell, rng, states[t + 1])
-    return states, actions
-
-
-def rollin(M, P, n, rng, upto, tail=None, counter=None, out=None):
-    """``n`` episodes through layer ``upto``, each rolled in with a policy drawn from P.
-
-    Every episode follows its drawn policy on layers 0..upto-k and the fixed
-    ``tail`` on the k remaining layers: a Policy on layers upto-k+1..upto,
-    with no layers (k = 0) if not given.  The policy is redrawn
-    every episode; this is implemented by grouping episode counts with one
-    multinomial draw, which has the same law and lets the sampler run
-    vectorized per component, each into its own columns of one output pair.
-    A component is sampled as one policy sharing its and the tail's tables
-    and sampler forms, which are built on the component and the tail, so
-    once however often they are rolled in.  Returns (states, actions) arrays
-    of shape (upto+1, n), ``out`` if given, with the episodes grouped by
-    component in support order.
-    """
-    if n < 1:
-        raise VoxlabError("n must be >= 1")
-    _check_layer(M, upto)
     P = as_distribution(P)
-    states, actions = _output_pair(out, (upto + 1, n))
     tail = Policy.empty(upto + 1) if tail is None else tail
     head = upto + 1 - len(tail.tables)
     if tail.tables and tail.lo != head:
-        raise LayerRangeError(
-            f"tail covering layers [{head}..{upto}] required, got "
-            f"[{tail.lo}..{tail.hi}]")
+        raise LayerRangeError(f"tail covering layers [{head}..{upto}] required, "
+                              f"got [{tail.lo}..{tail.hi}]")
+    for pi, layers in [(comp, range(head)) for comp in P.policies] + [
+            (tail, range(head, upto + 1))]:
+        if layers:
+            _require_cover(pi, layers[0], layers[-1])
+        for t in layers:
+            want, got = (M.n_states(t), M.A), pi.table(t).shape
+            if got != want:
+                raise VoxlabError(
+                    f"policy table at layer {t} has shape {got}, expected {want}")
+    states, actions = _output_pair(out, (upto + 1, n))
+    if counter is not None:
+        counter.add(n)
     tail_forms = [_policy_form(tail, t) for t in range(head, upto + 1)]
-    per_comp = rng.multinomial(n, P.weights)
-    lo = 0
-    for comp, cnt in zip(P.policies, per_comp.tolist()):
-        if cnt:
-            cols = slice(lo, lo + cnt)
-            pi = Policy(0, [comp.table(t) for t in range(head)] + list(tail.tables))
-            pi._forms = [_policy_form(comp, t) for t in range(head)] + tail_forms
-            sample_trajectories(M, pi, cnt, rng, upto=upto, counter=counter,
-                                out=(states[:, cols], actions[:, cols]))
-            lo += cnt
+    cell, lo = np.empty(n, dtype=np.int64), 0
+    for comp, cnt in zip(P.policies, rng.multinomial(n, P.weights).tolist()):
+        if not cnt:
+            continue
+        S, A, c = states[:, lo:lo + cnt], actions[:, lo:lo + cnt], cell[:cnt]
+        lo += cnt
+        _categorical_rows(_mdp_cumulative(M, 0), None, rng, S[0])
+        forms = [_policy_form(comp, t) for t in range(head)] + tail_forms
+        for t, (cum, hot) in enumerate(forms):
+            _categorical_rows(cum, S[t], rng, A[t], hot)
+            if t < upto:
+                np.multiply(S[t], M.A, out=c)
+                c += A[t]
+                _categorical_rows(_mdp_cumulative(M, t + 1), c, rng, S[t + 1])
     return states, actions
 
 

@@ -1,4 +1,5 @@
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from voxlab import (
     PolicyDistribution,
     as_distribution,
     generate_low_rank_mdp,
+    simenv,
 )
 
 # The CLI tests start `python -m voxlab.cli` in a subprocess; give it the
@@ -179,8 +181,9 @@ def reference_sample_trajectories(M, pi, n, rng, upto):
 
 
 def reference_rollin(M, P, n, rng, upto, tail=(), counter=None):
-    """The per-component loop that `simenv.rollin` replaced, drawing through
-    the frozen `reference_sample_trajectories`, kept as its reference."""
+    """The per-component loop that `simenv.sample_trajectories` replaced for
+    mixtures, drawing through the frozen `reference_sample_trajectories`,
+    kept as its reference."""
     P = as_distribution(P)
     per_comp = rng.multinomial(n, P.weights)
     states, actions = [], []
@@ -194,3 +197,16 @@ def reference_rollin(M, P, n, rng, upto, tail=(), counter=None):
         states.append(S)
         actions.append(A)
     return np.concatenate(states, axis=1), np.concatenate(actions, axis=1)
+
+
+def patch_sampler(monkeypatch, fake):
+    """Put ``fake`` in place of `simenv.sample_trajectories` at every binding
+    of it in every loaded ``voxlab`` module, as the benchmark tracer's
+    `Tracer.patched` does: psdp, replearn and estimators bind the sampler
+    themselves, so patching `simenv` alone would miss their draws."""
+    real = simenv.sample_trajectories
+    for key, mod in list(sys.modules.items()):
+        if mod is not None and (key == "voxlab" or key.startswith("voxlab.")):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, fake)

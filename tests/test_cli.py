@@ -7,10 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from voxlab import simenv
 from voxlab.cli import _replearn_config, main
 from voxlab.core import LayeredLowRankMDP, validate_mdp
 from voxlab.replearn import RepLearnConfig
+
+from conftest import patch_sampler
 
 VOX_CONFIG = {
     "K": 2,
@@ -281,7 +282,7 @@ def test_out_of_range_C_or_eps_exits_2_before_any_episode(
     def no_episodes(*args, **kwargs):
         raise AssertionError("an episode was drawn")
 
-    monkeypatch.setattr(simenv, "sample_trajectories", no_episodes)
+    patch_sampler(monkeypatch, no_episodes)
     config = SPANRL_CONFIG if command == "run-spanrl" else VOX_CONFIG
     assert main(_bad_run(workdir, vox_run, tmp_path, command, config, bad)) == 2
     # a replearn value is named by its field
@@ -315,7 +316,7 @@ def _no_episodes(monkeypatch):
     def no_episodes(*args, **kwargs):
         raise AssertionError("an episode was drawn")
 
-    monkeypatch.setattr(simenv, "sample_trajectories", no_episodes)
+    patch_sampler(monkeypatch, no_episodes)
 
 
 @pytest.mark.parametrize("theta", ["[[NaN, 0.0], [0.0, 0.0]]",

@@ -34,7 +34,7 @@ from voxlab.replearn import RepLearnConfig, RepLearnDataset
 from voxlab.simenv import make_feature_class
 from voxlab.spanner import robust_spanner
 
-from conftest import small_env, uniform_mixture
+from conftest import patch_sampler, small_env, uniform_mixture
 from oracles import dp_optimal_value
 
 
@@ -124,7 +124,7 @@ def test_mix_distributions_dedup_and_weights(env):
     assert len(mixed) == 2
     assert abs(float(mixed.weights.sum()) - 1.0) < 1e-12
     assert max(mixed.weights) == pytest.approx(0.75, abs=1e-12)
-    with pytest.raises(VoxlabError):
+    with pytest.raises(VoxlabError, match="sum to"):
         mix_distributions([(P1, 0.4), (P2, 0.4)])
 
 
@@ -469,17 +469,18 @@ def test_missing_cover_layer_raises(env):
 
 
 def test_every_episode_is_drawn_through_the_module_sampler(monkeypatch):
-    # the benchmark's tracer counts episodes by wrapping the module binding
-    # `simenv.sample_trajectories` and checks them against EpisodeCounter; a
-    # path that drew through another binding would escape it
+    # the benchmark's tracer counts episodes by wrapping every voxlab
+    # module's binding of `simenv.sample_trajectories` and checks them
+    # against EpisodeCounter; a path that drew through another name would
+    # escape it
     drawn = []
     sample = simenv.sample_trajectories
 
-    def counting(M, pi, n, *args, **kwargs):
+    def counting(M, P, n, *args, **kwargs):
         drawn.append(n)
-        return sample(M, pi, n, *args, **kwargs)
+        return sample(M, P, n, *args, **kwargs)
 
-    monkeypatch.setattr(simenv, "sample_trajectories", counting)
+    patch_sampler(monkeypatch, counting)
     M = boosted_env(seed=21)
     Phi = make_feature_class(M, n_decoys=1, rng=np.random.default_rng(21))
     rng = np.random.default_rng(22)

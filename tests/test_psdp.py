@@ -32,7 +32,6 @@ from voxlab.simenv import (
     exact_policy_value,
     exact_q_tables,
     make_feature_class,
-    rollin,
     sample_trajectories,
 )
 
@@ -573,12 +572,14 @@ def suffix_key(tail, upto):
 
 
 def keyed_rollins(stored):
-    """Two stand-ins for `rollin`: one draws and records each key's first
-    draw in ``stored``, failing on a key drawn twice; the other replays a
-    key found in the dict it is given, taking the actions above the roll-in
-    layer from the tail at the stored states, and draws the others."""
+    """Two stand-ins for psdp's `sample_trajectories`: one draws and records
+    each key's first draw in ``stored``, failing on a key drawn twice; the
+    other replays a key found in the dict it is given, taking the actions
+    above the roll-in layer from the tail at the stored states, and draws
+    the others."""
     def recording(M, P, n, rng, upto, tail=None, counter=None, out=None):
-        S, A = rollin(M, P, n, rng, upto, tail, counter=counter, out=out)
+        S, A = sample_trajectories(M, P, n, rng, upto, tail, counter=counter,
+                                   out=out)
         key = suffix_key(tail, upto)
         assert key not in stored, f"layer {tail.lo} drawn twice for one key"
         stored[key] = S.copy(), A.copy()
@@ -588,7 +589,8 @@ def keyed_rollins(stored):
         def fake(M, P, n, rng, upto, tail=None, counter=None, out=None):
             key = suffix_key(tail, upto)
             if key not in before:
-                return rollin(M, P, n, rng, upto, tail, counter=counter, out=out)
+                return sample_trajectories(M, P, n, rng, upto, tail,
+                                           counter=counter, out=out)
             S, A = out
             t = tail.lo
             S[t:], A[t] = before[key][0][t:], before[key][1][t]
@@ -633,7 +635,7 @@ def test_a_shared_memo_replays_the_top_two_rollins(monkeypatch, seed, h):
                 for _ in range(3)]
     n, shared, stored = 90, {}, {}
     recording, replaying = keyed_rollins(stored)
-    monkeypatch.setattr(psdp_module, "rollin", recording)
+    monkeypatch.setattr(psdp_module, "sample_trajectories", recording)
     counter = EpisodeCounter()
     psdp(M, h, queries[0], Phi, radii, covers, n, np.random.default_rng(1),
          counter=counter, shared=shared)
@@ -643,7 +645,7 @@ def test_a_shared_memo_replays_the_top_two_rollins(monkeypatch, seed, h):
     for q, tabs in enumerate(queries[1:]):
         before, runs = dict(stored), []
         for memo, fake in ((None, replaying(before)), (shared, recording)):
-            monkeypatch.setattr(psdp_module, "rollin", fake)
+            monkeypatch.setattr(psdp_module, "sample_trajectories", fake)
             run_rng, counter = np.random.default_rng(2 + q), EpisodeCounter()
             fits.clear()
             pi = psdp(M, h, tabs, Phi, radii, covers, n, run_rng,
@@ -697,11 +699,11 @@ def test_queries_sharing_the_greedy_layers_above_layer_0_share_its_rollin(monkey
     for query in (tabs, [-tabs[0], 3.0 * tabs[1], 2.0 * tabs[2], -tabs[3]],
                   tabs[:2] + [flipped, tabs[3]]):
         before = dict(stored)
-        monkeypatch.setattr(psdp_module, "rollin", replaying(before))
+        monkeypatch.setattr(psdp_module, "sample_trajectories", replaying(before))
         want = psdp(M, 3, query, Phi, radii, covers, 80, np.random.default_rng(8))
         want_fits = list(fits)
         fits.clear()
-        monkeypatch.setattr(psdp_module, "rollin", recording)
+        monkeypatch.setattr(psdp_module, "sample_trajectories", recording)
         got = psdp(M, 3, query, Phi, radii, covers, 80, np.random.default_rng(8),
                    shared=shared)
         assert fits == want_fits
@@ -761,14 +763,14 @@ def test_policy_forms_are_built_once_per_policy(monkeypatch):
                             _greedy_step(M, 3, rng.integers(M.A, size=M.n_states(3))))
     assert len(builds) == 1 and not any(f is None for f in tail._forms)
     with pytest.raises(LayerRangeError, match=r"tail covering layers \[1..2\]"):
-        rollin(M, P, 10, rng, 2, tail)
+        sample_trajectories(M, P, 10, rng, 2, tail)
     tabs = [rng.standard_normal((M.n_states(t), M.A)) for t in range(3)]
     radii = [2.0] * 3
     for run in ("cold", "warm"):
         builds.clear()
         got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
         counter = EpisodeCounter()
-        got = rollin(M, P, 600, got_rng, 3, tail, counter=counter)
+        got = sample_trajectories(M, P, 600, got_rng, 3, tail, counter=counter)
         want = reference_rollin(M, P, 600, want_rng, 3, list(tail.tables))
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert got_rng.bit_generator.state == want_rng.bit_generator.state

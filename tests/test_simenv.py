@@ -19,6 +19,7 @@ from voxlab import (
     generate_low_rank_mdp,
     validate_mdp,
 )
+from voxlab.estimators import est_mat, est_vec
 from voxlab.evalcover import check_policy_cover
 from voxlab.simenv import (
     argmax_policy,
@@ -34,7 +35,6 @@ from voxlab.simenv import (
     max_value,
     mixture_occupancy,
     reachability_eta,
-    rollin,
     sample_trajectories,
 )
 from voxlab.simenv import _policy_cumulative
@@ -409,7 +409,8 @@ def test_rollin_matches_the_per_component_loop(shape):
         "psdp": (3, Policy(1, [unif[1]] + list(greedy[2:4]))),
     }[shape]
     out, rng_state, count = [], [], []
-    for sampler, arg in ((reference_rollin, list(tail.tables)), (rollin, tail)):
+    for sampler, arg in ((reference_rollin, list(tail.tables)),
+                         (sample_trajectories, tail)):
         rng, counter = np.random.default_rng(9), EpisodeCounter()
         out.append(sampler(M, P, 500, rng, upto, arg, counter=counter))
         rng_state.append(rng.bit_generator.state)
@@ -419,8 +420,55 @@ def test_rollin_matches_the_per_component_loop(shape):
     assert np.array_equal(out[0][1], out[1][1])
     assert rng_state[0] == rng_state[1]
     assert count == [500, 500]
-    with pytest.raises(VoxlabError):
-        rollin(M, P, 0, rng, upto)
+    # no episodes is an empty roll-in, drawn from nothing; a mean of none
+    # is rejected by the estimators
+    before = rng.bit_generator.state
+    S, A = sample_trajectories(M, P, 0, rng, upto, tail, counter=counter)
+    assert S.shape == A.shape == (upto + 1, 0)
+    assert rng.bit_generator.state == before and counter.count == 500
+    F = np.ones((M.n_states(upto), M.A, 1, 1))
+    for est in (est_vec, est_mat):
+        with pytest.raises(VoxlabError, match="n must be >= 1"):
+            est(M, upto, F, P, 0, rng, counter=counter)
+    assert rng.bit_generator.state == before and counter.count == 500
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.5), (1.0, 0.0)])
+@pytest.mark.parametrize("bad", ["misshaped", "short", "misshaped_tail",
+                                 "tail_range"])
+def test_every_component_and_the_tail_are_checked_before_any_draw(bad, weights):
+    # the second component, misshaped or not covering the roll-in layers,
+    # raises whatever episodes the multinomial would give it
+    M = small_env(seed=3, H=4, states=(3, 4, 4, 3))
+    rng = np.random.default_rng(8)
+    good = random_policy(M, rng)
+    tabs = list(random_policy(M, rng).tables)
+    tail = Policy(2, [np.full((M.n_states(t), M.A), 1.0 / M.A) for t in (2, 3)])
+    if bad == "misshaped":
+        tabs[1] = np.full((M.n_states(1), M.A + 1), 0.5)
+    elif bad == "short":
+        tabs = tabs[:1]
+    elif bad == "misshaped_tail":
+        tail = Policy(2, [tail.table(2), np.ones((M.n_states(3) + 1, M.A))])
+    else:
+        tail = Policy(1, tail.tables)
+    P = PolicyDistribution([good, Policy(0, tabs)], weights)
+    error, match = {
+        "misshaped": (VoxlabError, r"policy table at layer 1 has shape"),
+        "short": (LayerRangeError, r"policy covering layers \[0..1\] required"),
+        "misshaped_tail": (VoxlabError, r"policy table at layer 3 has shape"),
+        "tail_range": (LayerRangeError, r"tail covering layers \[2..3\]"),
+    }[bad]
+    S = np.full((M.H, 100), -1, dtype=np.int64)
+    A = np.full((M.H, 100), -1, dtype=np.int64)
+    counter = EpisodeCounter()
+    before = rng.bit_generator.state
+    with pytest.raises(error, match=match):
+        sample_trajectories(M, P, 100, rng, M.H - 1, tail, counter=counter,
+                            out=(S, A))
+    assert counter.count == 0
+    assert rng.bit_generator.state == before
+    assert (S == -1).all() and (A == -1).all()
 
 
 def test_policy_tables_pick_the_one_row_one_hot_or_general_draw():
@@ -440,23 +488,23 @@ def test_policy_tables_pick_the_one_row_one_hot_or_general_draw():
         assert cum.shape == (tab.shape[1], tab.shape[0]) and hot is None
 
 
-def test_sampler_and_rollin_fill_column_slices_of_a_wider_pair():
+def test_sampler_fills_column_slices_of_a_wider_pair():
     M = small_env(seed=3, H=4, A=3, states=(3, 4, 5, 3))
     rng = np.random.default_rng(21)
     P = PolicyDistribution([random_policy(M, rng), policy_of_kind(M, rng, "one_hot"),
                             policy_of_kind(M, rng, "constant")], [0.5, 0.2, 0.3])
     tail = Policy(3, [np.full((M.n_states(3), M.A), 1.0 / M.A)])
     cols = slice(7, 307)
-    for sampler, reference, args in (
-            (sample_trajectories, reference_sample_trajectories, (P.policies[0],)),
-            (rollin, reference_rollin, (P,))):
+    for reference, args in (
+            (reference_sample_trajectories, (P.policies[0],)),
+            (reference_rollin, (P,))):
         S = np.full((M.H, 320), -1, dtype=np.int64)
         A = np.full((M.H, 320), -1, dtype=np.int64)
         counter = EpisodeCounter()
         rng = np.random.default_rng(22)
-        kw = {"tail": tail} if sampler is rollin else {}
-        got = sampler(M, *args, 300, rng, upto=3, counter=counter,
-                      out=(S[:, cols], A[:, cols]), **kw)
+        kw = {"tail": tail} if reference is reference_rollin else {}
+        got = sample_trajectories(M, *args, 300, rng, upto=3, counter=counter,
+                                  out=(S[:, cols], A[:, cols]), **kw)
         assert got[0].base is S and got[1].base is A
         want_rng = np.random.default_rng(22)
         want = reference(M, *args, 300, want_rng, 3,
@@ -486,12 +534,12 @@ def test_a_bad_out_pair_raises_before_counting_or_drawing(bad):
         "not_array": (good, good.tolist()),
     }[bad]
     pi = Policy.uniform(M)
-    for sampler, args in ((sample_trajectories, (pi,)),
-                          (rollin, (as_distribution(pi),))):
+    for P in (pi, as_distribution(pi)):
         rng, counter = np.random.default_rng(3), EpisodeCounter()
         before = rng.bit_generator.state
         with pytest.raises(VoxlabError, match="out must be"):
-            sampler(M, *args, 20, rng, upto=M.H - 1, counter=counter, out=out)
+            sample_trajectories(M, P, 20, rng, upto=M.H - 1, counter=counter,
+                                out=out)
         assert counter.count == 0
         assert rng.bit_generator.state == before
 
