@@ -109,10 +109,8 @@ class LayeredLowRankMDP:
         if self.rho.shape != (self.n_states(0),):
             raise VoxlabError(f"rho has shape {self.rho.shape}, want ({self.n_states(0)},)")
         self._transitions = [None] * (self.H - 1)
-        # the sampler's read-only cumulative tables (rho's, then each step's
-        # transitions), built on first use by `simenv._mdp_cumulative`, and
-        # each layer's one-layer uniform policy, by `simenv._uniform_step`
-        self._cumulatives = [None] * self.H
+        # each layer's one-layer uniform policy, built on first use by
+        # `simenv._uniform_step`
         self._uniforms = [None] * self.H
 
     def n_states(self, h):
@@ -159,9 +157,7 @@ class Policy:
     Partial policies are allowed; deterministic policies use one-hot rows.
 
     The tables are held read-only (see `_freeze`) and must not change after
-    construction: the sampler's form of each table (`simenv._policy_form`)
-    is built on first use and cached on the policy, and `compose_policies`
-    carries the forms built so far into the policy it returns.
+    construction.
 
     Policies compare and hash by value (`action_key`), so a dict keyed by
     policies merges equal ones and keeps the first as its key.
@@ -173,7 +169,6 @@ class Policy:
         for t in self.tables:
             if t.ndim != 2:
                 raise VoxlabError("policy tables must be 2-d (states x actions)")
-        self._forms = [None] * len(self.tables)
         self._key = None
 
     @property
@@ -341,8 +336,7 @@ def psd_part(W, what):
 def compose_policies(prefix, suffix):
     """Concatenate two policies whose layer ranges abut.
 
-    The result plays ``prefix`` on its layers and ``suffix`` from there on,
-    and keeps the sampler forms both have built.
+    The result plays ``prefix`` on its layers and ``suffix`` from there on.
     """
     if len(prefix.tables) == 0:
         return suffix
@@ -353,9 +347,7 @@ def compose_policies(prefix, suffix):
             f"cannot compose: prefix covers [{prefix.lo}..{prefix.hi}], "
             f"suffix covers [{suffix.lo}..{suffix.hi}]"
         )
-    joined = Policy(prefix.lo, prefix.tables + suffix.tables)
-    joined._forms = prefix._forms + suffix._forms
-    return joined
+    return Policy(prefix.lo, prefix.tables + suffix.tables)
 
 
 def validate_mdp(M):

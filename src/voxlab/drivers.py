@@ -11,7 +11,8 @@ composed with uniform play from layer hc+1 on, form layer hc+2's cover.
 VoX makes K designs per layer with the Frank-Wolfe design loop, whose
 LinOpt is PSDP on quadratic feature rewards (radius sqrt(d); None on top,
 whose reward is known) and whose LinEst is the Monte-Carlo second moment;
-the cover mixes them at 1/K.
+each step mixes in the line-search weight, logged in the row's ``steps``,
+and the cover mixes the designs at 1/K.
 
 SpanRL makes one design per layer: a barycentric spanner of the reachable
 feature expectations, whose LinOpt is PSDP on linear feature rewards
@@ -24,6 +25,10 @@ and a layer's episodes are n_replearn + est_calls * n_estvec + psdp_draws *
 n_psdp, with psdp_draws at most 1 + min(hc, 1) + opt_calls * max(hc - 1,
 0).  VoX passes no memo: each of its queries draws every layer, its unread
 top one too.
+
+Every episode is counted by, and every sample drawn through,
+`simenv.sample_trajectories`, which draws the counts the estimators read
+from their exact multinomial law.
 """
 
 from __future__ import annotations
@@ -219,7 +224,7 @@ class RunResult:
 
 def _uniform(M, lo, hi):
     """Uniform play on layers lo..hi, made of the MDP's cached one-layer
-    steps, so it shares their tables and sampler forms."""
+    steps, so it shares their tables."""
     return functools.reduce(compose_policies,
                             [_uniform_step(M, t) for t in range(lo, hi + 1)],
                             Policy.empty(lo))
@@ -286,7 +291,8 @@ def run_vox(M, Phi, schedule: VoxSchedule, rng, counter=None) -> RunResult:
                               layer=hc, k=k, log=log, episodes=counter.count) from exc
         row.update(k=k, fw_iters=state.iterations, certificate=state.certificate,
                    support=state.support_size,
-                   trace=[[int(t), float(o), float(c)] for t, o, c in state.trace])
+                   trace=[[int(t), float(o), float(c)] for t, o, c in state.trace],
+                   steps=[float(a) for a in state.steps])
         return PolicyDistribution(list(state.P), list(state.P.values()))
 
     _explore(M, Phi, schedule, rng, counter, covers, log, design, K=schedule.K)

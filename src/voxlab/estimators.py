@@ -1,8 +1,10 @@
 """Monte-Carlo moment estimators over policy roll-ins.
 
 est_vec and est_mat average a state-action functional at one layer over n
-independent episodes.  Both accept a single Policy or a PolicyDistribution;
-for a mixture ``simenv.sample_trajectories`` redraws it every episode.
+independent episodes.  Both accept a single Policy or a PolicyDistribution
+(every episode draws its own policy from a mixture), and both read only the
+(x_h, a_h) visit counts, which ``simenv.sample_trajectories`` draws from
+their exact multinomial law.
 
 The functional F is a dense table indexed by (state, action) with
 arbitrary trailing shape.
@@ -18,9 +20,7 @@ from voxlab.simenv import sample_trajectories
 
 def visit_counts(M, h, pi, n, rng, counter=None):
     """Empirical (state, action) visit counts at layer h over n episodes."""
-    S, A = sample_trajectories(M, pi, n, rng, upto=h, counter=counter)
-    flat = np.bincount(S[h] * M.A + A[h], minlength=M.n_states(h) * M.A)
-    return flat.reshape(M.n_states(h), M.A)
+    return sample_trajectories(M, pi, n, rng, upto=h, counter=counter)[0]
 
 
 def est_vec(M, h, F, pi, n, rng, counter=None):

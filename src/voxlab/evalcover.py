@@ -81,7 +81,7 @@ def check_design_on_policies(M, feat, P, gamma, C, h):
     Mmat = gamma * np.eye(d)
     for pi, w in zip(P.policies, P.weights):
         Mmat = Mmat + w * exact_second_moment(M, pi, feat, h)
-    Minv, _ = _chol_inverse(Mmat)
+    Minv = _chol_inverse(Mmat)[0]
     g = np.einsum("xad,de,xae->xa", feat, Minv, feat)
     sup = max_value(M, h, g)
     bound = (1.0 + 1.5 * C) * d

@@ -1,9 +1,12 @@
 """Policy Search by Dynamic Programming.
 
 Backward layer-by-layer regression of roll-out returns followed by greedy
-policy extraction.  Used as the approximate linear-optimization oracle by
-both the design loop (quadratic rewards on a learned feature map) and the
-spanner loop (linear rewards), and for downstream reward optimization.
+policy extraction.  The regression reads only each (x, a) cell's count and
+return sum, taken from the count chains `simenv.sample_trajectories` draws,
+so no cost grows with the number of roll-outs.  Used as the approximate
+linear-optimization oracle by both the design loop (quadratic rewards on a
+learned feature map) and the spanner loop (linear rewards), and for
+downstream reward optimization.
 
 All layer indices are 0-based positions within the horizon; `psdp(M, h,
 rewards, Phi, radii, ...)` fits layers h, h-1, ..., 0, each over the ball of
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from voxlab.core import Policy, VoxlabError, compose_policies
-from voxlab.simenv import _greedy_step, _uniform_step, sample_trajectories
+from voxlab.simenv import _uniform_step, sample_trajectories
 
 NORM_EPS = 1e-10
 
@@ -45,41 +48,33 @@ def linear_reward(theta, feat):
 
 @dataclass
 class RegressionData:
-    """Weighted least-squares instance over unique (x, a) pairs at one layer.
-
-    `offset` carries the within-cell variance term dropped by aggregating raw
-    samples into cell means, so reported losses equal the raw empirical loss.
-    """
+    """Weighted least-squares instance over the observed (x, a) cells at one
+    layer: each cell's mean target, weighted by its count."""
 
     layer: int
     xs: np.ndarray
     acts: np.ndarray
     ys: np.ndarray
     weights: np.ndarray
-    offset: float
 
     @classmethod
-    def from_samples(cls, layer, xs, acts, ys, n_states, A):
-        xs = np.asarray(xs, dtype=np.int64)
-        acts = np.asarray(acts, dtype=np.int64)
-        ys = np.asarray(ys, dtype=float)
-        if xs.size == 0:
+    def from_counts(cls, layer, counts, sums):
+        """Cells with a positive count in the (|X|, A) table ``counts``, with
+        mean target sums / counts."""
+        counts = np.asarray(counts, dtype=float)
+        keep = counts > 0
+        if not keep.any():
             raise VoxlabError("empty regression dataset")
-        cell = xs * A + acts
-        cnt = np.bincount(cell, minlength=n_states * A).astype(float)
-        sy = np.bincount(cell, weights=ys, minlength=n_states * A)
-        sy2 = np.bincount(cell, weights=ys * ys, minlength=n_states * A)
-        keep = cnt > 0
-        mean = sy[keep] / cnt[keep]
-        offset = float(sy2[keep].sum() - (cnt[keep] * mean * mean).sum())
-        idx = np.nonzero(keep)[0]
-        return cls(layer=layer, xs=idx // A, acts=idx % A, ys=mean,
-                   weights=cnt[keep], offset=max(offset, 0.0))
+        xs, acts = np.nonzero(keep)
+        return cls(layer=layer, xs=xs, acts=acts,
+                   ys=np.asarray(sums, dtype=float)[keep] / counts[keep],
+                   weights=counts[keep])
 
 
 @dataclass
 class FittedValue:
-    """Result of fit_value_class: chosen feature index, weights, Q table, loss."""
+    """Result of fit_value_class: chosen feature index, weights, Q table and
+    loss (weighted squared residuals of the cell means)."""
 
     phi_index: int
     w: np.ndarray
@@ -246,7 +241,7 @@ def fit_value_class(data: RegressionData, Phi, radius):
     """
     T = Phi.tables_at(data.layer)
     fac = BallLeastSquares(T[:, data.xs, data.acts], data.weights)
-    losses, W = fac.fit(data.ys[None], data.offset, radius)
+    losses, W = fac.fit(data.ys[None], 0.0, radius)
     i = int(np.argmin(losses[:, 0]))
     return FittedValue(phi_index=i, w=W[i, 0], q_table=T[i] @ W[i, 0],
                        loss=float(losses[i, 0]))
@@ -263,17 +258,25 @@ def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None, shared=None):
     radius of None takes ``rewards[t]`` as the fit, but still draws the
     roll-in, so episode counts and the random stream ignore the radii.
 
+    The draw is a count chain (`simenv.sample_trajectories`): the cell
+    counts at t and, for each later layer, the counts of (cell at t, state
+    and action there), of which layer h keeps only the states.  Each cell's
+    return sum is its reward times its count plus, layer by layer, the
+    chain's counts against that layer's rewards, with the greedy actions
+    at h applied to the states at h.  These sums and counts are all that
+    the regression reads, so the fit has the law it would have on the
+    same n episodes drawn one by one.
+
     ``shared`` is an optional memo, a dict that starts empty and that the
     caller keeps for queries on one M, h, n and covers[0..h]; a memo filled
-    for others raises before any draw.  Layer t's roll-in is keyed by t and
-    the greedy actions on layers t+1..h-1: its samples S[t..h] and
-    A[t..h-1] depend only on covers[t], the uniform action at t and those
-    greedy layers, not on the rewards, the radii or the greedy layer at h.
-    The first query with a key draws it and stores S[t:] and A[t]; a later
-    one reads them and looks up A[t+1..h] from its own greedy layers at the
-    stored states, exactly the actions a fresh draw through those states
-    takes.  So layers h and h-1, whose keys hold no greedy layer, are drawn
-    once per memo, and a lower layer once per distinct greedy suffix.  Each
+    for others raises before any draw.  Layer t's chain is keyed by t and
+    the greedy actions on layers t+1..h-1: it depends only on covers[t],
+    the uniform action at t and those greedy layers, not on the rewards,
+    the radii or the greedy layer at h.  The first query with a key draws
+    and stores it; a later one reads it and applies its own rewards and
+    greedy layer at h, exactly what a fresh draw of the same counts gives.
+    So layers h and h-1, whose keys hold no greedy layer, are drawn once
+    per memo, and a lower layer once per distinct greedy suffix.  Each
     query's samples have a fresh draw's law; queries that share a key are
     dependent, and the spanner's union bound over its queries holds under
     any dependence between them.
@@ -307,29 +310,29 @@ def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None, shared=None):
     # the greedy policy on layers t+1..h, grown one layer per step, and its
     # action table per layer
     greedy, acts = Policy.empty(h + 1), [None] * (h + 1)
-    # one roll-in pair, refilled for every t; layer t's returns are read
-    # from it before the next roll-in
-    S, A = np.empty((2, h + 1, n), dtype=np.int64)
     for t in range(h, -1, -1):
         key = (t, b"".join(a.tobytes() for a in acts[t + 1:h]))
-        if shared is not None and key in shared:
-            S[t:], A[t] = shared[key]
-            for ell in range(t + 1, h + 1):
-                acts[ell].take(S[ell], out=A[ell])
-        else:
-            sample_trajectories(M, covers[t], n, rng, upto=h,
-                                tail=compose_policies(_uniform_step(M, t), greedy),
-                                counter=counter, out=(S, A))
+        chain = None if shared is None else shared.get(key)
+        if chain is None:
+            tail = compose_policies(_uniform_step(M, t), greedy)
+            chain = sample_trajectories(M, covers[t], n, rng, upto=h, tail=tail,
+                                        counter=counter)
+            if t < h:
+                chain[-1] = chain[-1].sum(axis=2)
             if shared is not None:
-                shared[key] = S[t:].copy(), A[t].copy()
+                shared[key] = chain
         if radii[t] is None:
             q = reward_flat[t].reshape(M.n_states(t), M.A)
         else:
-            ret = np.zeros(n)
-            for ell in range(t, h + 1):
-                ret += reward_flat[ell].take(S[ell] * M.A + A[ell])
-            data = RegressionData.from_samples(t, S[t], A[t], ret, M.n_states(t), M.A)
+            cnt = chain[0].ravel()
+            sums = cnt * reward_flat[t]
+            for ell in range(t + 1, h):
+                sums += chain[ell - t].reshape(len(cnt), -1) @ reward_flat[ell]
+            if t < h:
+                top = reward_flat[h].reshape(M.n_states(h), M.A)
+                sums += chain[-1] @ top[np.arange(M.n_states(h)), acts[h]]
+            data = RegressionData.from_counts(t, chain[0], sums.reshape(chain[0].shape))
             q = fit_value_class(data, Phi, radii[t]).q_table
         acts[t] = np.argmax(q, axis=1)
-        greedy = compose_policies(_greedy_step(M, t, acts[t]), greedy)
+        greedy = compose_policies(Policy.from_actions(M, [acts[t]], lo=t), greedy)
     return greedy

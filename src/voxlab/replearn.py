@@ -8,9 +8,9 @@ below the determinantal threshold 16*d*t*eps_stat^2.
 
 Transition data is collected once per call: roll in with a policy drawn
 from the supplied mixture, take a uniform action at the target layer, and
-record the (x_h, a_h, x_{h+1}) triple.  Everything downstream works off
-the aggregated triple counts, so the per-iteration cost is independent of
-the sample size.
+count the (x_h, a_h, x_{h+1}) triples, which the sampler draws from their
+exact multinomial law.  Everything downstream works off those counts, so
+no cost grows with the sample size.
 """
 
 from __future__ import annotations
@@ -112,11 +112,8 @@ class RepLearnDataset:
         if not 0 <= h <= M.H - 2:
             raise VoxlabError(f"layer {h} has no transition data (H={M.H})")
         tail = compose_policies(_uniform_step(M, h), _uniform_step(M, h + 1))
-        S, A = sample_trajectories(M, P, n, rng, h + 1, tail, counter=counter)
-        shape = (M.n_states(h), M.A, M.n_states(h + 1))
-        counts = np.bincount((S[h] * M.A + A[h]) * shape[2] + S[h + 1],
-                             minlength=math.prod(shape)).reshape(shape)
-        return cls(h, counts)
+        counts = sample_trajectories(M, P, n, rng, h + 1, tail, counter=counter)[1]
+        return cls(h, counts.sum(axis=2).reshape(M.n_states(h), M.A, -1))
 
     def targets(self, F):
         """Cell-mean targets (S, m) and within-cell offsets (S,) for the rows

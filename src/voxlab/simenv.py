@@ -66,105 +66,26 @@ class EpisodeCounter:
         self.count += int(n)
 
 
-def _cumulative(table):
-    """Row-wise cumulative sums of a clipped policy or transition table.
-
-    A transition tensor (|X_t|, A, |X_{t+1}|) is read as a table with one row
-    per flat (state, action) index x * A + a.  The result is stored transposed
-    as a contiguous (k, rows) array, so gathering a batch of rows is one
-    ``take`` along axis 1.
-    """
-    table = np.clip(table.reshape(-1, table.shape[-1]), 0.0, None)
-    return np.ascontiguousarray(np.cumsum(table, axis=1).T)
-
-
-def _mdp_cumulative(M, t):
-    """The sampler's ``_cumulative`` table of draw t on M: rho as one row for
-    t = 0, the transitions out of layer t-1 after.  The MDP is immutable, so
-    each table is built once per MDP, read-only, and kept on it."""
-    cum = M._cumulatives[t]
-    if cum is None:
-        cum = _cumulative(M.rho[None] if t == 0 else M.transition_matrix(t - 1))
-        cum.setflags(write=False)
-        M._cumulatives[t] = cum
-    return cum
-
-
-def _policy_cumulative(table):
-    """A policy table's sampler form: its ``_cumulative`` and, when every row
-    is one-hot, each row's action, both read-only.  A table whose rows are
-    all equal comes back as its one row, a (k, 1) table that
-    ``_categorical_rows`` draws from without a gather."""
-    cum = _cumulative(table)
-    cum.setflags(write=False)
-    if (cum == cum[:, :1]).all():
-        return cum[:, :1], None
-    if ((cum == 0.0) | (cum == 1.0)).all() and (cum[-1] == 1.0).all():
-        hot = np.add.reduce(cum[:-1] == 0.0, axis=0, dtype=np.int64)
-        hot.setflags(write=False)
-        return cum, hot
-    return cum, None
-
-
-def _policy_form(pi, t):
-    """The sampler form of pi's layer-t table, built by ``_policy_cumulative``
-    on first use and kept on pi, whose tables never change."""
-    i = t - pi.lo
-    form = pi._forms[i]
-    if form is None:
-        form = pi._forms[i] = _policy_cumulative(pi.tables[i])
-    return form
+def _rows(table):
+    """The sampler's law of each row of a policy table, or of a transition
+    tensor (|X_t|, A, |X_{t+1}|) read as one row per flat (state, action)
+    index x * A + a: the row clipped at 0 and normalized.  A row with no
+    positive entry puts its mass on its last entry, where inverse-CDF
+    sampling from it lands."""
+    p = np.maximum(table.reshape(-1, table.shape[-1]), 0.0)
+    total = p.sum(axis=1, keepdims=True)
+    empty = total[:, 0] == 0.0
+    if empty.any():
+        p[empty, -1] = total[empty] = 1.0
+    return p / total
 
 
 def _uniform_step(M, t):
-    """The uniform policy on layer t alone, with its sampler form; built once
-    per MDP and kept on it."""
+    """The uniform policy on layer t alone; built once per MDP and kept on it."""
     step = M._uniforms[t]
     if step is None:
         step = M._uniforms[t] = Policy.uniform(M, t, t)
-        _policy_form(step, t)
     return step
-
-
-def _greedy_step(M, t, acts):
-    """The deterministic policy on layer t alone that plays ``acts[x]`` in
-    state x, with its one-hot form set from ``acts`` rather than built from
-    the table.  A one-hot draw never reads the cumulative table, so the form
-    holds None there; a table with equal rows draws the same actions from
-    the same uniforms through either form."""
-    acts = np.array(acts, dtype=np.int64)
-    acts.setflags(write=False)
-    table = np.zeros((M.n_states(t), M.A))
-    table[np.arange(M.n_states(t)), acts] = 1.0
-    table.setflags(write=False)
-    step = Policy(t, [table])
-    step._forms[0] = None, acts
-    return step
-
-
-def _categorical_rows(cum, rows, rng, out, hot=None):
-    """One draw per entry of ``rows`` from the rows of a ``_cumulative`` table,
-    written into the int64 row ``out``.
-
-    The rows need not be normalized.  ``cumsum`` accumulates each row in
-    sequence, so a gathered row of the cumulative table equals the cumulative
-    sum of the gathered row bit for bit, and the draw is the one per-row
-    inverse-CDF sampling gives for the same generator call.  Counting the
-    first k-1 columns at or below u caps the index at k-1.  A (k, 1) table
-    is every row's table, so it is read without a gather.  With ``hot``, the
-    one-hot actions of ``_policy_cumulative``, the uniform draw is taken and
-    dropped: u = r * 1.0 < 1 lies at or above exactly the leading zeros of
-    a 0/1 cumulative row, which ``hot`` counts.
-    """
-    u = rng.random(len(out))
-    if hot is not None:
-        hot.take(rows, out=out)
-        return
-    one = cum.shape[1] == 1
-    u *= cum[-1, 0] if one else cum[-1].take(rows)
-    out.fill(0)
-    for col in cum[:-1]:
-        out += (col[0] if one else col.take(rows)) <= u
 
 
 def _cayley(skew, t):
@@ -347,45 +268,18 @@ def exact_policy_value(M, pi, reward_tables):
     return total
 
 
-def _output_pair(out, shape):
-    """The caller's (states, actions) pair ``out``, checked to be writeable
-    int64 arrays of the given shape, or a new pair when ``out`` is None."""
-    if out is None:
-        return np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64)
-    if not (isinstance(out, tuple) and len(out) == 2 and all(
-            isinstance(o, np.ndarray) and o.shape == shape
-            and o.dtype == np.int64 and o.flags.writeable for o in out)):
-        raise VoxlabError(f"out must be two writeable int64 arrays of shape {shape}")
-    return out
+def _law(M, P, upto, tail):
+    """The exact law of a roll-in, after checking it: the first counted layer
+    s, the (|X_s| * A,) law of (state, action) at s, and for each layer
+    l = s+1..upto the pair of rows (transitions out of layer l-1, tail
+    table at l) that carries the law on.
 
-
-def sample_trajectories(M, P, n, rng, upto=None, tail=None, counter=None, out=None):
-    """``n`` episodes through layer ``upto``, each rolled in with a policy drawn from P.
-
-    P is a Policy (a point mass) or a PolicyDistribution.  Every episode
-    plays its drawn policy on layers 0..upto-k and the fixed ``tail`` on the
-    k layers left: a Policy on layers upto-k+1..upto, none (k = 0) if not
-    given.  One multinomial draw, which takes no random number for a point
-    mass, groups the episodes by component in support order, and each group
-    is sampled into its own columns of the output.  Every component's cover
-    and every table's shape are checked before anything is counted, drawn
-    or written.
-
-    Each policy table is clipped, cumulated and classified once per policy
-    (its form, `_policy_form`), and rho and each transition tensor once per
-    MDP.  Every draw takes one uniform per episode and writes one row of the
-    output in place.  It then costs one gather and one compare per column of
-    its table; one compare per column and no gather when the rows are all
-    equal (rho, a uniform policy); and one gather in all for a one-hot
-    policy table.  The draws are bit-identical to per-row inverse-CDF
-    sampling from the clipped rows.  Returns (states, actions) arrays of
-    shape (upto+1, n): ``out`` if given, else a new pair.
+    Every component's cover and every table's shape are checked first.  The
+    law at s is the weight-averaged occupancy of the components, each played
+    on layers 0..s-1, times the action rows at s: the tail's first table,
+    or the component's own table at s = upto when there is no tail.  Every
+    table is read through `_rows`.
     """
-    upto = M.H - 1 if upto is None else upto
-    _check_layer(M, upto)
-    if n < 0:
-        raise VoxlabError(f"n must be >= 0, got {n}")
-    P = as_distribution(P)
     tail = Policy.empty(upto + 1) if tail is None else tail
     head = upto + 1 - len(tail.tables)
     if tail.tables and tail.lo != head:
@@ -400,25 +294,64 @@ def sample_trajectories(M, P, n, rng, upto=None, tail=None, counter=None, out=No
             if got != want:
                 raise VoxlabError(
                     f"policy table at layer {t} has shape {got}, expected {want}")
-    states, actions = _output_pair(out, (upto + 1, n))
+    s = min(head, upto)
+    trans = [_rows(M.transition_matrix(t)) for t in range(upto)]
+    first = 0.0
+    for comp, w in zip(P.policies, P.weights):
+        if w == 0.0:
+            continue
+        occ = _rows(M.rho[None])[0]
+        for t in range(s):
+            occ = (occ[:, None] * _rows(comp.table(t))).ravel() @ trans[t]
+        rows = _rows((tail if tail.tables else comp).table(s))
+        first = first + w * (occ[:, None] * rows).ravel()
+    steps = [(trans[ell - 1], _rows(tail.table(ell))) for ell in range(s + 1, upto + 1)]
+    return s, first / first.sum(), steps
+
+
+def sample_trajectories(M, P, n, rng, upto=None, tail=None, counter=None):
+    """Counts of ``n`` episodes through layer ``upto``, each rolled in with a
+    policy drawn from P, drawn from their exact multinomial law.
+
+    P is a Policy (a point mass) or a PolicyDistribution.  Every episode
+    plays its drawn policy on layers 0..upto-k and the fixed ``tail`` on the
+    k layers left: a Policy on layers upto-k+1..upto, none (k = 0) if not
+    given.  Let s be the tail's first layer, or ``upto`` without a tail.
+    Returns a list: ``counts[0]`` is the (|X_s|, A) count of (state, action)
+    at s, and ``counts[i]`` for i >= 1 the (|X_s| * A, |X_{s+i}|, A) count
+    of (cell x * A + a at s, state and action at s + i).
+
+    Episodes are i.i.d., so these counts are exactly as distributed as the
+    tallies of n episodes drawn one by one: one multinomial draw over the
+    cells at s from `_law`, then, layer by layer, one per nonzero count
+    over the next states (its transition row) and one per nonzero count
+    over the actions there (the tail's row).  The cost does not grow with
+    n.  Every component's cover and every table's shape, and n itself, are
+    checked before anything is counted or drawn; ``rng.multinomial`` takes
+    n only below 2**63.
+    """
+    upto = M.H - 1 if upto is None else upto
+    _check_layer(M, upto)
+    if not 0 <= n < 2**63:
+        raise VoxlabError(f"n must be in [0, 2**63), got {n}")
+    s, first, steps = _law(M, as_distribution(P), upto, tail)
     if counter is not None:
         counter.add(n)
-    tail_forms = [_policy_form(tail, t) for t in range(head, upto + 1)]
-    cell, lo = np.empty(n, dtype=np.int64), 0
-    for comp, cnt in zip(P.policies, rng.multinomial(n, P.weights).tolist()):
-        if not cnt:
-            continue
-        S, A, c = states[:, lo:lo + cnt], actions[:, lo:lo + cnt], cell[:cnt]
-        lo += cnt
-        _categorical_rows(_mdp_cumulative(M, 0), None, rng, S[0])
-        forms = [_policy_form(comp, t) for t in range(head)] + tail_forms
-        for t, (cum, hot) in enumerate(forms):
-            _categorical_rows(cum, S[t], rng, A[t], hot)
-            if t < upto:
-                np.multiply(S[t], M.A, out=c)
-                c += A[t]
-                _categorical_rows(_mdp_cumulative(M, t + 1), c, rng, S[t + 1])
-    return states, actions
+    cells = rng.multinomial(n, first)
+    counts = [cells.reshape(M.n_states(s), M.A)]
+    # (cell at s, flat (state, action) at the last layer counted)
+    prev = np.diag(cells)
+    for trans, rows in steps:
+        c, j = np.nonzero(prev)
+        states = np.zeros(prev.shape + (trans.shape[1],), dtype=np.int64)
+        states[c, j] = rng.multinomial(prev[c, j], trans[j])
+        states = states.sum(axis=1)
+        c, x = np.nonzero(states)
+        now = np.zeros(states.shape + (M.A,), dtype=np.int64)
+        now[c, x] = rng.multinomial(states[c, x], rows[x])
+        counts.append(now)
+        prev = now.reshape(len(cells), -1)
+    return counts
 
 
 def _dp_cost(M, h):

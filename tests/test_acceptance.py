@@ -1,4 +1,4 @@
-"""Acceptance gate: ten behavior checks at their stated tolerances.
+"""Acceptance gate: eleven behavior checks at their stated tolerances.
 
 Each check is one test so the verbose run prints one pass/fail line per
 criterion.  Bounds, oracle error levels, sample sizes, and seed counts are
@@ -11,6 +11,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from voxlab.core import (
     BudgetError,
@@ -36,6 +37,7 @@ from voxlab.psdp import psdp
 from voxlab.replearn import RepLearnConfig, exact_transfer_error, rep_learn
 from voxlab.simenv import (
     EpisodeCounter,
+    combination_lock,
     exact_policy_value,
     make_feature_class,
     reachability_eta,
@@ -371,3 +373,33 @@ def test_c10_cli_runs_are_byte_deterministic(tmp_path):
                            check=True, timeout=300)
             outs.append(out.read_bytes())
         assert outs[0] == outs[1], sub
+
+
+def test_c11_explorers_open_the_combination_lock():
+    # H = 6, A = 4 locks, where uniform play reaches the open latent at
+    # layer h with probability A^-h: at every layer 2..5, VoX covers reach
+    # expectation-mode alpha 0.1 and SpanRL covers max-mode alpha 0.2, both
+    # strictly above uniform's alpha in the same mode (measured: 1/(2A) =
+    # 0.125 and 1/A = 0.25 on every seed)
+    replearn = RepLearnConfig(restarts=4, grad_steps=30)
+    vox = VoxSchedule(K=4, gamma=1e-3, n_replearn=6000, n_estmat=12000,
+                      n_psdp=8000, fw_max_iters=60, replearn=replearn)
+    spanrl = SpanrlSchedule(n_replearn=6000, n_estvec=6000, n_psdp=6000,
+                            replearn=replearn)
+    for seed in range(4):
+        M = combination_lock(6, 4, 2, seed)
+        Phi = make_feature_class(M, n_decoys=2, rng=np.random.default_rng(seed))
+        eta = min(reachability_eta(M, h) for h in range(1, M.H))
+        runs = [("expectation", 0.1,
+                 run_vox(M, Phi, vox, np.random.default_rng(100 + seed))),
+                ("max", 0.2, run_spanrl(M, Phi, eta / (36.0 * M.d ** 2.5), spanrl,
+                                        np.random.default_rng(200 + seed)))]
+        for mode, bar, result in runs:
+            for h in range(2, M.H):
+                uniform = check_policy_cover(M, Policy.uniform(M), h, alpha=0.0,
+                                             eps=0.0, mode=mode)["alpha_measured"]
+                assert uniform == pytest.approx(M.A ** -h, abs=1e-12)
+                assert bar > uniform
+                assert check_policy_cover(M, result.covers.distribution(h), h,
+                                          alpha=bar, eps=0.0, mode=mode)["passed"], (
+                    seed, mode, h)

@@ -13,6 +13,7 @@ from voxlab import (
     Policy,
     PolicyDistribution,
     VoxlabError,
+    compose_policies,
     generate_low_rank_mdp,
 )
 from voxlab import drivers, simenv
@@ -191,9 +192,12 @@ def test_vox_log_rows_are_structured():
     result = run_vox(M, Phi, vox_micro_schedule(), np.random.default_rng(5))
     for row in result.log:
         assert set(row) >= {"h", "k", "phi_index", "replearn_iters",
-                            "fw_iters", "certificate", "support", "trace"}
+                            "fw_iters", "certificate", "support", "trace", "steps"}
         assert row["certificate"] <= (1.0 + 2.0) * Phi.d + 1e-9
         assert len(row["trace"]) == row["fw_iters"]
+        # one line-search step per mixing round, floored at C gamma^2 d / 8
+        assert len(row["steps"]) == row["fw_iters"] - 1
+        assert all(2.0 * 1e-3**2 * Phi.d / 8.0 <= a <= 1.0 for a in row["steps"])
 
 
 def test_vox_budget_error_says_where_and_keeps_the_partial_run():
@@ -366,10 +370,40 @@ def test_spanrl_fills_an_unfilled_spanner_column_with_uniform_play(monkeypatch):
         assert first.action_key() == second.action_key()
 
 
+def test_a_vox_cover_mixes_every_design_of_its_layer(monkeypatch):
+    # the cover of layer hc + 2 is the 1/K mixture of layer hc's K designs,
+    # each policy composed with uniform play: a loop that kept only the
+    # first design would give its policies all the weight
+    designs = []
+    design = drivers.fw_optdesign
+
+    def recording(*args, **kwargs):
+        state = design(*args, **kwargs)
+        designs.append(dict(state.P))
+        return state
+
+    monkeypatch.setattr(drivers, "fw_optdesign", recording)
+    M = boosted_env(seed=4, H=4)
+    Phi = make_feature_class(M, n_decoys=1, rng=np.random.default_rng(4))
+    K = 3
+    result = run_vox(M, Phi, vox_micro_schedule(K=K), np.random.default_rng(5))
+    assert len(designs) == K * (M.H - 2)
+    for hc in range(M.H - 2):
+        tail, want = Policy.uniform(M, hc + 1, M.H - 1), {}
+        for P in designs[hc * K:(hc + 1) * K]:
+            for pi, w in P.items():
+                key = compose_policies(pi, tail)
+                want[key] = want.get(key, 0.0) + w / K
+        cover = result.covers.distribution(hc + 2)
+        got = dict(zip(cover.policies, cover.weights))
+        assert got.keys() == want.keys()
+        assert all(got[pi] == pytest.approx(w, abs=1e-12) for pi, w in want.items())
+
+
 def test_covers_play_the_mdps_cached_uniform_steps():
     # every uniform layer of a stored cover policy (layers 0 and 1 of the
     # first two covers, and the tail from layer h-1 on of cover h) shares
-    # its table and sampler form with the MDP's one-layer uniform step
+    # its table with the MDP's one-layer uniform step
     M = boosted_env(seed=8, H=4)
     Phi = make_feature_class(M, n_decoys=1, rng=np.random.default_rng(8))
     for result in (
@@ -383,7 +417,6 @@ def test_covers_play_the_mdps_cached_uniform_steps():
                     step = M._uniforms[t]
                     assert step is not None, (result.covers.kind, h, t)
                     assert pi.table(t) is step.tables[0]
-                    assert pi._forms[t - pi.lo] is step._forms[0]
 
 
 # ------------------------------------------------------------ optimization
@@ -550,7 +583,7 @@ def test_run_result_json_is_deterministic():
 # SHA-256 of fixed-seed run JSON; a change that moves any RNG draw, log
 # field or cover entry changes them
 GOLDEN = {
-    "vox": "5a171e42896a1c453f33994fd5e21a51605e2d76f401bc91424f5d31325ae5a6",
+    "vox": "746ab33fe66070e91d34680a3147b1e98c6fe1c2dee3258ec9aaa17f9d86c5f0",
     "spanrl": "031344b381d1bd2ab4793c5151e3f95d9ef54c17671c6a0dcc3a2c127023cbe3",
 }
 

@@ -43,9 +43,12 @@ def test_iteration_bound_arithmetic():
 
 
 def test_step_size_value():
-    # mu = C gamma^2 d / 8 enters through the support-weight update: force
-    # exactly one mixing step, then terminate and read the new index weight
-    Ws = [1e-3 * np.eye(2), 0.5 * np.eye(2), 1e-3 * np.eye(2)]
+    # each step maximizes log det(gamma I + (1 - a) W_P + a W_z) over a in
+    # [0, 1], floored at mu = C gamma^2 d / 8: force exactly one mixing step
+    # along a segment that peaks inside (0, 1), then terminate, and compare
+    # the step with the best of a fine grid
+    gamma = 0.01
+    Ws = [np.diag([0.9, 1e-3]), np.diag([1e-3, 0.5]), 1e-3 * np.eye(2)]
     calls = {"n": 0}
 
     def lin_opt(Q):
@@ -55,13 +58,65 @@ def test_step_size_value():
     def lin_est(P):
         return sum(w * Ws[z] for z, w in P.items())
 
-    state = fw_optdesign(lin_opt, lin_est, C=2.0, gamma=0.1, d=2, max_iters=50)
-    mu = 2.0 * 0.1**2 * 2 / 8.0
-    assert mu == pytest.approx(0.005)
-    assert 2.0 * 0.1**2 * 4 / 8.0 == pytest.approx(0.01)  # d = 4 variant
-    assert state.iterations == 2
-    assert state.P[1] == pytest.approx(mu, abs=1e-12)
-    assert state.P[0] == pytest.approx(1.0 - mu, abs=1e-12)
+    state = fw_optdesign(lin_opt, lin_est, C=2.0, gamma=gamma, d=2, max_iters=50)
+    mu = 2.0 * gamma**2 * 2 / 8.0
+    assert state.iterations == 2 and len(state.steps) == 1
+    a = state.steps[0]
+    assert mu <= a < 1.0
+    assert state.P[1] == pytest.approx(a, abs=1e-12)
+    assert state.P[0] == pytest.approx(1.0 - a, abs=1e-12)
+
+    def logdet(a):
+        return np.linalg.slogdet(gamma * np.eye(2) + (1.0 - a) * Ws[0] + a * Ws[1])[1]
+
+    grid = np.linspace(0.0, 1.0, 100_001)
+    best = grid[np.argmax(logdet(grid[:, None, None]))]
+    assert abs(a - best) <= 1e-5
+    assert logdet(a) >= logdet(best) - 1e-12
+    # the mixed-in estimate is the design's last: its log det is recorded
+    assert state.trace[1][1] == pytest.approx(logdet(a), abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("C", [2.0, 1.5, 1.01])
+def test_line_search_design_meets_kiefer_wolfowitz_with_exact_oracles(seed, C):
+    # Kiefer-Wolfowitz: log det(gamma I + W_P) is concave in P, so a design
+    # falls short of the optimum by at most its duality gap sup_z Tr(M^-1
+    # W_z) - Tr(M^-1 W_P), and no certificate is below the design's own
+    # trace d - gamma Tr(M^-1).  With exact oracles the line-search design
+    # certifies below (1 + C) d, above that floor, and within its gap of
+    # the optimum over every policy, which is bracketed here by 400 exact
+    # line-search steps over every deterministic policy's moment
+    from oracles import enumerate_det_policies
+    from voxlab.simenv import exact_second_moment
+
+    gamma, d = 0.05, 2
+    M = small_env(seed=seed, H=3, A=2, d=d, states=(2, 3, 3))
+    feat = M.phi[1]
+    state = fw_optdesign(*policy_design_oracles(M, feat, 1)[:2], C=C, gamma=gamma, d=d)
+    Minv = np.linalg.inv(state.M)
+    own = float(np.trace(Minv @ (state.M - gamma * np.eye(d))))
+    assert own == pytest.approx(d - gamma * np.trace(Minv), abs=1e-9)
+    assert own - 1e-9 <= state.certificate <= (1.0 + C) * d
+    logdet = np.linalg.slogdet(state.M)[1]
+
+    Ws = np.array([exact_second_moment(M, pi, feat, 1)
+                   for pi in enumerate_det_policies(M, 1)])
+    w = np.full(len(Ws), 1.0 / len(Ws))
+    grid = np.linspace(0.0, 1.0, 2001)[:, None, None]
+    for _ in range(400):
+        Mp = gamma * np.eye(d) + np.tensordot(w, Ws, axes=1)
+        z = int(np.argmax(np.einsum("de,ked->k", np.linalg.inv(Mp), Ws)))
+        a = grid[np.argmax(np.linalg.slogdet(
+            Mp + grid * (Ws[z] - Mp + gamma * np.eye(d)))[1]), 0, 0]
+        w = (1.0 - a) * w
+        w[z] += a
+    Mp = gamma * np.eye(d) + np.tensordot(w, Ws, axes=1)
+    traces = np.einsum("de,ked->k", np.linalg.inv(Mp), Ws)
+    best = np.linalg.slogdet(Mp)[1]
+    best_gap = traces.max() - w @ traces
+    assert logdet <= best + best_gap + 1e-9
+    assert logdet >= best - (state.certificate - own) - 1e-9
 
 
 def test_singleton_family_terminates_immediately():
@@ -89,6 +144,9 @@ def test_random_psd_families_reach_certificate():
         cert = oracle_design_certificate(state.P, Ws, 0.05)
         assert cert <= (1.0 + 2.0) * d + 1e-9
         assert state.iterations <= fw_iteration_bound(2.0, 0.05, d)
+        # one step per mixing round, never below mu = C gamma^2 d / 8
+        assert len(state.steps) == state.iterations - 1
+        assert all(2.0 * 0.05**2 * d / 8.0 <= a <= 1.0 for a in state.steps)
 
 
 def test_objective_trace_is_monotone():

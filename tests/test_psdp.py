@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 from voxlab import (
     EpisodeCounter,
     FeatureClass,
-    LayerRangeError,
     Policy,
     PolicyDistribution,
     VoxlabError,
-    compose_policies,
 )
-from voxlab import simenv
 from voxlab.psdp import (
     BallLeastSquares,
     RegressionData,
@@ -27,8 +24,6 @@ from voxlab.psdp import (
     quadratic_reward,
 )
 from voxlab.simenv import (
-    _greedy_step,
-    _uniform_step,
     exact_policy_value,
     exact_q_tables,
     make_feature_class,
@@ -38,7 +33,6 @@ from voxlab.simenv import (
 from conftest import (
     onehot_feature_class,
     reference_ball_solve,
-    reference_rollin,
     small_env,
     uniform_mixture,
 )
@@ -357,6 +351,15 @@ def test_psdp_rejects_bad_radii_before_drawing_an_episode(env, radii):
 # ------------------------------------------------------- class fitting
 
 
+def regression_data(layer, xs, acts, ys, n_states, A):
+    """`RegressionData.from_counts` on the cell counts and return sums of
+    raw samples."""
+    cell = np.asarray(xs, dtype=np.int64) * A + np.asarray(acts, dtype=np.int64)
+    counts = np.bincount(cell, minlength=n_states * A).reshape(n_states, A)
+    sums = np.bincount(cell, weights=ys, minlength=n_states * A).reshape(n_states, A)
+    return RegressionData.from_counts(layer, counts, sums)
+
+
 def reference_fit_value_class(data, Phi, radius):
     """Frozen copy of the per-candidate `fit_value_class` that the stacked
     one is pinned to: one factor and one frozen solve per candidate, the
@@ -367,7 +370,7 @@ def reference_fit_value_class(data, Phi, radius):
         fac = BallLeastSquares(Z, data.weights)
         w = reference_ball_solve(fac, data.ys, radius)
         resid = Z @ w - data.ys
-        loss = float((data.weights * resid * resid).sum()) + data.offset
+        loss = float((data.weights * resid * resid).sum())
         if best is None or loss < best[3]:
             best = (i, w, tab @ w, loss)
     return best
@@ -396,7 +399,7 @@ def test_fit_ball_matches_the_per_candidate_reference(seed):
             acts = rng.integers(0, M.A, size=n)
             ys = (rng.standard_normal(n)
                   + M.phi[t][xs, acts] @ np.array([2.0, -1.0, 0.5]))
-            data = RegressionData.from_samples(t, xs, acts, ys, M.n_states(t), M.A)
+            data = regression_data(t, xs, acts, ys, M.n_states(t), M.A)
             for Phi in classes:
                 for radius in (0.2, 1.0, 50.0):  # bisected down to plain fits
                     assert_fit_matches_reference(data, Phi, radius)
@@ -412,7 +415,7 @@ def test_fit_ball_keeps_the_first_of_tied_candidates(env):
     xs = rng.integers(0, env.n_states(1), size=300)
     acts = rng.integers(0, env.A, size=300)
     ys = env.phi[1][xs, acts] @ np.array([0.5, -0.2])
-    data = RegressionData.from_samples(1, xs, acts, ys, env.n_states(1), env.A)
+    data = regression_data(1, xs, acts, ys, env.n_states(1), env.A)
     fit = assert_fit_matches_reference(data, Phi, 1.0)
     assert fit.phi_index == 1
 
@@ -424,7 +427,7 @@ def test_fit_ball_recovers_planted_weights(env):
     xs = rng.integers(0, env.n_states(1), size=400)
     acts = rng.integers(0, env.A, size=400)
     ys = tab[xs, acts] @ w_true
-    data = RegressionData.from_samples(1, xs, acts, ys, env.n_states(1), env.A)
+    data = regression_data(1, xs, acts, ys, env.n_states(1), env.A)
     fit = fit_value_class(data, FeatureClass([list(env.phi)]), 1.0)
     assert fit.loss < 1e-16
     assert np.allclose(fit.q_table, tab @ w_true, atol=1e-8)
@@ -441,105 +444,87 @@ def test_fit_ball_prefers_the_realizing_candidate(env):
     xs = rng.integers(0, env.n_states(1), size=600)
     acts = rng.integers(0, env.A, size=600)
     ys = tab[xs, acts] @ w_true
-    data = RegressionData.from_samples(1, xs, acts, ys, env.n_states(1), env.A)
+    data = regression_data(1, xs, acts, ys, env.n_states(1), env.A)
     fit = fit_value_class(data, Phi, 1.0)
     assert fit.phi_index == 0
 
 
 def test_regression_data_aggregation_preserves_loss():
-    # aggregated weighted loss + offset equals the raw per-sample loss
+    # the aggregated weighted loss plus the within-cell spread, which no w
+    # changes, equals the raw per-sample loss
     xs = np.array([0, 0, 1, 1, 1])
     acts = np.array([0, 0, 0, 1, 1])
     ys = np.array([1.0, 3.0, 2.0, 0.0, 1.0])
-    data = RegressionData.from_samples(0, xs, acts, ys, 2, 2)
+    data = regression_data(0, xs, acts, ys, 2, 2)
+    assert np.array_equal(data.weights, [2.0, 1.0, 2.0])
+    assert np.array_equal(data.ys, [2.0, 2.0, 0.5])
     # a ball too small to reach the cell means, so the fit is not exact
     feat = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.6, 0.8], [0.0, 1.0]]])
     fit = fit_value_class(data, FeatureClass([[feat]]), 0.5)
     assert np.linalg.norm(fit.w) == pytest.approx(0.5, abs=1e-9)
     raw_loss = float(((fit.q_table[xs, acts] - ys) ** 2).sum())
-    assert fit.loss == pytest.approx(raw_loss, abs=1e-12)
-    assert fit.loss > data.offset > 0
+    spread = (1.0 + 1.0) + 0.0 + (0.25 + 0.25)
+    assert fit.loss + spread == pytest.approx(raw_loss, abs=1e-12)
     with pytest.raises(VoxlabError):
-        RegressionData.from_samples(0, [], [], [], 2, 2)
+        RegressionData.from_counts(0, np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 # ------------------------------------------------------------------ psdp
 
 
-def reference_psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None):
-    """Frozen copy of the `psdp` loop that drew a fresh roll-in pair for every
-    t and read rewards by 2-D indexing, rolled in by `reference_rollin`."""
-    reward_tabs = rewards
-    greedy = [None] * (h + 1)
-    uniform_rows = [np.full((M.n_states(t), M.A), 1.0 / M.A) for t in range(h + 1)]
-    for t in range(h, -1, -1):
-        S, A = reference_rollin(M, covers[t], n, rng, h,
-                                [uniform_rows[t]] + greedy[t + 1:h + 1], counter)
-        ret = np.zeros(n)
-        for ell in range(t, h + 1):
-            ret += reward_tabs[ell][S[ell], A[ell]]
-        data = RegressionData.from_samples(t, S[t], A[t], ret, M.n_states(t), M.A)
-        q_table = (np.asarray(rewards[t], dtype=float) if radii[t] is None
-                   else fit_value_class(data, Phi, radii[t]).q_table)
-        acts_t = np.argmax(q_table, axis=1)
-        table = np.zeros((M.n_states(t), M.A))
-        table[np.arange(M.n_states(t)), acts_t] = 1.0
-        greedy[t] = table
-    return Policy(0, greedy)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 4), st.integers(1, 3),
-       st.sampled_from(["table", "linear", "quadratic"]), st.integers(1, 300))
-def test_psdp_matches_the_fresh_rollin_reference(seed, H, A, kind, n):
-    # one roll-in pair refilled for every t, and rewards read by a flat take
-    rng = np.random.default_rng(seed)
-    counts = [int(c) for c in rng.integers(2, 6, size=H)]  # room for a decoy
-    M = small_env(seed=seed, H=H, A=A, d=2, states=counts,
-                  rotate=bool(rng.integers(2)))
-    h = int(rng.integers(H))
-    Phi = make_feature_class(M, n_decoys=1, rng=rng)
-    if kind == "table":
-        tabs = [rng.standard_normal((M.n_states(t), A)) for t in range(h + 1)]
-    elif kind == "linear":
-        tabs = top_layer_rewards(M, h, linear_reward(
-            rng.standard_normal(2), M.phi[h] if h < H - 1
-            else rng.random((M.n_states(h), A, 2))))
-    else:
-        tabs = top_layer_rewards(M, h, quadratic_reward(
-            np.eye(2), rng.random((M.n_states(h), A, 2))))
-    radii = [float(rng.uniform(0.5, 4.0)) for _ in range(h)] + [None]
-    pis = [Policy.from_actions(M, [rng.integers(A, size=M.n_states(t))
-                                   for t in range(H)]),
-           Policy(0, [rng.random((M.n_states(t), A)) for t in range(H)])]
-    covers = [PolicyDistribution.point_mass(Policy.empty(0))] + [
-        PolicyDistribution(pis, [w, 1.0 - w]) for w in rng.random(h)]
-    got, want, states = [], [], []
-    for fn, out in ((reference_psdp, want), (psdp, got)):
-        run_rng, counter = np.random.default_rng(seed + 1), EpisodeCounter()
-        out.append(fn(M, h, tabs, Phi, radii, covers, n, run_rng, counter=counter))
-        states.append((run_rng.bit_generator.state, counter.count))
-    assert all(np.array_equal(a, b) for a, b in zip(got[0].tables, want[0].tables))
-    assert states[0] == states[1]
-    assert states[1][1] == n * (h + 1)
+def test_psdp_cell_means_at_n_1e12_match_the_exact_q_tables(monkeypatch):
+    # at n = 10**12 a layer's regression targets, the cell means of the
+    # returns, equal the exact Q table of that layer under the greedy suffix
+    # psdp built above it to 1e-5 wherever a cell holds 10**11 episodes:
+    # the count chains carry each cell's returns with their exact law
+    fits = record_regressions(monkeypatch)
+    checked = 0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        H = 3 + seed % 2
+        M = small_env(seed=seed, H=H, A=2, d=2, states=[2, 3, 2, 3][:H],
+                      rotate=seed % 3 == 0)
+        h = H - 1
+        tabs = [rng.random((M.n_states(t), M.A)) for t in range(h + 1)]
+        # indicator features below h; at h, on even seeds, a one-feature fit
+        # whose greedy actions are the reward's argmin, not its argmax
+        Phi = FeatureClass([[np.eye(M.n_states(t) * M.A).reshape(M.n_states(t), M.A, -1)
+                             for t in range(h)] + [1.0 - tabs[h][..., None]]])
+        radii = [3.0 * np.sqrt(M.n_states(t) * M.A) for t in range(h)] + [
+            None if seed % 2 else 1.0]
+        pis = [Policy(0, [rng.random((M.n_states(t), M.A)) for t in range(H)]),
+               Policy.uniform(M)]
+        covers = [PolicyDistribution.point_mass(Policy.empty(0))] + [
+            PolicyDistribution(pis, [w, 1.0 - w]) for w in rng.random(h)]
+        fits.clear()
+        counter = EpisodeCounter()
+        pi = psdp(M, h, tabs, Phi, radii, covers, 10**12, np.random.default_rng(seed),
+                  counter=counter)
+        assert counter.count == 10**12 * (h + 1)
+        q = exact_q_tables(M, pi, tabs)
+        assert [f[0] for f in fits] == [t for t in range(h, -1, -1) if radii[t]]
+        for layer, xs, acts, ys, weights in fits:
+            xs, acts, ys, weights = (np.frombuffer(b, dtype=dt) for b, dt in (
+                (xs, np.int64), (acts, np.int64), (ys, float), (weights, float)))
+            big = weights >= 1e11
+            assert np.abs(ys[big] - q[layer][xs[big], acts[big]]).max() <= 1e-5
+            checked += int(big.sum())
+    assert checked >= 60
 
 
 @pytest.mark.parametrize("h", [0, 1, 2])
 def test_a_none_layer_is_greedy_on_its_reward_and_still_draws_n_episodes(h):
     # a radius of None fits nothing at its layer, yet draws its roll-in, so
-    # the random stream and the episode count match the frozen loop's
+    # the episode count ignores the radii
     M = small_env(seed=11, H=3, A=3, d=2, states=(3, 4, 5))
     rng = np.random.default_rng(12)
     Phi = make_feature_class(M, n_decoys=1, rng=rng)
     tabs = [rng.standard_normal((M.n_states(t), M.A)) for t in range(h + 1)]
     covers = all_det_covers(M, h)
     for radii in ([None] * (h + 1), [1.5] * h + [None]):
-        got_rng, want_rng = np.random.default_rng(13), np.random.default_rng(13)
         counter = EpisodeCounter()
-        got = psdp(M, h, tabs, Phi, radii, covers, 70, got_rng, counter=counter)
-        want = reference_psdp(M, h, tabs, Phi, radii, covers, 70, want_rng)
-        assert all(np.array_equal(a, b) for a, b in zip(got.tables, want.tables))
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        got = psdp(M, h, tabs, Phi, radii, covers, 70, np.random.default_rng(13),
+                   counter=counter)
         assert counter.count == 70 * (h + 1)
         for t in (t for t in range(h + 1) if radii[t] is None):
             assert np.array_equal(got.table(t).argmax(axis=1), tabs[t].argmax(axis=1))
@@ -573,30 +558,29 @@ def suffix_key(tail, upto):
 
 def keyed_rollins(stored):
     """Two stand-ins for psdp's `sample_trajectories`: one draws and records
-    each key's first draw in ``stored``, failing on a key drawn twice; the
-    other replays a key found in the dict it is given, taking the actions
-    above the roll-in layer from the tail at the stored states, and draws
-    the others."""
-    def recording(M, P, n, rng, upto, tail=None, counter=None, out=None):
-        S, A = sample_trajectories(M, P, n, rng, upto, tail, counter=counter,
-                                   out=out)
+    each key's first count chain in ``stored``, failing on a key drawn
+    twice; the other replays a key found in the dict it is given, moving
+    the counts at the top layer to the tail's actions there, and draws the
+    others."""
+    def recording(M, P, n, rng, upto, tail=None, counter=None):
+        chain = sample_trajectories(M, P, n, rng, upto, tail, counter=counter)
         key = suffix_key(tail, upto)
         assert key not in stored, f"layer {tail.lo} drawn twice for one key"
-        stored[key] = S.copy(), A.copy()
-        return S, A
+        stored[key] = list(chain)
+        return chain
 
     def replaying(before):
-        def fake(M, P, n, rng, upto, tail=None, counter=None, out=None):
+        def fake(M, P, n, rng, upto, tail=None, counter=None):
             key = suffix_key(tail, upto)
             if key not in before:
-                return sample_trajectories(M, P, n, rng, upto, tail,
-                                           counter=counter, out=out)
-            S, A = out
-            t = tail.lo
-            S[t:], A[t] = before[key][0][t:], before[key][1][t]
-            for ell in range(t + 1, upto + 1):
-                A[ell] = tail.table(ell).argmax(axis=1)[S[ell]]
-            return out
+                return sample_trajectories(M, P, n, rng, upto, tail, counter=counter)
+            chain = list(before[key])
+            if len(chain) > 1:
+                states = chain[-1].sum(axis=2)
+                chain[-1] = np.zeros_like(chain[-1])
+                acts = tail.table(upto).argmax(axis=1)
+                chain[-1][:, np.arange(len(acts)), acts] = states
+            return chain
         return fake
 
     return recording, replaying
@@ -609,7 +593,7 @@ def record_regressions(monkeypatch):
 
     def recording_fit(data, Phi, radius):
         fits.append((data.layer, data.xs.tobytes(), data.acts.tobytes(),
-                     data.ys.tobytes(), data.weights.tobytes(), data.offset))
+                     data.ys.tobytes(), data.weights.tobytes()))
         return fit_value_class(data, Phi, radius)
 
     monkeypatch.setattr(importlib.import_module("voxlab.psdp"), "fit_value_class",
@@ -743,53 +727,6 @@ def test_a_memo_filled_for_another_query_shape_raises_before_drawing():
         psdp(M, h, tabs, Phi, radii, covers + copied[:1], 40,
              np.random.default_rng(3), counter=counter, shared=shared)
         assert counter.count == 0
-
-
-def test_policy_forms_are_built_once_per_policy(monkeypatch):
-    builds = []
-    build = simenv._policy_cumulative
-    monkeypatch.setattr(simenv, "_policy_cumulative",
-                        lambda table: builds.append(table.shape) or build(table))
-    M = small_env(seed=5, H=4, A=3, d=2, states=(3, 4, 5, 3))
-    rng = np.random.default_rng(41)
-    Phi = make_feature_class(M, n_decoys=1, rng=rng)
-    pis = [Policy(0, [rng.random((M.n_states(t), M.A)) for t in range(M.H)]),
-           Policy.from_actions(M, [rng.integers(M.A, size=M.n_states(t))
-                                   for t in range(M.H)]),
-           Policy.uniform(M)]
-    P = PolicyDistribution(pis, [0.5, 0.3, 0.2])
-    # a uniform-plus-greedy tail, as psdp rolls in with
-    tail = compose_policies(_uniform_step(M, 2),
-                            _greedy_step(M, 3, rng.integers(M.A, size=M.n_states(3))))
-    assert len(builds) == 1 and not any(f is None for f in tail._forms)
-    with pytest.raises(LayerRangeError, match=r"tail covering layers \[1..2\]"):
-        sample_trajectories(M, P, 10, rng, 2, tail)
-    tabs = [rng.standard_normal((M.n_states(t), M.A)) for t in range(3)]
-    radii = [2.0] * 3
-    for run in ("cold", "warm"):
-        builds.clear()
-        got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
-        counter = EpisodeCounter()
-        got = sample_trajectories(M, P, 600, got_rng, 3, tail, counter=counter)
-        want = reference_rollin(M, P, 600, want_rng, 3, list(tail.tables))
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
-        assert counter.count == 600
-        got = psdp(M, 2, tabs, Phi, radii, [P] * 3, 400, got_rng, counter=counter)
-        want = reference_psdp(M, 2, tabs, Phi, radii, [P] * 3, 400, want_rng)
-        assert all(np.array_equal(a, b) for a, b in zip(got.tables, want.tables))
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
-        assert counter.count == 600 + 3 * 400
-        # cold: each component's layers 0 and 1, then psdp's uniform steps at
-        # layers 0 and 1 (layer 2's is the tail's); warm: nothing
-        assert len(builds) == (3 * 2 + 2 if run == "cold" else 0)
-    # psdp's greedy policy comes with every form; a policy composed from it
-    # shares those and builds only the missing one, on itself
-    assert not any(f is None for f in got._forms)
-    joined = compose_policies(got, Policy.uniform(M, 3, 3))
-    assert all(a is b for a, b in zip(joined._forms, got._forms))
-    sample_trajectories(M, joined, 50, np.random.default_rng(1))
-    assert len(builds) == 1 and joined._forms[3] is not None
 
 
 def test_psdp_horizon_zero_is_exact_greedy(env):

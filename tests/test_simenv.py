@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,7 +38,7 @@ from voxlab.simenv import (
     reachability_eta,
     sample_trajectories,
 )
-from voxlab.simenv import _policy_cumulative
+from voxlab.simenv import _law
 
 from conftest import (
     reference_rollin,
@@ -49,6 +50,8 @@ from oracles import (
     brute_max_occupancy,
     enum_paths_occupancy,
     enumerate_det_policies,
+    oracle_occupancy,
+    oracle_transition,
 )
 
 
@@ -225,10 +228,10 @@ def test_sampled_state_frequencies_match_exact_occupancy(env):
     pi = Policy.uniform(env)
     rng = np.random.default_rng(4)
     n = 20_000
-    states, actions = sample_trajectories(env, pi, n, rng)
-    assert states.shape == (env.H, n) and actions.shape == (env.H, n)
     for h in range(env.H):
-        emp = np.bincount(states[h], minlength=env.n_states(h)) / n
+        counts = sample_trajectories(env, pi, n, rng, upto=h)
+        assert len(counts) == 1 and counts[0].shape == (env.n_states(h), env.A)
+        emp = counts[0].sum(axis=1) / n
         tv = 0.5 * np.abs(emp - exact_occupancy(env, pi, h)).sum()
         assert tv <= 0.02
 
@@ -236,10 +239,11 @@ def test_sampled_state_frequencies_match_exact_occupancy(env):
 def test_sampler_respects_upto_and_counter(env):
     pi = Policy.from_actions(env, [0], lo=0)
     counter = EpisodeCounter()
-    states, actions = sample_trajectories(
-        env, pi, 50, np.random.default_rng(5), upto=0, counter=counter
-    )
-    assert states.shape == (1, 50)
+    counts = sample_trajectories(env, pi, 50, np.random.default_rng(5), upto=0,
+                                 counter=counter)
+    assert len(counts) == 1 and counts[0].shape == (env.n_states(0), env.A)
+    assert counts[0].dtype == np.int64 and counts[0].sum() == 50
+    assert (counts[0][:, 1:] == 0).all()
     assert counter.count == 50
     with pytest.raises(LayerRangeError):
         sample_trajectories(env, pi, 5, np.random.default_rng(6), upto=2)
@@ -247,9 +251,9 @@ def test_sampler_respects_upto_and_counter(env):
         sample_trajectories(env, pi, -5, np.random.default_rng(6), upto=0,
                             counter=counter)
     assert counter.count == 50
-    states, actions = sample_trajectories(env, pi, 0, np.random.default_rng(6),
-                                          upto=0, counter=counter)
-    assert states.shape == actions.shape == (1, 0)
+    counts = sample_trajectories(env, pi, 0, np.random.default_rng(6), upto=0,
+                                 counter=counter)
+    assert counts[0].shape == (env.n_states(0), env.A) and counts[0].sum() == 0
     assert counter.count == 50
     n0, A = env.n_states(0), env.A
     for bad in (np.full((n0, A + 1), 0.5), np.ones((n0, 1)), np.ones((n0 + 1, A))):
@@ -262,6 +266,22 @@ def test_sampler_respects_upto_and_counter(env):
         sample_trajectories(env, wide, 5, np.random.default_rng(6), upto=1,
                             counter=counter)
     assert counter.count == 50
+
+
+@pytest.mark.parametrize("n", [2**63, 2**70, -1])
+def test_an_n_that_multinomial_cannot_take_raises_before_drawing(env, n):
+    # rng.multinomial takes n only below 2**63; one below it draws, at a
+    # cost that does not grow with n
+    rng, counter = np.random.default_rng(7), EpisodeCounter()
+    before = rng.bit_generator.state
+    tail = Policy.uniform(env, 1, 2)
+    with pytest.raises(VoxlabError, match=r"n must be in \[0, 2\*\*63\)"):
+        sample_trajectories(env, Policy.uniform(env), n, rng, 2, tail, counter=counter)
+    assert counter.count == 0 and rng.bit_generator.state == before
+    counts = sample_trajectories(env, Policy.uniform(env), 2**63 - 1, rng, 2, tail,
+                                 counter=counter)
+    assert counter.count == 2**63 - 1
+    assert [int(c.sum()) for c in counts] == [2**63 - 1] * 2
 
 
 def signed_mdp(rng, counts, A, d=2):
@@ -305,18 +325,63 @@ def policy_of_kind(M, rng, kind):
     return Policy(0, tabs)
 
 
+def per_row_law(M, pi, upto):
+    """The exact law of (state, action) at layer upto under the per-row
+    draws of the frozen `reference_sample_trajectories`: inverse-CDF
+    sampling from a clipped row picks each entry with its share of the
+    row's positive mass, and the last entry when the row has none.  Plain
+    loops over the oracle transitions."""
+
+    def row_law(row):
+        pos = [max(float(v), 0.0) for v in row]
+        total = sum(pos)
+        if total == 0.0:
+            return np.eye(len(row))[-1]
+        return np.array(pos) / total
+
+    occ = row_law(M.rho)
+    for t in range(upto + 1):
+        sa = np.zeros((M.n_states(t), M.A))
+        for x in range(M.n_states(t)):
+            sa[x] = occ[x] * row_law(pi.table(t)[x])
+        if t == upto:
+            return sa
+        T = oracle_transition(M, t)
+        occ = np.zeros(M.n_states(t + 1))
+        for x in range(M.n_states(t)):
+            for a in range(M.A):
+                occ += sa[x, a] * row_law(T[x, a])
+
+
+def assert_same_law(a, b):
+    """Chi-square test that two count arrays of one shape come from one law,
+    over the cells either visits."""
+    a, b = np.ravel(a), np.ravel(b)
+    keep = (a + b) > 0
+    if keep.sum() > 1:
+        assert chi2_contingency(np.stack([a[keep], b[keep]])).pvalue > 1e-4
+
+
 def assert_sampler_matches_reference(M, pi, n, upto, seed):
-    out, rng_state = [], []
-    for sampler in (reference_sample_trajectories, sample_trajectories):
-        rng = np.random.default_rng(seed)
-        out.append(sampler(M, pi, n, rng, upto))
-        rng_state.append(rng.bit_generator.state)
-    (S0, A0), (S1, A1) = out
-    assert S1.shape == A1.shape == (upto + 1, n)
-    assert S0.dtype == S1.dtype and A0.dtype == A1.dtype
-    assert np.array_equal(S0, S1)
-    assert np.array_equal(A0, A1)
-    assert rng_state[0] == rng_state[1]
+    """The count sampler's law at upto equals the per-row reference's to
+    1e-12, its counts land only where that law has mass, and from 2,000
+    episodes on they pass a chi-square test against the reference's own
+    tallies of the same number of episodes."""
+    counter = EpisodeCounter()
+    counts = sample_trajectories(M, pi, n, np.random.default_rng(seed), upto,
+                                 counter=counter)
+    law = per_row_law(M, pi, upto)
+    assert len(counts) == 1 and counts[0].shape == law.shape
+    assert counts[0].dtype == np.int64
+    assert counts[0].sum() == n == counter.count
+    assert (counts[0][law == 0.0] == 0).all()
+    s, first, steps = _law(M, as_distribution(pi), upto, None)
+    assert s == upto and steps == []
+    assert np.abs(first - law.ravel()).max() <= 1e-12
+    if n >= 2000:
+        S, A = reference_sample_trajectories(M, pi, n, np.random.default_rng(seed), upto)
+        assert_same_law(np.bincount(S[upto] * M.A + A[upto], minlength=law.size),
+                        counts[0])
 
 
 @pytest.mark.parametrize("n", [0, 1, 2000, 9000])
@@ -357,45 +422,27 @@ def test_sampler_matches_the_reference_on_random_shapes(seed, H, A, kind, signed
                                      seed=seed + 1)
 
 
-def test_sampler_builds_rho_and_transition_tables_once_per_mdp():
-    rng = np.random.default_rng(31)
-    M1 = small_env(seed=5, H=4, A=3, states=(3, 4, 5, 3))
-    M2 = small_env(seed=6, H=4, A=3, states=(3, 4, 5, 3))
-    pi = policy_of_kind(M1, rng, "random")
-    assert all(cum is None for cum in M1._cumulatives)
-    assert_sampler_matches_reference(M1, pi, 300, 1, seed=1)  # cold, partial
-    assert [cum is None for cum in M1._cumulatives] == [False, False, True, True]
-    assert_sampler_matches_reference(M1, pi, 300, M1.H - 1, seed=2)  # fills the rest
-    built = list(M1._cumulatives)
-    assert all(not cum.flags.writeable for cum in built)
-    assert_sampler_matches_reference(M1, pi, 300, M1.H - 1, seed=3)  # warm
-    assert all(a is b for a, b in zip(M1._cumulatives, built))
-    # a second MDP of the same shapes builds and uses its own tables
-    assert all(cum is None for cum in M2._cumulatives)
-    assert_sampler_matches_reference(M2, pi, 300, M2.H - 1, seed=3)
-    assert not any(np.array_equal(a, b)
-                   for a, b in zip(M1._cumulatives, M2._cumulatives))
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 40), st.integers(0, 200))
 def test_initial_states_match_a_search_of_the_cumulative_rho(seed, n0, n):
-    # rho with zero-mass entries, trailing ones included
+    # rho with zero-mass entries, trailing ones included: a search of its
+    # cumulative sums draws each state with its share of the mass and never
+    # one without mass, and so do the counts
     rng = np.random.default_rng(seed)
     rho = rng.random(n0) * (rng.random(n0) < 0.7)
     rho[int(rng.integers(n0))] += 0.1
     M = LayeredLowRankMDP(2, 1, 1, [list(range(n0)), [n0]],
                           [np.ones((n0, 1, 1))], [np.ones((1, 1))], rho / rho.sum())
-    S, _ = sample_trajectories(M, Policy.uniform(M), n, np.random.default_rng(seed),
-                               upto=0)
-    cum = np.cumsum(M.rho)
-    want = np.searchsorted(cum, np.random.default_rng(seed).random(n) * cum[-1],
-                           side="right")
-    assert np.array_equal(S[0], np.minimum(want, n0 - 1))
+    counts = sample_trajectories(M, Policy.uniform(M), n, np.random.default_rng(seed),
+                                 upto=0)[0][:, 0]
+    assert counts.sum() == n and (counts[M.rho == 0.0] == 0).all()
+    assert np.abs(_law(M, as_distribution(Policy.uniform(M)), 0, None)[1]
+                  - M.rho / M.rho.sum()).max() <= 1e-15
 
 
-@pytest.mark.parametrize("shape", ["plain", "collect", "psdp"])
-def test_rollin_matches_the_per_component_loop(shape):
+def rollin_case(shape):
+    """A three-component mixture (one of weight 0) with no tail, the tail
+    `RepLearnDataset.collect` takes, or the tail `psdp` takes."""
     M = small_env(seed=3, H=4, states=(3, 4, 4, 3))
     rng = np.random.default_rng(8)
     P = PolicyDistribution([random_policy(M, rng) for _ in range(3)],
@@ -408,29 +455,78 @@ def test_rollin_matches_the_per_component_loop(shape):
         "collect": (2, Policy(1, [unif[1], unif[2]])),
         "psdp": (3, Policy(1, [unif[1]] + list(greedy[2:4]))),
     }[shape]
-    out, rng_state, count = [], [], []
-    for sampler, arg in ((reference_rollin, list(tail.tables)),
-                         (sample_trajectories, tail)):
-        rng, counter = np.random.default_rng(9), EpisodeCounter()
-        out.append(sampler(M, P, 500, rng, upto, arg, counter=counter))
-        rng_state.append(rng.bit_generator.state)
-        count.append(counter.count)
-    assert out[1][0].shape == (upto + 1, 500)
-    assert np.array_equal(out[0][0], out[1][0])
-    assert np.array_equal(out[0][1], out[1][1])
-    assert rng_state[0] == rng_state[1]
-    assert count == [500, 500]
+    return M, P, upto, tail
+
+
+def tally(M, S, A, s, upto):
+    """Count arrays shaped as the sampler returns them, from episodes."""
+    cell = S[s] * M.A + A[s]
+    out = [np.bincount(cell, minlength=M.n_states(s) * M.A).reshape(M.n_states(s), M.A)]
+    for ell in range(s + 1, upto + 1):
+        shape = (M.n_states(s) * M.A, M.n_states(ell), M.A)
+        idx = (cell * shape[1] + S[ell]) * M.A + A[ell]
+        out.append(np.bincount(idx, minlength=np.prod(shape)).reshape(shape))
+    return out
+
+
+@pytest.mark.parametrize("shape", ["plain", "collect", "psdp"])
+def test_each_law_equals_the_exact_occupancies(shape):
+    # the law at s is the mixture's oracle occupancy times the action rows
+    # at s; from each cell (x, a) at s, the law at a later layer is the
+    # oracle occupancy of the MDP restarted at x, playing a, then the tail
+    M, P, upto, tail = rollin_case(shape)
+    s, first, steps = _law(M, P, upto, tail)
+    assert s == (tail.lo if tail.tables else upto) and len(steps) == upto - s
+    want = sum(w * oracle_occupancy(M, comp, s)[:, None]
+               * (tail if tail.tables else comp).table(s) for comp, w in P)
+    assert np.abs(first - want.ravel()).max() <= 1e-12
+    joint = np.diag(first)
+    for i, (trans, rows) in enumerate(steps, 1):
+        joint = ((joint @ trans)[:, :, None] * rows[None]).reshape(len(first), -1)
+        for c, p in enumerate(first):
+            x, a = divmod(c, M.A)
+            sub = LayeredLowRankMDP(M.H - s, M.A, M.d, M.layers[s:], M.phi[s:],
+                                    M.mu[s:], np.eye(M.n_states(s))[x])
+            play = Policy(0, [np.eye(M.A)[np.full(M.n_states(s), a)]]
+                          + [tail.table(t) for t in range(s + 1, s + i)])
+            want = p * oracle_occupancy(sub, play, i)[:, None] * tail.table(s + i)
+            assert np.abs(joint[c] - want.ravel()).max() <= 1e-12
+
+
+@pytest.mark.parametrize("shape", ["plain", "collect", "psdp"])
+def test_rollin_matches_the_per_component_loop(shape):
+    # over 40 seeds of 500 episodes, every count array the sampler returns
+    # passes a chi-square test against the frozen per-component loop's
+    # tallies of the same episodes
+    M, P, upto, tail = rollin_case(shape)
+    s = tail.lo if tail.tables else upto
+    got, want, counter = None, None, EpisodeCounter()
+    for seed in range(40):
+        counts = sample_trajectories(M, P, 500, np.random.default_rng(seed), upto,
+                                     tail, counter=counter)
+        S, A = reference_rollin(M, P, 500, np.random.default_rng(1000 + seed), upto,
+                                list(tail.tables))
+        ref = tally(M, S, A, s, upto)
+        got = counts if got is None else [g + c for g, c in zip(got, counts)]
+        want = ref if want is None else [w + r for w, r in zip(want, ref)]
+    assert counter.count == 40 * 500
+    assert [g.shape for g in got] == [w.shape for w in want]
+    assert all(int(g.sum()) == 40 * 500 for g in got)
+    for g, w in zip(got, want):
+        assert_same_law(w, g)
     # no episodes is an empty roll-in, drawn from nothing; a mean of none
     # is rejected by the estimators
+    rng = np.random.default_rng(9)
     before = rng.bit_generator.state
-    S, A = sample_trajectories(M, P, 0, rng, upto, tail, counter=counter)
-    assert S.shape == A.shape == (upto + 1, 0)
-    assert rng.bit_generator.state == before and counter.count == 500
+    counts = sample_trajectories(M, P, 0, rng, upto, tail, counter=counter)
+    assert [c.shape for c in counts] == [g.shape for g in got]
+    assert not any(c.any() for c in counts)
+    assert rng.bit_generator.state == before and counter.count == 40 * 500
     F = np.ones((M.n_states(upto), M.A, 1, 1))
     for est in (est_vec, est_mat):
         with pytest.raises(VoxlabError, match="n must be >= 1"):
             est(M, upto, F, P, 0, rng, counter=counter)
-    assert rng.bit_generator.state == before and counter.count == 500
+    assert rng.bit_generator.state == before and counter.count == 40 * 500
 
 
 @pytest.mark.parametrize("weights", [(0.5, 0.5), (1.0, 0.0)])
@@ -438,7 +534,7 @@ def test_rollin_matches_the_per_component_loop(shape):
                                  "tail_range"])
 def test_every_component_and_the_tail_are_checked_before_any_draw(bad, weights):
     # the second component, misshaped or not covering the roll-in layers,
-    # raises whatever episodes the multinomial would give it
+    # raises whatever its weight
     M = small_env(seed=3, H=4, states=(3, 4, 4, 3))
     rng = np.random.default_rng(8)
     good = random_policy(M, rng)
@@ -459,89 +555,12 @@ def test_every_component_and_the_tail_are_checked_before_any_draw(bad, weights):
         "misshaped_tail": (VoxlabError, r"policy table at layer 3 has shape"),
         "tail_range": (LayerRangeError, r"tail covering layers \[2..3\]"),
     }[bad]
-    S = np.full((M.H, 100), -1, dtype=np.int64)
-    A = np.full((M.H, 100), -1, dtype=np.int64)
     counter = EpisodeCounter()
     before = rng.bit_generator.state
     with pytest.raises(error, match=match):
-        sample_trajectories(M, P, 100, rng, M.H - 1, tail, counter=counter,
-                            out=(S, A))
+        sample_trajectories(M, P, 100, rng, M.H - 1, tail, counter=counter)
     assert counter.count == 0
     assert rng.bit_generator.state == before
-    assert (S == -1).all() and (A == -1).all()
-
-
-def test_policy_tables_pick_the_one_row_one_hot_or_general_draw():
-    one_row = [np.full((4, 3), 1.0 / 3.0), np.zeros((4, 3)),
-               np.tile([0.5, -1.0, 2.0], (4, 1)), np.tile([0.0, 1.0, 0.0], (4, 1))]
-    for tab in one_row:
-        cum, hot = _policy_cumulative(tab)
-        assert cum.shape == (3, 1) and hot is None
-        assert np.array_equal(cum[:, 0], np.cumsum(np.clip(tab[0], 0.0, None)))
-    one_hot = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
-                        [0.0, 1.0, -2.0]])  # clipped, the last row is one-hot
-    cum, hot = _policy_cumulative(one_hot)
-    assert cum.shape == (3, 4) and np.array_equal(hot, [1, 0, 2, 1])
-    for tab in (2.5 * one_hot, np.array([[0.0, 1.0], [0.5, 0.5]]),
-                np.array([[1.0, 0.0], [0.0, 0.999]])):
-        cum, hot = _policy_cumulative(tab)
-        assert cum.shape == (tab.shape[1], tab.shape[0]) and hot is None
-
-
-def test_sampler_fills_column_slices_of_a_wider_pair():
-    M = small_env(seed=3, H=4, A=3, states=(3, 4, 5, 3))
-    rng = np.random.default_rng(21)
-    P = PolicyDistribution([random_policy(M, rng), policy_of_kind(M, rng, "one_hot"),
-                            policy_of_kind(M, rng, "constant")], [0.5, 0.2, 0.3])
-    tail = Policy(3, [np.full((M.n_states(3), M.A), 1.0 / M.A)])
-    cols = slice(7, 307)
-    for reference, args in (
-            (reference_sample_trajectories, (P.policies[0],)),
-            (reference_rollin, (P,))):
-        S = np.full((M.H, 320), -1, dtype=np.int64)
-        A = np.full((M.H, 320), -1, dtype=np.int64)
-        counter = EpisodeCounter()
-        rng = np.random.default_rng(22)
-        kw = {"tail": tail} if reference is reference_rollin else {}
-        got = sample_trajectories(M, *args, 300, rng, upto=3, counter=counter,
-                                  out=(S[:, cols], A[:, cols]), **kw)
-        assert got[0].base is S and got[1].base is A
-        want_rng = np.random.default_rng(22)
-        want = reference(M, *args, 300, want_rng, 3,
-                         *[list(t.tables) for t in kw.values()])
-        assert np.array_equal(S[:, cols], want[0])
-        assert np.array_equal(A[:, cols], want[1])
-        assert rng.bit_generator.state == want_rng.bit_generator.state
-        assert counter.count == 300
-        for arr in (S, A):
-            assert (arr[:, :7] == -1).all() and (arr[:, 307:] == -1).all()
-
-
-@pytest.mark.parametrize("bad", ["shape", "dtype", "read_only", "list", "single",
-                                 "not_array"])
-def test_a_bad_out_pair_raises_before_counting_or_drawing(bad):
-    M = small_env(seed=3, H=3, states=(3, 4, 4))
-    shape = (M.H, 20)
-    good = np.empty(shape, dtype=np.int64)
-    frozen = np.empty(shape, dtype=np.int64)
-    frozen.setflags(write=False)
-    out = {
-        "shape": (good, np.empty((M.H, 21), dtype=np.int64)),
-        "dtype": (good, np.empty(shape, dtype=np.int32)),
-        "read_only": (frozen, good),
-        "list": [good, np.empty(shape, dtype=np.int64)],
-        "single": (good,),
-        "not_array": (good, good.tolist()),
-    }[bad]
-    pi = Policy.uniform(M)
-    for P in (pi, as_distribution(pi)):
-        rng, counter = np.random.default_rng(3), EpisodeCounter()
-        before = rng.bit_generator.state
-        with pytest.raises(VoxlabError, match="out must be"):
-            sample_trajectories(M, P, 20, rng, upto=M.H - 1, counter=counter,
-                                out=out)
-        assert counter.count == 0
-        assert rng.bit_generator.state == before
 
 
 # ------------------------------------------------------------- reachability
