@@ -36,11 +36,12 @@ class BudgetError(VoxlabError):
     cap without certifying the design, and when `robust_spanner` exceeds
     its cap on swap rounds.
 
-    The attributes say where it happened and keep the work done before it;
-    those a raiser does not know stay None.  `fw_optdesign` sets
-    `iterations` and the last `certificate`; `run_vox` adds the horizon
-    `layer`, the design index `k`, the partial run `log` and the
-    `episodes` spent, and `run_spanrl` adds the same but `k`.
+    The attributes say where it happened; those a raiser does not know stay
+    None.  `fw_optdesign` sets `iterations` and the last `certificate`;
+    `run_vox` adds the horizon `layer`, the design index `k`, the partial
+    run `log` and the `episodes` spent, and `run_spanrl` adds the same but
+    `k`.  That is all that is kept: the covers built before the failure are
+    lost with the run.
     """
 
     def __init__(self, message, *, iterations=None, certificate=None,
@@ -109,9 +110,6 @@ class LayeredLowRankMDP:
         if self.rho.shape != (self.n_states(0),):
             raise VoxlabError(f"rho has shape {self.rho.shape}, want ({self.n_states(0)},)")
         self._transitions = [None] * (self.H - 1)
-        # each layer's one-layer uniform policy, built on first use by
-        # `simenv._uniform_step`
-        self._uniforms = [None] * self.H
 
     def n_states(self, h):
         return len(self.layers[h])

@@ -33,7 +33,6 @@ from their exact multinomial law.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -51,7 +50,7 @@ from voxlab.estimators import est_mat, est_vec
 from voxlab.optdesign import fw_optdesign
 from voxlab.psdp import linear_reward, psdp, quadratic_reward
 from voxlab.replearn import RepLearnConfig, rep_learn
-from voxlab.simenv import EpisodeCounter, _uniform_step, exact_policy_value
+from voxlab.simenv import EpisodeCounter, exact_policy_value
 from voxlab.spanner import robust_spanner
 
 
@@ -222,14 +221,6 @@ class RunResult:
         return json.dumps(self.to_obj(), sort_keys=True)
 
 
-def _uniform(M, lo, hi):
-    """Uniform play on layers lo..hi, made of the MDP's cached one-layer
-    steps, so it shares their tables."""
-    return functools.reduce(compose_policies,
-                            [_uniform_step(M, t) for t in range(lo, hi + 1)],
-                            Policy.empty(lo))
-
-
 def _top_layer_rewards(M, h, top):
     """Reward tables for layers 0..h: zero below h, ``top`` at h."""
     return [np.zeros((M.n_states(t), M.A)) for t in range(h)] + [top]
@@ -257,7 +248,7 @@ def _explore(M, Phi, schedule, rng, counter, covers, log, design, K=1):
                    "replearn_iters": rep.iterations, "replearn_capped": rep.capped}
             designs.append(design(hc, k, Phi.tables_at(hc)[rep.index], row))
             log.append(row)
-        tail = _uniform(M, hc + 1, M.H - 1)
+        tail = Policy.uniform(M, hc + 1, M.H - 1)
         designs = [PolicyDistribution([compose_policies(pi, tail) for pi in D.policies],
                                       D.weights) for D in designs]
         covers.append(designs[0] if K == 1 else
@@ -267,7 +258,7 @@ def _explore(M, Phi, schedule, rng, counter, covers, log, design, K=1):
 def run_vox(M, Phi, schedule: VoxSchedule, rng, counter=None) -> RunResult:
     """Layer-by-layer cover construction via representation-aware design."""
     counter = EpisodeCounter() if counter is None else counter
-    covers, log = [PolicyDistribution.point_mass(_uniform(M, 0, M.H - 1))] * 2, []
+    covers, log = [PolicyDistribution.point_mass(Policy.uniform(M))] * 2, []
 
     def design(hc, k, tab, row):
         phiphi = np.einsum("xad,xae->xade", tab, tab)
@@ -310,7 +301,7 @@ def run_spanrl(M, Phi, eps, schedule: SpanrlSchedule, rng,
     counter = EpisodeCounter() if counter is None else counter
     d = Phi.d
     covers, log = [PolicyDistribution.point_mass(Policy.empty(0)),
-                   PolicyDistribution.point_mass(_uniform(M, 0, M.H - 1))], []
+                   PolicyDistribution.point_mass(Policy.uniform(M))], []
 
     def design(hc, k, tab, row):
         shared = {}
@@ -337,7 +328,7 @@ def run_spanrl(M, Phi, eps, schedule: SpanrlSchedule, rng,
                    psdp_draws=len(shared) - 1)
         # a column the spanner left unfilled plays uniform up to layer hc
         return PolicyDistribution(
-            [pi if pi is not None else _uniform(M, 0, hc)
+            [pi if pi is not None else Policy.uniform(M, 0, hc)
              for pi in state.indices], [1.0 / d] * d)
 
     _explore(M, Phi, schedule, rng, counter, covers, log, design)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from voxlab.core import Policy, VoxlabError, compose_policies
-from voxlab.simenv import _uniform_step, sample_trajectories
+from voxlab.simenv import sample_trajectories
 
 NORM_EPS = 1e-10
 
@@ -307,14 +307,14 @@ def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None, shared=None):
             raise VoxlabError(f"roll-in memo was filled for another h, n, MDP or "
                               f"cover (h = {mine[0]}, n = {mine[1]}), not for "
                               f"h = {h}, n = {n}")
-    # the greedy policy on layers t+1..h, grown one layer per step, and its
-    # action table per layer
-    greedy, acts = Policy.empty(h + 1), [None] * (h + 1)
+    # each layer's greedy actions, filled from h down
+    acts = [None] * (h + 1)
     for t in range(h, -1, -1):
         key = (t, b"".join(a.tobytes() for a in acts[t + 1:h]))
         chain = None if shared is None else shared.get(key)
         if chain is None:
-            tail = compose_policies(_uniform_step(M, t), greedy)
+            tail = compose_policies(Policy.uniform(M, t, t),
+                                    Policy.from_actions(M, acts[t + 1:], lo=t + 1))
             chain = sample_trajectories(M, covers[t], n, rng, upto=h, tail=tail,
                                         counter=counter)
             if t < h:
@@ -334,5 +334,4 @@ def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None, shared=None):
             data = RegressionData.from_counts(t, chain[0], sums.reshape(chain[0].shape))
             q = fit_value_class(data, Phi, radii[t]).q_table
         acts[t] = np.argmax(q, axis=1)
-        greedy = compose_policies(Policy.from_actions(M, [acts[t]], lo=t), greedy)
-    return greedy
+    return Policy.from_actions(M, acts)

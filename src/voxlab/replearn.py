@@ -22,13 +22,13 @@ import numpy as np
 
 from voxlab.core import (
     Discriminator,
+    Policy,
     VoxlabError,
     _freeze,
     as_distribution,
-    compose_policies,
 )
 from voxlab.psdp import NORM_EPS, BallLeastSquares, matvec, row_norms
-from voxlab.simenv import _uniform_step, mixture_occupancy, sample_trajectories
+from voxlab.simenv import mixture_occupancy, sample_trajectories
 
 
 @dataclass
@@ -111,7 +111,7 @@ class RepLearnDataset:
         """n roll-ins of pi ~ P with a uniform action at layer h."""
         if not 0 <= h <= M.H - 2:
             raise VoxlabError(f"layer {h} has no transition data (H={M.H})")
-        tail = compose_policies(_uniform_step(M, h), _uniform_step(M, h + 1))
+        tail = Policy.uniform(M, h, h + 1)
         counts = sample_trajectories(M, P, n, rng, h + 1, tail, counter=counter)[1]
         return cls(h, counts.sum(axis=2).reshape(M.n_states(h), M.A, -1))
 

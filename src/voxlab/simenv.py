@@ -70,22 +70,15 @@ def _rows(table):
     """The sampler's law of each row of a policy table, or of a transition
     tensor (|X_t|, A, |X_{t+1}|) read as one row per flat (state, action)
     index x * A + a: the row clipped at 0 and normalized.  A row with no
-    positive entry puts its mass on its last entry, where inverse-CDF
-    sampling from it lands."""
+    positive entry puts its mass on its last entry, which keeps the law
+    equal to that of the frozen per-episode `tests/conftest.reference_rollin`
+    that the law tests compare against."""
     p = np.maximum(table.reshape(-1, table.shape[-1]), 0.0)
     total = p.sum(axis=1, keepdims=True)
     empty = total[:, 0] == 0.0
     if empty.any():
         p[empty, -1] = total[empty] = 1.0
     return p / total
-
-
-def _uniform_step(M, t):
-    """The uniform policy on layer t alone; built once per MDP and kept on it."""
-    step = M._uniforms[t]
-    if step is None:
-        step = M._uniforms[t] = Policy.uniform(M, t, t)
-    return step
 
 
 def _cayley(skew, t):

@@ -1,0 +1,244 @@
+"""Frozen mutants of the library, each with the tests that must kill it.
+
+A mutant replaces the one occurrence of ``old`` in ``file`` (relative to the
+repository root) by ``new``; every test named in ``tests`` must then fail.
+`run_mutants.py` applies them one at a time to a copy of the tree.  Each
+entry names at least one test besides the fixed-seed hash tests
+(`DIGEST_TESTS`), which fail on any change to the random stream and so
+cannot tell a broken algorithm from a reordered draw.
+
+Edit an entry only when the code it mutates changes; a mutant whose code is
+gone is deleted, and its retirement recorded.
+"""
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple
+
+
+DIGEST_TESTS = frozenset({
+    "tests/test_drivers.py::test_fixed_seed_run_json_matches_the_recorded_hash",
+})
+
+MUTANTS = (
+    # ---------------------------------------------------------------- designs
+    Mutant(
+        "the spanner skips its swap phase",
+        "src/voxlab/spanner.py",
+        "    while any(place(i, False) for i in range(d)):\n        pass\n",
+        "",
+        (
+            "tests/test_spanner.py::test_one_placement_step_matches_the_two_phase_spanner",
+            "tests/test_spanner.py::test_a_zero_column_is_not_swapped_back_in",
+            "tests/test_drivers.py::test_spanrl_on_a_lock_asks_each_confirmation_query_once",
+        ),
+    ),
+    Mutant(
+        "VoX keeps only its first design per layer",
+        "src/voxlab/drivers.py",
+        "covers.append(designs[0] if K == 1 else",
+        "covers.append(designs[0] if True else",
+        (
+            "tests/test_drivers.py::test_a_vox_cover_mixes_every_design_of_its_layer",
+        ),
+    ),
+    Mutant(
+        "the line search always returns its floor mu",
+        "src/voxlab/optdesign.py",
+        "    return max(lo, mu)\n",
+        "    return mu\n",
+        (
+            "tests/test_optdesign.py::test_step_size_value",
+            "tests/test_acceptance.py::test_c11_explorers_open_the_combination_lock",
+        ),
+    ),
+    Mutant(
+        "the line-search bisection moves the wrong end",
+        "src/voxlab/optdesign.py",
+        "            lo = mid\n        else:\n            hi = mid\n",
+        "            hi = mid\n        else:\n            lo = mid\n",
+        (
+            "tests/test_optdesign.py::test_step_size_value",
+            "tests/test_optdesign.py::test_objective_trace_is_monotone",
+            "tests/test_acceptance.py::test_c01_design_certificate_iterations_and_monotonicity",
+        ),
+    ),
+    # ------------------------------------------------------------- estimators
+    Mutant(
+        "est_vec divides by n + 1",
+        "src/voxlab/estimators.py",
+        "axes=([0, 1], [0, 1])) / n",
+        "axes=([0, 1], [0, 1])) / (n + 1)",
+        (
+            "tests/test_estimators.py::test_constant_functional_is_exact",
+            "tests/test_estimators.py::test_deterministic_env_single_episode_exact",
+        ),
+    ),
+    # -------------------------------------------------------------- rep-learn
+    Mutant(
+        "rep-learn never leaves its start index",
+        "src/voxlab/replearn.py",
+        "        current = feature_selection(Phi, discs, data, config)\n",
+        "        feature_selection(Phi, discs, data, config)\n",
+        (
+            "tests/test_replearn.py::test_rep_learn_selects_true_features",
+            "tests/test_acceptance.py::test_c06_replearn_terminates_and_transfers",
+        ),
+    ),
+    Mutant(
+        "feature selection never moves off index 0",
+        "src/voxlab/replearn.py",
+        "    return int(np.argmin(sum(losses.T)))\n",
+        "    return 0\n",
+        (
+            "tests/test_replearn.py::test_rep_learn_selects_true_features",
+            "tests/test_acceptance.py::test_c06_replearn_terminates_and_transfers",
+        ),
+    ),
+    Mutant(
+        "RepLearnConfig checks c only as > 0",
+        "src/voxlab/replearn.py",
+        '("c", 0.0 < self.c < math.inf,',
+        '("c", 0.0 < self.c,',
+        (
+            "tests/test_replearn.py::test_config_rejects_non_finite_and_non_positive_values",
+            "tests/test_cli.py::test_out_of_range_C_or_eps_exits_2_before_any_episode",
+        ),
+    ),
+    # ------------------------------------------------------------------- psdp
+    Mutant(
+        "the roll-in memo key drops the greedy suffix",
+        "src/voxlab/psdp.py",
+        'key = (t, b"".join(a.tobytes() for a in acts[t + 1:h]))',
+        "key = (t,)",
+        (
+            "tests/test_psdp.py::test_a_shared_memo_replays_the_top_two_rollins",
+            "tests/test_psdp.py::test_queries_sharing_the_greedy_layers_above_layer_0_share_its_rollin",
+        ),
+    ),
+    Mutant(
+        "the roll-in memo key also holds the greedy layer at h",
+        "src/voxlab/psdp.py",
+        "for a in acts[t + 1:h]))",
+        "for a in acts[t + 1:h + 1]))",
+        (
+            "tests/test_psdp.py::test_a_shared_memo_replays_the_top_two_rollins",
+            "tests/test_psdp.py::test_queries_sharing_the_greedy_layers_above_layer_0_share_its_rollin",
+            "tests/test_drivers.py::test_spanrl_on_a_lock_asks_each_confirmation_query_once",
+        ),
+    ),
+    Mutant(
+        "the memo owner check compares covers[h-1..h] only",
+        "src/voxlab/psdp.py",
+        "owner = (h, n, [M] + list(covers[:h + 1]))",
+        "owner = (h, n, [M] + list(covers[max(h - 1, 0):h + 1]))",
+        (
+            "tests/test_psdp.py::test_a_memo_filled_for_another_query_shape_raises_before_drawing",
+        ),
+    ),
+    Mutant(
+        "psdp values layer h by the reward's max, not its greedy action",
+        "src/voxlab/psdp.py",
+        "sums += chain[-1] @ top[np.arange(M.n_states(h)), acts[h]]",
+        "sums += chain[-1] @ top.max(axis=1)",
+        (
+            "tests/test_psdp.py::test_psdp_cell_means_at_n_1e12_match_the_exact_q_tables",
+        ),
+    ),
+    Mutant(
+        "psdp skips the first layer above t in the return sums",
+        "src/voxlab/psdp.py",
+        "for ell in range(t + 1, h):",
+        "for ell in range(t + 2, h):",
+        (
+            "tests/test_psdp.py::test_psdp_cell_means_at_n_1e12_match_the_exact_q_tables",
+        ),
+    ),
+    # ---------------------------------------------------------------- drivers
+    Mutant(
+        "psdp_draws counts the memo's owner entry",
+        "src/voxlab/drivers.py",
+        "psdp_draws=len(shared) - 1)",
+        "psdp_draws=len(shared))",
+        (
+            "tests/test_drivers.py::test_spanrl_micro_run_covers_and_accounting",
+            "tests/test_drivers.py::test_spanrl_on_a_lock_asks_each_confirmation_query_once",
+        ),
+    ),
+    Mutant(
+        "a cover's uniform tail starts one layer late",
+        "src/voxlab/drivers.py",
+        "uniform(M, hc + 1, M.H - 1)",
+        "uniform(M, hc + 2, M.H - 1)",
+        (
+            "tests/test_drivers.py::test_covers_play_uniform_from_layer_h_minus_1_on",
+        ),
+    ),
+    # ---------------------------------------------------------------- sampler
+    Mutant(
+        "_rows leaves the clipped rows unnormalized",
+        "src/voxlab/simenv.py",
+        "    return p / total\n",
+        "    return p\n",
+        (
+            "tests/test_simenv.py::test_sampler_matches_the_per_row_reference",
+        ),
+    ),
+    Mutant(
+        "_rows puts an empty row's mass on its first entry",
+        "src/voxlab/simenv.py",
+        "p[empty, -1] = total[empty] = 1.0",
+        "p[empty, 0] = total[empty] = 1.0",
+        (
+            "tests/test_simenv.py::test_sampler_matches_the_per_row_reference",
+            "tests/test_simenv.py::test_sampler_matches_the_reference_on_random_shapes",
+        ),
+    ),
+    Mutant(
+        "the sampler draws actions uniformly, not from the tail's rows",
+        "src/voxlab/simenv.py",
+        "rng.multinomial(states[c, x], rows[x])",
+        "rng.multinomial(states[c, x], np.full(M.A, 1.0 / M.A))",
+        (
+            "tests/test_simenv.py::test_rollin_matches_the_per_component_loop",
+            "tests/test_psdp.py::test_psdp_cell_means_at_n_1e12_match_the_exact_q_tables",
+        ),
+    ),
+    Mutant(
+        "the sampler draws next states from the wrong transition rows",
+        "src/voxlab/simenv.py",
+        "rng.multinomial(prev[c, j], trans[j])",
+        "rng.multinomial(prev[c, j], trans[j - 1])",
+        (
+            "tests/test_simenv.py::test_rollin_matches_the_per_component_loop",
+            "tests/test_psdp.py::test_psdp_cell_means_at_n_1e12_match_the_exact_q_tables",
+        ),
+    ),
+    Mutant(
+        "the mixture law ignores the component weights",
+        "src/voxlab/simenv.py",
+        "first = first + w * (occ[:, None] * rows).ravel()",
+        "first = first + (occ[:, None] * rows).ravel()",
+        (
+            "tests/test_simenv.py::test_each_law_equals_the_exact_occupancies",
+            "tests/test_simenv.py::test_rollin_matches_the_per_component_loop",
+        ),
+    ),
+    # -------------------------------------------------------------------- cli
+    Mutant(
+        "the JSON loader lets a build's VoxlabError through unnamed",
+        "src/voxlab/cli.py",
+        "    except VoxlabError as exc:\n"
+        "        raise VoxlabError(f\"{what} {path}: {exc}\") from exc\n",
+        "",
+        (
+            "tests/test_cli.py::test_nan_cover_weights_exit_2",
+        ),
+    ),
+)

@@ -255,6 +255,8 @@ EXPLORER_SEEDS = range(7010, 7020)
 
 
 def test_c07_vox_end_to_end_covers_and_accounting():
+    """A uniform explorer passes c07 and c08 too (ROADMAP item 5), so neither
+    tells an explorer from doing nothing; c11 is the gate uniform play fails."""
     t0 = time.monotonic()
     schedule = VoxSchedule(K=4, gamma=1e-3, n_replearn=6000, n_estmat=12000,
                            n_psdp=8000, fw_max_iters=60,
@@ -287,6 +289,8 @@ def test_c07_vox_end_to_end_covers_and_accounting():
 
 
 def test_c08_spanrl_end_to_end_covers_and_reward():
+    """A uniform explorer passes c07 and c08 too (ROADMAP item 5), so neither
+    tells an explorer from doing nothing; c11 is the gate uniform play fails."""
     schedule = SpanrlSchedule(n_replearn=6000, n_estvec=6000, n_psdp=6000,
                               replearn=RepLearnConfig(restarts=4,
                                                       grad_steps=30))

@@ -400,10 +400,10 @@ def test_a_vox_cover_mixes_every_design_of_its_layer(monkeypatch):
         assert all(got[pi] == pytest.approx(w, abs=1e-12) for pi, w in want.items())
 
 
-def test_covers_play_the_mdps_cached_uniform_steps():
-    # every uniform layer of a stored cover policy (layers 0 and 1 of the
-    # first two covers, and the tail from layer h-1 on of cover h) shares
-    # its table with the MDP's one-layer uniform step
+def test_covers_play_uniform_from_layer_h_minus_1_on():
+    # every stored cover policy reaches the last layer, and each of its
+    # layers from h-1 on (all of the first two covers, and the tail from
+    # layer h-1 on of cover h) plays each action with probability exactly 1/A
     M = boosted_env(seed=8, H=4)
     Phi = make_feature_class(M, n_decoys=1, rng=np.random.default_rng(8))
     for result in (
@@ -413,10 +413,11 @@ def test_covers_play_the_mdps_cached_uniform_steps():
     ):
         for h in range(M.H):
             for pi in result.covers.distribution(h).policies:
+                assert not pi.tables or pi.hi == M.H - 1
                 for t in range(max(h - 1, pi.lo), pi.hi + 1):
-                    step = M._uniforms[t]
-                    assert step is not None, (result.covers.kind, h, t)
-                    assert pi.table(t) is step.tables[0]
+                    assert np.array_equal(
+                        pi.table(t), np.full((M.n_states(t), M.A), 1.0 / M.A)
+                    ), (result.covers.kind, h, t)
 
 
 # ------------------------------------------------------------ optimization
