@@ -205,6 +205,8 @@ class Policy:
         tables = [
             np.full((mdp.n_states(h), mdp.A), 1.0 / mdp.A) for h in range(lo, hi + 1)
         ]
+        for t in tables:
+            t.setflags(write=False)
         return Policy(lo, tables)
 
     @staticmethod
@@ -220,6 +222,7 @@ class Policy:
             h = lo + i
             t = np.zeros((mdp.n_states(h), mdp.A))
             t[np.arange(mdp.n_states(h)), np.asarray(acts, dtype=int)] = 1.0
+            t.setflags(write=False)
             tables.append(t)
         return Policy(lo, tables)
 

@@ -7,6 +7,7 @@ the Monte-Carlo side of the library lives in ``estimators``.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,13 +253,53 @@ def exact_q_tables(M, pi, reward_tables):
 
 
 def exact_policy_value(M, pi, reward_tables):
-    """E^pi of the summed rewards, computed from exact occupancies."""
-    total = 0.0
+    """E^pi of the summed rewards, from one forward pass of the exact
+    occupancies that stops at each rewarded layer; each is checked before
+    the pass reaches it, and zero-reward layers are only passed through."""
+    total, occ, at = 0.0, M.rho, 0
     for t, r in enumerate(reward_tables):
         if np.any(np.asarray(r) != 0.0):
-            sa = exact_occupancy_sa(M, pi, t)
+            _check_layer(M, t)
+            if t > 0:
+                _require_cover(pi, 0, t - 1)
+            for u in range(at, t):
+                occ = np.einsum("xa,xay->y", occ[:, None] * pi.table(u),
+                                M.transition_matrix(u))
+            sa, at = occ[:, None] * pi.table(t), t
             total += float(np.einsum("xa,xa->", sa, np.asarray(r, dtype=float)))
     return total
+
+
+# MDP -> {(shape, bytes) of a table: its `_rows`, (policy, s): state law at s};
+# each entry is a function of the immutable MDP and its key alone
+_LAWS = weakref.WeakKeyDictionary()
+
+
+def _memo(M, key, build):
+    """``build()`` for this MDP and key, computed once and held read-only."""
+    laws = _LAWS.setdefault(M, {})
+    law = laws.get(key)
+    if law is None:
+        law = laws[key] = build()
+        law.setflags(write=False)
+    return law
+
+
+def _rows_of(M, table):
+    """`_rows` of a policy table or transition tensor, memoised by value."""
+    return _memo(M, (table.shape, table.tobytes()), lambda: _rows(table))
+
+
+def _state_law(M, pi, s):
+    """The law of the state at layer s when pi plays layers 0..s-1, memoised
+    as a recursion on (pi, s - 1); (pi, 0) is the law of rho."""
+    def build():
+        if s == 0:
+            return _rows(M.rho[None])[0]
+        occ = _state_law(M, pi, s - 1)
+        return ((occ[:, None] * _rows(pi.table(s - 1))).ravel()
+                @ _rows_of(M, M.transition_matrix(s - 1)))
+    return _memo(M, (pi, s), build)
 
 
 def _law(M, P, upto, tail):
@@ -272,6 +313,10 @@ def _law(M, P, upto, tail):
     on layers 0..s-1, times the action rows at s: the tail's first table,
     or the component's own table at s = upto when there is no tail.  Every
     table is read through `_rows`.
+
+    Per call it only checks and mixes by weight: table rows (by value) and
+    (component, layer) state laws are memoised per MDP, held weakly, so a
+    planner that rolls in with the same covers pays each forward pass once.
     """
     tail = Policy.empty(upto + 1) if tail is None else tail
     head = upto + 1 - len(tail.tables)
@@ -288,17 +333,14 @@ def _law(M, P, upto, tail):
                 raise VoxlabError(
                     f"policy table at layer {t} has shape {got}, expected {want}")
     s = min(head, upto)
-    trans = [_rows(M.transition_matrix(t)) for t in range(upto)]
     first = 0.0
     for comp, w in zip(P.policies, P.weights):
         if w == 0.0:
             continue
-        occ = _rows(M.rho[None])[0]
-        for t in range(s):
-            occ = (occ[:, None] * _rows(comp.table(t))).ravel() @ trans[t]
-        rows = _rows((tail if tail.tables else comp).table(s))
-        first = first + w * (occ[:, None] * rows).ravel()
-    steps = [(trans[ell - 1], _rows(tail.table(ell))) for ell in range(s + 1, upto + 1)]
+        rows = _rows_of(M, (tail if tail.tables else comp).table(s))
+        first = first + w * (_state_law(M, comp, s)[:, None] * rows).ravel()
+    steps = [(_rows_of(M, M.transition_matrix(ell - 1)), _rows_of(M, tail.table(ell)))
+             for ell in range(s + 1, upto + 1)]
     return s, first / first.sum(), steps
 
 
@@ -319,9 +361,11 @@ def sample_trajectories(M, P, n, rng, upto=None, tail=None, counter=None):
     cells at s from `_law`, then, layer by layer, one per nonzero count
     over the next states (its transition row) and one per nonzero count
     over the actions there (the tail's row).  The cost does not grow with
-    n.  Every component's cover and every table's shape, and n itself, are
-    checked before anything is counted or drawn; ``rng.multinomial`` takes
-    n only below 2**63.
+    n, and the law's forward passes are memoised per MDP, held weakly (see
+    `_law`), so a planner that reuses its covers pays each once.  Every
+    component's cover and every table's shape, and n itself, are checked
+    before anything is counted or drawn; ``rng.multinomial`` takes n only
+    below 2**63.
     """
     upto = M.H - 1 if upto is None else upto
     _check_layer(M, upto)

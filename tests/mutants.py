@@ -223,11 +223,50 @@ MUTANTS = (
     Mutant(
         "the mixture law ignores the component weights",
         "src/voxlab/simenv.py",
-        "first = first + w * (occ[:, None] * rows).ravel()",
-        "first = first + (occ[:, None] * rows).ravel()",
+        "first = first + w * (_state_law(M, comp, s)[:, None] * rows).ravel()",
+        "first = first + (_state_law(M, comp, s)[:, None] * rows).ravel()",
         (
             "tests/test_simenv.py::test_each_law_equals_the_exact_occupancies",
             "tests/test_simenv.py::test_rollin_matches_the_per_component_loop",
+        ),
+    ),
+    Mutant(
+        "the state-law memo key drops the layer",
+        "src/voxlab/simenv.py",
+        "return _memo(M, (pi, s), build)",
+        "return _memo(M, pi, build)",
+        (
+            "tests/test_simenv.py::test_a_warm_memo_gives_each_layer_its_own_law",
+        ),
+    ),
+    Mutant(
+        "the rows memo keys a table by its shape alone",
+        "src/voxlab/simenv.py",
+        "(table.shape, table.tobytes())",
+        "(table.shape,)",
+        (
+            "tests/test_simenv.py::test_each_law_equals_the_exact_occupancies",
+            "tests/test_simenv.py::test_a_warm_memo_gives_each_layer_its_own_law",
+        ),
+    ),
+    Mutant(
+        "the state-law recursion plays layer s's table on layer s - 1",
+        "src/voxlab/simenv.py",
+        "(occ[:, None] * _rows(pi.table(s - 1))).ravel()",
+        "(occ[:, None] * _rows(pi.table(s))).ravel()",
+        (
+            "tests/test_simenv.py::test_each_law_equals_the_exact_occupancies",
+            "tests/test_simenv.py::test_a_warm_memo_gives_each_layer_its_own_law",
+        ),
+    ),
+    # -------------------------------------------------------- exact evaluators
+    Mutant(
+        "exact_policy_value skips advancing the occupancy on a zero-reward layer",
+        "src/voxlab/simenv.py",
+        "for u in range(at, t):",
+        "for u in range(at, min(t, at + 1)):",
+        (
+            "tests/test_simenv.py::test_policy_value_is_the_per_layer_sum_bit_for_bit",
         ),
     ),
     # -------------------------------------------------------------------- cli

@@ -5,9 +5,10 @@
 First runs every named test on an unmutated copy of the tree, where all must
 pass.  Then, for each mutant, copies the tree to a temporary directory,
 replaces the one occurrence of its old text, runs only its named tests and
-requires every one of them to fail.  Exits 0 when every mutant is killed,
-1 when one survives, and with a message when a mutant or its tests no
-longer match the tree.
+requires every one of them to fail.  Mutants run concurrently, one per
+usable core, and are reported in list order.  Exits 0 when every mutant is
+killed, 1 when one survives, and with a message when a mutant or its tests
+no longer match the tree.
 """
 
 import os
@@ -16,6 +17,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,7 +30,8 @@ REPORTED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.M)
 
 def copy_tree(dest):
     shutil.copytree(ROOT, dest, ignore=shutil.ignore_patterns(
-        ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+        ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_out",
+        ".bench_build"))
 
 
 def failing(tree, tests):
@@ -47,6 +50,21 @@ def failing(tree, tests):
             if any(r == t or r.startswith(t + "[") for r in reported)]
 
 
+def surviving_tests(m):
+    """The tests named by mutant ``m`` that still pass with it applied to a
+    temporary copy of the tree."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        copy_tree(tree)
+        path = tree / m.file
+        text = path.read_text()
+        if text.count(m.old) != 1:
+            sys.exit(f"mutant {m.name!r}: its old text occurs "
+                     f"{text.count(m.old)} times in {m.file}, not once")
+        path.write_text(text.replace(m.old, m.new))
+        return [t for t in m.tests if t not in failing(tree, list(m.tests))]
+
+
 def main():
     for m in MUTANTS:
         if not set(m.tests) - DIGEST_TESTS:
@@ -59,22 +77,16 @@ def main():
         if broken:
             sys.exit("named tests fail on the unmutated tree: " + ", ".join(broken))
     survivors = 0
-    for m in MUTANTS:
-        with tempfile.TemporaryDirectory() as tmp:
-            tree = Path(tmp) / "tree"
-            copy_tree(tree)
-            path = tree / m.file
-            text = path.read_text()
-            if text.count(m.old) != 1:
-                sys.exit(f"mutant {m.name!r}: its old text occurs "
-                         f"{text.count(m.old)} times in {m.file}, not once")
-            path.write_text(text.replace(m.old, m.new))
-            passed = [t for t in m.tests if t not in failing(tree, list(m.tests))]
-        if passed:
-            survivors += 1
-            print(f"SURVIVED  {m.name}: {', '.join(passed)} still pass")
-        else:
-            print(f"killed    {m.name} ({len(m.tests)} of {len(m.tests)} named tests fail)")
+    pool = ThreadPoolExecutor(len(os.sched_getaffinity(0)))
+    try:
+        for m, passed in zip(MUTANTS, pool.map(surviving_tests, MUTANTS)):
+            if passed:
+                survivors += 1
+                print(f"SURVIVED  {m.name}: {', '.join(passed)} still pass")
+            else:
+                print(f"killed    {m.name} ({len(m.tests)} of {len(m.tests)} named tests fail)")
+    finally:
+        pool.shutdown(cancel_futures=True)
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 

@@ -10,6 +10,7 @@ import pytest
 from voxlab import (
     BudgetError,
     EpisodeCounter,
+    LayeredLowRankMDP,
     Policy,
     PolicyDistribution,
     VoxlabError,
@@ -579,6 +580,29 @@ def test_run_result_json_is_deterministic():
     payload = json.loads(r1.to_json())
     assert set(payload) == {"covers", "episode_count", "log"}
     assert payload["episode_count"] == r1.episodes
+
+
+def test_runs_on_a_warm_memo_match_a_cold_copy_byte_for_byte():
+    # the roll-in laws that the first runs memoise on M leave the second
+    # runs' outputs as they are on a fresh copy of M, which starts cold
+    M = boosted_env(seed=2, H=4)
+    Phi = make_feature_class(M, n_decoys=1, rng=np.random.default_rng(2))
+    thetas = [np.array([0.6, 0.8]), np.array([0.0, -1.0]), np.array([1.0, 0.0])]
+
+    def outputs(M):
+        vox = run_vox(M, Phi, vox_micro_schedule(K=2), np.random.default_rng(3))
+        span = run_spanrl(M, Phi, 0.1, spanrl_micro_schedule(),
+                          np.random.default_rng(9))
+        plans = [optimize_reward(M, covers, thetas, Phi, 600,
+                                 np.random.default_rng(14))
+                 for covers in (vox.covers, span.covers)]
+        return ([vox.to_json(), span.to_json()]
+                + [(pol.action_key(), repr(value)) for pol, value in plans])
+
+    cold = outputs(LayeredLowRankMDP.from_json(M.to_json()))
+    assert outputs(M) == cold
+    assert M in simenv._LAWS
+    assert outputs(M) == cold
 
 
 # SHA-256 of fixed-seed run JSON; a change that moves any RNG draw, log

@@ -1,5 +1,9 @@
 """Synthetic environments, exact occupancy algebra, samplers, reachability."""
 
+import gc
+import re
+import weakref
+
 import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
@@ -20,6 +24,7 @@ from voxlab import (
     generate_low_rank_mdp,
     validate_mdp,
 )
+from voxlab import simenv
 from voxlab.estimators import est_mat, est_vec
 from voxlab.evalcover import check_policy_cover
 from voxlab.simenv import (
@@ -219,6 +224,51 @@ def test_q_tables_back_out_the_policy_value(env):
     q = exact_q_tables(env, pi, rewards)
     v0 = float(env.rho @ (pi.table(0) * q[0]).sum(axis=1))
     assert abs(v0 - exact_policy_value(env, pi, rewards)) < 1e-10
+
+
+def per_layer_value(M, pi, reward_tables):
+    """The value as a sum of one exact occupancy per rewarded layer, each
+    computed afresh from rho."""
+    total = 0.0
+    for t, r in enumerate(reward_tables):
+        if np.any(np.asarray(r) != 0.0):
+            sa = exact_occupancy_sa(M, pi, t)
+            total += float(np.einsum("xa,xa->", sa, np.asarray(r, dtype=float)))
+    return total
+
+
+@pytest.mark.parametrize("mask", ["10101", "01001", "00010", "11111", "10000",
+                                  "00000", "011"])
+def test_policy_value_is_the_per_layer_sum_bit_for_bit(mask):
+    # zero-reward layers interleaved with rewarded ones, of a horizon whose
+    # layers differ in size, and a reward list shorter than H
+    M = small_env(seed=5, H=5, states=(3, 4, 2, 4, 3))
+    rng = np.random.default_rng(6)
+    pi = random_policy(M, rng)
+    tables = [rng.standard_normal((M.n_states(t), M.A)) * int(m)
+              for t, m in enumerate(mask)]
+    got = exact_policy_value(M, pi, tables)
+    assert got == per_layer_value(M, pi, tables)
+    want = sum(float((oracle_occupancy(M, pi, t)[:, None] * pi.table(t) * r).sum())
+               for t, r in enumerate(tables))
+    assert abs(got - want) <= 1e-12
+
+
+def test_policy_value_checks_each_rewarded_layer_as_the_per_layer_sum_does():
+    M = small_env(seed=5, H=5, states=(3, 4, 2, 4, 3))
+    rng = np.random.default_rng(6)
+    pi = random_policy(M, rng, hi=2)
+    zeros = [np.zeros((M.n_states(t), M.A)) for t in range(M.H)]
+    # zero rewards are not read, on uncovered layers or past the horizon
+    assert exact_policy_value(M, pi, zeros + [np.zeros(1)]) == 0.0
+    for play, layer in [(pi, 3), (random_policy(M, rng, lo=1), 2), (pi, M.H)]:
+        tables = zeros + [np.zeros(1)]
+        tables[0] = np.ones((M.n_states(0), M.A))
+        tables[layer] = np.ones((M.n_states(min(layer, M.H - 1)), M.A))
+        with pytest.raises(LayerRangeError) as want:
+            per_layer_value(M, play, tables)
+        with pytest.raises(LayerRangeError, match=re.escape(str(want.value))):
+            exact_policy_value(M, play, tables)
 
 
 # ----------------------------------------------------------------- sampling
@@ -493,6 +543,31 @@ def test_each_law_equals_the_exact_occupancies(shape):
             assert np.abs(joint[c] - want.ravel()).max() <= 1e-12
 
 
+def test_a_warm_memo_gives_each_layer_its_own_law():
+    # one mixture rolled in to every layer, down and back up, on one MDP:
+    # each law equals the oracle's and, bit for bit, the law on a cold copy
+    M, P, _, _ = rollin_case("plain")
+    for upto in (3, 2, 1, 0, 1, 2, 3):
+        first = _law(M, P, upto, None)[1]
+        want = sum(w * oracle_occupancy(M, comp, upto)[:, None] * comp.table(upto)
+                   for comp, w in P)
+        assert np.abs(first - want.ravel()).max() <= 1e-12
+        cold = LayeredLowRankMDP.from_json(M.to_json())
+        assert np.array_equal(first, _law(cold, P, upto, None)[1])
+
+
+def test_the_memo_holds_no_entry_for_a_collected_mdp():
+    gc.collect()
+    before = len(simenv._LAWS)
+    M = small_env(seed=3, H=4, states=(3, 4, 4, 3))
+    sample_trajectories(M, Policy.uniform(M), 10, np.random.default_rng(0))
+    assert M in simenv._LAWS and len(simenv._LAWS) == before + 1
+    ref = weakref.ref(M)
+    del M
+    gc.collect()
+    assert ref() is None and len(simenv._LAWS) == before
+
+
 @pytest.mark.parametrize("shape", ["plain", "collect", "psdp"])
 def test_rollin_matches_the_per_component_loop(shape):
     # over 40 seeds of 500 episodes, every count array the sampler returns
@@ -534,12 +609,14 @@ def test_rollin_matches_the_per_component_loop(shape):
                                  "tail_range"])
 def test_every_component_and_the_tail_are_checked_before_any_draw(bad, weights):
     # the second component, misshaped or not covering the roll-in layers,
-    # raises whatever its weight
+    # raises whatever its weight, before and after the good one's laws are
+    # memoised
     M = small_env(seed=3, H=4, states=(3, 4, 4, 3))
     rng = np.random.default_rng(8)
     good = random_policy(M, rng)
     tabs = list(random_policy(M, rng).tables)
-    tail = Policy(2, [np.full((M.n_states(t), M.A), 1.0 / M.A) for t in (2, 3)])
+    tail = good_tail = Policy(2, [np.full((M.n_states(t), M.A), 1.0 / M.A)
+                                  for t in (2, 3)])
     if bad == "misshaped":
         tabs[1] = np.full((M.n_states(1), M.A + 1), 0.5)
     elif bad == "short":
@@ -557,10 +634,15 @@ def test_every_component_and_the_tail_are_checked_before_any_draw(bad, weights):
     }[bad]
     counter = EpisodeCounter()
     before = rng.bit_generator.state
-    with pytest.raises(error, match=match):
-        sample_trajectories(M, P, 100, rng, M.H - 1, tail, counter=counter)
-    assert counter.count == 0
-    assert rng.bit_generator.state == before
+    for warm in (False, True):
+        if warm:
+            for t in (good_tail, None):
+                sample_trajectories(M, good, 100, np.random.default_rng(0),
+                                    M.H - 1, t)
+        with pytest.raises(error, match=match):
+            sample_trajectories(M, P, 100, rng, M.H - 1, tail, counter=counter)
+        assert counter.count == 0
+        assert rng.bit_generator.state == before
 
 
 # ------------------------------------------------------------- reachability
