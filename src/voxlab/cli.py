@@ -257,7 +257,7 @@ def _cmd_selftest(args):
     import voxlab.simenv as simenv
     from voxlab.core import Policy
     from voxlab.optdesign import fw_optdesign
-    from voxlab.psdp import ball_constrained_least_squares
+    from voxlab.psdp import BallLeastSquares
     from voxlab.spanner import robust_spanner, verify_spanner
 
     failures = []
@@ -274,8 +274,8 @@ def _cmd_selftest(args):
     occ = simenv.exact_occupancy(M, Policy.uniform(M, 0, 1), 2)
     check("occupancy-normalized", abs(float(occ.sum()) - 1.0) < 1e-9)
 
-    w = ball_constrained_least_squares(np.array([[1.0]]), np.array([2.0]), 1.0)
-    check("ball-lsq-projection", abs(w[0] - 1.0) < 1e-9)
+    w = BallLeastSquares(np.array([[1.0]])).solve_many(np.array([[2.0]]), 1.0)
+    check("ball-lsq-projection", abs(w[0, 0] - 1.0) < 1e-9)
 
     target = np.eye(2) / math.sqrt(2.0)
     state = fw_optdesign(lambda W: 0, lambda P: target, C=2.0, gamma=0.1, d=2)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from voxlab.core import Policy, VoxlabError, compose_policies
+from voxlab.core import Policy, VoxlabError
 from voxlab.simenv import sample_trajectories
 
 NORM_EPS = 1e-10
@@ -47,31 +47,6 @@ def linear_reward(theta, feat):
 
 
 @dataclass
-class RegressionData:
-    """Weighted least-squares instance over the observed (x, a) cells at one
-    layer: each cell's mean target, weighted by its count."""
-
-    layer: int
-    xs: np.ndarray
-    acts: np.ndarray
-    ys: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    def from_counts(cls, layer, counts, sums):
-        """Cells with a positive count in the (|X|, A) table ``counts``, with
-        mean target sums / counts."""
-        counts = np.asarray(counts, dtype=float)
-        keep = counts > 0
-        if not keep.any():
-            raise VoxlabError("empty regression dataset")
-        xs, acts = np.nonzero(keep)
-        return cls(layer=layer, xs=xs, acts=acts,
-                   ys=np.asarray(sums, dtype=float)[keep] / counts[keep],
-                   weights=counts[keep])
-
-
-@dataclass
 class FittedValue:
     """Result of fit_value_class: chosen feature index, weights, Q table and
     loss (weighted squared residuals of the cell means)."""
@@ -87,8 +62,7 @@ class BallLeastSquares:
     K designs (K, m, d) whose rows share their weights: Z, the weights and
     their square roots, the thin SVD of each weighted design and its rank
     mask, kept for many solves and losses.  A stack is one batched SVD, and
-    each slice equals its own one-design factor bit for bit; `fac[k]` is
-    that factor, sharing the stack's arrays."""
+    each slice equals its own one-design factor bit for bit."""
 
     def __init__(self, Z, weights=None):
         Z = np.asarray(Z, dtype=float)
@@ -109,14 +83,6 @@ class BallLeastSquares:
         self._V = np.swapaxes(self.Vt, -1, -2)[..., None, :, :]
         self._s = self.s[..., None, :]
         self._mask = None if self.pos.all() else self.pos[..., None, :]
-
-    def __getitem__(self, k):
-        one = object.__new__(BallLeastSquares)
-        one.Z, one.weights, one.root = self.Z[k], self.weights, self.root
-        one.U, one.s, one.Vt, one.pos = self.U[k], self.s[k], self.Vt[k], self.pos[k]
-        one._Ut, one._V, one._s = self._Ut[k], self._V[k], self._s[k]
-        one._mask = None if self._mask is None else self._mask[k]
-        return one
 
     def fit(self, Y, offsets, radius):
         """Losses and weights of the ball-constrained fits of every design to
@@ -169,37 +135,36 @@ class BallLeastSquares:
         if outside.any():
             W = W.copy()
             for idx in map(tuple, np.argwhere(outside)):
-                one = self if self.U.ndim == 2 else self[idx[0]]
-                W[idx] = one._on_sphere(B[idx], radius)
+                W[idx] = _on_sphere(self.s[idx[:-1]], self.Vt[idx[:-1]], B[idx], radius)
         return W
 
-    def _on_sphere(self, b, radius):
-        """Ridge solution whose norm is `radius` to within NORM_EPS, for the
-        rotated target b = U^T y of a one-design factor, by bisection on the
-        ridge multiplier."""
-        s = self.s
 
-        def norm_at(lam):
-            c = s * b / (s * s + lam)
-            return float(np.sqrt((c * c).sum()))
+def _on_sphere(s, Vt, b, radius):
+    """Ridge solution whose norm is `radius` to within NORM_EPS, for the
+    rotated target b = U^T y of one design with singular values s and
+    right singular vectors Vt, by bisection on the ridge multiplier."""
 
-        lo, hi = 0.0, 1.0
-        while norm_at(hi) > radius:
-            hi *= 2.0
-            if hi > 1e18:
-                break
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            nm = norm_at(mid)
-            if abs(nm - radius) <= NORM_EPS:
-                lo = hi = mid
-                break
-            if nm > radius:
-                lo = mid
-            else:
-                hi = mid
-        lam = 0.5 * (lo + hi)
-        return self.Vt.T @ (s * b / (s * s + lam))
+    def norm_at(lam):
+        c = s * b / (s * s + lam)
+        return float(np.sqrt((c * c).sum()))
+
+    lo, hi = 0.0, 1.0
+    while norm_at(hi) > radius:
+        hi *= 2.0
+        if hi > 1e18:
+            break
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        nm = norm_at(mid)
+        if abs(nm - radius) <= NORM_EPS:
+            lo = hi = mid
+            break
+        if nm > radius:
+            lo = mid
+        else:
+            hi = mid
+    lam = 0.5 * (lo + hi)
+    return Vt.T @ (s * b / (s * s + lam))
 
 
 def matvec(A, X):
@@ -220,10 +185,9 @@ def ball_constrained_least_squares(Z, y, radius, weights=None):
     """Exact minimizer of the (weighted) squared loss over the ball ||w|| <= radius.
 
     The one-row `BallLeastSquares(Z, weights).solve_many` for one design Z
-    (m, d) and one target y (m,).  A caller that fits one or a stack of
-    designs against many targets keeps the `BallLeastSquares` and calls
-    `solve_many` or `fit`; the answers are bit-identical, since the same
-    matrix gives the same SVD.
+    (m, d) and one target y (m,); the answers are bit-identical, since the
+    same matrix gives the same SVD.  No library code calls it: only the
+    benchmark's tracer (`voxbench/tracing.py`) looks it up by name.
     """
     if np.ndim(y) != 1 or np.ndim(Z) != 2:
         raise VoxlabError(f"shape mismatch: y {np.shape(y)} is not 1-d or Z "
@@ -231,17 +195,25 @@ def ball_constrained_least_squares(Z, y, radius, weights=None):
     return BallLeastSquares(Z, weights).solve_many(np.asarray(y)[None], radius)[0]
 
 
-def fit_value_class(data: RegressionData, Phi, radius):
+def fit_value_class(Phi, t, counts, sums, radius):
     """Least-squares fit of {(x, a) -> phi(x, a)^T w : phi a candidate of
-    Phi, ||w|| <= radius} on aggregated data.
+    Phi at layer t, ||w|| <= radius} to the cells of the (|X_t|, A) tables
+    with a positive count: their mean targets sums / counts, weighted by
+    the counts.
 
     Every feature candidate is fitted with one stacked factor and one solve
     of the ball-constrained regression; the lowest-loss pair is kept
     (lowest candidate index on ties).
     """
-    T = Phi.tables_at(data.layer)
-    fac = BallLeastSquares(T[:, data.xs, data.acts], data.weights)
-    losses, W = fac.fit(data.ys[None], 0.0, radius)
+    counts = np.asarray(counts, dtype=float)
+    keep = counts > 0
+    if not keep.any():
+        raise VoxlabError("empty regression dataset")
+    xs, acts = np.nonzero(keep)
+    T = Phi.tables_at(t)
+    fac = BallLeastSquares(T[:, xs, acts], counts[keep])
+    ys = np.asarray(sums, dtype=float)[keep] / counts[keep]
+    losses, W = fac.fit(ys[None], 0.0, radius)
     i = int(np.argmin(losses[:, 0]))
     return FittedValue(phi_index=i, w=W[i, 0], q_table=T[i] @ W[i, 0],
                        loss=float(losses[i, 0]))
@@ -257,6 +229,8 @@ def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None, shared=None):
     ``radii[t]`` on Phi's layer-t candidates; act greedily on the fit.  A
     radius of None takes ``rewards[t]`` as the fit, but still draws the
     roll-in, so episode counts and the random stream ignore the radii.
+    Each layer's greedy table is built once, right after its fit, and the
+    lower layers' tails and the returned policy share it.
 
     The draw is a count chain (`simenv.sample_trajectories`): the cell
     counts at t and, for each later layer, the counts of (cell at t, state
@@ -307,14 +281,13 @@ def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None, shared=None):
             raise VoxlabError(f"roll-in memo was filled for another h, n, MDP or "
                               f"cover (h = {mine[0]}, n = {mine[1]}), not for "
                               f"h = {h}, n = {n}")
-    # each layer's greedy actions, filled from h down
-    acts = [None] * (h + 1)
+    # each layer's greedy actions and their table, filled from h down
+    acts, greedy = [None] * (h + 1), [None] * (h + 1)
     for t in range(h, -1, -1):
         key = (t, b"".join(a.tobytes() for a in acts[t + 1:h]))
         chain = None if shared is None else shared.get(key)
         if chain is None:
-            tail = compose_policies(Policy.uniform(M, t, t),
-                                    Policy.from_actions(M, acts[t + 1:], lo=t + 1))
+            tail = Policy(t, Policy.uniform(M, t, t).tables + tuple(greedy[t + 1:]))
             chain = sample_trajectories(M, covers[t], n, rng, upto=h, tail=tail,
                                         counter=counter)
             if t < h:
@@ -331,7 +304,8 @@ def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None, shared=None):
             if t < h:
                 top = reward_flat[h].reshape(M.n_states(h), M.A)
                 sums += chain[-1] @ top[np.arange(M.n_states(h)), acts[h]]
-            data = RegressionData.from_counts(t, chain[0], sums.reshape(chain[0].shape))
-            q = fit_value_class(data, Phi, radii[t]).q_table
+            q = fit_value_class(Phi, t, chain[0], sums.reshape(chain[0].shape),
+                                radii[t]).q_table
         acts[t] = np.argmax(q, axis=1)
-    return Policy.from_actions(M, acts)
+        greedy[t] = Policy.from_actions(M, [acts[t]], lo=t).tables[0]
+    return Policy(0, greedy)

@@ -148,31 +148,29 @@ class _GapScorer:
     """Adversarial gaps and envelope gradients of discriminators against one
     current candidate on one dataset, built once per search.
 
-    It keeps what stays fixed for the search: the stacked factor of the
-    candidate stack T (K, n_h, A, d) and its current-candidate slice, the
-    current candidate's table, the two radii and the dataset's counts.  A
+    It keeps what stays fixed for the search: the candidate stack T (K, n_h,
+    A, d) and its stacked factor, the two radii and the dataset's counts.  A
     call scores S discriminators: row i is the direction thetas[i] on the
     next-layer feature table ftabs[i] (ftabs is (S, n_{h+1}, A, d), possibly
     a broadcast view).  The gap is the loss of the current candidate in the
     big ball minus the best candidate's loss in the small ball (the first
     best on ties).  Every candidate is fitted by one stacked `min_norm`
-    solve; the current one's big-ball fit reuses its unconstrained solution.
-    When every unconstrained fit lies inside both balls no fit moves, so
-    `into_ball` is skipped and the current candidate's loss is its row of
-    the stacked losses; on the benchmark's searches no fit leaves a ball,
-    and the skip saves about 15% of a call.  The gradient, None unless grad
-    (a hill climb follows), holds the fitted weights and moves the targets.
-    Every row is bit-identical to scoring that discriminator alone against
-    one candidate at a time.
+    solve.  When every unconstrained fit lies inside both balls no fit
+    moves, so `into_ball` is skipped and the current candidate's loss is its
+    row of the stacked losses; on the benchmark's searches no fit leaves a
+    ball, and the skip saves about 15% of a call.  Otherwise the stack is
+    put into each ball, and the current candidate's big-ball fit is its row
+    of the big-ball stack.  The gradient, None unless grad (a hill climb
+    follows), holds the fitted weights and moves the targets.  Every row is
+    bit-identical to scoring that discriminator alone against one candidate
+    at a time.
     """
 
     def __init__(self, data, current, T, r_big, r_small, grad=True):
         self.data, self.current, self.T = data, current, T
         self.r_big, self.r_small, self.grad = r_big, r_small, grad
         self.inside = min(r_big, r_small) + NORM_EPS
-        self.fac = fac = data.factor_stack(T)
-        self.own_fac = fac[current]
-        self.cur_tab = T[current]
+        self.fac = data.factor_stack(T)
 
     def __call__(self, ftabs, thetas):
         S, fac, cur = len(thetas), self.fac, self.current
@@ -183,8 +181,8 @@ class _GapScorer:
             losses = fac.losses(W, Y, offsets)
             w_own, own = W[cur], losses[cur]
         else:
-            w_own = self.own_fac.into_ball(B[cur], W[cur], self.r_big)
-            own = self.own_fac.losses(w_own, Y, offsets)
+            big = fac.into_ball(B, W, self.r_big)
+            w_own, own = big[cur], fac.losses(big, Y, offsets)[cur]
             W = fac.into_ball(B, W, self.r_small)
             losses = fac.losses(W, Y, offsets)
         rows = np.arange(S)
@@ -193,7 +191,7 @@ class _GapScorer:
         if not self.grad:
             return gaps, None
         diff = (matvec(self.T[best], W[best, rows][:, None, :])
-                - matvec(self.cur_tab, w_own[:, None, :]))
+                - matvec(self.T[cur], w_own[:, None, :]))
         s = matvec(self.data._next_by_cell, diff.reshape(S, -1))
         chosen = ftabs[rows[:, None], np.arange(ftabs.shape[1]), fvals.argmax(axis=2)]
         return gaps, 2.0 * (s[:, :, None] * chosen).sum(axis=1)

@@ -270,14 +270,19 @@ def exact_policy_value(M, pi, reward_tables):
     return total
 
 
-# MDP -> {(shape, bytes) of a table: its `_rows`, (policy, s): state law at s};
-# each entry is a function of the immutable MDP and its key alone
+# MDP -> ({(shape, bytes) of a table: its `_rows`}, {policy: {s: its state
+# law at s}}), the policies held weakly too: each entry is a function of the
+# immutable MDP and its key alone, and dies with the MDP or the policy
 _LAWS = weakref.WeakKeyDictionary()
 
 
-def _memo(M, key, build):
-    """``build()`` for this MDP and key, computed once and held read-only."""
-    laws = _LAWS.setdefault(M, {})
+def _memo(M, key, build, pi=None):
+    """``build()`` for this MDP and key, or for this MDP, policy pi and key,
+    computed once and held read-only."""
+    laws = _LAWS.get(M)
+    if laws is None:
+        laws = _LAWS[M] = ({}, weakref.WeakKeyDictionary())
+    laws = laws[0] if pi is None else laws[1].setdefault(pi, {})
     law = laws.get(key)
     if law is None:
         law = laws[key] = build()
@@ -299,7 +304,7 @@ def _state_law(M, pi, s):
         occ = _state_law(M, pi, s - 1)
         return ((occ[:, None] * _rows(pi.table(s - 1))).ravel()
                 @ _rows_of(M, M.transition_matrix(s - 1)))
-    return _memo(M, (pi, s), build)
+    return _memo(M, s, build, pi)
 
 
 def _law(M, P, upto, tail):
@@ -314,9 +319,11 @@ def _law(M, P, upto, tail):
     or the component's own table at s = upto when there is no tail.  Every
     table is read through `_rows`.
 
-    Per call it only checks and mixes by weight: table rows (by value) and
-    (component, layer) state laws are memoised per MDP, held weakly, so a
-    planner that rolls in with the same covers pays each forward pass once.
+    Per call it only checks and mixes by weight: the tail's and the
+    transitions' rows (by value) and each component's state laws (by
+    policy and layer) are memoised per MDP, both held weakly, so a planner
+    that rolls in with the same covers pays each forward pass once, and a
+    component's own action rows are read afresh.
     """
     tail = Policy.empty(upto + 1) if tail is None else tail
     head = upto + 1 - len(tail.tables)
@@ -337,7 +344,7 @@ def _law(M, P, upto, tail):
     for comp, w in zip(P.policies, P.weights):
         if w == 0.0:
             continue
-        rows = _rows_of(M, (tail if tail.tables else comp).table(s))
+        rows = _rows_of(M, tail.table(s)) if tail.tables else _rows(comp.table(s))
         first = first + w * (_state_law(M, comp, s)[:, None] * rows).ravel()
     steps = [(_rows_of(M, M.transition_matrix(ell - 1)), _rows_of(M, tail.table(ell)))
              for ell in range(s + 1, upto + 1)]

@@ -80,6 +80,15 @@ MUTANTS = (
             "tests/test_estimators.py::test_deterministic_env_single_episode_exact",
         ),
     ),
+    Mutant(
+        "est_vec rounds its counts to float32",
+        "src/voxlab/estimators.py",
+        "np.tensordot(counts.astype(float), table,",
+        "np.tensordot(counts.astype(np.float32), table,",
+        (
+            "tests/test_limits.py::test_est_vec_and_est_mat_meet_the_exact_moments",
+        ),
+    ),
     # -------------------------------------------------------------- rep-learn
     Mutant(
         "rep-learn never leaves its start index",
@@ -89,6 +98,7 @@ MUTANTS = (
         (
             "tests/test_replearn.py::test_rep_learn_selects_true_features",
             "tests/test_acceptance.py::test_c06_replearn_terminates_and_transfers",
+            "tests/test_acceptance.py::test_c11_explorers_open_the_combination_lock[2]",
         ),
     ),
     Mutant(
@@ -99,6 +109,15 @@ MUTANTS = (
         (
             "tests/test_replearn.py::test_rep_learn_selects_true_features",
             "tests/test_acceptance.py::test_c06_replearn_terminates_and_transfers",
+        ),
+    ),
+    Mutant(
+        "the gap scorer fits the current candidate in the small ball",
+        "src/voxlab/replearn.py",
+        "big = fac.into_ball(B, W, self.r_big)",
+        "big = fac.into_ball(B, W, self.r_small)",
+        (
+            "tests/test_replearn.py::test_search_matches_the_reference_through_the_bisection",
         ),
     ),
     Mutant(
@@ -158,6 +177,25 @@ MUTANTS = (
         "for ell in range(t + 2, h):",
         (
             "tests/test_psdp.py::test_psdp_cell_means_at_n_1e12_match_the_exact_q_tables",
+        ),
+    ),
+    Mutant(
+        "fit_value_class drops the count weights",
+        "src/voxlab/psdp.py",
+        "fac = BallLeastSquares(T[:, xs, acts], counts[keep])",
+        "fac = BallLeastSquares(T[:, xs, acts])",
+        (
+            "tests/test_psdp.py::test_fit_ball_matches_the_per_candidate_reference",
+            "tests/test_psdp.py::test_regression_data_aggregation_preserves_loss",
+        ),
+    ),
+    Mutant(
+        "psdp rebuilds the greedy suffix for every layer's tail",
+        "src/voxlab/psdp.py",
+        "tuple(greedy[t + 1:])",
+        "Policy.from_actions(M, acts[t + 1:], lo=t + 1).tables",
+        (
+            "tests/test_psdp.py::test_a_query_builds_each_greedy_table_once",
         ),
     ),
     # ---------------------------------------------------------------- drivers
@@ -228,15 +266,34 @@ MUTANTS = (
         (
             "tests/test_simenv.py::test_each_law_equals_the_exact_occupancies",
             "tests/test_simenv.py::test_rollin_matches_the_per_component_loop",
+            "tests/test_limits.py::test_est_vec_and_est_mat_meet_the_exact_moments[mixture]",
         ),
     ),
     Mutant(
         "the state-law memo key drops the layer",
         "src/voxlab/simenv.py",
-        "return _memo(M, (pi, s), build)",
-        "return _memo(M, pi, build)",
+        "return _memo(M, s, build, pi)",
+        "return _memo(M, None, build, pi)",
         (
             "tests/test_simenv.py::test_a_warm_memo_gives_each_layer_its_own_law",
+        ),
+    ),
+    Mutant(
+        "the state-law memo holds its policies strongly",
+        "src/voxlab/simenv.py",
+        "laws = _LAWS[M] = ({}, weakref.WeakKeyDictionary())",
+        "laws = _LAWS[M] = ({}, {})",
+        (
+            "tests/test_simenv.py::test_the_memo_holds_no_entry_for_a_collected_policy",
+        ),
+    ),
+    Mutant(
+        "a component's own action rows are memoised by value",
+        "src/voxlab/simenv.py",
+        "else _rows(comp.table(s))",
+        "else _rows_of(M, comp.table(s))",
+        (
+            "tests/test_simenv.py::test_the_memo_holds_no_entry_for_a_collected_policy",
         ),
     ),
     Mutant(
@@ -246,7 +303,7 @@ MUTANTS = (
         "(table.shape,)",
         (
             "tests/test_simenv.py::test_each_law_equals_the_exact_occupancies",
-            "tests/test_simenv.py::test_a_warm_memo_gives_each_layer_its_own_law",
+            "tests/test_limits.py::test_replearn_targets_meet_the_exact_conditional_means",
         ),
     ),
     Mutant(

@@ -379,12 +379,15 @@ def test_c10_cli_runs_are_byte_deterministic(tmp_path):
         assert outs[0] == outs[1], sub
 
 
-def test_c11_explorers_open_the_combination_lock():
+@pytest.mark.parametrize("true_index", [0, 2])
+def test_c11_explorers_open_the_combination_lock(true_index):
     # H = 6, A = 4 locks, where uniform play reaches the open latent at
     # layer h with probability A^-h: at every layer 2..5, VoX covers reach
     # expectation-mode alpha 0.1 and SpanRL covers max-mode alpha 0.2, both
     # strictly above uniform's alpha in the same mode (measured: 1/(2A) =
-    # 0.125 and 1/A = 0.25 on every seed)
+    # 0.125 and 1/A = 0.25 on every seed, with the true map at either
+    # index).  Rep-learn starts at index 0, so with the true map at index 2
+    # it must move for the explorers to pass
     replearn = RepLearnConfig(restarts=4, grad_steps=30)
     vox = VoxSchedule(K=4, gamma=1e-3, n_replearn=6000, n_estmat=12000,
                       n_psdp=8000, fw_max_iters=60, replearn=replearn)
@@ -392,7 +395,8 @@ def test_c11_explorers_open_the_combination_lock():
                             replearn=replearn)
     for seed in range(4):
         M = combination_lock(6, 4, 2, seed)
-        Phi = make_feature_class(M, n_decoys=2, rng=np.random.default_rng(seed))
+        Phi = make_feature_class(M, n_decoys=2, rng=np.random.default_rng(seed),
+                                 true_index=true_index)
         eta = min(reachability_eta(M, h) for h in range(1, M.H))
         runs = [("expectation", 0.1,
                  run_vox(M, Phi, vox, np.random.default_rng(100 + seed))),

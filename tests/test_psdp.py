@@ -16,7 +16,6 @@ from voxlab import (
 )
 from voxlab.psdp import (
     BallLeastSquares,
-    RegressionData,
     ball_constrained_least_squares,
     fit_value_class,
     linear_reward,
@@ -206,7 +205,7 @@ def assert_slices_equal_one_design_factors(Zs, weights, Y, radius):
     for k, Z in enumerate(Zs):
         one = BallLeastSquares(Z, weights)
         for name in ("Z", "U", "s", "Vt", "pos"):
-            assert np.array_equal(getattr(fac[k], name), getattr(one, name))
+            assert np.array_equal(getattr(fac, name)[k], getattr(one, name))
         assert np.array_equal(W[k], one.solve_many(Y, radius))
         assert np.array_equal(losses[k], one.losses(W[k], Y, offsets))
         for y, w, offset, loss in zip(Y, W[k], offsets, losses[k]):
@@ -234,8 +233,6 @@ def test_stacked_factor_slices_equal_one_design_factors(K, weighted):
     if K == 3:
         assert outside[0].all() and not outside[-1].any()
     assert np.allclose(np.linalg.norm(W[outside], axis=1), 1.0, atol=1e-9)
-    # the one-design factor of a slice shares the stack's arrays
-    assert np.shares_memory(fac[K - 1].Vt, fac.Vt)
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -352,32 +349,43 @@ def test_psdp_rejects_bad_radii_before_drawing_an_episode(env, radii):
 
 
 def regression_data(layer, xs, acts, ys, n_states, A):
-    """`RegressionData.from_counts` on the cell counts and return sums of
-    raw samples."""
+    """The layer and the (n_states, A) cell counts and return sums of raw
+    samples, the arguments `fit_value_class` takes after Phi."""
     cell = np.asarray(xs, dtype=np.int64) * A + np.asarray(acts, dtype=np.int64)
     counts = np.bincount(cell, minlength=n_states * A).reshape(n_states, A)
     sums = np.bincount(cell, weights=ys, minlength=n_states * A).reshape(n_states, A)
-    return RegressionData.from_counts(layer, counts, sums)
+    return layer, counts, sums
+
+
+def observed_cells(counts, sums):
+    """The cells with a positive count, their mean targets and their counts
+    as weights: xs, acts, ys, weights."""
+    counts = np.asarray(counts, dtype=float)
+    keep = counts > 0
+    xs, acts = np.nonzero(keep)
+    return xs, acts, np.asarray(sums, dtype=float)[keep] / counts[keep], counts[keep]
 
 
 def reference_fit_value_class(data, Phi, radius):
     """Frozen copy of the per-candidate `fit_value_class` that the stacked
     one is pinned to: one factor and one frozen solve per candidate, the
     first lowest loss kept."""
+    layer, counts, sums = data
+    xs, acts, ys, weights = observed_cells(counts, sums)
     best = None
-    for i, tab in enumerate(Phi.tables_at(data.layer)):
-        Z = tab[data.xs, data.acts]
-        fac = BallLeastSquares(Z, data.weights)
-        w = reference_ball_solve(fac, data.ys, radius)
-        resid = Z @ w - data.ys
-        loss = float((data.weights * resid * resid).sum())
+    for i, tab in enumerate(Phi.tables_at(layer)):
+        Z = tab[xs, acts]
+        fac = BallLeastSquares(Z, weights)
+        w = reference_ball_solve(fac, ys, radius)
+        resid = Z @ w - ys
+        loss = float((weights * resid * resid).sum())
         if best is None or loss < best[3]:
             best = (i, w, tab @ w, loss)
     return best
 
 
 def assert_fit_matches_reference(data, Phi, radius):
-    fit = fit_value_class(data, Phi, radius)
+    fit = fit_value_class(Phi, *data, radius)
     index, w, q_table, loss = reference_fit_value_class(data, Phi, radius)
     assert fit.phi_index == index
     assert fit.w.tobytes() == w.tobytes()
@@ -428,7 +436,7 @@ def test_fit_ball_recovers_planted_weights(env):
     acts = rng.integers(0, env.A, size=400)
     ys = tab[xs, acts] @ w_true
     data = regression_data(1, xs, acts, ys, env.n_states(1), env.A)
-    fit = fit_value_class(data, FeatureClass([list(env.phi)]), 1.0)
+    fit = fit_value_class(FeatureClass([list(env.phi)]), *data, 1.0)
     assert fit.loss < 1e-16
     assert np.allclose(fit.q_table, tab @ w_true, atol=1e-8)
 
@@ -445,7 +453,7 @@ def test_fit_ball_prefers_the_realizing_candidate(env):
     acts = rng.integers(0, env.A, size=600)
     ys = tab[xs, acts] @ w_true
     data = regression_data(1, xs, acts, ys, env.n_states(1), env.A)
-    fit = fit_value_class(data, Phi, 1.0)
+    fit = fit_value_class(Phi, *data, 1.0)
     assert fit.phi_index == 0
 
 
@@ -456,17 +464,19 @@ def test_regression_data_aggregation_preserves_loss():
     acts = np.array([0, 0, 0, 1, 1])
     ys = np.array([1.0, 3.0, 2.0, 0.0, 1.0])
     data = regression_data(0, xs, acts, ys, 2, 2)
-    assert np.array_equal(data.weights, [2.0, 1.0, 2.0])
-    assert np.array_equal(data.ys, [2.0, 2.0, 0.5])
+    _, _, means, weights = observed_cells(*data[1:])
+    assert np.array_equal(weights, [2.0, 1.0, 2.0])
+    assert np.array_equal(means, [2.0, 2.0, 0.5])
     # a ball too small to reach the cell means, so the fit is not exact
     feat = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.6, 0.8], [0.0, 1.0]]])
-    fit = fit_value_class(data, FeatureClass([[feat]]), 0.5)
+    fit = fit_value_class(FeatureClass([[feat]]), *data, 0.5)
     assert np.linalg.norm(fit.w) == pytest.approx(0.5, abs=1e-9)
     raw_loss = float(((fit.q_table[xs, acts] - ys) ** 2).sum())
     spread = (1.0 + 1.0) + 0.0 + (0.25 + 0.25)
     assert fit.loss + spread == pytest.approx(raw_loss, abs=1e-12)
-    with pytest.raises(VoxlabError):
-        RegressionData.from_counts(0, np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(VoxlabError, match="empty regression dataset"):
+        fit_value_class(FeatureClass([[feat]]), 0, np.zeros((2, 2)),
+                        np.zeros((2, 2)), 0.5)
 
 
 # ------------------------------------------------------------------ psdp
@@ -591,10 +601,9 @@ def record_regressions(monkeypatch):
     list returned."""
     fits = []
 
-    def recording_fit(data, Phi, radius):
-        fits.append((data.layer, data.xs.tobytes(), data.acts.tobytes(),
-                     data.ys.tobytes(), data.weights.tobytes()))
-        return fit_value_class(data, Phi, radius)
+    def recording_fit(Phi, t, counts, sums, radius):
+        fits.append((t,) + tuple(a.tobytes() for a in observed_cells(counts, sums)))
+        return fit_value_class(Phi, t, counts, sums, radius)
 
     monkeypatch.setattr(importlib.import_module("voxlab.psdp"), "fit_value_class",
                         recording_fit)
@@ -700,6 +709,39 @@ def test_queries_sharing_the_greedy_layers_above_layer_0_share_its_rollin(monkey
     assert (re_drawn, re_keys) == ([], 4)
     assert not np.array_equal(first.table(3), rescaled.table(3))
     assert (other_drawn, other_keys) == ([1, 0], 6)
+
+
+def test_a_query_builds_each_greedy_table_once(monkeypatch):
+    # an h = 4 query builds one greedy table per layer, 5 in all, and every
+    # lower layer's tail and the returned policy share those tables
+    psdp_module = importlib.import_module("voxlab.psdp")
+    M = small_env(seed=0, H=6, A=3, d=2, states=(3, 4, 3, 4, 3, 3))
+    Phi = make_feature_class(M, n_decoys=1, rng=np.random.default_rng(0))
+    covers = [PolicyDistribution.point_mass(Policy.empty(0))] + [
+        PolicyDistribution.point_mass(Policy.uniform(M))] * 4
+    built, tails = [], []
+    from_actions = Policy.from_actions
+
+    def counted(mdp, actions, lo=0):
+        pi = from_actions(mdp, actions, lo)
+        built.extend(pi.tables)
+        return pi
+
+    def recording(M, P, n, rng, upto, tail=None, counter=None):
+        tails.append(tail)
+        return sample_trajectories(M, P, n, rng, upto, tail, counter=counter)
+
+    monkeypatch.setattr(Policy, "from_actions", staticmethod(counted))
+    monkeypatch.setattr(psdp_module, "sample_trajectories", recording)
+    tabs = [np.random.default_rng(t).standard_normal((M.n_states(t), M.A))
+            for t in range(5)]
+    pi = psdp(M, 4, tabs, Phi, [1.0] * 5, covers, 50, np.random.default_rng(9))
+    assert len(built) == 5
+    assert all(a is b for a, b in zip(pi.tables, built[::-1]))
+    assert [tail.lo for tail in tails] == [4, 3, 2, 1, 0]
+    for tail in tails:
+        assert all(a is b for a, b in zip(tail.tables[1:], pi.tables[tail.lo + 1:]))
+        assert len(tail.tables) == 5 - tail.lo
 
 
 def test_a_memo_filled_for_another_query_shape_raises_before_drawing():

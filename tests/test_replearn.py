@@ -1,5 +1,7 @@
 """Minimax feature selection: datasets, adversarial gaps, the learning loop."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -561,14 +563,16 @@ def test_search_matches_the_per_direction_reference(case):
 
 def test_search_matches_the_reference_through_the_bisection(monkeypatch):
     # a small competitor ball puts most minimum-norm fits outside it
+    # the package attribute `voxlab.psdp` is the function, so import the module
+    psdp_module = importlib.import_module("voxlab.psdp")
     calls = []
-    on_sphere = BallLeastSquares._on_sphere
+    on_sphere = psdp_module._on_sphere
 
-    def counted(self, b, radius):
+    def counted(s, Vt, b, radius):
         calls.append(radius)
-        return on_sphere(self, b, radius)
+        return on_sphere(s, Vt, b, radius)
 
-    monkeypatch.setattr(BallLeastSquares, "_on_sphere", counted)
+    monkeypatch.setattr(psdp_module, "_on_sphere", counted)
     Phi, data = search_instance(53, 3)
     cfg = RepLearnConfig(restarts=2, grad_steps=10, r_small=0.05)
     assert_search_matches_reference(Phi, data, cfg, seed=3)

@@ -568,6 +568,22 @@ def test_the_memo_holds_no_entry_for_a_collected_mdp():
     assert ref() is None and len(simenv._LAWS) == before
 
 
+def test_the_memo_holds_no_entry_for_a_collected_policy():
+    # 1,100 roll-ins, each with a fresh random 6-layer policy, leave only
+    # the rows of the 5 transitions they read: each policy's state laws,
+    # and its own action rows, die with it
+    M = combination_lock(6, 4, 2, 0)
+    rng = np.random.default_rng(0)
+    for _ in range(1100):
+        pi = Policy(0, [rng.random((M.n_states(t), M.A)) for t in range(M.H)])
+        sample_trajectories(M, pi, 100, rng, upto=5)
+    rows, laws = simenv._LAWS[M]
+    assert len(rows) == 5 and len(laws) == 1 and len(laws[pi]) == 6
+    del pi
+    gc.collect()
+    assert len(rows) == 5 and len(laws) == 0
+
+
 @pytest.mark.parametrize("shape", ["plain", "collect", "psdp"])
 def test_rollin_matches_the_per_component_loop(shape):
     # over 40 seeds of 500 episodes, every count array the sampler returns
