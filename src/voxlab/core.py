@@ -228,10 +228,15 @@ class Policy:
 
 
 class PolicyDistribution:
-    """Finite weighted mixture of policies; weights must sum to 1."""
+    """Finite weighted mixture of policies; weights must sum to 1.
+
+    The policies are held as a tuple and the weights read-only, so a
+    mixture does not change after construction: the sampler compiles its
+    roll-in law once per mixture object (`simenv._compiled`).
+    """
 
     def __init__(self, policies, weights):
-        self.policies = list(policies)
+        self.policies = tuple(policies)
         self.weights = np.asarray(weights, dtype=float)
         if len(self.policies) == 0:
             raise VoxlabError("policy distribution needs nonempty support")

@@ -16,6 +16,7 @@ as its Q-function), and returns a policy over [0..h].
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,6 +196,36 @@ def ball_constrained_least_squares(Z, y, radius, weights=None):
     return BallLeastSquares(Z, weights).solve_many(np.asarray(y)[None], radius)[0]
 
 
+# id of a read-only counts array -> (a weak reference to it whose callback
+# drops the entry, {(Phi, t): the array's observed cells, their counts and
+# the stacked factor of Phi's layer-t candidates there})
+_FACTORS = {}
+
+
+def _observed(Phi, t, counts):
+    """The cells (xs, acts) of the (|X_t|, A) counts with a positive count,
+    those counts as floats and the stacked factor of Phi's layer-t
+    candidates at them, weighted by the counts.  Kept for a read-only
+    counts array, which must not change, until it is collected."""
+    def build():
+        cnt = np.asarray(counts, dtype=float)
+        keep = cnt > 0
+        if not keep.any():
+            raise VoxlabError("empty regression dataset")
+        xs, acts = np.nonzero(keep)
+        T = Phi.tables_at(t)
+        return xs, acts, cnt[keep], BallLeastSquares(T[:, xs, acts], cnt[keep])
+    if not isinstance(counts, np.ndarray) or counts.flags.writeable:
+        return build()
+    key, which = id(counts), (Phi, t)
+    if key not in _FACTORS:
+        _FACTORS[key] = (weakref.ref(counts, lambda _: _FACTORS.pop(key)), {})
+    fits = _FACTORS[key][1]
+    if which not in fits:
+        fits[which] = build()
+    return fits[which]
+
+
 def fit_value_class(Phi, t, counts, sums, radius):
     """Least-squares fit of {(x, a) -> phi(x, a)^T w : phi a candidate of
     Phi at layer t, ||w|| <= radius} to the cells of the (|X_t|, A) tables
@@ -203,18 +234,16 @@ def fit_value_class(Phi, t, counts, sums, radius):
 
     Every feature candidate is fitted with one stacked factor and one solve
     of the ball-constrained regression; the lowest-loss pair is kept
-    (lowest candidate index on ties).
+    (lowest candidate index on ties).  The observed cells and the factor
+    of a read-only counts array are built once per (Phi, t) and dropped
+    when the array is collected, so fits that share a frozen count chain
+    share them.
     """
-    counts = np.asarray(counts, dtype=float)
-    keep = counts > 0
-    if not keep.any():
-        raise VoxlabError("empty regression dataset")
-    xs, acts = np.nonzero(keep)
-    T = Phi.tables_at(t)
-    fac = BallLeastSquares(T[:, xs, acts], counts[keep])
-    ys = np.asarray(sums, dtype=float)[keep] / counts[keep]
+    xs, acts, cnt, fac = _observed(Phi, t, counts)
+    ys = np.asarray(sums, dtype=float)[xs, acts] / cnt
     losses, W = fac.fit(ys[None], 0.0, radius)
     i = int(np.argmin(losses[:, 0]))
+    T = Phi.tables_at(t)
     return FittedValue(phi_index=i, w=W[i, 0], q_table=T[i] @ W[i, 0],
                        loss=float(losses[i, 0]))
 
@@ -250,7 +279,9 @@ def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None, shared=None):
     and stores it; a later one reads it and applies its own rewards and
     greedy layer at h, exactly what a fresh draw of the same counts gives.
     So layers h and h-1, whose keys hold no greedy layer, are drawn once
-    per memo, and a lower layer once per distinct greedy suffix.  Each
+    per memo, and a lower layer once per distinct greedy suffix.  A stored
+    chain is frozen, so `fit_value_class` builds its factor once for all
+    the queries that read it.  Each
     query's samples have a fresh draw's law; queries that share a key are
     dependent, and the spanner's union bound over its queries holds under
     any dependence between them.
@@ -293,6 +324,8 @@ def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None, shared=None):
             if t < h:
                 chain[-1] = chain[-1].sum(axis=2)
             if shared is not None:
+                for arr in chain:
+                    arr.setflags(write=False)
                 shared[key] = chain
         if radii[t] is None:
             q = reward_flat[t].reshape(M.n_states(t), M.A)

@@ -87,8 +87,9 @@ class RepLearnDataset:
 
     def __init__(self, layer, counts):
         self.layer = layer
+        # summed as given: integer counts sum exactly, their float copy not
+        self.n = int(round(np.sum(counts)))
         self.counts = _freeze(counts)
-        self.n = int(round(self.counts.sum()))
         if self.n == 0:
             raise VoxlabError("empty dataset")
         self.pair_counts = self.counts.sum(axis=2)

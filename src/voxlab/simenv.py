@@ -270,19 +270,26 @@ def exact_policy_value(M, pi, reward_tables):
     return total
 
 
-# MDP -> ({(shape, bytes) of a table: its `_rows`}, {policy: {s: its state
-# law at s}}), the policies held weakly too: each entry is a function of the
-# immutable MDP and its key alone, and dies with the MDP or the policy
+# MDP -> ({(shape, bytes) of a table: its `_rows`}, {roll-in object: {s: its
+# state law at s, (upto, tail key): its compiled law}}), the roll-in objects
+# (policies by value, distributions by identity) held weakly too: each entry
+# is a function of the immutable MDP and its key alone, and dies with the MDP
+# or the roll-in object
 _LAWS = weakref.WeakKeyDictionary()
+
+
+def _laws(M, pi=None):
+    """The memo of this MDP's tables, or of the roll-in object pi on it."""
+    laws = _LAWS.get(M)
+    if laws is None:
+        laws = _LAWS[M] = ({}, weakref.WeakKeyDictionary())
+    return laws[0] if pi is None else laws[1].setdefault(pi, {})
 
 
 def _memo(M, key, build, pi=None):
     """``build()`` for this MDP and key, or for this MDP, policy pi and key,
     computed once and held read-only."""
-    laws = _LAWS.get(M)
-    if laws is None:
-        laws = _LAWS[M] = ({}, weakref.WeakKeyDictionary())
-    laws = laws[0] if pi is None else laws[1].setdefault(pi, {})
+    laws = _laws(M, pi)
     law = laws.get(key)
     if law is None:
         law = laws[key] = build()
@@ -319,11 +326,12 @@ def _law(M, P, upto, tail):
     or the component's own table at s = upto when there is no tail.  Every
     table is read through `_rows`.
 
-    Per call it only checks and mixes by weight: the tail's and the
-    transitions' rows (by value) and each component's state laws (by
-    policy and layer) are memoised per MDP, both held weakly, so a planner
-    that rolls in with the same covers pays each forward pass once, and a
-    component's own action rows are read afresh.
+    `_compiled` calls it once per roll-in and holds the result; a call only
+    checks and mixes by weight: the tail's and the transitions' rows (by
+    value) and each component's state laws (by policy and layer) are
+    memoised per MDP, both held weakly, so roll-ins that share covers pay
+    each forward pass once, and a component's own action rows are read
+    afresh.
     """
     tail = Policy.empty(upto + 1) if tail is None else tail
     head = upto + 1 - len(tail.tables)
@@ -351,6 +359,29 @@ def _law(M, P, upto, tail):
     return s, first / first.sum(), steps
 
 
+def _compiled(M, P, upto, tail):
+    """`_law` of the roll-in of P through ``upto`` with ``tail``, each step
+    with its tail rows' hot actions, or None unless every row is one-hot.
+
+    Built once per MDP, roll-in object P (a Policy by value, a
+    PolicyDistribution by identity), upto and tail value, and held weakly
+    by P: the first call runs every check of `_law`, a later one none.
+    """
+    laws = _laws(M, P if isinstance(P, Policy) else as_distribution(P))
+    key = (upto, None if tail is None else tail.action_key())
+    law = laws.get(key)
+    if law is None:
+        s, first, steps = _law(M, as_distribution(P), upto, tail)
+        first.setflags(write=False)
+        # `_rows` leaves at least one nonzero entry in a row, and one alone
+        # is x / x: 1.0, or NaN for an infinite x
+        law = laws[key] = (s, first, [
+            (trans, rows, rows.argmax(axis=1) if np.count_nonzero(rows) == len(rows)
+             and rows.sum() == len(rows) else None)
+            for trans, rows in steps])
+    return law
+
+
 def sample_trajectories(M, P, n, rng, upto=None, tail=None, counter=None):
     """Counts of ``n`` episodes through layer ``upto``, each rolled in with a
     policy drawn from P, drawn from their exact multinomial law.
@@ -367,32 +398,45 @@ def sample_trajectories(M, P, n, rng, upto=None, tail=None, counter=None):
     tallies of n episodes drawn one by one: one multinomial draw over the
     cells at s from `_law`, then, layer by layer, one per nonzero count
     over the next states (its transition row) and one per nonzero count
-    over the actions there (the tail's row).  The cost does not grow with
-    n, and the law's forward passes are memoised per MDP, held weakly (see
-    `_law`), so a planner that reuses its covers pays each once.  Every
-    component's cover and every table's shape, and n itself, are checked
-    before anything is counted or drawn; ``rng.multinomial`` takes n only
-    below 2**63.
+    over the actions there (the tail's row).  A layer whose tail rows are
+    all one-hot puts each count on its row's action, and draws one uniform
+    per nonzero count whose action is not the last: numpy's multinomial
+    spends exactly that on such a row (one binomial inversion at the hot
+    action, which draws one double, and nothing after it; nothing at all
+    when the hot action is the last), so the counts and the generator's
+    state are those of the multinomial, for every bit generator.
+
+    The cost does not grow with n.  The law is compiled once per roll-in
+    (`_compiled`: the MDP, P itself, upto and the tail's value) and held
+    weakly by P, with its forward passes memoised per MDP (see `_law`), so
+    a planner that reuses its covers pays each once.  The first roll-in of
+    a key checks every component's cover and every table's shape before
+    anything is counted or drawn; every call checks n, which
+    ``rng.multinomial`` takes only below 2**63.
     """
     upto = M.H - 1 if upto is None else upto
     _check_layer(M, upto)
     if not 0 <= n < 2**63:
         raise VoxlabError(f"n must be in [0, 2**63), got {n}")
-    s, first, steps = _law(M, as_distribution(P), upto, tail)
+    s, first, steps = _compiled(M, P, upto, tail)
     if counter is not None:
         counter.add(n)
     cells = rng.multinomial(n, first)
     counts = [cells.reshape(M.n_states(s), M.A)]
     # (cell at s, flat (state, action) at the last layer counted)
     prev = np.diag(cells)
-    for trans, rows in steps:
+    for trans, rows, hot in steps:
         c, j = np.nonzero(prev)
-        states = np.zeros(prev.shape + (trans.shape[1],), dtype=np.int64)
-        states[c, j] = rng.multinomial(prev[c, j], trans[j])
-        states = states.sum(axis=1)
-        c, x = np.nonzero(states)
+        # (cell at s, state at this layer)
+        states = np.zeros((len(cells), trans.shape[1]), dtype=np.int64)
+        np.add.at(states, c, rng.multinomial(prev[c, j], trans[j]))
         now = np.zeros(states.shape + (M.A,), dtype=np.int64)
-        now[c, x] = rng.multinomial(states[c, x], rows[x])
+        if hot is None:
+            c, x = np.nonzero(states)
+            now[c, x] = rng.multinomial(states[c, x], rows[x])
+        else:
+            now[:, np.arange(len(hot)), hot] = states
+            rng.random(np.count_nonzero(states[:, hot != M.A - 1]))
         counts.append(now)
         prev = now.reshape(len(cells), -1)
     return counts

@@ -182,8 +182,8 @@ MUTANTS = (
     Mutant(
         "fit_value_class drops the count weights",
         "src/voxlab/psdp.py",
-        "fac = BallLeastSquares(T[:, xs, acts], counts[keep])",
-        "fac = BallLeastSquares(T[:, xs, acts])",
+        "BallLeastSquares(T[:, xs, acts], cnt[keep])",
+        "BallLeastSquares(T[:, xs, acts])",
         (
             "tests/test_psdp.py::test_fit_ball_matches_the_per_candidate_reference",
             "tests/test_psdp.py::test_regression_data_aggregation_preserves_loss",
@@ -196,6 +196,15 @@ MUTANTS = (
         "Policy.from_actions(M, acts[t + 1:], lo=t + 1).tables",
         (
             "tests/test_psdp.py::test_a_query_builds_each_greedy_table_once",
+        ),
+    ),
+    Mutant(
+        "the factor cache ignores the layer",
+        "src/voxlab/psdp.py",
+        "key, which = id(counts), (Phi, t)",
+        "key, which = id(counts), Phi",
+        (
+            "tests/test_psdp.py::test_a_read_only_count_array_shares_its_factor_per_layer_and_class",
         ),
     ),
     # ---------------------------------------------------------------- drivers
@@ -245,7 +254,6 @@ MUTANTS = (
         "rng.multinomial(states[c, x], np.full(M.A, 1.0 / M.A))",
         (
             "tests/test_simenv.py::test_rollin_matches_the_per_component_loop",
-            "tests/test_psdp.py::test_psdp_cell_means_at_n_1e12_match_the_exact_q_tables",
         ),
     ),
     Mutant(
@@ -314,6 +322,63 @@ MUTANTS = (
         (
             "tests/test_simenv.py::test_each_law_equals_the_exact_occupancies",
             "tests/test_simenv.py::test_a_warm_memo_gives_each_layer_its_own_law",
+        ),
+    ),
+    Mutant(
+        "the sampler keeps one next-state draw per cell at s",
+        "src/voxlab/simenv.py",
+        "np.add.at(states, c, rng.multinomial(prev[c, j], trans[j]))",
+        "states[c] = rng.multinomial(prev[c, j], trans[j])",
+        (
+            "tests/test_simenv.py::test_rollin_matches_the_per_component_loop",
+            "tests/test_psdp.py::test_psdp_cell_means_at_n_1e12_match_the_exact_q_tables",
+        ),
+    ),
+    Mutant(
+        "one-hot steps draw no uniforms",
+        "src/voxlab/simenv.py",
+        "            rng.random(np.count_nonzero(states[:, hot != M.A - 1]))\n",
+        "",
+        (
+            "tests/test_simenv.py::test_one_hot_steps_match_a_forced_multinomial",
+        ),
+    ),
+    Mutant(
+        "one-hot steps also draw for counts on the last action",
+        "src/voxlab/simenv.py",
+        "rng.random(np.count_nonzero(states[:, hot != M.A - 1]))",
+        "rng.random(np.count_nonzero(states))",
+        (
+            "tests/test_simenv.py::test_one_hot_steps_match_a_forced_multinomial",
+        ),
+    ),
+    Mutant(
+        "one-hot steps put every count on the first action",
+        "src/voxlab/simenv.py",
+        "now[:, np.arange(len(hot)), hot] = states",
+        "now[:, np.arange(len(hot)), 0] = states",
+        (
+            "tests/test_limits.py::test_psdp_returns_a_policy_greedy_on_its_own_exact_q_tables",
+            "tests/test_psdp.py::test_psdp_cell_means_at_n_1e12_match_the_exact_q_tables",
+        ),
+    ),
+    Mutant(
+        "a step counts as one-hot when its rows sum to one",
+        "src/voxlab/simenv.py",
+        "if np.count_nonzero(rows) == len(rows)",
+        "if True",
+        (
+            "tests/test_simenv.py::test_one_hot_steps_match_a_forced_multinomial",
+            "tests/test_simenv.py::test_rollin_matches_the_per_component_loop",
+        ),
+    ),
+    Mutant(
+        "the compiled-law key drops the tail's value",
+        "src/voxlab/simenv.py",
+        "key = (upto, None if tail is None else tail.action_key())",
+        "key = (upto,)",
+        (
+            "tests/test_simenv.py::test_a_repeated_rollin_compiles_nothing_and_a_new_tail_value_compiles_once",
         ),
     ),
     # -------------------------------------------------------- exact evaluators

@@ -7,20 +7,22 @@ here against its exact counterpart at that n, on the combination lock and on
 a c07-family environment, at every layer, under uniform play and under a
 (0.3, 0.7) mixture of uniform play and a deterministic policy.
 
-``RepLearnDataset.n`` is a float sum of the counts, so at this n it reads
-2**62; the checks assert on the counts instead: the sampler's integer
-counts sum to n exactly, and a dataset's float counts to n within rounding.
+The sampler's integer counts sum to n exactly, and so does
+``RepLearnDataset.n``, which is summed before the counts are cast to float;
+a dataset's float counts sum to n only within rounding.
 """
 
 import numpy as np
 import pytest
 
-from voxlab import Policy, PolicyDistribution
+from voxlab import FeatureClass, Policy, PolicyDistribution
 from voxlab.estimators import est_mat, est_vec, visit_counts
+from voxlab.psdp import linear_reward, psdp
 from voxlab.replearn import RepLearnDataset
 from voxlab.simenv import (
     combination_lock,
     exact_feature_expectation,
+    exact_q_tables,
     exact_second_moment,
 )
 
@@ -77,9 +79,34 @@ def test_replearn_targets_meet_the_exact_conditional_means(kind):
         P, _ = play(M, kind)
         for h in range(M.H - 1):
             data = RepLearnDataset.collect(M, h, P, N, np.random.default_rng(h))
+            assert data.n == N
             assert data.counts.sum() == pytest.approx(N, rel=1e-15)
             F = np.random.default_rng(h).random((3, M.n_states(h + 1)))
             Y, _ = data.targets(F)
             xs, acts = np.nonzero(data.pair_counts > 0)
             want = M.transition_matrix(h)[xs, acts] @ F.T
             assert np.abs(Y - want.T).max() <= 1e-7, (M.H, h)
+
+
+def test_psdp_returns_a_policy_greedy_on_its_own_exact_q_tables():
+    # with the true features, a radius of 100, uniform covers and a random
+    # linear reward on every feature layer, the Q-functions are realizable
+    # and PSDP's fits at N episodes per layer are exact to about 1e-9, so
+    # the returned policy loses nothing against one greedy step on its own
+    # exact Q tables at any state of any layer: it is optimal.  Its greedy
+    # tails are one-hot, so the sampler's one-hot steps carry counts of
+    # order N here
+    envs = [combination_lock(H, 4, 2, seed) for H, seed in ((6, 0), (6, 1), (5, 2),
+                                                            (4, 3))]
+    envs += [small_env(seed=7010 + i, H=4, A=2, d=2, states=(4, 5, 5, 5), boost=0.5)
+             for i in range(4)]
+    for i, M in enumerate(envs):
+        rng = np.random.default_rng(i)
+        h = M.H - 2
+        rewards = [linear_reward(rng.standard_normal(M.d), M.phi[t])
+                   for t in range(h + 1)]
+        pi = psdp(M, h, rewards, FeatureClass([M.phi]), [100.0] * (h + 1),
+                  [Policy.uniform(M)] * (h + 1), N, rng)
+        for t, q in enumerate(exact_q_tables(M, pi, rewards)):
+            gap = q.max(axis=1) - (pi.table(t) * q).sum(axis=1)
+            assert gap.max() <= 1e-6, (i, t, gap.max())

@@ -744,6 +744,66 @@ def test_a_query_builds_each_greedy_table_once(monkeypatch):
         assert len(tail.tables) == 5 - tail.lo
 
 
+def counted_factors(monkeypatch):
+    """Make psdp count the BallLeastSquares factors it builds, in the list
+    returned."""
+    psdp_module = importlib.import_module("voxlab.psdp")
+    built = []
+
+    class Counted(BallLeastSquares):
+        def __init__(self, Z, weights=None):
+            built.append(Z.shape)
+            super().__init__(Z, weights)
+
+    monkeypatch.setattr(psdp_module, "BallLeastSquares", Counted)
+    return built
+
+
+def test_a_read_only_count_array_shares_its_factor_per_layer_and_class(monkeypatch):
+    # fits on one read-only counts array build one factor per (Phi, t),
+    # each fit equal to a fresh one on a writable copy, and the cached
+    # cells and factors die with the array
+    psdp_module = importlib.import_module("voxlab.psdp")
+    M = small_env(seed=0, H=4, A=2, d=2, states=(3, 3, 3, 3))
+    rng = np.random.default_rng(1)
+    Phi, other = (make_feature_class(M, n_decoys=2, rng=rng) for _ in range(2))
+    counts = rng.integers(0, 5, size=(3, 2))
+    counts[0, 0] = 0
+    counts.setflags(write=False)
+    sums = rng.standard_normal((3, 2))
+    built = counted_factors(monkeypatch)
+    before = len(psdp_module._FACTORS)
+    for cls, t in [(Phi, 0), (Phi, 1), (Phi, 0), (Phi, 1), (other, 1)]:
+        got = fit_value_class(cls, t, counts, sums, 0.3)
+        want = fit_value_class(cls, t, counts.copy(), sums, 0.3)
+        assert (got.phi_index, got.w.tobytes(), got.q_table.tobytes(), got.loss) == (
+            want.phi_index, want.w.tobytes(), want.q_table.tobytes(), want.loss)
+    assert len(built) == 3 + 5
+    assert len(psdp_module._FACTORS) == before + 1
+    del counts
+    assert len(psdp_module._FACTORS) == before
+
+
+def test_a_spanrl_design_builds_one_factor_per_memoised_chain(monkeypatch):
+    # every radius of a SpanRL design is set, so each chain in its memo is
+    # fitted; the queries that replay a chain reuse its factor
+    from voxlab.drivers import SpanrlSchedule, run_spanrl
+    from voxlab.replearn import RepLearnConfig
+    from voxlab.simenv import combination_lock
+
+    built = counted_factors(monkeypatch)
+    schedule = SpanrlSchedule(n_replearn=2000, n_estvec=2000, n_psdp=2000,
+                              replearn=RepLearnConfig(restarts=2, grad_steps=10))
+    for seed in range(2):
+        M = combination_lock(5, 4, 2, seed)
+        Phi = make_feature_class(M, n_decoys=2, rng=np.random.default_rng(seed))
+        built.clear()
+        log = run_spanrl(M, Phi, 0.005, schedule, np.random.default_rng(100 + seed)).log
+        draws = sum(row["psdp_draws"] for row in log)
+        assert len(built) == draws
+        assert sum(row["opt_calls"] * (row["h"] + 1) for row in log) > draws
+
+
 def test_a_memo_filled_for_another_query_shape_raises_before_drawing():
     for h in (2, 3):
         M, Phi, covers, radii = memo_instance(0, h)

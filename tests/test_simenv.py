@@ -1,6 +1,7 @@
 """Synthetic environments, exact occupancy algebra, samplers, reachability."""
 
 import gc
+import pickle
 import re
 import weakref
 
@@ -300,6 +301,9 @@ def test_sampler_respects_upto_and_counter(env):
     with pytest.raises(VoxlabError):
         sample_trajectories(env, pi, -5, np.random.default_rng(6), upto=0,
                             counter=counter)
+    with pytest.raises(VoxlabError, match="expected Policy or PolicyDistribution"):
+        sample_trajectories(env, [pi], 5, np.random.default_rng(6), upto=0,
+                            counter=counter)
     assert counter.count == 50
     counts = sample_trajectories(env, pi, 0, np.random.default_rng(6), upto=0,
                                  counter=counter)
@@ -492,7 +496,8 @@ def test_initial_states_match_a_search_of_the_cumulative_rho(seed, n0, n):
 
 def rollin_case(shape):
     """A three-component mixture (one of weight 0) with no tail, the tail
-    `RepLearnDataset.collect` takes, or the tail `psdp` takes."""
+    `RepLearnDataset.collect` takes, the tail `psdp` takes, or a tail whose
+    step layers are random and one-hot."""
     M = small_env(seed=3, H=4, states=(3, 4, 4, 3))
     rng = np.random.default_rng(8)
     P = PolicyDistribution([random_policy(M, rng) for _ in range(3)],
@@ -504,6 +509,8 @@ def rollin_case(shape):
         "plain": (3, Policy.empty(4)),
         "collect": (2, Policy(1, [unif[1], unif[2]])),
         "psdp": (3, Policy(1, [unif[1]] + list(greedy[2:4]))),
+        "mixed": (3, Policy(1, [unif[1], random_policy(M, rng, 2, 2).table(2),
+                                greedy[3]])),
     }[shape]
     return M, P, upto, tail
 
@@ -519,7 +526,7 @@ def tally(M, S, A, s, upto):
     return out
 
 
-@pytest.mark.parametrize("shape", ["plain", "collect", "psdp"])
+@pytest.mark.parametrize("shape", ["plain", "collect", "psdp", "mixed"])
 def test_each_law_equals_the_exact_occupancies(shape):
     # the law at s is the mixture's oracle occupancy times the action rows
     # at s; from each cell (x, a) at s, the law at a later layer is the
@@ -568,23 +575,124 @@ def test_the_memo_holds_no_entry_for_a_collected_mdp():
     assert ref() is None and len(simenv._LAWS) == before
 
 
+def fresh_rollins(M, rng, k):
+    """Sample 1,100 roll-ins through the last layer on M, each with a fresh
+    random policy (k = 1) or a fresh k-component mixture of them; returns
+    the last roll-in object and the policies it holds."""
+    def fresh():
+        return Policy(0, [rng.random((M.n_states(t), M.A)) for t in range(M.H)])
+    for _ in range(1100):
+        parts = [fresh() for _ in range(k)]
+        P = parts[0] if k == 1 else PolicyDistribution(parts, np.full(k, 1.0 / k))
+        sample_trajectories(M, P, 100, rng, upto=M.H - 1)
+    return P, parts
+
+
 def test_the_memo_holds_no_entry_for_a_collected_policy():
     # 1,100 roll-ins, each with a fresh random 6-layer policy, leave only
-    # the rows of the 5 transitions they read: each policy's state laws,
-    # and its own action rows, die with it
+    # the rows of the 5 transitions they read: each policy's compiled law,
+    # its state laws and its own action rows die with it
     M = combination_lock(6, 4, 2, 0)
-    rng = np.random.default_rng(0)
-    for _ in range(1100):
-        pi = Policy(0, [rng.random((M.n_states(t), M.A)) for t in range(M.H)])
-        sample_trajectories(M, pi, 100, rng, upto=5)
+    pi = fresh_rollins(M, np.random.default_rng(0), 1)[0]
     rows, laws = simenv._LAWS[M]
-    assert len(rows) == 5 and len(laws) == 1 and len(laws[pi]) == 6
+    assert len(rows) == 5 and len(laws) == 1
+    assert set(laws[pi]) == {0, 1, 2, 3, 4, 5, (5, None)}
     del pi
     gc.collect()
     assert len(rows) == 5 and len(laws) == 0
 
 
-@pytest.mark.parametrize("shape", ["plain", "collect", "psdp"])
+def test_the_memo_holds_no_entry_for_a_collected_mixture():
+    # the same with fresh 2-component mixtures: the mixture holds only its
+    # compiled law, each component only its state laws, and all die with it
+    M = combination_lock(6, 4, 2, 0)
+    P, parts = fresh_rollins(M, np.random.default_rng(1), 2)
+    rows, laws = simenv._LAWS[M]
+    assert len(rows) == 5 and len(laws) == 3
+    assert set(laws[P]) == {(5, None)}
+    assert all(set(laws[pi]) == {0, 1, 2, 3, 4, 5} for pi in parts)
+    del P, parts
+    gc.collect()
+    assert len(rows) == 5 and len(laws) == 0
+
+
+def state_bytes(rng):
+    """The generator's full state, buffered uint32 included, as bytes."""
+    return pickle.dumps(rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.PCG64DXSM,
+                                    np.random.MT19937, np.random.Philox,
+                                    np.random.SFC64], ids=lambda g: g.__name__)
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("A", [1, 4])
+def test_one_hot_steps_match_a_forced_multinomial(monkeypatch, bitgen, buffered, A):
+    # a step whose tail rows are all one-hot skips the multinomial, yet the
+    # counts and the generator's state, a buffered uint32 included, equal
+    # those of the multinomial at every step; the tail holds one-hot layers,
+    # whose hot actions take every action, the last too, and some rows
+    # scaled, and a uniform layer, one-hot only when A = 1, whose rows sum
+    # to exactly one as one-hot rows do
+    M = small_env(seed=5, H=5, A=A, d=2, states=(3, 4, 5, 4, 3))
+    rng = np.random.default_rng(6)
+    hot = [rng.integers(A, size=M.n_states(t)) for t in range(M.H)]
+    assert set(hot[2]) == set(range(A))
+    one_hot = [np.eye(A)[acts] * rng.choice([1.0, 2.5], size=(len(acts), 1))
+               for acts in hot]
+    tail = Policy(1, [np.full((M.n_states(1), A), 1.0 / A), one_hot[2],
+                      np.full((M.n_states(3), A), 1.0 / A), one_hot[4]])
+    P = PolicyDistribution([random_policy(M, rng), Policy.from_actions(M, hot)],
+                           [0.3, 0.7])
+    compiled = simenv._compiled
+    steps = compiled(M, P, 4, tail)[2]
+    assert [h is not None for _, _, h in steps] == [True, A == 1, True]
+    assert all(np.array_equal(h, hot[t]) for (_, _, h), t in zip(steps, (2, 3, 4))
+               if t != 3)
+
+    def forced(*args):
+        s, first, steps = compiled(*args)
+        return s, first, [(trans, rows, None) for trans, rows, _ in steps]
+
+    for n in (1, 1000, 2**62 - 1):
+        runs = []
+        for law in (compiled, forced):
+            monkeypatch.setattr(simenv, "_compiled", law)
+            gen = np.random.Generator(bitgen(7))
+            if buffered:
+                gen.integers(0, 10)
+            counts = sample_trajectories(M, P, n, gen, 4, tail)
+            runs.append(([c.tobytes() for c in counts], state_bytes(gen)))
+        assert runs[0] == runs[1], n
+
+
+def test_a_repeated_rollin_compiles_nothing_and_a_new_tail_value_compiles_once(
+        monkeypatch):
+    # the law is compiled once per roll-in object (a Policy by value, a
+    # mixture by identity), upto and tail value; later roll-ins only draw
+    M, P, upto, tail = rollin_case("psdp")
+    built = []
+    law = simenv._law
+
+    def counted(M, P, upto, tail):
+        built.append(None)
+        return law(M, P, upto, tail)
+
+    monkeypatch.setattr(simenv, "_law", counted)
+    equal_tail = Policy(tail.lo, [t.copy() for t in tail.tables])
+    other_tail = Policy(tail.lo, tail.tables[:-1] + (tail.tables[-1][:, ::-1],))
+    pi = P.policies[0]
+    rng = np.random.default_rng(0)
+    for roll_in, last, tl, want in [
+            (P, upto, tail, 1), (P, upto, tail, 1), (P, upto, equal_tail, 1),
+            (P, upto, None, 2), (P, upto - 1, None, 3), (P, upto, other_tail, 4),
+            (P, upto, other_tail, 4),
+            (PolicyDistribution(P.policies, P.weights), upto, tail, 5),
+            (pi, upto, tail, 6), (Policy(0, pi.tables), upto, tail, 6)]:
+        sample_trajectories(M, roll_in, 50, rng, last, tl)
+        assert len(built) == want
+
+
+@pytest.mark.parametrize("shape", ["plain", "collect", "psdp", "mixed"])
 def test_rollin_matches_the_per_component_loop(shape):
     # over 40 seeds of 500 episodes, every count array the sampler returns
     # passes a chi-square test against the frozen per-component loop's
