@@ -59,11 +59,12 @@ def _freeze(arr):
     """Read-only float64 C-contiguous copy of ``arr``, so the caller's array
     is never frozen or aliased; a read-only array of that layout that owns
     its data is shared instead, so frozen tables pass through uncopied."""
-    if not (type(arr) is np.ndarray and arr.dtype == np.float64
-            and arr.flags.c_contiguous and arr.flags.owndata
-            and not arr.flags.writeable):
-        arr = np.array(arr, dtype=float, order="C")
-        arr.setflags(write=False)
+    if type(arr) is np.ndarray and arr.dtype == np.float64:
+        flags = arr.flags
+        if flags.c_contiguous and flags.owndata and not flags.writeable:
+            return arr
+    arr = np.array(arr, dtype=float, order="C")
+    arr.setflags(write=False)
     return arr
 
 
@@ -163,7 +164,7 @@ class Policy:
 
     def __init__(self, lo, tables):
         self.lo = int(lo)
-        self.tables = tuple(_freeze(t) for t in tables)
+        self.tables = tuple(map(_freeze, tables))
         for t in self.tables:
             if t.ndim != 2:
                 raise VoxlabError("policy tables must be 2-d (states x actions)")
@@ -216,12 +217,13 @@ class Policy:
 
     @staticmethod
     def from_actions(mdp, actions, lo=0):
-        """Deterministic policy from per-layer action index arrays."""
+        """Deterministic policy from per-layer action index arrays (or one
+        action for every state of a layer)."""
         tables = []
-        for i, acts in enumerate(actions):
-            h = lo + i
-            t = np.zeros((mdp.n_states(h), mdp.A))
-            t[np.arange(mdp.n_states(h)), np.asarray(acts, dtype=int)] = 1.0
+        for h, acts in enumerate(actions, lo):
+            n = mdp.n_states(h)
+            t = np.zeros((n, mdp.A))
+            t[np.arange(n), np.asarray(acts, dtype=int)] = 1.0
             t.setflags(write=False)
             tables.append(t)
         return Policy(lo, tables)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from voxlab.core import Policy, VoxlabError
-from voxlab.simenv import sample_trajectories
+from voxlab.simenv import _reward_table, sample_trajectories
 
 NORM_EPS = 1e-10
 
@@ -71,8 +71,8 @@ class BallLeastSquares:
             raise VoxlabError(f"shape mismatch: Z {Z.shape} is not 2-d or 3-d")
         self.Z = Z
         # no weights are unit weights: multiplying by 1.0 is exact
-        self.weights = np.asarray(np.ones(Z.shape[-2]) if weights is None
-                                  else weights, dtype=float)
+        self.weights = (np.ones(Z.shape[-2]) if weights is None
+                        else np.asarray(weights, dtype=float))
         self.root = np.sqrt(self.weights)
         self.U, self.s, self.Vt = np.linalg.svd(Z * self.root[:, None],
                                                 full_matrices=False)
@@ -80,8 +80,8 @@ class BallLeastSquares:
         self.pos = self.s > self.s[..., :1] * 1e-13
         # min_norm's operands with a target axis: U^T, V, s and the rank
         # mask, which is None when every singular value is kept
-        self._Ut = np.swapaxes(self.U, -1, -2)[..., None, :, :]
-        self._V = np.swapaxes(self.Vt, -1, -2)[..., None, :, :]
+        self._Ut = self.U.swapaxes(-1, -2)[..., None, :, :]
+        self._V = self.Vt.swapaxes(-1, -2)[..., None, :, :]
         self._s = self.s[..., None, :]
         self._mask = None if self.pos.all() else self.pos[..., None, :]
 
@@ -203,18 +203,19 @@ _FACTORS = {}
 
 
 def _observed(Phi, t, counts):
-    """The cells (xs, acts) of the (|X_t|, A) counts with a positive count,
-    those counts as floats and the stacked factor of Phi's layer-t
-    candidates at them, weighted by the counts.  Kept for a read-only
-    counts array, which must not change, until it is collected."""
+    """The flat indices x * A + a of the cells of the (|X_t|, A) counts with
+    a positive count, those counts as floats and the stacked factor of
+    Phi's layer-t candidates at them, weighted by the counts.  Kept for a
+    read-only counts array, which must not change, until it is collected."""
     def build():
-        cnt = np.asarray(counts, dtype=float)
-        keep = cnt > 0
-        if not keep.any():
+        cnt = np.asarray(counts, dtype=float).ravel()
+        keep = (cnt > 0).nonzero()[0]
+        if not keep.size:
             raise VoxlabError("empty regression dataset")
-        xs, acts = np.nonzero(keep)
         T = Phi.tables_at(t)
-        return xs, acts, cnt[keep], BallLeastSquares(T[:, xs, acts], cnt[keep])
+        cnt = cnt[keep]
+        return keep, cnt, BallLeastSquares(
+            T.reshape(len(T), -1, T.shape[-1])[:, keep], cnt)
     if not isinstance(counts, np.ndarray) or counts.flags.writeable:
         return build()
     key, which = id(counts), (Phi, t)
@@ -239,10 +240,10 @@ def fit_value_class(Phi, t, counts, sums, radius):
     when the array is collected, so fits that share a frozen count chain
     share them.
     """
-    xs, acts, cnt, fac = _observed(Phi, t, counts)
-    ys = np.asarray(sums, dtype=float)[xs, acts] / cnt
+    keep, cnt, fac = _observed(Phi, t, counts)
+    ys = np.asarray(sums, dtype=float).ravel()[keep] / cnt
     losses, W = fac.fit(ys[None], 0.0, radius)
-    i = int(np.argmin(losses[:, 0]))
+    i = int(losses[:, 0].argmin())
     T = Phi.tables_at(t)
     return FittedValue(phi_index=i, w=W[i, 0], q_table=T[i] @ W[i, 0],
                        loss=float(losses[i, 0]))
@@ -295,16 +296,8 @@ def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None, shared=None):
         raise VoxlabError(f"radii must be > 0 or None, got {list(radii[:h + 1])}")
     if len(rewards) < h + 1:
         raise VoxlabError(f"need reward tables for layers 0..{h}, got {len(rewards)}")
-    reward_flat = []
-    for t in range(h + 1):
-        tab = np.asarray(rewards[t], dtype=float)
-        # read flat at x * A + a below, so a misshaped table must not pass
-        if tab.shape != (M.n_states(t), M.A):
-            raise VoxlabError(
-                f"reward table at layer {t} has shape {tab.shape}, expected "
-                f"({M.n_states(t)}, {M.A})"
-            )
-        reward_flat.append(tab.ravel())
+    # read flat at x * A + a below
+    reward_flat = [_reward_table(M, t, rewards[t]).ravel() for t in range(h + 1)]
     if shared is not None:
         owner = (h, n, [M] + list(covers[:h + 1]))
         mine = shared.setdefault("owner", owner)
@@ -312,13 +305,19 @@ def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None, shared=None):
             raise VoxlabError(f"roll-in memo was filled for another h, n, MDP or "
                               f"cover (h = {mine[0]}, n = {mine[1]}), not for "
                               f"h = {h}, n = {n}")
-    # each layer's greedy actions and their table, filled from h down
-    acts, greedy = [None] * (h + 1), [None] * (h + 1)
+    # each layer's greedy actions and their table, filled from h down, and
+    # the rewards of the greedy actions at h
+    acts, greedy, top = [None] * (h + 1), [None] * (h + 1), None
     for t in range(h, -1, -1):
-        key = (t, b"".join(a.tobytes() for a in acts[t + 1:h]))
-        chain = None if shared is None else shared.get(key)
+        if shared is None:
+            chain = None
+        else:
+            key = (t, b"".join(a.tobytes() for a in acts[t + 1:h]))
+            chain = shared.get(key)
         if chain is None:
-            tail = Policy(t, Policy.uniform(M, t, t).tables + tuple(greedy[t + 1:]))
+            unif = np.full((M.n_states(t), M.A), 1.0 / M.A)
+            unif.setflags(write=False)
+            tail = Policy(t, (unif,) + tuple(greedy[t + 1:]))
             chain = sample_trajectories(M, covers[t], n, rng, upto=h, tail=tail,
                                         counter=counter)
             if t < h:
@@ -335,10 +334,11 @@ def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None, shared=None):
             for ell in range(t + 1, h):
                 sums += chain[ell - t].reshape(len(cnt), -1) @ reward_flat[ell]
             if t < h:
-                top = reward_flat[h].reshape(M.n_states(h), M.A)
-                sums += chain[-1] @ top[np.arange(M.n_states(h)), acts[h]]
+                sums += chain[-1] @ top
             q = fit_value_class(Phi, t, chain[0], sums.reshape(chain[0].shape),
                                 radii[t]).q_table
-        acts[t] = np.argmax(q, axis=1)
+        acts[t] = q.argmax(axis=1)
         greedy[t] = Policy.from_actions(M, [acts[t]], lo=t).tables[0]
+        if t == h:
+            top = reward_flat[h][np.arange(0, M.n_states(h) * M.A, M.A) + acts[h]]
     return Policy(0, greedy)

@@ -176,7 +176,11 @@ class _GapScorer:
     def __call__(self, ftabs, thetas):
         S, fac, cur = len(thetas), self.fac, self.current
         fvals = matvec(ftabs, thetas[:, None, :])
-        Y, offsets = self.data.targets(fvals.max(axis=2))
+        # the maximum over actions, folded: the bits of fvals.max(axis=2)
+        f = fvals[..., 0]
+        for a in range(1, fvals.shape[2]):
+            f = np.maximum(f, fvals[..., a])
+        Y, offsets = self.data.targets(f)
         B, W = fac.min_norm(Y)
         if (row_norms(W) <= self.inside).all():
             losses = fac.losses(W, Y, offsets)
@@ -235,8 +239,16 @@ def _hill_climb(score, thetas, gaps, grads, config):
 _RING = np.pi / 256 * np.array([j for j in range(-7, 8) if j])
 
 
+def _first_max(gaps):
+    """Index, along the last axis, of the first largest gap above -inf, NaN
+    never winning; 0 when no gap is above -inf.  It is where a running best
+    that starts at -inf and keeps the first strictly larger gap ends."""
+    return np.where(gaps > -np.inf, gaps, -np.inf).argmax(axis=-1)
+
+
 def _search_points(Phi, phi_current, data, config, rng):
-    """Every (gap, theta, phi_index) the discriminator search weighs, in the
+    """The gaps, directions and candidate indices of every point the
+    discriminator search weighs, as arrays (P,), (P, d) and (P,) in the
     order a search scoring one direction at a time compares them with its
     running best: candidate by candidate, its seeds, then its refinement
     ring (d = 2) or its chains in stable descending-gap order, each chain's
@@ -246,53 +258,56 @@ def _search_points(Phi, phi_current, data, config, rng):
     candidate's restarts are drawn from `rng` in candidate order, then the
     seed sets of all candidates are scored in one call.  At d = 2 one more
     call scores each candidate's ring of 14 angles around its first-best
-    seed; at d >= 3 the hill-climb chains of all candidates advance
-    together, one call per step.  At d = 1 the seeds are the whole sphere
-    {-1, 1}, so nothing follows them.
+    seed (`_first_max`); at d >= 3 the hill-climb chains of all candidates
+    advance together, one call per step.  At d = 1 the seeds are the whole
+    sphere {-1, 1}, so nothing follows them.
     """
     d = Phi.d
     _, r_big, r_small, _ = config.resolve(d, data.n, len(Phi.candidates))
     next_tables = Phi.tables_at(data.layer + 1)
     K = len(next_tables)
     eye = np.eye(d)
-    sweep = [e for i in range(d) for e in (eye[i], -eye[i])]
+    sweep = np.stack([eye, -eye], axis=1).reshape(-1, d)
     if d == 2:
         angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-        sweep.extend(np.stack([np.cos(angles), np.sin(angles)], axis=1))
-    thetas = []
-    for _ in range(K):
-        extra = rng.standard_normal((config.restarts, d))
-        thetas += sweep
-        thetas.extend(extra / np.maximum(row_norms(extra), 1e-12)[:, None])
-    thetas = np.array(thetas)
-    n_seeds = len(thetas) // K
+        sweep = np.concatenate([sweep, np.stack([np.cos(angles), np.sin(angles)],
+                                                axis=1)])
+    extra = np.array([rng.standard_normal((config.restarts, d)) for _ in range(K)])
+    extra /= np.maximum(row_norms(extra), 1e-12)[..., None]
+    # (K, seeds, d): each candidate's sweep, then its restarts
+    seeds = np.concatenate([np.broadcast_to(sweep, (K,) + sweep.shape), extra],
+                           axis=1)
+    n_seeds = seeds.shape[1]
+    thetas = seeds.reshape(-1, d)
     fis = np.repeat(np.arange(K), n_seeds)
     score = _GapScorer(data, phi_current, Phi.tables_at(data.layer), r_big, r_small,
                        grad=d > 2)
     gaps, grads = score(next_tables[fis], thetas)
-    gaps = gaps.tolist()
-    blocks = [range(fi * n_seeds, (fi + 1) * n_seeds) for fi in range(K)]
-    points = [[(gaps[i], thetas[i], fi) for i in block]
-              for fi, block in enumerate(blocks)]
     if d == 2:
-        tops = thetas[[max(block, key=gaps.__getitem__) for block in blocks]]
+        block = gaps.reshape(K, n_seeds)
+        tops = seeds[np.arange(K), _first_max(block)]
         angles = np.arctan2(tops[:, 1], tops[:, 0])[:, None] + _RING
         ring = np.stack([np.cos(angles), np.sin(angles)], axis=2)
         ring_gaps, _ = score(np.repeat(next_tables, len(_RING), axis=0),
                              ring.reshape(-1, 2))
-        for fi, block in enumerate(ring_gaps.reshape(K, -1).tolist()):
-            points[fi] += [(gap, theta, fi) for gap, theta in zip(block, ring[fi])]
-    elif d > 2:
-        chains = [i for block in blocks
-                  for i in sorted(block, key=lambda i: -gaps[i])[:3]]
-        chain_fis = fis[chains]
-        chain_tabs = next_tables[chain_fis]
-        climbs = _hill_climb(lambda rows, cand: score(chain_tabs[rows], cand),
-                             thetas[chains], np.array(gaps)[chains],
-                             grads[chains], config)
-        for fi, climb in zip(chain_fis.tolist(), climbs):
-            points[fi] += [(gap, theta, fi) for gap, theta in climb]
-    return [point for block in points for point in block]
+        return (np.concatenate([block, ring_gaps.reshape(K, -1)], axis=1).ravel(),
+                np.concatenate([seeds, ring], axis=1).reshape(-1, 2),
+                np.repeat(np.arange(K), n_seeds + len(_RING)))
+    if d == 1:
+        return gaps, thetas, fis
+    blocks = [range(fi * n_seeds, (fi + 1) * n_seeds) for fi in range(K)]
+    listed = gaps.tolist()
+    chains = [i for block in blocks
+              for i in sorted(block, key=lambda i: -listed[i])[:3]]
+    chain_fis = fis[chains]
+    chain_tabs = next_tables[chain_fis]
+    climbs = _hill_climb(lambda rows, cand: score(chain_tabs[rows], cand),
+                         thetas[chains], gaps[chains], grads[chains], config)
+    points = [[(listed[i], thetas[i], fi) for i in block]
+              for fi, block in enumerate(blocks)]
+    for fi, climb in zip(chain_fis.tolist(), climbs):
+        points[fi] += [(gap, theta, fi) for gap, theta in climb]
+    return tuple(map(np.array, zip(*[point for block in points for point in block])))
 
 
 def discriminator_search(Phi, phi_current, data: RepLearnDataset,
@@ -310,15 +325,16 @@ def discriminator_search(Phi, phi_current, data: RepLearnDataset,
     The directions are scored in batches through one `_GapScorer` per
     search (`_search_points`): every candidate's seeds in one call, then
     one call for all rings or one call per hill-climb step.  The running
-    best is replayed afterwards in the order of a search scoring one
-    direction at a time, keeping the first strictly larger gap.  Gaps, the
-    chosen theta and the generator state are bit-identical to that search's.
+    best of a search scoring one direction at a time, which keeps the first
+    strictly larger gap, is replayed on the points in its order as their
+    first largest gap above -inf (`_first_max`).  Gaps, the chosen theta and
+    the generator state are bit-identical to that search's.
     """
-    best_gap, best = -np.inf, None
-    for gap, theta, fi in _search_points(Phi, phi_current, data, config, rng):
-        if gap > best_gap:
-            best_gap, best = gap, (theta, fi)
-    return (None if best is None else Discriminator(*best)), best_gap
+    gaps, thetas, fis = _search_points(Phi, phi_current, data, config, rng)
+    i = _first_max(gaps)
+    if not gaps[i] > -np.inf:
+        return None, -np.inf
+    return Discriminator(thetas[i], fis[i]), float(gaps[i])
 
 
 def feature_selection(Phi, discriminators, data: RepLearnDataset,

@@ -231,19 +231,33 @@ def mixture_occupancy(M, P, h):
     return sum(w * part for part, w in zip(parts, P.weights))
 
 
+def _reward_table(M, t, r):
+    """r as the float (|X_t|, A) reward table of layer t; raises unless t is
+    a layer of M and r has that shape, since the evaluators and `psdp` read
+    it cell by cell and NumPy would broadcast a misshaped table."""
+    _check_layer(M, t)
+    tab = np.asarray(r, dtype=float)
+    if tab.shape != (M.n_states(t), M.A):
+        raise VoxlabError(f"reward table at layer {t} has shape {tab.shape}, "
+                          f"expected ({M.n_states(t)}, {M.A})")
+    return tab
+
+
 def exact_q_tables(M, pi, reward_tables):
     """Exact per-layer Q tables for pi under explicit reward tables.
 
     ``reward_tables[t]`` has shape (|X_t|, A); the list length fixes the last
-    rewarded layer.  Returns a list of Q tables of the same shapes.
+    rewarded layer.  Returns a list of Q tables of the same shapes.  Every
+    table's layer and shape are checked before the pass starts.
     """
     L = len(reward_tables) - 1
     if L >= 1:
         _require_cover(pi, 1, L)
+    tables = [_reward_table(M, t, r) for t, r in enumerate(reward_tables)]
     q = [None] * (L + 1)
     v_next = None
     for t in range(L, -1, -1):
-        qt = np.array(reward_tables[t], dtype=float)
+        qt = np.array(tables[t])
         if t < L:
             qt = qt + np.einsum("xay,y->xa", M.transition_matrix(t), v_next)
         q[t] = qt
@@ -254,19 +268,21 @@ def exact_q_tables(M, pi, reward_tables):
 
 def exact_policy_value(M, pi, reward_tables):
     """E^pi of the summed rewards, from one forward pass of the exact
-    occupancies that stops at each rewarded layer; each is checked before
-    the pass reaches it, and zero-reward layers are only passed through."""
+    occupancies that stops at each rewarded layer.  Every rewarded layer's
+    range and table shape are checked before the pass starts and each
+    layer's cover before the pass reaches it; zero-reward layers are only
+    passed through, and zero tables past the horizon are not read."""
+    rewarded = [(t, _reward_table(M, t, r)) for t, r in enumerate(reward_tables)
+                if (np.asarray(r, dtype=float) != 0.0).any()]
     total, occ, at = 0.0, M.rho, 0
-    for t, r in enumerate(reward_tables):
-        if np.any(np.asarray(r) != 0.0):
-            _check_layer(M, t)
-            if t > 0:
-                _require_cover(pi, 0, t - 1)
-            for u in range(at, t):
-                occ = np.einsum("xa,xay->y", occ[:, None] * pi.table(u),
-                                M.transition_matrix(u))
-            sa, at = occ[:, None] * pi.table(t), t
-            total += float(np.einsum("xa,xa->", sa, np.asarray(r, dtype=float)))
+    for t, r in rewarded:
+        if t > 0:
+            _require_cover(pi, 0, t - 1)
+        for u in range(at, t):
+            occ = np.einsum("xa,xay->y", occ[:, None] * pi.table(u),
+                            M.transition_matrix(u))
+        sa, at = occ[:, None] * pi.table(t), t
+        total += float(np.einsum("xa,xa->", sa, r))
     return total
 
 
@@ -359,9 +375,21 @@ def _law(M, P, upto, tail):
     return s, first / first.sum(), steps
 
 
+def _one_hot(rows):
+    """The flat index x * A + a of each row's hot action a and whether a is
+    not the last action, or (None, None) unless every row is one-hot."""
+    # `_rows` leaves at least one nonzero entry in a row, and one alone is
+    # x / x: 1.0, or NaN for an infinite x (np.add.reduce is rows.sum()
+    # without its Python wrapper, paid per step by every first roll-in)
+    flat = rows.ravel().nonzero()[0]
+    if len(flat) != len(rows) or np.add.reduce(rows, None) != len(rows):
+        return None, None
+    return flat, rows[:, -1] == 0.0
+
+
 def _compiled(M, P, upto, tail):
     """`_law` of the roll-in of P through ``upto`` with ``tail``, each step
-    with its tail rows' hot actions, or None unless every row is one-hot.
+    (transitions, tail rows) with `_one_hot` of its tail rows.
 
     Built once per MDP, roll-in object P (a Policy by value, a
     PolicyDistribution by identity), upto and tail value, and held weakly
@@ -373,12 +401,8 @@ def _compiled(M, P, upto, tail):
     if law is None:
         s, first, steps = _law(M, as_distribution(P), upto, tail)
         first.setflags(write=False)
-        # `_rows` leaves at least one nonzero entry in a row, and one alone
-        # is x / x: 1.0, or NaN for an infinite x
-        law = laws[key] = (s, first, [
-            (trans, rows, rows.argmax(axis=1) if np.count_nonzero(rows) == len(rows)
-             and rows.sum() == len(rows) else None)
-            for trans, rows in steps])
+        law = laws[key] = (s, first, [(trans, rows) + _one_hot(rows)
+                                      for trans, rows in steps])
     return law
 
 
@@ -423,22 +447,26 @@ def sample_trajectories(M, P, n, rng, upto=None, tail=None, counter=None):
         counter.add(n)
     cells = rng.multinomial(n, first)
     counts = [cells.reshape(M.n_states(s), M.A)]
-    # (cell at s, flat (state, action) at the last layer counted)
-    prev = np.diag(cells)
-    for trans, rows, hot in steps:
-        c, j = np.nonzero(prev)
+    # the nonzero counts k of the last layer counted, in row-major order of
+    # (cell c at s, flat (state, action) j there)
+    c = j = cells.nonzero()[0]
+    k = cells[c]
+    for trans, rows, flat, draws in steps:
         # (cell at s, state at this layer)
         states = np.zeros((len(cells), trans.shape[1]), dtype=np.int64)
-        np.add.at(states, c, rng.multinomial(prev[c, j], trans[j]))
-        now = np.zeros(states.shape + (M.A,), dtype=np.int64)
-        if hot is None:
-            c, x = np.nonzero(states)
-            now[c, x] = rng.multinomial(states[c, x], rows[x])
+        np.add.at(states, c, rng.multinomial(k, trans[j]))
+        c, x = states.nonzero()
+        k = states[c, x]
+        if flat is None:
+            acts = rng.multinomial(k, rows[x])
+            i, a = acts.nonzero()
+            c, j, k = c[i], x[i] * M.A + a, acts[i, a]
         else:
-            now[:, np.arange(len(hot)), hot] = states
-            rng.random(np.count_nonzero(states[:, hot != M.A - 1]))
-        counts.append(now)
-        prev = now.reshape(len(cells), -1)
+            rng.random(np.count_nonzero(draws[x]))
+            j = flat[x]
+        now = np.zeros((len(cells), states.shape[1] * M.A), dtype=np.int64)
+        now[c, j] = k
+        counts.append(now.reshape(len(cells), -1, M.A))
     return counts
 
 

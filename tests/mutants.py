@@ -121,6 +121,26 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the action maximum skips the last action",
+        "src/voxlab/replearn.py",
+        "for a in range(1, fvals.shape[2]):",
+        "for a in range(1, fvals.shape[2] - 1):",
+        (
+            "tests/test_replearn.py::test_search_matches_the_per_direction_reference",
+        ),
+    ),
+    Mutant(
+        "the replay keeps the last maximum",
+        "src/voxlab/replearn.py",
+        "    return np.where(gaps > -np.inf, gaps, -np.inf).argmax(axis=-1)\n",
+        "    last = np.where(gaps > -np.inf, gaps, -np.inf)[..., ::-1].argmax(axis=-1)\n"
+        "    return gaps.shape[-1] - 1 - last\n",
+        (
+            "tests/test_replearn.py::test_search_matches_the_reference_when_seed_gaps_tie",
+            "tests/test_replearn.py::test_search_matches_the_per_direction_reference",
+        ),
+    ),
+    Mutant(
         "RepLearnConfig checks c only as > 0",
         "src/voxlab/replearn.py",
         '("c", 0.0 < self.c < math.inf,',
@@ -164,8 +184,8 @@ MUTANTS = (
     Mutant(
         "psdp values layer h by the reward's max, not its greedy action",
         "src/voxlab/psdp.py",
-        "sums += chain[-1] @ top[np.arange(M.n_states(h)), acts[h]]",
-        "sums += chain[-1] @ top.max(axis=1)",
+        "top = reward_flat[h][np.arange(0, M.n_states(h) * M.A, M.A) + acts[h]]",
+        "top = reward_flat[h].reshape(M.n_states(h), M.A).max(axis=1)",
         (
             "tests/test_psdp.py::test_psdp_cell_means_at_n_1e12_match_the_exact_q_tables",
         ),
@@ -182,8 +202,8 @@ MUTANTS = (
     Mutant(
         "fit_value_class drops the count weights",
         "src/voxlab/psdp.py",
-        "BallLeastSquares(T[:, xs, acts], cnt[keep])",
-        "BallLeastSquares(T[:, xs, acts])",
+        "T.reshape(len(T), -1, T.shape[-1])[:, keep], cnt)",
+        "T.reshape(len(T), -1, T.shape[-1])[:, keep])",
         (
             "tests/test_psdp.py::test_fit_ball_matches_the_per_candidate_reference",
             "tests/test_psdp.py::test_regression_data_aggregation_preserves_loss",
@@ -250,8 +270,8 @@ MUTANTS = (
     Mutant(
         "the sampler draws actions uniformly, not from the tail's rows",
         "src/voxlab/simenv.py",
-        "rng.multinomial(states[c, x], rows[x])",
-        "rng.multinomial(states[c, x], np.full(M.A, 1.0 / M.A))",
+        "rng.multinomial(k, rows[x])",
+        "rng.multinomial(k, np.full(M.A, 1.0 / M.A))",
         (
             "tests/test_simenv.py::test_rollin_matches_the_per_component_loop",
         ),
@@ -259,8 +279,8 @@ MUTANTS = (
     Mutant(
         "the sampler draws next states from the wrong transition rows",
         "src/voxlab/simenv.py",
-        "rng.multinomial(prev[c, j], trans[j])",
-        "rng.multinomial(prev[c, j], trans[j - 1])",
+        "rng.multinomial(k, trans[j])",
+        "rng.multinomial(k, trans[j - 1])",
         (
             "tests/test_simenv.py::test_rollin_matches_the_per_component_loop",
             "tests/test_psdp.py::test_psdp_cell_means_at_n_1e12_match_the_exact_q_tables",
@@ -327,8 +347,8 @@ MUTANTS = (
     Mutant(
         "the sampler keeps one next-state draw per cell at s",
         "src/voxlab/simenv.py",
-        "np.add.at(states, c, rng.multinomial(prev[c, j], trans[j]))",
-        "states[c] = rng.multinomial(prev[c, j], trans[j])",
+        "np.add.at(states, c, rng.multinomial(k, trans[j]))",
+        "states[c] = rng.multinomial(k, trans[j])",
         (
             "tests/test_simenv.py::test_rollin_matches_the_per_component_loop",
             "tests/test_psdp.py::test_psdp_cell_means_at_n_1e12_match_the_exact_q_tables",
@@ -337,7 +357,7 @@ MUTANTS = (
     Mutant(
         "one-hot steps draw no uniforms",
         "src/voxlab/simenv.py",
-        "            rng.random(np.count_nonzero(states[:, hot != M.A - 1]))\n",
+        "            rng.random(np.count_nonzero(draws[x]))\n",
         "",
         (
             "tests/test_simenv.py::test_one_hot_steps_match_a_forced_multinomial",
@@ -346,8 +366,8 @@ MUTANTS = (
     Mutant(
         "one-hot steps also draw for counts on the last action",
         "src/voxlab/simenv.py",
-        "rng.random(np.count_nonzero(states[:, hot != M.A - 1]))",
-        "rng.random(np.count_nonzero(states))",
+        "rng.random(np.count_nonzero(draws[x]))",
+        "rng.random(len(x))",
         (
             "tests/test_simenv.py::test_one_hot_steps_match_a_forced_multinomial",
         ),
@@ -355,8 +375,8 @@ MUTANTS = (
     Mutant(
         "one-hot steps put every count on the first action",
         "src/voxlab/simenv.py",
-        "now[:, np.arange(len(hot)), hot] = states",
-        "now[:, np.arange(len(hot)), 0] = states",
+        "            j = flat[x]\n",
+        "            j = x * M.A\n",
         (
             "tests/test_limits.py::test_psdp_returns_a_policy_greedy_on_its_own_exact_q_tables",
             "tests/test_psdp.py::test_psdp_cell_means_at_n_1e12_match_the_exact_q_tables",
@@ -365,11 +385,21 @@ MUTANTS = (
     Mutant(
         "a step counts as one-hot when its rows sum to one",
         "src/voxlab/simenv.py",
-        "if np.count_nonzero(rows) == len(rows)",
-        "if True",
+        "len(flat) != len(rows) or np.add.reduce(rows, None) != len(rows)",
+        "np.add.reduce(rows, None) != len(rows)",
         (
             "tests/test_simenv.py::test_one_hot_steps_match_a_forced_multinomial",
             "tests/test_simenv.py::test_rollin_matches_the_per_component_loop",
+        ),
+    ),
+    Mutant(
+        "the one-hot flat index drops the hot action",
+        "src/voxlab/simenv.py",
+        "    flat = rows.ravel().nonzero()[0]\n",
+        "    flat = rows.ravel().nonzero()[0] - rows.argmax(axis=1)\n",
+        (
+            "tests/test_simenv.py::test_one_hot_steps_match_a_forced_multinomial",
+            "tests/test_psdp.py::test_psdp_cell_means_at_n_1e12_match_the_exact_q_tables",
         ),
     ),
     Mutant(

@@ -606,10 +606,14 @@ def test_runs_on_a_warm_memo_match_a_cold_copy_byte_for_byte():
 
 
 # SHA-256 of fixed-seed run JSON; a change that moves any RNG draw, log
-# field or cover entry changes them
+# field or cover entry changes them.  "plan" hashes the policy's
+# action_key(), the repr of the value and the generator state after
+# optimize_reward on each run's covers: full-horizon PSDP, with a radius
+# at every layer and one-hot tails at every depth
 GOLDEN = {
     "vox": "746ab33fe66070e91d34680a3147b1e98c6fe1c2dee3258ec9aaa17f9d86c5f0",
     "spanrl": "031344b381d1bd2ab4793c5151e3f95d9ef54c17671c6a0dcc3a2c127023cbe3",
+    "plan": "740d9d90f84c320de3f7dbedc699506493cf8f09311d8cc1459606cd32e6d7a8",
 }
 
 
@@ -623,6 +627,14 @@ def test_fixed_seed_run_json_matches_the_recorded_hash():
     }
     got = {kind: hashlib.sha256(r.to_json().encode()).hexdigest()
            for kind, r in runs.items()}
+    rng = np.random.default_rng(4)
+    u = rng.standard_normal((M.H - 1, M.d))
+    thetas = u / np.linalg.norm(u, axis=1, keepdims=True)
+    plan = hashlib.sha256()
+    for r in runs.values():
+        pol, value = optimize_reward(M, r.covers, thetas, Phi, 2000, rng)
+        plan.update(repr((pol.action_key(), value, rng.bit_generator.state)).encode())
+    got["plan"] = plan.hexdigest()
     assert got == GOLDEN
 
 

@@ -17,7 +17,7 @@ from voxlab.replearn import (
     feature_selection,
     rep_learn,
 )
-from voxlab.simenv import make_feature_class, mixture_occupancy
+from voxlab.simenv import combination_lock, make_feature_class, mixture_occupancy
 
 from conftest import reference_ball_solve, reference_rollin, small_env
 from oracles import chi2_uniformity_pvalue
@@ -521,6 +521,33 @@ def rank_deficient(Phi):
     return FeatureClass(cands)
 
 
+def lock_instance(seed=3):
+    """A layer-1 dataset and feature class on an A = 4 combination lock, as
+    in the benchmark's SpanRL searches; its one-hot features tie across
+    actions."""
+    M = combination_lock(4, 4, 2, seed)
+    rng = np.random.default_rng(seed)
+    Phi = make_feature_class(M, n_decoys=2, rng=rng)
+    return Phi, reference_collect(M, 1, Policy.uniform(M, lo=0, hi=1), 500, rng)
+
+
+def signed_zeros_instance():
+    """A d = 2 class whose decoy's next-layer table is +0.0 at action 0 and
+    -0.0 at action 1, so its action maximum weighs signed zeros and every
+    gap of its block is zero, plus a copy of candidate 0 holding NaN on a
+    layer-0 cell the data never visits, which ties with candidate 0 on
+    every loss."""
+    Phi, data = search_instance(81, 2, n_decoys=1)
+    counts = np.array(data.counts)
+    counts[3, 1] = 0.0
+    cands = [[np.array(t) for t in cand] for cand in Phi.candidates]
+    cands[1][1][:, 0] = 0.0
+    cands[1][1][:, 1] = -0.0
+    twin = [np.array(t) for t in cands[0]]
+    twin[0][3, 1] = np.nan
+    return FeatureClass(cands + [twin]), RepLearnDataset(0, counts)
+
+
 def assert_search_matches_reference(Phi, data, config, seed):
     """Same result, same generator state, and the same points weighed
     against the running best in the same order, for every current index.
@@ -535,24 +562,32 @@ def assert_search_matches_reference(Phi, data, config, seed):
         want = reference(Phi, current, data, config, ref_rng, compared)
         assert_same_search(discriminator_search(Phi, current, data, config, rng),
                            want, rng, ref_rng)
-        points = _search_points(Phi, current, data, config, points_rng)
+        points = zip(*_search_points(Phi, current, data, config, points_rng))
         assert [(np.float64(gap).tobytes(), theta.tobytes(), fi)
                 for gap, theta, fi in points] == compared
 
 
-@pytest.mark.parametrize("case", [1, 2, 3, "vox_readme", "rank_deficient"])
+@pytest.mark.parametrize("case", [1, 2, 3, "vox_readme", "rank_deficient", "lock",
+                                  "signed_zeros"])
 def test_search_matches_the_per_direction_reference(case):
     # an integer case is d: d = 2 adds the 64-angle sweep, and restarts=1 is
     # the fewest seeds a config allows.  "vox_readme" is the benchmark's search (d = 2,
     # two decoys, 4 restarts, 30 steps).  "rank_deficient" gives the first
     # decoy one feature vector in every cell, so the stacked factor drops a
-    # singular value and the minimum-norm solve divides under its mask
+    # singular value and the minimum-norm solve divides under its mask.
+    # "lock" takes the action maximum over A = 4 tied actions, and
+    # "signed_zeros" makes that maximum weigh +0.0 against -0.0 and the
+    # running best weigh tied zero gaps, next to a NaN cell no loss reads
     d = case if isinstance(case, int) else 2
-    Phi, data = search_instance(40 + d, d)
+    Phi, data = {"lock": lock_instance, "signed_zeros": signed_zeros_instance}.get(
+        case, lambda: search_instance(40 + d, d))()
     configs = [RepLearnConfig(restarts=restarts, grad_steps=grad_steps)
                for restarts in (1, 8) for grad_steps in (0, 1, 60)]
     if case == "vox_readme":
         configs = [RepLearnConfig(restarts=4, grad_steps=30)]
+    if case == "signed_zeros":
+        # a small competitor ball makes the zero gaps the largest ones
+        configs = [RepLearnConfig(restarts=4, r_small=r_small) for r_small in (None, 0.05)]
     if case == "rank_deficient":
         Phi = rank_deficient(Phi)
         pos = data.factor_stack(Phi.tables_at(0)).pos

@@ -28,6 +28,7 @@ from voxlab import (
 from voxlab import simenv
 from voxlab.estimators import est_mat, est_vec
 from voxlab.evalcover import check_policy_cover
+from voxlab.psdp import psdp
 from voxlab.simenv import (
     argmax_policy,
     combination_lock,
@@ -270,6 +271,22 @@ def test_policy_value_checks_each_rewarded_layer_as_the_per_layer_sum_does():
             per_layer_value(M, play, tables)
         with pytest.raises(LayerRangeError, match=re.escape(str(want.value))):
             exact_policy_value(M, play, tables)
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 1)])
+def test_misshaped_reward_tables_raise_as_psdp_does(shape):
+    # a (1, A) or (|X_1|, 1) table at layer 1 would broadcast over the
+    # cells: the value read 1.0 and the Q tables came out (2, 2)
+    M = combination_lock(4, 2, 1, 0)
+    unif = Policy.uniform(M)
+    tables = [np.zeros((M.n_states(t), M.A)) for t in range(3)]
+    tables[1] = np.ones(shape)
+    message = re.escape(f"reward table at layer 1 has shape {shape}, expected (2, 2)")
+    for evaluate in (exact_policy_value, exact_q_tables):
+        with pytest.raises(VoxlabError, match=message):
+            evaluate(M, unif, tables)
+    with pytest.raises(VoxlabError, match=message):
+        psdp(M, 2, tables, None, [None] * 3, [unif] * 3, 10, np.random.default_rng(0))
 
 
 # ----------------------------------------------------------------- sampling
@@ -644,14 +661,16 @@ def test_one_hot_steps_match_a_forced_multinomial(monkeypatch, bitgen, buffered,
     P = PolicyDistribution([random_policy(M, rng), Policy.from_actions(M, hot)],
                            [0.3, 0.7])
     compiled = simenv._compiled
-    steps = compiled(M, P, 4, tail)[2]
+    # each step's hot actions, read off its flat hot index x * A + a
+    steps = [(trans, rows, None if flat is None else flat - np.arange(len(flat)) * A)
+             for trans, rows, flat, _ in compiled(M, P, 4, tail)[2]]
     assert [h is not None for _, _, h in steps] == [True, A == 1, True]
     assert all(np.array_equal(h, hot[t]) for (_, _, h), t in zip(steps, (2, 3, 4))
                if t != 3)
 
     def forced(*args):
         s, first, steps = compiled(*args)
-        return s, first, [(trans, rows, None) for trans, rows, _ in steps]
+        return s, first, [(trans, rows, None, None) for trans, rows, _, _ in steps]
 
     for n in (1, 1000, 2**62 - 1):
         runs = []
