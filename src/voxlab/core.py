@@ -279,7 +279,9 @@ class FeatureClass:
     Each layer's candidate tables are copied once into one read-only
     (K, |X_h|, A, d) stack, returned by ``tables_at(h)``; ``candidates[i][h]``
     is a view of it.  ``true_index`` optionally records which member is the
-    environment's own map.
+    environment's own map.  Every entry must be finite: one NaN would make
+    every gap of its candidate NaN, so the discriminator search would never
+    weigh that candidate.
     """
 
     def __init__(self, candidates, true_index=None):
@@ -294,6 +296,10 @@ class FeatureClass:
         self._stacks = []
         for h in range(len(shape0)):
             stack = np.array([cand[h] for cand in candidates], dtype=float)
+            if not np.isfinite(stack).all():
+                bad = next(i for i, tab in enumerate(stack) if not np.isfinite(tab).all())
+                raise VoxlabError(f"candidate {bad} has a non-finite entry in its "
+                                  f"layer-{h} table")
             stack.setflags(write=False)
             self._stacks.append(stack)
         self.candidates = [tuple(stack[i] for stack in self._stacks)

@@ -16,7 +16,6 @@ as its Q-function), and returns a policy over [0..h].
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,55 +195,49 @@ def ball_constrained_least_squares(Z, y, radius, weights=None):
     return BallLeastSquares(Z, weights).solve_many(np.asarray(y)[None], radius)[0]
 
 
-# id of a read-only counts array -> (a weak reference to it whose callback
-# drops the entry, {(Phi, t): the array's observed cells, their counts and
-# the stacked factor of Phi's layer-t candidates there})
-_FACTORS = {}
+class ObservedCells:
+    """The cells of an (|X|, A) count table with a positive count, for the
+    regressions weighted by those counts: ``index``, their flat indices
+    x * A + a, and ``counts``, the counts there as floats.  The stacked
+    factor of the last candidate stack given to `factor` is kept, so every
+    fit on these cells against that stack shares it."""
 
-
-def _observed(Phi, t, counts):
-    """The flat indices x * A + a of the cells of the (|X_t|, A) counts with
-    a positive count, those counts as floats and the stacked factor of
-    Phi's layer-t candidates at them, weighted by the counts.  Kept for a
-    read-only counts array, which must not change, until it is collected."""
-    def build():
+    def __init__(self, counts):
         cnt = np.asarray(counts, dtype=float).ravel()
-        keep = (cnt > 0).nonzero()[0]
-        if not keep.size:
+        self.index = (cnt > 0).nonzero()[0]
+        if not self.index.size:
             raise VoxlabError("empty regression dataset")
-        T = Phi.tables_at(t)
-        cnt = cnt[keep]
-        return keep, cnt, BallLeastSquares(
-            T.reshape(len(T), -1, T.shape[-1])[:, keep], cnt)
-    if not isinstance(counts, np.ndarray) or counts.flags.writeable:
-        return build()
-    key, which = id(counts), (Phi, t)
-    if key not in _FACTORS:
-        _FACTORS[key] = (weakref.ref(counts, lambda _: _FACTORS.pop(key)), {})
-    fits = _FACTORS[key][1]
-    if which not in fits:
-        fits[which] = build()
-    return fits[which]
+        self.counts = cnt[self.index]
+        for arr in (self.index, self.counts):
+            arr.setflags(write=False)
+        self._stack = self._factor = None
+
+    def factor(self, T):
+        """The stacked BallLeastSquares of the read-only candidate stack T
+        (K, |X|, A, d) at these cells, weighted by their counts; the factor
+        of the last stack given is kept."""
+        if self._stack is not T:
+            self._factor = BallLeastSquares(
+                T.reshape(len(T), -1, T.shape[-1])[:, self.index], self.counts)
+            self._stack = T
+        return self._factor
 
 
-def fit_value_class(Phi, t, counts, sums, radius):
+def fit_value_class(Phi, t, cells, sums, radius):
     """Least-squares fit of {(x, a) -> phi(x, a)^T w : phi a candidate of
-    Phi at layer t, ||w|| <= radius} to the cells of the (|X_t|, A) tables
-    with a positive count: their mean targets sums / counts, weighted by
-    the counts.
+    Phi at layer t, ||w|| <= radius} to the `ObservedCells` of a layer-t
+    count table: their mean targets, the return sums (read flat at
+    x * A + a) over the counts, weighted by the counts.
 
-    Every feature candidate is fitted with one stacked factor and one solve
-    of the ball-constrained regression; the lowest-loss pair is kept
-    (lowest candidate index on ties).  The observed cells and the factor
-    of a read-only counts array are built once per (Phi, t) and dropped
-    when the array is collected, so fits that share a frozen count chain
-    share them.
+    Every feature candidate is fitted with the cells' stacked factor of
+    Phi's layer-t candidates and one solve of the ball-constrained
+    regression; the lowest-loss pair is kept (lowest candidate index on
+    ties).
     """
-    keep, cnt, fac = _observed(Phi, t, counts)
-    ys = np.asarray(sums, dtype=float).ravel()[keep] / cnt
-    losses, W = fac.fit(ys[None], 0.0, radius)
-    i = int(losses[:, 0].argmin())
     T = Phi.tables_at(t)
+    ys = np.asarray(sums, dtype=float).ravel()[cells.index] / cells.counts
+    losses, W = cells.factor(T).fit(ys[None], 0.0, radius)
+    i = int(losses[:, 0].argmin())
     return FittedValue(phi_index=i, w=W[i, 0], q_table=T[i] @ W[i, 0],
                        loss=float(losses[i, 0]))
 
@@ -281,9 +274,9 @@ def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None, shared=None):
     greedy layer at h, exactly what a fresh draw of the same counts gives.
     So layers h and h-1, whose keys hold no greedy layer, are drawn once
     per memo, and a lower layer once per distinct greedy suffix.  A stored
-    chain is frozen, so `fit_value_class` builds its factor once for all
-    the queries that read it.  Each
-    query's samples have a fresh draw's law; queries that share a key are
+    chain keeps the `ObservedCells` of its counts at t beside it, so its
+    factor is built once for all the queries that fit it.  Each query's
+    samples have a fresh draw's law; queries that share a key are
     dependent, and the spanner's union bound over its queries holds under
     any dependence between them.
     """
@@ -310,11 +303,11 @@ def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None, shared=None):
     acts, greedy, top = [None] * (h + 1), [None] * (h + 1), None
     for t in range(h, -1, -1):
         if shared is None:
-            chain = None
+            entry = None
         else:
             key = (t, b"".join(a.tobytes() for a in acts[t + 1:h]))
-            chain = shared.get(key)
-        if chain is None:
+            entry = shared.get(key)
+        if entry is None:
             unif = np.full((M.n_states(t), M.A), 1.0 / M.A)
             unif.setflags(write=False)
             tail = Policy(t, (unif,) + tuple(greedy[t + 1:]))
@@ -322,21 +315,23 @@ def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None, shared=None):
                                         counter=counter)
             if t < h:
                 chain[-1] = chain[-1].sum(axis=2)
+            # the chain and, once a layer-t fit reads it, its observed cells
+            entry = [chain, None]
             if shared is not None:
-                for arr in chain:
-                    arr.setflags(write=False)
-                shared[key] = chain
+                shared[key] = entry
+        chain, cells = entry
         if radii[t] is None:
             q = reward_flat[t].reshape(M.n_states(t), M.A)
         else:
+            if cells is None:
+                cells = entry[1] = ObservedCells(chain[0])
             cnt = chain[0].ravel()
             sums = cnt * reward_flat[t]
             for ell in range(t + 1, h):
                 sums += chain[ell - t].reshape(len(cnt), -1) @ reward_flat[ell]
             if t < h:
                 sums += chain[-1] @ top
-            q = fit_value_class(Phi, t, chain[0], sums.reshape(chain[0].shape),
-                                radii[t]).q_table
+            q = fit_value_class(Phi, t, cells, sums, radii[t]).q_table
         acts[t] = q.argmax(axis=1)
         greedy[t] = Policy.from_actions(M, [acts[t]], lo=t).tables[0]
         if t == h:

@@ -27,7 +27,7 @@ from voxlab.core import (
     _freeze,
     as_distribution,
 )
-from voxlab.psdp import NORM_EPS, BallLeastSquares, matvec, row_norms
+from voxlab.psdp import NORM_EPS, BallLeastSquares, ObservedCells, matvec, row_norms
 from voxlab.simenv import mixture_occupancy, sample_trajectories
 
 
@@ -80,8 +80,8 @@ class RepLearnConfig:
 class RepLearnDataset:
     """Aggregated (x_h, a_h, x_{h+1}) triple counts at one layer.
 
-    The counts are held as a read-only copy, so the observed (x, a) cells,
-    the counts at them and the factor cached by `factor_stack` stay valid
+    The counts are held as a read-only copy, so ``cells``, the
+    `ObservedCells` of the pair counts, and the factor they keep stay valid
     for every search's `_GapScorer` and every feature selection on this data.
     """
 
@@ -94,18 +94,15 @@ class RepLearnDataset:
             raise VoxlabError("empty dataset")
         self.pair_counts = self.counts.sum(axis=2)
         # the observed (x, a) cells, shared by every regression on this data
-        keep = self.pair_counts > 0
-        self._cnt = self.pair_counts[keep]
-        self._xs, self._acts = np.nonzero(keep)
+        self.cells = ObservedCells(self.pair_counts)
         # counts as (observed cell, x_{h+1}): the targets' counts product
-        self._counts_at = self.counts[self._xs, self._acts]
+        self._counts_at = self.counts.reshape(-1, self.counts.shape[2])[
+            self.cells.index]
         # counts as (x_{h+1}, cell): the envelope gradient's pullback
         self._next_by_cell = self.counts.transpose(2, 0, 1).reshape(
             self.counts.shape[2], -1)
-        for arr in (self.pair_counts, self._cnt, self._xs, self._acts,
-                    self._counts_at, self._next_by_cell):
+        for arr in (self.pair_counts, self._counts_at, self._next_by_cell):
             arr.setflags(write=False)
-        self._stack = self._factor = None
 
     @classmethod
     def collect(cls, M, h, P, n, rng, counter=None):
@@ -120,20 +117,11 @@ class RepLearnDataset:
         """Cell-mean targets (S, m) and within-cell offsets (S,) for the rows
         of next-state values F (S, n_{h+1}): both moments from one counts
         product over the observed cells."""
-        S, cnt = len(F), self._cnt
+        S, cnt = len(F), self.cells.counts
         sums = matvec(self._counts_at, np.concatenate((F, F * F)))
         Y = sums[:S] / cnt
         offsets = sums[S:].sum(axis=1) - (cnt * Y * Y).sum(axis=1)
         return Y, np.where(offsets < 0.0, 0.0, offsets)
-
-    def factor_stack(self, T):
-        """The stacked BallLeastSquares of a read-only candidate stack T
-        (K, n_h, A, d) at the observed cells, weighted by the cell counts;
-        the factor of the last stack given is kept."""
-        if self._stack is not T:
-            self._factor = BallLeastSquares(T[:, self._xs, self._acts], self._cnt)
-            self._stack = T
-        return self._factor
 
 
 @dataclass
@@ -171,7 +159,7 @@ class _GapScorer:
         self.data, self.current, self.T = data, current, T
         self.r_big, self.r_small, self.grad = r_big, r_small, grad
         self.inside = min(r_big, r_small) + NORM_EPS
-        self.fac = data.factor_stack(T)
+        self.fac = data.cells.factor(T)
 
     def __call__(self, ftabs, thetas):
         S, fac, cur = len(thetas), self.fac, self.current
@@ -345,7 +333,7 @@ def feature_selection(Phi, discriminators, data: RepLearnDataset,
     d = Phi.d
     _, _, r_small, _ = config.resolve(d, data.n, len(Phi.candidates))
     F = np.stack([f.values(Phi, data.layer + 1) for f in discriminators])
-    fac = data.factor_stack(Phi.tables_at(data.layer))
+    fac = data.cells.factor(Phi.tables_at(data.layer))
     losses, _ = fac.fit(*data.targets(F), r_small)
     # summed discriminator by discriminator, in order, like a scalar sum
     return int(np.argmin(sum(losses.T)))

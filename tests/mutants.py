@@ -69,6 +69,16 @@ MUTANTS = (
             "tests/test_acceptance.py::test_c01_design_certificate_iterations_and_monotonicity",
         ),
     ),
+    # ---------------------------------------------------------- feature class
+    Mutant(
+        "FeatureClass accepts non-finite tables",
+        "src/voxlab/core.py",
+        "            if not np.isfinite(stack).all():\n",
+        "            if False:\n",
+        (
+            "tests/test_simenv.py::test_feature_class_rejects_a_non_finite_table_naming_candidate_and_layer",
+        ),
+    ),
     # ------------------------------------------------------------- estimators
     Mutant(
         "est_vec divides by n + 1",
@@ -200,10 +210,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "fit_value_class drops the count weights",
+        "the observed cells' factor drops the count weights",
         "src/voxlab/psdp.py",
-        "T.reshape(len(T), -1, T.shape[-1])[:, keep], cnt)",
-        "T.reshape(len(T), -1, T.shape[-1])[:, keep])",
+        "T.reshape(len(T), -1, T.shape[-1])[:, self.index], self.counts)",
+        "T.reshape(len(T), -1, T.shape[-1])[:, self.index])",
         (
             "tests/test_psdp.py::test_fit_ball_matches_the_per_candidate_reference",
             "tests/test_psdp.py::test_regression_data_aggregation_preserves_loss",
@@ -219,12 +229,30 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the factor cache ignores the layer",
+        "the observed cells keep one factor per stack shape, ignoring the layer",
         "src/voxlab/psdp.py",
-        "key, which = id(counts), (Phi, t)",
-        "key, which = id(counts), Phi",
+        "        if self._stack is not T:\n",
+        "        if self._stack is None or self._stack.shape != T.shape:\n",
         (
-            "tests/test_psdp.py::test_a_read_only_count_array_shares_its_factor_per_layer_and_class",
+            "tests/test_psdp.py::test_one_cells_object_builds_one_factor_per_consecutive_stack",
+        ),
+    ),
+    Mutant(
+        "the observed cells keep a stale factor for a new stack",
+        "src/voxlab/psdp.py",
+        "        if self._stack is not T:\n",
+        "        if self._factor is None:\n",
+        (
+            "tests/test_psdp.py::test_one_cells_object_builds_one_factor_per_consecutive_stack",
+        ),
+    ),
+    Mutant(
+        "psdp keeps no observed cells beside a stored chain",
+        "src/voxlab/psdp.py",
+        "cells = entry[1] = ObservedCells(chain[0])",
+        "cells = ObservedCells(chain[0])",
+        (
+            "tests/test_psdp.py::test_a_spanrl_design_builds_one_factor_per_memoised_chain",
         ),
     ),
     # ---------------------------------------------------------------- drivers

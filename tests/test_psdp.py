@@ -16,6 +16,7 @@ from voxlab import (
 )
 from voxlab.psdp import (
     BallLeastSquares,
+    ObservedCells,
     ball_constrained_least_squares,
     fit_value_class,
     linear_reward,
@@ -350,7 +351,7 @@ def test_psdp_rejects_bad_radii_before_drawing_an_episode(env, radii):
 
 def regression_data(layer, xs, acts, ys, n_states, A):
     """The layer and the (n_states, A) cell counts and return sums of raw
-    samples, the arguments `fit_value_class` takes after Phi."""
+    samples."""
     cell = np.asarray(xs, dtype=np.int64) * A + np.asarray(acts, dtype=np.int64)
     counts = np.bincount(cell, minlength=n_states * A).reshape(n_states, A)
     sums = np.bincount(cell, weights=ys, minlength=n_states * A).reshape(n_states, A)
@@ -384,8 +385,14 @@ def reference_fit_value_class(data, Phi, radius):
     return best
 
 
+def fit_data(Phi, data, radius):
+    """`fit_value_class` on the observed cells of the regression data."""
+    layer, counts, sums = data
+    return fit_value_class(Phi, layer, ObservedCells(counts), sums, radius)
+
+
 def assert_fit_matches_reference(data, Phi, radius):
-    fit = fit_value_class(Phi, *data, radius)
+    fit = fit_data(Phi, data, radius)
     index, w, q_table, loss = reference_fit_value_class(data, Phi, radius)
     assert fit.phi_index == index
     assert fit.w.tobytes() == w.tobytes()
@@ -436,7 +443,7 @@ def test_fit_ball_recovers_planted_weights(env):
     acts = rng.integers(0, env.A, size=400)
     ys = tab[xs, acts] @ w_true
     data = regression_data(1, xs, acts, ys, env.n_states(1), env.A)
-    fit = fit_value_class(FeatureClass([list(env.phi)]), *data, 1.0)
+    fit = fit_data(FeatureClass([list(env.phi)]), data, 1.0)
     assert fit.loss < 1e-16
     assert np.allclose(fit.q_table, tab @ w_true, atol=1e-8)
 
@@ -453,7 +460,7 @@ def test_fit_ball_prefers_the_realizing_candidate(env):
     acts = rng.integers(0, env.A, size=600)
     ys = tab[xs, acts] @ w_true
     data = regression_data(1, xs, acts, ys, env.n_states(1), env.A)
-    fit = fit_value_class(Phi, *data, 1.0)
+    fit = fit_data(Phi, data, 1.0)
     assert fit.phi_index == 0
 
 
@@ -469,14 +476,13 @@ def test_regression_data_aggregation_preserves_loss():
     assert np.array_equal(means, [2.0, 2.0, 0.5])
     # a ball too small to reach the cell means, so the fit is not exact
     feat = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.6, 0.8], [0.0, 1.0]]])
-    fit = fit_value_class(FeatureClass([[feat]]), *data, 0.5)
+    fit = fit_data(FeatureClass([[feat]]), data, 0.5)
     assert np.linalg.norm(fit.w) == pytest.approx(0.5, abs=1e-9)
     raw_loss = float(((fit.q_table[xs, acts] - ys) ** 2).sum())
     spread = (1.0 + 1.0) + 0.0 + (0.25 + 0.25)
     assert fit.loss + spread == pytest.approx(raw_loss, abs=1e-12)
     with pytest.raises(VoxlabError, match="empty regression dataset"):
-        fit_value_class(FeatureClass([[feat]]), 0, np.zeros((2, 2)),
-                        np.zeros((2, 2)), 0.5)
+        ObservedCells(np.zeros((2, 2)))
 
 
 # ------------------------------------------------------------------ psdp
@@ -598,12 +604,15 @@ def keyed_rollins(stored):
 
 def record_regressions(monkeypatch):
     """Make psdp record each regression dataset it fits, as bytes, in the
-    list returned."""
+    list returned: the layer and the observed cells' states, actions, mean
+    targets and counts."""
     fits = []
 
-    def recording_fit(Phi, t, counts, sums, radius):
-        fits.append((t,) + tuple(a.tobytes() for a in observed_cells(counts, sums)))
-        return fit_value_class(Phi, t, counts, sums, radius)
+    def recording_fit(Phi, t, cells, sums, radius):
+        xs, acts = np.divmod(cells.index, Phi.tables_at(t).shape[2])
+        ys = np.asarray(sums, dtype=float).ravel()[cells.index] / cells.counts
+        fits.append((t,) + tuple(a.tobytes() for a in (xs, acts, ys, cells.counts)))
+        return fit_value_class(Phi, t, cells, sums, radius)
 
     monkeypatch.setattr(importlib.import_module("voxlab.psdp"), "fit_value_class",
                         recording_fit)
@@ -745,43 +754,45 @@ def test_a_query_builds_each_greedy_table_once(monkeypatch):
 
 
 def counted_factors(monkeypatch):
-    """Make psdp count the BallLeastSquares factors it builds, in the list
-    returned."""
+    """Make psdp's `ObservedCells` count the factors they build, in the list
+    returned.  Rep-learn builds its cells through its own binding of the
+    class, so its factors are not counted."""
     psdp_module = importlib.import_module("voxlab.psdp")
     built = []
 
-    class Counted(BallLeastSquares):
-        def __init__(self, Z, weights=None):
-            built.append(Z.shape)
-            super().__init__(Z, weights)
+    class Counted(psdp_module.ObservedCells):
+        def factor(self, T):
+            fac = super().factor(T)
+            if fac is not getattr(self, "last", None):
+                self.last = fac
+                built.append(fac.Z.shape)
+            return fac
 
-    monkeypatch.setattr(psdp_module, "BallLeastSquares", Counted)
+    monkeypatch.setattr(psdp_module, "ObservedCells", Counted)
     return built
 
 
-def test_a_read_only_count_array_shares_its_factor_per_layer_and_class(monkeypatch):
-    # fits on one read-only counts array build one factor per (Phi, t),
-    # each fit equal to a fresh one on a writable copy, and the cached
-    # cells and factors die with the array
+def test_one_cells_object_builds_one_factor_per_consecutive_stack(monkeypatch):
+    # fits on one ObservedCells equal fits on fresh ones bit for bit, and it
+    # builds a factor only for a stack other than the last one it was
+    # given; layers 0 and 1 share a shape, so a factor kept by shape goes
+    # stale
     psdp_module = importlib.import_module("voxlab.psdp")
     M = small_env(seed=0, H=4, A=2, d=2, states=(3, 3, 3, 3))
     rng = np.random.default_rng(1)
     Phi, other = (make_feature_class(M, n_decoys=2, rng=rng) for _ in range(2))
     counts = rng.integers(0, 5, size=(3, 2))
     counts[0, 0] = 0
-    counts.setflags(write=False)
     sums = rng.standard_normal((3, 2))
     built = counted_factors(monkeypatch)
-    before = len(psdp_module._FACTORS)
-    for cls, t in [(Phi, 0), (Phi, 1), (Phi, 0), (Phi, 1), (other, 1)]:
-        got = fit_value_class(cls, t, counts, sums, 0.3)
-        want = fit_value_class(cls, t, counts.copy(), sums, 0.3)
+    cells = psdp_module.ObservedCells(counts)
+    order = [(Phi, 0), (Phi, 0), (Phi, 1), (Phi, 1), (other, 1), (Phi, 1), (Phi, 0)]
+    for cls, t in order:
+        got = fit_value_class(cls, t, cells, sums, 0.3)
+        want = fit_value_class(cls, t, psdp_module.ObservedCells(counts), sums, 0.3)
         assert (got.phi_index, got.w.tobytes(), got.q_table.tobytes(), got.loss) == (
             want.phi_index, want.w.tobytes(), want.q_table.tobytes(), want.loss)
-    assert len(built) == 3 + 5
-    assert len(psdp_module._FACTORS) == before + 1
-    del counts
-    assert len(psdp_module._FACTORS) == before
+    assert len(built) == 5 + len(order)
 
 
 def test_a_spanrl_design_builds_one_factor_per_memoised_chain(monkeypatch):

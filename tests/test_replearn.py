@@ -325,7 +325,7 @@ def test_regression_targets_are_cell_means(env):
         spread += data.counts[x, a] @ (f - want) ** 2
     assert offsets[0] == pytest.approx(spread, abs=1e-9)
     T = make_feature_class(env, n_decoys=1, rng=np.random.default_rng(3)).tables_at(0)
-    fac = data.factor_stack(T)
+    fac = data.cells.factor(T)
     assert np.array_equal(fac.weights, data.pair_counts[keep])
     assert np.array_equal(fac.Z, T[:, keep])
 
@@ -339,14 +339,14 @@ def test_dataset_holds_a_frozen_copy_of_its_counts(env):
     f = np.linspace(-1.0, 1.0, env.n_states(1))
     T = make_feature_class(env, n_decoys=1, rng=np.random.default_rng(22)).tables_at(0)
     Y, offsets = own.targets(f[None])
-    fac = own.factor_stack(T)
+    fac = own.cells.factor(T)
     Z, weights = fac.Z.copy(), fac.weights.copy()
     loss, w = fac.fit(Y, offsets, 1.5)
     counts[:] = 0.0
     counts[0, 0, 0] = 7.0
     Y2, offsets2 = own.targets(f[None])
     assert np.array_equal(Y2, Y) and np.array_equal(offsets2, offsets)
-    fac2 = own.factor_stack(T)
+    fac2 = own.cells.factor(T)
     assert np.array_equal(fac2.Z, Z) and np.array_equal(fac2.weights, weights)
     loss2, w2 = fac2.fit(Y2, offsets2, 1.5)
     assert np.array_equal(loss2, loss) and np.array_equal(w2, w)
@@ -367,7 +367,7 @@ def test_cached_min_loss_equals_a_from_scratch_solve(env):
             Y, offsets = data.targets(np.stack(
                 [(Phi[1][1] @ theta).max(axis=1) for theta in thetas]))
             for radius in (0.3, 2.0 * np.sqrt(2)):
-                losses, W = data.factor_stack(T).fit(Y, offsets, radius)
+                losses, W = data.cells.factor(T).fit(Y, offsets, radius)
                 for k, tab in enumerate(T):  # every candidate
                     Z = tab[keep]
                     for y, offset, loss, w in zip(Y, offsets, losses[k], W[k]):
@@ -534,7 +534,7 @@ def lock_instance(seed=3):
 def signed_zeros_instance():
     """A d = 2 class whose decoy's next-layer table is +0.0 at action 0 and
     -0.0 at action 1, so its action maximum weighs signed zeros and every
-    gap of its block is zero, plus a copy of candidate 0 holding NaN on a
+    gap of its block is zero, plus a copy of candidate 0 holding 1e6 on a
     layer-0 cell the data never visits, which ties with candidate 0 on
     every loss."""
     Phi, data = search_instance(81, 2, n_decoys=1)
@@ -544,7 +544,7 @@ def signed_zeros_instance():
     cands[1][1][:, 0] = 0.0
     cands[1][1][:, 1] = -0.0
     twin = [np.array(t) for t in cands[0]]
-    twin[0][3, 1] = np.nan
+    twin[0][3, 1] = 1e6
     return FeatureClass(cands + [twin]), RepLearnDataset(0, counts)
 
 
@@ -577,7 +577,7 @@ def test_search_matches_the_per_direction_reference(case):
     # singular value and the minimum-norm solve divides under its mask.
     # "lock" takes the action maximum over A = 4 tied actions, and
     # "signed_zeros" makes that maximum weigh +0.0 against -0.0 and the
-    # running best weigh tied zero gaps, next to a NaN cell no loss reads
+    # running best weigh tied zero gaps, next to a 1e6 cell no loss reads
     d = case if isinstance(case, int) else 2
     Phi, data = {"lock": lock_instance, "signed_zeros": signed_zeros_instance}.get(
         case, lambda: search_instance(40 + d, d))()
@@ -590,7 +590,7 @@ def test_search_matches_the_per_direction_reference(case):
         configs = [RepLearnConfig(restarts=4, r_small=r_small) for r_small in (None, 0.05)]
     if case == "rank_deficient":
         Phi = rank_deficient(Phi)
-        pos = data.factor_stack(Phi.tables_at(0)).pos
+        pos = data.cells.factor(Phi.tables_at(0)).pos
         assert pos[0].all() and not pos[1].all()
     for cfg in configs:
         assert_search_matches_reference(Phi, data, cfg, seed=d)
@@ -769,23 +769,26 @@ def test_the_d3_climb_finds_the_true_map_where_the_seeds_miss_it():
 
 
 def test_gaps_keep_the_first_of_tied_candidates():
-    # candidate 2 copies candidate 0 on every observed cell and holds NaN on
-    # a cell the data never visits: tied losses, and a finite gradient only
-    # if the first copy is the best response
+    # candidate 2 copies candidate 0 on every observed cell and differs on
+    # a cell the data never visits, where the scorer's stack holds NaN (a
+    # FeatureClass rejects it): tied losses, and a finite gradient only if
+    # the first copy is the best response
     Phi, data = search_instance(81, 2, n_decoys=1)
     counts = np.array(data.counts)
     counts[3, 1] = 0.0
     data = RepLearnDataset(0, counts)
     twin = [np.array(t) for t in Phi[0]]
-    twin[0][3, 1] = np.nan
+    twin[0][3, 1] = 1e6
     dup = FeatureClass(list(Phi.candidates) + [twin])
     cfg = RepLearnConfig(restarts=4, grad_steps=30)
     _, r_big, r_small, _ = cfg.resolve(2, data.n, len(dup))
     angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
     thetas = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     ftabs = np.broadcast_to(dup[0][1], (16,) + dup[0][1].shape)
-    tables = dup.tables_at(0)
-    losses, _ = data.factor_stack(tables).fit(*data.targets(
+    tables = dup.tables_at(0).copy()
+    tables[2, 3, 1] = np.nan
+    tables.setflags(write=False)
+    losses, _ = data.cells.factor(tables).fit(*data.targets(
         matvec(ftabs, thetas[:, None, :]).max(axis=2)), r_small)
     assert np.array_equal(losses[0], losses[2])
     assert (losses.argmin(axis=0) == 0).any()

@@ -1,6 +1,7 @@
 """Synthetic environments, exact occupancy algebra, samplers, reachability."""
 
 import gc
+import hashlib
 import pickle
 import re
 import weakref
@@ -138,6 +139,23 @@ def test_combination_lock_is_valid_and_uniform_play_opens_it_at_a_to_the_minus_h
             out = check_policy_cover(M, uniform, h, alpha=0.0, eps=0.0)
             assert out["alpha_measured"] == pytest.approx(float(A) ** -h,
                                                           rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("H, A, obs, seed, digest", [
+    (2, 1, 1, 0, "bea1fda8319b5b7d4dd0194592764c39fc943d23fa813f3453121e8fef284d98"),
+    (3, 2, 1, 5, "1ac6e942b312a6e6a8c739f4ceb5053759fbe6de29959fa1dd8ffb5d2abbfa1b"),
+    (4, 3, 3, 11, "707986757136a87f0882e65c62c194c953f113f026f3bbc086f9789f0ce472b6"),
+    (5, 2, 4, 123, "75c05b88d693edbe1c6ddc2fa4a2cc9a6648bc5d25f57ed2d228f41b49792152"),
+    (6, 4, 2, 0, "f7a70a6a736ce658b60be12884ec3f16315b5f757485d77b8e08a732a516bd49"),
+    (6, 4, 2, 7001, "5da44aeeccd79d3d5587521a14a08a85e0025ced1c95bbd52b2c7448423695d3"),
+    (8, 5, 2, 99, "295b8c99d8c9e7a2b0f12a80547244e3776073441d52329a88addf28abfbd982"),
+])
+def test_combination_lock_bytes_are_pinned(H, A, obs, seed, digest):
+    # the SHA-256 of the lock's JSON, on shapes off the benchmark's (6, 4, 2)
+    # too, so a change to the lock's signature (ROADMAP items 9 and 21) can
+    # show that its default output is byte-identical
+    M = combination_lock(H, A, obs, seed)
+    assert hashlib.sha256(M.to_json().encode()).hexdigest() == digest
 
 
 def test_combination_lock_rejects_bad_sizes():
@@ -885,3 +903,15 @@ def test_feature_class_stacks_each_layer_once(env):
             assert np.array_equal(Phi[i][h], T[i])
         assert phi[h].flags.writeable  # the caller's table is left as it was
         assert not np.shares_memory(phi[h], T)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_feature_class_rejects_a_non_finite_table_naming_candidate_and_layer(env, bad):
+    # one NaN would make every gap of its candidate NaN, so the search
+    # would silently never weigh it
+    cands = [[np.array(t) for t in env.phi] for _ in range(3)]
+    cands[2][1][0, 1, 0] = bad
+    with pytest.raises(VoxlabError, match=r"candidate 2 .* layer-1 table"):
+        FeatureClass(cands)
+    cands[2][1][0, 1, 0] = 0.0
+    FeatureClass(cands)

@@ -46,8 +46,9 @@ def test_exports_that_only_tests_use_are_pinned():
       ``exact_transfer_error`` and ``reachability_diagnostics`` are the
       exact evaluators the planned ``voxlab report`` command prints
       (ROADMAP item 3);
-    - ``combination_lock`` is the library lock that the line-search and
-      d = 3 gates will run on (ROADMAP items 1 and 9);
+    - ``combination_lock`` is the library lock that the d = 3 gate and the
+      reachability dial will build on, and that the benchmark will import
+      in place of its own copy (ROADMAP items 9 and 21);
     - ``pdl_check`` is the only library caller of ``exact_q_tables``, so
       moving it out would orphan that primitive;
     - ``ball_constrained_least_squares`` is looked up by name by the
