@@ -8,6 +8,7 @@ h+1 is mu[h][x'] . phi[h][x, a].
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -364,6 +365,35 @@ def compose_policies(prefix, suffix):
     return Policy(prefix.lo, prefix.tables + suffix.tables)
 
 
+@functools.lru_cache(maxsize=8)
+def _spot_weights(n):
+    """Read-only float (1000, n) matrix of the binary weightings g that
+    `validate_mdp` checks on a layer of n states: the draw of a fresh
+    ``default_rng(0)``, made once per width.  The last 8 widths are kept,
+    8000 n bytes each, so a process that validates many widths stays
+    small."""
+    g = np.random.default_rng(0).integers(0, 2, size=(1000, n)).astype(float)
+    g.setflags(write=False)
+    return g
+
+
+def _spot_norm(mu):
+    """The largest || sum_x g(x) mu(x) || over the spot weightings g of
+    `_spot_weights`, the float ``np.linalg.norm(g @ mu, axis=1).max()``
+    gives: the square root of the largest squared row norm, since the
+    square root is monotone and correctly rounded.  np.add.reduce sums a
+    row of fewer than 8 entries left to right, so for d < 8 the rows are
+    summed column by column instead, bit for bit the same without one
+    call per row."""
+    agg = _spot_weights(len(mu)) @ mu
+    sq = agg * agg
+    if mu.shape[1] < 8:
+        rows = sum(sq.T, np.zeros(len(sq)))
+    else:
+        rows = np.add.reduce(sq, axis=1)
+    return float(np.sqrt(rows.max()))
+
+
 def validate_mdp(M):
     """Check every structural invariant and report violations as strings.
 
@@ -371,7 +401,8 @@ def validate_mdp(M):
     most 1, transition rows that are nonnegative densities summing to 1,
     per-coordinate l1 mass of each mu table at most 1, and rho a probability
     vector.  On top of the l1 condition, a fixed-seed spot check evaluates
-    || sum_x g(x) mu(x) || <= sqrt(d) on 1000 random binary g per layer.
+    || sum_x g(x) mu(x) || <= sqrt(d) on 1000 random binary g per layer, the
+    same weightings for every layer of a width (`_spot_norm`).
     """
     report = []
     d = M.d
@@ -398,10 +429,7 @@ def validate_mdp(M):
                 f"mu coordinate l1 mass exceeds 1 at (h={h}, i={i}): {l1[i]:.12g}"
             )
         # spot check the aggregate normalization on random binary weightings
-        spot = np.random.default_rng(0)
-        g = spot.integers(0, 2, size=(1000, M.n_states(h + 1)))
-        agg = np.linalg.norm(g @ M.mu[h], axis=1)
-        worst = float(agg.max())
+        worst = _spot_norm(M.mu[h])
         if worst > np.sqrt(d) + ROW_SUM_TOL:
             report.append(
                 f"mu aggregate norm exceeds sqrt(d) at h={h}: {worst:.12g} > {np.sqrt(d):.12g}"

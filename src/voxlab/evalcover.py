@@ -16,6 +16,7 @@ import numpy as np
 from voxlab.core import Policy, PolicyDistribution, VoxlabError, as_distribution
 from voxlab.optdesign import _chol_inverse
 from voxlab.simenv import (
+    _density_norms,
     argmax_policy,
     exact_feature_expectation,
     exact_occupancy,
@@ -45,7 +46,7 @@ def check_policy_cover(M, P, h, alpha, eps, mode="expectation"):
             raise VoxlabError(f"{name} must be finite and >= 0, got {val}")
     P = as_distribution(P)
     maxima = max_occupancies(M, h)
-    scale = np.linalg.norm(M.mu[h - 1], axis=1) if h >= 1 else np.ones(M.n_states(0))
+    scale = _density_norms(M, h) if h >= 1 else np.ones(M.n_states(0))
     if mode == "expectation":
         vals = mixture_occupancy(M, P, h)
     elif mode == "max":

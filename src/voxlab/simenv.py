@@ -286,11 +286,12 @@ def exact_policy_value(M, pi, reward_tables):
     return total
 
 
-# MDP -> ({(shape, bytes) of a table: its `_rows`}, {roll-in object: {s: its
-# state law at s, (upto, tail key): its compiled law}}), the roll-in objects
-# (policies by value, distributions by identity) held weakly too: each entry
-# is a function of the immutable MDP and its key alone, and dies with the MDP
-# or the roll-in object
+# MDP -> ({(shape, bytes) of a table: its `_rows`, ("max", h): the
+# `max_occupancies` at h, ("norm", h): the `_density_norms` at h}, {roll-in
+# object: {s: its state law at s, (upto, tail key): its compiled law}}), the
+# roll-in objects (policies by value, distributions by identity) held weakly
+# too: each entry is a function of the immutable MDP and its key alone, and
+# dies with the MDP or the roll-in object
 _LAWS = weakref.WeakKeyDictionary()
 
 
@@ -483,6 +484,10 @@ def max_occupancies(M, h, budget=DEFAULT_DP_BUDGET):
     Backward dynamic programming on the reach probability of each target
     state; the per-state maximum over all randomized policies is attained by
     a deterministic one because occupancy is affine in each action row.
+
+    Every call checks the budget; the pass itself runs once per MDP and
+    layer and is memoised with the MDP (`_LAWS`), and each call returns a
+    fresh copy of it.
     """
     _check_layer(M, h)
     if _dp_cost(M, h) > budget:
@@ -490,12 +495,20 @@ def max_occupancies(M, h, budget=DEFAULT_DP_BUDGET):
             f"max-occupancy recursion at layer {h} needs {_dp_cost(M, h)} ops, "
             f"budget is {budget}"
         )
-    n_h = M.n_states(h)
-    reach = np.eye(n_h)
-    for t in range(h - 1, -1, -1):
-        T = M.transition_matrix(t)
-        reach = np.einsum("xay,yk->xak", T, reach).max(axis=1)
-    return M.rho @ reach
+
+    def build():
+        reach = np.eye(M.n_states(h))
+        for t in range(h - 1, -1, -1):
+            T = M.transition_matrix(t)
+            reach = np.einsum("xay,yk->xak", T, reach).max(axis=1)
+        return M.rho @ reach
+    return _memo(M, ("max", h), build).copy()
+
+
+def _density_norms(M, h):
+    """Read-only ||mu(x)|| of every layer-h state (h >= 1), memoised with
+    the MDP."""
+    return _memo(M, ("norm", h), lambda: np.linalg.norm(M.mu[h - 1], axis=1))
 
 
 def _greedy_backward(M, h, g):
@@ -531,29 +544,28 @@ def make_feature_class(M, n_decoys, rng, true_index=0):
     """
     if not 0 <= true_index <= n_decoys:
         raise VoxlabError(f"true_index {true_index} is outside 0..{n_decoys}")
-    decoys = []
-    seen = set()
-    attempts = 0
+    decoys, seen, attempts = [], set(), 0
+    # a draw's key is its layers' permutations as bytes, one after the
+    # other; each layer's length is fixed, so equal keys are equal draws
+    identity = b"".join(np.arange(tab.shape[0] * tab.shape[1]).tobytes()
+                        for tab in M.phi)
     while len(decoys) < n_decoys:
         attempts += 1
         if attempts > 200 * (n_decoys + 1):
             raise VoxlabError(
                 f"could not find {n_decoys} distinct cell permutations"
             )
-        perms = []
-        for tab in M.phi:
-            cells = tab.shape[0] * tab.shape[1]
-            perms.append(tuple(rng.permutation(cells).tolist()))
-        key = tuple(perms)
-        if key in seen or all(p == tuple(range(len(p))) for p in perms):
+        perms = [rng.permutation(tab.shape[0] * tab.shape[1]) for tab in M.phi]
+        key = b"".join(p.tobytes() for p in perms)
+        if key in seen or key == identity:
             continue
         seen.add(key)
         decoys.append([
-            tab.reshape(-1, M.d)[list(p)].reshape(tab.shape)
+            tab.reshape(-1, M.d)[p].reshape(tab.shape)
             for tab, p in zip(M.phi, perms)
         ])
     candidates = decoys[:]
-    candidates.insert(true_index, [tab.copy() for tab in M.phi])
+    candidates.insert(true_index, list(M.phi))
     return FeatureClass(candidates, true_index=true_index)
 
 
@@ -566,7 +578,7 @@ def reachability_eta(M, h):
     if not 1 <= h < M.H:
         raise LayerRangeError(f"reachability is defined for layers 1..{M.H - 1}")
     occ = max_occupancies(M, h)
-    norms = np.linalg.norm(M.mu[h - 1], axis=1)
+    norms = _density_norms(M, h)
     mask = norms > 0
     if not np.any(mask):
         raise VoxlabError(f"layer {h} has no state with nonzero density embedding")

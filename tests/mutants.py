@@ -449,6 +449,53 @@ MUTANTS = (
             "tests/test_simenv.py::test_policy_value_is_the_per_layer_sum_bit_for_bit",
         ),
     ),
+    Mutant(
+        "the max-occupancy memo ignores the layer",
+        "src/voxlab/simenv.py",
+        '_memo(M, ("max", h), build)',
+        '_memo(M, ("max",), build)',
+        (
+            "tests/test_simenv.py::test_memoised_max_occupancies_equal_the_dp_in_any_layer_order",
+        ),
+    ),
+    Mutant(
+        "max_occupancies hands out its memoised array",
+        "src/voxlab/simenv.py",
+        "build).copy()",
+        "build)",
+        (
+            "tests/test_simenv.py::test_max_occupancies_hand_out_a_fresh_array_and_check_every_budget",
+        ),
+    ),
+    # ------------------------------------------------------------- validation
+    Mutant(
+        "validate_mdp reuses one width's spot weights for every width",
+        "src/voxlab/core.py",
+        "_spot_weights(len(mu))",
+        "_spot_weights(4)",
+        (
+            "tests/test_core.py::test_validate_names_only_the_layer_whose_mu_mass_exceeds_one",
+            "tests/test_core.py::test_spot_norm_is_the_largest_row_norm_bit_for_bit",
+        ),
+    ),
+    Mutant(
+        "the spot norm sums each row left to right at every d",
+        "src/voxlab/core.py",
+        "if mu.shape[1] < 8:",
+        "if True:",
+        (
+            "tests/test_core.py::test_spot_norm_is_the_largest_row_norm_bit_for_bit",
+        ),
+    ),
+    Mutant(
+        "validate_mdp drops the aggregate-norm check",
+        "src/voxlab/core.py",
+        "if worst > np.sqrt(d) + ROW_SUM_TOL:",
+        "if False:",
+        (
+            "tests/test_core.py::test_validate_names_only_the_layer_whose_mu_mass_exceeds_one",
+        ),
+    ),
     # -------------------------------------------------------------------- cli
     Mutant(
         "the JSON loader lets a build's VoxlabError through unnamed",

@@ -1,5 +1,6 @@
 """Domain types: policies, mixtures, composition, validation, serialization."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from voxlab import (
     compose_policies,
     validate_mdp,
 )
+from voxlab.core import _spot_norm
 from voxlab.simenv import exact_occupancy
 
 from conftest import small_env
@@ -214,6 +216,38 @@ def test_validate_flags_row_sum_and_rho(env):
     rho = rho / 2.0
     M2 = LayeredLowRankMDP(env.H, env.A, env.d, env.layers, env.phi, env.mu, rho)
     assert any("rho sums to" in line for line in validate_mdp(M2))
+
+
+def test_validate_names_only_the_layer_whose_mu_mass_exceeds_one():
+    # next-layer widths 4 and 5; layer 1's mu tripled with two rows negated,
+    # so the worst spot weighting is not the all-ones one.  The report's
+    # text is pinned by its SHA-256, its last three lines literally.
+    M = small_env(seed=4, H=3, states=(3, 4, 5))
+    signs = np.array([1.0, -1.0, 1.0, 1.0, -1.0])
+    mu = [M.mu[0], 3.0 * signs[:, None] * M.mu[1]]
+    bad = LayeredLowRankMDP(M.H, M.A, M.d, M.layers, M.phi, mu, M.rho)
+    report = validate_mdp(bad)
+    assert [line for line in report if line.startswith("mu ")] == [
+        "mu coordinate l1 mass exceeds 1 at (h=1, i=0): 3",
+        "mu coordinate l1 mass exceeds 1 at (h=1, i=1): 3",
+        "mu aggregate norm exceeds sqrt(d) at h=1: 2.35205093002 > 1.41421356237",
+    ]
+    digest = hashlib.sha256("\n".join(report).encode()).hexdigest()
+    assert len(report) == 27
+    assert digest == "5ed21b6fa211ce05679b0f124d1743aa17d22d731375664097829ede6aa1857d"
+    assert validate_mdp(M) == []
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 12])
+def test_spot_norm_is_the_largest_row_norm_bit_for_bit(d):
+    # against a direct spot check: a fresh default_rng(0) draw and
+    # np.linalg.norm, on widths 3..12 and entries over twelve orders of
+    # magnitude
+    rng = np.random.default_rng(d)
+    for n in range(3, 13):
+        mu = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-6, 7, size=(n, d))
+        g = np.random.default_rng(0).integers(0, 2, size=(1000, n))
+        assert _spot_norm(mu) == float(np.linalg.norm(g @ mu, axis=1).max())
 
 
 def test_constructor_shape_errors(env):

@@ -599,15 +599,21 @@ def test_a_warm_memo_gives_each_layer_its_own_law():
 
 
 def test_the_memo_holds_no_entry_for_a_collected_mdp():
+    # the exact evaluators' maxima and density norms go with the MDP too
     gc.collect()
     before = len(simenv._LAWS)
     M = small_env(seed=3, H=4, states=(3, 4, 4, 3))
     sample_trajectories(M, Policy.uniform(M), 10, np.random.default_rng(0))
+    reachability_eta(M, 2)
+    check_policy_cover(M, Policy.uniform(M), 3, alpha=0.0, eps=0.0)
     assert M in simenv._LAWS and len(simenv._LAWS) == before + 1
+    tables = simenv._LAWS[M][0]
+    held = [weakref.ref(tables[kind, h]) for kind in ("max", "norm") for h in (2, 3)]
     ref = weakref.ref(M)
-    del M
+    del M, tables
     gc.collect()
     assert ref() is None and len(simenv._LAWS) == before
+    assert all(r() is None for r in held)
 
 
 def fresh_rollins(M, rng, k):
@@ -848,7 +854,61 @@ def test_reachability_layer_range_and_budget(env):
     assert "budget" in str(exc.value)
 
 
+def frozen_max_occupancies(M, h):
+    """The backward max-occupancy DP without a memo: the reference that
+    pins `max_occupancies` bit for bit."""
+    reach = np.eye(M.n_states(h))
+    for t in range(h - 1, -1, -1):
+        T = M.transition_matrix(t)
+        reach = np.einsum("xay,yk->xak", T, reach).max(axis=1)
+    return M.rho @ reach
+
+
+@pytest.mark.parametrize("make", [
+    lambda: combination_lock(6, 4, 2, 7001),
+    lambda: small_env(seed=5, H=5, A=3, d=3, states=(3, 4, 2, 5, 4), rotate=True),
+], ids=["lock", "rotated"])
+def test_memoised_max_occupancies_equal_the_dp_in_any_layer_order(make):
+    # every layer twice, in shuffled order, on one MDP
+    M = make()
+    for h in np.random.default_rng(0).permutation(M.H).tolist() * 2:
+        assert np.array_equal(max_occupancies(M, h), frozen_max_occupancies(M, h))
+
+
+def test_max_occupancies_hand_out_a_fresh_array_and_check_every_budget():
+    M = small_env(seed=2, H=4, states=(3, 4, 4, 3))
+    first = max_occupancies(M, 3)
+    want = first.copy()
+    first[:] = -1.0
+    again = max_occupancies(M, 3)
+    assert np.array_equal(again, want) and again.flags.writeable
+    with pytest.raises(BudgetError, match="budget"):
+        max_occupancies(M, 3, budget=1)
+    assert np.array_equal(max_occupancies(M, 3), want)
+
+
 # ------------------------------------------------------------ feature class
+
+
+@pytest.mark.parametrize("kind, n_decoys, true_index, digest", [
+    ("lock", 2, 0, "be7624d8f4c7253df00eb13a9d40794caaefb6438ed586bc42667087d0dd9fa1"),
+    ("lock", 2, 2, "6a1fd9ad2e3d95d4b29aaf31422c94c8841d6515e3eef5e580a1202e6863a61f"),
+    ("lock", 5, 0, "68046a5356f458464751a00c99195d37e92d76ed44bef74b2a32b42c88294492"),
+    ("lock", 5, 2, "69642fd8e2cc1f4800bdbc1a0f303acf9a748c001bb5eb5631111b890ea1ab49"),
+    ("c07", 2, 0, "f2ce4752754884c1761c2c2d20142b9493e2c7a4ecc4b7a842cd9161285a65a6"),
+    ("c07", 2, 2, "b9767edca799ba18b06499eb5de4f619b30a9d2aa2989bfd640e64422150f863"),
+    ("c07", 5, 0, "e05f1aaad59c24da815cdbef08bab83806fc8c69a4f3b4076d2532ed04082012"),
+    ("c07", 5, 2, "aee10c1c40b7d5310fef2438d3a46bfc88b249e1cec2ae527604cd69a2d56f85"),
+])
+def test_feature_class_tables_are_pinned(kind, n_decoys, true_index, digest):
+    # the SHA-256 of every layer's candidate stack, one after the other
+    M = (combination_lock(6, 4, 2, 7001) if kind == "lock" else
+         small_env(seed=7012, H=4, A=2, d=2, states=(4, 5, 5, 5), boost=0.5))
+    Phi = make_feature_class(M, n_decoys, np.random.default_rng(31), true_index)
+    h = hashlib.sha256()
+    for t in range(M.H - 1):
+        h.update(Phi.tables_at(t).tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_make_feature_class_structure(env):
