@@ -380,17 +380,11 @@ def _spot_weights(n):
 def _spot_norm(mu):
     """The largest || sum_x g(x) mu(x) || over the spot weightings g of
     `_spot_weights`, the float ``np.linalg.norm(g @ mu, axis=1).max()``
-    gives: the square root of the largest squared row norm, since the
-    square root is monotone and correctly rounded.  np.add.reduce sums a
-    row of fewer than 8 entries left to right, so for d < 8 the rows are
-    summed column by column instead, bit for bit the same without one
-    call per row."""
+    gives: the square root of the largest squared row norm, summed as
+    np.linalg.norm sums it, since the square root is monotone and
+    correctly rounded."""
     agg = _spot_weights(len(mu)) @ mu
-    sq = agg * agg
-    if mu.shape[1] < 8:
-        rows = sum(sq.T, np.zeros(len(sq)))
-    else:
-        rows = np.add.reduce(sq, axis=1)
+    rows = np.add.reduce(agg * agg, axis=1)
     return float(np.sqrt(rows.max()))
 
 

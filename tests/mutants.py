@@ -479,15 +479,6 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the spot norm sums each row left to right at every d",
-        "src/voxlab/core.py",
-        "if mu.shape[1] < 8:",
-        "if True:",
-        (
-            "tests/test_core.py::test_spot_norm_is_the_largest_row_norm_bit_for_bit",
-        ),
-    ),
-    Mutant(
         "validate_mdp drops the aggregate-norm check",
         "src/voxlab/core.py",
         "if worst > np.sqrt(d) + ROW_SUM_TOL:",
