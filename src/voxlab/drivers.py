@@ -9,10 +9,10 @@ asks the explorer for a design over layers 0..hc; the designs, each
 composed with uniform play from layer hc+1 on, form layer hc+2's cover.
 
 VoX makes K designs per layer with the Frank-Wolfe design loop, whose
-LinOpt is PSDP on quadratic feature rewards (radius sqrt(d); None on top,
-whose reward is known) and whose LinEst is the Monte-Carlo second moment;
-each step mixes in the line-search weight, logged in the row's ``steps``,
-and the cover mixes the designs at 1/K.
+LinOpt is PSDP on quadratic feature rewards (radius sqrt(d)) and whose
+LinEst is the Monte-Carlo second moment; each step mixes in the
+line-search weight, logged in the row's ``steps``, and the cover mixes the
+designs at 1/K.
 
 SpanRL makes one design per layer: a barycentric spanner of the reachable
 feature expectations, whose LinOpt is PSDP on linear feature rewards
@@ -23,8 +23,10 @@ roll-in is drawn once: layers hc and hc-1 by the first query only, a lower
 layer once per greedy suffix.  The log row's ``psdp_draws`` counts them,
 and a layer's episodes are n_replearn + est_calls * n_estvec + psdp_draws *
 n_psdp, with psdp_draws at most 1 + min(hc, 1) + opt_calls * max(hc - 1,
-0).  VoX passes no memo: each of its queries draws every layer, its unread
-top one too.
+0).  VoX passes no memo: each of its queries draws every layer.  Every
+PSDP query, `optimize_reward`'s (radius 2 H sqrt(d)) too, takes its top
+layer's reward as that layer's Q-function and fits nothing there, yet
+draws the top layer's roll-in, which nothing reads.
 
 Every episode is counted by, and every sample drawn through,
 `simenv.sample_trajectories`, which draws the counts the estimators read
@@ -265,8 +267,8 @@ def run_vox(M, Phi, schedule: VoxSchedule, rng, counter=None) -> RunResult:
 
         def lin_opt(Mquery):
             rewards = _top_layer_rewards(M, hc, quadratic_reward(Mquery, tab))
-            return psdp(M, hc, rewards, Phi, [math.sqrt(Phi.d)] * hc + [None],
-                        covers[:hc + 1], schedule.n_psdp, rng, counter=counter)
+            return psdp(M, hc, rewards, Phi, math.sqrt(Phi.d), covers[:hc + 1],
+                        schedule.n_psdp, rng, counter=counter)
 
         def lin_est(P):
             dist = PolicyDistribution(list(P), list(P.values()))
@@ -308,9 +310,8 @@ def run_spanrl(M, Phi, eps, schedule: SpanrlSchedule, rng,
 
         def lin_opt(theta):
             rewards = _top_layer_rewards(M, hc, linear_reward(theta, tab))
-            return psdp(M, hc, rewards, Phi, [2.0 * math.sqrt(d)] * (hc + 1),
-                        covers[:hc + 1], schedule.n_psdp, rng, counter=counter,
-                        shared=shared)
+            return psdp(M, hc, rewards, Phi, 2.0 * math.sqrt(d), covers[:hc + 1],
+                        schedule.n_psdp, rng, counter=counter, shared=shared)
 
         def lin_est(pi):
             return est_vec(M, hc, tab, pi, schedule.n_estvec, rng,
@@ -362,8 +363,8 @@ def optimize_reward(M, covers: CoverSet, thetas, Phi, n, rng, counter=None):
             raise VoxlabError(f"reward vector at layer {t} has norm > 1")
     tables = [M.phi[t] @ thetas[t] for t in range(M.H - 1)]
     top = M.H - 2
-    radii = [2.0 * M.H * math.sqrt(Phi.d)] * (top + 1)
     dists = [covers.distribution(t) for t in range(top + 1)]
-    pol = psdp(M, top, tables, Phi, radii, dists, n, rng, counter=counter)
+    pol = psdp(M, top, tables, Phi, 2.0 * M.H * math.sqrt(Phi.d), dists, n, rng,
+               counter=counter)
     value = exact_policy_value(M, pol, tables)
     return pol, value

@@ -105,7 +105,8 @@ def pdl_check(M, pi, pi_star, reward_tables):
 
 
 def _feature_coverage_eta(M, h, iters=300):
-    """Lower bound on sup_pi lambda_min(E^pi[phi phi^T]) by concave FW."""
+    """Lower bound on sup_pi lambda_min(E^pi[phi phi^T]) by concave FW;
+    clipped at 0, since a rank-deficient second moment can read -1e-17."""
     feat = M.phi[h]
     S = exact_second_moment(M, Policy.uniform(M, 0, h), feat, h)
 
@@ -124,7 +125,7 @@ def _feature_coverage_eta(M, h, iters=300):
             break
         S = (1 - a_best) * S + a_best * S_t
         best = val
-    return best
+    return max(best, 0.0)
 
 
 def _explorability_eta(M, h, n_dirs, rng):

@@ -9,9 +9,9 @@ learned feature map) and the spanner loop (linear rewards), and for
 downstream reward optimization.
 
 All layer indices are 0-based positions within the horizon; `psdp(M, h,
-rewards, Phi, radii, ...)` fits layers h, h-1, ..., 0, each over the ball of
-its radius on Phi's candidates (a radius of None takes the layer's reward
-as its Q-function), and returns a policy over [0..h].
+rewards, Phi, radius, ...)` takes layer h's reward as its Q-function, fits
+layers h-1, ..., 0 over the ball of that radius on Phi's candidates, and
+returns a policy over [0..h].
 """
 
 from __future__ import annotations
@@ -242,51 +242,50 @@ def fit_value_class(Phi, t, cells, sums, radius):
                        loss=float(losses[i, 0]))
 
 
-def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None, shared=None):
+def psdp(M, h, rewards, Phi, radius, covers, n, rng, counter=None, shared=None):
     """Backward regression of roll-out returns; returns a greedy policy on [0..h].
 
-    ``rewards[t]`` is the (|X_t|, A) reward table of layer t.  For t = h
+    ``rewards[t]`` is the (|X_t|, A) reward table of layer t.  Layer h has
+    nothing above it, so its Q-function is ``rewards[h]``.  For t = h-1
     down to 0: draw n episodes with roll-in policy sampled from covers[t],
     a uniform action at layer t, and the already-built greedy suffix
-    afterwards; fit the return-to-go at (x_t, a_t) over the ball of radius
-    ``radii[t]`` on Phi's layer-t candidates; act greedily on the fit.  A
-    radius of None takes ``rewards[t]`` as the fit, but still draws the
-    roll-in, so episode counts and the random stream ignore the radii.
-    Each layer's greedy table is built once, right after its fit, and the
-    lower layers' tails and the returned policy share it.
+    afterwards; fit the return-to-go at (x_t, a_t) over the ball of the
+    radius on Phi's layer-t candidates; act greedily on the fit.  Layer
+    h's roll-in is drawn too, and not read, so a query draws (h + 1) * n
+    episodes.  Each layer's greedy table is built once, and the lower
+    layers' tails and the returned policy share it.
 
     The draw is a count chain (`simenv.sample_trajectories`): the cell
     counts at t and, for each later layer, the counts of (cell at t, state
     and action there), of which layer h keeps only the states.  Each cell's
     return sum is its reward times its count plus, layer by layer, the
-    chain's counts against that layer's rewards, with the greedy actions
-    at h applied to the states at h.  These sums and counts are all that
-    the regression reads, so the fit has the law it would have on the
-    same n episodes drawn one by one.
+    chain's counts against that layer's rewards, with the reward's max
+    applied to the states at h.  These sums and counts are all that the
+    regression reads, so the fit has the law it would have on the same n
+    episodes drawn one by one.
 
     ``shared`` is an optional memo, a dict that starts empty and that the
     caller keeps for queries on one M, h, n and covers[0..h]; a memo filled
     for others raises before any draw.  Layer t's chain is keyed by t and
     the greedy actions on layers t+1..h-1: it depends only on covers[t],
     the uniform action at t and those greedy layers, not on the rewards,
-    the radii or the greedy layer at h.  The first query with a key draws
-    and stores it; a later one reads it and applies its own rewards and
-    greedy layer at h, exactly what a fresh draw of the same counts gives.
-    So layers h and h-1, whose keys hold no greedy layer, are drawn once
-    per memo, and a lower layer once per distinct greedy suffix.  A stored
-    chain keeps the `ObservedCells` of its counts at t beside it, so its
-    factor is built once for all the queries that fit it.  Each query's
-    samples have a fresh draw's law; queries that share a key are
-    dependent, and the spanner's union bound over its queries holds under
-    any dependence between them.
+    the radius or the greedy layer at h.  The first query with a key draws
+    and stores it; a later one reads it and applies its own rewards, exactly
+    what a fresh draw of the same counts gives.  So layers h and h-1, whose
+    keys hold no greedy layer, are drawn once per memo, and a lower layer
+    once per distinct greedy suffix.  A stored chain below h keeps the
+    `ObservedCells` of its counts at t beside it, so its factor is built
+    once for all the queries that fit it.  Each query's samples have a
+    fresh draw's law; queries that share a key are dependent, and the
+    spanner's union bound over its queries holds under any dependence
+    between them.
     """
     if n < 1:
         raise VoxlabError("n must be >= 1")
-    if len(radii) < h + 1 or len(covers) < h + 1:
-        raise VoxlabError(f"need radii and covers for layers 0..{h}, got "
-                          f"{len(radii)} and {len(covers)}")
-    if any(r is not None and not r > 0 for r in radii[:h + 1]):
-        raise VoxlabError(f"radii must be > 0 or None, got {list(radii[:h + 1])}")
+    if len(covers) < h + 1:
+        raise VoxlabError(f"need covers for layers 0..{h}, got {len(covers)}")
+    if radius is None or not radius > 0:
+        raise VoxlabError(f"radius must be > 0, got {radius}")
     if len(rewards) < h + 1:
         raise VoxlabError(f"need reward tables for layers 0..{h}, got {len(rewards)}")
     # read flat at x * A + a below
@@ -299,7 +298,7 @@ def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None, shared=None):
                               f"cover (h = {mine[0]}, n = {mine[1]}), not for "
                               f"h = {h}, n = {n}")
     # each layer's greedy actions and their table, filled from h down, and
-    # the rewards of the greedy actions at h
+    # the value of layer h's states
     acts, greedy, top = [None] * (h + 1), [None] * (h + 1), None
     for t in range(h, -1, -1):
         if shared is None:
@@ -320,8 +319,9 @@ def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None, shared=None):
             if shared is not None:
                 shared[key] = entry
         chain, cells = entry
-        if radii[t] is None:
-            q = reward_flat[t].reshape(M.n_states(t), M.A)
+        if t == h:
+            q = reward_flat[h].reshape(M.n_states(h), M.A)
+            top = q.max(axis=1)
         else:
             if cells is None:
                 cells = entry[1] = ObservedCells(chain[0])
@@ -329,11 +329,8 @@ def psdp(M, h, rewards, Phi, radii, covers, n, rng, counter=None, shared=None):
             sums = cnt * reward_flat[t]
             for ell in range(t + 1, h):
                 sums += chain[ell - t].reshape(len(cnt), -1) @ reward_flat[ell]
-            if t < h:
-                sums += chain[-1] @ top
-            q = fit_value_class(Phi, t, cells, sums, radii[t]).q_table
+            sums += chain[-1] @ top
+            q = fit_value_class(Phi, t, cells, sums, radius).q_table
         acts[t] = q.argmax(axis=1)
         greedy[t] = Policy.from_actions(M, [acts[t]], lo=t).tables[0]
-        if t == h:
-            top = reward_flat[h][np.arange(0, M.n_states(h) * M.A, M.A) + acts[h]]
     return Policy(0, greedy)

@@ -192,12 +192,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "psdp values layer h by the reward's max, not its greedy action",
+        "psdp fits layer h",
         "src/voxlab/psdp.py",
-        "top = reward_flat[h][np.arange(0, M.n_states(h) * M.A, M.A) + acts[h]]",
-        "top = reward_flat[h].reshape(M.n_states(h), M.A).max(axis=1)",
+        "q = reward_flat[h].reshape(M.n_states(h), M.A)",
+        "q = fit_value_class(Phi, h, ObservedCells(chain[0]), "
+        "chain[0].ravel() * reward_flat[h], radius).q_table",
         (
-            "tests/test_psdp.py::test_psdp_cell_means_at_n_1e12_match_the_exact_q_tables",
+            "tests/test_psdp.py::test_no_query_fits_its_top_layer",
         ),
     ),
     Mutant(
@@ -465,6 +466,15 @@ MUTANTS = (
         "build)",
         (
             "tests/test_simenv.py::test_max_occupancies_hand_out_a_fresh_array_and_check_every_budget",
+        ),
+    ),
+    Mutant(
+        "the feature-coverage bound is not clipped at 0",
+        "src/voxlab/evalcover.py",
+        "    return max(best, 0.0)\n",
+        "    return best\n",
+        (
+            "tests/test_evalcover.py::test_a_rank_deficient_second_moment_reads_a_coverage_of_0_not_a_complex_bound",
         ),
     ),
     # ------------------------------------------------------------- validation

@@ -217,8 +217,8 @@ def test_c05_psdp_near_optimal_with_exhaustive_covers():
                       states=shapes[seed % len(shapes)])
         tabs = [rng.random((n, M.A)) / M.H for n in M.state_counts()]
         Phi = onehot_feature_class(M)
-        radii = [3.0 * np.sqrt(M.n_states(t) * M.A) for t in range(3)]
-        pi = psdp(M, 2, tabs, Phi, radii, _all_det_covers(M, 2), 20000, rng)
+        radius = 3.0 * np.sqrt(max(M.state_counts()) * M.A)
+        pi = psdp(M, 2, tabs, Phi, radius, _all_det_covers(M, 2), 20000, rng)
         gap = dp_optimal_value(M, tabs) - exact_policy_value(M, pi, tabs)
         hits += gap <= 0.05
         pi_star = dp_optimal_policy(M, tabs)

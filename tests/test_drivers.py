@@ -527,7 +527,7 @@ def test_every_episode_is_drawn_through_the_module_sampler(monkeypatch):
     paths = {
         "psdp": lambda c: psdp(M, 1, [np.zeros((M.n_states(0), M.A)),
                                       linear_reward(thetas[0], feat)],
-                               Phi, [2.0, 2.0], [unif, unif], 300, rng,
+                               Phi, 2.0, [unif, unif], 300, rng,
                                counter=c),
         "est_mat": lambda c: est_mat(M, 1, phiphi, unif, 300, rng, counter=c),
         "est_vec": lambda c: est_vec(M, 1, feat, unif, 300, rng, counter=c),

@@ -11,7 +11,13 @@ from voxlab.evalcover import (
     pdl_check,
     reachability_diagnostics,
 )
-from voxlab.simenv import exact_occupancy, max_occupancies, reachability_eta
+from voxlab.simenv import (
+    EnvSpec,
+    exact_occupancy,
+    generate_low_rank_mdp,
+    max_occupancies,
+    reachability_eta,
+)
 
 from conftest import exact_design, small_env, uniform_mixture
 from oracles import (
@@ -290,6 +296,19 @@ def test_diagnostics_implications_on_random_envs():
         assert out["expl_implies_reach"], out
         assert out["eta_reach"] == pytest.approx(
             min(reachability_eta(M, h) for h in (1, 2)), abs=1e-12)
+
+
+def test_a_rank_deficient_second_moment_reads_a_coverage_of_0_not_a_complex_bound():
+    # with 7 latents and at most 3 states a layer, each E[phi phi^T] is rank
+    # deficient, and its Frank-Wolfe lambda_min reads between -1.6e-17 and
+    # -2.8e-18: unclipped, (cov / 2) ** 1.5 is complex and the comparison
+    # with the reachability raises TypeError
+    M = generate_low_rank_mdp(EnvSpec(H=5, A=2, d_latent=7,
+                                      state_counts=[3, 3, 1, 1, 1], seed=0, boost=0.3))
+    out = reachability_diagnostics(M, n_dirs=8, rng=np.random.default_rng(0))
+    assert len(out["cov_by_layer"]) == 4
+    assert all(c >= 0.0 for c in out["cov_by_layer"]) and out["eta_cov"] == 0.0
+    assert out["cov_implies_reach"]
 
 
 def test_coverability_ratio_bound():

@@ -105,7 +105,7 @@ def test_psdp_returns_a_policy_greedy_on_its_own_exact_q_tables():
         h = M.H - 2
         rewards = [linear_reward(rng.standard_normal(M.d), M.phi[t])
                    for t in range(h + 1)]
-        pi = psdp(M, h, rewards, FeatureClass([M.phi]), [100.0] * (h + 1),
+        pi = psdp(M, h, rewards, FeatureClass([M.phi]), 100.0,
                   [Policy.uniform(M)] * (h + 1), N, rng)
         for t, q in enumerate(exact_q_tables(M, pi, rewards)):
             gap = q.max(axis=1) - (pi.table(t) * q).sum(axis=1)

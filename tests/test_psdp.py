@@ -1,5 +1,6 @@
 """Backward-regression policy search and its regression subroutines."""
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -315,35 +316,36 @@ def test_feature_reward_kinds_reject_misshaped_feature_tables(env, kind, extra):
            else quadratic_reward(np.eye(2), feat))
     Phi = make_feature_class(env, n_decoys=1, rng=np.random.default_rng(0))
     with pytest.raises(VoxlabError, match=r"layer 1 has shape"):
-        psdp(env, 1, top_layer_rewards(env, 1, top), Phi, [1.0, None],
+        psdp(env, 1, top_layer_rewards(env, 1, top), Phi, 1.0,
              all_det_covers(env, 1), 20, np.random.default_rng(1))
 
 
 @pytest.mark.parametrize("bad_layer", [0, 1, 2])
 def test_psdp_rejects_short_reward_lists_and_misshaped_tables(env, bad_layer):
     Phi = make_feature_class(env, n_decoys=1, rng=np.random.default_rng(0))
-    radii = [1.0] * 3
     covers = all_det_covers(env, 2)
     tabs = [np.zeros((env.n_states(t), env.A)) for t in range(3)]
     with pytest.raises(VoxlabError, match=r"reward tables for layers 0..2, got 2"):
-        psdp(env, 2, tabs[:2], Phi, radii, covers, 20, np.random.default_rng(1))
+        psdp(env, 2, tabs[:2], Phi, 1.0, covers, 20, np.random.default_rng(1))
     tabs[bad_layer] = np.zeros((env.n_states(bad_layer), env.A + 1))
     with pytest.raises(VoxlabError, match=rf"reward table at layer {bad_layer} "
                                           r"has shape"):
-        psdp(env, 2, tabs, Phi, radii, covers, 20, np.random.default_rng(1))
+        psdp(env, 2, tabs, Phi, 1.0, covers, 20, np.random.default_rng(1))
 
 
-@pytest.mark.parametrize("radii", [[1.0, 1.0], [1.0, 0.0, None], [-1.0, 1.0, None],
-                                   [None, None, float("nan")]])
+@pytest.mark.parametrize("radii", [0.0, -1.0, float("nan"), None])
 def test_psdp_rejects_bad_radii_before_drawing_an_episode(env, radii):
+    # one radius serves every fitted layer; at h = 0 none is fitted, and a
+    # bad radius still raises
     Phi = make_feature_class(env, n_decoys=1, rng=np.random.default_rng(0))
-    tabs = [np.zeros((env.n_states(t), env.A)) for t in range(3)]
-    rng, counter = np.random.default_rng(1), EpisodeCounter()
-    before = rng.bit_generator.state
-    with pytest.raises(VoxlabError, match=r"radii"):
-        psdp(env, 2, tabs, Phi, radii, all_det_covers(env, 2), 20, rng,
-             counter=counter)
-    assert counter.count == 0 and rng.bit_generator.state == before
+    for h in (0, 2):
+        tabs = [np.zeros((env.n_states(t), env.A)) for t in range(h + 1)]
+        rng, counter = np.random.default_rng(1), EpisodeCounter()
+        before = rng.bit_generator.state
+        with pytest.raises(VoxlabError, match=r"radius must be > 0"):
+            psdp(env, h, tabs, Phi, radii, all_det_covers(env, h), 20, rng,
+                 counter=counter)
+        assert counter.count == 0 and rng.bit_generator.state == before
 
 
 # ------------------------------------------------------- class fitting
@@ -502,54 +504,50 @@ def test_psdp_cell_means_at_n_1e12_match_the_exact_q_tables(monkeypatch):
                       rotate=seed % 3 == 0)
         h = H - 1
         tabs = [rng.random((M.n_states(t), M.A)) for t in range(h + 1)]
-        # indicator features below h; at h, on even seeds, a one-feature fit
-        # whose greedy actions are the reward's argmin, not its argmax
-        Phi = FeatureClass([[np.eye(M.n_states(t) * M.A).reshape(M.n_states(t), M.A, -1)
-                             for t in range(h)] + [1.0 - tabs[h][..., None]]])
-        radii = [3.0 * np.sqrt(M.n_states(t) * M.A) for t in range(h)] + [
-            None if seed % 2 else 1.0]
+        Phi = onehot_feature_class(M)
         pis = [Policy(0, [rng.random((M.n_states(t), M.A)) for t in range(H)]),
                Policy.uniform(M)]
         covers = [PolicyDistribution.point_mass(Policy.empty(0))] + [
             PolicyDistribution(pis, [w, 1.0 - w]) for w in rng.random(h)]
         fits.clear()
         counter = EpisodeCounter()
-        pi = psdp(M, h, tabs, Phi, radii, covers, 10**12, np.random.default_rng(seed),
-                  counter=counter)
+        pi = psdp(M, h, tabs, Phi, 3.0 * np.sqrt(3 * M.A), covers, 10**12,
+                  np.random.default_rng(seed), counter=counter)
         assert counter.count == 10**12 * (h + 1)
         q = exact_q_tables(M, pi, tabs)
-        assert [f[0] for f in fits] == [t for t in range(h, -1, -1) if radii[t]]
+        assert [f[0] for f in fits] == list(range(h - 1, -1, -1))
         for layer, xs, acts, ys, weights in fits:
             xs, acts, ys, weights = (np.frombuffer(b, dtype=dt) for b, dt in (
                 (xs, np.int64), (acts, np.int64), (ys, float), (weights, float)))
             big = weights >= 1e11
             assert np.abs(ys[big] - q[layer][xs[big], acts[big]]).max() <= 1e-5
             checked += int(big.sum())
-    assert checked >= 60
+    assert checked >= 48
 
 
 @pytest.mark.parametrize("h", [0, 1, 2])
 def test_a_none_layer_is_greedy_on_its_reward_and_still_draws_n_episodes(h):
-    # a radius of None fits nothing at its layer, yet draws its roll-in, so
-    # the episode count ignores the radii
+    # layer h fits none: its Q-function is its reward whatever the radius,
+    # one-hot on the reward's argmax, yet its roll-in is drawn, so every
+    # query draws (h + 1) * n episodes
     M = small_env(seed=11, H=3, A=3, d=2, states=(3, 4, 5))
     rng = np.random.default_rng(12)
     Phi = make_feature_class(M, n_decoys=1, rng=rng)
     tabs = [rng.standard_normal((M.n_states(t), M.A)) for t in range(h + 1)]
     covers = all_det_covers(M, h)
-    for radii in ([None] * (h + 1), [1.5] * h + [None]):
+    for radius in (1.5, 0.01):
         counter = EpisodeCounter()
-        got = psdp(M, h, tabs, Phi, radii, covers, 70, np.random.default_rng(13),
+        got = psdp(M, h, tabs, Phi, radius, covers, 70, np.random.default_rng(13),
                    counter=counter)
         assert counter.count == 70 * (h + 1)
-        for t in (t for t in range(h + 1) if radii[t] is None):
-            assert np.array_equal(got.table(t).argmax(axis=1), tabs[t].argmax(axis=1))
-            assert np.array_equal(got.table(t).max(axis=1), np.ones(M.n_states(t)))
+        want = np.zeros_like(tabs[h])
+        want[np.arange(M.n_states(h)), tabs[h].argmax(axis=1)] = 1.0
+        assert np.array_equal(got.table(h), want)
 
 
 def memo_instance(seed, h):
     """An MDP, a feature class, per-layer covers mixing a deterministic and
-    a random policy, and radii (None on top for odd seeds) for layers 0..h."""
+    a random policy for layers 0..h, and a radius."""
     rng = np.random.default_rng(seed)
     M = small_env(seed=seed, H=5, A=3, d=2, states=(3, 4, 3, 4, 3))
     Phi = make_feature_class(M, n_decoys=1, rng=rng)
@@ -558,10 +556,7 @@ def memo_instance(seed, h):
            Policy(0, [rng.random((M.n_states(t), M.A)) for t in range(M.H)])]
     covers = [PolicyDistribution.point_mass(Policy.empty(0))] + [
         PolicyDistribution(pis, [w, 1.0 - w]) for w in rng.random(h)]
-    radii = [float(r) for r in rng.uniform(0.5, 4.0, size=h + 1)]
-    if seed % 2:
-        radii[h] = None
-    return M, Phi, covers, radii
+    return M, Phi, covers, float(rng.uniform(0.5, 4.0))
 
 
 def suffix_key(tail, upto):
@@ -628,7 +623,7 @@ def test_a_shared_memo_replays_the_top_two_rollins(monkeypatch, seed, h):
     # layers; layers h and h-1 are drawn by the first query only, a lower
     # layer once per greedy suffix
     psdp_module = importlib.import_module("voxlab.psdp")
-    M, Phi, covers, radii = memo_instance(seed, h)
+    M, Phi, covers, radius = memo_instance(seed, h)
     rng = np.random.default_rng(seed + 50)
     queries = [[rng.standard_normal((M.n_states(t), M.A)) for t in range(h + 1)]
                for _ in range(3)]
@@ -639,7 +634,7 @@ def test_a_shared_memo_replays_the_top_two_rollins(monkeypatch, seed, h):
     recording, replaying = keyed_rollins(stored)
     monkeypatch.setattr(psdp_module, "sample_trajectories", recording)
     counter = EpisodeCounter()
-    psdp(M, h, queries[0], Phi, radii, covers, n, np.random.default_rng(1),
+    psdp(M, h, queries[0], Phi, radius, covers, n, np.random.default_rng(1),
          counter=counter, shared=shared)
     assert counter.count == n * (h + 1) == n * len(stored)
 
@@ -650,7 +645,7 @@ def test_a_shared_memo_replays_the_top_two_rollins(monkeypatch, seed, h):
             monkeypatch.setattr(psdp_module, "sample_trajectories", fake)
             run_rng, counter = np.random.default_rng(2 + q), EpisodeCounter()
             fits.clear()
-            pi = psdp(M, h, tabs, Phi, radii, covers, n, run_rng,
+            pi = psdp(M, h, tabs, Phi, radius, covers, n, run_rng,
                       counter=counter, shared=memo)
             runs.append((pi, run_rng.bit_generator.state, counter.count, list(fits)))
         (want, want_state, want_count, want_fits), (got, got_state, got_count, got_fits) = runs
@@ -665,14 +660,14 @@ def test_a_shared_memo_replays_the_top_two_rollins(monkeypatch, seed, h):
 
 @pytest.mark.parametrize("h", [0, 1, 3])
 def test_a_repeated_query_draws_nothing_and_returns_the_same_policy(h):
-    M, Phi, covers, radii = memo_instance(3, h)
+    M, Phi, covers, radius = memo_instance(3, h)
     rng = np.random.default_rng(4)
     tabs = [rng.standard_normal((M.n_states(t), M.A)) for t in range(h + 1)]
     shared, runs = {}, []
     for seed in (5, 6):
         run_rng, counter = np.random.default_rng(seed), EpisodeCounter()
         before = run_rng.bit_generator.state
-        pi = psdp(M, h, tabs, Phi, radii, covers, 60, run_rng, counter=counter,
+        pi = psdp(M, h, tabs, Phi, radius, covers, 60, run_rng, counter=counter,
                   shared=shared)
         runs.append((pi, counter.count, run_rng.bit_generator.state == before))
     (first, first_count, _), (again, again_count, untouched) = runs
@@ -682,15 +677,15 @@ def test_a_repeated_query_draws_nothing_and_returns_the_same_policy(h):
 
 
 def test_queries_sharing_the_greedy_layers_above_layer_0_share_its_rollin(monkeypatch):
-    # at h = 3 with None radii on layers 1..2, the greedy actions there are
-    # the reward tables' argmax, so rescaled tables keep them and share the
-    # roll-ins of every layer, while another argmax at layer 2 draws layers
-    # 1 and 0 afresh; each query equals a memo-free one replaying the keys
-    # drawn before it, so layer 0's returns read the query's own rewards
-    # and greedy actions on the stored samples
+    # at h = 3, with the fits on layers 1..2 stubbed to return the query's
+    # reward tables there, the greedy actions on those layers are the
+    # tables' argmax, so rescaled tables keep them and share the roll-ins
+    # of every layer, while another argmax at layer 2 draws layers 1 and 0
+    # afresh; each query equals a memo-free one replaying the keys drawn
+    # before it, so layer 0's returns read the query's own rewards and
+    # greedy actions on the stored samples
     psdp_module = importlib.import_module("voxlab.psdp")
     M, Phi, covers, _ = memo_instance(0, 3)
-    radii = [1.5, None, None, 2.0]
     rng = np.random.default_rng(7)
     tabs = [rng.standard_normal((M.n_states(t), M.A)) for t in range(4)]
     flipped = tabs[2].copy()
@@ -698,15 +693,22 @@ def test_queries_sharing_the_greedy_layers_above_layer_0_share_its_rollin(monkey
     shared, stored, runs = {}, {}, []
     recording, replaying = keyed_rollins(stored)
     fits = record_regressions(monkeypatch)
+    recorded_fit = psdp_module.fit_value_class
+
+    def reward_above_layer_0(Phi, t, cells, sums, radius):
+        fit = recorded_fit(Phi, t, cells, sums, radius)
+        return fit if t == 0 else dataclasses.replace(fit, q_table=query[t])
+
+    monkeypatch.setattr(psdp_module, "fit_value_class", reward_above_layer_0)
     for query in (tabs, [-tabs[0], 3.0 * tabs[1], 2.0 * tabs[2], -tabs[3]],
                   tabs[:2] + [flipped, tabs[3]]):
         before = dict(stored)
         monkeypatch.setattr(psdp_module, "sample_trajectories", replaying(before))
-        want = psdp(M, 3, query, Phi, radii, covers, 80, np.random.default_rng(8))
+        want = psdp(M, 3, query, Phi, 1.5, covers, 80, np.random.default_rng(8))
         want_fits = list(fits)
         fits.clear()
         monkeypatch.setattr(psdp_module, "sample_trajectories", recording)
-        got = psdp(M, 3, query, Phi, radii, covers, 80, np.random.default_rng(8),
+        got = psdp(M, 3, query, Phi, 1.5, covers, 80, np.random.default_rng(8),
                    shared=shared)
         assert fits == want_fits
         fits.clear()
@@ -744,7 +746,7 @@ def test_a_query_builds_each_greedy_table_once(monkeypatch):
     monkeypatch.setattr(psdp_module, "sample_trajectories", recording)
     tabs = [np.random.default_rng(t).standard_normal((M.n_states(t), M.A))
             for t in range(5)]
-    pi = psdp(M, 4, tabs, Phi, [1.0] * 5, covers, 50, np.random.default_rng(9))
+    pi = psdp(M, 4, tabs, Phi, 1.0, covers, 50, np.random.default_rng(9))
     assert len(built) == 5
     assert all(a is b for a, b in zip(pi.tables, built[::-1]))
     assert [tail.lo for tail in tails] == [4, 3, 2, 1, 0]
@@ -796,8 +798,9 @@ def test_one_cells_object_builds_one_factor_per_consecutive_stack(monkeypatch):
 
 
 def test_a_spanrl_design_builds_one_factor_per_memoised_chain(monkeypatch):
-    # every radius of a SpanRL design is set, so each chain in its memo is
-    # fitted; the queries that replay a chain reuse its factor
+    # each chain in a SpanRL design's memo below its top layer is fitted, and
+    # the queries that replay a chain reuse its factor; the one top-layer
+    # chain per design is drawn but never fitted
     from voxlab.drivers import SpanrlSchedule, run_spanrl
     from voxlab.replearn import RepLearnConfig
     from voxlab.simenv import combination_lock
@@ -810,26 +813,76 @@ def test_a_spanrl_design_builds_one_factor_per_memoised_chain(monkeypatch):
         Phi = make_feature_class(M, n_decoys=2, rng=np.random.default_rng(seed))
         built.clear()
         log = run_spanrl(M, Phi, 0.005, schedule, np.random.default_rng(100 + seed)).log
-        draws = sum(row["psdp_draws"] for row in log)
-        assert len(built) == draws
-        assert sum(row["opt_calls"] * (row["h"] + 1) for row in log) > draws
+        below_top = sum(row["psdp_draws"] for row in log) - len(log)
+        assert len(built) == below_top
+        assert sum(row["opt_calls"] * row["h"] for row in log) > below_top
+
+
+def test_no_query_fits_its_top_layer(monkeypatch):
+    # layer h's Q-function is its reward: every query fits layers h-1..0 once
+    # each and never layer h, called directly, with and without a memo, and
+    # from VoX, SpanRL and optimize_reward
+    from voxlab import drivers
+    from voxlab.drivers import (
+        CoverSet,
+        SpanrlSchedule,
+        VoxSchedule,
+        optimize_reward,
+        run_spanrl,
+        run_vox,
+    )
+    from voxlab.replearn import RepLearnConfig
+
+    fits, queries = record_regressions(monkeypatch), []
+
+    def recorded_psdp(M, h, *args, **kwargs):
+        fits.clear()
+        pi = psdp(M, h, *args, **kwargs)
+        queries.append((h, [f[0] for f in fits]))
+        return pi
+
+    monkeypatch.setattr(drivers, "psdp", recorded_psdp)
+    M, Phi, covers, radius = memo_instance(0, 3)
+    rng = np.random.default_rng(5)
+    for shared in (None, {}):
+        for _ in range(2):
+            tabs = [rng.standard_normal((M.n_states(t), M.A)) for t in range(4)]
+            recorded_psdp(M, 3, tabs, Phi, radius, covers, 60, rng, shared=shared)
+    direct = len(queries)
+    M = small_env(seed=8, H=4, A=2, d=2, states=(3, 4, 4, 4), boost=0.6)
+    Phi = make_feature_class(M, n_decoys=1, rng=np.random.default_rng(8))
+    replearn = RepLearnConfig(restarts=2, grad_steps=10)
+    run_vox(M, Phi, VoxSchedule(K=1, gamma=1e-3, n_replearn=600, n_estmat=400,
+                                n_psdp=600, fw_max_iters=20, replearn=replearn), rng)
+    vox = len(queries)
+    run_spanrl(M, Phi, 0.1, SpanrlSchedule(n_replearn=600, n_estvec=400, n_psdp=600,
+                                           replearn=replearn), rng)
+    spanrl = len(queries)
+    unif = CoverSet(kind="vox", H=M.H, layers=[
+        PolicyDistribution.point_mass(Policy.uniform(M))] * M.H)
+    optimize_reward(M, unif, [np.array([0.6, 0.8])] * 3, Phi, 300, rng)
+    assert direct == 4 and vox > direct and spanrl > vox and len(queries) == spanrl + 1
+    assert {h for h, _ in queries[direct:spanrl]} == {0, 1}
+    assert queries[-1][0] == 2
+    for h, layers in queries:
+        assert layers == list(range(h - 1, -1, -1)), (h, layers)
 
 
 def test_a_memo_filled_for_another_query_shape_raises_before_drawing():
     for h in (2, 3):
-        M, Phi, covers, radii = memo_instance(0, h)
+        M, Phi, covers, radius = memo_instance(0, h)
         tabs = [np.zeros((M.n_states(t), M.A)) for t in range(h + 1)]
         shared = {}
-        psdp(M, h, tabs, Phi, radii, covers, 40, np.random.default_rng(1),
+        psdp(M, h, tabs, Phi, radius, covers, 40, np.random.default_rng(1),
              shared=shared)
         copied = [PolicyDistribution(D.policies, D.weights) for D in covers]
         other_M = small_env(seed=0, H=5, A=3, d=2, states=(3, 4, 3, 4, 3))
         # the memo owns every cover it reads, covers[0..h], by identity
         changed = [covers[:t] + [copied[t]] + covers[t + 1:] for t in range(h + 1)]
-        for args in [(M, h - 1, tabs[:h], Phi, radii[:h], covers[:h], 40),
-                     (M, h, tabs, Phi, radii, covers, 41),
-                     (other_M, h, tabs, Phi, radii, covers, 40)] + [
-                        (M, h, tabs, Phi, radii, cov, 40) for cov in changed]:
+        for args in [(M, h - 1, tabs[:h], Phi, radius, covers[:h], 40),
+                     (M, h, tabs, Phi, radius, covers, 41),
+                     (other_M, h, tabs, Phi, radius, covers, 40)] + [
+                        (M, h, tabs, Phi, radius, cov, 40) for cov in changed]:
             rng, counter = np.random.default_rng(2), EpisodeCounter()
             before = rng.bit_generator.state
             with pytest.raises(VoxlabError, match=r"roll-in memo was filled for another"):
@@ -837,7 +890,7 @@ def test_a_memo_filled_for_another_query_shape_raises_before_drawing():
             assert counter.count == 0 and rng.bit_generator.state == before
         # a cover above h is not read, so it may change
         counter = EpisodeCounter()
-        psdp(M, h, tabs, Phi, radii, covers + copied[:1], 40,
+        psdp(M, h, tabs, Phi, radius, covers + copied[:1], 40,
              np.random.default_rng(3), counter=counter, shared=shared)
         assert counter.count == 0
 
@@ -846,7 +899,7 @@ def test_psdp_horizon_zero_is_exact_greedy(env):
     rng = np.random.default_rng(3)
     tab = rng.random((env.n_states(0), env.A))
     covers = [PolicyDistribution.point_mass(Policy.empty(0))]
-    pi = psdp(env, 0, [tab], FeatureClass([list(env.phi)]), [None], covers, 50,
+    pi = psdp(env, 0, [tab], FeatureClass([list(env.phi)]), 1.0, covers, 50,
               np.random.default_rng(4))
     got = exact_policy_value(env, pi, [tab])
     best = dp_optimal_value(env, [tab])
@@ -855,7 +908,7 @@ def test_psdp_horizon_zero_is_exact_greedy(env):
 
 def test_psdp_zero_rewards_returns_a_valid_policy(env):
     tabs = [np.zeros((env.n_states(t), env.A)) for t in range(3)]
-    pi = psdp(env, 2, tabs, FeatureClass([list(env.phi)]), [None] * 3,
+    pi = psdp(env, 2, tabs, FeatureClass([list(env.phi)]), 1.0,
               all_det_covers(env, 2), 30, np.random.default_rng(5))
     assert pi.covers(0, 2)
     for t in range(3):
@@ -871,9 +924,8 @@ def test_psdp_tabular_class_is_near_optimal():
         M = small_env(seed=seed, H=3, A=2, d=2, states=(3, 4, 4))
         tabs = [rng.random((M.n_states(t), M.A)) for t in range(3)]
         Phi = onehot_feature_class(M)
-        radii = [3.0 * np.sqrt(M.n_states(t) * M.A) for t in range(3)]
-        pi = psdp(M, 2, tabs, Phi, radii, all_det_covers(M, 2), 4000,
-                  np.random.default_rng(100 + seed))
+        pi = psdp(M, 2, tabs, Phi, 3.0 * np.sqrt(4 * M.A), all_det_covers(M, 2),
+                  4000, np.random.default_rng(100 + seed))
         got = exact_policy_value(M, pi, tabs)
         best = dp_optimal_value(M, tabs)
         losses.append(best - got)
@@ -915,9 +967,9 @@ def test_psdp_argument_validation(env):
     Phi = FeatureClass([list(env.phi)])
     covers = [PolicyDistribution.point_mass(Policy.empty(0))]
     with pytest.raises(VoxlabError):
-        psdp(env, 0, tabs, Phi, [None], covers, 0, np.random.default_rng(8))
+        psdp(env, 0, tabs, Phi, 1.0, covers, 0, np.random.default_rng(8))
     with pytest.raises(VoxlabError):
-        psdp(env, 1, tabs, Phi, [None], covers, 10, np.random.default_rng(9))
+        psdp(env, 1, tabs, Phi, 1.0, covers, 10, np.random.default_rng(9))
 
 
 def test_psdp_suboptimality_shrinks_with_samples():
@@ -926,14 +978,13 @@ def test_psdp_suboptimality_shrinks_with_samples():
     rng = np.random.default_rng(10)
     tabs = [rng.random((M.n_states(t), M.A)) for t in range(3)]
     Phi = onehot_feature_class(M)
-    radii = [3.0 * np.sqrt(9 * M.A)] * 3
     covers = all_det_covers(M, 2)
     best = dp_optimal_value(M, tabs)
     med = {}
     for n in (40, 400, 4000):
         gaps = []
         for s in range(8):
-            pi = psdp(M, 2, tabs, Phi, radii, covers, n,
+            pi = psdp(M, 2, tabs, Phi, 3.0 * np.sqrt(9 * M.A), covers, n,
                       np.random.default_rng(1000 + s))
             gaps.append(best - exact_policy_value(M, pi, tabs))
         med[n] = float(np.median(gaps))

@@ -304,7 +304,7 @@ def test_misshaped_reward_tables_raise_as_psdp_does(shape):
         with pytest.raises(VoxlabError, match=message):
             evaluate(M, unif, tables)
     with pytest.raises(VoxlabError, match=message):
-        psdp(M, 2, tables, None, [None] * 3, [unif] * 3, 10, np.random.default_rng(0))
+        psdp(M, 2, tables, None, 1.0, [unif] * 3, 10, np.random.default_rng(0))
 
 
 # ----------------------------------------------------------------- sampling
