@@ -16,6 +16,7 @@ returns a policy over [0..h].
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,8 +285,8 @@ def psdp(M, h, rewards, Phi, radius, covers, n, rng, counter=None, shared=None):
         raise VoxlabError("n must be >= 1")
     if len(covers) < h + 1:
         raise VoxlabError(f"need covers for layers 0..{h}, got {len(covers)}")
-    if radius is None or not radius > 0:
-        raise VoxlabError(f"radius must be > 0, got {radius}")
+    if not (isinstance(radius, numbers.Real) and radius > 0):
+        raise VoxlabError(f"radius must be > 0, got {radius!r}")
     if len(rewards) < h + 1:
         raise VoxlabError(f"need reward tables for layers 0..{h}, got {len(rewards)}")
     # read flat at x * A + a below

@@ -35,17 +35,14 @@ from voxlab.simenv import mixture_occupancy, sample_trajectories
 class RepLearnConfig:
     """Knobs for the learning loop and the discriminator search.  The search
     draws `restarts` seeds per candidate at every d; `grad_steps` and
-    `step_size` drive its hill climb, which runs only when d >= 3."""
+    `step_size` drive its hill climb, which runs only when d >= 3.  The
+    threshold, the two radii and the iteration cap are always derived."""
 
     c: float = 1.0
     delta: float = 0.05
     restarts: int = 8
     grad_steps: int = 60
     step_size: float = 0.5
-    eps_stat: float | None = None
-    r_big: float | None = None
-    r_small: float | None = None
-    max_iters: int | None = None
 
     def __post_init__(self):
         for name, ok, want in (
@@ -53,28 +50,17 @@ class RepLearnConfig:
                 ("delta", 0.0 < self.delta < 1.0, "in (0, 1)"),
                 ("restarts", self.restarts >= 1, ">= 1"),
                 ("grad_steps", self.grad_steps >= 0, ">= 0"),
-                ("step_size", 0.0 < self.step_size < math.inf, "finite and > 0"),
-                ("eps_stat", self.eps_stat is None or 0.0 < self.eps_stat < math.inf,
-                 "finite and > 0"),
-                ("r_big", self.r_big is None or 0.0 < self.r_big < math.inf,
-                 "finite and > 0"),
-                ("r_small", self.r_small is None or 0.0 < self.r_small < math.inf,
-                 "finite and > 0"),
-                ("max_iters", self.max_iters is None or self.max_iters >= 1, ">= 1")):
+                ("step_size", 0.0 < self.step_size < math.inf, "finite and > 0")):
             if not ok:
                 raise VoxlabError(
                     f"replearn {name} must be {want}, got {getattr(self, name)!r}")
 
     def resolve(self, d, n, n_candidates):
-        eps = self.eps_stat
-        if eps is None:
-            eps = math.sqrt(self.c * d * d * math.log(n_candidates / self.delta) / n)
-        r_big = 3.0 * d ** 1.5 if self.r_big is None else self.r_big
-        r_small = 2.0 * math.sqrt(d) if self.r_small is None else self.r_small
-        T = self.max_iters
-        if T is None:
-            T = math.ceil(d * math.log(2.0 * n / math.sqrt(d)) / math.log(1.5))
-        return eps, r_big, r_small, max(T, 1)
+        """(eps_stat, r_big, r_small, T): eps_stat^2 = c d^2 log(|Phi|/delta)/n,
+        radii 3 d^1.5 and 2 sqrt(d), T = max(1, ceil(d log(2n/sqrt(d))/log 1.5))."""
+        eps = math.sqrt(self.c * d * d * math.log(n_candidates / self.delta) / n)
+        T = math.ceil(d * math.log(2.0 * n / math.sqrt(d)) / math.log(1.5))
+        return eps, 3.0 * d ** 1.5, 2.0 * math.sqrt(d), max(T, 1)
 
 
 class RepLearnDataset:
@@ -341,7 +327,8 @@ def feature_selection(Phi, discriminators, data: RepLearnDataset,
 
 def rep_learn(M, h, Phi, P, n, config: RepLearnConfig, rng,
               counter=None) -> RepLearnResult:
-    """Select a feature index for layer h from mixture roll-in data."""
+    """Select a feature index for layer h from mixture roll-in data, with the
+    threshold, radii and iteration cap that `RepLearnConfig.resolve` derives."""
     if not Phi.candidates:
         raise VoxlabError("empty feature class")
     if h + 1 >= len(Phi.candidates[0]):

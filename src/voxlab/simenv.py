@@ -417,7 +417,8 @@ def sample_trajectories(M, P, n, rng, upto=None, tail=None, counter=None):
     given.  Let s be the tail's first layer, or ``upto`` without a tail.
     Returns a list: ``counts[0]`` is the (|X_s|, A) count of (state, action)
     at s, and ``counts[i]`` for i >= 1 the (|X_s| * A, |X_{s+i}|, A) count
-    of (cell x * A + a at s, state and action at s + i).
+    of (cell x * A + a at s, state and action at s + i).  The counts take
+    the draws' dtype.
 
     Episodes are i.i.d., so these counts are exactly as distributed as the
     tallies of n episodes drawn one by one: one multinomial draw over the
@@ -454,7 +455,7 @@ def sample_trajectories(M, P, n, rng, upto=None, tail=None, counter=None):
     k = cells[c]
     for trans, rows, flat, draws in steps:
         # (cell at s, state at this layer)
-        states = np.zeros((len(cells), trans.shape[1]), dtype=np.int64)
+        states = np.zeros((len(cells), trans.shape[1]), dtype=cells.dtype)
         np.add.at(states, c, rng.multinomial(k, trans[j]))
         c, x = states.nonzero()
         k = states[c, x]
@@ -465,7 +466,7 @@ def sample_trajectories(M, P, n, rng, upto=None, tail=None, counter=None):
         else:
             rng.random(np.count_nonzero(draws[x]))
             j = flat[x]
-        now = np.zeros((len(cells), states.shape[1] * M.A), dtype=np.int64)
+        now = np.zeros((len(cells), states.shape[1] * M.A), dtype=cells.dtype)
         now[c, j] = k
         counts.append(now.reshape(len(cells), -1, M.A))
     return counts

@@ -1,5 +1,6 @@
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from voxlab import (
     FeatureClass,
     Policy,
     PolicyDistribution,
+    RepLearnConfig,
     as_distribution,
     generate_low_rank_mdp,
     simenv,
@@ -20,6 +22,46 @@ from voxlab import (
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+
+
+@dataclass
+class PinnedConfig(RepLearnConfig):
+    """A `RepLearnConfig` whose `resolve` returns the given threshold, radii
+    or iteration cap in place of the derived ones (None keeps the derived
+    value).  It reaches paths that no derived value reaches: the gap
+    scorer's ball projection at a small radius, equal radii, a forced or
+    capped iteration count.  The library and the frozen references read it
+    through `resolve`, as they read any config."""
+
+    eps_stat: float | None = None
+    r_big: float | None = None
+    r_small: float | None = None
+    max_iters: int | None = None
+
+    def resolve(self, d, n, n_candidates):
+        pins = (self.eps_stat, self.r_big, self.r_small, self.max_iters)
+        return tuple(derived if pin is None else pin
+                     for derived, pin in zip(super().resolve(d, n, n_candidates), pins))
+
+
+class Expected:
+    """A generator in the population limit: `multinomial(n, p)` returns the
+    mean counts n * p, `random` draws nothing, and every other call goes to
+    the wrapped generator.  The sampler then hands every phase its expected
+    counts, so a sampled estimate reads its n = infinity limit through the
+    same code."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def multinomial(self, n, pvals):
+        return np.asarray(n, float)[..., None] * pvals
+
+    def random(self, size=None):
+        return None
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
 
 def small_env(seed=0, H=3, A=2, d=2, states=(3, 4, 4), boost=0.0, rotate=False):

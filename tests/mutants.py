@@ -160,7 +160,25 @@ MUTANTS = (
             "tests/test_cli.py::test_out_of_range_C_or_eps_exits_2_before_any_episode",
         ),
     ),
+    Mutant(
+        "the small ball takes the big radius",
+        "src/voxlab/replearn.py",
+        "return eps, 3.0 * d ** 1.5, 2.0 * math.sqrt(d), max(T, 1)",
+        "return eps, 3.0 * d ** 1.5, 3.0 * d ** 1.5, max(T, 1)",
+        (
+            "tests/test_replearn.py::test_resolve_iteration_counts_and_radii",
+        ),
+    ),
     # ------------------------------------------------------------------- psdp
+    Mutant(
+        "psdp compares a radius with 0 before checking it is a number",
+        "src/voxlab/psdp.py",
+        "if not (isinstance(radius, numbers.Real) and radius > 0):",
+        "if not radius > 0:",
+        (
+            "tests/test_psdp.py::test_psdp_rejects_bad_radii_before_drawing_an_episode",
+        ),
+    ),
     Mutant(
         "the roll-in memo key drops the greedy suffix",
         "src/voxlab/psdp.py",
@@ -438,6 +456,26 @@ MUTANTS = (
         "key = (upto,)",
         (
             "tests/test_simenv.py::test_a_repeated_rollin_compiles_nothing_and_a_new_tail_value_compiles_once",
+        ),
+    ),
+    Mutant(
+        "the sampler truncates its later layers' counts to int64",
+        "src/voxlab/simenv.py",
+        "now = np.zeros((len(cells), states.shape[1] * M.A), dtype=cells.dtype)",
+        "now = np.zeros((len(cells), states.shape[1] * M.A), dtype=np.int64)",
+        (
+            "tests/test_limits.py::test_in_the_limit_replearn_targets_are_the_exact_conditional_means",
+            "tests/test_limits.py::test_in_the_limit_psdp_cell_means_are_the_exact_q_tables",
+        ),
+    ),
+    Mutant(
+        "the sampler truncates its next-state counts to int64",
+        "src/voxlab/simenv.py",
+        "states = np.zeros((len(cells), trans.shape[1]), dtype=cells.dtype)",
+        "states = np.zeros((len(cells), trans.shape[1]), dtype=np.int64)",
+        (
+            "tests/test_limits.py::test_in_the_limit_replearn_targets_are_the_exact_conditional_means",
+            "tests/test_limits.py::test_in_the_limit_psdp_cell_means_are_the_exact_q_tables",
         ),
     ),
     # -------------------------------------------------------- exact evaluators

@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from voxlab.cli import _replearn_config, main
+from voxlab.cli import _config, _replearn_config, main
 from voxlab.core import LayeredLowRankMDP, validate_mdp
+from voxlab.drivers import SpanrlSchedule, VoxSchedule
 from voxlab.replearn import RepLearnConfig
 
 from conftest import patch_sampler
@@ -221,7 +222,7 @@ def test_config_errors_exit_2_without_a_traceback(workdir, vox_run, tmp_path,
     ("run-vox", {"replearn": {"restarts": 2.0}}),
     ("run-vox", {"replearn": {"grad_steps": True}}),
     ("run-vox", {"replearn": {"c": "1"}}),
-    ("run-spanrl", {"replearn": {"max_iters": 2.5}}),
+    ("run-spanrl", {"replearn": {"step_size": "0.5"}}),
     ("run-spanrl", {"replearn": {"delta": None}}),
     ("run-vox", {"K": 2.7}),
     ("run-vox", {"n_replearn": 400.0}),
@@ -261,11 +262,11 @@ def test_mistyped_config_values_exit_2_before_running(workdir, vox_run, tmp_path
     ("run-spanrl", {"eps": 0.0}),
     ("run-vox", {"fw_max_iters": 0}),
     ("run-spanrl", {"max_rounds": 0}),
-    ("run-vox", {"replearn": {"r_big": 0}}),
-    ("run-vox", {"replearn": {"r_big": -1}}),
-    ("run-spanrl", {"replearn": {"r_small": -1}}),
-    ("run-vox", {"replearn": {"eps_stat": 0}}),
-    ("run-spanrl", {"replearn": {"eps_stat": -0.5}}),
+    ("run-vox", {"replearn": {"delta": 0}}),
+    ("run-vox", {"replearn": {"delta": 1}}),
+    ("run-spanrl", {"replearn": {"grad_steps": -1}}),
+    ("run-vox", {"replearn": {"step_size": 0}}),
+    ("run-spanrl", {"replearn": {"restarts": 0}}),
     ("run-vox", {"replearn": {"restarts": -2}}),
     ("run-spanrl", {"replearn": {"c": -1}}),
     ("run-spanrl", {"C": float("nan")}),
@@ -273,9 +274,9 @@ def test_mistyped_config_values_exit_2_before_running(workdir, vox_run, tmp_path
     # written as JSON's Infinity and NaN literals, which the loader reads
     ("run-vox", {"replearn": {"c": float("inf")}}),
     ("run-spanrl", {"replearn": {"step_size": float("inf")}}),
-    ("run-vox", {"replearn": {"eps_stat": float("nan")}}),
-    ("run-spanrl", {"replearn": {"r_big": float("inf")}}),
-    ("run-vox", {"replearn": {"r_small": float("inf")}}),
+    ("run-vox", {"replearn": {"c": float("nan")}}),
+    ("run-spanrl", {"replearn": {"delta": float("nan")}}),
+    ("run-vox", {"replearn": {"step_size": -float("inf")}}),
 ])
 def test_out_of_range_C_or_eps_exits_2_before_any_episode(
         workdir, vox_run, tmp_path, capsys, monkeypatch, command, bad):
@@ -290,6 +291,27 @@ def test_out_of_range_C_or_eps_exits_2_before_any_episode(
     if name == "replearn":
         name = f"replearn {next(iter(bad[name]))}"
     assert f"error: {name} must" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("run-vox", "eps_stat", 0.1),
+    ("run-spanrl", "r_big", 5.0),
+    ("run-vox", "r_small", 1.0),
+    ("run-spanrl", "max_iters", 3),
+])
+def test_a_removed_replearn_override_is_an_unknown_key(
+        workdir, vox_run, tmp_path, capsys, monkeypatch, command, key, value):
+    # rep-learn always derives its threshold, radii and iteration cap, so a
+    # config that sets one is a usage error, as any unknown key is
+    _no_episodes(monkeypatch)
+    config = SPANRL_CONFIG if command == "run-spanrl" else VOX_CONFIG
+    bad = {"replearn": {"restarts": 2, key: value}}
+    assert main(_bad_run(workdir, vox_run, tmp_path, command, config, bad)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config replearn must be an object with keys from "
+                          "['c', 'delta', 'grad_steps', 'restarts', 'step_size'], got ")
+    assert key in err and err.count("\n") == 1
     assert not (tmp_path / "x.json").exists()
 
 
@@ -451,12 +473,14 @@ def test_structurally_malformed_json_exits_2_naming_the_file(
 
 
 def test_replearn_config_accepts_ints_for_floats_and_null_for_optionals():
-    rl = _replearn_config({"replearn": {"c": 2, "step_size": 0.25, "restarts": 3,
-                                        "eps_stat": None, "max_iters": None,
-                                        "r_big": 4}})
-    assert (rl.c, rl.step_size, rl.restarts, rl.r_big) == (2, 0.25, 3, 4)
-    assert rl.eps_stat is None and rl.max_iters is None
+    rl = _replearn_config({"replearn": {"c": 2, "step_size": 1, "restarts": 3,
+                                        "delta": 0.1}})
+    assert (rl.c, rl.step_size, rl.restarts, rl.delta) == (2, 1, 3, 0.1)
     assert _replearn_config({}) == RepLearnConfig()
+    # null is still accepted for the schedules' optional caps
+    vox = _config(VoxSchedule, {**VOX_CONFIG, "fw_max_iters": None})
+    spanrl = _config(SpanrlSchedule, {**SPANRL_CONFIG, "max_rounds": None})
+    assert vox.fw_max_iters is None and spanrl.max_rounds is None
 
 
 def test_help_exits_clean():

@@ -102,10 +102,8 @@ def test_a_bad_C_or_eps_is_rejected_before_any_episode():
     with pytest.raises(VoxlabError, match="max_rounds must be >= 1"):
         run_spanrl(M, Phi, 0.1, dataclasses.replace(spanrl, max_rounds=0), rng,
                    counter=counter)
-    for bad in ({"r_big": 0.0}, {"r_big": -1.0}, {"r_small": -1.0},
-                {"eps_stat": 0.0}, {"eps_stat": -0.5}, {"restarts": -2},
-                {"c": -1.0}, {"delta": 0.0}, {"delta": 1.0}, {"grad_steps": -1},
-                {"step_size": 0.0}, {"max_iters": 0}):
+    for bad in ({"restarts": -2}, {"c": -1.0}, {"delta": 0.0}, {"delta": 1.0},
+                {"grad_steps": -1}, {"step_size": 0.0}):
         (name,) = bad
         with pytest.raises(VoxlabError, match=f"replearn {name} must"):
             run_vox(M, Phi, dataclasses.replace(vox, replearn=RepLearnConfig(**bad)),

@@ -333,10 +333,11 @@ def test_psdp_rejects_short_reward_lists_and_misshaped_tables(env, bad_layer):
         psdp(env, 2, tabs, Phi, 1.0, covers, 20, np.random.default_rng(1))
 
 
-@pytest.mark.parametrize("radii", [0.0, -1.0, float("nan"), None])
+@pytest.mark.parametrize("radii", [0.0, -1.0, float("nan"), None, [1.0] * 3, "1.0",
+                                   np.array([1.0, 2.0])])
 def test_psdp_rejects_bad_radii_before_drawing_an_episode(env, radii):
     # one radius serves every fitted layer; at h = 0 none is fitted, and a
-    # bad radius still raises
+    # bad radius still raises, a per-layer list, a string or an array too
     Phi = make_feature_class(env, n_decoys=1, rng=np.random.default_rng(0))
     for h in (0, 2):
         tabs = [np.zeros((env.n_states(t), env.A)) for t in range(h + 1)]

@@ -19,7 +19,7 @@ from voxlab.replearn import (
 )
 from voxlab.simenv import combination_lock, make_feature_class, mixture_occupancy
 
-from conftest import reference_ball_solve, reference_rollin, small_env
+from conftest import PinnedConfig, reference_ball_solve, reference_rollin, small_env
 from oracles import chi2_uniformity_pvalue
 
 
@@ -283,7 +283,7 @@ def test_resolve_iteration_counts_and_radii():
     assert eps == pytest.approx(np.sqrt(4 * np.log(4 / 0.05) / 20_000))
 
 
-@pytest.mark.parametrize("name", ["c", "step_size", "eps_stat", "r_big", "r_small"])
+@pytest.mark.parametrize("name", ["c", "step_size"])
 @pytest.mark.parametrize("value", [float("inf"), float("nan"), -float("inf"), 0.0])
 def test_config_rejects_non_finite_and_non_positive_values(name, value):
     with pytest.raises(VoxlabError, match=rf"replearn {name} must be finite and > 0"):
@@ -400,7 +400,7 @@ def test_own_candidate_gap_nonnegative_with_equal_radii(env):
     data = RepLearnDataset.collect(
         env, 0, Policy.uniform(env, lo=0, hi=0), 400, rng)
     r = 2.0 * np.sqrt(2)
-    cfg = RepLearnConfig(r_big=r, r_small=r)
+    cfg = PinnedConfig(r_big=r, r_small=r)
     theta = np.array([0.8, 0.6])
     for i in range(len(Phi)):
         fi = (i + 1) % len(Phi)
@@ -587,7 +587,7 @@ def test_search_matches_the_per_direction_reference(case):
         configs = [RepLearnConfig(restarts=4, grad_steps=30)]
     if case == "signed_zeros":
         # a small competitor ball makes the zero gaps the largest ones
-        configs = [RepLearnConfig(restarts=4, r_small=r_small) for r_small in (None, 0.05)]
+        configs = [PinnedConfig(restarts=4, r_small=r_small) for r_small in (None, 0.05)]
     if case == "rank_deficient":
         Phi = rank_deficient(Phi)
         pos = data.cells.factor(Phi.tables_at(0)).pos
@@ -609,7 +609,7 @@ def test_search_matches_the_reference_through_the_bisection(monkeypatch):
 
     monkeypatch.setattr(psdp_module, "_on_sphere", counted)
     Phi, data = search_instance(53, 3)
-    cfg = RepLearnConfig(restarts=2, grad_steps=10, r_small=0.05)
+    cfg = PinnedConfig(restarts=2, grad_steps=10, r_small=0.05)
     assert_search_matches_reference(Phi, data, cfg, seed=3)
     assert calls and set(calls) == {0.05}
 
@@ -847,14 +847,20 @@ def test_rep_learn_singleton_class_terminates_immediately(env):
 
 
 def test_rep_learn_respects_iteration_cap(env):
-    rng = np.random.default_rng(14)
-    Phi = make_feature_class(env, n_decoys=2, rng=rng)
-    cfg = RepLearnConfig(restarts=1, grad_steps=5, max_iters=2,
-                         eps_stat=1e-9)  # threshold impossible to meet
-    result = rep_learn(env, 0, Phi, Policy.uniform(env, lo=0, hi=0), 400, cfg,
-                       np.random.default_rng(15))
-    assert result.iterations <= 2
-    assert result.capped or result.gaps[-1] <= result.threshold
+    # a pinned threshold that no positive gap meets: with the true map at
+    # the start index the first gap is 0 and rep-learn stops; with a decoy
+    # there it moves to the true map and stops at a cap of 1
+    for true_index, cap in ((0, 2), (1, 1)):
+        rng = np.random.default_rng(14)
+        Phi = make_feature_class(env, n_decoys=2, rng=rng, true_index=true_index)
+        cfg = PinnedConfig(restarts=1, grad_steps=5, max_iters=cap, eps_stat=1e-9)
+        result = rep_learn(env, 0, Phi, Policy.uniform(env, lo=0, hi=0), 400, cfg,
+                           np.random.default_rng(15))
+        assert result.iterations <= cap
+        assert result.capped or result.gaps[-1] <= result.threshold
+        assert result.capped == (true_index == 1)
+    assert (result.iterations, result.index) == (1, 1)
+    assert result.threshold == 16.0 * 2 * 1e-9**2
 
 
 def test_rep_learn_layer_domain(env):

@@ -18,11 +18,10 @@ import voxlab.evalcover as evalcover
 from voxlab.drivers import SpanrlSchedule, VoxSchedule
 from voxlab.optdesign import DesignState
 from voxlab.replearn import RepLearnDataset, RepLearnResult
-from voxlab.replearn import RepLearnConfig
 from voxlab.simenv import combination_lock, make_feature_class, sample_trajectories
 from voxlab.spanner import SpannerState
 
-from conftest import small_env
+from conftest import PinnedConfig, small_env
 
 VOXBENCH = Path(__file__).resolve().parent.parent / "voxbench"
 
@@ -87,9 +86,9 @@ def test_every_traced_span_is_entered_by_micro_runs(monkeypatch):
     M = small_env(seed=3, H=3, A=2, d=2, states=(3, 4, 4), boost=0.6)
     Phi = make_feature_class(M, n_decoys=1, rng=np.random.default_rng(3))
     rng = np.random.default_rng(4)
-    # a tiny eps_stat keeps rep-learn past its first search, into feature
-    # selection
-    replearn = RepLearnConfig(restarts=2, grad_steps=10, eps_stat=1e-3, max_iters=2)
+    # a tiny pinned threshold keeps rep-learn past its first search, into
+    # feature selection
+    replearn = PinnedConfig(restarts=2, grad_steps=10, eps_stat=1e-3, max_iters=2)
     tracer = tracing.Tracer()
     with tracer.patched():
         drivers.run_vox(M, Phi, VoxSchedule(K=1, gamma=0.02, n_replearn=300,
