@@ -95,6 +95,21 @@ def _load_covers(path, M):
     return covers
 
 
+def _load_config(args):
+    """The config of ``args.command``, checked to hold only the top-level
+    keys that command reads; optimize-reward accepts any key a run command
+    reads, since it is handed their configs."""
+    vox = {f.name for f in dataclasses.fields(VoxSchedule)} | {"feature_class"}
+    spanrl = {f.name for f in dataclasses.fields(SpanrlSchedule)} | {"eps", "feature_class"}
+    allowed = {"run-vox": vox, "run-spanrl": spanrl}.get(args.command, vox | spanrl)
+    config = _load_json(args.config, "config")
+    unknown = sorted(set(config) - allowed)
+    if unknown:
+        raise VoxlabError(f"config {args.config} has unknown keys {unknown}; "
+                          f"{args.command} reads {sorted(allowed)}")
+    return config
+
+
 def _section(config, name, keys):
     """The object ``config[name]``, {} when absent, checked to hold only
     ``keys``."""
@@ -195,7 +210,7 @@ def _cmd_run(args):
     """run-vox or run-spanrl: one explorer run, with the measured alpha of
     each of its covers."""
     M = _load_env(args.env)
-    config = _load_json(args.config, "config")
+    config = _load_config(args)
     Phi = _feature_class_from_config(M, config, args.seed)
     rng = np.random.default_rng(args.seed)
     if args.command == "run-vox":
@@ -231,7 +246,7 @@ def _write_csv(log, path):
 
 def _cmd_optimize_reward(args):
     M = _load_env(args.env)
-    config = _load_json(args.config, "config")
+    config = _load_config(args)
     covers = _load_covers(args.run, M)
     Phi = _feature_class_from_config(M, config, args.seed)
     thetas = _load_thetas(args.theta)

@@ -18,11 +18,6 @@ from voxlab.core import VoxlabError, psd_part
 from voxlab.simenv import sample_trajectories
 
 
-def visit_counts(M, h, pi, n, rng, counter=None):
-    """Empirical (state, action) visit counts at layer h over n episodes."""
-    return sample_trajectories(M, pi, n, rng, upto=h, counter=counter)[0]
-
-
 def est_vec(M, h, F, pi, n, rng, counter=None):
     """Average of F(x_h, a_h) over n roll-ins of pi (EstVec)."""
     if n < 1:
@@ -33,7 +28,7 @@ def est_vec(M, h, F, pi, n, rng, counter=None):
             f"F table has leading shape {table.shape[:2]}, expected "
             f"({M.n_states(h)}, {M.A}) at layer {h}"
         )
-    counts = visit_counts(M, h, pi, n, rng, counter=counter)
+    counts = sample_trajectories(M, pi, n, rng, upto=h, counter=counter)[0]
     return np.tensordot(counts.astype(float), table, axes=([0, 1], [0, 1])) / n
 
 

@@ -31,26 +31,27 @@ from voxlab.psdp import NORM_EPS, BallLeastSquares, ObservedCells, matvec, row_n
 from voxlab.simenv import mixture_occupancy, sample_trajectories
 
 
+FIRST_STEP = 0.5  # the first step of every hill-climb chain
+
+
 @dataclass
 class RepLearnConfig:
     """Knobs for the learning loop and the discriminator search.  The search
-    draws `restarts` seeds per candidate at every d; `grad_steps` and
-    `step_size` drive its hill climb, which runs only when d >= 3.  The
-    threshold, the two radii and the iteration cap are always derived."""
+    draws `restarts` seeds per candidate at every d; `grad_steps` caps its
+    hill climb, which runs only when d >= 3.  The threshold, the two radii
+    and the iteration cap are always derived."""
 
     c: float = 1.0
     delta: float = 0.05
     restarts: int = 8
     grad_steps: int = 60
-    step_size: float = 0.5
 
     def __post_init__(self):
         for name, ok, want in (
                 ("c", 0.0 < self.c < math.inf, "finite and > 0"),
                 ("delta", 0.0 < self.delta < 1.0, "in (0, 1)"),
                 ("restarts", self.restarts >= 1, ">= 1"),
-                ("grad_steps", self.grad_steps >= 0, ">= 0"),
-                ("step_size", 0.0 < self.step_size < math.inf, "finite and > 0")):
+                ("grad_steps", self.grad_steps >= 0, ">= 0")):
             if not ok:
                 raise VoxlabError(
                     f"replearn {name} must be {want}, got {getattr(self, name)!r}")
@@ -185,7 +186,7 @@ def _hill_climb(score, thetas, gaps, grads, config):
     bookkeeping stays a Python loop: with a handful of chains, array
     bookkeeping measured slower."""
     thetas, gaps, grads = thetas.copy(), gaps.tolist(), grads.copy()
-    steps = [config.step_size] * len(gaps)
+    steps = [FIRST_STEP] * len(gaps)
     live = np.ones(len(gaps), dtype=bool)
     accepted = [[] for _ in gaps]
     for _ in range(config.grad_steps):

@@ -294,6 +294,24 @@ MUTANTS = (
             "tests/test_drivers.py::test_covers_play_uniform_from_layer_h_minus_1_on",
         ),
     ),
+    Mutant(
+        "VoX's designs use C = 1.5",
+        "src/voxlab/drivers.py",
+        "fw_optdesign(lin_opt, lin_est, C,",
+        "fw_optdesign(lin_opt, lin_est, 1.5,",
+        (
+            "tests/test_drivers.py::test_every_design_and_spanner_uses_C_2_and_the_covers_record_it",
+        ),
+    ),
+    Mutant(
+        "paper leaves rep-learn's delta at its default",
+        "src/voxlab/drivers.py",
+        'kw.setdefault("replearn", RepLearnConfig(delta=delta))',
+        'kw.setdefault("replearn", RepLearnConfig())',
+        (
+            "tests/test_drivers.py::test_paper_schedules_size_rep_learn_at_their_own_delta",
+        ),
+    ),
     # ---------------------------------------------------------------- sampler
     Mutant(
         "_rows leaves the clipped rows unnormalized",
@@ -544,6 +562,16 @@ MUTANTS = (
         "",
         (
             "tests/test_cli.py::test_nan_cover_weights_exit_2",
+        ),
+    ),
+    Mutant(
+        "the CLI accepts an unknown top-level config key",
+        "src/voxlab/cli.py",
+        "    if unknown:\n",
+        "    if False:\n",
+        (
+            "tests/test_cli.py::test_an_unknown_top_level_key_exits_2_naming_it_and_the_allowed_keys",
+            "tests/test_cli.py::test_config_errors_exit_2_without_a_traceback",
         ),
     ),
 )

@@ -9,7 +9,7 @@ import pytest
 
 from voxlab.cli import _config, _replearn_config, main
 from voxlab.core import LayeredLowRankMDP, validate_mdp
-from voxlab.drivers import SpanrlSchedule, VoxSchedule
+from voxlab.drivers import VoxSchedule
 from voxlab.replearn import RepLearnConfig
 
 from conftest import patch_sampler
@@ -222,7 +222,7 @@ def test_config_errors_exit_2_without_a_traceback(workdir, vox_run, tmp_path,
     ("run-vox", {"replearn": {"restarts": 2.0}}),
     ("run-vox", {"replearn": {"grad_steps": True}}),
     ("run-vox", {"replearn": {"c": "1"}}),
-    ("run-spanrl", {"replearn": {"step_size": "0.5"}}),
+    ("run-spanrl", {"replearn": {"delta": "0.1"}}),
     ("run-spanrl", {"replearn": {"delta": None}}),
     ("run-vox", {"K": 2.7}),
     ("run-vox", {"n_replearn": 400.0}),
@@ -255,28 +255,28 @@ def test_mistyped_config_values_exit_2_before_running(workdir, vox_run, tmp_path
 
 
 @pytest.mark.parametrize("command, bad", [
-    ("run-vox", {"C": 0.5}),
-    ("run-vox", {"C": 2.5}),
-    ("run-spanrl", {"C": 1.0}),
+    ("run-vox", {"gamma": 0.0}),
+    ("run-vox", {"gamma": 1.0}),
+    ("run-spanrl", {"eps": 1.0}),
     ("run-spanrl", {"eps": 1.5}),
     ("run-spanrl", {"eps": 0.0}),
     ("run-vox", {"fw_max_iters": 0}),
-    ("run-spanrl", {"max_rounds": 0}),
+    ("run-spanrl", {"replearn": {"c": 0}}),
     ("run-vox", {"replearn": {"delta": 0}}),
     ("run-vox", {"replearn": {"delta": 1}}),
     ("run-spanrl", {"replearn": {"grad_steps": -1}}),
-    ("run-vox", {"replearn": {"step_size": 0}}),
+    ("run-vox", {"replearn": {"c": 0}}),
     ("run-spanrl", {"replearn": {"restarts": 0}}),
     ("run-vox", {"replearn": {"restarts": -2}}),
     ("run-spanrl", {"replearn": {"c": -1}}),
-    ("run-spanrl", {"C": float("nan")}),
-    ("run-spanrl", {"C": float("inf")}),
     # written as JSON's Infinity and NaN literals, which the loader reads
+    ("run-spanrl", {"eps": float("nan")}),
+    ("run-spanrl", {"eps": float("inf")}),
     ("run-vox", {"replearn": {"c": float("inf")}}),
-    ("run-spanrl", {"replearn": {"step_size": float("inf")}}),
+    ("run-spanrl", {"replearn": {"delta": float("inf")}}),
     ("run-vox", {"replearn": {"c": float("nan")}}),
     ("run-spanrl", {"replearn": {"delta": float("nan")}}),
-    ("run-vox", {"replearn": {"step_size": -float("inf")}}),
+    ("run-vox", {"gamma": float("nan")}),
 ])
 def test_out_of_range_C_or_eps_exits_2_before_any_episode(
         workdir, vox_run, tmp_path, capsys, monkeypatch, command, bad):
@@ -299,20 +299,59 @@ def test_out_of_range_C_or_eps_exits_2_before_any_episode(
     ("run-spanrl", "r_big", 5.0),
     ("run-vox", "r_small", 1.0),
     ("run-spanrl", "max_iters", 3),
+    ("run-vox", "step_size", 0.5),
 ])
 def test_a_removed_replearn_override_is_an_unknown_key(
         workdir, vox_run, tmp_path, capsys, monkeypatch, command, key, value):
-    # rep-learn always derives its threshold, radii and iteration cap, so a
-    # config that sets one is a usage error, as any unknown key is
+    # rep-learn always derives its threshold, radii and iteration cap, and
+    # its hill climb's first step is a constant, so a config that sets one
+    # is a usage error, as any unknown key is
     _no_episodes(monkeypatch)
     config = SPANRL_CONFIG if command == "run-spanrl" else VOX_CONFIG
     bad = {"replearn": {"restarts": 2, key: value}}
     assert main(_bad_run(workdir, vox_run, tmp_path, command, config, bad)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config replearn must be an object with keys from "
-                          "['c', 'delta', 'grad_steps', 'restarts', 'step_size'], got ")
+                          "['c', 'delta', 'grad_steps', 'restarts'], got ")
     assert key in err and err.count("\n") == 1
     assert not (tmp_path / "x.json").exists()
+
+
+VOX_KEYS = ["K", "feature_class", "fw_max_iters", "gamma", "n_estmat", "n_psdp",
+            "n_replearn", "replearn"]
+SPANRL_KEYS = ["eps", "feature_class", "n_estvec", "n_psdp", "n_replearn",
+               "replearn"]
+
+
+@pytest.mark.parametrize("command, key, allowed", [
+    ("run-vox", "bogus", VOX_KEYS),
+    ("run-spanrl", "bogus", SPANRL_KEYS),
+    ("optimize-reward", "bogus", sorted(set(VOX_KEYS) | set(SPANRL_KEYS))),
+    # neither C nor max_rounds is settable, so a config may not set them
+    ("run-vox", "C", VOX_KEYS),
+    ("run-spanrl", "C", SPANRL_KEYS),
+    ("run-spanrl", "max_rounds", SPANRL_KEYS),
+])
+def test_an_unknown_top_level_key_exits_2_naming_it_and_the_allowed_keys(
+        workdir, vox_run, tmp_path, capsys, monkeypatch, command, key, allowed):
+    # a typo would otherwise drop its value silently: {"fw_max_iter": 1}
+    # runs with the default cap of 27,635,020 Frank-Wolfe iterations
+    _no_episodes(monkeypatch)
+    config = SPANRL_CONFIG if command == "run-spanrl" else VOX_CONFIG
+    args = _bad_run(workdir, vox_run, tmp_path, command, config, {key: 2.0})
+    assert main(args) == 2
+    path = args[args.index("--config") + 1]
+    assert capsys.readouterr().err == (f"error: config {path} has unknown keys "
+                                       f"{[key]}; {command} reads {allowed}\n")
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_optimize_reward_reads_either_run_commands_config(workdir, vox_run, tmp_path):
+    # the README hands it vox.json; a spanrl.json, with eps, works the same
+    args = _command("optimize-reward", workdir, vox_run[0], tmp_path)
+    args[args.index("--config") + 1] = str(workdir / "spanrl.json")
+    assert main(args) == 0
+    assert json.loads((tmp_path / "x.json").read_text())["policy"]["lo"] == 0
 
 
 def _command(command, workdir, run, tmp_path, env=None):
@@ -473,14 +512,13 @@ def test_structurally_malformed_json_exits_2_naming_the_file(
 
 
 def test_replearn_config_accepts_ints_for_floats_and_null_for_optionals():
-    rl = _replearn_config({"replearn": {"c": 2, "step_size": 1, "restarts": 3,
-                                        "delta": 0.1}})
-    assert (rl.c, rl.step_size, rl.restarts, rl.delta) == (2, 1, 3, 0.1)
+    rl = _replearn_config({"replearn": {"c": 2, "restarts": 3, "delta": 0.1}})
+    assert (rl.c, rl.restarts, rl.delta) == (2, 3, 0.1)
+    assert type(rl.c) is float and type(rl.restarts) is int
     assert _replearn_config({}) == RepLearnConfig()
-    # null is still accepted for the schedules' optional caps
+    # null is still accepted for the schedule's optional cap
     vox = _config(VoxSchedule, {**VOX_CONFIG, "fw_max_iters": None})
-    spanrl = _config(SpanrlSchedule, {**SPANRL_CONFIG, "max_rounds": None})
-    assert vox.fw_max_iters is None and spanrl.max_rounds is None
+    assert vox.fw_max_iters is None
 
 
 def test_help_exits_clean():

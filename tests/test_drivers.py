@@ -67,7 +67,34 @@ def test_vox_paper_schedule_arithmetic():
     assert s.K == 6400
     assert s.gamma == pytest.approx(0.01 / (16 * 576), rel=1e-12)
     assert s.gamma == pytest.approx(1.0850694444e-6, rel=1e-9)
-    assert min(s.n_replearn, s.n_estmat, s.n_psdp) >= 1
+    assert (s.n_replearn, s.n_estmat, s.n_psdp) == (
+        1794878110, 2161090043567394521088000, 88810329997125795840)
+    assert s.fw_max_iters is None and s.replearn == RepLearnConfig()
+
+
+@pytest.mark.parametrize("cls, first", [(VoxSchedule, 0.1), (SpanrlSchedule, 0.5)])
+def test_paper_schedules_size_rep_learn_at_their_own_delta(cls, first):
+    # n_replearn is sized with log(|Phi|/delta), and so is rep-learn's threshold
+    kw = dict(d=2, A=2, n_candidates=3, H=4, delta=0.01)
+    assert cls.paper(first, **kw).replearn == RepLearnConfig(delta=0.01)
+    given = RepLearnConfig(restarts=2, delta=0.01)
+    assert cls.paper(first, **kw, replearn=given).replearn is given
+    with pytest.raises(VoxlabError,
+                       match="replearn delta 0.05 is not the schedule's delta 0.01"):
+        cls.paper(first, **kw, replearn=RepLearnConfig())
+    with pytest.raises(VoxlabError, match="replearn delta must be in"):
+        cls.paper(first, **{**kw, "delta": 1.0})
+
+
+@pytest.mark.parametrize("cls, name, bad, good", [
+    (VoxSchedule, "eta", (0.0, -0.1, 1.5, float("nan")), 1.0),
+    (SpanrlSchedule, "eps", (0.0, -0.1, 1.0, float("nan")), 0.99),
+])
+def test_paper_schedules_reject_a_target_out_of_range(cls, name, bad, good):
+    for value in bad:
+        with pytest.raises(VoxlabError, match=f"{name} must be in"):
+            cls.paper(value, d=2, A=2, n_candidates=3, H=4)
+    assert cls.paper(good, d=2, A=2, n_candidates=3, H=4).n_replearn >= 1
 
 
 def test_schedule_validation():
@@ -78,32 +105,24 @@ def test_schedule_validation():
     with pytest.raises(VoxlabError):
         SpanrlSchedule(n_replearn=0, n_estvec=10, n_psdp=10)
     s = SpanrlSchedule.paper(eps=0.05, d=2, A=2, n_candidates=4, H=3)
-    assert min(s.n_replearn, s.n_estvec, s.n_psdp) >= 1
+    assert (s.n_replearn, s.n_estvec, s.n_psdp) == (14023, 1199, 735210)
+    assert s.replearn == RepLearnConfig()
 
 
 def test_a_bad_C_or_eps_is_rejected_before_any_episode():
     M = boosted_env(seed=8)
     Phi = make_feature_class(M, n_decoys=1, rng=np.random.default_rng(8))
     rng, counter = np.random.default_rng(9), EpisodeCounter()
+    # C is the constant `drivers.C`; eps and every schedule value are checked
     vox, spanrl = vox_micro_schedule(), spanrl_micro_schedule()
-    for C in (0.5, 1.0, 2.5):
-        with pytest.raises(VoxlabError, match="C must be in"):
-            run_vox(M, Phi, dataclasses.replace(vox, C=C), rng, counter=counter)
-    for C in (1.0, float("nan"), float("inf")):
-        with pytest.raises(VoxlabError, match="C must exceed 1"):
-            run_spanrl(M, Phi, 0.1, dataclasses.replace(spanrl, C=C), rng,
-                       counter=counter)
     for eps in (0.0, 1.0, 1.5):
         with pytest.raises(VoxlabError, match="eps must be in"):
             run_spanrl(M, Phi, eps, spanrl, rng, counter=counter)
     with pytest.raises(VoxlabError, match="fw_max_iters must be >= 1"):
         run_vox(M, Phi, dataclasses.replace(vox, fw_max_iters=0), rng,
                 counter=counter)
-    with pytest.raises(VoxlabError, match="max_rounds must be >= 1"):
-        run_spanrl(M, Phi, 0.1, dataclasses.replace(spanrl, max_rounds=0), rng,
-                   counter=counter)
     for bad in ({"restarts": -2}, {"c": -1.0}, {"delta": 0.0}, {"delta": 1.0},
-                {"grad_steps": -1}, {"step_size": 0.0}):
+                {"grad_steps": -1}):
         (name,) = bad
         with pytest.raises(VoxlabError, match=f"replearn {name} must"):
             run_vox(M, Phi, dataclasses.replace(vox, replearn=RepLearnConfig(**bad)),
@@ -215,7 +234,7 @@ def test_vox_budget_error_says_where_and_keeps_the_partial_run():
     assert "run_vox layer 1, k = 1" in str(err)
     assert "did not terminate in 1 iterations" in str(err)
     assert isinstance(err.__cause__, BudgetError)
-    assert err.certificate == err.__cause__.certificate > (1.0 + s.C) * Phi.d
+    assert err.certificate == err.__cause__.certificate > (1.0 + drivers.C) * Phi.d
     assert [(row["h"], row["k"]) for row in err.log] == [(0, 1), (0, 2)]
     # the partial log plus the failed design's own work account for every
     # episode: rep-learn, the first PSDP call, then one FW iteration
@@ -313,9 +332,12 @@ def test_spanrl_budget_error_says_where_and_keeps_the_partial_run(monkeypatch):
         return returned[-1]
 
     monkeypatch.setattr(drivers, "psdp", recorded_psdp)
+    # the spanner stops at its own termination bound; cap it at one round
+    monkeypatch.setattr(drivers, "robust_spanner", lambda *args, **kwargs:
+                        robust_spanner(*args, max_rounds=1, **kwargs))
     M = boosted_env(seed=8, H=4)
     Phi = make_feature_class(M, n_decoys=1, rng=np.random.default_rng(8))
-    s = SpanrlSchedule(n_replearn=1500, n_estvec=800, n_psdp=1500, max_rounds=1,
+    s = SpanrlSchedule(n_replearn=1500, n_estvec=800, n_psdp=1500,
                        replearn=micro_replearn())
     counter = EpisodeCounter()
     with pytest.raises(BudgetError) as exc:
@@ -634,6 +656,27 @@ def test_fixed_seed_run_json_matches_the_recorded_hash():
         plan.update(repr((pol.action_key(), value, rng.bit_generator.state)).encode())
     got["plan"] = plan.hexdigest()
     assert got == GOLDEN
+
+
+def test_every_design_and_spanner_uses_C_2_and_the_covers_record_it(monkeypatch):
+    # C is one constant for both explorers; the spanner gets no round cap
+    seen = []
+
+    def recording(fn):
+        def wrapped(lin_opt, lin_est, C, *args, **kwargs):
+            seen.append((C, kwargs))
+            return fn(lin_opt, lin_est, C, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(drivers, "fw_optdesign", recording(drivers.fw_optdesign))
+    monkeypatch.setattr(drivers, "robust_spanner", recording(drivers.robust_spanner))
+    M = boosted_env(seed=21)
+    Phi = make_feature_class(M, n_decoys=1, rng=np.random.default_rng(21))
+    rng = np.random.default_rng(22)
+    vox = run_vox(M, Phi, vox_micro_schedule(K=1), rng)
+    spanrl = run_spanrl(M, Phi, 0.1, spanrl_micro_schedule(), rng)
+    assert seen == [(2.0, {})] * 2
+    assert vox.covers.meta["C"] == spanrl.covers.meta["C"] == drivers.C == 2.0
 
 
 def test_drivers_call_the_traced_functions_through_their_module_bindings(

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from voxlab import EpisodeCounter, Policy, PolicyDistribution, VoxlabError
-from voxlab.estimators import est_mat, est_vec, visit_counts
-from voxlab.simenv import exact_feature_expectation, exact_second_moment
+from voxlab.estimators import est_mat, est_vec
+from voxlab.simenv import (exact_feature_expectation, exact_second_moment,
+                           sample_trajectories)
 
 from conftest import small_env, uniform_mixture
 
@@ -103,7 +104,8 @@ def test_mixture_estimates_mixture_mean(env):
 
 
 def test_visit_counts_sum_to_n(env):
-    counts = visit_counts(env, 1, Policy.uniform(env), 500, np.random.default_rng(15))
+    counts = sample_trajectories(env, Policy.uniform(env), 500,
+                                 np.random.default_rng(15), upto=1)[0]
     assert counts.sum() == 500
     assert counts.min() >= 0
 

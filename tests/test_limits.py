@@ -24,7 +24,7 @@ import pytest
 
 from voxlab import FeatureClass, Policy, PolicyDistribution
 from voxlab.drivers import SpanrlSchedule, VoxSchedule, run_spanrl, run_vox
-from voxlab.estimators import est_mat, est_vec, visit_counts
+from voxlab.estimators import est_mat, est_vec
 from voxlab.evalcover import check_policy_cover
 from voxlab.psdp import linear_reward, psdp
 from voxlab.replearn import RepLearnConfig, RepLearnDataset
@@ -35,6 +35,7 @@ from voxlab.simenv import (
     exact_second_moment,
     make_feature_class,
     reachability_eta,
+    sample_trajectories,
 )
 
 from conftest import Expected, small_env
@@ -72,7 +73,8 @@ def test_est_vec_and_est_mat_meet_the_exact_moments(kind):
         P, parts = play(M, kind)
         for h in range(M.H):
             feat = unit_features(M, h, 3, seed=h)
-            assert int(visit_counts(M, h, P, N, np.random.default_rng(h)).sum()) == N
+            counts = sample_trajectories(M, P, N, np.random.default_rng(h), upto=h)[0]
+            assert int(counts.sum()) == N
             vec = est_vec(M, h, feat, P, N, np.random.default_rng(h))
             want = sum(w * exact_feature_expectation(M, pi, feat, h) for pi, w in parts)
             assert np.abs(vec - want).max() <= 1e-9, (M.H, h)

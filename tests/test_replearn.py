@@ -8,6 +8,7 @@ import pytest
 from voxlab import Discriminator, FeatureClass, Policy, VoxlabError, as_distribution
 from voxlab.psdp import BallLeastSquares, ball_constrained_least_squares, matvec
 from voxlab.replearn import (
+    FIRST_STEP,
     RepLearnConfig,
     RepLearnDataset,
     _GapScorer,
@@ -167,7 +168,7 @@ def reference_discriminator_search(Phi, phi_current, data, config, rng,
                 best_gap, best_disc = gap, Discriminator(theta0, fi)
         scored.sort(key=lambda item: -item[0])
         for gap, theta, grad in scored[:3]:
-            step = config.step_size
+            step = FIRST_STEP
             for _ in range(config.grad_steps):
                 cand = theta + step * grad
                 nrm = np.linalg.norm(cand)
@@ -283,7 +284,7 @@ def test_resolve_iteration_counts_and_radii():
     assert eps == pytest.approx(np.sqrt(4 * np.log(4 / 0.05) / 20_000))
 
 
-@pytest.mark.parametrize("name", ["c", "step_size"])
+@pytest.mark.parametrize("name", ["c"])
 @pytest.mark.parametrize("value", [float("inf"), float("nan"), -float("inf"), 0.0])
 def test_config_rejects_non_finite_and_non_positive_values(name, value):
     with pytest.raises(VoxlabError, match=rf"replearn {name} must be finite and > 0"):

@@ -2,11 +2,13 @@
 
 import ast
 import contextlib
+import dataclasses
 import io
 import pathlib
 import re
 
 import voxlab
+from voxlab.replearn import RepLearnConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -82,3 +84,11 @@ def test_the_readme_example_runs_as_documented():
     assert episodes == "432000"
     assert 0.01 <= float(alpha) <= 1.0
     assert passed == "True"
+
+
+def test_the_readme_names_exactly_the_fields_of_replearn_config():
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    count, names = re.search(r"`RepLearnConfig` has (\w+) fields, (.*?):", readme).groups()
+    fields = [f.name for f in dataclasses.fields(RepLearnConfig)]
+    assert re.findall(r"`(\w+)`", names) == fields
+    assert count == ("three", "four", "five", "six")[len(fields) - 3]
