@@ -21,7 +21,6 @@ from voxlab.core import (NEG_TOL, ROW_SUM_TOL, LayeredLowRankMDP, VoxlabError,
                          validate_mdp)
 from voxlab.drivers import (
     CoverSet,
-    RunResult,
     SpanrlSchedule,
     VoxSchedule,
     _policy_to_obj,
@@ -215,33 +214,16 @@ def _cmd_run(args):
     rng = np.random.default_rng(args.seed)
     if args.command == "run-vox":
         result = run_vox(M, Phi, _config(VoxSchedule, config), rng)
-        column = "certificate"
     else:
         schedule = _config(SpanrlSchedule, config)
         eps = _typed("eps", config["eps"], float)
         result = run_spanrl(M, Phi, eps, schedule, rng)
-        column = "spanner_rounds"
     obj = result.to_obj()
-    obj["algorithm"] = result.covers.kind
     obj["seed"] = args.seed
     obj["alphas"] = {h: rep["alpha_measured"] for h, rep in
                      _cover_reports(M, result.covers, 0.0, 0.0).items()}
-    obj["certificates"] = [row[column] for row in result.log]
     _dump(obj, args.out)
-    if args.csv:
-        _write_csv(result.log, args.csv)
     return 0
-
-
-def _write_csv(log, path):
-    lines = ["iter,objective,certificate"]
-    step = 0
-    for row in log:
-        for _, objective, certificate in row.get("trace", []):
-            step += 1
-            lines.append(f"{step},{objective!r},{certificate!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _cmd_optimize_reward(args):
@@ -334,9 +316,7 @@ def build_parser():
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True)
-        p.set_defaults(func=_cmd_run, csv=None)
-        if name == "run-vox":
-            p.add_argument("--csv", help="optional per-iteration design trace")
+        p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("optimize-reward", help="PSDP on a linear reward")
     p.add_argument("--env", required=True)

@@ -107,7 +107,9 @@ class VoxSchedule:
 @dataclass
 class SpanrlSchedule:
     """Parameters of one SpanRL run, given directly or by `paper`, whose runs
-    on the benchmark's H = 6 locks take 0.01-0.03 s (2-core Xeon)."""
+    on the benchmark's H = 6 locks take 0.01-0.03 s (2-core Xeon).  A
+    schedule does not record the eps that `paper` sized it at, so
+    `run_spanrl` cannot check the eps it is given against it."""
 
     n_replearn: int
     n_estvec: int
@@ -305,7 +307,12 @@ def run_vox(M, Phi, schedule: VoxSchedule, rng, counter=None) -> RunResult:
 
 def run_spanrl(M, Phi, eps, schedule: SpanrlSchedule, rng,
                counter=None) -> RunResult:
-    """Layer-by-layer cover construction via barycentric spanners."""
+    """Layer-by-layer cover construction via barycentric spanners.
+
+    ``eps`` is the spanner's tolerance and nothing more: ``schedule`` does
+    not record the eps its counts were sized at, so nothing checks the two
+    against each other, and the covers' ``meta["eps"]`` records only the
+    tolerance the spanner ran at."""
     if not 0.0 < eps < 1.0:
         raise VoxlabError(f"eps must be in (0, 1), got {eps}")
     counter = EpisodeCounter() if counter is None else counter
@@ -348,21 +355,14 @@ def run_spanrl(M, Phi, eps, schedule: SpanrlSchedule, rng,
 def optimize_reward(M, covers: CoverSet, thetas, Phi, n, rng, counter=None):
     """PSDP over the full horizon on linear true-feature rewards.
 
-    ``thetas`` holds one finite vector per feature layer (H-1 of them; a
-    list of H is accepted when the final entry is zero, since the last layer
-    has no features).  Returns the learned policy and its exact value.
+    ``thetas`` holds exactly one finite vector of norm at most 1 per feature
+    layer, H-1 of them: the last layer has no features.  Returns the learned
+    policy and its exact value.
     """
     counter = EpisodeCounter() if counter is None else counter
     thetas = [np.asarray(t, dtype=float) for t in thetas]
     if not all(np.isfinite(t).all() for t in thetas):
         raise VoxlabError("reward vectors must be finite")
-    if len(thetas) == M.H:
-        if np.linalg.norm(thetas[-1]) > 0:
-            raise VoxlabError(
-                "the final layer has no features; a length-H theta list must "
-                "end with the zero vector"
-            )
-        thetas = thetas[:-1]
     if len(thetas) != M.H - 1:
         raise VoxlabError(f"need {M.H - 1} reward vectors, got {len(thetas)}")
     for t, th in enumerate(thetas):

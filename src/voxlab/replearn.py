@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from voxlab.core import (
-    Discriminator,
-    Policy,
-    VoxlabError,
-    _freeze,
-    as_distribution,
-)
+from voxlab.core import Discriminator, Policy, VoxlabError, _freeze
 from voxlab.psdp import NORM_EPS, BallLeastSquares, ObservedCells, matvec, row_norms
 from voxlab.simenv import mixture_occupancy, sample_trajectories
 
@@ -369,7 +363,7 @@ def exact_transfer_error(M, h, Phi, index, P, n_dirs=200, rng=None):
     """
     rng = np.random.default_rng(0) if rng is None else rng
     d = Phi.d
-    occ = mixture_occupancy(M, as_distribution(P), h)
+    occ = mixture_occupancy(M, P, h)
     weights = np.repeat(occ[:, None] / M.A, M.A, axis=1).ravel()
     fac = BallLeastSquares(Phi.tables_at(h)[index].reshape(-1, d), weights)
     mu = M.mu[h]

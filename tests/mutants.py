@@ -574,4 +574,24 @@ MUTANTS = (
             "tests/test_cli.py::test_config_errors_exit_2_without_a_traceback",
         ),
     ),
+    Mutant(
+        "the run file copies covers.kind into an algorithm key",
+        "src/voxlab/cli.py",
+        '    obj["seed"] = args.seed\n',
+        '    obj["algorithm"] = result.covers.kind\n    obj["seed"] = args.seed\n',
+        (
+            "tests/test_cli.py::test_vox_run_payload_structure",
+            "tests/test_cli.py::test_spanrl_run_and_rerun",
+        ),
+    ),
+    # ---------------------------------------------------------------- imports
+    Mutant(
+        "a library module imports a name it never reads",
+        "src/voxlab/estimators.py",
+        "\nimport numpy as np\n",
+        "\nimport json\n\nimport numpy as np\n",
+        (
+            "tests/test_surface.py::test_every_module_reads_what_it_imports",
+        ),
+    ),
 )

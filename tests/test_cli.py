@@ -48,12 +48,11 @@ def workdir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def vox_run(workdir):
     out = workdir / "vox_run.json"
-    csv = workdir / "vox_trace.csv"
     rc = main(["run-vox", "--env", str(workdir / "env.json"),
                "--config", str(workdir / "vox.json"), "--seed", "3",
-               "--out", str(out), "--csv", str(csv)])
+               "--out", str(out)])
     assert rc == 0
-    return out, csv
+    return out
 
 
 def test_generate_env_writes_valid_mdp(workdir):
@@ -74,45 +73,46 @@ def test_selftest_passes(capsys):
     assert "selftest ok" in capsys.readouterr().out
 
 
+# the run file is the one record of a run: what it holds once, it holds
+# nowhere else (the kind is covers.kind, the certificates are log columns)
+RUN_KEYS = {"alphas", "covers", "episode_count", "log", "seed"}
+
+
 def test_vox_run_payload_structure(vox_run):
-    out, _ = vox_run
-    obj = json.loads(out.read_text())
-    assert obj["algorithm"] == "vox"
+    obj = json.loads(vox_run.read_text())
+    assert set(obj) == RUN_KEYS
+    assert obj["covers"]["kind"] == "vox"
     assert obj["seed"] == 3
     assert obj["episode_count"] > 0
     assert len(obj["log"]) == VOX_CONFIG["K"]
     assert set(obj["alphas"]) == {"2"}
-    assert len(obj["certificates"]) == len(obj["log"])
 
 
 def test_vox_rerun_is_byte_identical(workdir, vox_run):
-    out, _ = vox_run
     again = workdir / "vox_run_again.json"
     rc = main(["run-vox", "--env", str(workdir / "env.json"),
                "--config", str(workdir / "vox.json"), "--seed", "3",
                "--out", str(again)])
     assert rc == 0
-    assert again.read_bytes() == out.read_bytes()
+    assert again.read_bytes() == vox_run.read_bytes()
 
 
-def test_csv_trace_format(vox_run):
-    out, csv = vox_run
-    lines = csv.read_text().splitlines()
-    assert lines[0] == "iter,objective,certificate"
-    obj = json.loads(out.read_text())
-    want_rows = sum(len(row["trace"]) for row in obj["log"])
-    assert len(lines) == 1 + want_rows
-    for k, line in enumerate(lines[1:], start=1):
-        step, objective, certificate = line.split(",")
-        assert int(step) == k
-        float(objective), float(certificate)
+def test_run_vox_rejects_csv_before_drawing_or_writing(workdir, tmp_path,
+                                                      capsys, monkeypatch):
+    # the Frank-Wolfe traces are the run file's log rows; there is no copy
+    _no_episodes(monkeypatch)
+    assert main(["run-vox", "--env", str(workdir / "env.json"),
+                 "--config", str(workdir / "vox.json"),
+                 "--out", str(tmp_path / "x.json"),
+                 "--csv", str(tmp_path / "trace.csv")]) == 2
+    assert "unrecognized arguments: --csv" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_cover_exit_codes_and_witnesses(workdir, vox_run):
-    out, _ = vox_run
     rep = workdir / "verify.json"
     rc = main(["verify-cover", "--env", str(workdir / "env.json"),
-               "--run", str(out), "--alpha", "0.001", "--eps", "0.0",
+               "--run", str(vox_run), "--alpha", "0.001", "--eps", "0.0",
                "--out", str(rep)])
     assert rc == 0
     payload = json.loads(rep.read_text())
@@ -120,7 +120,7 @@ def test_verify_cover_exit_codes_and_witnesses(workdir, vox_run):
     assert payload["layers"]["2"]["passed"] is True
 
     rc = main(["verify-cover", "--env", str(workdir / "env.json"),
-               "--run", str(out), "--alpha", "0.999", "--eps", "0.0",
+               "--run", str(vox_run), "--alpha", "0.999", "--eps", "0.0",
                "--out", str(rep)])
     assert rc == 1
     payload = json.loads(rep.read_text())
@@ -138,17 +138,16 @@ def test_spanrl_run_and_rerun(workdir):
         assert rc == 0
     assert first.read_bytes() == second.read_bytes()
     obj = json.loads(first.read_text())
-    assert obj["algorithm"] == "spanrl"
+    assert set(obj) == RUN_KEYS
     assert obj["covers"]["kind"] == "spanrl"
 
 
 def test_optimize_reward_cli(workdir, vox_run):
-    out, _ = vox_run
     theta = workdir / "theta.json"
     theta.write_text(json.dumps([[0.6, 0.8], [1.0, 0.0]]))
     result = workdir / "opt.json"
     rc = main(["optimize-reward", "--env", str(workdir / "env.json"),
-               "--config", str(workdir / "vox.json"), "--run", str(out),
+               "--config", str(workdir / "vox.json"), "--run", str(vox_run),
                "--theta", str(theta), "--seed", "11", "--out", str(result)])
     assert rc == 0
     payload = json.loads(result.read_text())
@@ -185,7 +184,7 @@ def _bad_run(workdir, vox_run, tmp_path, command, config, bad):
     theta.write_text(json.dumps(bad.pop("theta", [[1.0, 0.0], [0.0, 1.0]])))
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**config, **bad}))
-    extra = (["--run", str(vox_run[0]), "--theta", str(theta)]
+    extra = (["--run", str(vox_run), "--theta", str(theta)]
              if command == "optimize-reward" else [])
     return [command, "--env", str(workdir / "env.json"), "--config", str(path),
             "--out", str(tmp_path / "x.json")] + extra
@@ -348,7 +347,7 @@ def test_an_unknown_top_level_key_exits_2_naming_it_and_the_allowed_keys(
 
 def test_optimize_reward_reads_either_run_commands_config(workdir, vox_run, tmp_path):
     # the README hands it vox.json; a spanrl.json, with eps, works the same
-    args = _command("optimize-reward", workdir, vox_run[0], tmp_path)
+    args = _command("optimize-reward", workdir, vox_run, tmp_path)
     args[args.index("--config") + 1] = str(workdir / "spanrl.json")
     assert main(args) == 0
     assert json.loads((tmp_path / "x.json").read_text())["policy"]["lo"] == 0
@@ -385,11 +384,25 @@ def _no_episodes(monkeypatch):
 def test_a_non_finite_theta_exits_2_and_writes_nothing(
         workdir, vox_run, tmp_path, capsys, monkeypatch, theta):
     # JSON's NaN literal reaches the library as a float
-    args = _command("optimize-reward", workdir, vox_run[0], tmp_path)
+    args = _command("optimize-reward", workdir, vox_run, tmp_path)
     (tmp_path / "theta.json").write_text(theta)
     _no_episodes(monkeypatch)
     assert main(args) == 2
     assert capsys.readouterr().err == "error: reward vectors must be finite\n"
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("theta", [[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+                                   [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]])
+def test_an_h_length_theta_list_exits_2_and_writes_nothing(
+        workdir, vox_run, tmp_path, capsys, monkeypatch, theta):
+    # the last layer has no features, so a reward is exactly H-1 vectors,
+    # a zero H-th one included
+    args = _command("optimize-reward", workdir, vox_run, tmp_path)
+    (tmp_path / "theta.json").write_text(json.dumps(theta))
+    _no_episodes(monkeypatch)
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: need 2 reward vectors, got 3\n"
     assert not (tmp_path / "x.json").exists()
 
 
@@ -403,7 +416,7 @@ def test_an_invalid_environment_exits_2_and_writes_nothing(
     bad_env = tmp_path / "env.json"
     bad_env.write_text(json.dumps(env))
     _no_episodes(monkeypatch)
-    assert main(_command(command, workdir, vox_run[0], tmp_path, bad_env)) == 2
+    assert main(_command(command, workdir, vox_run, tmp_path, bad_env)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: environment {bad_env} failed validation")
     assert "rho sums to 2, expected 1" in err
@@ -427,7 +440,7 @@ def _short(tab):
 @pytest.mark.parametrize("corrupt", [_doubled, _negative, _short])
 def test_run_files_whose_policies_are_not_distributions_exit_2(
         workdir, vox_run, tmp_path, capsys, monkeypatch, command, corrupt):
-    run = json.loads(vox_run[0].read_text())
+    run = json.loads(vox_run.read_text())
     for layer in run["covers"]["layers"]:
         for pi in layer["policies"]:
             pi["tables"] = [corrupt(tab) for tab in pi["tables"]]
@@ -443,7 +456,7 @@ def test_run_files_whose_policies_are_not_distributions_exit_2(
 def test_nan_cover_weights_exit_2(workdir, vox_run, tmp_path, capsys):
     # every comparison with NaN is false, so a check written as "fail if
     # weight < 0" or "fail if |sum - 1| > tol" would let these through
-    run = json.loads(vox_run[0].read_text())
+    run = json.loads(vox_run.read_text())
     for layer in run["covers"]["layers"]:
         layer["weights"] = [float("nan")] * len(layer["weights"])
     bad_run = tmp_path / "run.json"
@@ -462,7 +475,7 @@ def test_nan_cover_weights_exit_2(workdir, vox_run, tmp_path, capsys):
                                          ("--alpha", "-1")])
 def test_a_non_finite_or_negative_threshold_exits_2(workdir, vox_run, tmp_path,
                                                      capsys, flag, value):
-    args = _command("verify-cover", workdir, vox_run[0], tmp_path)
+    args = _command("verify-cover", workdir, vox_run, tmp_path)
     args += [flag, value]
     assert main(args) == 2
     assert f"error: {flag[2:]} must be finite and >= 0" in capsys.readouterr().err
@@ -470,7 +483,7 @@ def test_a_non_finite_or_negative_threshold_exits_2(workdir, vox_run, tmp_path,
 
 
 def test_a_run_file_of_another_horizon_exits_2(workdir, vox_run, tmp_path, capsys):
-    run = json.loads(vox_run[0].read_text())
+    run = json.loads(vox_run.read_text())
     run["covers"]["H"] = 4
     bad_run = tmp_path / "run.json"
     bad_run.write_text(json.dumps(run))
@@ -497,7 +510,7 @@ def test_structurally_malformed_json_exits_2_naming_the_file(
         workdir, vox_run, tmp_path, capsys, command, bad, corrupt):
     # each file but the last parses as JSON but has the wrong shape inside;
     # a str from ``corrupt`` is written as it is
-    args = _command(command, workdir, vox_run[0], tmp_path)
+    args = _command(command, workdir, vox_run, tmp_path)
     i = args.index(f"--{bad}") + 1
     path = tmp_path / f"bad_{bad}.json"
     with open(args[i]) as fh:

@@ -15,12 +15,10 @@ from voxlab import (
     PolicyDistribution,
     VoxlabError,
     compose_policies,
-    generate_low_rank_mdp,
 )
 from voxlab import drivers, simenv
 from voxlab.drivers import (
     CoverSet,
-    RunResult,
     SpanrlSchedule,
     VoxSchedule,
     mix_distributions,
@@ -30,7 +28,6 @@ from voxlab.drivers import (
 )
 from voxlab.estimators import est_mat, est_vec
 from voxlab.evalcover import check_policy_cover
-from voxlab.optdesign import fw_iteration_bound
 from voxlab.psdp import linear_reward, psdp
 from voxlab.replearn import RepLearnConfig, RepLearnDataset
 from voxlab.simenv import make_feature_class
@@ -485,22 +482,28 @@ def test_optimize_reward_validation(env):
     with pytest.raises(VoxlabError):
         optimize_reward(env, covers, [np.array([2.0, 0.0])] * (env.H - 1),
                         Phi, 10, rng)  # norm > 1
+    # the last layer has no features, so a reward is exactly H-1 vectors:
+    # an H-th one is refused before any episode, a zero one included
+    counter = EpisodeCounter()
     long = [np.zeros(2)] * (env.H - 1) + [np.array([1.0, 0.0])]
-    with pytest.raises(VoxlabError):
-        optimize_reward(env, covers, long, Phi, 10, rng)  # nonzero tail
     ok = [np.zeros(2)] * (env.H - 1) + [np.zeros(2)]
-    pol, value = optimize_reward(env, covers, ok, Phi, 10, rng)
+    for thetas in (long, ok):
+        with pytest.raises(VoxlabError,
+                           match=f"need {env.H - 1} reward vectors, got {env.H}"):
+            optimize_reward(env, covers, thetas, Phi, 10, rng, counter=counter)
+    assert counter.count == 0
+    pol, value = optimize_reward(env, covers, ok[:-1], Phi, 10, rng)
     assert value == 0.0
 
 
 @pytest.mark.parametrize("thetas", [
     [[np.nan, 0.0], [0.0, 0.0]],
     [[0.0, np.inf], [0.0, 0.0]],
-    [[0.0, 0.0], [0.0, 0.0], [np.nan, 0.0]],  # a length-H list drops its tail
+    [[0.0, 0.0], [0.0, 0.0], [np.nan, 0.0]],  # length H, one too many
 ])
 def test_optimize_reward_rejects_non_finite_vectors(env, thetas):
     # both norm checks compare false on NaN, so a non-finite entry must be
-    # caught on its own, before the tail is dropped and before any episode
+    # caught on its own, before the count check and before any episode
     Phi = make_feature_class(env, n_decoys=1, rng=np.random.default_rng(15))
     covers = CoverSet(
         kind="vox", H=env.H,

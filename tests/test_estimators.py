@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from voxlab import EpisodeCounter, Policy, PolicyDistribution, VoxlabError
+from voxlab import EpisodeCounter, Policy, VoxlabError
 from voxlab.estimators import est_mat, est_vec
 from voxlab.simenv import (exact_feature_expectation, exact_second_moment,
                            sample_trajectories)

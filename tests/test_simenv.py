@@ -23,7 +23,6 @@ from voxlab import (
     PolicyDistribution,
     VoxlabError,
     as_distribution,
-    generate_low_rank_mdp,
     validate_mdp,
 )
 from voxlab import simenv

@@ -4,8 +4,12 @@ import ast
 import contextlib
 import dataclasses
 import io
+import os
 import pathlib
 import re
+import shlex
+import subprocess
+import sys
 
 import voxlab
 from voxlab.replearn import RepLearnConfig
@@ -92,3 +96,37 @@ def test_the_readme_names_exactly_the_fields_of_replearn_config():
     fields = [f.name for f in dataclasses.fields(RepLearnConfig)]
     assert re.findall(r"`(\w+)`", names) == fields
     assert count == ("three", "four", "five", "six")[len(fields) - 3]
+
+
+def test_the_readme_cli_block_runs_as_written(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    cli = readme[readme.index("\n## CLI\n"):]
+    block = re.search(r"```sh\n(.*?)```", cli, re.S).group(1)
+    script = f'voxlab() {{ {shlex.quote(sys.executable)} -m voxlab.cli "$@"; }}\n' + block
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(["bash", "-e", "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "run.json").is_file()
+    assert (tmp_path / "opt.json").is_file()
+
+
+def test_every_module_reads_what_it_imports():
+    """An ``ast`` scan of the library (``__init__.py`` re-exports, so it is
+    left out) and the tests.  An imported name is read when a ``Name`` node
+    holds it; the root of an attribute chain is such a node, so
+    ``np.linalg.norm`` reads ``np``."""
+    unread = []
+    paths = [p for p in (ROOT / "src" / "voxlab").glob("*.py")
+             if p.name != "__init__.py"] + list((ROOT / "tests").glob("*.py"))
+    for path in sorted(paths):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert unread == []
