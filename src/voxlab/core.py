@@ -398,27 +398,28 @@ def validate_mdp(M):
     || sum_x g(x) mu(x) || <= sqrt(d) on 1000 random binary g per layer, the
     same weightings for every layer of a width (`_spot_norm`).
     """
+    def where(mask):  # the true entries' indices, built only if there is one
+        return zip(*np.nonzero(mask)) if mask.any() else ()
     report = []
     d = M.d
     for h in range(M.H - 1):
         norms = np.linalg.norm(M.phi[h], axis=2)
-        for x, a in zip(*np.nonzero(norms > 1.0 + NORM_TOL)):
+        for x, a in where(norms > 1.0 + NORM_TOL):
             report.append(
                 f"phi norm bound violated at (h={h}, x={x}, a={a}): {norms[x, a]:.12g} > 1"
             )
         T = M.transition_matrix(h)
-        bad = T < -NEG_TOL
-        for x, a, y in zip(*np.nonzero(bad)):
+        for x, a, y in where(T < -NEG_TOL):
             report.append(
                 f"negative transition density at (h={h}, x={x}, a={a}, x'={y}): {T[x, a, y]:.12g}"
             )
         sums = T.sum(axis=2)
-        for x, a in zip(*np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)):
+        for x, a in where(np.abs(sums - 1.0) > ROW_SUM_TOL):
             report.append(
                 f"transition row sum off at (h={h}, x={x}, a={a}): {sums[x, a]:.12g}"
             )
         l1 = np.abs(M.mu[h]).sum(axis=0)
-        for i in np.nonzero(l1 > 1.0 + ROW_SUM_TOL)[0]:
+        for (i,) in where(l1 > 1.0 + ROW_SUM_TOL):
             report.append(
                 f"mu coordinate l1 mass exceeds 1 at (h={h}, i={i}): {l1[i]:.12g}"
             )

@@ -39,18 +39,20 @@ def check_policy_cover(M, P, h, alpha, eps, mode="expectation"):
     mixture occupancy E_{pi~P}[d^pi(x)]; in "max" mode (set covers) it is
     the best occupancy over the support.  Measured alpha is the worst
     qualifying ratio of cover mass to maximal occupancy (tolerance 1e-9).
-    ``alpha`` and ``eps`` must be finite and >= 0.
+    ``alpha`` and ``eps`` must be finite and >= 0.  A bare Policy's cover
+    mass is its occupancy, the bits of its point mass's (0 + 1.0 x = x).
     """
     for name, val in (("alpha", alpha), ("eps", eps)):
         if not (math.isfinite(val) and val >= 0.0):
             raise VoxlabError(f"{name} must be finite and >= 0, got {val}")
-    P = as_distribution(P)
+    policies = [P] if isinstance(P, Policy) else as_distribution(P).policies
     maxima = max_occupancies(M, h)
     scale = _density_norms(M, h) if h >= 1 else np.ones(M.n_states(0))
     if mode == "expectation":
-        vals = mixture_occupancy(M, P, h)
+        vals = (exact_occupancy if isinstance(P, Policy)
+                else mixture_occupancy)(M, P, h)
     elif mode == "max":
-        vals = np.max([exact_occupancy(M, pi, h) for pi in P.policies], axis=0)
+        vals = np.max([exact_occupancy(M, pi, h) for pi in policies], axis=0)
     else:
         raise VoxlabError(f"unknown mode {mode!r}")
     qualifying = (maxima >= eps * scale) & (maxima > 0.0)

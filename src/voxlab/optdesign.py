@@ -14,6 +14,7 @@ Fedorov-Wynn step of D-optimal design (Todd, *Minimum-Volume Ellipsoids*,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -80,12 +81,13 @@ def _line_search(L, D, mu):
 
     With lam the eigenvalues of L^-1 D L^-T, the objective is log det M plus
     sum(log(1 + a lam)), concave, with slope sum(lam / (1 + a lam)); 60
-    bisection steps on the slope's sign place its zero within 2^-60.
+    bisection steps on the slope's sign place its zero within 2^-60.  The
+    slope sums Python floats left to right, as `np.sum` does below 8 terms.
     """
-    lam = np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, D).T))
+    lam = np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, D).T)).tolist()
 
     def slope(a):
-        return float(np.sum(lam / (1.0 + a * lam)))
+        return functools.reduce(lambda total, x: total + x / (1.0 + a * x), lam, 0.0)
 
     if slope(1.0) >= 0.0:
         return 1.0

@@ -29,14 +29,14 @@ NORM_EPS = 1e-10
 
 def quadratic_reward(mat, feat):
     """The (n, A) table phi(x, a)^T mat phi(x, a) of the (n, A, d) feature
-    table feat, clipped to [0, ||mat||_op], its range by Cauchy-Schwarz when
-    ||phi|| <= 1, so the regression targets stay inside the bounds the
-    guarantees assume."""
+    table feat, clipped to [0, ||mat||_op] (the float `norm(mat, 2)` gives,
+    read off the SVD), its range by Cauchy-Schwarz when ||phi|| <= 1, so the
+    regression targets stay inside the bounds the guarantees assume."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise VoxlabError(f"quadratic reward needs a square matrix, got {mat.shape}")
     vals = np.einsum("xad,de,xae->xa", feat, mat, feat)
-    return np.clip(vals, 0.0, float(np.linalg.norm(mat, 2)))
+    return np.clip(vals, 0.0, float(np.linalg.svd(mat, compute_uv=False)[0]))
 
 
 def linear_reward(theta, feat):

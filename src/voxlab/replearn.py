@@ -16,6 +16,7 @@ no cost grows with the sample size.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,21 +120,21 @@ class _GapScorer:
     current candidate on one dataset, built once per search.
 
     It keeps what stays fixed for the search: the candidate stack T (K, n_h,
-    A, d) and its stacked factor, the two radii and the dataset's counts.  A
-    call scores S discriminators: row i is the direction thetas[i] on the
-    next-layer feature table ftabs[i] (ftabs is (S, n_{h+1}, A, d), possibly
-    a broadcast view).  The gap is the loss of the current candidate in the
-    big ball minus the best candidate's loss in the small ball (the first
-    best on ties).  Every candidate is fitted by one stacked `min_norm`
-    solve.  When every unconstrained fit lies inside both balls no fit
-    moves, so `into_ball` is skipped and the current candidate's loss is its
-    row of the stacked losses; on the benchmark's searches no fit leaves a
-    ball, and the skip saves about 15% of a call.  Otherwise the stack is
-    put into each ball, and the current candidate's big-ball fit is its row
-    of the big-ball stack.  The gradient, None unless grad (a hill climb
-    follows), holds the fitted weights and moves the targets.  Every row is
-    bit-identical to scoring that discriminator alone against one candidate
-    at a time.
+    A, d) and its stacked factor, the two radii and the dataset's counts.
+    `gaps` scores discriminators from their `_values`; a call scores each
+    direction thetas[i] on the next-layer table ftabs[i] (ftabs is (S,
+    n_{h+1}, A, d), possibly a broadcast view).  The gap is the loss of the
+    current candidate in the big ball minus the best candidate's loss in the
+    small ball (the first best on ties).  Every candidate is fitted by one
+    stacked `min_norm` solve.  When every unconstrained fit lies inside both
+    balls no fit moves, so `into_ball` is skipped and the current
+    candidate's loss is its row of the stacked losses; on the benchmark's
+    searches no fit leaves a ball, and the skip saves about 15% of a call.
+    Otherwise the stack is put into each ball, and the current candidate's
+    big-ball fit is its row of the big-ball stack.  The gradient, None
+    unless grad (a hill climb follows), holds the fitted weights and moves
+    the targets.  Every row is bit-identical to scoring that discriminator
+    alone against one candidate at a time.
     """
 
     def __init__(self, data, current, T, r_big, r_small, grad=True):
@@ -143,12 +144,11 @@ class _GapScorer:
         self.fac = data.cells.factor(T)
 
     def __call__(self, ftabs, thetas):
-        S, fac, cur = len(thetas), self.fac, self.current
-        fvals = matvec(ftabs, thetas[:, None, :])
-        # the maximum over actions, folded: the bits of fvals.max(axis=2)
-        f = fvals[..., 0]
-        for a in range(1, fvals.shape[2]):
-            f = np.maximum(f, fvals[..., a])
+        return self.gaps(*_values(ftabs, thetas[:, None], self.grad))
+
+    def gaps(self, f, chosen):
+        f = f.reshape(-1, f.shape[-1])
+        S, fac, cur = len(f), self.fac, self.current
         Y, offsets = self.data.targets(f)
         B, W = fac.min_norm(Y)
         if (row_norms(W) <= self.inside).all():
@@ -167,8 +167,26 @@ class _GapScorer:
         diff = (matvec(self.T[best], W[best, rows][:, None, :])
                 - matvec(self.T[cur], w_own[:, None, :]))
         s = matvec(self.data._next_by_cell, diff.reshape(S, -1))
-        chosen = ftabs[rows[:, None], np.arange(ftabs.shape[1]), fvals.argmax(axis=2)]
-        return gaps, 2.0 * (s[:, :, None] * chosen).sum(axis=1)
+        return gaps, 2.0 * (s[:, :, None] * chosen.reshape(s.shape + (-1,))).sum(axis=1)
+
+
+def _values(tables, thetas, grad):
+    """f[i, j, x'] = max_a thetas[i, j] . tables[i, x', a] for thetas (S, R,
+    d), tables (S, n, A, d), and if grad the rows at those actions; one gemv
+    per direction on its (n A, d)-flattened table, bit-identical per state."""
+    S, n, A, d = tables.shape
+    fvals = matvec(tables.reshape(S, 1, n * A, d), thetas).reshape(S, -1, n, A)
+    # the maximum over actions, folded: the bits of fvals.max(axis=3)
+    f = fvals[..., 0]
+    for a in range(1, fvals.shape[3]):
+        f = np.maximum(f, fvals[..., a])
+    if not grad:
+        return f, None
+    return f, tables[np.arange(S)[:, None, None], np.arange(n), fvals.argmax(axis=3)]
+
+
+# FeatureClass -> {data layer: the seed sweep and its `_values`}, held weakly
+_SWEEPS = weakref.WeakKeyDictionary()
 
 
 def _hill_climb(score, thetas, gaps, grads, config):
@@ -223,42 +241,45 @@ def _search_points(Phi, phi_current, data, config, rng):
     ring (d = 2) or its chains in stable descending-gap order, each chain's
     accepted points in order (d >= 3).
 
-    Scoring goes through one `_GapScorer` built for the search.  Every
-    candidate's restarts are drawn from `rng` in candidate order, then the
-    seed sets of all candidates are scored in one call.  At d = 2 one more
-    call scores each candidate's ring of 14 angles around its first-best
-    seed (`_first_max`); at d >= 3 the hill-climb chains of all candidates
-    advance together, one call per step.  At d = 1 the seeds are the whole
-    sphere {-1, 1}, so nothing follows them.
+    Scoring goes through one `_GapScorer` built for the search.  The sweep
+    is valued once per class and layer (`_SWEEPS`), each candidate's
+    restarts drawn from `rng` in candidate order, and all seeds scored in
+    one call.  At d = 2 one more call scores each candidate's ring of 14
+    angles around its first-best seed (`_first_max`); at d >= 3 the
+    hill-climb chains advance together, one call per step.  At d = 1 the
+    seeds are the whole sphere {-1, 1}, so nothing follows them.
     """
     d = Phi.d
     _, r_big, r_small, _ = config.resolve(d, data.n, len(Phi.candidates))
     next_tables = Phi.tables_at(data.layer + 1)
     K = len(next_tables)
-    eye = np.eye(d)
-    sweep = np.stack([eye, -eye], axis=1).reshape(-1, d)
-    if d == 2:
-        angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-        sweep = np.concatenate([sweep, np.stack([np.cos(angles), np.sin(angles)],
-                                                axis=1)])
+    sweeps = _SWEEPS.setdefault(Phi, {})
+    if data.layer not in sweeps:
+        sweep = np.hstack([np.eye(d), -np.eye(d)]).reshape(-1, d)
+        if d == 2:
+            angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+            sweep = np.vstack([sweep, np.stack([np.cos(angles), np.sin(angles)], 1)])
+        sweep = np.broadcast_to(sweep, (K,) + sweep.shape)
+        sweeps[data.layer] = (sweep, *_values(next_tables, sweep, d > 2))
+    sweep, f, chosen = sweeps[data.layer]
     extra = np.array([rng.standard_normal((config.restarts, d)) for _ in range(K)])
     extra /= np.maximum(row_norms(extra), 1e-12)[..., None]
     # (K, seeds, d): each candidate's sweep, then its restarts
-    seeds = np.concatenate([np.broadcast_to(sweep, (K,) + sweep.shape), extra],
-                           axis=1)
+    seeds = np.concatenate([sweep, extra], axis=1)
+    f_extra, chosen_extra = _values(next_tables, extra, d > 2)
     n_seeds = seeds.shape[1]
     thetas = seeds.reshape(-1, d)
     fis = np.repeat(np.arange(K), n_seeds)
     score = _GapScorer(data, phi_current, Phi.tables_at(data.layer), r_big, r_small,
                        grad=d > 2)
-    gaps, grads = score(next_tables[fis], thetas)
+    gaps, grads = score.gaps(np.concatenate([f, f_extra], axis=1), None if d < 3
+                             else np.concatenate([chosen, chosen_extra], axis=1))
     if d == 2:
         block = gaps.reshape(K, n_seeds)
         tops = seeds[np.arange(K), _first_max(block)]
         angles = np.arctan2(tops[:, 1], tops[:, 0])[:, None] + _RING
         ring = np.stack([np.cos(angles), np.sin(angles)], axis=2)
-        ring_gaps, _ = score(np.repeat(next_tables, len(_RING), axis=0),
-                             ring.reshape(-1, 2))
+        ring_gaps, _ = score.gaps(*_values(next_tables, ring, False))
         return (np.concatenate([block, ring_gaps.reshape(K, -1)], axis=1).ravel(),
                 np.concatenate([seeds, ring], axis=1).reshape(-1, 2),
                 np.repeat(np.arange(K), n_seeds + len(_RING)))
@@ -291,13 +312,13 @@ def discriminator_search(Phi, phi_current, data: RepLearnDataset,
     promising seeds of each candidate.  The best evaluated point is tracked
     throughout, so the result is never worse than any seed.
 
-    The directions are scored in batches through one `_GapScorer` per
-    search (`_search_points`): every candidate's seeds in one call, then
-    one call for all rings or one call per hill-climb step.  The running
-    best of a search scoring one direction at a time, which keeps the first
-    strictly larger gap, is replayed on the points in its order as their
-    first largest gap above -inf (`_first_max`).  Gaps, the chosen theta and
-    the generator state are bit-identical to that search's.
+    The directions are scored in batches through one `_GapScorer` per search
+    (`_search_points`): all seeds in one call (the sweep valued once per
+    class and layer), then all rings, or each hill-climb step, in one.  The
+    running best of a search scoring one direction at a time, which keeps
+    the first strictly larger gap, is replayed on the points in its order as
+    their first largest gap above -inf (`_first_max`).  Gaps, the chosen
+    theta and the generator state are bit-identical to that search's.
     """
     gaps, thetas, fis = _search_points(Phi, phi_current, data, config, rng)
     i = _first_max(gaps)

@@ -59,6 +59,15 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the line-search slope drops the last eigenvalue",
+        "src/voxlab/optdesign.py",
+        "x / (1.0 + a * x), lam, 0.0)",
+        "x / (1.0 + a * x), lam[:-1], 0.0)",
+        (
+            "tests/test_optdesign.py::test_line_search_equals_the_numpy_bisection_bit_for_bit",
+        ),
+    ),
+    Mutant(
         "the line-search bisection moves the wrong end",
         "src/voxlab/optdesign.py",
         "            lo = mid\n        else:\n            hi = mid\n",
@@ -133,10 +142,21 @@ MUTANTS = (
     Mutant(
         "the action maximum skips the last action",
         "src/voxlab/replearn.py",
-        "for a in range(1, fvals.shape[2]):",
-        "for a in range(1, fvals.shape[2] - 1):",
+        "for a in range(1, fvals.shape[3]):",
+        "for a in range(1, fvals.shape[3] - 1):",
         (
             "tests/test_replearn.py::test_search_matches_the_per_direction_reference",
+        ),
+    ),
+    Mutant(
+        "the seed-sweep table is keyed without the layer",
+        "src/voxlab/replearn.py",
+        "    if data.layer not in sweeps:\n",
+        # a table keyed by the class alone hands any layer the first entry
+        "    if sweeps:\n        sweeps.setdefault(data.layer, next(iter(sweeps.values())))\n"
+        "    if data.layer not in sweeps:\n",
+        (
+            "tests/test_replearn.py::test_the_seed_sweep_is_valued_once_per_class_and_layer",
         ),
     ),
     Mutant(
@@ -474,6 +494,15 @@ MUTANTS = (
         "key = (upto,)",
         (
             "tests/test_simenv.py::test_a_repeated_rollin_compiles_nothing_and_a_new_tail_value_compiles_once",
+        ),
+    ),
+    Mutant(
+        "a one-policy mixture at any weight takes its policy's compiled law",
+        "src/voxlab/simenv.py",
+        "P.weights.tolist() == [1.0]:",
+        "len(P.weights) == 1:",
+        (
+            "tests/test_simenv.py::test_a_point_mass_shares_its_policys_compiled_law",
         ),
     ),
     Mutant(

@@ -151,6 +151,23 @@ def test_cover_check_matches_a_per_state_loop_bit_for_bit():
                             assert out["passed"] == (not witnesses)
 
 
+def test_a_bare_policy_covers_as_its_point_mass_bit_for_bit():
+    # a bare Policy's cover mass is read from its occupancy directly, with
+    # no point-mass mixture around it: every report field is unchanged
+    rng = np.random.default_rng(4)
+    M = small_env(seed=4, H=4, A=2, d=2, states=(2, 3, 3, 2), boost=0.3)
+    for pi in (Policy.uniform(M), random_policy(M, rng)):
+        for h in range(M.H):
+            for mode in ("expectation", "max"):
+                for alpha, eps in ((0.0, 0.0), (0.9, 0.1)):
+                    got = check_policy_cover(M, pi, h, alpha, eps, mode)
+                    want = check_policy_cover(M, PolicyDistribution.point_mass(pi),
+                                              h, alpha, eps, mode)
+                    assert got == want
+                    assert (np.float64(got["alpha_measured"]).tobytes()
+                            == np.float64(want["alpha_measured"]).tobytes())
+
+
 # ------------------------------------------------------ design certificates
 
 

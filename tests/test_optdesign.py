@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from voxlab import BudgetError, VoxlabError
-from voxlab.optdesign import fw_iteration_bound, fw_optdesign
+from voxlab.optdesign import _line_search, fw_iteration_bound, fw_optdesign
 
 from conftest import policy_design_oracles, small_env
 from oracles import oracle_design_certificate
@@ -75,6 +75,46 @@ def test_step_size_value():
     assert logdet(a) >= logdet(best) - 1e-12
     # the mixed-in estimate is the design's last: its log det is recorded
     assert state.trace[1][1] == pytest.approx(logdet(a), abs=1e-12)
+
+
+def numpy_line_search(L, D, mu):
+    """The line search with its slope summed by `np.sum`, frozen as the
+    reference for the float fold."""
+    lam = np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, D).T))
+
+    def slope(a):
+        return float(np.sum(lam / (1.0 + a * lam)))
+
+    if slope(1.0) >= 0.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if slope(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return max(lo, mu)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_line_search_equals_the_numpy_bisection_bit_for_bit(d):
+    # the slope is folded left to right on Python floats, which np.sum
+    # matches below 8 terms; segments from gamma I + W_P to gamma I + W_z
+    # whose optimum lies at 1, below the floor mu, or (d >= 2) inside
+    rng = np.random.default_rng(d)
+    bisected = inside = 0
+    for trial in range(300):
+        G, H = rng.standard_normal((2, d, d)) * rng.uniform(0.05, 1.0, (2, 1, 1))
+        gamma = 10.0 ** rng.uniform(-3, -1)
+        West, Wz = G @ G.T / d, H @ H.T / d
+        L = np.linalg.cholesky(gamma * np.eye(d) + West)
+        mu = (0.0, 1e-4, 0.3)[trial % 3]
+        got, want = _line_search(L, Wz - West, mu), numpy_line_search(L, Wz - West, mu)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        bisected += want < 1.0
+        inside += mu < want < 1.0
+    assert bisected >= 50 and (d == 1 or inside >= 20)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -277,6 +277,19 @@ def top_layer_rewards(M, h, top):
     return [np.zeros((M.n_states(t), M.A)) for t in range(h)] + [top]
 
 
+def test_quadratic_reward_clips_at_the_float_norm_2_gives():
+    # the clip's upper end is read off the SVD: the bits of np.linalg.norm(mat, 2)
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 3, 5):
+        for _ in range(50):
+            mat = rng.standard_normal((d, d))
+            mat = (mat @ mat.T) / np.linalg.norm(mat @ mat.T)  # like a design query
+            feat = 3.0 * rng.standard_normal((4, 2, d))
+            want = np.clip(np.einsum("xad,de,xae->xa", feat, mat, feat), 0.0,
+                           float(np.linalg.norm(mat, 2)))
+            assert quadratic_reward(mat, feat).tobytes() == want.tobytes()
+
+
 def test_reward_spec_bounds_and_clipping(env):
     feat = env.phi[1]
     mat = np.array([[2.0, 0.0], [0.0, 1.0]])

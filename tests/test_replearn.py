@@ -1,11 +1,14 @@
 """Minimax feature selection: datasets, adversarial gaps, the learning loop."""
 
+import gc
 import importlib
+import weakref
 
 import numpy as np
 import pytest
 
 from voxlab import Discriminator, FeatureClass, Policy, VoxlabError, as_distribution
+from voxlab import replearn
 from voxlab.psdp import BallLeastSquares, ball_constrained_least_squares, matvec
 from voxlab.replearn import (
     FIRST_STEP,
@@ -619,13 +622,13 @@ def test_search_scores_all_seeds_in_one_call_then_one_call_per_step(monkeypatch)
     # after the seeds, d = 2 scores one ring of 14 angles per candidate, d = 3
     # makes one call per hill-climb step, and d = 1 stops at its seeds
     calls = []
-    score = _GapScorer.__call__
+    score = _GapScorer.gaps
 
-    def counted(self, ftabs, thetas):
-        calls.append(len(thetas))
-        return score(self, ftabs, thetas)
+    def counted(self, f, chosen):
+        calls.append(f[..., 0].size)  # one value row per direction
+        return score(self, f, chosen)
 
-    monkeypatch.setattr(_GapScorer, "__call__", counted)
+    monkeypatch.setattr(_GapScorer, "gaps", counted)
     cfg = RepLearnConfig(restarts=4, grad_steps=30)
     for d in (1, 2, 3):
         Phi, data = search_instance(47, d)
@@ -657,6 +660,68 @@ def test_search_matches_the_reference_when_seed_gaps_tie():
                 tied.append(plus)
         assert max(tied) > 0.0
         assert_search_matches_reference(Phi, data, cfg, seed=d)
+
+
+def test_the_seed_sweep_is_valued_once_per_class_and_layer(monkeypatch):
+    # the deterministic sweep's values are a function of the class and the
+    # layer: a second search there values only its restarts and its ring, a
+    # new layer or a new class values its sweep afresh, the searches stay
+    # those of the reference, and the table entry dies with its class
+    valued = []
+    values = replearn._values
+
+    def counted(tables, thetas, grad):
+        valued.append(thetas.shape[0] * thetas.shape[1])
+        return values(tables, thetas, grad)
+
+    monkeypatch.setattr(replearn, "_values", counted)
+    M = small_env(seed=5, H=4, A=2, d=2, states=(4, 5, 5, 5), boost=0.5)
+    rng = np.random.default_rng(5)
+    Phi = make_feature_class(M, n_decoys=2, rng=rng)
+    data = [reference_collect(M, h, Policy.uniform(M), 2000, rng) for h in (0, 1)]
+    twin = FeatureClass([list(c) for c in Phi.candidates])
+    cfg = RepLearnConfig(restarts=4, grad_steps=30)
+    K = len(Phi)
+    fresh, again = [K * 68, K * 4, K * 14], [K * 4, K * 14]  # sweep, restarts, ring
+    for cls, layer, want in [(Phi, 0, fresh), (Phi, 0, again), (Phi, 1, fresh),
+                             (Phi, 1, again), (twin, 0, fresh), (Phi, 0, again)]:
+        valued.clear()
+        rng, ref_rng = np.random.default_rng(layer), np.random.default_rng(layer)
+        got = discriminator_search(cls, 1, data[layer], cfg, rng)
+        assert valued == want
+        assert_same_search(got, reference_discriminator_search_d2(
+            cls, 1, data[layer], cfg, ref_rng), rng, ref_rng)
+    entries, ref = len(replearn._SWEEPS), weakref.ref(twin)
+    del twin
+    gc.collect()
+    assert ref() is None and len(replearn._SWEEPS) == entries - 1
+
+
+@pytest.mark.parametrize("shape", [(5, 2, 2), (4, 4, 2), (5, 2, 3)])
+def test_flat_gemv_rows_equal_the_per_state_rows(shape):
+    # `_values` takes a direction's values from one matrix-vector product
+    # over its next-layer table flattened to (n' A, d), where the search
+    # references take one (A, d) product per next state.  Both give the same
+    # bits only if the BLAS kernel rounds a row alike at every row count;
+    # this checks that assumption at the benchmark's next-layer shapes
+    # (vox_readme, spanrl_lock) and at d = 3, so a kernel that breaks it
+    # fails here by name
+    n, A, d = shape
+    rng = np.random.default_rng(n * A * d)
+    for _ in range(200):
+        tables = rng.standard_normal((3,) + shape) * rng.uniform(0.1, 2.0)
+        thetas = rng.standard_normal((3, 5, d))
+        thetas /= np.linalg.norm(thetas, axis=2, keepdims=True)
+        flat = np.matmul(tables.reshape(3, 1, n * A, d), thetas[..., None])
+        per_state = np.matmul(tables[:, None], thetas[:, :, None, :, None])
+        assert flat.tobytes() == per_state.tobytes()
+        f, chosen = replearn._values(tables, thetas, True)
+        folded = np.maximum.reduce(per_state[..., 0], axis=3)
+        assert f.tobytes() == folded.tobytes()
+        acts = per_state[..., 0].argmax(axis=3)
+        assert np.array_equal(chosen, np.take_along_axis(
+            np.broadcast_to(tables[:, None], (3, 5) + shape),
+            acts[..., None, None], axis=3)[..., 0, :])
 
 
 def scorer_gaps(Phi, current, data, config, thetas):

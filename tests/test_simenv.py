@@ -734,6 +734,29 @@ def test_a_repeated_rollin_compiles_nothing_and_a_new_tail_value_compiles_once(
         assert len(built) == want
 
 
+def test_a_point_mass_shares_its_policys_compiled_law():
+    # a one-policy mixture at weight exactly 1.0 has its policy's law bit for
+    # bit (0 + 1.0 x = x), so it is compiled under that policy's key: a point
+    # mass of an equal policy compiles nothing, draws the same counts and
+    # leaves the generator in the same state; at weight 1 - 1e-13 it compiles
+    # its own law
+    M, P, upto, tail = rollin_case("psdp")
+    pi = P.policies[0]
+    law = simenv._compiled(M, pi, upto, tail)
+    twin = PolicyDistribution.point_mass(Policy(0, [t.copy() for t in pi.tables]))
+    assert simenv._compiled(M, twin, upto, tail) is law
+    draws = []
+    for roll_in in (pi, twin):
+        rng = np.random.default_rng(3)
+        draws.append((sample_trajectories(M, roll_in, 1000, rng, upto, tail),
+                      rng.bit_generator.state))
+    (a, state_a), (b, state_b) = draws
+    assert all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a, b))
+    assert state_a == state_b
+    near = PolicyDistribution([pi], [1.0 - 1e-13])
+    assert simenv._compiled(M, near, upto, tail) is not law
+
+
 @pytest.mark.parametrize("shape", ["plain", "collect", "psdp", "mixed"])
 def test_rollin_matches_the_per_component_loop(shape):
     # over 40 seeds of 500 episodes, every count array the sampler returns
