@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: generate-env, run-vox, run-spanrl, optimize-reward,
-verify-cover, selftest.  All randomness derives from --seed; outputs are
+Subcommands: generate-env, run-vox, run-spanrl, optimize-reward and
+verify-cover.  All randomness derives from --seed; outputs are
 sorted-key JSON so identical invocations produce byte-identical files.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -83,6 +83,9 @@ def _load_covers(path, M):
     covers = _load_json(path, "run file", lambda obj: CoverSet.from_obj(obj["covers"]))
     if covers.H != M.H:
         raise VoxlabError(f"run file {path} has H = {covers.H}, the environment {M.H}")
+    if len(covers.layers) != M.H:
+        raise VoxlabError(f"run file {path} has {len(covers.layers)} cover layers, "
+                          f"the environment H = {M.H}")
     for h, dist in enumerate(covers.layers):
         for i, pi in enumerate(dist.policies):
             for t, tab in enumerate(pi.tables, start=pi.lo):
@@ -250,50 +253,6 @@ def _cmd_verify_cover(args):
     return 0 if ok else 1
 
 
-def _cmd_selftest(args):
-    import voxlab.simenv as simenv
-    from voxlab.core import Policy
-    from voxlab.optdesign import fw_optdesign
-    from voxlab.psdp import BallLeastSquares
-    from voxlab.spanner import robust_spanner, verify_spanner
-
-    failures = []
-
-    def check(name, cond):
-        if not cond:
-            failures.append(name)
-
-    spec = EnvSpec(H=3, A=2, d_latent=2, state_counts=[2, 3, 3], seed=args.seed)
-    M = generate_low_rank_mdp(spec)
-    check("env-valid", not validate_mdp(M))
-    check("env-json-roundtrip",
-          LayeredLowRankMDP.from_json(M.to_json()).to_json() == M.to_json())
-    occ = simenv.exact_occupancy(M, Policy.uniform(M, 0, 1), 2)
-    check("occupancy-normalized", abs(float(occ.sum()) - 1.0) < 1e-9)
-
-    w = BallLeastSquares(np.array([[1.0]])).solve_many(np.array([[2.0]]), 1.0)
-    check("ball-lsq-projection", abs(w[0, 0] - 1.0) < 1e-9)
-
-    target = np.eye(2) / math.sqrt(2.0)
-    state = fw_optdesign(lambda W: 0, lambda P: target, C=2.0, gamma=0.1, d=2)
-    check("fw-singleton", state.iterations == 1 and state.support_size == 1)
-
-    family = [np.eye(3)[:, i] * s for i in range(3) for s in (1.0, -1.0)]
-    sp = robust_spanner(
-        lambda th: int(np.argmax([th @ v for v in family])),
-        lambda z: family[z],
-        C=2.0, eps=0.05, d=3,
-    )
-    reports = verify_spanner(sp.W, family, C=2.0, eps=0.05)
-    check("spanner-orthonormal", all(r["passed"] for r in reports))
-
-    if failures:
-        sys.stderr.write("selftest failures: " + ", ".join(failures) + "\n")
-        return 1
-    sys.stdout.write("selftest ok\n")
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(prog="voxlab")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -335,10 +294,6 @@ def build_parser():
     p.add_argument("--mode", choices=["expectation", "max"], default=None)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_verify_cover)
-
-    p = sub.add_parser("selftest", help="run fast internal consistency checks")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_selftest)
 
     return parser
 

@@ -178,7 +178,7 @@ class CoverSet:
                 for dist in self.layers]
 
     def distribution(self, h) -> PolicyDistribution:
-        if not 0 <= h < self.H or self.layers[h] is None:
+        if not 0 <= h < min(self.H, len(self.layers)) or self.layers[h] is None:
             raise VoxlabError(f"no cover stored for layer {h}")
         return self.layers[h]
 
@@ -355,9 +355,9 @@ def run_spanrl(M, Phi, eps, schedule: SpanrlSchedule, rng,
 def optimize_reward(M, covers: CoverSet, thetas, Phi, n, rng, counter=None):
     """PSDP over the full horizon on linear true-feature rewards.
 
-    ``thetas`` holds exactly one finite vector of norm at most 1 per feature
-    layer, H-1 of them: the last layer has no features.  Returns the learned
-    policy and its exact value.
+    ``thetas`` holds exactly one finite (d,) vector of norm at most 1 per
+    feature layer, H-1 of them: the last layer has no features.  Returns the
+    learned policy and its exact value.
     """
     counter = EpisodeCounter() if counter is None else counter
     thetas = [np.asarray(t, dtype=float) for t in thetas]
@@ -366,6 +366,9 @@ def optimize_reward(M, covers: CoverSet, thetas, Phi, n, rng, counter=None):
     if len(thetas) != M.H - 1:
         raise VoxlabError(f"need {M.H - 1} reward vectors, got {len(thetas)}")
     for t, th in enumerate(thetas):
+        if th.shape != (M.d,):
+            raise VoxlabError(f"reward vector at layer {t} has shape {th.shape}, "
+                              f"expected ({M.d},)")
         if np.linalg.norm(th) > 1.0 + 1e-12:
             raise VoxlabError(f"reward vector at layer {t} has norm > 1")
     tables = [M.phi[t] @ thetas[t] for t in range(M.H - 1)]

@@ -332,6 +332,25 @@ MUTANTS = (
             "tests/test_drivers.py::test_paper_schedules_size_rep_learn_at_their_own_delta",
         ),
     ),
+    Mutant(
+        "a cover set reads past the end of a short layer list",
+        "src/voxlab/drivers.py",
+        "if not 0 <= h < min(self.H, len(self.layers)) or",
+        "if not 0 <= h < self.H or",
+        (
+            "tests/test_drivers.py::test_missing_cover_layer_raises",
+        ),
+    ),
+    Mutant(
+        "optimize_reward accepts a reward vector of the wrong shape",
+        "src/voxlab/drivers.py",
+        "        if th.shape != (M.d,):\n",
+        "        if False:\n",
+        (
+            "tests/test_drivers.py::test_optimize_reward_validation",
+            "tests/test_cli.py::test_a_misshaped_theta_exits_2_and_writes_nothing",
+        ),
+    ),
     # ---------------------------------------------------------------- sampler
     Mutant(
         "_rows leaves the clipped rows unnormalized",
@@ -611,6 +630,28 @@ MUTANTS = (
         (
             "tests/test_cli.py::test_vox_run_payload_structure",
             "tests/test_cli.py::test_spanrl_run_and_rerun",
+        ),
+    ),
+    Mutant(
+        "the CLI loads a run file whose cover list is not H long",
+        "src/voxlab/cli.py",
+        "    if len(covers.layers) != M.H:\n",
+        "    if False:\n",
+        (
+            "tests/test_cli.py::test_structurally_malformed_json_exits_2_naming_the_file[verify-short-covers]",
+            "tests/test_cli.py::test_structurally_malformed_json_exits_2_naming_the_file[verify-long-covers]",
+            "tests/test_cli.py::test_structurally_malformed_json_exits_2_naming_the_file[optimize-short-covers]",
+            "tests/test_cli.py::test_structurally_malformed_json_exits_2_naming_the_file[optimize-long-covers]",
+        ),
+    ),
+    Mutant(
+        "the parser registers a selftest subcommand again",
+        "src/voxlab/cli.py",
+        "    return parser\n",
+        '    sub.add_parser("selftest").set_defaults(func=lambda args: 0)\n'
+        "    return parser\n",
+        (
+            "tests/test_cli.py::test_selftest_is_a_usage_error",
         ),
     ),
     # ---------------------------------------------------------------- imports

@@ -1,6 +1,7 @@
 """Command-line entry points: artifacts, exit codes, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -68,9 +69,19 @@ def test_generate_env_rejects_wrong_state_count(workdir):
     assert rc == 2
 
 
-def test_selftest_passes(capsys):
-    assert main(["selftest", "--seed", "0"]) == 0
-    assert "selftest ok" in capsys.readouterr().out
+def test_selftest_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # the CLI is the five commands that make or read artifacts
+    monkeypatch.chdir(tmp_path)
+    assert main(["selftest"]) == 2
+    out, err = capsys.readouterr()
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    choices = re.fullmatch(r"voxlab: error: argument command: invalid choice: "
+                           r"'selftest' \(choose from (.*)\)", errors[0]).group(1)
+    assert [c.strip("'") for c in choices.split(", ")] == [
+        "generate-env", "run-vox", "run-spanrl", "optimize-reward", "verify-cover"]
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 # the run file is the one record of a run: what it holds once, it holds
@@ -406,6 +417,18 @@ def test_an_h_length_theta_list_exits_2_and_writes_nothing(
     assert not (tmp_path / "x.json").exists()
 
 
+def test_a_misshaped_theta_exits_2_and_writes_nothing(
+        workdir, vox_run, tmp_path, capsys, monkeypatch):
+    # each reward vector has length d = 2
+    args = _command("optimize-reward", workdir, vox_run, tmp_path)
+    (tmp_path / "theta.json").write_text(json.dumps([[0.6, 0.0, 0.0], [0.0, 1.0]]))
+    _no_episodes(monkeypatch)
+    assert main(args) == 2
+    assert capsys.readouterr().err == ("error: reward vector at layer 0 has shape "
+                                       "(3,), expected (2,)\n")
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("command", ["run-vox", "run-spanrl", "optimize-reward",
                                      "verify-cover"])
 def test_an_invalid_environment_exits_2_and_writes_nothing(
@@ -496,20 +519,36 @@ def _covers(covers):
     return lambda run: {**run, "covers": covers}
 
 
+def _layers(cut):
+    """A run file whose cover list is ``cut`` of its H layers."""
+    return lambda run: {**run, "covers": {**run["covers"],
+                                          "layers": cut(run["covers"]["layers"])}}
+
+
+_SHORT, _LONG = _layers(lambda ls: ls[:-1]), _layers(lambda ls: ls + ls[-1:])
+
+
 @pytest.mark.parametrize("command, bad, corrupt", [
     ("verify-cover", "run", _covers({"kind": "vox", "H": 3, "layers": 5})),
     ("verify-cover", "run", _covers({"kind": "vox", "H": 3, "layers": [5, 6, 7]})),
     ("verify-cover", "run", _covers([])),
+    ("verify-cover", "run", _SHORT),
+    ("verify-cover", "run", _LONG),
+    ("optimize-reward", "run", _SHORT),
+    ("optimize-reward", "run", _LONG),
     ("verify-cover", "env", lambda env: {**env, "phi": 5}),
     ("verify-cover", "env", lambda env: [env]),
     ("run-vox", "config", lambda config: [config]),
     ("run-vox", "config", lambda config: "{not json"),
-], ids=["layers-int", "layers-of-ints", "covers-list", "phi-int", "env-list",
-        "config-list", "config-not-json"])
+], ids=["layers-int", "layers-of-ints", "covers-list", "verify-short-covers",
+        "verify-long-covers", "optimize-short-covers", "optimize-long-covers",
+        "phi-int", "env-list", "config-list", "config-not-json"])
 def test_structurally_malformed_json_exits_2_naming_the_file(
-        workdir, vox_run, tmp_path, capsys, command, bad, corrupt):
+        workdir, vox_run, tmp_path, capsys, monkeypatch, command, bad, corrupt):
     # each file but the last parses as JSON but has the wrong shape inside;
-    # a str from ``corrupt`` is written as it is
+    # a str from ``corrupt`` is written as it is.  A cover list holds
+    # exactly H layers, one per layer of the environment
+    _no_episodes(monkeypatch)
     args = _command(command, workdir, vox_run, tmp_path)
     i = args.index(f"--{bad}") + 1
     path = tmp_path / f"bad_{bad}.json"
@@ -536,10 +575,3 @@ def test_replearn_config_accepts_ints_for_floats_and_null_for_optionals():
 
 def test_help_exits_clean():
     assert main(["--help"]) == 0
-
-
-def test_subprocess_selftest():
-    proc = subprocess.run([sys.executable, "-m", "voxlab.cli", "selftest"],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0
-    assert "selftest ok" in proc.stdout

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -477,9 +478,9 @@ def test_optimize_reward_validation(env):
         kind="vox", H=env.H,
         layers=[PolicyDistribution.point_mass(Policy.uniform(env))] * env.H)
     rng = np.random.default_rng(16)
-    with pytest.raises(VoxlabError):
+    with pytest.raises(VoxlabError, match="reward vectors, got 1"):
         optimize_reward(env, covers, [np.zeros(2)], Phi, 10, rng)  # wrong count
-    with pytest.raises(VoxlabError):
+    with pytest.raises(VoxlabError, match="norm > 1"):
         optimize_reward(env, covers, [np.array([2.0, 0.0])] * (env.H - 1),
                         Phi, 10, rng)  # norm > 1
     # the last layer has no features, so a reward is exactly H-1 vectors:
@@ -491,6 +492,12 @@ def test_optimize_reward_validation(env):
         with pytest.raises(VoxlabError,
                            match=f"need {env.H - 1} reward vectors, got {env.H}"):
             optimize_reward(env, covers, thetas, Phi, 10, rng, counter=counter)
+    # each vector has shape (d,): numpy would broadcast some misshaped ones
+    for bad in (np.zeros(3), np.float64(0.5), np.zeros(0), np.zeros((2, 1))):
+        with pytest.raises(VoxlabError, match=re.escape(
+                f"reward vector at layer 0 has shape {bad.shape}, expected (2,)")):
+            optimize_reward(env, covers, [bad] + ok[2:], Phi, 10, rng,
+                            counter=counter)
     assert counter.count == 0
     pol, value = optimize_reward(env, covers, ok[:-1], Phi, 10, rng)
     assert value == 0.0
@@ -516,11 +523,17 @@ def test_optimize_reward_rejects_non_finite_vectors(env, thetas):
 
 
 def test_missing_cover_layer_raises(env):
-    covers = CoverSet(kind="vox", H=env.H, layers=[None] * env.H)
+    # a layer is missing when it is None or past the end of a short list;
+    # either is refused before any episode
+    pm = PolicyDistribution.point_mass(Policy.uniform(env))
     Phi = make_feature_class(env, n_decoys=1, rng=np.random.default_rng(17))
-    with pytest.raises(VoxlabError):
-        optimize_reward(env, covers, [np.zeros(2)] * (env.H - 1), Phi, 10,
-                        np.random.default_rng(18))
+    counter = EpisodeCounter()
+    for layers, h in (([None] * env.H, 0), ([pm] * (env.H - 2), env.H - 2)):
+        covers = CoverSet(kind="vox", H=env.H, layers=layers)
+        with pytest.raises(VoxlabError, match=f"no cover stored for layer {h}"):
+            optimize_reward(env, covers, [np.zeros(2)] * (env.H - 1), Phi, 10,
+                            np.random.default_rng(18), counter=counter)
+    assert counter.count == 0
 
 
 # ------------------------------------------------------------ episode count

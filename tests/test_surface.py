@@ -60,7 +60,9 @@ def test_exports_that_only_tests_use_are_pinned():
     - ``ball_constrained_least_squares`` is looked up by name by the
       benchmark's tracer (``voxbench/tracing.py``), which this check does
       not count; it goes when the tracer traces ``BallLeastSquares``
-      instead (ROADMAP items 2(a) and 12).
+      instead (ROADMAP items 2(a) and 12);
+    - ``verify_spanner`` is the spanner check that the planned audit runs
+      on exact feature expectations (ROADMAP item 20).
 
     A new export must join a run path, or this list with its reason."""
     exported = {name for name in voxlab.__all__ if not name.startswith("__")}
@@ -72,6 +74,7 @@ def test_exports_that_only_tests_use_are_pinned():
         "exact_transfer_error",
         "pdl_check",
         "reachability_diagnostics",
+        "verify_spanner",
     }
 
 
