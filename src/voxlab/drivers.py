@@ -46,6 +46,7 @@ from voxlab.core import (
     Policy,
     PolicyDistribution,
     VoxlabError,
+    _integer,
     compose_policies,
 )
 from voxlab.estimators import est_mat, est_vec
@@ -205,7 +206,7 @@ class CoverSet:
             )
             for entry in obj["layers"]
         ]
-        return cls(kind=obj["kind"], H=int(obj["H"]), layers=layers,
+        return cls(kind=obj["kind"], H=_integer(obj["H"], "covers.H"), layers=layers,
                    meta=obj.get("meta", {}))
 
 
@@ -214,7 +215,8 @@ def _policy_to_obj(pi: Policy):
 
 
 def _policy_from_obj(obj):
-    return Policy(int(obj["lo"]), [np.asarray(t, dtype=float) for t in obj["tables"]])
+    return Policy(_integer(obj["lo"], "policy lo"),
+                  [np.asarray(t, dtype=float) for t in obj["tables"]])
 
 
 @dataclass

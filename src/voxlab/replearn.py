@@ -345,8 +345,6 @@ def rep_learn(M, h, Phi, P, n, config: RepLearnConfig, rng,
               counter=None) -> RepLearnResult:
     """Select a feature index for layer h from mixture roll-in data, with the
     threshold, radii and iteration cap that `RepLearnConfig.resolve` derives."""
-    if not Phi.candidates:
-        raise VoxlabError("empty feature class")
     if h + 1 >= len(Phi.candidates[0]):
         raise VoxlabError(
             f"discriminators at layer {h + 1} need candidate feature tables "

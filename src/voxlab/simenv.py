@@ -31,9 +31,9 @@ class EnvSpec:
 
     ``boost`` in [0, 1) mixes every latent-assignment row with the uniform
     point on the simplex, which lifts the reachability constant of the
-    generated environment.  ``rotate`` re-expresses the factorization in a
-    randomly sign-flipped (and, when feasible, rotated) coordinate system so
-    that features and densities carry negative entries.
+    generated environment.  ``rotate`` applies a random sign flip per
+    coordinate, the same for phi and mu, so every transition is unchanged
+    while features and densities carry negative entries.
     """
 
     H: int
@@ -82,12 +82,6 @@ def _rows(table):
     return p / total
 
 
-def _cayley(skew, t):
-    d = skew.shape[0]
-    a = t * skew
-    return np.linalg.solve(np.eye(d) + a, np.eye(d) - a)
-
-
 def generate_low_rank_mdp(spec):
     """Build a valid layered low-rank MDP from latent-variable ingredients.
 
@@ -120,26 +114,7 @@ def generate_low_rank_mdp(spec):
             signs = rng.choice([-1.0, 1.0], size=d)
             if np.all(signs > 0):
                 signs[int(rng.integers(d))] = -1.0
-            D = np.diag(signs)
-            raw = rng.standard_normal((d, d))
-            skew = raw - raw.T
-            chosen = None
-            t = 1.0
-            for _ in range(40):
-                R = _cayley(skew, t) @ D
-                ph = phi[h] @ R.T
-                mh = mu[h] @ R.T
-                # rescale so feature norms stay inside the unit ball exactly
-                s = max(1.0, float(np.linalg.norm(ph, axis=2).max()))
-                ph, mh = ph / s, mh * s
-                if np.abs(mh).sum(axis=0).max() <= 1.0 + 1e-12:
-                    chosen = (ph, mh)
-                    break
-                t *= 0.5
-            if chosen is None:
-                # sign flips alone always preserve the mass bounds
-                chosen = (phi[h] @ D.T, mu[h] @ D.T)
-            phi[h], mu[h] = chosen
+            phi[h], mu[h] = phi[h] * signs, mu[h] * signs
 
     rho = rng.dirichlet(np.ones(counts[0]))
     rho = rho / rho.sum()

@@ -583,22 +583,43 @@ MUTANTS = (
     ),
     # ------------------------------------------------------------- validation
     Mutant(
-        "validate_mdp reuses one width's spot weights for every width",
+        "validate_mdp's l1 bound reads 1.5",
         "src/voxlab/core.py",
-        "_spot_weights(len(mu))",
-        "_spot_weights(4)",
+        "where(l1 > 1.0 + ROW_SUM_TOL)",
+        "where(l1 > 1.5 + ROW_SUM_TOL)",
         (
-            "tests/test_core.py::test_validate_names_only_the_layer_whose_mu_mass_exceeds_one",
-            "tests/test_core.py::test_spot_norm_is_the_largest_row_norm_bit_for_bit",
+            "tests/test_core.py::test_the_l1_check_rejects_what_the_sampled_norm_passed",
         ),
     ),
     Mutant(
-        "validate_mdp drops the aggregate-norm check",
-        "src/voxlab/core.py",
-        "if worst > np.sqrt(d) + ROW_SUM_TOL:",
-        "if False:",
+        "rotate flips phi's signs but not mu's",
+        "src/voxlab/simenv.py",
+        "phi[h], mu[h] = phi[h] * signs, mu[h] * signs",
+        "phi[h], mu[h] = phi[h] * signs, mu[h]",
         (
-            "tests/test_core.py::test_validate_names_only_the_layer_whose_mu_mass_exceeds_one",
+            "tests/test_simenv.py::test_rotate_flips_signs_and_keeps_every_transition",
+        ),
+    ),
+    Mutant(
+        "the integer reader accepts a float",
+        "src/voxlab/core.py",
+        "    if type(value) is not int:\n",
+        "    if type(value) not in (int, float):\n",
+        (
+            "tests/test_cli.py::test_structurally_malformed_json_exits_2_naming_the_file[covers-H-float]",
+            "tests/test_cli.py::test_structurally_malformed_json_exits_2_naming_the_file[policy-lo-float]",
+            "tests/test_cli.py::test_structurally_malformed_json_exits_2_naming_the_file[env-A-float]",
+            "tests/test_cli.py::test_structurally_malformed_json_exits_2_naming_the_file[env-H-float]",
+            "tests/test_cli.py::test_structurally_malformed_json_exits_2_naming_the_file[layer-id-float]",
+        ),
+    ),
+    Mutant(
+        "CoverSet.from_obj reads H with int()",
+        "src/voxlab/drivers.py",
+        'H=_integer(obj["H"], "covers.H")',
+        'H=int(obj["H"])',
+        (
+            "tests/test_cli.py::test_structurally_malformed_json_exits_2_naming_the_file[covers-H-float]",
         ),
     ),
     # -------------------------------------------------------------------- cli

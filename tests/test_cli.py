@@ -528,26 +528,50 @@ def _layers(cut):
 _SHORT, _LONG = _layers(lambda ls: ls[:-1]), _layers(lambda ls: ls + ls[-1:])
 
 
-@pytest.mark.parametrize("command, bad, corrupt", [
-    ("verify-cover", "run", _covers({"kind": "vox", "H": 3, "layers": 5})),
-    ("verify-cover", "run", _covers({"kind": "vox", "H": 3, "layers": [5, 6, 7]})),
-    ("verify-cover", "run", _covers([])),
-    ("verify-cover", "run", _SHORT),
-    ("verify-cover", "run", _LONG),
-    ("optimize-reward", "run", _SHORT),
-    ("optimize-reward", "run", _LONG),
-    ("verify-cover", "env", lambda env: {**env, "phi": 5}),
-    ("verify-cover", "env", lambda env: [env]),
-    ("run-vox", "config", lambda config: [config]),
-    ("run-vox", "config", lambda config: "{not json"),
+def _first_lo(run):
+    """A run file whose first policy starts at layer 0.7 more."""
+    run["covers"]["layers"][0]["policies"][0]["lo"] += 0.7
+    return run
+
+
+def _first_id(env):
+    """An environment whose first state id is 0.5 larger."""
+    first = [env["layers"][0][0] + 0.5, *env["layers"][0][1:]]
+    return {**env, "layers": [first, *env["layers"][1:]]}
+
+
+@pytest.mark.parametrize("command, bad, corrupt, field", [
+    ("verify-cover", "run", _covers({"kind": "vox", "H": 3, "layers": 5}), None),
+    ("verify-cover", "run", _covers({"kind": "vox", "H": 3, "layers": [5, 6, 7]}), None),
+    ("verify-cover", "run", _covers([]), None),
+    ("verify-cover", "run", _SHORT, None),
+    ("verify-cover", "run", _LONG, None),
+    ("optimize-reward", "run", _SHORT, None),
+    ("optimize-reward", "run", _LONG, None),
+    ("verify-cover", "env", lambda env: {**env, "phi": 5}, None),
+    ("verify-cover", "env", lambda env: [env], None),
+    ("run-vox", "config", lambda config: [config], None),
+    ("run-vox", "config", lambda config: "{not json", None),
+    # int() would truncate each of these to a value the command accepts
+    ("verify-cover", "run", lambda run: {**run, "covers": {**run["covers"], "H": 3.9}},
+     "covers.H"),
+    ("verify-cover", "run", _first_lo, "policy lo"),
+    ("verify-cover", "env", lambda env: {**env, "A": 2.7}, "A"),
+    ("verify-cover", "env", lambda env: {**env, "H": 3.2}, "H"),
+    ("verify-cover", "env", lambda env: {**env, "d": True}, "d"),
+    ("verify-cover", "env", _first_id, "layer id"),
 ], ids=["layers-int", "layers-of-ints", "covers-list", "verify-short-covers",
         "verify-long-covers", "optimize-short-covers", "optimize-long-covers",
-        "phi-int", "env-list", "config-list", "config-not-json"])
+        "phi-int", "env-list", "config-list", "config-not-json", "covers-H-float",
+        "policy-lo-float", "env-A-float", "env-H-float", "env-d-bool",
+        "layer-id-float"])
 def test_structurally_malformed_json_exits_2_naming_the_file(
-        workdir, vox_run, tmp_path, capsys, monkeypatch, command, bad, corrupt):
+        workdir, vox_run, tmp_path, capsys, monkeypatch, command, bad, corrupt,
+        field):
     # each file but the last parses as JSON but has the wrong shape inside;
     # a str from ``corrupt`` is written as it is.  A cover list holds
-    # exactly H layers, one per layer of the environment
+    # exactly H layers, one per layer of the environment, and an integer
+    # field holds a JSON integer, which the error line names
     _no_episodes(monkeypatch)
     args = _command(command, workdir, vox_run, tmp_path)
     i = args.index(f"--{bad}") + 1
@@ -560,6 +584,8 @@ def test_structurally_malformed_json_exits_2_naming_the_file(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(path) in err
+    if field is not None:
+        assert f": {field} must be an integer, got " in err
     assert not (tmp_path / "x.json").exists()
 
 

@@ -1,6 +1,7 @@
 """Domain types: policies, mixtures, composition, validation, serialization."""
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -15,8 +16,7 @@ from voxlab import (
     compose_policies,
     validate_mdp,
 )
-from voxlab.core import _spot_norm
-from voxlab.simenv import exact_occupancy
+from voxlab.simenv import combination_lock, exact_occupancy
 
 from conftest import small_env
 from oracles import enum_paths_occupancy, chi2_uniformity_pvalue
@@ -219,9 +219,9 @@ def test_validate_flags_row_sum_and_rho(env):
 
 
 def test_validate_names_only_the_layer_whose_mu_mass_exceeds_one():
-    # next-layer widths 4 and 5; layer 1's mu tripled with two rows negated,
-    # so the worst spot weighting is not the all-ones one.  The report's
-    # text is pinned by its SHA-256, its last three lines literally.
+    # next-layer widths 4 and 5; layer 1's mu tripled with two rows negated.
+    # The report's text is pinned by its SHA-256, its last two lines
+    # literally.
     M = small_env(seed=4, H=3, states=(3, 4, 5))
     signs = np.array([1.0, -1.0, 1.0, 1.0, -1.0])
     mu = [M.mu[0], 3.0 * signs[:, None] * M.mu[1]]
@@ -230,24 +230,52 @@ def test_validate_names_only_the_layer_whose_mu_mass_exceeds_one():
     assert [line for line in report if line.startswith("mu ")] == [
         "mu coordinate l1 mass exceeds 1 at (h=1, i=0): 3",
         "mu coordinate l1 mass exceeds 1 at (h=1, i=1): 3",
-        "mu aggregate norm exceeds sqrt(d) at h=1: 2.35205093002 > 1.41421356237",
     ]
     digest = hashlib.sha256("\n".join(report).encode()).hexdigest()
-    assert len(report) == 27
-    assert digest == "5ed21b6fa211ce05679b0f124d1743aa17d22d731375664097829ede6aa1857d"
+    assert len(report) == 26
+    assert digest == "262f77699f4cb8dfb4b8d95f54034850ed7a861192f542dc101bdafa177398a9"
     assert validate_mdp(M) == []
 
 
-@pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 12])
-def test_spot_norm_is_the_largest_row_norm_bit_for_bit(d):
-    # against a direct spot check: a fresh default_rng(0) draw and
-    # np.linalg.norm, on widths 3..12 and entries over twelve orders of
-    # magnitude
-    rng = np.random.default_rng(d)
-    for n in range(3, 13):
-        mu = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-6, 7, size=(n, d))
-        g = np.random.default_rng(0).integers(0, 2, size=(1000, n))
-        assert _spot_norm(mu) == float(np.linalg.norm(g @ mu, axis=1).max())
+def _largest_aggregate_norm(mu):
+    """max || sum_x g(x) mu(x) || over every g: X -> {0, 1}, which is the
+    maximum over every g: X -> [0, 1], since the norm is convex in g."""
+    n = len(mu)
+    g = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    return float(np.linalg.norm(g @ mu, axis=1).max())
+
+
+def test_the_l1_bound_implies_the_aggregate_norm_bound():
+    # exhaustively over all 2^n binary g, on the mu tables of accepted
+    # generated environments and locks and on random signed tables whose
+    # columns have l1 mass 1
+    tables = []
+    for d, boost, rotate, seed in itertools.product((1, 2, 3, 5), (0.0, 0.5),
+                                                    (False, True), range(3)):
+        M = small_env(seed=seed, H=3, d=d, states=(3, 6, 9), boost=boost,
+                      rotate=rotate)
+        assert validate_mdp(M) == []
+        tables += M.mu
+    for obs, seed in itertools.product(range(1, 6), range(2)):
+        M = combination_lock(6, 4, obs, seed)
+        assert validate_mdp(M) == []
+        tables += M.mu
+    rng = np.random.default_rng(0)
+    for n, d in itertools.product(range(1, 11), (1, 2, 3, 5, 8)):
+        mu = rng.standard_normal((n, d))
+        tables.append(mu / np.abs(mu).sum(axis=0))
+    for mu in tables:
+        assert _largest_aggregate_norm(mu) <= np.sqrt(mu.shape[1]) * (1 + 1e-12)
+
+
+def test_the_l1_check_rejects_what_the_sampled_norm_passed():
+    # column 0 has l1 mass 1.2, yet every aggregate norm stays below sqrt(2)
+    mu = np.array([[0.6, 0.25], [0.5, 0.25], [-0.1, 0.0]])
+    assert 1.2 < _largest_aggregate_norm(mu) < 1.21 < np.sqrt(2)
+    M = LayeredLowRankMDP(2, 1, 2, [[0], [1, 2, 3]], [[[[1.0, 0.0]]]], [mu], [1.0])
+    assert [line for line in validate_mdp(M) if line.startswith("mu ")] == [
+        "mu coordinate l1 mass exceeds 1 at (h=0, i=0): 1.2",
+    ]
 
 
 def test_constructor_shape_errors(env):

@@ -118,6 +118,20 @@ def test_rotate_produces_negative_entries_but_stays_valid():
     assert hit, "rotation never produced a negative feature entry"
 
 
+@pytest.mark.parametrize("d, boost", [(1, 0.0), (2, 0.0), (3, 0.5), (5, 0.0)])
+def test_rotate_flips_signs_and_keeps_every_transition(d, boost):
+    for seed in range(3):
+        kw = dict(seed=seed, H=4, A=3, d=d, states=(3, 4, 5, 2), boost=boost)
+        M, R = small_env(**kw), small_env(**kw, rotate=True)
+        for h in range(M.H - 1):
+            # the latent assignments are positive, so a sign is read off any row
+            signs = np.sign(R.phi[h][0, 0])
+            assert set(signs) <= {-1.0, 1.0} and -1.0 in signs
+            assert np.array_equal(R.phi[h], M.phi[h] * signs)
+            assert np.array_equal(R.mu[h], M.mu[h] * signs)
+            assert R.transition_matrix(h).tobytes() == M.transition_matrix(h).tobytes()
+
+
 def test_boost_lifts_reachability():
     plain = small_env(seed=4, H=3, A=2, d=2, states=(3, 4, 4), boost=0.0)
     boosted = small_env(seed=4, H=3, A=2, d=2, states=(3, 4, 4), boost=0.7)
