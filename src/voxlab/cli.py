@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -77,10 +78,19 @@ def _load_env(path):
                   f"environment {path}")
 
 
+def _env_sha256(M):
+    return hashlib.sha256(M.to_json().encode()).hexdigest()
+
+
 def _load_covers(path, M):
-    """The covers of a run file, each policy table checked to be an
-    (|X_t|, A) table of distributions: the exact evaluators read it as is."""
-    covers = _load_json(path, "run file", lambda obj: CoverSet.from_obj(obj["covers"]))
+    """The covers of a run file made on M (its ``env_sha256``), each policy
+    table checked to be an (|X_t|, A) table of distributions: the exact
+    evaluators read it as is."""
+    sha, covers = _load_json(path, "run file", lambda obj: (
+        obj.get("env_sha256"), CoverSet.from_obj(obj["covers"])))
+    if sha != _env_sha256(M):
+        raise VoxlabError(f"run file {path} has env_sha256 {sha}, the "
+                          f"environment {_env_sha256(M)}")
     if covers.H != M.H:
         raise VoxlabError(f"run file {path} has H = {covers.H}, the environment {M.H}")
     if len(covers.layers) != M.H:
@@ -222,7 +232,7 @@ def _cmd_run(args):
         eps = _typed("eps", config["eps"], float)
         result = run_spanrl(M, Phi, eps, schedule, rng)
     obj = result.to_obj()
-    obj["seed"] = args.seed
+    obj["seed"], obj["env_sha256"] = args.seed, _env_sha256(M)
     obj["alphas"] = {h: rep["alpha_measured"] for h, rep in
                      _cover_reports(M, result.covers, 0.0, 0.0).items()}
     _dump(obj, args.out)

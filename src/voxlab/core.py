@@ -63,6 +63,16 @@ def _integer(value, name):
     return value
 
 
+def _numbers(value, name):
+    """``value``, a number or nested lists of numbers, as floats; a string or
+    bool read from a file is refused, which ``np.asarray`` would convert."""
+    if type(value) is list:
+        return np.array([_numbers(v, name) for v in value], dtype=float)
+    if type(value) not in (int, float):
+        raise VoxlabError(f"{name} must hold numbers, got {value!r}")
+    return float(value)
+
+
 def _freeze(arr):
     """Read-only float64 C-contiguous copy of ``arr``, so the caller's array
     is never frozen or aliased; a read-only array of that layout that owns
@@ -155,7 +165,9 @@ class LayeredLowRankMDP:
     def from_obj(obj):
         H, A, d = (_integer(obj[k], k) for k in ("H", "A", "d"))
         layers = [[_integer(s, "layer id") for s in ids] for ids in obj["layers"]]
-        return LayeredLowRankMDP(H, A, d, layers, obj["phi"], obj["mu"], obj["rho"])
+        phi, mu = ([_numbers(t, f"{k}[{h}]") for h, t in enumerate(obj[k])]
+                   for k in ("phi", "mu"))
+        return LayeredLowRankMDP(H, A, d, layers, phi, mu, _numbers(obj["rho"], "rho"))
 
 
 class Policy:
@@ -376,18 +388,22 @@ def compose_policies(prefix, suffix):
 def validate_mdp(M):
     """Check every structural invariant and report violations as strings.
 
-    Returns an empty list iff the factorization is valid: feature norms at
-    most 1, transition rows that are nonnegative densities summing to 1,
-    per-coordinate l1 mass of each mu table at most 1, and rho a probability
-    vector.  The l1 condition implies the aggregate normalization
-    || sum_x g(x) mu(x) || <= sqrt(d) for every g: X -> [0, 1], since
-    |sum_x g(x) mu_i(x)| <= sum_x |mu_i(x)| coordinate by coordinate; only
-    inside its 1e-9 slack, column masses in (1, 1 + 1e-9], can the aggregate
-    norm pass sqrt(d), by a factor of at most 1 + 1e-9.
+    Returns an empty list iff the factorization is valid: distinct state
+    ids, feature norms at most 1, transition rows that are nonnegative
+    densities summing to 1, per-coordinate l1 mass of each mu table at most
+    1, and rho a probability vector.  The l1 condition implies the aggregate
+    normalization || sum_x g(x) mu(x) || <= sqrt(d) for every g: X -> [0, 1],
+    since |sum_x g(x) mu_i(x)| <= sum_x |mu_i(x)| coordinate by coordinate;
+    only inside its 1e-9 slack, column masses in (1, 1 + 1e-9], can the
+    aggregate norm pass sqrt(d), by a factor of at most 1 + 1e-9.
     """
     def where(mask):  # the true entries' indices, built only if there is one
         return zip(*np.nonzero(mask)) if mask.any() else ()
-    report = []
+    report, layer_of = [], {}
+    for h, s in [(h, s) for h, ids in enumerate(M.layers) for s in ids]:
+        if s in layer_of:
+            report.append(f"state id {s} is in layer {layer_of[s]} and layer {h}")
+        layer_of[s] = h
     for h in range(M.H - 1):
         norms = np.linalg.norm(M.phi[h], axis=2)
         for x, a in where(norms > 1.0 + NORM_TOL):

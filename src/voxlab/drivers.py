@@ -18,7 +18,7 @@ SpanRL makes one design per layer: a barycentric spanner of the reachable
 feature expectations, whose LinOpt is PSDP on linear feature rewards
 (radius 2 sqrt(d)) and whose LinEst is the Monte-Carlo first moment; its d
 policies, at weight 1/d each, form the cover.  The design's PSDP queries
-share one roll-in memo, keyed by layer and greedy suffix, so each distinct
+share one roll-in memo, keyed by everything a draw reads, so each distinct
 roll-in is drawn once: layers hc and hc-1 by the first query only, a lower
 layer once per greedy suffix.  The log row's ``psdp_draws`` counts them,
 and a layer's episodes are n_replearn + est_calls * n_estvec + psdp_draws *
@@ -47,6 +47,7 @@ from voxlab.core import (
     PolicyDistribution,
     VoxlabError,
     _integer,
+    _numbers,
     compose_policies,
 )
 from voxlab.estimators import est_mat, est_vec
@@ -202,9 +203,9 @@ class CoverSet:
         layers = [
             PolicyDistribution(
                 [_policy_from_obj(p) for p in entry["policies"]],
-                entry["weights"],
+                _numbers(entry["weights"], f"covers.layers[{h}].weights"),
             )
-            for entry in obj["layers"]
+            for h, entry in enumerate(obj["layers"])
         ]
         return cls(kind=obj["kind"], H=_integer(obj["H"], "covers.H"), layers=layers,
                    meta=obj.get("meta", {}))
@@ -216,7 +217,7 @@ def _policy_to_obj(pi: Policy):
 
 def _policy_from_obj(obj):
     return Policy(_integer(obj["lo"], "policy lo"),
-                  [np.asarray(t, dtype=float) for t in obj["tables"]])
+                  [_numbers(t, "policy table") for t in obj["tables"]])
 
 
 @dataclass
@@ -284,8 +285,10 @@ def run_vox(M, Phi, schedule: VoxSchedule, rng, counter=None) -> RunResult:
                         schedule.n_psdp, rng, counter=counter)
 
         def lin_est(P):
-            dist = PolicyDistribution(list(P), list(P.values()))
-            return est_mat(M, hc, phiphi, dist, schedule.n_estmat, rng,
+            # one index has weight exactly 1.0 (FW divides by the sum): its policy
+            pi = (next(iter(P)) if len(P) == 1
+                  else PolicyDistribution(list(P), list(P.values())))
+            return est_mat(M, hc, phiphi, pi, schedule.n_estmat, rng,
                            counter=counter)
 
         try:
@@ -339,10 +342,9 @@ def run_spanrl(M, Phi, eps, schedule: SpanrlSchedule, rng,
         except BudgetError as exc:
             raise BudgetError(f"run_spanrl layer {hc}: {exc}", layer=hc, log=log,
                               episodes=counter.count) from exc
-        # the memo holds its owner and one entry per roll-in drawn
         row.update(spanner_rounds=state.rounds, oracle_calls=state.oracle_calls,
                    opt_calls=state.opt_calls, est_calls=state.est_calls,
-                   psdp_draws=len(shared) - 1)
+                   psdp_draws=len(shared))
         # a column the spanner left unfilled plays uniform up to layer hc
         return PolicyDistribution(
             [pi if pi is not None else Policy.uniform(M, 0, hc)

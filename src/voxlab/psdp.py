@@ -265,21 +265,20 @@ def psdp(M, h, rewards, Phi, radius, covers, n, rng, counter=None, shared=None):
     regression reads, so the fit has the law it would have on the same n
     episodes drawn one by one.
 
-    ``shared`` is an optional memo, a dict that starts empty and that the
-    caller keeps for queries on one M, h, n and covers[0..h]; a memo filled
-    for others raises before any draw.  Layer t's chain is keyed by t and
-    the greedy actions on layers t+1..h-1: it depends only on covers[t],
-    the uniform action at t and those greedy layers, not on the rewards,
-    the radius or the greedy layer at h.  The first query with a key draws
-    and stores it; a later one reads it and applies its own rewards, exactly
-    what a fresh draw of the same counts gives.  So layers h and h-1, whose
-    keys hold no greedy layer, are drawn once per memo, and a lower layer
-    once per distinct greedy suffix.  A stored chain below h keeps the
-    `ObservedCells` of its counts at t beside it, so its factor is built
-    once for all the queries that fit it.  Each query's samples have a
-    fresh draw's law; queries that share a key are dependent, and the
-    spanner's union bound over its queries holds under any dependence
-    between them.
+    ``shared`` is an optional memo, a dict that starts empty and that any
+    queries may share.  Layer t's chain is keyed by everything its draw
+    reads: (M, covers[t], h, n, t, the greedy actions on layers t+1..h-1),
+    not the rewards, the radius or the greedy layer at h, whose actions the
+    chain sums away.  The first query with a key draws and stores it; a
+    later one reads it and applies its own rewards, exactly what a fresh
+    draw of the same counts gives.  So among queries on one M, h, n and
+    covers, layers h and h-1, whose keys hold no greedy layer, are drawn
+    once per memo, and a lower layer once per distinct greedy suffix.  A
+    stored chain below h keeps the `ObservedCells` of its counts at t
+    beside it, so its factor is built once for all the queries that fit it.
+    Each query's samples have a fresh draw's law; queries that share a key
+    are dependent, and the spanner's union bound over its queries holds
+    under any dependence between them.
     """
     if n < 1:
         raise VoxlabError("n must be >= 1")
@@ -291,22 +290,12 @@ def psdp(M, h, rewards, Phi, radius, covers, n, rng, counter=None, shared=None):
         raise VoxlabError(f"need reward tables for layers 0..{h}, got {len(rewards)}")
     # read flat at x * A + a below
     reward_flat = [_reward_table(M, t, rewards[t]).ravel() for t in range(h + 1)]
-    if shared is not None:
-        owner = (h, n, [M] + list(covers[:h + 1]))
-        mine = shared.setdefault("owner", owner)
-        if mine[:2] != owner[:2] or any(a is not b for a, b in zip(mine[2], owner[2])):
-            raise VoxlabError(f"roll-in memo was filled for another h, n, MDP or "
-                              f"cover (h = {mine[0]}, n = {mine[1]}), not for "
-                              f"h = {h}, n = {n}")
     # each layer's greedy actions and their table, filled from h down, and
     # the value of layer h's states
     acts, greedy, top = [None] * (h + 1), [None] * (h + 1), None
     for t in range(h, -1, -1):
-        if shared is None:
-            entry = None
-        else:
-            key = (t, b"".join(a.tobytes() for a in acts[t + 1:h]))
-            entry = shared.get(key)
+        key = (M, covers[t], h, n, t, b"".join(a.tobytes() for a in acts[t + 1:h]))
+        entry = None if shared is None else shared.get(key)
         if entry is None:
             unif = np.full((M.n_states(t), M.A), 1.0 / M.A)
             unif.setflags(write=False)

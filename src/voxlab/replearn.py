@@ -36,14 +36,12 @@ class RepLearnConfig:
     hill climb, which runs only when d >= 3.  The threshold, the two radii
     and the iteration cap are always derived."""
 
-    c: float = 1.0
     delta: float = 0.05
     restarts: int = 8
     grad_steps: int = 60
 
     def __post_init__(self):
         for name, ok, want in (
-                ("c", 0.0 < self.c < math.inf, "finite and > 0"),
                 ("delta", 0.0 < self.delta < 1.0, "in (0, 1)"),
                 ("restarts", self.restarts >= 1, ">= 1"),
                 ("grad_steps", self.grad_steps >= 0, ">= 0")):
@@ -52,9 +50,9 @@ class RepLearnConfig:
                     f"replearn {name} must be {want}, got {getattr(self, name)!r}")
 
     def resolve(self, d, n, n_candidates):
-        """(eps_stat, r_big, r_small, T): eps_stat^2 = c d^2 log(|Phi|/delta)/n,
+        """(eps_stat, r_big, r_small, T): eps_stat^2 = d^2 log(|Phi|/delta)/n,
         radii 3 d^1.5 and 2 sqrt(d), T = max(1, ceil(d log(2n/sqrt(d))/log 1.5))."""
-        eps = math.sqrt(self.c * d * d * math.log(n_candidates / self.delta) / n)
+        eps = math.sqrt(d * d * math.log(n_candidates / self.delta) / n)
         T = math.ceil(d * math.log(2.0 * n / math.sqrt(d)) / math.log(1.5))
         return eps, 3.0 * d ** 1.5, 2.0 * math.sqrt(d), max(T, 1)
 

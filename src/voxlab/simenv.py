@@ -369,15 +369,11 @@ def _compiled(M, P, upto, tail):
 
     Built once per MDP, roll-in object P (a Policy by value, a
     PolicyDistribution by identity), upto and tail value, and held weakly
-    by P: the first call runs every check of `_law`, a later one none.  A
-    point mass at weight exactly 1.0 has its policy's law bit for bit
-    (0 + 1.0 x = x), so its first call takes that policy's compiled law.
+    by P: the first call runs every check of `_law`, a later one none.
     """
     laws = _laws(M, P if isinstance(P, Policy) else as_distribution(P))
     key = (upto, None if tail is None else tail.action_key())
     law = laws.get(key)
-    if law is None and not isinstance(P, Policy) and P.weights.tolist() == [1.0]:
-        law = laws[key] = _compiled(M, P.policies[0], upto, tail)
     if law is None:
         s, first, steps = _law(M, as_distribution(P), upto, tail)
         first.setflags(write=False)
@@ -412,12 +408,12 @@ def sample_trajectories(M, P, n, rng, upto=None, tail=None, counter=None):
     state are those of the multinomial, for every bit generator.
 
     The cost does not grow with n.  The law is compiled once per roll-in
-    (`_compiled`: the MDP, P itself, upto and the tail's value; a point
-    mass reuses its policy's) and held weakly by P, with its forward passes
-    memoised per MDP (see `_law`), so reused covers and policies pay each
-    once.  The first roll-in of a key checks every component's cover and
-    every table's shape before anything is counted or drawn; every call
-    checks n, which ``rng.multinomial`` takes only below 2**63.
+    (`_compiled`: the MDP, P itself, upto and the tail's value) and held
+    weakly by P, with its forward passes memoised per MDP (see `_law`), so
+    reused covers and policies pay each once.  The first roll-in of a key
+    checks every component's cover and every table's shape before anything
+    is counted or drawn; every call checks n, which ``rng.multinomial``
+    takes only below 2**63.
     """
     upto = M.H - 1 if upto is None else upto
     _check_layer(M, upto)

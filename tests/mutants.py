@@ -171,16 +171,6 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "RepLearnConfig checks c only as > 0",
-        "src/voxlab/replearn.py",
-        '("c", 0.0 < self.c < math.inf,',
-        '("c", 0.0 < self.c,',
-        (
-            "tests/test_replearn.py::test_config_rejects_non_finite_and_non_positive_values",
-            "tests/test_cli.py::test_out_of_range_C_or_eps_exits_2_before_any_episode",
-        ),
-    ),
-    Mutant(
         "the small ball takes the big radius",
         "src/voxlab/replearn.py",
         "return eps, 3.0 * d ** 1.5, 2.0 * math.sqrt(d), max(T, 1)",
@@ -202,8 +192,8 @@ MUTANTS = (
     Mutant(
         "the roll-in memo key drops the greedy suffix",
         "src/voxlab/psdp.py",
-        'key = (t, b"".join(a.tobytes() for a in acts[t + 1:h]))',
-        "key = (t,)",
+        'b"".join(a.tobytes() for a in acts[t + 1:h]))',
+        'b"")',
         (
             "tests/test_psdp.py::test_a_shared_memo_replays_the_top_two_rollins",
             "tests/test_psdp.py::test_queries_sharing_the_greedy_layers_above_layer_0_share_its_rollin",
@@ -221,12 +211,39 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the memo owner check compares covers[h-1..h] only",
+        "the roll-in memo key drops the MDP",
         "src/voxlab/psdp.py",
-        "owner = (h, n, [M] + list(covers[:h + 1]))",
-        "owner = (h, n, [M] + list(covers[max(h - 1, 0):h + 1]))",
+        "key = (M, covers[t], h, n, t,",
+        "key = (covers[t], h, n, t,",
         (
-            "tests/test_psdp.py::test_a_memo_filled_for_another_query_shape_raises_before_drawing",
+            "tests/test_psdp.py::test_a_memo_shared_across_query_shapes_replays_only_the_keys_they_share",
+        ),
+    ),
+    Mutant(
+        "the roll-in memo key drops covers[t]",
+        "src/voxlab/psdp.py",
+        "key = (M, covers[t], h, n, t,",
+        "key = (M, h, n, t,",
+        (
+            "tests/test_psdp.py::test_a_memo_shared_across_query_shapes_replays_only_the_keys_they_share",
+        ),
+    ),
+    Mutant(
+        "the roll-in memo key drops h",
+        "src/voxlab/psdp.py",
+        "key = (M, covers[t], h, n, t,",
+        "key = (M, covers[t], n, t,",
+        (
+            "tests/test_psdp.py::test_a_memo_shared_across_query_shapes_replays_only_the_keys_they_share",
+        ),
+    ),
+    Mutant(
+        "the roll-in memo key drops n",
+        "src/voxlab/psdp.py",
+        "key = (M, covers[t], h, n, t,",
+        "key = (M, covers[t], h, t,",
+        (
+            "tests/test_psdp.py::test_a_memo_shared_across_query_shapes_replays_only_the_keys_they_share",
         ),
     ),
     Mutant(
@@ -296,13 +313,22 @@ MUTANTS = (
     ),
     # ---------------------------------------------------------------- drivers
     Mutant(
-        "psdp_draws counts the memo's owner entry",
+        "psdp_draws misses one roll-in",
         "src/voxlab/drivers.py",
-        "psdp_draws=len(shared) - 1)",
         "psdp_draws=len(shared))",
+        "psdp_draws=len(shared) - 1)",
         (
             "tests/test_drivers.py::test_spanrl_micro_run_covers_and_accounting",
             "tests/test_drivers.py::test_spanrl_on_a_lock_asks_each_confirmation_query_once",
+        ),
+    ),
+    Mutant(
+        "VoX's LinEst hands a one-index design over as a mixture",
+        "src/voxlab/drivers.py",
+        "pi = (next(iter(P)) if len(P) == 1",
+        "pi = (next(iter(P)) if False",
+        (
+            "tests/test_drivers.py::test_a_one_index_design_reaches_est_mat_as_its_policy",
         ),
     ),
     Mutant(
@@ -516,15 +542,6 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "a one-policy mixture at any weight takes its policy's compiled law",
-        "src/voxlab/simenv.py",
-        "P.weights.tolist() == [1.0]:",
-        "len(P.weights) == 1:",
-        (
-            "tests/test_simenv.py::test_a_point_mass_shares_its_policys_compiled_law",
-        ),
-    ),
-    Mutant(
         "the sampler truncates its later layers' counts to int64",
         "src/voxlab/simenv.py",
         "now = np.zeros((len(cells), states.shape[1] * M.A), dtype=cells.dtype)",
@@ -622,7 +639,47 @@ MUTANTS = (
             "tests/test_cli.py::test_structurally_malformed_json_exits_2_naming_the_file[covers-H-float]",
         ),
     ),
+    Mutant(
+        "validate_mdp skips the rho sign check",
+        "src/voxlab/core.py",
+        "    if np.any(M.rho < -NEG_TOL):\n",
+        "    if False:\n",
+        (
+            "tests/test_core.py::test_validate_names_a_negative_rho_entry_alone",
+        ),
+    ),
+    Mutant(
+        "validate_mdp skips the id check",
+        "src/voxlab/core.py",
+        "        if s in layer_of:\n",
+        "        if False:\n",
+        (
+            "tests/test_core.py::test_validate_names_each_state_id_found_twice_and_both_layers",
+            "tests/test_cli.py::test_structurally_malformed_json_exits_2_naming_the_file[layer-id-twice]",
+        ),
+    ),
+    Mutant(
+        "the number reader accepts a string",
+        "src/voxlab/core.py",
+        "    if type(value) not in (int, float):\n",
+        "    if type(value) not in (int, float, str):\n",
+        (
+            "tests/test_cli.py::test_structurally_malformed_json_exits_2_naming_the_file[rho-string]",
+            "tests/test_cli.py::test_structurally_malformed_json_exits_2_naming_the_file[weights-string]",
+            "tests/test_cli.py::test_structurally_malformed_json_exits_2_naming_the_file[policy-table-string]",
+        ),
+    ),
     # -------------------------------------------------------------------- cli
+    Mutant(
+        "the hash check is skipped",
+        "src/voxlab/cli.py",
+        "    if sha != _env_sha256(M):\n",
+        "    if False:\n",
+        (
+            "tests/test_cli.py::test_a_run_file_is_read_only_against_its_own_environment",
+            "tests/test_cli.py::test_a_spanrl_run_on_one_seed_is_refused_by_the_next",
+        ),
+    ),
     Mutant(
         "the JSON loader lets a build's VoxlabError through unnamed",
         "src/voxlab/cli.py",
@@ -646,8 +703,9 @@ MUTANTS = (
     Mutant(
         "the run file copies covers.kind into an algorithm key",
         "src/voxlab/cli.py",
-        '    obj["seed"] = args.seed\n',
-        '    obj["algorithm"] = result.covers.kind\n    obj["seed"] = args.seed\n',
+        '    obj["seed"], obj["env_sha256"] = args.seed, _env_sha256(M)\n',
+        '    obj["algorithm"] = result.covers.kind\n'
+        '    obj["seed"], obj["env_sha256"] = args.seed, _env_sha256(M)\n',
         (
             "tests/test_cli.py::test_vox_run_payload_structure",
             "tests/test_cli.py::test_spanrl_run_and_rerun",

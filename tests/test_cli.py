@@ -1,5 +1,6 @@
 """Command-line entry points: artifacts, exit codes, determinism."""
 
+import hashlib
 import json
 import re
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from voxlab.cli import _config, _replearn_config, main
+from voxlab.cli import _config, _replearn_config, _typed, main
 from voxlab.core import LayeredLowRankMDP, validate_mdp
 from voxlab.drivers import VoxSchedule
 from voxlab.replearn import RepLearnConfig
@@ -85,8 +86,9 @@ def test_selftest_is_a_usage_error(tmp_path, capsys, monkeypatch):
 
 
 # the run file is the one record of a run: what it holds once, it holds
-# nowhere else (the kind is covers.kind, the certificates are log columns)
-RUN_KEYS = {"alphas", "covers", "episode_count", "log", "seed"}
+# nowhere else (the kind is covers.kind, the certificates are log columns);
+# env_sha256 names the environment it was built on
+RUN_KEYS = {"alphas", "covers", "env_sha256", "episode_count", "log", "seed"}
 
 
 def test_vox_run_payload_structure(vox_run):
@@ -137,6 +139,29 @@ def test_verify_cover_exit_codes_and_witnesses(workdir, vox_run):
     payload = json.loads(rep.read_text())
     assert payload["passed"] is False
     assert payload["layers"]["2"]["witnesses"]
+
+
+def test_verify_cover_writes_its_report_to_stdout_on_out_dash(workdir, vox_run,
+                                                               capsys):
+    args = ["verify-cover", "--env", str(workdir / "env.json"), "--run", str(vox_run),
+            "--alpha", "0.001"]
+    assert main(args + ["--out", "-"]) == 0
+    out = capsys.readouterr().out
+    report = workdir / "report.json"
+    assert main(args + ["--out", str(report)]) == 0
+    assert out == report.read_text() and json.loads(out)["passed"] is True
+
+
+def test_a_layer_with_no_qualifying_state_reports_a_null_alpha(workdir, vox_run,
+                                                               tmp_path):
+    # no state reaches eps = 1e9, so the measured alpha is not finite and
+    # is written as JSON's null
+    report = tmp_path / "report.json"
+    assert main(["verify-cover", "--env", str(workdir / "env.json"),
+                 "--run", str(vox_run), "--alpha", "0.001", "--eps", "1e9",
+                 "--out", str(report)]) == 0
+    assert '"alpha_measured": null' in report.read_text()
+    assert json.loads(report.read_text())["layers"]["2"]["alpha_measured"] is None
 
 
 def test_spanrl_run_and_rerun(workdir):
@@ -231,7 +256,7 @@ def test_config_errors_exit_2_without_a_traceback(workdir, vox_run, tmp_path,
 @pytest.mark.parametrize("command, bad", [
     ("run-vox", {"replearn": {"restarts": 2.0}}),
     ("run-vox", {"replearn": {"grad_steps": True}}),
-    ("run-vox", {"replearn": {"c": "1"}}),
+    ("run-vox", {"replearn": {"restarts": "1"}}),
     ("run-spanrl", {"replearn": {"delta": "0.1"}}),
     ("run-spanrl", {"replearn": {"delta": None}}),
     ("run-vox", {"K": 2.7}),
@@ -271,20 +296,20 @@ def test_mistyped_config_values_exit_2_before_running(workdir, vox_run, tmp_path
     ("run-spanrl", {"eps": 1.5}),
     ("run-spanrl", {"eps": 0.0}),
     ("run-vox", {"fw_max_iters": 0}),
-    ("run-spanrl", {"replearn": {"c": 0}}),
+    ("run-spanrl", {"replearn": {"delta": 0}}),
     ("run-vox", {"replearn": {"delta": 0}}),
     ("run-vox", {"replearn": {"delta": 1}}),
     ("run-spanrl", {"replearn": {"grad_steps": -1}}),
-    ("run-vox", {"replearn": {"c": 0}}),
+    ("run-vox", {"replearn": {"grad_steps": -1}}),
     ("run-spanrl", {"replearn": {"restarts": 0}}),
     ("run-vox", {"replearn": {"restarts": -2}}),
-    ("run-spanrl", {"replearn": {"c": -1}}),
+    ("run-spanrl", {"replearn": {"delta": 1}}),
     # written as JSON's Infinity and NaN literals, which the loader reads
     ("run-spanrl", {"eps": float("nan")}),
     ("run-spanrl", {"eps": float("inf")}),
-    ("run-vox", {"replearn": {"c": float("inf")}}),
+    ("run-vox", {"replearn": {"delta": float("inf")}}),
     ("run-spanrl", {"replearn": {"delta": float("inf")}}),
-    ("run-vox", {"replearn": {"c": float("nan")}}),
+    ("run-vox", {"replearn": {"delta": float("nan")}}),
     ("run-spanrl", {"replearn": {"delta": float("nan")}}),
     ("run-vox", {"gamma": float("nan")}),
 ])
@@ -310,19 +335,22 @@ def test_out_of_range_C_or_eps_exits_2_before_any_episode(
     ("run-vox", "r_small", 1.0),
     ("run-spanrl", "max_iters", 3),
     ("run-vox", "step_size", 0.5),
+    # the threshold's constant is 1: eps_stat^2 = d^2 log(|Phi|/delta)/n
+    ("run-spanrl", "c", 1.0),
 ])
 def test_a_removed_replearn_override_is_an_unknown_key(
         workdir, vox_run, tmp_path, capsys, monkeypatch, command, key, value):
     # rep-learn always derives its threshold, radii and iteration cap, and
-    # its hill climb's first step is a constant, so a config that sets one
-    # is a usage error, as any unknown key is
+    # its hill climb's first step and its threshold's constant are
+    # constants, so a config that sets one is a usage error, as any unknown
+    # key is
     _no_episodes(monkeypatch)
     config = SPANRL_CONFIG if command == "run-spanrl" else VOX_CONFIG
     bad = {"replearn": {"restarts": 2, key: value}}
     assert main(_bad_run(workdir, vox_run, tmp_path, command, config, bad)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config replearn must be an object with keys from "
-                          "['c', 'delta', 'grad_steps', 'restarts'], got ")
+                          "['delta', 'grad_steps', 'restarts'], got ")
     assert key in err and err.count("\n") == 1
     assert not (tmp_path / "x.json").exists()
 
@@ -515,6 +543,62 @@ def test_a_run_file_of_another_horizon_exits_2(workdir, vox_run, tmp_path, capsy
     assert not (tmp_path / "x.json").exists()
 
 
+def _sha256_of(env_path):
+    """The SHA-256 of an environment file's JSON text, written with one
+    trailing newline."""
+    return hashlib.sha256(env_path.read_text().rstrip("\n").encode()).hexdigest()
+
+
+def test_a_run_file_names_its_environment(workdir, vox_run):
+    assert json.loads(vox_run.read_text())["env_sha256"] == _sha256_of(
+        workdir / "env.json")
+
+
+@pytest.mark.parametrize("command", ["verify-cover", "optimize-reward"])
+@pytest.mark.parametrize("case", ["missing", "changed", "other-env"])
+def test_a_run_file_is_read_only_against_its_own_environment(
+        workdir, vox_run, tmp_path, capsys, monkeypatch, command, case):
+    # the same-shaped environment of another seed reads every cover table
+    # as a table of distributions, so only the hash tells the two apart
+    run, env = json.loads(vox_run.read_text()), workdir / "env.json"
+    if case == "missing":
+        del run["env_sha256"]
+    elif case == "changed":
+        run["env_sha256"] = "0" * 64
+    else:
+        env = tmp_path / "other_env.json"
+        assert main(["generate-env", "--H", "3", "--A", "2", "--d", "2",
+                     "--states", "3,4,4", "--seed", "8", "--boost-eta", "0.5",
+                     "--out", str(env)]) == 0
+    bad_run = tmp_path / "run.json"
+    bad_run.write_text(json.dumps(run))
+    _no_episodes(monkeypatch)
+    assert main(_command(command, workdir, bad_run, tmp_path, env)) == 2
+    assert capsys.readouterr().err == (
+        f"error: run file {bad_run} has env_sha256 {run.get('env_sha256')}, the "
+        f"environment {_sha256_of(env)}\n")
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_a_spanrl_run_on_one_seed_is_refused_by_the_next(tmp_path, capsys):
+    # a SpanRL run built on generate-env --seed 1 once passed verify-cover
+    # against the same-shaped --seed 2 environment
+    envs = [tmp_path / f"env{seed}.json" for seed in (1, 2)]
+    for seed, env in zip((1, 2), envs):
+        assert main(["generate-env", "--H", "3", "--A", "2", "--d", "2",
+                     "--states", "3,4,4", "--seed", str(seed), "--boost-eta", "0.5",
+                     "--out", str(env)]) == 0
+    config, run = tmp_path / "spanrl.json", tmp_path / "run.json"
+    config.write_text(json.dumps(SPANRL_CONFIG))
+    assert main(["run-spanrl", "--env", str(envs[0]), "--config", str(config),
+                 "--seed", "5", "--out", str(run)]) == 0
+    verify = ["verify-cover", "--run", str(run), "--alpha", "0.01",
+              "--out", str(tmp_path / "report.json")]
+    assert main(verify + ["--env", str(envs[1])]) == 2
+    assert f"the environment {_sha256_of(envs[1])}" in capsys.readouterr().err
+    assert main(verify + ["--env", str(envs[0])]) in (0, 1)
+
+
 def _covers(covers):
     return lambda run: {**run, "covers": covers}
 
@@ -540,7 +624,34 @@ def _first_id(env):
     return {**env, "layers": [first, *env["layers"][1:]]}
 
 
-@pytest.mark.parametrize("command, bad, corrupt, field", [
+def _first_id_twice(env):
+    """An environment whose layer 1 starts with layer 0's first state id."""
+    second = [env["layers"][0][0], *env["layers"][1][1:]]
+    return {**env, "layers": [env["layers"][0], second, *env["layers"][2:]]}
+
+
+def _true_in_phi(env):
+    env["phi"][0][0][0][0] = True
+    return env
+
+
+def _as_strings(values):
+    return [str(v) for v in values]
+
+
+def _string_weights(run):
+    layer = run["covers"]["layers"][2]
+    layer["weights"] = _as_strings(layer["weights"])
+    return run
+
+
+def _string_table(run):
+    table = run["covers"]["layers"][2]["policies"][0]["tables"][0]
+    table[0] = _as_strings(table[0])
+    return run
+
+
+@pytest.mark.parametrize("command, bad, corrupt, line", [
     ("verify-cover", "run", _covers({"kind": "vox", "H": 3, "layers": 5}), None),
     ("verify-cover", "run", _covers({"kind": "vox", "H": 3, "layers": [5, 6, 7]}), None),
     ("verify-cover", "run", _covers([]), None),
@@ -554,24 +665,35 @@ def _first_id(env):
     ("run-vox", "config", lambda config: "{not json", None),
     # int() would truncate each of these to a value the command accepts
     ("verify-cover", "run", lambda run: {**run, "covers": {**run["covers"], "H": 3.9}},
-     "covers.H"),
-    ("verify-cover", "run", _first_lo, "policy lo"),
-    ("verify-cover", "env", lambda env: {**env, "A": 2.7}, "A"),
-    ("verify-cover", "env", lambda env: {**env, "H": 3.2}, "H"),
-    ("verify-cover", "env", lambda env: {**env, "d": True}, "d"),
-    ("verify-cover", "env", _first_id, "layer id"),
+     "covers.H must be an integer, got 3.9"),
+    ("verify-cover", "run", _first_lo, "policy lo must be an integer, got 0.7"),
+    ("verify-cover", "env", lambda env: {**env, "A": 2.7}, "A must be an integer, got 2.7"),
+    ("verify-cover", "env", lambda env: {**env, "H": 3.2}, "H must be an integer, got 3.2"),
+    ("verify-cover", "env", lambda env: {**env, "d": True}, "d must be an integer, got True"),
+    ("verify-cover", "env", _first_id, "layer id must be an integer, got 0.5"),
+    # np.asarray(dtype=float) would read "0.25" as 0.25 and true as 1.0
+    ("verify-cover", "env", lambda env: {**env, "rho": _as_strings(env["rho"])},
+     "rho must hold numbers, got '"),
+    ("verify-cover", "env", _true_in_phi, "phi[0] must hold numbers, got True"),
+    ("verify-cover", "run", _string_weights,
+     "covers.layers[2].weights must hold numbers, got '"),
+    ("optimize-reward", "run", _string_table, "policy table must hold numbers, got '"),
+    # state ids are global: one id in two layers fails validation
+    ("verify-cover", "env", _first_id_twice, "state id 0 is in layer 0 and layer 1"),
 ], ids=["layers-int", "layers-of-ints", "covers-list", "verify-short-covers",
         "verify-long-covers", "optimize-short-covers", "optimize-long-covers",
         "phi-int", "env-list", "config-list", "config-not-json", "covers-H-float",
         "policy-lo-float", "env-A-float", "env-H-float", "env-d-bool",
-        "layer-id-float"])
+        "layer-id-float", "rho-string", "phi-true", "weights-string",
+        "policy-table-string", "layer-id-twice"])
 def test_structurally_malformed_json_exits_2_naming_the_file(
         workdir, vox_run, tmp_path, capsys, monkeypatch, command, bad, corrupt,
-        field):
+        line):
     # each file but the last parses as JSON but has the wrong shape inside;
     # a str from ``corrupt`` is written as it is.  A cover list holds
-    # exactly H layers, one per layer of the environment, and an integer
-    # field holds a JSON integer, which the error line names
+    # exactly H layers, one per layer of the environment, an integer field
+    # holds a JSON integer and a number array JSON numbers, and the error
+    # line names the field
     _no_episodes(monkeypatch)
     args = _command(command, workdir, vox_run, tmp_path)
     i = args.index(f"--{bad}") + 1
@@ -584,15 +706,17 @@ def test_structurally_malformed_json_exits_2_naming_the_file(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(path) in err
-    if field is not None:
-        assert f": {field} must be an integer, got " in err
+    if line is not None:
+        assert f": {line}" in err
     assert not (tmp_path / "x.json").exists()
 
 
 def test_replearn_config_accepts_ints_for_floats_and_null_for_optionals():
-    rl = _replearn_config({"replearn": {"c": 2, "restarts": 3, "delta": 0.1}})
-    assert (rl.c, rl.restarts, rl.delta) == (2, 3, 0.1)
-    assert type(rl.c) is float and type(rl.restarts) is int
+    rl = _replearn_config({"replearn": {"restarts": 3, "delta": 0.1}})
+    assert (rl.restarts, rl.delta) == (3, 0.1) and type(rl.restarts) is int
+    # every float field is in (0, 1), so no int reaches a config's value,
+    # but an int still passes as a float and is returned as one
+    assert type(_typed("delta", 1, float)) is float
     assert _replearn_config({}) == RepLearnConfig()
     # null is still accepted for the schedule's optional cap
     vox = _config(VoxSchedule, {**VOX_CONFIG, "fw_max_iters": None})

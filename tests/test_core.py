@@ -3,11 +3,14 @@
 import hashlib
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 
 from voxlab import (
+    Discriminator,
+    FeatureClass,
     LayerRangeError,
     LayeredLowRankMDP,
     Policy,
@@ -179,6 +182,17 @@ def test_distribution_validation(env):
     P = PolicyDistribution([pi, pi], [0.25, 0.75])
     assert len(P) == 2
     assert np.allclose(sorted(w for _, w in P), [0.25, 0.75])
+    with pytest.raises(VoxlabError, match="one weight per policy required"):
+        PolicyDistribution([pi], [0.5, 0.5])
+
+
+def test_feature_class_and_discriminator_reject_bad_inputs(env):
+    with pytest.raises(VoxlabError, match="feature class must be nonempty"):
+        FeatureClass([])
+    with pytest.raises(VoxlabError, match="all candidate maps must share table shapes"):
+        FeatureClass([list(env.phi), [tab[:1] for tab in env.phi]])
+    with pytest.raises(VoxlabError, match=r"discriminator direction has norm 1\.41\d* > 1"):
+        Discriminator([1.0, 1.0], 0)
 
 
 # -------------------------------------------------------------- validation
@@ -216,6 +230,26 @@ def test_validate_flags_row_sum_and_rho(env):
     rho = rho / 2.0
     M2 = LayeredLowRankMDP(env.H, env.A, env.d, env.layers, env.phi, env.mu, rho)
     assert any("rho sums to" in line for line in validate_mdp(M2))
+
+
+def test_validate_names_a_negative_rho_entry_alone(env):
+    # the entries still sum to 1, so only the sign check can see it
+    rho = np.zeros(env.n_states(0))
+    rho[:2] = [1.5, -0.5]
+    M = LayeredLowRankMDP(env.H, env.A, env.d, env.layers, env.phi, env.mu, rho)
+    assert validate_mdp(M) == ["rho has a negative entry"]
+
+
+def test_validate_names_each_state_id_found_twice_and_both_layers(env):
+    # state ids are global: one id in two layers, or twice in one, is one line
+    layers = [list(ids) for ids in env.layers]
+    layers[2][1] = layers[0][0]
+    layers[1][1] = layers[1][0]
+    M = LayeredLowRankMDP(env.H, env.A, env.d, layers, env.phi, env.mu, env.rho)
+    assert validate_mdp(M) == [
+        f"state id {layers[1][0]} is in layer 1 and layer 1",
+        f"state id {layers[0][0]} is in layer 0 and layer 2",
+    ]
 
 
 def test_validate_names_only_the_layer_whose_mu_mass_exceeds_one():
@@ -276,6 +310,21 @@ def test_the_l1_check_rejects_what_the_sampled_norm_passed():
     assert [line for line in validate_mdp(M) if line.startswith("mu ")] == [
         "mu coordinate l1 mass exceeds 1 at (h=0, i=0): 1.2",
     ]
+
+
+def test_constructor_names_the_misshaped_part(env):
+    def build(layers=env.layers, mu=env.mu, rho=env.rho):
+        return LayeredLowRankMDP(env.H, env.A, env.d, layers, env.phi, mu, rho)
+
+    want = (env.n_states(1), env.d)
+    for kwargs, message in [
+            ({"layers": env.layers[:-1]}, f"expected {env.H} layers, got {env.H - 1}"),
+            ({"mu": [env.mu[0][:-1], *env.mu[1:]]},
+             f"mu[0] has shape {(want[0] - 1, env.d)}, want {want}"),
+            ({"rho": env.rho[:-1]},
+             f"rho has shape ({env.n_states(0) - 1},), want ({env.n_states(0)},)")]:
+        with pytest.raises(VoxlabError, match=re.escape(message)):
+            build(**kwargs)
 
 
 def test_constructor_shape_errors(env):

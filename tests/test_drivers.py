@@ -119,8 +119,7 @@ def test_a_bad_C_or_eps_is_rejected_before_any_episode():
     with pytest.raises(VoxlabError, match="fw_max_iters must be >= 1"):
         run_vox(M, Phi, dataclasses.replace(vox, fw_max_iters=0), rng,
                 counter=counter)
-    for bad in ({"restarts": -2}, {"c": -1.0}, {"delta": 0.0}, {"delta": 1.0},
-                {"grad_steps": -1}):
+    for bad in ({"restarts": -2}, {"delta": 0.0}, {"delta": 1.0}, {"grad_steps": -1}):
         (name,) = bad
         with pytest.raises(VoxlabError, match=f"replearn {name} must"):
             run_vox(M, Phi, dataclasses.replace(vox, replearn=RepLearnConfig(**bad)),
@@ -417,6 +416,35 @@ def test_a_vox_cover_mixes_every_design_of_its_layer(monkeypatch):
         got = dict(zip(cover.policies, cover.weights))
         assert got.keys() == want.keys()
         assert all(got[pi] == pytest.approx(w, abs=1e-12) for pi, w in want.items())
+
+
+def test_a_one_index_design_reaches_est_mat_as_its_policy(monkeypatch):
+    # Frank-Wolfe renormalizes by the sum, so a one-index design has weight
+    # exactly 1.0 and VoX's LinEst hands EstMat the bare policy; a larger
+    # design goes as the mixture of its indices at their weights
+    calls, design, estimate = [], drivers.fw_optdesign, drivers.est_mat
+
+    def recording_design(lin_opt, lin_est, *args):
+        def recording_lin_est(P):
+            calls.append([dict(P)])
+            return lin_est(P)
+        return design(lin_opt, recording_lin_est, *args)
+
+    def recording_est_mat(M, h, F, pi, *args, **kwargs):
+        calls[-1].append(pi)
+        return estimate(M, h, F, pi, *args, **kwargs)
+
+    monkeypatch.setattr(drivers, "fw_optdesign", recording_design)
+    monkeypatch.setattr(drivers, "est_mat", recording_est_mat)
+    M = boosted_env(seed=3)
+    Phi = make_feature_class(M, n_decoys=1, rng=np.random.default_rng(3))
+    run_vox(M, Phi, vox_micro_schedule(), np.random.default_rng(4))
+    assert {len(P) == 1 for P, _ in calls} == {True, False}
+    for P, pi in calls:
+        if len(P) == 1:
+            assert type(pi) is Policy and P == {pi: 1.0}
+        else:
+            assert dict(zip(pi.policies, pi.weights.tolist())) == P
 
 
 def test_covers_play_uniform_from_layer_h_minus_1_on():

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from voxlab import BudgetError, VoxlabError
+from voxlab import BudgetError, Policy, VoxlabError
+from voxlab.evalcover import check_design_on_policies
 from voxlab.optdesign import _line_search, fw_iteration_bound, fw_optdesign
 
 from conftest import policy_design_oracles, small_env
@@ -259,6 +260,21 @@ def test_non_psd_estimates_are_rejected():
 
     with pytest.raises(VoxlabError):
         fw_optdesign(lin_opt, lin_est, C=2.0, gamma=0.1, d=d)
+
+
+def test_a_misshaped_estimate_is_rejected():
+    with pytest.raises(VoxlabError, match=r"lin_est returned shape \(3, 3\), expected \(2, 2\)"):
+        fw_optdesign(lambda Q: 0, lambda P: np.eye(3), C=2.0, gamma=0.1, d=2)
+
+
+def test_a_singular_design_matrix_is_not_positive_definite():
+    # at gamma = 0, features on the first axis alone leave the second
+    # moment singular, and its Cholesky factor does not exist
+    M = small_env(seed=0)
+    feat = np.zeros((M.n_states(1), M.A, 2))
+    feat[..., 0] = 1.0
+    with pytest.raises(VoxlabError, match="design matrix is not positive definite"):
+        check_design_on_policies(M, feat, Policy.uniform(M), gamma=0.0, C=2.0, h=1)
 
 
 def test_parameter_validation():

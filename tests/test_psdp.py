@@ -162,6 +162,11 @@ def test_ball_lsq_shape_and_radius_errors():
         ball_constrained_least_squares(np.zeros((2, 3, 2)), np.zeros(3), 1.0)
 
 
+def test_ball_lsq_rejects_a_1d_design():
+    with pytest.raises(VoxlabError, match=r"shape mismatch: Z \(3,\) is not 2-d or 3-d"):
+        BallLeastSquares(np.zeros(3))
+
+
 def test_ball_lsq_matches_slsqp_oracle():
     rng = np.random.default_rng(0)
     for trial in range(8):
@@ -573,12 +578,13 @@ def memo_instance(seed, h):
     return M, Phi, covers, float(rng.uniform(0.5, 4.0))
 
 
-def suffix_key(tail, upto):
-    """The memo key of a PSDP roll-in through ``tail``: the roll-in's layer
-    and the greedy actions of the tail on the layers above it, below upto."""
+def rollin_key(M, P, n, upto, tail):
+    """The memo key of a PSDP roll-in of P through ``tail``: the roll-in's
+    layer, the greedy actions of the tail on the layers above it, below
+    upto, and the MDP, cover, n and upto it is drawn with."""
     t = tail.lo
     return (t,) + tuple(tail.table(ell).argmax(axis=1).tobytes()
-                        for ell in range(t + 1, upto))
+                        for ell in range(t + 1, upto)) + (M, P, n, upto)
 
 
 def keyed_rollins(stored):
@@ -589,14 +595,14 @@ def keyed_rollins(stored):
     others."""
     def recording(M, P, n, rng, upto, tail=None, counter=None):
         chain = sample_trajectories(M, P, n, rng, upto, tail, counter=counter)
-        key = suffix_key(tail, upto)
+        key = rollin_key(M, P, n, upto, tail)
         assert key not in stored, f"layer {tail.lo} drawn twice for one key"
         stored[key] = list(chain)
         return chain
 
     def replaying(before):
         def fake(M, P, n, rng, upto, tail=None, counter=None):
-            key = suffix_key(tail, upto)
+            key = rollin_key(M, P, n, upto, tail)
             if key not in before:
                 return sample_trajectories(M, P, n, rng, upto, tail, counter=counter)
             chain = list(before[key])
@@ -669,7 +675,7 @@ def test_a_shared_memo_replays_the_top_two_rollins(monkeypatch, seed, h):
         drawn = [key[0] for key in stored if key not in before]
         assert got_count == want_count == n * len(drawn)
         assert all(t < h - 1 for t in drawn) and len(drawn) <= max(h - 1, 0)
-    assert len(shared) - 1 == len(stored)
+    assert len(shared) == len(stored)
 
 
 @pytest.mark.parametrize("h", [0, 1, 3])
@@ -728,7 +734,7 @@ def test_queries_sharing_the_greedy_layers_above_layer_0_share_its_rollin(monkey
         fits.clear()
         assert [t.tobytes() for t in got.tables] == [t.tobytes() for t in want.tables]
         runs.append((got, [key[0] for key in stored if key not in before],
-                     len(shared) - 1))
+                     len(shared)))
     (first, drawn, keys), (rescaled, re_drawn, re_keys), (_, other_drawn, other_keys) = runs
     assert (drawn, keys) == ([3, 2, 1, 0], 4)
     assert (re_drawn, re_keys) == ([], 4)
@@ -882,31 +888,48 @@ def test_no_query_fits_its_top_layer(monkeypatch):
         assert layers == list(range(h - 1, -1, -1)), (h, layers)
 
 
-def test_a_memo_filled_for_another_query_shape_raises_before_drawing():
+def test_a_memo_shared_across_query_shapes_replays_only_the_keys_they_share(
+        monkeypatch):
+    # a memo keyed by everything a draw reads may be shared by queries on
+    # another h, n, MDP (an equal copy counts as another) or cover at some
+    # layer: each query equals a memo-free one that replays exactly the keys
+    # drawn before it, in policy bytes, generator state and episode count,
+    # and none raises
+    psdp_module = importlib.import_module("voxlab.psdp")
     for h in (2, 3):
         M, Phi, covers, radius = memo_instance(0, h)
         tabs = [np.zeros((M.n_states(t), M.A)) for t in range(h + 1)]
-        shared = {}
-        psdp(M, h, tabs, Phi, radius, covers, 40, np.random.default_rng(1),
-             shared=shared)
         copied = [PolicyDistribution(D.policies, D.weights) for D in covers]
         other_M = small_env(seed=0, H=5, A=3, d=2, states=(3, 4, 3, 4, 3))
-        # the memo owns every cover it reads, covers[0..h], by identity
         changed = [covers[:t] + [copied[t]] + covers[t + 1:] for t in range(h + 1)]
-        for args in [(M, h - 1, tabs[:h], Phi, radius, covers[:h], 40),
-                     (M, h, tabs, Phi, radius, covers, 41),
-                     (other_M, h, tabs, Phi, radius, covers, 40)] + [
-                        (M, h, tabs, Phi, radius, cov, 40) for cov in changed]:
-            rng, counter = np.random.default_rng(2), EpisodeCounter()
-            before = rng.bit_generator.state
-            with pytest.raises(VoxlabError, match=r"roll-in memo was filled for another"):
-                psdp(*args, rng, counter=counter, shared=shared)
-            assert counter.count == 0 and rng.bit_generator.state == before
-        # a cover above h is not read, so it may change
-        counter = EpisodeCounter()
-        psdp(M, h, tabs, Phi, radius, covers + copied[:1], 40,
-             np.random.default_rng(3), counter=counter, shared=shared)
-        assert counter.count == 0
+        queries = [(M, h, tabs, Phi, radius, covers, 40),
+                   (M, h - 1, tabs[:h], Phi, radius, covers[:h], 40),
+                   (M, h, tabs, Phi, radius, covers, 41),
+                   (other_M, h, tabs, Phi, radius, covers, 40)] + [
+                      (M, h, tabs, Phi, radius, cov, 40) for cov in changed] + [
+                      # a cover above h is not read, so it may change
+                      (M, h, tabs, Phi, radius, covers + copied[:1], 40)]
+        shared, stored, drawn = {}, {}, []
+        recording, replaying = keyed_rollins(stored)
+        for q, args in enumerate(queries):
+            before, runs = dict(stored), []
+            for memo, fake in ((None, replaying(before)), (shared, recording)):
+                monkeypatch.setattr(psdp_module, "sample_trajectories", fake)
+                rng, counter = np.random.default_rng(2 + q), EpisodeCounter()
+                pi = psdp(*args, rng, counter=counter, shared=memo)
+                runs.append(([t.tobytes() for t in pi.tables],
+                             rng.bit_generator.state, counter.count))
+            assert runs[0] == runs[1]
+            new = [key[0] for key in stored if key not in before]
+            assert runs[1][2] == args[6] * len(new)
+            drawn.append(new)
+        assert len(shared) == len(stored)
+        # the other h, n and MDP share nothing; zero rewards make every
+        # greedy suffix the same, so a changed cover at layer t draws layer
+        # t alone, and the cover above h draws nothing
+        assert drawn[1:4] == [list(range(h - 1, -1, -1)),
+                              list(range(h, -1, -1)), list(range(h, -1, -1))]
+        assert drawn[4:] == [[t] for t in range(h + 1)] + [[]]
 
 
 def test_psdp_horizon_zero_is_exact_greedy(env):

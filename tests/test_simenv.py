@@ -85,6 +85,28 @@ def test_envspec_rejects_bad_recipes():
         EnvSpec(H=2, A=0, d_latent=2, state_counts=[3, 3])
 
 
+def test_envspec_rejects_a_zero_state_count():
+    with pytest.raises(VoxlabError, match="state counts must all be >= 1"):
+        EnvSpec(H=2, A=2, d_latent=2, state_counts=[3, 0])
+
+
+def test_a_feature_class_needs_enough_distinct_cell_permutations():
+    # one state and two actions: the only permutation but the identity
+    # swaps the two cells, so a second decoy does not exist
+    M = small_env(seed=0, H=2, A=2, d=1, states=(1, 1))
+    assert len(make_feature_class(M, 1, np.random.default_rng(0))) == 2
+    with pytest.raises(VoxlabError, match="could not find 2 distinct cell permutations"):
+        make_feature_class(M, 2, np.random.default_rng(0))
+
+
+def test_reachability_needs_a_state_with_a_nonzero_density(env):
+    mu = [np.zeros_like(env.mu[0]), *env.mu[1:]]
+    M = LayeredLowRankMDP(env.H, env.A, env.d, env.layers, env.phi, mu, env.rho)
+    with pytest.raises(VoxlabError,
+                       match="layer 1 has no state with nonzero density embedding"):
+        reachability_eta(M, 1)
+
+
 def test_generated_envs_validate_clean():
     for seed in range(5):
         M = small_env(seed=seed, H=3, A=2, d=2, states=(2, 3, 3))
@@ -749,16 +771,12 @@ def test_a_repeated_rollin_compiles_nothing_and_a_new_tail_value_compiles_once(
 
 
 def test_a_point_mass_shares_its_policys_compiled_law():
-    # a one-policy mixture at weight exactly 1.0 has its policy's law bit for
-    # bit (0 + 1.0 x = x), so it is compiled under that policy's key: a point
-    # mass of an equal policy compiles nothing, draws the same counts and
-    # leaves the generator in the same state; at weight 1 - 1e-13 it compiles
-    # its own law
+    # a one-policy mixture at weight exactly 1.0 compiles its policy's law bit
+    # for bit (0 + 1.0 x = x): a point mass of an equal policy draws the same
+    # counts and leaves the generator in the same state
     M, P, upto, tail = rollin_case("psdp")
     pi = P.policies[0]
-    law = simenv._compiled(M, pi, upto, tail)
     twin = PolicyDistribution.point_mass(Policy(0, [t.copy() for t in pi.tables]))
-    assert simenv._compiled(M, twin, upto, tail) is law
     draws = []
     for roll_in in (pi, twin):
         rng = np.random.default_rng(3)
@@ -767,8 +785,6 @@ def test_a_point_mass_shares_its_policys_compiled_law():
     (a, state_a), (b, state_b) = draws
     assert all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a, b))
     assert state_a == state_b
-    near = PolicyDistribution([pi], [1.0 - 1e-13])
-    assert simenv._compiled(M, near, upto, tail) is not law
 
 
 @pytest.mark.parametrize("shape", ["plain", "collect", "psdp", "mixed"])
