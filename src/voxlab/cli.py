@@ -19,7 +19,7 @@ import typing
 import numpy as np
 
 from voxlab.core import (NEG_TOL, ROW_SUM_TOL, LayeredLowRankMDP, VoxlabError,
-                         validate_mdp)
+                         _numbers, validate_mdp)
 from voxlab.drivers import (
     CoverSet,
     SpanrlSchedule,
@@ -159,14 +159,14 @@ def _replearn_config(config):
 
 
 def _load_thetas(path):
-    """The reward vectors of a theta file, which must hold a list of numeric
-    vectors."""
-    obj = _load_json(path, "theta file", kind=list)
-    if not all(isinstance(v, list) and all(type(x) in (int, float) for x in v)
-               for v in obj):
-        raise VoxlabError(f"theta file {path} must hold a list of numeric "
-                          f"vectors, got {obj!r}")
-    return [np.asarray(t, dtype=float) for t in obj]
+    """The reward vectors of a theta file, which must hold a list of vectors,
+    each read with `core._numbers`."""
+    def build(obj):
+        thetas = [_numbers(v, f"theta {t}") for t, v in enumerate(obj)]
+        if not all(np.ndim(th) == 1 for th in thetas):
+            raise VoxlabError(f"must hold a list of numeric vectors, got {obj!r}")
+        return thetas
+    return _load_json(path, "theta file", build, kind=list)
 
 
 def _typed(name, value, hint):

@@ -181,7 +181,12 @@ class Policy:
 
     Policies compare and hash by value (`action_key`), so a dict keyed by
     policies merges equal ones and keeps the first as its key.
+
+    A policy is its own one-policy mixture: ``policies`` is ``(self,)`` and
+    ``weights`` a shared read-only ``[1.0]``, as every roll-in reader reads.
     """
+
+    weights = _freeze(np.ones(1))
 
     def __init__(self, lo, tables):
         self.lo = int(lo)
@@ -190,6 +195,10 @@ class Policy:
             if t.ndim != 2:
                 raise VoxlabError("policy tables must be 2-d (states x actions)")
         self._key = None
+
+    @property
+    def policies(self):
+        return (self,)
 
     @property
     def hi(self):
@@ -279,19 +288,6 @@ class PolicyDistribution:
 
     def __iter__(self):
         return zip(self.policies, self.weights)
-
-    @staticmethod
-    def point_mass(policy):
-        return PolicyDistribution([policy], [1.0])
-
-
-def as_distribution(P):
-    """Coerce a Policy into a point-mass PolicyDistribution."""
-    if isinstance(P, PolicyDistribution):
-        return P
-    if isinstance(P, Policy):
-        return PolicyDistribution.point_mass(P)
-    raise VoxlabError(f"expected Policy or PolicyDistribution, got {type(P).__name__}")
 
 
 class FeatureClass:

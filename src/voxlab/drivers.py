@@ -64,8 +64,9 @@ C = 2.0  # of every design and spanner; a run's covers record it in their meta
 @dataclass
 class VoxSchedule:
     """Parameters of one VoX run, given directly or by `paper`, which
-    derives them from the target reachability eta and the class size via
-    the published schedule.  The sampler's cost does not grow with n, so a
+    derives them from the target reachability eta, the class size and
+    ``replearn``'s delta (its default, 0.05, when none is given) via the
+    published schedule.  The sampler's cost does not grow with n, so a
     `paper` run on the benchmark's H = 6 locks takes 1.5-4.2 s (2-core Xeon).
     ``fw_max_iters=None`` caps each design at 2 * `fw_iteration_bound`.
     """
@@ -87,10 +88,10 @@ class VoxSchedule:
             raise VoxlabError(f"fw_max_iters must be >= 1, got {self.fw_max_iters}")
 
     @classmethod
-    def paper(cls, eta, d, A, n_candidates, H, c=1.0, delta=0.05, **kw):
+    def paper(cls, eta, d, A, n_candidates, H, c=1.0, **kw):
         if not 0.0 < eta <= 1.0:
             raise VoxlabError(f"eta must be in (0, 1], got {eta}")
-        _replearn_at_delta(kw, delta)
+        delta = kw.setdefault("replearn", RepLearnConfig()).delta
         K = math.ceil(c * eta**-2 * d**5 * A)
         gamma = eta**2 * d**-4 / 576.0
         log_phi = math.log(n_candidates / delta)
@@ -108,10 +109,10 @@ class VoxSchedule:
 
 @dataclass
 class SpanrlSchedule:
-    """Parameters of one SpanRL run, given directly or by `paper`, whose runs
-    on the benchmark's H = 6 locks take 0.01-0.03 s (2-core Xeon).  A
-    schedule does not record the eps that `paper` sized it at, so
-    `run_spanrl` cannot check the eps it is given against it."""
+    """Parameters of one SpanRL run, given directly or by `paper` (sized at
+    ``replearn``'s delta), whose runs on the benchmark's H = 6 locks take
+    0.01-0.03 s (2-core Xeon).  A schedule does not record the eps that
+    `paper` sized it at, so `run_spanrl` cannot check the eps it is given."""
 
     n_replearn: int
     n_estvec: int
@@ -123,10 +124,10 @@ class SpanrlSchedule:
             raise VoxlabError("schedule counts must be positive")
 
     @classmethod
-    def paper(cls, eps, d, A, n_candidates, H, c=1.0, delta=0.05, **kw):
+    def paper(cls, eps, d, A, n_candidates, H, c=1.0, **kw):
         if not 0.0 < eps < 1.0:
             raise VoxlabError(f"eps must be in (0, 1), got {eps}")
-        _replearn_at_delta(kw, delta)
+        delta = kw.setdefault("replearn", RepLearnConfig()).delta
         log_phi = math.log(n_candidates / delta)
         return cls(
             n_replearn=math.ceil(c * eps**-2 * A**2 * d * log_phi),
@@ -134,15 +135,6 @@ class SpanrlSchedule:
             n_psdp=math.ceil(c * eps**-2 * A**2 * d**3 * H**2 * (d + log_phi)),
             **kw,
         )
-
-
-def _replearn_at_delta(kw, delta):
-    """Rep-learn at a `paper` schedule's delta: ``kw``'s replearn, which must
-    use it, or else the default config at it."""
-    replearn = kw.setdefault("replearn", RepLearnConfig(delta=delta))
-    if replearn.delta != delta:
-        raise VoxlabError(f"replearn delta {replearn.delta} is not the "
-                          f"schedule's delta {delta}")
 
 
 def mix_distributions(parts):
@@ -274,7 +266,7 @@ def _explore(M, Phi, schedule, rng, counter, covers, log, design, K=1):
 def run_vox(M, Phi, schedule: VoxSchedule, rng, counter=None) -> RunResult:
     """Layer-by-layer cover construction via representation-aware design."""
     counter = EpisodeCounter() if counter is None else counter
-    covers, log = [PolicyDistribution.point_mass(Policy.uniform(M))] * 2, []
+    covers, log = [PolicyDistribution([Policy.uniform(M)], [1.0])] * 2, []
 
     def design(hc, k, tab, row):
         phiphi = np.einsum("xad,xae->xade", tab, tab)
@@ -322,8 +314,8 @@ def run_spanrl(M, Phi, eps, schedule: SpanrlSchedule, rng,
         raise VoxlabError(f"eps must be in (0, 1), got {eps}")
     counter = EpisodeCounter() if counter is None else counter
     d = Phi.d
-    covers, log = [PolicyDistribution.point_mass(Policy.empty(0)),
-                   PolicyDistribution.point_mass(Policy.uniform(M))], []
+    covers, log = [PolicyDistribution([Policy.empty(0)], [1.0]),
+                   PolicyDistribution([Policy.uniform(M)], [1.0])], []
 
     def design(hc, k, tab, row):
         shared = {}

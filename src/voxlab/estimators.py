@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from voxlab.core import VoxlabError, psd_part
+from voxlab.core import VoxlabError
 from voxlab.simenv import sample_trajectories
 
 
@@ -33,8 +33,9 @@ def est_vec(M, h, F, pi, n, rng, counter=None):
 
 
 def est_mat(M, h, F, pi, n, rng, counter=None):
-    """Average of a PSD matrix functional at layer h; output stays PSD (EstMat)."""
+    """Average of a square-matrix functional at layer h (EstMat), unprojected:
+    `optdesign._clean_psd` is the one PSD projection of every design estimate."""
     out = est_vec(M, h, F, pi, n, rng, counter=counter)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise VoxlabError(f"est_mat needs a square matrix functional, got {out.shape}")
-    return psd_part(out, "matrix functional")
+    return out

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from voxlab.core import Policy, PolicyDistribution, VoxlabError, as_distribution
+from voxlab.core import Policy, PolicyDistribution, VoxlabError
 from voxlab.optdesign import _chol_inverse
 from voxlab.simenv import (
     _density_norms,
@@ -39,20 +39,18 @@ def check_policy_cover(M, P, h, alpha, eps, mode="expectation"):
     mixture occupancy E_{pi~P}[d^pi(x)]; in "max" mode (set covers) it is
     the best occupancy over the support.  Measured alpha is the worst
     qualifying ratio of cover mass to maximal occupancy (tolerance 1e-9).
-    ``alpha`` and ``eps`` must be finite and >= 0.  A bare Policy's cover
-    mass is its occupancy, the bits of its point mass's (0 + 1.0 x = x).
+    ``alpha`` and ``eps`` must be finite and >= 0.  P may be a Policy, its
+    own one-policy mixture.
     """
     for name, val in (("alpha", alpha), ("eps", eps)):
         if not (math.isfinite(val) and val >= 0.0):
             raise VoxlabError(f"{name} must be finite and >= 0, got {val}")
-    policies = [P] if isinstance(P, Policy) else as_distribution(P).policies
     maxima = max_occupancies(M, h)
     scale = _density_norms(M, h) if h >= 1 else np.ones(M.n_states(0))
     if mode == "expectation":
-        vals = (exact_occupancy if isinstance(P, Policy)
-                else mixture_occupancy)(M, P, h)
+        vals = mixture_occupancy(M, P, h)
     elif mode == "max":
-        vals = np.max([exact_occupancy(M, pi, h) for pi in policies], axis=0)
+        vals = np.max([exact_occupancy(M, pi, h) for pi in P.policies], axis=0)
     else:
         raise VoxlabError(f"unknown mode {mode!r}")
     qualifying = (maxima >= eps * scale) & (maxima > 0.0)
@@ -74,11 +72,10 @@ def check_design_on_policies(M, feat, P, gamma, C, h):
     """Exact design certificate over all deterministic policies.
 
     Builds M_P = gamma*I + E_{pi~P} E^pi[phi phi^T] at layer h for the given
-    feature table and returns sup over deterministic policies of
-    Tr(M_P^-1 E^pi[phi phi^T]), which is a backward-DP maximum of the
-    state-action functional phi^T M_P^-1 phi.
+    feature table and mixture (or Policy) P and returns sup over
+    deterministic policies of Tr(M_P^-1 E^pi[phi phi^T]), which is a
+    backward-DP maximum of the state-action functional phi^T M_P^-1 phi.
     """
-    P = as_distribution(P)
     feat = np.asarray(feat, dtype=float)
     d = feat.shape[2]
     Mmat = gamma * np.eye(d)

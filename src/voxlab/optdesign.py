@@ -51,7 +51,8 @@ def fw_iteration_bound(C, gamma, d):
 
 
 def _clean_psd(W, d, fro_cap):
-    """Symmetrize, reject clearly non-PSD output, clip dust, cap the norm."""
+    """Symmetrize, reject clearly non-PSD output, clip dust, cap the norm: the
+    one PSD projection of a ``lin_est`` output (`est_mat` makes none)."""
     W = np.asarray(W, dtype=float)
     if W.shape != (d, d):
         raise VoxlabError(f"lin_est returned shape {W.shape}, expected ({d}, {d})")

@@ -7,6 +7,7 @@ the Monte-Carlo side of the library lives in ``estimators``.
 
 from __future__ import annotations
 
+import numbers
 import weakref
 from dataclasses import dataclass
 
@@ -18,8 +19,8 @@ from .core import (
     LayeredLowRankMDP,
     LayerRangeError,
     Policy,
+    PolicyDistribution,
     VoxlabError,
-    as_distribution,
 )
 
 DEFAULT_DP_BUDGET = 50_000_000
@@ -200,8 +201,7 @@ def exact_second_moment(M, pi, feat, h):
 
 
 def mixture_occupancy(M, P, h):
-    """Occupancy of a policy mixture: the weight-averaged member occupancies."""
-    P = as_distribution(P)
+    """Occupancy of a mixture or Policy: the weight-averaged member occupancies."""
     parts = [exact_occupancy(M, pi, h) for pi in P.policies]
     return sum(w * part for part, w in zip(parts, P.weights))
 
@@ -371,11 +371,13 @@ def _compiled(M, P, upto, tail):
     PolicyDistribution by identity), upto and tail value, and held weakly
     by P: the first call runs every check of `_law`, a later one none.
     """
-    laws = _laws(M, P if isinstance(P, Policy) else as_distribution(P))
+    if not isinstance(P, (Policy, PolicyDistribution)):
+        raise VoxlabError(f"expected Policy or PolicyDistribution, got {type(P).__name__}")
+    laws = _laws(M, P)
     key = (upto, None if tail is None else tail.action_key())
     law = laws.get(key)
     if law is None:
-        s, first, steps = _law(M, as_distribution(P), upto, tail)
+        s, first, steps = _law(M, P, upto, tail)
         first.setflags(write=False)
         law = laws[key] = (s, first, [(trans, rows) + _one_hot(rows)
                                       for trans, rows in steps])
@@ -386,7 +388,8 @@ def sample_trajectories(M, P, n, rng, upto=None, tail=None, counter=None):
     """Counts of ``n`` episodes through layer ``upto``, each rolled in with a
     policy drawn from P, drawn from their exact multinomial law.
 
-    P is a Policy (a point mass) or a PolicyDistribution.  Every episode
+    P is a PolicyDistribution or a Policy, read as its own one-policy
+    mixture through the same ``policies`` and ``weights``.  Every episode
     plays its drawn policy on layers 0..upto-k and the fixed ``tail`` on the
     k layers left: a Policy on layers upto-k+1..upto, none (k = 0) if not
     given.  Let s be the tail's first layer, or ``upto`` without a tail.
@@ -412,13 +415,13 @@ def sample_trajectories(M, P, n, rng, upto=None, tail=None, counter=None):
     weakly by P, with its forward passes memoised per MDP (see `_law`), so
     reused covers and policies pay each once.  The first roll-in of a key
     checks every component's cover and every table's shape before anything
-    is counted or drawn; every call checks n, which ``rng.multinomial``
-    takes only below 2**63.
+    is counted or drawn; every call checks that n is an integer below 2**63,
+    not a bool: ``rng.multinomial`` truncates a float and takes no more.
     """
     upto = M.H - 1 if upto is None else upto
     _check_layer(M, upto)
-    if not 0 <= n < 2**63:
-        raise VoxlabError(f"n must be in [0, 2**63), got {n}")
+    if type(n) is bool or not isinstance(n, numbers.Integral) or not 0 <= n < 2**63:
+        raise VoxlabError(f"n must be in [0, 2**63) and an integer, got {n!r}")
     s, first, steps = _compiled(M, P, upto, tail)
     if counter is not None:
         counter.add(n)

@@ -12,7 +12,6 @@ from voxlab import (
     Policy,
     PolicyDistribution,
     RepLearnConfig,
-    as_distribution,
     generate_low_rank_mdp,
     simenv,
 )
@@ -226,7 +225,6 @@ def reference_rollin(M, P, n, rng, upto, tail=(), counter=None):
     """The per-component loop that `simenv.sample_trajectories` replaced for
     mixtures, drawing through the frozen `reference_sample_trajectories`,
     kept as its reference."""
-    P = as_distribution(P)
     per_comp = rng.multinomial(n, P.weights)
     states, actions = [], []
     for comp, cnt in zip(P.policies, per_comp):

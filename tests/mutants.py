@@ -59,6 +59,15 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the design loop skips its PSD projection",
+        "src/voxlab/optdesign.py",
+        '    W = psd_part(W, "lin_est output")\n',
+        "",
+        (
+            "tests/test_optdesign.py::test_non_psd_estimates_are_rejected",
+        ),
+    ),
+    Mutant(
         "the line-search slope drops the last eigenvalue",
         "src/voxlab/optdesign.py",
         "x / (1.0 + a * x), lam, 0.0)",
@@ -350,12 +359,12 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "paper leaves rep-learn's delta at its default",
+        "paper sizes its counts at 0.05 whatever replearn says",
         "src/voxlab/drivers.py",
-        'kw.setdefault("replearn", RepLearnConfig(delta=delta))',
-        'kw.setdefault("replearn", RepLearnConfig())',
+        '{eta}")\n        delta = kw.setdefault("replearn", RepLearnConfig()).delta\n',
+        '{eta}")\n        kw.setdefault("replearn", RepLearnConfig())\n        delta = 0.05\n',
         (
-            "tests/test_drivers.py::test_paper_schedules_size_rep_learn_at_their_own_delta",
+            "tests/test_drivers.py::test_paper_schedules_size_rep_learn_at_their_own_delta[VoxSchedule-0.1]",
         ),
     ),
     Mutant(
@@ -378,6 +387,38 @@ MUTANTS = (
         ),
     ),
     # ---------------------------------------------------------------- sampler
+    Mutant(
+        "the sampler accepts a float n",
+        "src/voxlab/simenv.py",
+        "not isinstance(n, numbers.Integral)",
+        "not isinstance(n, numbers.Real)",
+        (
+            "tests/test_simenv.py::test_an_n_that_multinomial_cannot_take_raises_before_drawing[2.5]",
+            "tests/test_simenv.py::test_an_n_that_multinomial_cannot_take_raises_before_drawing[6000.0]",
+            "tests/test_estimators.py::test_estimators_validate_inputs",
+        ),
+    ),
+    Mutant(
+        "the roll-in type check is skipped",
+        "src/voxlab/simenv.py",
+        "    if not isinstance(P, (Policy, PolicyDistribution)):\n",
+        "    if False:\n",
+        (
+            "tests/test_simenv.py::test_sampler_respects_upto_and_counter",
+        ),
+    ),
+    Mutant(
+        "a policy's weight reads 0.5",
+        "src/voxlab/core.py",
+        "    weights = _freeze(np.ones(1))\n",
+        "    weights = _freeze(np.full(1, 0.5))\n",
+        (
+            "tests/test_simenv.py::test_a_policy_reads_as_its_one_policy_mixture_bit_for_bit[mixture_occupancy]",
+            "tests/test_simenv.py::test_a_policy_reads_as_its_one_policy_mixture_bit_for_bit[check_policy_cover]",
+            "tests/test_simenv.py::test_a_policy_reads_as_its_one_policy_mixture_bit_for_bit[check_design_on_policies]",
+            "tests/test_simenv.py::test_a_policy_reads_as_its_one_policy_mixture_bit_for_bit[exact_transfer_error]",
+        ),
+    ),
     Mutant(
         "_rows leaves the clipped rows unnormalized",
         "src/voxlab/simenv.py",

@@ -201,7 +201,7 @@ def _all_det_covers(M, h):
     covers = []
     for t in range(h + 1):
         if t == 0:
-            covers.append(PolicyDistribution.point_mass(Policy.empty(0)))
+            covers.append(PolicyDistribution([Policy.empty(0)], [1.0]))
         else:
             covers.append(uniform_mixture(enumerate_det_policies(M, t - 1)))
     return covers
@@ -236,7 +236,7 @@ def test_c06_replearn_terminates_and_transfers():
         rng = np.random.default_rng(6000 + seed)
         M = small_env(seed=6000 + seed, H=3, A=2, d=2, states=(3, 4, 4))
         Phi = make_feature_class(M, n_decoys=3, rng=rng, true_index=2)
-        P = PolicyDistribution.point_mass(Policy.empty(0))
+        P = PolicyDistribution([Policy.empty(0)], [1.0])
         res = rep_learn(M, 0, Phi, P, 20000, config, rng)
         assert res.iterations <= T, seed
         chosen = exact_transfer_error(M, 0, Phi, res.index, P,

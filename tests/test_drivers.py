@@ -72,16 +72,21 @@ def test_vox_paper_schedule_arithmetic():
 
 @pytest.mark.parametrize("cls, first", [(VoxSchedule, 0.1), (SpanrlSchedule, 0.5)])
 def test_paper_schedules_size_rep_learn_at_their_own_delta(cls, first):
-    # n_replearn is sized with log(|Phi|/delta), and so is rep-learn's threshold
-    kw = dict(d=2, A=2, n_candidates=3, H=4, delta=0.01)
-    assert cls.paper(first, **kw).replearn == RepLearnConfig(delta=0.01)
+    # the counts are sized at replearn's delta, the default config's 0.05
+    # when none is given: n_replearn with log(|Phi|/delta), as rep-learn's
+    # threshold is; a schedule takes no delta of its own
+    kw = dict(d=2, A=2, n_candidates=3, H=4)
+    assert cls.paper(first, **kw).replearn == RepLearnConfig()
     given = RepLearnConfig(restarts=2, delta=0.01)
-    assert cls.paper(first, **kw, replearn=given).replearn is given
-    with pytest.raises(VoxlabError,
-                       match="replearn delta 0.05 is not the schedule's delta 0.01"):
-        cls.paper(first, **kw, replearn=RepLearnConfig())
+    s = cls.paper(first, **kw, replearn=given)
+    assert s.replearn is given
+    # n_replearn at delta = 0.05 and at 0.01
+    assert (cls.paper(first, **kw).n_replearn, s.n_replearn) == {
+        VoxSchedule: (1677043533, 2336269302), SpanrlSchedule: (132, 183)}[cls]
+    with pytest.raises(TypeError, match="delta"):
+        cls.paper(first, **kw, delta=0.01)
     with pytest.raises(VoxlabError, match="replearn delta must be in"):
-        cls.paper(first, **{**kw, "delta": 1.0})
+        cls.paper(first, **kw, replearn=RepLearnConfig(delta=1.0))
 
 
 @pytest.mark.parametrize("cls, name, bad, good", [
@@ -146,9 +151,9 @@ def test_mix_distributions_dedup_and_weights(env):
 
 def test_rollin_mixture_places_half_mass_on_base_cover(env):
     # the k-th roll-in mixes the base cover at exactly one half
-    base = PolicyDistribution.point_mass(Policy.from_actions(env, [0, 0, 0]))
-    d1 = PolicyDistribution.point_mass(Policy.from_actions(env, [1, 1, 1]))
-    d2 = PolicyDistribution.point_mass(Policy.from_actions(env, [0, 1, 0]))
+    base = PolicyDistribution([Policy.from_actions(env, [0, 0, 0])], [1.0])
+    d1 = PolicyDistribution([Policy.from_actions(env, [1, 1, 1])], [1.0])
+    d2 = PolicyDistribution([Policy.from_actions(env, [0, 1, 0])], [1.0])
     k = 3
     parts = [(base, 0.5)] + [(D, 1.0 / (2.0 * (k - 1))) for D in (d1, d2)]
     mixed = mix_distributions(parts)
@@ -474,7 +479,7 @@ def test_optimize_reward_zero_vector(env):
     Phi = make_feature_class(env, n_decoys=1, rng=np.random.default_rng(10))
     covers = CoverSet(
         kind="vox", H=env.H,
-        layers=[PolicyDistribution.point_mass(Policy.uniform(env))] * env.H)
+        layers=[PolicyDistribution([Policy.uniform(env)], [1.0])] * env.H)
     thetas = [np.zeros(2) for _ in range(env.H - 1)]
     pol, value = optimize_reward(env, covers, thetas, Phi, 50,
                                  np.random.default_rng(11))
@@ -487,7 +492,7 @@ def test_optimize_reward_matches_dp():
     Phi = make_feature_class(M, n_decoys=1, rng=np.random.default_rng(12))
     covers = CoverSet(
         kind="vox", H=M.H,
-        layers=[PolicyDistribution.point_mass(Policy.uniform(M))] * M.H)
+        layers=[PolicyDistribution([Policy.uniform(M)], [1.0])] * M.H)
     rng = np.random.default_rng(13)
     thetas = []
     for _ in range(M.H - 1):
@@ -504,7 +509,7 @@ def test_optimize_reward_validation(env):
     Phi = make_feature_class(env, n_decoys=1, rng=np.random.default_rng(15))
     covers = CoverSet(
         kind="vox", H=env.H,
-        layers=[PolicyDistribution.point_mass(Policy.uniform(env))] * env.H)
+        layers=[PolicyDistribution([Policy.uniform(env)], [1.0])] * env.H)
     rng = np.random.default_rng(16)
     with pytest.raises(VoxlabError, match="reward vectors, got 1"):
         optimize_reward(env, covers, [np.zeros(2)], Phi, 10, rng)  # wrong count
@@ -542,7 +547,7 @@ def test_optimize_reward_rejects_non_finite_vectors(env, thetas):
     Phi = make_feature_class(env, n_decoys=1, rng=np.random.default_rng(15))
     covers = CoverSet(
         kind="vox", H=env.H,
-        layers=[PolicyDistribution.point_mass(Policy.uniform(env))] * env.H)
+        layers=[PolicyDistribution([Policy.uniform(env)], [1.0])] * env.H)
     counter = EpisodeCounter()
     with pytest.raises(VoxlabError, match="finite"):
         optimize_reward(env, covers, thetas, Phi, 10, np.random.default_rng(16),
@@ -553,7 +558,7 @@ def test_optimize_reward_rejects_non_finite_vectors(env, thetas):
 def test_missing_cover_layer_raises(env):
     # a layer is missing when it is None or past the end of a short list;
     # either is refused before any episode
-    pm = PolicyDistribution.point_mass(Policy.uniform(env))
+    pm = PolicyDistribution([Policy.uniform(env)], [1.0])
     Phi = make_feature_class(env, n_decoys=1, rng=np.random.default_rng(17))
     counter = EpisodeCounter()
     for layers, h in (([None] * env.H, 0), ([pm] * (env.H - 2), env.H - 2)):

@@ -5,8 +5,8 @@ import pytest
 
 from voxlab import EpisodeCounter, Policy, VoxlabError
 from voxlab.estimators import est_mat, est_vec
-from voxlab.simenv import (exact_feature_expectation, exact_second_moment,
-                           sample_trajectories)
+from voxlab.simenv import (combination_lock, exact_feature_expectation,
+                           exact_second_moment, sample_trajectories)
 
 from conftest import small_env, uniform_mixture
 
@@ -54,14 +54,10 @@ def test_est_mat_symmetric_psd_and_matches_mean(env):
     assert np.abs(got - want).max() < 0.02
 
 
-def test_est_mat_rejects_non_psd_and_non_square(env):
-    F_bad = np.zeros((env.n_states(1), env.A, 2, 2))
-    F_bad[:, :, 0, 1] = 1.0
-    F_bad[:, :, 1, 0] = -1.0
-    F_bad[:, :, 0, 0] = -1.0  # symmetrized matrix has a negative eigenvalue
-    with pytest.raises(VoxlabError):
-        est_mat(env, 1, F_bad, Policy.uniform(env), 10, np.random.default_rng(6))
-    with pytest.raises(VoxlabError):
+def test_est_mat_rejects_a_non_square_functional(env):
+    # a non-PSD average is returned as it is: `optdesign._clean_psd` rejects
+    # it where a design uses it
+    with pytest.raises(VoxlabError, match="square matrix functional"):
         est_mat(env, 1, np.zeros((env.n_states(1), env.A, 2)),
                 Policy.uniform(env), 10, np.random.default_rng(7))
 
@@ -72,6 +68,11 @@ def test_estimators_validate_inputs(env):
         est_vec(env, 1, np.zeros((1, 1, 2)), pi, 10, np.random.default_rng(8))
     with pytest.raises(VoxlabError):
         est_vec(env, 1, env.phi[1], pi, 0, np.random.default_rng(9))
+    # multinomial would truncate n = 2.5 to 2 episodes, whose one-hot
+    # counts over 2.5 would not sum to 1
+    M = combination_lock(3, 2, 1, 0)
+    with pytest.raises(VoxlabError, match=r"n must be in \[0, 2\*\*63\) and an integer"):
+        est_vec(M, 1, M.phi[1], Policy.uniform(M), 2.5, np.random.default_rng(3))
 
 
 def test_episode_counter_threads_through(env):

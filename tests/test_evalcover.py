@@ -40,7 +40,7 @@ def random_policy(M, rng):
 
 
 def test_layer_zero_cover_is_trivial(env):
-    P = PolicyDistribution.point_mass(Policy.uniform(env))
+    P = PolicyDistribution([Policy.uniform(env)], [1.0])
     out = check_policy_cover(env, P, 0, alpha=1.0, eps=0.0)
     assert out["passed"]
     assert out["alpha_measured"] == pytest.approx(1.0, abs=1e-12)
@@ -48,7 +48,7 @@ def test_layer_zero_cover_is_trivial(env):
 
 
 def test_large_eps_passes_vacuously(env):
-    P = PolicyDistribution.point_mass(Policy.uniform(env))
+    P = PolicyDistribution([Policy.uniform(env)], [1.0])
     out = check_policy_cover(env, P, 2, alpha=1.0, eps=50.0)
     assert out["passed"]
     assert out["n_qualifying"] == 0
@@ -60,7 +60,7 @@ def test_large_eps_passes_vacuously(env):
                                         (-0.1, 0.0), (0.5, -1e-3)])
 def test_a_non_finite_or_negative_threshold_is_rejected(env, alpha, eps):
     # a NaN alpha makes every "vals < alpha * max" false, so it passed any cover
-    P = PolicyDistribution.point_mass(Policy.uniform(env))
+    P = PolicyDistribution([Policy.uniform(env)], [1.0])
     with pytest.raises(VoxlabError, match="must be finite and >= 0"):
         check_policy_cover(env, P, 2, alpha=alpha, eps=eps)
     assert check_policy_cover(env, P, 2, alpha=0.0, eps=0.0)["passed"]
@@ -89,7 +89,7 @@ def test_failing_cover_names_witnesses():
             worst = (ratio, pi)
     ratio, pi = worst
     assert ratio < 0.9  # sanity: the chosen policy really misses mass
-    out = check_policy_cover(M, PolicyDistribution.point_mass(pi), 2,
+    out = check_policy_cover(M, PolicyDistribution([pi], [1.0]), 2,
                              alpha=0.95, eps=0.0)
     assert not out["passed"]
     assert out["witnesses"]
@@ -135,7 +135,7 @@ def test_cover_check_matches_a_per_state_loop_bit_for_bit():
     for seed in (0, 1, 2):
         M = small_env(seed=seed, H=3, A=2, d=2, states=(2, 3, 3), boost=0.3)
         pis = list(enumerate_det_policies(M, M.H - 1))
-        mixtures = [PolicyDistribution.point_mass(pis[0]),
+        mixtures = [PolicyDistribution([pis[0]], [1.0]),
                     uniform_mixture(pis[:3]),
                     PolicyDistribution([random_policy(M, rng), pis[-1]], [0.3, 0.7])]
         for P in mixtures:
@@ -151,23 +151,6 @@ def test_cover_check_matches_a_per_state_loop_bit_for_bit():
                             assert out["passed"] == (not witnesses)
 
 
-def test_a_bare_policy_covers_as_its_point_mass_bit_for_bit():
-    # a bare Policy's cover mass is read from its occupancy directly, with
-    # no point-mass mixture around it: every report field is unchanged
-    rng = np.random.default_rng(4)
-    M = small_env(seed=4, H=4, A=2, d=2, states=(2, 3, 3, 2), boost=0.3)
-    for pi in (Policy.uniform(M), random_policy(M, rng)):
-        for h in range(M.H):
-            for mode in ("expectation", "max"):
-                for alpha, eps in ((0.0, 0.0), (0.9, 0.1)):
-                    got = check_policy_cover(M, pi, h, alpha, eps, mode)
-                    want = check_policy_cover(M, PolicyDistribution.point_mass(pi),
-                                              h, alpha, eps, mode)
-                    assert got == want
-                    assert (np.float64(got["alpha_measured"]).tobytes()
-                            == np.float64(want["alpha_measured"]).tobytes())
-
-
 # ------------------------------------------------------ design certificates
 
 
@@ -175,7 +158,7 @@ def test_single_state_design_certificate(env):
     # one roll-in policy on a single-state layer: the certificate equals
     # Tr((gamma I + W)^-1 W) <= d for any PSD W, trivially within bound
     M = small_env(seed=1, H=2, A=2, d=2, states=(1, 2))
-    P = PolicyDistribution.point_mass(Policy.uniform(M))
+    P = PolicyDistribution([Policy.uniform(M)], [1.0])
     out = check_design_on_policies(M, M.phi[0], P, gamma=0.01, C=2.0, h=0)
     assert out["passed"]
     assert out["sup"] <= 2.0 + 1e-9  # d = 2

@@ -258,7 +258,7 @@ def test_non_psd_estimates_are_rejected():
     def lin_est(P):
         return np.array([[1.0, 0.0], [0.0, -1.0]])
 
-    with pytest.raises(VoxlabError):
+    with pytest.raises(VoxlabError, match="lin_est output is not PSD"):
         fw_optdesign(lin_opt, lin_est, C=2.0, gamma=0.1, d=d)
 
 

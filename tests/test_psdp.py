@@ -47,7 +47,7 @@ def all_det_covers(M, h):
     covers = []
     for t in range(h + 1):
         if t == 0:
-            covers.append(PolicyDistribution.point_mass(Policy.empty(0)))
+            covers.append(PolicyDistribution([Policy.empty(0)], [1.0]))
         else:
             pis = enumerate_det_policies(M, t - 1)
             covers.append(uniform_mixture(pis))
@@ -526,7 +526,7 @@ def test_psdp_cell_means_at_n_1e12_match_the_exact_q_tables(monkeypatch):
         Phi = onehot_feature_class(M)
         pis = [Policy(0, [rng.random((M.n_states(t), M.A)) for t in range(H)]),
                Policy.uniform(M)]
-        covers = [PolicyDistribution.point_mass(Policy.empty(0))] + [
+        covers = [PolicyDistribution([Policy.empty(0)], [1.0])] + [
             PolicyDistribution(pis, [w, 1.0 - w]) for w in rng.random(h)]
         fits.clear()
         counter = EpisodeCounter()
@@ -573,7 +573,7 @@ def memo_instance(seed, h):
     pis = [Policy.from_actions(M, [rng.integers(M.A, size=M.n_states(t))
                                    for t in range(M.H)]),
            Policy(0, [rng.random((M.n_states(t), M.A)) for t in range(M.H)])]
-    covers = [PolicyDistribution.point_mass(Policy.empty(0))] + [
+    covers = [PolicyDistribution([Policy.empty(0)], [1.0])] + [
         PolicyDistribution(pis, [w, 1.0 - w]) for w in rng.random(h)]
     return M, Phi, covers, float(rng.uniform(0.5, 4.0))
 
@@ -748,8 +748,8 @@ def test_a_query_builds_each_greedy_table_once(monkeypatch):
     psdp_module = importlib.import_module("voxlab.psdp")
     M = small_env(seed=0, H=6, A=3, d=2, states=(3, 4, 3, 4, 3, 3))
     Phi = make_feature_class(M, n_decoys=1, rng=np.random.default_rng(0))
-    covers = [PolicyDistribution.point_mass(Policy.empty(0))] + [
-        PolicyDistribution.point_mass(Policy.uniform(M))] * 4
+    covers = [PolicyDistribution([Policy.empty(0)], [1.0])] + [
+        PolicyDistribution([Policy.uniform(M)], [1.0])] * 4
     built, tails = [], []
     from_actions = Policy.from_actions
 
@@ -879,7 +879,7 @@ def test_no_query_fits_its_top_layer(monkeypatch):
                                            replearn=replearn), rng)
     spanrl = len(queries)
     unif = CoverSet(kind="vox", H=M.H, layers=[
-        PolicyDistribution.point_mass(Policy.uniform(M))] * M.H)
+        PolicyDistribution([Policy.uniform(M)], [1.0])] * M.H)
     optimize_reward(M, unif, [np.array([0.6, 0.8])] * 3, Phi, 300, rng)
     assert direct == 4 and vox > direct and spanrl > vox and len(queries) == spanrl + 1
     assert {h for h, _ in queries[direct:spanrl]} == {0, 1}
@@ -935,7 +935,7 @@ def test_a_memo_shared_across_query_shapes_replays_only_the_keys_they_share(
 def test_psdp_horizon_zero_is_exact_greedy(env):
     rng = np.random.default_rng(3)
     tab = rng.random((env.n_states(0), env.A))
-    covers = [PolicyDistribution.point_mass(Policy.empty(0))]
+    covers = [PolicyDistribution([Policy.empty(0)], [1.0])]
     pi = psdp(env, 0, [tab], FeatureClass([list(env.phi)]), 1.0, covers, 50,
               np.random.default_rng(4))
     got = exact_policy_value(env, pi, [tab])
@@ -1002,7 +1002,7 @@ def test_psdp_performance_difference_decomposition():
 def test_psdp_argument_validation(env):
     tabs = [np.zeros((env.n_states(0), env.A))]
     Phi = FeatureClass([list(env.phi)])
-    covers = [PolicyDistribution.point_mass(Policy.empty(0))]
+    covers = [PolicyDistribution([Policy.empty(0)], [1.0])]
     with pytest.raises(VoxlabError):
         psdp(env, 0, tabs, Phi, 1.0, covers, 0, np.random.default_rng(8))
     with pytest.raises(VoxlabError):

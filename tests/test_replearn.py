@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from voxlab import Discriminator, FeatureClass, Policy, VoxlabError, as_distribution
+from voxlab import Discriminator, FeatureClass, Policy, VoxlabError
 from voxlab import replearn
 from voxlab.psdp import BallLeastSquares, ball_constrained_least_squares, matvec
 from voxlab.replearn import (
@@ -242,7 +242,7 @@ def reference_discriminator_search_d2(Phi, phi_current, data, config, rng,
 def reference_exact_transfer_error(M, h, Phi, index, P, n_dirs, rng):
     """Frozen copy of the per-direction exact transfer error loop."""
     d = Phi.d
-    occ = mixture_occupancy(M, as_distribution(P), h)
+    occ = mixture_occupancy(M, P, h)
     weights = np.repeat(occ[:, None] / M.A, M.A, axis=1).ravel()
     Z = Phi.tables_at(h)[index].reshape(-1, d)
     fac = BallLeastSquares(Z, weights)

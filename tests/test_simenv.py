@@ -22,13 +22,13 @@ from voxlab import (
     Policy,
     PolicyDistribution,
     VoxlabError,
-    as_distribution,
     validate_mdp,
 )
 from voxlab import simenv
 from voxlab.estimators import est_mat, est_vec
-from voxlab.evalcover import check_policy_cover
+from voxlab.evalcover import check_design_on_policies, check_policy_cover
 from voxlab.psdp import psdp
+from voxlab.replearn import RepLearnDataset, exact_transfer_error
 from voxlab.simenv import (
     argmax_policy,
     combination_lock,
@@ -392,10 +392,11 @@ def test_sampler_respects_upto_and_counter(env):
     assert counter.count == 50
 
 
-@pytest.mark.parametrize("n", [2**63, 2**70, -1])
+@pytest.mark.parametrize("n", [2**63, 2**70, -1, 2.5, True, np.float64(6000.0)])
 def test_an_n_that_multinomial_cannot_take_raises_before_drawing(env, n):
-    # rng.multinomial takes n only below 2**63; one below it draws, at a
-    # cost that does not grow with n
+    # rng.multinomial takes n only below 2**63, and truncates a float: a
+    # non-integer n, or a bool, is refused; an integer below 2**63 draws,
+    # at a cost that does not grow with n
     rng, counter = np.random.default_rng(7), EpisodeCounter()
     before = rng.bit_generator.state
     tail = Policy.uniform(env, 1, 2)
@@ -499,7 +500,7 @@ def assert_sampler_matches_reference(M, pi, n, upto, seed):
     assert counts[0].dtype == np.int64
     assert counts[0].sum() == n == counter.count
     assert (counts[0][law == 0.0] == 0).all()
-    s, first, steps = _law(M, as_distribution(pi), upto, None)
+    s, first, steps = _law(M, pi, upto, None)
     assert s == upto and steps == []
     assert np.abs(first - law.ravel()).max() <= 1e-12
     if n >= 2000:
@@ -560,7 +561,7 @@ def test_initial_states_match_a_search_of_the_cumulative_rho(seed, n0, n):
     counts = sample_trajectories(M, Policy.uniform(M), n, np.random.default_rng(seed),
                                  upto=0)[0][:, 0]
     assert counts.sum() == n and (counts[M.rho == 0.0] == 0).all()
-    assert np.abs(_law(M, as_distribution(Policy.uniform(M)), 0, None)[1]
+    assert np.abs(_law(M, Policy.uniform(M), 0, None)[1]
                   - M.rho / M.rho.sum()).max() <= 1e-15
 
 
@@ -770,21 +771,45 @@ def test_a_repeated_rollin_compiles_nothing_and_a_new_tail_value_compiles_once(
         assert len(built) == want
 
 
-def test_a_point_mass_shares_its_policys_compiled_law():
-    # a one-policy mixture at weight exactly 1.0 compiles its policy's law bit
-    # for bit (0 + 1.0 x = x): a point mass of an equal policy draws the same
-    # counts and leaves the generator in the same state
+def _reads(M, Phi, upto, tail, roll_in, rng):
+    """What each roll-in reader makes of ``roll_in``, by reader name, each
+    to be called once."""
+    covers = [(h, alpha, eps, mode) for h in range(M.H) for mode in ("expectation", "max")
+              for alpha, eps in ((0.0, 0.0), (0.9, 0.1))]
+    return {
+        "sample_trajectories": lambda: sample_trajectories(M, roll_in, 1000, rng, upto, tail),
+        "mixture_occupancy": lambda: [mixture_occupancy(M, roll_in, h) for h in range(M.H)],
+        "check_policy_cover": lambda: [check_policy_cover(M, roll_in, *args)
+                                       for args in covers],
+        "check_design_on_policies": lambda: [
+            check_design_on_policies(M, M.phi[h], roll_in, 0.01, 2.0, h)
+            for h in range(M.H - 1)],
+        "exact_transfer_error": lambda: [
+            exact_transfer_error(M, h, Phi, i, roll_in, n_dirs=8, rng=rng)
+            for h in range(M.H - 2) for i in range(len(Phi))],
+        "collect": lambda: [RepLearnDataset.collect(M, h, roll_in, 500, rng).counts
+                            for h in range(M.H - 1)],
+    }
+
+
+@pytest.mark.parametrize("reader", ["sample_trajectories", "mixture_occupancy",
+                                    "check_policy_cover", "check_design_on_policies",
+                                    "exact_transfer_error", "collect"])
+def test_a_policy_reads_as_its_one_policy_mixture_bit_for_bit(reader):
+    # a Policy is its own one-policy mixture: every roll-in reader gives a
+    # bare policy and PolicyDistribution([twin], [1.0]) of an equal copy the
+    # same bits (0 + 1.0 x = x), dtypes, report fields and generator state
     M, P, upto, tail = rollin_case("psdp")
-    pi = P.policies[0]
-    twin = PolicyDistribution.point_mass(Policy(0, [t.copy() for t in pi.tables]))
-    draws = []
-    for roll_in in (pi, twin):
-        rng = np.random.default_rng(3)
-        draws.append((sample_trajectories(M, roll_in, 1000, rng, upto, tail),
-                      rng.bit_generator.state))
-    (a, state_a), (b, state_b) = draws
-    assert all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a, b))
-    assert state_a == state_b
+    Phi = make_feature_class(M, 2, np.random.default_rng(2))
+    hot = Policy.from_actions(M, [np.arange(M.n_states(t)) % M.A for t in range(M.H)])
+    for pi in (P.policies[0], Policy.uniform(M), hot):
+        twin = PolicyDistribution([Policy(0, [t.copy() for t in pi.tables])], [1.0])
+        runs = []
+        for roll_in in (pi, twin):
+            rng = np.random.default_rng(3)
+            read = _reads(M, Phi, upto, tail, roll_in, rng)[reader]
+            runs.append((pickle.dumps(read()), state_bytes(rng)))
+        assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("shape", ["plain", "collect", "psdp", "mixed"])
